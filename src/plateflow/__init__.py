@@ -56,7 +56,6 @@ from .modes import (
     solve_linear_full,
     solve_oscillatory_mode,
     solve_steady_mode,
-    synthesize,
 )
 from .halfspace import (
     MultiplierSample,
@@ -75,7 +74,6 @@ from .halfspace import (
     weighted_multiplier,
 )
 from .nonlinear import (
-    DeformationData,
     DegenerateDeformationError,
     NonlinearTerms,
     PicardConfig,
@@ -86,7 +84,6 @@ from .nonlinear import (
     compute_nonlinear_terms,
     deform_inverse,
     deform_map,
-    deformation_data,
     e_matrix,
     nonlinear_bound_ratios,
     nonlinear_residual,

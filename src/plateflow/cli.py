@@ -10,6 +10,9 @@ resonance-report, lift-div, validate.  Every run writes ``manifest.json``
 timings) into the output directory next to CSV and ``.plf`` field
 containers.  Manifests are bit-identical across reruns and thread counts,
 except for the ``execution`` block (thread count, timestamp, timings).
+The solve is serial: the thread count (``--threads``, else
+``PLATEFLOW_THREADS``, else the ``threads`` key) is validated, and the
+resolved count is recorded in ``execution`` only.
 
 Config files are plain ``key = value`` text, ``#`` starts a comment.  Keys
 (defaults in parentheses):
@@ -37,7 +40,8 @@ Config files are plain ``key = value`` text, ``#`` starts a comment.  Keys
                     resonance table)
     near_factor     near-resonance classification factor (10.0)
     seed            base seed for the validation suite (0)
-    threads         worker count; --threads and PLATEFLOW_THREADS override
+    threads         thread count recorded in the manifest, >= 1; --threads
+                    and PLATEFLOW_THREADS override (1)
     out             output directory ("out"); --out overrides
 
 Forcing expressions use the variables t, x1, x2 (and x3 in the slab), the
@@ -78,7 +82,7 @@ from .halfspace import (
 )
 from .io import read_field, write_field
 from .lift import IncompatibleDataError, lift_divergence, lift_estimate_check
-from .modes import SolverParams, linear_residuals, solve_linear_full
+from .modes import SolverParams, solve_linear_full
 from .nonlinear import (
     DegenerateDeformationError,
     PicardConfig,
@@ -536,7 +540,7 @@ def _write_manifest(out_dir: Path, doc: dict):
 
 
 def _base_manifest(command: str, cfg: ScenarioConfig, raw: str,
-                   threads: int, seed: int) -> dict:
+                   seed: int) -> dict:
     return {
         "command": command,
         "config": asdict(cfg),
@@ -570,17 +574,15 @@ def _plate_samples_csv(path: Path, eta: PlateField):
 # ---- subcommand runners --------------------------------------------------------------
 
 
-def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, threads: int,
-                      seed: int, base_dir: Path) -> dict:
+def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
+                      base_dir: Path) -> dict:
     grid = cfg.grid()
     f = cfg.eps * parse_forcing(cfg.forcing_f, grid, "f", base_dir)
     g = cfg.eps * parse_forcing(cfg.forcing_g, grid, "g", base_dir)
     h = cfg.eps * parse_forcing(cfg.forcing_h, grid, "h", base_dir)
     g_arg = g if g.coeffs.any() else None
     sol = solve_linear_full(f, g_arg, h, grid=grid, params=cfg.solver_params(),
-                            route=cfg.route, threads=threads)
-    residuals = linear_residuals(sol.u, sol.p, sol.eta, f, g_arg, h,
-                                 cfg.solver_params())
+                            route=cfg.route)
     write_field(out_dir / "u.plf", sol.u)
     write_field(out_dir / "p.plf", sol.p)
     write_field(out_dir / "eta.plf", sol.eta)
@@ -591,20 +593,20 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, threads: int,
             "x_norm_solution": x_norm(sol.u, sol.p, sol.eta, cfg.q),
             "s_norm_eta": s_norm(sol.eta, cfg.q),
         },
-        "residuals": residuals,
+        "residuals": sol.residuals,
         "empirical_constants": {"x_over_y_ratio": sol.norm_ratio},
         "outputs": ["u.plf", "p.plf", "eta.plf", "eta_samples.csv"],
     }
 
 
-def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, threads: int,
-                         seed: int, base_dir: Path) -> dict:
+def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
+                         base_dir: Path) -> dict:
     grid = cfg.grid()
     f = cfg.eps * parse_forcing(cfg.forcing_f, grid, "f", base_dir)
     h = cfg.eps * parse_forcing(cfg.forcing_h, grid, "h", base_dir)
     pc = PicardConfig(eps=cfg.eps, max_iter=cfg.max_iter,
                       picard_tol=cfg.picard_tol, tol_nl=cfg.tol_nl,
-                      eps0=cfg.eps0, q=cfg.q, threads=threads,
+                      eps0=cfg.eps0, q=cfg.q,
                       params=cfg.solver_params())
     result = picard_solve(f, h, config=pc, grid=grid)
     if not result.converged:
@@ -643,8 +645,8 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, threads: int,
     }
 
 
-def _run_multiplier_scan(cfg: ScenarioConfig, out_dir: Path, threads: int,
-                         seed: int, base_dir: Path) -> dict:
+def _run_multiplier_scan(cfg: ScenarioConfig, out_dir: Path, seed: int,
+                         base_dir: Path) -> dict:
     k_max = cfg.k_max or 100
     xi_max = cfg.xi_max or 30
     report = boundedness_scan(k_max, xi_max, cfg.mu_s)
@@ -671,8 +673,8 @@ def _run_multiplier_scan(cfg: ScenarioConfig, out_dir: Path, threads: int,
     }
 
 
-def _run_resonance_report(cfg: ScenarioConfig, out_dir: Path, threads: int,
-                          seed: int, base_dir: Path) -> dict:
+def _run_resonance_report(cfg: ScenarioConfig, out_dir: Path, seed: int,
+                          base_dir: Path) -> dict:
     k_max = cfg.k_max or 4
     xi_max = cfg.xi_max or 2
     rows = resonance_report(k_max, xi_max, cfg.mu_s, cfg.near_factor,
@@ -690,8 +692,8 @@ def _run_resonance_report(cfg: ScenarioConfig, out_dir: Path, threads: int,
     }
 
 
-def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, threads: int,
-                  seed: int, base_dir: Path) -> dict:
+def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, seed: int,
+                  base_dir: Path) -> dict:
     grid = cfg.grid()
     g = cfg.eps * parse_forcing(cfg.forcing_g, grid, "g", base_dir)
     result = lift_divergence(g, tol_compat=cfg.compat_tol)
@@ -711,8 +713,8 @@ def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, threads: int,
     }
 
 
-def _run_validate(cfg: ScenarioConfig, out_dir: Path, threads: int,
-                  seed: int, base_dir: Path) -> dict:
+def _run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int,
+                  base_dir: Path) -> dict:
     checks = []
 
     def record(name, passed, values, threshold):
@@ -726,7 +728,7 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path, threads: int,
                max(res.values()) < 1e-13, res, "max < 1e-13")
 
     case = oracles.make_manufactured(seed, n_z=16)
-    rep = oracles.cross_validate_linear(case, q=cfg.q, threads=threads)
+    rep = oracles.cross_validate_linear(case, q=cfg.q)
     record("cross_validation_paths", rep["path_discrepancy"] < 1e-9,
            {"path_discrepancy": rep["path_discrepancy"]}, "< 1e-9")
     record("cross_validation_truth",
@@ -735,7 +737,7 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path, threads: int,
             "direct_truth_rel": rep["direct_truth_rel"]}, "< 1e-8")
 
     flat = oracles.make_manufactured(seed + 10, flat_plate=True)
-    rep0 = oracles.cross_validate_linear(flat, q=cfg.q, threads=threads)
+    rep0 = oracles.cross_validate_linear(flat, q=cfg.q)
     record("cross_validation_flat_identity",
            rep0["path_discrepancy"] < 1e-12,
            {"path_discrepancy": rep0["path_discrepancy"]}, "< 1e-12")
@@ -864,10 +866,9 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         base_dir = Path(args.config).resolve().parent
 
-        doc = _base_manifest(args.command, cfg, raw, threads, seed)
+        doc = _base_manifest(args.command, cfg, raw, seed)
         t1 = time.perf_counter()
-        doc.update(_RUNNERS[args.command](cfg, out_dir, threads, seed,
-                                          base_dir))
+        doc.update(_RUNNERS[args.command](cfg, out_dir, seed, base_dir))
         t2 = time.perf_counter()
         # the one run-dependent block; everything else is bit-reproducible
         doc["execution"] = {

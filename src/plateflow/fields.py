@@ -36,8 +36,31 @@ def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + np.conj(flipped))
 
 
+class _FieldArithmetic:
+    """Copy and linear arithmetic shared by slab and plate fields."""
+
+    def copy(self):
+        return replace(self, coeffs=self.coeffs.copy())
+
+    def __add__(self, other):
+        _check_compatible(self, other)
+        return replace(self, coeffs=self.coeffs + other.coeffs,
+                       real=self.real and other.real)
+
+    def __sub__(self, other):
+        _check_compatible(self, other)
+        return replace(self, coeffs=self.coeffs - other.coeffs,
+                       real=self.real and other.real)
+
+    def __mul__(self, scalar):
+        real = self.real and np.isrealobj(np.asarray(scalar))
+        return replace(self, coeffs=self.coeffs * scalar, real=real)
+
+    __rmul__ = __mul__
+
+
 @dataclass
-class SpectralField:
+class SpectralField(_FieldArithmetic):
     """Fourier x Chebyshev coefficients of a field on the slab.
 
     coeffs shape: (N_t, N_x, N_x, N_z + 1) for scalars and an extra trailing
@@ -61,9 +84,6 @@ class SpectralField:
                 f"coefficient shape {self.coeffs.shape} does not match grid {want}"
             )
 
-    def copy(self) -> "SpectralField":
-        return replace(self, coeffs=self.coeffs.copy())
-
     def component(self, c: int) -> "SpectralField":
         if self.components == 1:
             if c != 0:
@@ -71,25 +91,9 @@ class SpectralField:
             return self
         return SpectralField(self.grid, self.coeffs[..., c].copy(), 1, self.real)
 
-    def __add__(self, other):
-        _check_compatible(self, other)
-        return replace(self, coeffs=self.coeffs + other.coeffs,
-                       real=self.real and other.real)
-
-    def __sub__(self, other):
-        _check_compatible(self, other)
-        return replace(self, coeffs=self.coeffs - other.coeffs,
-                       real=self.real and other.real)
-
-    def __mul__(self, scalar):
-        real = self.real and np.isrealobj(np.asarray(scalar))
-        return replace(self, coeffs=self.coeffs * scalar, real=real)
-
-    __rmul__ = __mul__
-
 
 @dataclass
-class PlateField:
+class PlateField(_FieldArithmetic):
     """Fourier coefficients of a field on T x T0^2, shape (N_t, N_x, N_x)."""
 
     grid: TorusGrid
@@ -104,25 +108,6 @@ class PlateField:
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} does not match grid {want3}"
             )
-
-    def copy(self) -> "PlateField":
-        return replace(self, coeffs=self.coeffs.copy())
-
-    def __add__(self, other):
-        _check_compatible(self, other)
-        return replace(self, coeffs=self.coeffs + other.coeffs,
-                       real=self.real and other.real)
-
-    def __sub__(self, other):
-        _check_compatible(self, other)
-        return replace(self, coeffs=self.coeffs - other.coeffs,
-                       real=self.real and other.real)
-
-    def __mul__(self, scalar):
-        real = self.real and np.isrealobj(np.asarray(scalar))
-        return replace(self, coeffs=self.coeffs * scalar, real=real)
-
-    __rmul__ = __mul__
 
 
 def _check_compatible(a, b):
@@ -218,23 +203,24 @@ def project_oscillatory(field):
     return out
 
 
+def _face_trace(field: SpectralField, node: int, component: int | None) -> PlateField:
+    if field.components == 1:
+        coeffs = field.coeffs[..., node]
+    elif component is None:
+        raise ValueError("vector field trace needs a component index")
+    else:
+        coeffs = field.coeffs[..., node, component]
+    return PlateField(field.grid, coeffs.copy(), field.real)
+
+
 def trace_bottom(field: SpectralField, component: int | None = None) -> PlateField:
     """Restriction to the plate face x3 = 0 (node 0)."""
-    coeffs = field.coeffs[..., 0, :] if field.components > 1 else field.coeffs[..., 0]
-    if field.components > 1:
-        if component is None:
-            raise ValueError("vector field trace needs a component index")
-        coeffs = coeffs[..., component]
-    return PlateField(field.grid, coeffs.copy(), field.real)
+    return _face_trace(field, 0, component)
 
 
 def trace_top(field: SpectralField, component: int | None = None) -> PlateField:
-    coeffs = field.coeffs[..., -1, :] if field.components > 1 else field.coeffs[..., -1]
-    if field.components > 1:
-        if component is None:
-            raise ValueError("vector field trace needs a component index")
-        coeffs = coeffs[..., component]
-    return PlateField(field.grid, coeffs.copy(), field.real)
+    """Restriction to the rigid face x3 = 1 (node N_z)."""
+    return _face_trace(field, -1, component)
 
 
 # ---- spectral derivatives ----------------------------------------------------

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modes import _damped_symbol
+
 # fitting window for the decay-exponent rays: top decade of the scan range
 _RAY_POINTS = 24
 
@@ -137,7 +139,7 @@ def coupled_plate_symbol(k: int, xi: tuple[int, int], mu_s: float = 1.0,
     a2 = x1 * x1 + x2 * x2
     if a2 == 0.0:
         raise ValueError("xi' = 0 modes are excluded from the coupled symbol")
-    value = a2 * a2 - kp * kp + 1j * kp * mu_s * a2
+    value = _damped_symbol(kp, a2, mu_s)
     if include_fluid:
         a = math.sqrt(a2)
         root = complex(_decay_root(a2, kp))
@@ -239,8 +241,7 @@ def _symbol_arrays(ks: np.ndarray, ss: np.ndarray, mu_s: float):
     s = ss[None, :]
     a = np.sqrt(s)
     root = _decay_root(s, k)
-    return (s * s - k * k + 1j * k * mu_s * s
-            - k * k / a + 1j * k * (a + root))
+    return _damped_symbol(k, s, mu_s) - k * k / a + 1j * k * (a + root)
 
 
 @dataclass

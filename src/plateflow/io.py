@@ -13,6 +13,7 @@ self-describing variant for small fields.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -56,18 +57,24 @@ def read_field(path, grid: TorusGrid | None = None,
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r} in {path}")
-        n_t, n_x, n_z, components, real_flag = _HEADER.unpack(fh.read(_HEADER.size))
-        count = n_t * n_x * n_x * (n_z + 1) * components
-        payload = np.frombuffer(fh.read(16 * count), dtype="<f8")
-    if payload.size != 2 * count:
-        raise ValueError(f"truncated payload in {path}")
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"truncated header in {path}")
+        n_t, n_x, n_z, components, real_flag = _HEADER.unpack(header)
+        plate = n_z == 0
+        if grid is not None and ((grid.n_t, grid.n_x) != (n_t, n_x)
+                                 or (not plate and grid.n_z != n_z)):
+            raise ValueError("grid does not match file header")
+        # the header is untrusted: size the read by the bytes actually present
+        need = 16 * n_t * n_x * n_x * (n_z + 1) * components
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise ValueError(f"truncated payload in {path}: the header needs "
+                             f"{need} bytes, {left} remain")
+        payload = np.frombuffer(fh.read(need), dtype="<f8")
     flat = payload[0::2] + 1j * payload[1::2]
-    plate = n_z == 0
     if grid is None:
         grid = TorusGrid(n_t, n_x, n_z if not plate else 4, t_period, l_period)
-    else:
-        if (grid.n_t, grid.n_x) != (n_t, n_x) or (not plate and grid.n_z != n_z):
-            raise ValueError("grid does not match file header")
     if plate:
         return PlateField(grid, flat.reshape(n_t, n_x, n_x), bool(real_flag))
     shape = (n_t, n_x, n_x, n_z + 1)

@@ -16,7 +16,6 @@ pressure constant is pinned by the plate-row compatibility at the face.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +23,13 @@ import numpy as np
 from .fields import (
     PlateField,
     SpectralField,
-    divergence,
     dt,
-    dt_plate,
-    dx3,
-    gradient,
-    is_conjugate_symmetric,
     laplacian,
     trace_bottom,
-    trace_top,
     zeros_like_field,
 )
 from .grid import TorusGrid, cheb_eval, cheb_nodes, cheb_values_to_coeffs, clencurt_weights
-from .lift import IncompatibleDataError, antiderivative_from_plate, lift_divergence
+from .lift import antiderivative_from_plate, lift_divergence, xi0_layer_mean
 from .norms import x_norm, y_norm
 
 
@@ -54,6 +47,14 @@ class SolverParams:
 DEFAULT_PARAMS = SolverParams()
 
 
+def _damped_symbol(kp, a2, mu_s):
+    """|xi'|^4 - k^2 + i k mu_s |xi'|^2 at physical k and a2 = |xi'|^2.
+
+    The one definition of the damped plate symbol; arguments broadcast.
+    """
+    return a2 * a2 - kp * kp + 1j * kp * mu_s * a2
+
+
 def plate_symbol_damped(k: int, xi: tuple[int, int], mu_s: float = 1.0,
                         t_period: float = 2.0 * np.pi,
                         l_period: float = 2.0 * np.pi) -> complex:
@@ -65,8 +66,7 @@ def plate_symbol_damped(k: int, xi: tuple[int, int], mu_s: float = 1.0,
     kp = 2.0 * np.pi / t_period * k
     s1 = 2.0 * np.pi / l_period * xi[0]
     s2 = 2.0 * np.pi / l_period * xi[1]
-    a2 = s1 * s1 + s2 * s2
-    return a2 * a2 - kp * kp + 1j * kp * mu_s * a2
+    return _damped_symbol(kp, s1 * s1 + s2 * s2, mu_s)
 
 
 @dataclass
@@ -135,7 +135,7 @@ def mode_system_matrix(grid: TorusGrid, k: int, xi: tuple[int, int],
     a[bp:bp + m, 0:m] = 1j * x1 * eye
     a[bp:bp + m, m:2 * m] = 1j * x2 * eye
     a[bp:bp + m, bu3:bu3 + m] = d1
-    a[last, last] = plate_symbol_damped(k, xi, mu_s, grid.t_period, grid.l_period)
+    a[last, last] = _damped_symbol(kp, a2, mu_s)
     a[last, bp] = -1.0
     a[last, bu3:bu3 + m] = 2.0 * mu_f * d1[0]
     return a
@@ -146,12 +146,7 @@ def _solve_axis_mode(grid, k, f_hat, g_hat, h_hat, params):
     n = grid.n_z
     m = n + 1
     kp = 2.0 * np.pi / grid.t_period * k
-    mean = grid.cheb_weights @ g_hat
-    scale = max(1.0, float(np.max(np.abs(g_hat))))
-    if abs(mean) > params.compat_tol * scale:
-        raise IncompatibleDataError(
-            f"divergence datum has layer mean {abs(mean):.3e} on the xi'=0 "
-            f"column; the coupled system admits no periodic solution")
+    xi0_layer_mean(grid, g_hat, params.compat_tol)
     d2 = grid.dmat(2)
     op = 1j * kp * np.eye(m) - params.mu_f * d2
     op[0] = 0.0
@@ -208,30 +203,82 @@ def solve_steady_mode(grid: TorusGrid, xi: tuple[int, int],
     return _solve_any_mode(grid, 0, xi, f_hat, g_hat, h_hat, params)
 
 
+# ---- equation residuals ------------------------------------------------------
+
+
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
+def _residual_parts(grid: TorusGrid, u, p, eta, kp, x1, x2, f, g, h,
+                    mu_f: float, mu_s: float) -> dict[str, float]:
+    """Max-abs residual of each equation of the linearized system.
+
+    u (..., N_z + 1, 3), p (..., N_z + 1) and eta (...) hold coefficients
+    with the node axis before the component axis: full fields or one
+    mode's profiles.  kp, x1, x2 are physical frequencies that broadcast
+    against the leading axes.  f, g, h are the momentum, continuity and
+    plate right-hand sides shaped like u, p and eta; None means zero.
+    Momentum rows exclude the two face nodes, where boundary conditions
+    replace the collocated equations.
+    """
+    n = grid.n_z
+    d1 = grid.d1
+    kp, x1, x2 = (np.asarray(v) for v in (kp, x1, x2))
+    a2 = x1 * x1 + x2 * x2
+    # per-node views of the frequencies, then per (node, component)
+    kn, x1n, x2n, a2n = (v[..., None] for v in (kp, x1, x2, a2))
+    grad_p = np.stack([1j * x1n * p, 1j * x2n * p, p @ d1.T], axis=-1)
+    mom = (1j * kn[..., None] * u
+           - mu_f * (grid.dmat(2) @ u - a2n[..., None] * u) + grad_p)
+    if f is not None:
+        mom = mom - f
+    cont = 1j * x1n * u[..., 0] + 1j * x2n * u[..., 1] + u[..., 2] @ d1.T
+    if g is not None:
+        cont = cont - g
+    plate = (_damped_symbol(kp, a2, mu_s) * eta - p[..., 0]
+             + 2.0 * mu_f * (u[..., 2] @ d1[0]))
+    if h is not None:
+        plate = plate - h
+    return {
+        "momentum": _max_abs(mom[..., 1:n, :]),
+        "continuity": _max_abs(cont),
+        "kinematic": _max_abs(u[..., 0, 2] + 1j * kp * eta),
+        "no_slip": max(_max_abs(u[..., 0, :2]), _max_abs(u[..., n, :])),
+        "plate": _max_abs(plate),
+    }
+
+
+def _linear_report(parts: dict[str, float]) -> dict[str, float]:
+    """Residual report of the linear solvers: kinematic and no-slip as "bc"."""
+    return {
+        "momentum": parts["momentum"],
+        "continuity": parts["continuity"],
+        "bc": max(parts["kinematic"], parts["no_slip"]),
+        "plate": parts["plate"],
+    }
+
+
 def mode_residuals(sol: ModeSolution, f_hat=None, g_hat=None, h_hat=0.0,
                    mu_f: float = 1.0, mu_s: float = 1.0) -> dict[str, float]:
     """Max-abs residual of every equation of one mode, from the profiles."""
-    grid = sol.grid
-    f_hat, g_hat, h_hat = _data_profiles(grid, f_hat, g_hat, h_hat)
-    n = grid.n_z
-    d1 = grid.d1
-    kp = sol.k_phys
-    x1, x2 = sol.xi_phys
-    a2 = x1 * x1 + x2 * x2
-    u, p = sol.u, sol.p
-    grad_p = np.stack([1j * x1 * p, 1j * x2 * p, d1 @ p])
-    mom = (1j * kp * u - mu_f * (u @ grid.dmat(2).T - a2 * u) + grad_p - f_hat)
-    cont = 1j * x1 * u[0] + 1j * x2 * u[1] + d1 @ u[2] - g_hat
-    bc = max(abs(u[0, 0]), abs(u[1, 0]), abs(u[2, 0] + 1j * kp * sol.eta),
-             float(np.max(np.abs(u[:, n]))))
-    sym = plate_symbol_damped(sol.k, sol.xi, mu_s, grid.t_period, grid.l_period)
-    plate = abs(sym * sol.eta - p[0] + 2.0 * mu_f * (d1[0] @ u[2]) - h_hat)
-    return {
-        "momentum": float(np.max(np.abs(mom[:, 1:n]))),
-        "continuity": float(np.max(np.abs(cont))),
-        "bc": float(bc),
-        "plate": float(plate),
-    }
+    f_hat, g_hat, h_hat = _data_profiles(sol.grid, f_hat, g_hat, h_hat)
+    return _linear_report(_residual_parts(
+        sol.grid, sol.u.T, sol.p, sol.eta, sol.k_phys, *sol.xi_phys,
+        f_hat.T, g_hat, h_hat, mu_f, mu_s))
+
+
+def linear_residuals(u: SpectralField, p: SpectralField, eta: PlateField,
+                     f=None, g=None, h=None,
+                     params: SolverParams = DEFAULT_PARAMS) -> dict[str, float]:
+    """Coefficient-space residuals of the assembled linear system."""
+    grid = u.grid
+    xp = grid.xi_phys
+    return _linear_report(_residual_parts(
+        grid, u.coeffs, p.coeffs, eta.coeffs,
+        grid.k_phys[:, None, None], xp[:, None], xp,
+        None if f is None else f.coeffs, None if g is None else g.coeffs,
+        None if h is None else h.coeffs, params.mu_f, params.mu_s))
 
 
 # ---- weak form and energy oracles -------------------------------------------
@@ -313,7 +360,7 @@ def weak_form_B(u_hat: np.ndarray, eta_hat: complex, pair: TestPair,
     integrand = sum((gu * np.conj(gw)).sum(axis=0) for gu, gw in grads)
     integrand = mu_f * integrand + 1j * kp * (uf * np.conj(wf)).sum(axis=0)
     fluid = complex(wq @ integrand)
-    plate = (1j * kp ** 3 - 1j * kp * a2 * a2 + kp * kp * mu_s * a2)
+    plate = -1j * kp * _damped_symbol(kp, a2, mu_s)
     return fluid + plate * eta_hat * np.conj(pair.zeta)
 
 
@@ -361,41 +408,7 @@ def energy_estimate_check(u: SpectralField, eta: PlateField,
     return (u_h1 + eta_22 + keta_12) / (f_l2 + h_l2)
 
 
-# ---- synthesis and the full linear solve -------------------------------------
-
-
-def synthesize(grid: TorusGrid, solutions) -> tuple[SpectralField, SpectralField, PlateField]:
-    """Assemble space-time coefficient fields from per-mode solutions.
-
-    Requires exactly one ModeSolution per retained (k, xi'); order does not
-    matter.  Output fields are flagged real when the assembled coefficients
-    are conjugate-symmetric.
-    """
-    m = grid.n_z + 1
-    half_t = (grid.n_t - 1) // 2
-    half_x = (grid.n_x - 1) // 2
-    u_c = np.zeros((grid.n_t, grid.n_x, grid.n_x, m, 3), complex)
-    p_c = np.zeros((grid.n_t, grid.n_x, grid.n_x, m), complex)
-    e_c = np.zeros((grid.n_t, grid.n_x, grid.n_x), complex)
-    seen = set()
-    for sol in solutions:
-        it = sol.k + half_t
-        i1 = sol.xi[0] + half_x
-        i2 = sol.xi[1] + half_x
-        if not (0 <= it < grid.n_t and 0 <= i1 < grid.n_x and 0 <= i2 < grid.n_x):
-            raise ValueError(f"mode {(sol.k, sol.xi)} is outside the retained lattice")
-        if (it, i1, i2) in seen:
-            raise ValueError(f"duplicate mode {(sol.k, sol.xi)}")
-        seen.add((it, i1, i2))
-        u_c[it, i1, i2] = sol.u.T
-        p_c[it, i1, i2] = sol.p
-        e_c[it, i1, i2] = sol.eta
-    total = grid.n_t * grid.n_x * grid.n_x
-    if len(seen) != total:
-        raise ValueError(f"incomplete mode set: {len(seen)} of {total} supplied")
-    real = all(is_conjugate_symmetric(c) for c in (u_c, p_c, e_c))
-    return (SpectralField(grid, u_c, 3, real), SpectralField(grid, p_c, 1, real),
-            PlateField(grid, e_c, real))
+# ---- the full linear solve -----------------------------------------------------
 
 
 @dataclass
@@ -410,63 +423,12 @@ class LinearSolution:
     norm_ratio: float | None
 
 
-def _check_direct_compat(g, tol):
-    wq = g.grid.cheb_weights
-    mid = (g.grid.n_x - 1) // 2
-    means = g.coeffs[:, mid, mid, :] @ wq
-    scale = max(1.0, float(np.max(np.abs(g.coeffs))))
-    worst = float(np.max(np.abs(means)))
-    if worst > tol * scale:
-        raise IncompatibleDataError(
-            f"divergence datum has layer mean {worst:.3e} on the xi'=0 column")
-
-
-def linear_residuals(u: SpectralField, p: SpectralField, eta: PlateField,
-                     f=None, g=None, h=None,
-                     params: SolverParams = DEFAULT_PARAMS) -> dict[str, float]:
-    """Coefficient-space residuals of the assembled linear system.
-
-    Momentum rows exclude the two face nodes, where boundary conditions
-    replace the collocated equations.
-    """
-    grid = u.grid
-    n = grid.n_z
-    f = zeros_like_field(grid, 3) if f is None else f
-    h = zeros_like_field(grid, plate=True) if h is None else h
-    mom = dt(u) - params.mu_f * laplacian(u) + gradient(p) - f
-    cont = divergence(u)
-    if g is not None:
-        cont = cont - g
-    kin = trace_bottom(u, 2).coeffs + dt_plate(eta).coeffs
-    bc = max(
-        float(np.max(np.abs(trace_bottom(u, 0).coeffs))),
-        float(np.max(np.abs(trace_bottom(u, 1).coeffs))),
-        float(np.max(np.abs(kin))),
-        float(np.max(np.abs(trace_top(u, 0).coeffs))),
-        float(np.max(np.abs(trace_top(u, 1).coeffs))),
-        float(np.max(np.abs(trace_top(u, 2).coeffs))),
-    )
-    kp = grid.k_phys[:, None, None]
-    a2 = grid.xi_norm_sq()[None, :, :]
-    sym = a2 * a2 - kp * kp + 1j * kp * params.mu_s * a2
-    du3_face = dx3(u.component(2)).coeffs[..., 0]
-    plate = (sym * eta.coeffs - p.coeffs[..., 0]
-             + 2.0 * params.mu_f * du3_face - h.coeffs)
-    return {
-        "momentum": float(np.max(np.abs(mom.coeffs[:, :, :, 1:n, :]))),
-        "continuity": float(np.max(np.abs(cont.coeffs))),
-        "bc": float(bc),
-        "plate": float(np.max(np.abs(plate))),
-    }
-
-
 def solve_linear_full(f: SpectralField | None = None,
                       g: SpectralField | None = None,
                       h: PlateField | None = None, *,
                       grid: TorusGrid | None = None,
                       params: SolverParams = DEFAULT_PARAMS,
                       route: str = "lift",
-                      threads: int = 1,
                       compute_ratio: bool = True) -> LinearSolution:
     """Solve the linearized coupled system for time-periodic data.
 
@@ -500,7 +462,7 @@ def solve_linear_full(f: SpectralField | None = None,
             f_eff, h_eff = f, h
     elif route == "direct":
         if g is not None and g.coeffs.any():
-            _check_direct_compat(g, params.compat_tol)
+            xi0_layer_mean(grid, g.coeffs, params.compat_tol)
             g_eff = g
         f_eff, h_eff = f, h
     else:
@@ -525,27 +487,17 @@ def solve_linear_full(f: SpectralField | None = None,
         triples = [idx for idx in triples
                    if (idx[0] - half_t, idx[1] - half_x, idx[2] - half_x) >= (0, 0, 0)]
 
-    def solve_block(chunk):
-        for it, i1, i2 in chunk:
-            fh = fc[it, i1, i2].T
-            gh = gc[it, i1, i2] if gc is not None else None
-            hh = hc[it, i1, i2]
-            if not (fh.any() or (gh is not None and gh.any()) or hh):
-                continue
-            sol = _solve_any_mode(grid, it - half_t, (i1 - half_x, i2 - half_x),
-                                  fh, gh, hh, params)
-            u_c[it, i1, i2] = sol.u.T
-            p_c[it, i1, i2] = sol.p
-            e_c[it, i1, i2] = sol.eta
-
-    if threads > 1 and len(triples) > 1:
-        chunks = [triples[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(solve_block, c) for c in chunks if c]
-            for fut in futures:
-                fut.result()
-    else:
-        solve_block(triples)
+    for it, i1, i2 in triples:
+        fh = fc[it, i1, i2].T
+        gh = gc[it, i1, i2] if gc is not None else None
+        hh = hc[it, i1, i2]
+        if not (fh.any() or (gh is not None and gh.any()) or hh):
+            continue
+        sol = _solve_any_mode(grid, it - half_t, (i1 - half_x, i2 - half_x),
+                              fh, gh, hh, params)
+        u_c[it, i1, i2] = sol.u.T
+        p_c[it, i1, i2] = sol.p
+        e_c[it, i1, i2] = sol.eta
 
     if real_data:
         for arr in (u_c, p_c, e_c):

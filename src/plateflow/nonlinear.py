@@ -20,7 +20,6 @@ products of node values define the collocation product directly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from .fields import (
     PlateField,
     SpectralField,
-    dt,
     dt_plate,
     divergence,
     dx,
@@ -36,16 +34,14 @@ from .fields import (
     gradient,
     lateral_gradient_plate,
     lateral_laplacian_plate,
-    laplacian,
     pad_to_samples,
     padded_sizes,
     samples_to_truncated,
-    trace_bottom,
-    trace_top,
     zeros_like_field,
 )
 from .grid import TorusGrid, cheb_eval, cheb_values_to_coeffs
-from .modes import DEFAULT_PARAMS, SolverParams, solve_linear_full
+from .lift import xi0_layer_mean
+from .modes import DEFAULT_PARAMS, SolverParams, _residual_parts, solve_linear_full
 from .norms import NormSpec, negative_norm, s_norm, sobolev_norm, x_norm, y_norm
 
 # Gate limits: the plate-norm budget keeps the geometry perturbative, the sup
@@ -89,15 +85,14 @@ def plate_eval(eta: PlateField, t, x1, x2) -> np.ndarray:
     return vals.real if eta.real else vals
 
 
-def _sup_deflection(eta: PlateField) -> float:
-    g = eta.grid
-    m_t, m_x = padded_sizes(g, 2.0)
-    samples = pad_to_samples(eta.coeffs[..., None], g, m_t, m_x)[..., 0]
-    return float(np.max(np.abs(samples)))
+def _deflection_samples(eta: PlateField) -> np.ndarray:
+    """Complex samples of the deflection on the doubled lattice."""
+    m_t, m_x = padded_sizes(eta.grid, 2.0)
+    return _padded_plate(eta.coeffs, eta.grid, m_t, m_x, False)
 
 
 def _require_nondegenerate(eta: PlateField) -> None:
-    sup = _sup_deflection(eta)
+    sup = float(np.max(np.abs(_deflection_samples(eta))))
     if sup >= 1.0:
         raise DegenerateDeformationError(
             f"sup |eta| = {sup:.3f} >= 1; the straightening map degenerates"
@@ -182,37 +177,6 @@ def normal_vector(eta: PlateField, pad_factor: float = 2.0) -> PlateField:
     norm = np.sqrt(1.0 + g1_s * g1_s + g2_s * g2_s)
     nu = np.stack([g1_s / norm, g2_s / norm, -1.0 / norm], axis=-1)
     return PlateField(g, samples_to_truncated(nu, g, eta.real), eta.real)
-
-
-@dataclass
-class DeformationData:
-    """Geometry bundle for one deflection field."""
-
-    eta: PlateField
-    rho: np.ndarray                 # layer blend 1 - x3 at the nodes
-    e: np.ndarray                   # gradient-correction tensor coefficients
-    nu: PlateField                  # interface unit normal (3 trailing comps)
-    one_plus_eta: PlateField        # layer Jacobian of the map
-    inv_one_plus_eta: PlateField    # Jacobian of the inverse, dealiased
-
-
-def deformation_data(eta: PlateField, pad_factor: float = 1.5) -> DeformationData:
-    _require_nondegenerate(eta)
-    g = eta.grid
-    m_t, m_x = padded_sizes(g, pad_factor)
-    eta_s = _padded_plate(eta.coeffs, g, m_t, m_x, eta.real)
-    inv = samples_to_truncated(1.0 / (1.0 + eta_s), g, eta.real)
-    one = eta.copy()
-    mid = ((g.n_t - 1) // 2, (g.n_x - 1) // 2, (g.n_x - 1) // 2)
-    one.coeffs[mid] += 1.0
-    return DeformationData(
-        eta=eta,
-        rho=1.0 - g.nodes,
-        e=e_matrix(eta, pad_factor),
-        nu=normal_vector(eta),
-        one_plus_eta=one,
-        inv_one_plus_eta=PlateField(g, inv, eta.real),
-    )
 
 
 # ---- interaction terms ---------------------------------------------------------
@@ -348,14 +312,10 @@ def smallness_check(eta: PlateField, eps0: float = EPS0_DEFAULT,
                     q: float = 2.0) -> SmallnessReport:
     """Gate for the perturbative regime; fails rather than raising."""
     plate_norm = s_norm(eta, q)
-    sup = _sup_deflection(eta)
-    reciprocal = np.inf if sup >= 1.0 else 1.0 / (1.0 - sup)
-    if sup < 1.0:
-        g = eta.grid
-        m_t, m_x = padded_sizes(g, 2.0)
-        samples = _padded_plate(eta.coeffs, g, m_t, m_x, eta.real)
-        low = np.min(1.0 + (samples.real if np.iscomplexobj(samples) else samples))
-        reciprocal = np.inf if low <= 0.0 else float(1.0 / low)
+    samples = _deflection_samples(eta)
+    sup = float(np.max(np.abs(samples)))
+    # sup |eta| < 1 keeps 1 + eta away from zero
+    reciprocal = 1.0 / np.min(1.0 + samples.real) if sup < 1.0 else np.inf
     passed = (plate_norm <= eps0 and sup <= SUP_ETA_LIMIT
               and reciprocal <= RECIPROCAL_LIMIT)
     return SmallnessReport(
@@ -487,7 +447,6 @@ class PicardConfig:
     eps0: float = EPS0_DEFAULT
     q: float = 2.0
     pad_factor: float = 1.5
-    threads: int = 1
     params: SolverParams = DEFAULT_PARAMS
 
     @property
@@ -506,19 +465,6 @@ class PicardResult:
     residuals: dict[str, float]
     radius: float
     in_ball: bool
-
-    def trace_json(self) -> str:
-        return json.dumps(
-            {
-                "converged": self.converged,
-                "iterations": self.iterations,
-                "radius": self.radius,
-                "in_ball": self.in_ball,
-                "residuals": self.residuals,
-                "steps": self.trace,
-            },
-            indent=2,
-        )
 
 
 def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
@@ -549,7 +495,6 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
     u = zeros_like_field(g, components=3)
     p = zeros_like_field(g)
     eta = zeros_like_field(g, plate=True)
-    mid_x = (g.n_x - 1) // 2
 
     data_norm = None
     if f is None or isinstance(f, SpectralField):
@@ -570,12 +515,10 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
         rhs_f = f_t + terms.rf_tilde if f_t is not None else terms.rf_tilde
         rhs_h = h + terms.r_eta
         # mean-free compatibility of the divergence slot, rechecked numerically
-        layer_mean = terms.rd_tilde.coeffs[:, mid_x, mid_x, :] @ g.cheb_weights
-        rd_mean = float(np.max(np.abs(layer_mean)))
+        rd_mean = xi0_layer_mean(g, terms.rd_tilde.coeffs)
 
         sol = solve_linear_full(rhs_f, terms.rd_tilde, rhs_h, grid=g,
-                                params=params, route="lift",
-                                threads=config.threads, compute_ratio=False)
+                                params=params, route="lift", compute_ratio=False)
         new_norm = x_norm(sol.u, sol.p, sol.eta, q=config.q)
         step = x_norm(sol.u - u, sol.p - p, sol.eta - eta, q=config.q)
         ratio = (step / prev_step) if prev_step else None
@@ -638,40 +581,16 @@ def nonlinear_residual(u: SpectralField, p: SpectralField, eta: PlateField,
     coefficient space against the damped symbol.
     """
     g = u.grid
-    n = g.n_z
     terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f, pad_factor=pad_factor)
-    f_t = compose_forcing(f, eta, pad_factor=pad_factor) if f is not None else None
-    if h is None:
-        h = zeros_like_field(g, plate=True)
-
-    rhs_f = f_t + terms.rf_tilde if f_t is not None else terms.rf_tilde
-    mom = dt(u) - mu_f * laplacian(u) + gradient(p) - rhs_f
-    cont = divergence(u) - terms.rd_tilde
-
-    kin = trace_bottom(u, 2).coeffs + dt_plate(eta).coeffs
-    no_slip = max(
-        float(np.max(np.abs(trace_bottom(u, 0).coeffs))),
-        float(np.max(np.abs(trace_bottom(u, 1).coeffs))),
-        float(np.max(np.abs(trace_top(u, 0).coeffs))),
-        float(np.max(np.abs(trace_top(u, 1).coeffs))),
-        float(np.max(np.abs(trace_top(u, 2).coeffs))),
-    )
-
-    kp = g.k_phys[:, None, None]
-    a2 = g.xi_norm_sq()[None, :, :]
-    sym = a2 * a2 - kp * kp + 1j * kp * mu_s * a2
-    du3_face = dx3(u.component(2)).coeffs[..., 0]
-    plate = (sym * eta.coeffs - p.coeffs[..., 0] + 2.0 * mu_f * du3_face
-             - h.coeffs - terms.r_eta.coeffs)
-
+    rhs_f = terms.rf_tilde
+    if f is not None:
+        rhs_f = compose_forcing(f, eta, pad_factor=pad_factor) + rhs_f
+    rhs_h = terms.r_eta if h is None else h + terms.r_eta
+    xp = g.xi_phys
+    parts = _residual_parts(g, u.coeffs, p.coeffs, eta.coeffs,
+                            g.k_phys[:, None, None], xp[:, None], xp,
+                            rhs_f.coeffs, terms.rd_tilde.coeffs, rhs_h.coeffs,
+                            mu_f, mu_s)
     mid_x = (g.n_x - 1) // 2
-    eta_mean = float(np.max(np.abs(eta.coeffs[:, mid_x, mid_x])))
-
-    return {
-        "momentum": float(np.max(np.abs(mom.coeffs[:, :, :, 1:n, :]))),
-        "continuity": float(np.max(np.abs(cont.coeffs))),
-        "plate": float(np.max(np.abs(plate))),
-        "kinematic": float(np.max(np.abs(kin))),
-        "no_slip": no_slip,
-        "plate_mean": eta_mean,
-    }
+    parts["plate_mean"] = float(np.max(np.abs(eta.coeffs[:, mid_x, mid_x])))
+    return parts

@@ -222,30 +222,6 @@ def _subtract_volume_mean(grid: TorusGrid, coeffs_k: np.ndarray) -> np.ndarray:
     return out
 
 
-def negative_norm_slice(grid: TorusGrid, coeffs_xyz: np.ndarray, q: float = 2.0) -> float:
-    """Dual norm of one spatial field given by lateral-mode profiles.
-
-    For q = 2 this is exactly the gradient norm of the variational potential;
-    for other q it is the documented surrogate, the L^q norm of that
-    potential's gradient representative.
-    """
-    if coeffs_xyz.shape != (grid.n_x, grid.n_x, grid.n_z + 1):
-        raise ValueError("expected a single spatial slice of mode profiles")
-    tilde = _subtract_volume_mean(grid, coeffs_xyz)
-    phi = _neumann_poisson_profiles(grid, tilde)
-    xi_sq = grid.xi_norm_sq()[:, :, None]
-    dphi = np.einsum("ij,xyj->xyi", grid.d1, phi)
-    if q == 2.0:
-        val = np.sum((xi_sq * np.abs(phi) ** 2 + np.abs(dphi) ** 2)
-                     * grid.cheb_weights)
-        return float(np.sqrt(val))
-    xp = grid.xi_phys
-    grad = np.stack([1j * xp[:, None, None] * phi,
-                     1j * xp[None, :, None] * phi,
-                     dphi], axis=-1)
-    return _lq_slab(grid, grad[None, ...], q)
-
-
 def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> float:
     """Time-aggregated dual norm of a scalar slab field.
 

@@ -283,8 +283,7 @@ PRESSURE_CONVENTION = (
 )
 
 
-def cross_validate_linear(case: ManufacturedCase, *, q: float = 2.0,
-                          threads: int = 1) -> dict:
+def cross_validate_linear(case: ManufacturedCase, *, q: float = 2.0) -> dict:
     """Solve the case along both linear routes and report all discrepancies.
 
     The lift route removes the divergence datum first; the direct route
@@ -295,10 +294,10 @@ def cross_validate_linear(case: ManufacturedCase, *, q: float = 2.0,
     g_arg = case.g if case.g.coeffs.any() else None
     lift = solve_linear_full(case.f, g_arg, case.h, grid=case.grid,
                              params=case.params, route="lift",
-                             threads=threads, compute_ratio=False)
+                             compute_ratio=False)
     direct = solve_linear_full(case.f, g_arg, case.h, grid=case.grid,
                                params=case.params, route="direct",
-                               threads=threads, compute_ratio=False)
+                               compute_ratio=False)
 
     def xerr(sol):
         return x_norm(sol.u - case.u, sol.p - case.p, sol.eta - case.eta, q)

@@ -262,6 +262,19 @@ def test_solve_linear_incompatible_datum(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_forged_container_header_is_a_one_line_error(tmp_path, capsys):
+    # header sizes far beyond the configured grid and the 64 payload bytes
+    header = np.array([129, 129, 192, 3, 1], dtype="<u4").tobytes()
+    (tmp_path / "x.plf").write_bytes(b"PLFSPEC1" + header + b"\x00" * 64)
+    code, out = run_cli(tmp_path, "forcing_f = file:x.plf\n", "solve-linear")
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["kind"] == "incompatible" and "header" in err["message"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_manifests_reproducible_across_threads(tmp_path):
     cfg = "forcing_h = 0.01*cos(t)*cos(x1)\nforcing_f = sin(x1)\nn_z = 10\n"
     _, out1 = run_cli(tmp_path, cfg, "solve-linear", ("--threads", "1"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plateflow.halfspace import (
+    _symbol_arrays,
     boundedness_scan,
     coupled_plate_symbol,
     halfspace_profiles,
@@ -102,6 +103,14 @@ def test_symbol_variants_agree_across_modules():
         a = coupled_plate_symbol(k, xi, mu_s=1.3, include_fluid=False)
         b = plate_symbol_damped(k, xi, mu_s=1.3)
         assert a == pytest.approx(b)
+    # the vectorized scan symbol matches the per-mode coupled symbol
+    pairs = ((1, (1, 0)), (3, (2, 1)), (7, (4, 3)), (40, (9, 2)))
+    for mu_s in (0.0, 1.3):
+        for k, xi in pairs:
+            s = float(xi[0] ** 2 + xi[1] ** 2)
+            arr = _symbol_arrays(np.array([float(k)]), np.array([s]), mu_s)
+            assert arr[0, 0] == pytest.approx(coupled_plate_symbol(k, xi, mu_s),
+                                              rel=1e-14)
 
 
 def test_multiplier_sample_bundle():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from plateflow.grid import TorusGrid
-from plateflow.io import read_field, read_field_json, write_field, write_field_json
+from plateflow.io import (MAGIC, _HEADER, read_field, read_field_json, write_field,
+                          write_field_json)
 
 from conftest import poly_field, poly_plate
 
@@ -97,3 +98,23 @@ def test_json_plate_round_trip(tmp_path):
     g = back.grid
     assert (g.n_t, g.n_x, g.t_period, g.l_period) \
         == (GRID.n_t, GRID.n_x, GRID.t_period, GRID.l_period)
+
+
+@pytest.mark.parametrize("sizes,grid", [
+    ((2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1), None),
+    ((129, 129, 192, 3), None),
+    ((129, 129, 192, 3), TorusGrid(5, 5, 16)),
+])
+def test_untrusted_header_rejected_before_reading(tmp_path, sizes, grid):
+    # a forged header over a 64-byte payload must not size the read
+    path = tmp_path / "forged.plf"
+    path.write_bytes(MAGIC + _HEADER.pack(*sizes, 1) + b"\x00" * 64)
+    with pytest.raises(ValueError):
+        read_field(path, grid=grid)
+
+
+def test_truncated_header_rejected(tmp_path):
+    path = tmp_path / "short.plf"
+    path.write_bytes(MAGIC + b"\x05\x00")
+    with pytest.raises(ValueError):
+        read_field(path)
