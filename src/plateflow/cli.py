@@ -88,7 +88,6 @@ from .nonlinear import (
     PicardConfig,
     PicardDivergenceError,
     picard_solve,
-    smallness_check,
 )
 from .norms import NormSpec, negative_norm, sobolev_norm, s_norm, x_norm, y_norm
 from . import oracles
@@ -628,7 +627,6 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
                trace_rows)
     ratios = [step["ratio"] for step in result.trace
               if step["ratio"] is not None]
-    gate = smallness_check(result.eta, eps0=cfg.eps0, q=cfg.q)
     return {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -637,9 +635,8 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
         "contraction_ratios": ratios,
         "max_contraction_ratio": max(ratios) if ratios else 0.0,
         "residuals": result.residuals,
-        "norms": {"x_norm_solution": x_norm(result.u, result.p, result.eta,
-                                            cfg.q)},
-        "smallness_gate": asdict(gate),
+        "norms": {"x_norm_solution": result.trace[-1]["x_norm"]},
+        "smallness_gate": asdict(result.gate),
         "outputs": ["u.plf", "p.plf", "eta.plf", "eta_samples.csv",
                     "picard_trace.csv"],
     }

@@ -256,15 +256,22 @@ def dx(field, direction: int):
     return out
 
 
+def layer_derivative(grid: TorusGrid, coeffs: np.ndarray, order: int = 1,
+                     vector: bool = False) -> np.ndarray:
+    """order-th x3 derivative of a raw coefficient array.
+
+    Applies grid.dmat(order) along the node axis, which is last, or second to
+    last when `vector` marks a trailing component axis; any leading axes
+    (time, lateral, batch) pass through.
+    """
+    d = grid.dmat(order)
+    return d @ coeffs if vector else coeffs @ d.T
+
+
 def dx3(field: SpectralField, order: int = 1) -> SpectralField:
     """Layer derivative via the collocation matrix."""
-    d = field.grid.dmat(order)
-    out = field.copy()
-    if field.components > 1:
-        out.coeffs = np.einsum("ij,txyjc->txyic", d, field.coeffs)
-    else:
-        out.coeffs = np.einsum("ij,txyj->txyi", d, field.coeffs)
-    return out
+    return replace(field, coeffs=layer_derivative(
+        field.grid, field.coeffs, order, field.components > 1))
 
 
 def gradient(field: SpectralField) -> SpectralField:
@@ -280,9 +287,9 @@ def divergence(field: SpectralField) -> SpectralField:
     if field.components != 3:
         raise ValueError("divergence expects a 3-component field")
     c = field.coeffs
-    out = (dx(SpectralField(field.grid, c[..., 0], 1, False), 1).coeffs
-           + dx(SpectralField(field.grid, c[..., 1], 1, False), 2).coeffs
-           + dx3(SpectralField(field.grid, c[..., 2], 1, False)).coeffs)
+    xp = 1j * field.grid.xi_phys
+    out = (c[..., 0] * xp[:, None, None] + c[..., 1] * xp[:, None]
+           + layer_derivative(field.grid, c[..., 2]))
     return SpectralField(field.grid, out, 1, field.real)
 
 
@@ -293,7 +300,8 @@ def laplacian(field: SpectralField) -> SpectralField:
     shape = [1] * field.coeffs.ndim
     shape[1] = shape[2] = g.n_x
     xi_sq = xi_sq.reshape(shape)
-    lap = -xi_sq * field.coeffs + dx3(field, 2).coeffs
+    lap = -xi_sq * field.coeffs + layer_derivative(
+        g, field.coeffs, 2, field.components > 1)
     return SpectralField(g, lap, field.components, field.real)
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpectralField
+from .fields import SpectralField, divergence, layer_derivative
 from .grid import TorusGrid
 from .norms import NormSpec, negative_norm, sobolev_norm
 
@@ -89,7 +89,7 @@ def _closure_solve(grid: TorusGrid, xi_sq: float,
     a[n, n] = 1.0                    # psi(1) = 0
     a[n + 1, : n + 1] = d1[0]        # psi'(0) = g(0)
     a[n + 2, : n + 1] = d1[n]        # psi'(1) = g(1)
-    dg = rhs_profiles @ d1.T
+    dg = layer_derivative(grid, rhs_profiles)
     rhs = np.zeros((rhs_profiles.shape[0], n + 3), complex)
     rhs[:, interior] = dg[:, interior]
     rhs[:, n + 1] = rhs_profiles[:, 0]
@@ -134,7 +134,7 @@ def lift_divergence(g_field: SpectralField, tol_compat: float = 1e-9) -> LiftRes
         else:
             batch = flat_g[:, sel, :].reshape(-1, n + 1)
             psi = _closure_solve(grid, float(val), batch)
-            phi = (psi @ grid.d1.T - batch) / val
+            phi = (layer_derivative(grid, psi) - batch) / val
             psi = psi.reshape(grid.n_t, sel.size, n + 1)
             phi = phi.reshape(grid.n_t, sel.size, n + 1)
             block[..., 0] = 1j * xi1[sel][None, :, None] * phi
@@ -143,11 +143,7 @@ def lift_divergence(g_field: SpectralField, tol_compat: float = 1e-9) -> LiftRes
         flat_w[:, sel] = block
 
     w_field = SpectralField(grid, w, 3, g_field.real)
-
-    div = (1j * xp[None, :, None, None] * w[..., 0]
-           + 1j * xp[None, None, :, None] * w[..., 1]
-           + np.einsum("ij,txyj->txyi", grid.d1, w[..., 2]))
-    residual_div = float(np.max(np.abs(div - coeffs)))
+    residual_div = float(np.max(np.abs(divergence(w_field).coeffs - coeffs)))
     residual_bc = float(np.max(np.abs(w[:, :, :, (0, n), :])))
     return LiftResult(w_field, residual_div, residual_bc)
 

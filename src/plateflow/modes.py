@@ -25,6 +25,7 @@ from .fields import (
     SpectralField,
     dt,
     laplacian,
+    layer_derivative,
     trace_bottom,
     zeros_like_field,
 )
@@ -161,7 +162,7 @@ def _solve_axis_mode(grid, k, f_hat, g_hat, h_hat, params):
     u[2] = antiderivative_from_plate(grid, g_hat)
     # vertical momentum fixes the pressure profile; the plate row pins its
     # constant through the face value
-    slope = f_hat[2] - 1j * kp * u[2] + params.mu_f * (d2 @ u[2])
+    slope = f_hat[2] - 1j * kp * u[2] + params.mu_f * layer_derivative(grid, u[2], 2)
     p = antiderivative_from_plate(grid, slope)
     p += 2.0 * params.mu_f * (grid.d1[0] @ u[2]) - h_hat
     return ModeSolution(grid, k, (0, 0), u, p, 0.0 + 0.0j)
@@ -223,21 +224,23 @@ def _residual_parts(grid: TorusGrid, u, p, eta, kp, x1, x2, f, g, h,
     replace the collocated equations.
     """
     n = grid.n_z
-    d1 = grid.d1
     kp, x1, x2 = (np.asarray(v) for v in (kp, x1, x2))
     a2 = x1 * x1 + x2 * x2
     # per-node views of the frequencies, then per (node, component)
     kn, x1n, x2n, a2n = (v[..., None] for v in (kp, x1, x2, a2))
-    grad_p = np.stack([1j * x1n * p, 1j * x2n * p, p @ d1.T], axis=-1)
+    grad_p = np.stack([1j * x1n * p, 1j * x2n * p, layer_derivative(grid, p)],
+                      axis=-1)
     mom = (1j * kn[..., None] * u
-           - mu_f * (grid.dmat(2) @ u - a2n[..., None] * u) + grad_p)
+           - mu_f * (layer_derivative(grid, u, 2, vector=True) - a2n[..., None] * u)
+           + grad_p)
     if f is not None:
         mom = mom - f
-    cont = 1j * x1n * u[..., 0] + 1j * x2n * u[..., 1] + u[..., 2] @ d1.T
+    cont = (1j * x1n * u[..., 0] + 1j * x2n * u[..., 1]
+            + layer_derivative(grid, u[..., 2]))
     if g is not None:
         cont = cont - g
     plate = (_damped_symbol(kp, a2, mu_s) * eta - p[..., 0]
-             + 2.0 * mu_f * (u[..., 2] @ d1[0]))
+             + 2.0 * mu_f * (u[..., 2] @ grid.d1[0]))
     if h is not None:
         plate = plate - h
     return {
@@ -394,7 +397,7 @@ def energy_estimate_check(u: SpectralField, eta: PlateField,
     wq = grid.cheb_weights
     a2 = grid.xi_norm_sq()
     uc = u.coeffs[it]
-    duc = np.einsum("ij,xyjc->xyic", grid.d1, uc)
+    duc = layer_derivative(grid, uc, vector=True)
     dens = (1.0 + a2)[:, :, None, None] * np.abs(uc) ** 2 + np.abs(duc) ** 2
     u_h1 = np.sqrt(float(np.einsum("xyjc,j->", dens, wq).real))
     ec = eta.coeffs[it]

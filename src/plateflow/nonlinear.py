@@ -232,9 +232,12 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     u_s = _padded_slab(u.coeffs, g, m_t, m_x, real_in)
     du1 = _padded_slab(dx(u, 1).coeffs, g, m_t, m_x, real_in)
     du2 = _padded_slab(dx(u, 2).coeffs, g, m_t, m_x, real_in)
-    du3 = _padded_slab(dx3(u).coeffs, g, m_t, m_x, real_in)
-    d31 = _padded_slab(dx3(dx(u, 1)).coeffs, g, m_t, m_x, real_in)
-    d32 = _padded_slab(dx3(dx(u, 2)).coeffs, g, m_t, m_x, real_in)
+    # lateral multipliers commute with the layer derivative
+    u3 = dx3(u)
+    du3 = _padded_slab(u3.coeffs, g, m_t, m_x, real_in)
+    d31 = _padded_slab(dx(u3, 1).coeffs, g, m_t, m_x, real_in)
+    d32 = _padded_slab(dx(u3, 2).coeffs, g, m_t, m_x, real_in)
+    del u3  # free it before the padded products reach their peak
     d33 = _padded_slab(dx3(u, 2).coeffs, g, m_t, m_x, real_in)
     dp3 = _padded_slab(dx3(p).coeffs, g, m_t, m_x, real_in)
 
@@ -456,6 +459,9 @@ class PicardConfig:
 
 @dataclass
 class PicardResult:
+    """Final iterate with its trace; gate is the smallness report of the
+    sweep that produced the iterate."""
+
     u: SpectralField
     p: SpectralField
     eta: PlateField
@@ -465,6 +471,7 @@ class PicardResult:
     residuals: dict[str, float]
     radius: float
     in_ball: bool
+    gate: SmallnessReport
 
 
 def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
@@ -479,6 +486,8 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
     PicardDivergenceError with the trace attached.
     """
     config = config or PicardConfig()
+    if config.max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if h is None:
         if grid is None:
             if isinstance(f, SpectralField):
@@ -561,10 +570,10 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
 
     residuals = nonlinear_residual(u, p, eta, f, h, mu_f=params.mu_f,
                                    mu_s=params.mu_s, pad_factor=config.pad_factor)
-    in_ball = x_norm(u, p, eta, q=config.q) <= radius
     return PicardResult(u=u, p=p, eta=eta, converged=converged,
                         iterations=iterations, trace=trace,
-                        residuals=residuals, radius=radius, in_ball=in_ball)
+                        residuals=residuals, radius=radius,
+                        in_ball=trace[-1]["in_ball"], gate=gate)
 
 
 # ---- full-system residuals ---------------------------------------------------------

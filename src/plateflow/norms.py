@@ -25,7 +25,8 @@ from math import comb
 
 import numpy as np
 
-from .fields import (PlateField, SpectralField, pad_to_samples, padded_sizes)
+from .fields import (PlateField, SpectralField, layer_derivative, pad_to_samples,
+                     padded_sizes)
 from .grid import TorusGrid
 
 
@@ -58,15 +59,6 @@ def _time_weight(grid: TorusGrid, order: int) -> np.ndarray:
 
 def _lateral_weight(grid: TorusGrid, order: float) -> np.ndarray:
     return (1.0 + grid.xi_norm_sq()) ** (0.5 * order)
-
-
-def _apply_dx3(grid: TorusGrid, coeffs: np.ndarray, j: int) -> np.ndarray:
-    if j == 0:
-        return coeffs
-    d = grid.dmat(j)
-    if coeffs.ndim == 5:
-        return np.einsum("ij,txyjc->txyic", d, coeffs)
-    return np.einsum("ij,txyj->txyi", d, coeffs)
 
 
 def _lq_slab(grid: TorusGrid, coeffs: np.ndarray, q: float) -> float:
@@ -123,13 +115,14 @@ def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
     m = int(np.floor(s + 1e-12))
     wt = _time_weight(g, spec.time_order).reshape(
         (g.n_t,) + (1,) * (field.coeffs.ndim - 1))
+    vector = field.components > 1
     if spec.q == 2.0:
         w3 = g.cheb_weights
         total = 0.0
         for j in range(m + 1):
             wx = ((1.0 + g.xi_norm_sq()) ** (s - j)).reshape(
                 (1, g.n_x, g.n_x) + (1,) * (field.coeffs.ndim - 3))
-            dj = _apply_dx3(g, field.coeffs, j)
+            dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j, vector)
             contrib = np.abs(wt * dj) ** 2 * wx
             contrib = contrib * w3.reshape((1, 1, 1, -1) + (1,) * (field.coeffs.ndim - 4))
             total += comb(m, j) * float(np.sum(contrib))
@@ -138,7 +131,7 @@ def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
     for j in range(m + 1):
         wx = _lateral_weight(g, s - j).reshape(
             (1, g.n_x, g.n_x) + (1,) * (field.coeffs.ndim - 3))
-        dj = _apply_dx3(g, field.coeffs, j)
+        dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j, vector)
         total += _lq_slab(g, wt * wx * dj, spec.q)
     return float(total)
 
@@ -172,23 +165,23 @@ def grid_l2_norm(field) -> float:
 # ---- homogeneous dual norm -----------------------------------------------------
 
 
-def _neumann_poisson_profiles(grid: TorusGrid, rhs_by_mode: np.ndarray) -> np.ndarray:
-    """Solve (d^2/dx3^2 - |xi|^2) phi = -g per lateral mode, natural rows at faces.
+def _neumann_poisson_profiles(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
+    """Solve (d^2/dx3^2 - |xi|^2) phi = -g per mode, natural rows at the faces.
 
-    rhs_by_mode has shape (N_x, N_x, N_z + 1); the xi = 0 problem is pinned by
-    a zero-mean row with a compensating multiplier column.
+    rhs has shape (N_t, N_x, N_x, N_z + 1); the modes of every time plane that
+    share one |xi|^2 form a single solve.  The xi = 0 problem is pinned by a
+    zero-mean row with a compensating multiplier column.
     """
     n = grid.n_z
     d1, d2 = grid.d1, grid.dmat(2)
     w3 = grid.cheb_weights
-    xi_sq = grid.xi_norm_sq()
-    out = np.zeros_like(rhs_by_mode, dtype=complex)
-
-    flat_sq = xi_sq.reshape(-1)
-    flat_rhs = rhs_by_mode.reshape(-1, n + 1)
+    flat_sq = grid.xi_norm_sq().reshape(-1)
+    flat_rhs = rhs.reshape(grid.n_t, -1, n + 1)
+    out = np.zeros(flat_rhs.shape, complex)
     interior = np.arange(1, n)
     for val in np.unique(flat_sq):
         sel = np.where(flat_sq == val)[0]
+        cols = -flat_rhs[:, sel].reshape(-1, n + 1).T
         if val == 0.0:
             # one saddle solve: multiplier absorbs any residual incompatibility
             a = np.zeros((n + 2, n + 2), complex)
@@ -197,29 +190,18 @@ def _neumann_poisson_profiles(grid: TorusGrid, rhs_by_mode: np.ndarray) -> np.nd
             a[0, : n + 1] = d1[0]
             a[n, : n + 1] = d1[n]
             a[n + 1, : n + 1] = w3
-            rhs = np.zeros((n + 2, sel.size), complex)
-            rhs[interior] = -flat_rhs[sel].T[interior]
-            sol = np.linalg.solve(a, rhs)
-            out.reshape(-1, n + 1)[sel] = sol[: n + 1].T
+            b = np.zeros((n + 2, cols.shape[1]), complex)
+            b[interior] = cols[interior]
         else:
             a = d2 - val * np.eye(n + 1)
             a[0] = d1[0]
             a[n] = d1[n]
-            rhs = -flat_rhs[sel].T.copy()
-            rhs[0] = 0.0
-            rhs[n] = 0.0
-            sol = np.linalg.solve(a, rhs)
-            out.reshape(-1, n + 1)[sel] = sol.T
-    return out
-
-
-def _subtract_volume_mean(grid: TorusGrid, coeffs_k: np.ndarray) -> np.ndarray:
-    """Remove the full-space mean of one time mode (or time slice)."""
-    mid = (grid.n_x - 1) // 2
-    out = coeffs_k.copy()
-    mean = np.sum(out[mid, mid] * grid.cheb_weights)
-    out[mid, mid] -= mean
-    return out
+            b = cols
+            b[0] = 0.0
+            b[n] = 0.0
+        sol = np.linalg.solve(a, b)
+        out[:, sel] = sol[: n + 1].T.reshape(grid.n_t, sel.size, n + 1)
+    return out.reshape(rhs.shape)
 
 
 def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> float:
@@ -232,13 +214,15 @@ def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> 
     if field.components != 1:
         raise ValueError("dual norm is defined for scalar fields")
     g = field.grid
-    phi = np.zeros_like(field.coeffs)
-    for it in range(g.n_t):
-        tilde = _subtract_volume_mean(g, field.coeffs[it])
-        phi[it] = _neumann_poisson_profiles(g, tilde)
+    # the dual norm pairs against gradients, so drop each time mode's
+    # xi' = 0 layer mean first
+    mid = (g.n_x - 1) // 2
+    tilde = field.coeffs.copy()
+    tilde[:, mid, mid] -= (tilde[:, mid, mid] @ g.cheb_weights)[:, None]
+    phi = _neumann_poisson_profiles(g, tilde)
     wt = _time_weight(g, time_order)[:, None, None, None]
     xp = g.xi_phys
-    dphi = np.einsum("ij,txyj->txyi", g.d1, phi)
+    dphi = layer_derivative(g, phi)
     if q == 2.0:
         xi_sq = g.xi_norm_sq()[None, :, :, None]
         val = np.sum((wt ** 2) * (xi_sq * np.abs(phi) ** 2 + np.abs(dphi) ** 2)

@@ -20,6 +20,7 @@ from plateflow.fields import (
     lateral_gradient_plate,
     lateral_laplacian_plate,
     laplacian,
+    layer_derivative,
     pad_coeffs,
     pad_to_samples,
     padded_sizes,
@@ -124,6 +125,21 @@ def test_layer_derivative_on_polynomial():
     assert np.max(np.abs(out - 3.0 * GRID.nodes ** 2)) < TOL_DERIV
     out2 = dx3(field, 2).coeffs[HT, HX, HX]
     assert np.max(np.abs(out2 - 6.0 * GRID.nodes)) < 1e-10
+
+    # vector field: node axis before the component axis
+    z = GRID.nodes
+    vec = np.zeros((5, 5, 5, 9, 3), complex)
+    vec[HT, HX, HX] = np.stack([z ** 2, z ** 3, z ** 4], axis=-1)
+    vfield = SpectralField(GRID, vec, 3, True)
+    want1 = np.stack([2.0 * z, 3.0 * z ** 2, 4.0 * z ** 3], axis=-1)
+    want2 = np.stack([np.full_like(z, 2.0), 6.0 * z, 12.0 * z ** 2], axis=-1)
+    assert np.max(np.abs(dx3(vfield).coeffs[HT, HX, HX] - want1)) < TOL_DERIV
+    assert np.max(np.abs(dx3(vfield, 2).coeffs[HT, HX, HX] - want2)) < 1e-10
+
+    # raw kernel on a batch of profiles with the node axis last
+    batch = np.stack([z ** j for j in range(1, 5)])
+    want = np.stack([j * z ** (j - 1) for j in range(1, 5)])
+    assert np.max(np.abs(layer_derivative(GRID, batch) - want)) < TOL_DERIV
 
 
 def test_traces_pick_face_nodes():

@@ -1,5 +1,7 @@
 """Interaction terms, straightening geometry, and the fixed-point solver."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from plateflow.nonlinear import (
     plate_eval,
     smallness_check,
 )
-from plateflow.norms import NormSpec, sobolev_norm
+from plateflow.norms import NormSpec, sobolev_norm, x_norm
 
 from conftest import bubble_field, poly_field, poly_plate
 
@@ -221,6 +223,18 @@ def test_picard_small_data_contracts():
     assert max(res.residuals.values()) < 1e-9
     for key in ("iteration", "x_norm", "step", "rd_mean", "in_ball"):
         assert key in res.trace[0]
+
+
+def test_picard_result_keeps_the_last_sweep_gate():
+    config = PicardConfig(eps=1e-3)
+    res = picard_solve(None, _corner_plate(GRID, 1e-3), config)
+    gate = smallness_check(res.eta, eps0=config.eps0, q=config.q)
+    for name, value in asdict(gate).items():
+        assert getattr(res.gate, name) == value, name
+    assert res.in_ball == res.trace[-1]["in_ball"]
+    assert res.trace[-1]["x_norm"] == x_norm(res.u, res.p, res.eta, q=config.q)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_solve(None, _corner_plate(GRID, 1e-3), PicardConfig(max_iter=0))
 
 
 def test_picard_ball_violation_raises():

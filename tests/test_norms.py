@@ -170,6 +170,22 @@ def test_negative_norm_refinement_stable():
     assert abs(a - b) / a < 1e-8
 
 
+def test_negative_norm_time_modes_are_independent():
+    # the batched solve must give each time mode its own dual norm
+    rng = np.random.default_rng(31)
+    coeffs = (rng.standard_normal((5, 5, 5, 9))
+              + 1j * rng.standard_normal((5, 5, 5, 9)))
+    f = SpectralField(GRID, coeffs, 1, False)
+    per_mode = []
+    for it in range(GRID.n_t):
+        only_k = np.zeros_like(coeffs)
+        only_k[it] = coeffs[it]
+        per_mode.append(negative_norm(SpectralField(GRID, only_k, 1, False)) ** 2)
+    for t in (0, 1):
+        want = np.sum((1.0 + GRID.k_phys ** 2) ** t * np.array(per_mode))
+        assert abs(negative_norm(f, time_order=t) ** 2 - want) / want < 1e-12
+
+
 def test_negative_norm_entry_through_norm_spec():
     f = poly_field(GRID, 25, components=1)
     assert sobolev_norm(f, NormSpec(0, -1.0, 2.0)) == negative_norm(f)
