@@ -31,10 +31,11 @@ Config files are plain ``key = value`` text, ``#`` starts a comment.  Keys
     eps0            smallness-gate threshold for the plate norm (0.1)
     q               integrability exponent for reported norms (2.0)
     route           linear solve route, "lift" or "direct" ("lift")
-    tol_eq, tol_bc  linear residual tolerances (1e-9)
-    compat_tol      mean-compatibility tolerance for g (1e-9)
+    tol_eq, tol_bc  linear residual tolerances, recorded in the manifest's
+                    tolerance set for downstream checks (1e-9)
+    compat_tol      xi' = 0 compatibility tolerance for g (1e-9)
     picard_tol      fixed-point stagnation tolerance (1e-11)
-    tol_nl          nonlinear residual tolerance (1e-9)
+    tol_nl          nonlinear residual tolerance, recorded like tol_eq (1e-9)
     max_iter        Picard iteration cap (25)
     k_max, xi_max   scan ranges (100, 30 for scans; 4, 2 for the
                     resonance table)
@@ -433,8 +434,7 @@ class ScenarioConfig:
     out: str = "out"
 
     def solver_params(self) -> SolverParams:
-        return SolverParams(self.mu_f, self.mu_s, self.tol_eq, self.tol_bc,
-                            self.compat_tol)
+        return SolverParams(self.mu_f, self.mu_s, compat_tol=self.compat_tol)
 
     def grid(self) -> TorusGrid:
         return TorusGrid(self.n_t, self.n_x, self.n_z, self.T, self.L)
@@ -604,8 +604,7 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
     f = cfg.eps * parse_forcing(cfg.forcing_f, grid, "f", base_dir)
     h = cfg.eps * parse_forcing(cfg.forcing_h, grid, "h", base_dir)
     pc = PicardConfig(eps=cfg.eps, max_iter=cfg.max_iter,
-                      picard_tol=cfg.picard_tol, tol_nl=cfg.tol_nl,
-                      eps0=cfg.eps0, q=cfg.q,
+                      picard_tol=cfg.picard_tol, eps0=cfg.eps0, q=cfg.q,
                       params=cfg.solver_params())
     result = picard_solve(f, h, config=pc, grid=grid)
     if not result.converged:

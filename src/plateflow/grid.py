@@ -188,6 +188,16 @@ class TorusGrid:
         xp = self.xi_phys
         return xp[:, None] ** 2 + xp[None, :] ** 2
 
+    def xi_groups(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
+        """(|xi'|^2, i1, i2) per distinct value of xi_norm_sq(), ascending.
+
+        i1, i2 are the lattice indices of the points sharing that value, in
+        C order.  Lateral operators are isotropic, so every layer solve that
+        depends on xi' only through |xi'|^2 is done once per group.
+        """
+        a2 = self.xi_norm_sq()
+        return [(float(val), *np.nonzero(a2 == val)) for val in np.unique(a2)]
+
     def with_sizes(self, n_t=None, n_x=None, n_z=None) -> "TorusGrid":
         """Same periods, different truncation."""
         return TorusGrid(

@@ -6,7 +6,7 @@ profile psi solves a Poisson-type two-point problem whose four boundary rows
 columns; phi := (psi' - g)/|xi'|^2 then vanishes at the faces and the nodal
 divergence equals g identically.  For xi' = 0 the lateral part is zero and
 w3 is the antiderivative of g from the plate face, which requires the layer
-mean of g to vanish.
+mean of g and its T_{N_z} Chebyshev component to vanish.
 
 The construction acts per time mode with no k dependence, so it commutes
 exactly with time differentiation.
@@ -20,31 +20,35 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import SpectralField, divergence, layer_derivative
-from .grid import TorusGrid
+from .grid import TorusGrid, cheb_values_to_coeffs
 from .norms import NormSpec, negative_norm, sobolev_norm
 
 
 class IncompatibleDataError(ValueError):
-    """Raised when a mean condition required by the problem fails."""
+    """Raised when a solvability condition required by the problem fails."""
 
 
-def xi0_layer_mean(grid: TorusGrid, coeffs: np.ndarray,
-                   tol: float | None = None) -> float:
-    """Largest |layer mean| of scalar data on the xi' = 0 column.
+def xi0_incompatibility(grid: TorusGrid, coeffs: np.ndarray,
+                        tol: float | None = None) -> float:
+    """Largest violation of the xi' = 0 solvability conditions of scalar data.
 
-    coeffs holds a full (N_t, N_x, N_x, N_z + 1) coefficient array or one
-    xi' = 0 profile of N_z + 1 nodal values.  With tol, a mean above
-    tol * max(1, max |coeffs|) raises IncompatibleDataError.
+    On the xi' = 0 column the datum is the x3 derivative of a degree-N_z
+    profile that vanishes at both faces, so its layer mean and its T_{N_z}
+    Chebyshev coefficient must both vanish; the larger modulus of the two
+    is returned.  coeffs holds a full (N_t, N_x, N_x, N_z + 1) coefficient
+    array or xi' = 0 profiles with the node axis last.  With tol, a value
+    above tol * max(1, max |coeffs|) raises IncompatibleDataError.
     """
-    column = coeffs
-    if coeffs.ndim > 1:
-        mid = (grid.n_x - 1) // 2
-        column = coeffs[:, mid, mid, :]
-    worst = float(np.max(np.abs(column @ grid.cheb_weights)))
+    mid = (grid.n_x - 1) // 2
+    column = coeffs[:, mid, mid] if coeffs.ndim == 4 else coeffs
+    mean = float(np.max(np.abs(column @ grid.cheb_weights)))
+    top = float(np.max(np.abs(cheb_values_to_coeffs(column)[..., -1])))
+    worst = max(mean, top)
     if tol is not None and worst > tol * max(1.0, float(np.max(np.abs(coeffs)))):
         raise IncompatibleDataError(
-            f"divergence datum has layer mean {worst:.3e} on the xi'=0 "
-            f"column; the coupled system admits no periodic solution")
+            f"divergence datum has layer mean {mean:.3e} and T_N_z "
+            f"coefficient {top:.3e} on the xi'=0 column; the coupled system "
+            f"admits no periodic solution")
     return worst
 
 
@@ -114,33 +118,25 @@ def lift_divergence(g_field: SpectralField, tol_compat: float = 1e-9) -> LiftRes
     grid = g_field.grid
     n = grid.n_z
     coeffs = g_field.coeffs
-    xi0_layer_mean(grid, coeffs, tol_compat)
+    xi0_incompatibility(grid, coeffs, tol_compat)
 
     w = np.zeros(coeffs.shape + (3,), complex)
-    xi_sq = grid.xi_norm_sq()
     xp = grid.xi_phys
-
-    flat_sq = xi_sq.reshape(-1)
-    flat_g = coeffs.reshape(grid.n_t, -1, n + 1)
-    flat_w = w.reshape(grid.n_t, -1, n + 1, 3)
-    xi1 = np.broadcast_to(xp[:, None], (grid.n_x, grid.n_x)).reshape(-1)
-    xi2 = np.broadcast_to(xp[None, :], (grid.n_x, grid.n_x)).reshape(-1)
-
-    for val in np.unique(flat_sq):
-        sel = np.where(flat_sq == val)[0]
-        block = np.zeros((grid.n_t, sel.size, n + 1, 3), complex)
+    for val, i1, i2 in grid.xi_groups():
+        gv = coeffs[:, i1, i2]
+        block = np.zeros(gv.shape + (3,), complex)
         if val == 0.0:
-            block[..., 2] = antiderivative_from_plate(grid, flat_g[:, sel, :])
+            block[..., 2] = antiderivative_from_plate(grid, gv)
         else:
-            batch = flat_g[:, sel, :].reshape(-1, n + 1)
-            psi = _closure_solve(grid, float(val), batch)
+            batch = gv.reshape(-1, n + 1)
+            psi = _closure_solve(grid, val, batch)
             phi = (layer_derivative(grid, psi) - batch) / val
-            psi = psi.reshape(grid.n_t, sel.size, n + 1)
-            phi = phi.reshape(grid.n_t, sel.size, n + 1)
-            block[..., 0] = 1j * xi1[sel][None, :, None] * phi
-            block[..., 1] = 1j * xi2[sel][None, :, None] * phi
+            psi = psi.reshape(gv.shape)
+            phi = phi.reshape(gv.shape)
+            block[..., 0] = 1j * xp[i1][None, :, None] * phi
+            block[..., 1] = 1j * xp[i2][None, :, None] * phi
             block[..., 2] = psi
-        flat_w[:, sel] = block
+        w[:, i1, i2] = block
 
     w_field = SpectralField(grid, w, 3, g_field.real)
     residual_div = float(np.max(np.abs(divergence(w_field).coeffs - coeffs)))

@@ -4,9 +4,12 @@ Every retained frequency pair (integer time index k, integer lateral pair
 xi') reduces the linearized interaction problem to a dense boundary-value
 problem across the layer: Stokes momentum and continuity for the velocity
 and pressure profiles plus one scalar equation for the plate amplitude.
-This module assembles and solves those systems, synthesizes space-time
-fields from the per-mode pieces, and carries the weak-form and energy
-oracles that the validation suite leans on.
+The lateral operators are isotropic, so in the frame where xi' lies on its
+own axis the system depends on xi' only through |xi'|^2: the modes of one
+(k, |xi'|^2) group share one matrix and are solved in one LAPACK call, with
+their lateral velocity rotated into and out of that frame.  This module
+also carries the weak-form and energy oracles that the validation suite
+leans on.
 
 The xi' = 0 column is special: the plate amplitude vanishes there, the
 tangential velocities decouple into scalar two-point problems, the vertical
@@ -30,18 +33,16 @@ from .fields import (
     zeros_like_field,
 )
 from .grid import TorusGrid, cheb_eval, cheb_nodes, cheb_values_to_coeffs, clencurt_weights
-from .lift import antiderivative_from_plate, lift_divergence, xi0_layer_mean
+from .lift import antiderivative_from_plate, lift_divergence, xi0_incompatibility
 from .norms import x_norm, y_norm
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Physical coefficients and acceptance thresholds for the linear solver."""
+    """Physical coefficients and the xi' = 0 compatibility tolerance."""
 
     mu_f: float = 1.0
     mu_s: float = 1.0
-    tol_eq: float = 1e-9
-    tol_bc: float = 1e-9
     compat_tol: float = 1e-9
 
 
@@ -104,14 +105,23 @@ def _data_profiles(grid, f_hat, g_hat, h_hat):
     return f_hat, g_hat, complex(h_hat)
 
 
+def _dirichlet_helmholtz(grid, kp, a2, mu_f):
+    """ik - mu_f (D^2 - |xi'|^2) at interior nodes, identity rows at both faces."""
+    eye = np.eye(grid.n_z + 1)
+    op = 1j * kp * eye - mu_f * (grid.dmat(2) - a2 * eye)
+    op[[0, -1]] = eye[[0, -1]]
+    return op
+
+
 def mode_system_matrix(grid: TorusGrid, k: int, xi: tuple[int, int],
                        mu_f: float = 1.0, mu_s: float = 1.0) -> np.ndarray:
-    """Dense collocation matrix of one xi' != 0 mode.
+    """Dense collocation matrix of one xi' != 0 mode in the frame xi' = (|xi'|, 0).
 
-    Unknown layout [u1; u2; u3; p; eta] with N_z + 1 nodal values per block.
-    Momentum rows sit at interior nodes, continuity fills the pressure slots
-    at every node, velocity boundary rows occupy the face slots, and the
-    plate balance is the final row.
+    Unknown layout [u_par; u_perp; u3; p; eta] with N_z + 1 nodal values
+    per block, u_par along xi' (u_perp decouples), so the matrix depends on
+    xi' only through |xi'|^2.  Momentum rows sit at interior nodes,
+    continuity fills the pressure slots at every node, velocity boundary
+    rows occupy the face slots, and the plate balance is the final row.
     """
     n = grid.n_z
     m = n + 1
@@ -120,21 +130,18 @@ def mode_system_matrix(grid: TorusGrid, k: int, xi: tuple[int, int],
     a2 = x1 * x1 + x2 * x2
     if a2 == 0.0:
         raise ValueError("xi' = 0 modes use the decoupled scalar route")
+    s = np.sqrt(a2)
     d1 = grid.d1
     eye = np.eye(m)
-    helm = 1j * kp * eye - mu_f * (grid.dmat(2) - a2 * eye)
+    helm = _dirichlet_helmholtz(grid, kp, a2, mu_f)
     a = np.zeros((4 * m + 1, 4 * m + 1), complex)
     bu3, bp, last = 2 * m, 3 * m, 4 * m
-    for off, grad_row in ((0, 1j * x1 * eye[1:n]),
-                          (m, 1j * x2 * eye[1:n]),
-                          (bu3, d1[1:n])):
-        a[off + 1:off + n, off:off + m] = helm[1:n]
-        a[off + 1:off + n, bp:bp + m] = grad_row
-        a[off, off] = 1.0        # no-slip at the plate face (kinematic for u3)
-        a[off + n, off + n] = 1.0  # rigid top face
+    for off in (0, m, bu3):
+        a[off:off + m, off:off + m] = helm
+    a[1:n, bp:bp + m] = 1j * s * eye[1:n]
+    a[bu3 + 1:bu3 + n, bp:bp + m] = d1[1:n]
     a[bu3, last] = 1j * kp       # u3(0) + ik eta = 0
-    a[bp:bp + m, 0:m] = 1j * x1 * eye
-    a[bp:bp + m, m:2 * m] = 1j * x2 * eye
+    a[bp:bp + m, 0:m] = 1j * s * eye
     a[bp:bp + m, bu3:bu3 + m] = d1
     a[last, last] = _damped_symbol(kp, a2, mu_s)
     a[last, bp] = -1.0
@@ -142,50 +149,57 @@ def mode_system_matrix(grid: TorusGrid, k: int, xi: tuple[int, int],
     return a
 
 
-def _solve_axis_mode(grid, k, f_hat, g_hat, h_hat, params):
-    """xi' = 0 route: scalar tangential problems and layer integration."""
+def _solve_group(grid, k, xi1, xi2, f, g, h, params):
+    """Solve the modes of one (k, |xi'|^2) group in one LAPACK call.
+
+    xi1, xi2 are integer arrays of the G modes' lateral frequencies; f
+    (G, N_z + 1, 3), g (G, N_z + 1) or None and h (G,) are their data.
+    Returns u, p and eta shaped like f, g and h; zero data are not solved.
+    """
     n = grid.n_z
     m = n + 1
-    kp = 2.0 * np.pi / grid.t_period * k
-    xi0_layer_mean(grid, g_hat, params.compat_tol)
-    d2 = grid.dmat(2)
-    op = 1j * kp * np.eye(m) - params.mu_f * d2
-    op[0] = 0.0
-    op[0, 0] = 1.0
-    op[n] = 0.0
-    op[n, n] = 1.0
-    rhs = f_hat[:2].copy()
-    rhs[:, 0] = 0.0
-    rhs[:, n] = 0.0
-    u = np.zeros((3, m), complex)
-    u[:2] = np.linalg.solve(op, rhs.T).T
-    u[2] = antiderivative_from_plate(grid, g_hat)
-    # vertical momentum fixes the pressure profile; the plate row pins its
-    # constant through the face value
-    slope = f_hat[2] - 1j * kp * u[2] + params.mu_f * layer_derivative(grid, u[2], 2)
-    p = antiderivative_from_plate(grid, slope)
-    p += 2.0 * params.mu_f * (grid.d1[0] @ u[2]) - h_hat
-    return ModeSolution(grid, k, (0, 0), u, p, 0.0 + 0.0j)
-
-
-def _solve_any_mode(grid, k, xi, f_hat, g_hat, h_hat, params):
-    f_hat, g_hat, h_hat = _data_profiles(grid, f_hat, g_hat, h_hat)
-    m = grid.n_z + 1
-    if not (f_hat.any() or g_hat.any() or h_hat):
-        return ModeSolution(grid, k, tuple(xi), np.zeros((3, m), complex),
-                            np.zeros(m, complex), 0.0 + 0.0j)
-    if xi[0] == 0 and xi[1] == 0:
-        return _solve_axis_mode(grid, k, f_hat, g_hat, h_hat, params)
-    n = grid.n_z
-    a = mode_system_matrix(grid, k, xi, params.mu_f, params.mu_s)
-    b = np.zeros(4 * m + 1, complex)
-    for j, off in enumerate((0, m, 2 * m)):
-        b[off + 1:off + n] = f_hat[j, 1:n]
-    b[3 * m:4 * m] = g_hat
-    b[4 * m] = h_hat
+    g = np.zeros(f.shape[:-1], complex) if g is None else g
+    if not (f.any() or g.any() or h.any()):
+        return np.zeros_like(f), np.zeros_like(g), np.zeros_like(h)
+    if not (xi1[0] or xi2[0]):
+        # xi' = 0: scalar tangential problems and layer integration
+        xi0_incompatibility(grid, g, params.compat_tol)
+        kp = 2.0 * np.pi / grid.t_period * k
+        rhs = f[..., :2].copy()
+        rhs[:, [0, -1]] = 0.0
+        op = _dirichlet_helmholtz(grid, kp, 0.0, params.mu_f)
+        u3 = antiderivative_from_plate(grid, g)
+        u = np.concatenate([np.linalg.solve(op, rhs), u3[..., None]], axis=-1)
+        # vertical momentum fixes the pressure profile; the plate row pins
+        # its constant through the face value
+        slope = f[..., 2] - 1j * kp * u3 + params.mu_f * layer_derivative(grid, u3, 2)
+        p = antiderivative_from_plate(grid, slope)
+        p += (2.0 * params.mu_f * (u3 @ grid.d1[0]) - h)[:, None]
+        return u, p, np.zeros_like(h)
+    # rotate the lateral forcing onto (xi', xi'-perp)/|xi'|, and back
+    r = np.hypot(xi1, xi2)[:, None]
+    c, s = xi1[:, None] / r, xi2[:, None] / r
+    fi = f[:, 1:n]
+    b = np.zeros((4 * m + 1, f.shape[0]), complex)
+    b[1:n] = (c * fi[..., 0] + s * fi[..., 1]).T
+    b[m + 1:m + n] = (c * fi[..., 1] - s * fi[..., 0]).T
+    b[2 * m + 1:2 * m + n] = fi[..., 2].T
+    b[3 * m:4 * m] = g.T
+    b[4 * m] = h
+    a = mode_system_matrix(grid, k, (int(xi1[0]), int(xi2[0])),
+                           params.mu_f, params.mu_s)
     sol = np.linalg.solve(a, b)
-    return ModeSolution(grid, k, tuple(xi), sol[:3 * m].reshape(3, m),
-                        sol[3 * m:4 * m], complex(sol[4 * m]))
+    u_par, u_perp = sol[:m].T, sol[m:2 * m].T
+    u = np.stack([c * u_par - s * u_perp, s * u_par + c * u_perp,
+                  sol[2 * m:3 * m].T], axis=-1)
+    return u, sol[3 * m:4 * m].T, sol[4 * m]
+
+
+def _solve_single_mode(grid, k, xi, f_hat, g_hat, h_hat, params):
+    f_hat, g_hat, h_hat = _data_profiles(grid, f_hat, g_hat, h_hat)
+    u, p, eta = _solve_group(grid, k, np.array([xi[0]]), np.array([xi[1]]),
+                             f_hat.T[None], g_hat[None], np.array([h_hat]), params)
+    return ModeSolution(grid, k, tuple(xi), u[0].T, p[0], complex(eta[0]))
 
 
 def solve_oscillatory_mode(grid: TorusGrid, k: int, xi: tuple[int, int],
@@ -194,14 +208,14 @@ def solve_oscillatory_mode(grid: TorusGrid, k: int, xi: tuple[int, int],
     """Solve one time-oscillatory mode (k != 0)."""
     if k == 0:
         raise ValueError("k = 0 is the steady plane; use solve_steady_mode")
-    return _solve_any_mode(grid, k, xi, f_hat, g_hat, h_hat, params)
+    return _solve_single_mode(grid, k, xi, f_hat, g_hat, h_hat, params)
 
 
 def solve_steady_mode(grid: TorusGrid, xi: tuple[int, int],
                       f_hat=None, g_hat=None, h_hat=0.0,
                       params: SolverParams = DEFAULT_PARAMS) -> ModeSolution:
     """Solve one steady (k = 0) mode."""
-    return _solve_any_mode(grid, 0, xi, f_hat, g_hat, h_hat, params)
+    return _solve_single_mode(grid, 0, xi, f_hat, g_hat, h_hat, params)
 
 
 # ---- equation residuals ------------------------------------------------------
@@ -454,53 +468,36 @@ def solve_linear_full(f: SpectralField | None = None,
             raise ValueError("data fields live on different grids")
     real_data = f.real and h.real and (g is None or g.real)
 
-    w = None
-    g_eff = None
-    if route == "lift":
-        if g is not None and g.coeffs.any():
-            w = lift_divergence(g, tol_compat=params.compat_tol).w
-            f_eff = f - dt(w) + params.mu_f * laplacian(w)
-            h_eff = h - 2.0 * params.mu_f * trace_bottom(g)
-        else:
-            f_eff, h_eff = f, h
-    elif route == "direct":
-        if g is not None and g.coeffs.any():
-            xi0_layer_mean(grid, g.coeffs, params.compat_tol)
-            g_eff = g
-        f_eff, h_eff = f, h
-    else:
+    if route not in ("lift", "direct"):
         raise ValueError(f"unknown route {route!r}")
+    w, fc, gc, hc = None, f.coeffs, None, h.coeffs
+    if g is not None and g.coeffs.any():
+        if route == "lift":
+            w = lift_divergence(g, tol_compat=params.compat_tol).w
+            fc = (f - dt(w) + params.mu_f * laplacian(w)).coeffs
+            hc = (h - 2.0 * params.mu_f * trace_bottom(g)).coeffs
+        else:
+            xi0_incompatibility(grid, g.coeffs, params.compat_tol)
+            gc = g.coeffs
 
-    m = grid.n_z + 1
     half_t = (grid.n_t - 1) // 2
     half_x = (grid.n_x - 1) // 2
-    u_c = np.zeros((grid.n_t, grid.n_x, grid.n_x, m, 3), complex)
-    p_c = np.zeros((grid.n_t, grid.n_x, grid.n_x, m), complex)
-    e_c = np.zeros((grid.n_t, grid.n_x, grid.n_x), complex)
-    fc = f_eff.coeffs
-    gc = g_eff.coeffs if g_eff is not None else None
-    hc = h_eff.coeffs
+    u_c = np.zeros(fc.shape, complex)
+    p_c = np.zeros(fc.shape[:-1], complex)
+    e_c = np.zeros(hc.shape, complex)
 
-    triples = [(it, i1, i2)
-               for it in range(grid.n_t)
-               for i1 in range(grid.n_x)
-               for i2 in range(grid.n_x)]
-    if real_data:
-        # conjugate symmetry: solve the closed half-lattice, reflect the rest
-        triples = [idx for idx in triples
-                   if (idx[0] - half_t, idx[1] - half_x, idx[2] - half_x) >= (0, 0, 0)]
-
-    for it, i1, i2 in triples:
-        fh = fc[it, i1, i2].T
-        gh = gc[it, i1, i2] if gc is not None else None
-        hh = hc[it, i1, i2]
-        if not (fh.any() or (gh is not None and gh.any()) or hh):
-            continue
-        sol = _solve_any_mode(grid, it - half_t, (i1 - half_x, i2 - half_x),
-                              fh, gh, hh, params)
-        u_c[it, i1, i2] = sol.u.T
-        p_c[it, i1, i2] = sol.p
-        e_c[it, i1, i2] = sol.eta
+    # conjugate symmetry: for real data solve the closed half-lattice (C-order
+    # flat index at or past the centre) and reflect the rest
+    centre = grid.n_t * grid.n_x * grid.n_x // 2
+    groups = grid.xi_groups()
+    for it in range(grid.n_t):
+        for _, i1, i2 in groups:
+            if real_data:
+                due = (it * grid.n_x + i1) * grid.n_x + i2 >= centre
+                i1, i2 = i1[due], i2[due]
+            u_c[it, i1, i2], p_c[it, i1, i2], e_c[it, i1, i2] = _solve_group(
+                grid, it - half_t, i1 - half_x, i2 - half_x, fc[it, i1, i2],
+                None if gc is None else gc[it, i1, i2], hc[it, i1, i2], params)
 
     if real_data:
         for arr in (u_c, p_c, e_c):

@@ -40,7 +40,7 @@ from .fields import (
     zeros_like_field,
 )
 from .grid import TorusGrid, cheb_eval, cheb_values_to_coeffs
-from .lift import xi0_layer_mean
+from .lift import xi0_incompatibility
 from .modes import DEFAULT_PARAMS, SolverParams, _residual_parts, solve_linear_full
 from .norms import NormSpec, negative_norm, s_norm, sobolev_norm, x_norm, y_norm
 
@@ -446,7 +446,6 @@ class PicardConfig:
     radius: float | None = None
     max_iter: int = 25
     picard_tol: float = 1e-11
-    tol_nl: float = 1e-9
     eps0: float = EPS0_DEFAULT
     q: float = 2.0
     pad_factor: float = 1.5
@@ -523,8 +522,8 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
                                         pad_factor=config.pad_factor)
         rhs_f = f_t + terms.rf_tilde if f_t is not None else terms.rf_tilde
         rhs_h = h + terms.r_eta
-        # mean-free compatibility of the divergence slot, rechecked numerically
-        rd_mean = xi0_layer_mean(g, terms.rd_tilde.coeffs)
+        # xi' = 0 compatibility of the divergence slot, rechecked numerically
+        rd_mean = xi0_incompatibility(g, terms.rd_tilde.coeffs)
 
         sol = solve_linear_full(rhs_f, terms.rd_tilde, rhs_h, grid=g,
                                 params=params, route="lift", compute_ratio=False)

@@ -175,13 +175,10 @@ def _neumann_poisson_profiles(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
     n = grid.n_z
     d1, d2 = grid.d1, grid.dmat(2)
     w3 = grid.cheb_weights
-    flat_sq = grid.xi_norm_sq().reshape(-1)
-    flat_rhs = rhs.reshape(grid.n_t, -1, n + 1)
-    out = np.zeros(flat_rhs.shape, complex)
+    out = np.zeros(rhs.shape, complex)
     interior = np.arange(1, n)
-    for val in np.unique(flat_sq):
-        sel = np.where(flat_sq == val)[0]
-        cols = -flat_rhs[:, sel].reshape(-1, n + 1).T
+    for val, i1, i2 in grid.xi_groups():
+        cols = -rhs[:, i1, i2].reshape(-1, n + 1).T
         if val == 0.0:
             # one saddle solve: multiplier absorbs any residual incompatibility
             a = np.zeros((n + 2, n + 2), complex)
@@ -200,8 +197,8 @@ def _neumann_poisson_profiles(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
             b[0] = 0.0
             b[n] = 0.0
         sol = np.linalg.solve(a, b)
-        out[:, sel] = sol[: n + 1].T.reshape(grid.n_t, sel.size, n + 1)
-    return out.reshape(rhs.shape)
+        out[:, i1, i2] = sol[: n + 1].T.reshape(grid.n_t, i1.size, n + 1)
+    return out
 
 
 def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> float:

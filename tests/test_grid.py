@@ -103,6 +103,15 @@ def test_frequency_lattices():
     assert a2.shape == (5, 5)
     assert a2[2, 2] == 0.0
     assert abs(a2[4, 3] - (1.0 ** 2 + 0.5 ** 2)) < TOL_EXACT
+    # the |xi'|^2 groups partition the lattice, strictly ascending
+    seen = np.zeros(a2.shape, int)
+    values = []
+    for val, i1, i2 in grid.xi_groups():
+        assert np.all(a2[i1, i2] == val)
+        seen[i1, i2] += 1
+        values.append(val)
+    assert np.all(seen == 1)
+    assert all(lo < hi for lo, hi in zip(values, values[1:]))
 
 
 def test_sample_lattices_cover_one_period():

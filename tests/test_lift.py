@@ -52,11 +52,15 @@ def test_zero_datum_gives_zero_lift():
 
 
 def test_incompatible_datum_rejected():
-    bad = zeros_like_field(GRID)
-    bad.coeffs[(GRID.n_t - 1) // 2, (GRID.n_x - 1) // 2,
-               (GRID.n_x - 1) // 2, :] = 1.0   # nonzero layer mean
-    with pytest.raises(IncompatibleDataError):
-        lift_divergence(bad)
+    # a nonzero layer mean, and a mean-free T_{N_z} profile, which no
+    # degree-N_z profile vanishing at both faces has as its derivative
+    top = (-1.0) ** np.arange(GRID.n_z + 1)
+    for profile in (1.0, top - top @ GRID.cheb_weights):
+        bad = zeros_like_field(GRID)
+        bad.coeffs[(GRID.n_t - 1) // 2, (GRID.n_x - 1) // 2,
+                   (GRID.n_x - 1) // 2, :] = profile
+        with pytest.raises(IncompatibleDataError):
+            lift_divergence(bad)
 
 
 def test_estimate_ratios_finite_and_refinement_stable():

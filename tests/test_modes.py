@@ -12,6 +12,7 @@ from plateflow.modes import (
     energy_estimate_check,
     linear_residuals,
     mode_residuals,
+    mode_system_matrix,
     plate_symbol_damped,
     random_test_pair,
     solve_linear_full,
@@ -75,6 +76,60 @@ def test_steady_mode_residuals():
     sol = solve_steady_mode(GRID, (1, 1), f_hat, g_hat, h_hat)
     res = mode_residuals(sol, f_hat, g_hat, h_hat)
     assert max(res.values()) < TOL_MODE * 10.0
+
+
+def _unrotated_matrix(grid, k, xi, mu_f=1.0, mu_s=1.0):
+    """Reference assembly in the lattice frame, unknowns [u1; u2; u3; p; eta]."""
+    n = grid.n_z
+    m = n + 1
+    kp = 2.0 * np.pi / grid.t_period * k
+    x1, x2 = (2.0 * np.pi / grid.l_period * c for c in xi)
+    d1 = grid.d1
+    eye = np.eye(m)
+    helm = 1j * kp * eye - mu_f * (grid.dmat(2) - (x1 * x1 + x2 * x2) * eye)
+    a = np.zeros((4 * m + 1, 4 * m + 1), complex)
+    bu3, bp, last = 2 * m, 3 * m, 4 * m
+    for off, grad_row in ((0, 1j * x1 * eye[1:n]),
+                          (m, 1j * x2 * eye[1:n]),
+                          (bu3, d1[1:n])):
+        a[off + 1:off + n, off:off + m] = helm[1:n]
+        a[off + 1:off + n, bp:bp + m] = grad_row
+        a[off, off] = 1.0
+        a[off + n, off + n] = 1.0
+    a[bu3, last] = 1j * kp
+    a[bp:bp + m, 0:m] = 1j * x1 * eye
+    a[bp:bp + m, m:2 * m] = 1j * x2 * eye
+    a[bp:bp + m, bu3:bu3 + m] = d1
+    a[last, last] = plate_symbol_damped(k, xi, mu_s, grid.t_period,
+                                        grid.l_period)
+    a[last, bp] = -1.0
+    a[last, bu3:bu3 + m] = 2.0 * mu_f * d1[0]
+    return a
+
+
+@pytest.mark.parametrize("k", [1, 0, -1, 4])
+@pytest.mark.parametrize("xi", [(-1, 2), (2, -3), (-2, -1)],
+                         ids=lambda xi: f"{xi[0]},{xi[1]}")
+def test_rotated_solve_matches_unrotated(k, xi):
+    f_hat, g_hat, h_hat = _mode_data(GRID, 90 + k, with_g=True)
+    n = GRID.n_z
+    m = n + 1
+    b = np.zeros(4 * m + 1, complex)
+    for j, off in enumerate((0, m, 2 * m)):
+        b[off + 1:off + n] = f_hat[j, 1:n]
+    b[3 * m:4 * m] = g_hat
+    b[4 * m] = h_hat
+    ref = np.linalg.solve(_unrotated_matrix(GRID, k, xi), b)
+    if k:
+        sol = solve_oscillatory_mode(GRID, k, xi, f_hat, g_hat, h_hat)
+    else:
+        sol = solve_steady_mode(GRID, xi, f_hat, g_hat, h_hat)
+    got = np.concatenate([sol.u.ravel(), sol.p, [sol.eta]])
+    assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
+    # the rotated matrix depends on xi' only through |xi'|^2
+    a = mode_system_matrix(GRID, k, (1, 2))
+    for other in ((-2, 1), (2, -1)):
+        assert np.array_equal(a, mode_system_matrix(GRID, k, other))
 
 
 def test_k_zero_must_use_steady_entry():
@@ -157,12 +212,18 @@ def test_full_residuals_are_worst_mode_residuals():
         assert full[key] == pytest.approx(worst[key], rel=1e-12, abs=1e-13), key
 
 
-@pytest.mark.parametrize("route", ["lift", "direct"])
-def test_full_solve_residuals_both_routes(route):
+@pytest.mark.parametrize("route,real", [("lift", True), ("direct", True),
+                                        ("lift", False), ("direct", False)],
+                         ids=["lift", "direct", "lift-complex", "direct-complex"])
+def test_full_solve_residuals_both_routes(route, real):
     f = poly_field(GRID, 82, components=3)
     h = poly_plate(GRID, 83)
     g = divergence(bubble_field(GRID, 84))
+    if not real:
+        # distinct phases break the conjugate symmetry: every mode is solved
+        f, g, h = f * (0.6 + 0.8j), g * 1j, h * (0.8 - 0.6j)
     sol = solve_linear_full(f, g, h, grid=GRID, route=route)
+    assert sol.u.real == real
     scale = max(1.0, np.max(np.abs(f.coeffs)))
     for name, val in sol.residuals.items():
         assert val < 1e-9 * scale, (name, val)
@@ -175,10 +236,15 @@ def test_unknown_route_rejected():
 
 
 def test_direct_route_rejects_incompatible_datum():
-    bad = zeros_like_field(GRID)
-    bad.coeffs[2, 2, 2, :] = 1.0
-    with pytest.raises(IncompatibleDataError):
-        solve_linear_full(None, bad, None, grid=GRID, route="direct")
+    # a nonzero layer mean, and a mean-free T_{N_z} profile on xi' = 0
+    top = (-1.0) ** np.arange(GRID.n_z + 1)
+    for profile in (1.0, top - top @ GRID.cheb_weights):
+        bad = zeros_like_field(GRID)
+        bad.coeffs[2, 2, 2, :] = profile
+        with pytest.raises(IncompatibleDataError):
+            solve_linear_full(None, bad, None, grid=GRID, route="direct")
+        with pytest.raises(IncompatibleDataError):
+            solve_steady_mode(GRID, (0, 0), None, bad.coeffs[2, 2, 2])
 
 
 def test_grid_mismatch_between_data_fields():
