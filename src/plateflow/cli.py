@@ -83,7 +83,7 @@ from .halfspace import (
 )
 from .io import read_field, write_field
 from .lift import IncompatibleDataError, lift_divergence, lift_estimate_check
-from .modes import SolverParams, solve_linear_full
+from .modes import SolverParams, linear_residuals, solve_linear_full
 from .nonlinear import (
     DegenerateDeformationError,
     PicardConfig,
@@ -580,7 +580,8 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
     g = cfg.eps * parse_forcing(cfg.forcing_g, grid, "g", base_dir)
     h = cfg.eps * parse_forcing(cfg.forcing_h, grid, "h", base_dir)
     g_arg = g if g.coeffs.any() else None
-    sol = solve_linear_full(f, g_arg, h, grid=grid, params=cfg.solver_params(),
+    params = cfg.solver_params()
+    sol = solve_linear_full(f, g_arg, h, grid=grid, params=params,
                             route=cfg.route)
     write_field(out_dir / "u.plf", sol.u)
     write_field(out_dir / "p.plf", sol.p)
@@ -592,7 +593,8 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
             "x_norm_solution": x_norm(sol.u, sol.p, sol.eta, cfg.q),
             "s_norm_eta": s_norm(sol.eta, cfg.q),
         },
-        "residuals": sol.residuals,
+        "residuals": linear_residuals(sol.u, sol.p, sol.eta, f, g_arg, h,
+                                      params),
         "empirical_constants": {"x_over_y_ratio": sol.norm_ratio},
         "outputs": ["u.plf", "p.plf", "eta.plf", "eta_samples.csv"],
     }
@@ -645,7 +647,8 @@ def _run_multiplier_scan(cfg: ScenarioConfig, out_dir: Path, seed: int,
                          base_dir: Path) -> dict:
     k_max = cfg.k_max or 100
     xi_max = cfg.xi_max or 30
-    report = boundedness_scan(k_max, xi_max, cfg.mu_s)
+    report = boundedness_scan(k_max, xi_max, cfg.mu_s, t_period=cfg.T,
+                              l_period=cfg.L)
     ks = np.unique(np.geomspace(1, k_max, 64).astype(int))
     rows = []
     for k in ks:

@@ -5,6 +5,10 @@ and lateral axes (axis 0: k, axes 1-2: xi1, xi2), the Chebyshev node axis
 next, and an optional trailing component axis.  The forward transform is the
 lattice average, so synthesis is the plain sum over modes and Parseval holds
 without weights.
+
+Pointwise work uses a zero-padded time/lateral lattice (`pad_to_samples`, and
+back by `samples_to_truncated`): DEALIAS wide for products, OVERSAMPLE for
+quadratures and sup sampling.  The layer direction is never padded.
 """
 
 from __future__ import annotations
@@ -16,6 +20,11 @@ import numpy as np
 from .grid import TorusGrid
 
 _PERIODIC_AXES = (0, 1, 2)
+
+# Orszag's 3/2 rule: quadratic products formed on it truncate back alias-free
+DEALIAS = 1.5
+# |.|^q quadratures and sup sampling are not band-limited, so they get a doubled lattice
+OVERSAMPLE = 2.0
 
 
 def _to_coeffs(samples: np.ndarray) -> np.ndarray:
@@ -328,15 +337,16 @@ def dt_plate(field: PlateField) -> PlateField:
     return out
 
 
-# ---- dealiased products -------------------------------------------------------
+# ---- padded lattices ------------------------------------------------------------
 
 
 def _next_odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def padded_sizes(grid: TorusGrid, factor: float = 1.5) -> tuple[int, int]:
-    """Lattice sizes large enough to form quadratic products alias-free."""
+def padded_sizes(grid: TorusGrid, factor: float = DEALIAS) -> tuple[int, int]:
+    """Odd lattice sizes (m_t, m_x) spanning `factor` times the grid's band:
+    DEALIAS for products, OVERSAMPLE for quadratures and sup sampling."""
     half_t = (grid.n_t - 1) // 2
     half_x = (grid.n_x - 1) // 2
     m_t = _next_odd(max(grid.n_t, int(np.ceil(factor * 2 * half_t + 1))))
@@ -344,28 +354,30 @@ def padded_sizes(grid: TorusGrid, factor: float = 1.5) -> tuple[int, int]:
     return m_t, m_x
 
 
+def _inner(grid: TorusGrid, m_t: int, m_x: int) -> tuple[slice, slice, slice]:
+    """Where the grid lattice sits inside a centered (m_t, m_x, m_x) lattice."""
+    ot, ox = (m_t - grid.n_t) // 2, (m_x - grid.n_x) // 2
+    return slice(ot, ot + grid.n_t), slice(ox, ox + grid.n_x), slice(ox, ox + grid.n_x)
+
+
 def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m_t: int, m_x: int) -> np.ndarray:
     """Embed centered coefficients into a larger centered lattice."""
-    shape = list(coeffs.shape)
-    shape[0], shape[1], shape[2] = m_t, m_x, m_x
-    out = np.zeros(shape, dtype=complex)
-    ot = (m_t - grid.n_t) // 2
-    ox = (m_x - grid.n_x) // 2
-    out[ot:ot + grid.n_t, ox:ox + grid.n_x, ox:ox + grid.n_x, ...] = coeffs
+    out = np.zeros((m_t, m_x, m_x) + coeffs.shape[3:], dtype=complex)
+    out[_inner(grid, m_t, m_x)] = coeffs
     return out
 
 
 def truncate_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Centered truncation back onto the grid lattice."""
-    m_t, m_x = coeffs.shape[0], coeffs.shape[1]
-    ot = (m_t - grid.n_t) // 2
-    ox = (m_x - grid.n_x) // 2
-    return coeffs[ot:ot + grid.n_t, ox:ox + grid.n_x, ox:ox + grid.n_x, ...].copy()
+    return coeffs[_inner(grid, *coeffs.shape[:2])].copy()
 
 
-def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, m_t: int, m_x: int) -> np.ndarray:
-    """Synthesize on the padded lattice (same Chebyshev nodes)."""
-    return _to_samples(pad_coeffs(coeffs, grid, m_t, m_x))
+def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, factor: float = DEALIAS,
+                   real: bool = False) -> np.ndarray:
+    """Samples of plate or slab coefficients on the `factor`-padded lattice
+    (node and component axes pass through); real=True keeps the real part."""
+    samples = _to_samples(pad_coeffs(coeffs, grid, *padded_sizes(grid, factor)))
+    return samples.real if real else samples
 
 
 def samples_to_truncated(samples: np.ndarray, grid: TorusGrid,

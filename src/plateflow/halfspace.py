@@ -235,10 +235,10 @@ def _square_sums(xi_max: int) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
     return svals, reps
 
 
-def _symbol_arrays(ks: np.ndarray, ss: np.ndarray, mu_s: float):
-    """Coupled symbol on a (k, s) grid with s = |xi'|^2; T = L = 2*pi scaling."""
-    k = ks[:, None]
-    s = ss[None, :]
+def _symbol_arrays(kp: np.ndarray, a2: np.ndarray, mu_s: float):
+    """Coupled symbol on a (k, |xi'|^2) grid, both in physical units."""
+    k = kp[:, None]
+    s = a2[None, :]
     a = np.sqrt(s)
     root = _decay_root(s, k)
     return _damped_symbol(k, s, mu_s) - k * k / a + 1j * k * (a + root)
@@ -277,18 +277,24 @@ class ScanReport:
 
 
 def boundedness_scan(k_max: int, xi_max: int, mu_s: float = 1.0,
-                     block_points: int = 1 << 21) -> ScanReport:
+                     block_points: int = 1 << 21,
+                     t_period: float = 2.0 * math.pi,
+                     l_period: float = 2.0 * math.pi) -> ScanReport:
     """Scan |k| <= k_max, |xi_i| <= xi_max for the weighted multiplier supremum.
 
     The scan runs over k >= 1 and distinct square sums only (conjugate and
     lattice symmetry), in ascending order, so the reported argmax is the
     smallest (|k|, |xi'|) attaining the supremum.  Ratios against the
     undamped multiplier skip the exact resonance ring.  block_points caps
-    the size of each vectorized (k, s) block.
+    the size of each vectorized (k, s) block.  The symbol takes physical
+    frequencies for the periods; the bookkeeping stays on integer k and s.
     """
     if k_max < 1 or xi_max < 1:
         raise ValueError("scan ranges must satisfy k_max, xi_max >= 1")
     ss, reps = _square_sums(xi_max)
+    # both scale factors are exactly 1.0 at the 2*pi default periods
+    ct = 2.0 * math.pi / t_period
+    a2 = (2.0 * math.pi / l_period) ** 2 * ss
     sup_w = -1.0
     arg_w = (1, 1.0)
     sup_r = -1.0
@@ -297,15 +303,16 @@ def boundedness_scan(k_max: int, xi_max: int, mu_s: float = 1.0,
     chunk = max(1, block_points // ss.size)
     for start in range(1, k_max + 1, chunk):
         ks = np.arange(start, min(start + chunk, k_max + 1), dtype=float)
-        sym = _symbol_arrays(ks, ss, mu_s)
+        kp = ct * ks
+        sym = _symbol_arrays(kp, a2, mu_s)
         absm = 1.0 / np.abs(sym)
-        weighted = (1.0 + ks[:, None] ** 2 + ss[None, :] ** 2) * absm
+        weighted = (1.0 + kp[:, None] ** 2 + a2[None, :] ** 2) * absm
         count += weighted.size
         idx = np.argmax(weighted)
         if weighted.flat[idx] > sup_w:
             sup_w = float(weighted.flat[idx])
             arg_w = (int(ks[idx // ss.size]), float(ss[idx % ss.size]))
-        gap = np.abs(ss[None, :] ** 2 - ks[:, None] ** 2)
+        gap = np.abs(a2[None, :] ** 2 - kp[:, None] ** 2)
         ratio = np.abs(sym) / np.where(gap > 0.0, gap, np.inf)
         idx = np.argmax(ratio)
         if ratio.flat[idx] > sup_r:
@@ -315,13 +322,13 @@ def boundedness_scan(k_max: int, xi_max: int, mu_s: float = 1.0,
     # decay exponents along rays, fitted over the top decade
     k_lo = max(1, k_max // 10)
     ks = np.unique(np.geomspace(k_lo, k_max, _RAY_POINTS).astype(int)).astype(float)
-    m_ray = 1.0 / np.abs(_symbol_arrays(ks, np.array([1.0]), mu_s)[:, 0])
+    m_ray = 1.0 / np.abs(_symbol_arrays(ct * ks, a2[:1], mu_s)[:, 0])
     slope_k = float(np.polyfit(np.log(ks), np.log(m_ray), 1)[0])
     s_hi = float(ss[-1])
     s_lo = max(1.0, s_hi / 10.0)
-    s_ray = ss[(ss >= s_lo)]
-    m_ray = 1.0 / np.abs(_symbol_arrays(np.array([1.0]), s_ray, mu_s)[0])
-    slope_s = float(np.polyfit(np.log(s_ray), np.log(m_ray), 1)[0])
+    s_ray = ss >= s_lo
+    m_ray = 1.0 / np.abs(_symbol_arrays(np.array([ct]), a2[s_ray], mu_s)[0])
+    slope_s = float(np.polyfit(np.log(ss[s_ray]), np.log(m_ray), 1)[0])
 
     return ScanReport(
         k_max, xi_max, mu_s,

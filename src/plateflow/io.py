@@ -25,6 +25,14 @@ MAGIC = b"PLFSPEC1"
 _HEADER = struct.Struct("<5I")
 
 
+def _element_count(n_t: int, n_x: int, n_z: int, components: int) -> int:
+    """Coefficient count a header declares; rejects an empty component axis,
+    which would otherwise let any sizes through to the grid."""
+    if components < 1:
+        raise ValueError(f"header declares {components} components")
+    return n_t * n_x * n_x * (n_z + 1) * components
+
+
 def write_field(path, field) -> None:
     """Write a SpectralField or PlateField to the binary container."""
     plate = isinstance(field, PlateField)
@@ -66,7 +74,7 @@ def read_field(path, grid: TorusGrid | None = None,
                                  or (not plate and grid.n_z != n_z)):
             raise ValueError("grid does not match file header")
         # the header is untrusted: size the read by the bytes actually present
-        need = 16 * n_t * n_x * n_x * (n_z + 1) * components
+        need = 16 * _element_count(n_t, n_x, n_z, components)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if need > left:
             raise ValueError(f"truncated payload in {path}: the header needs "
@@ -108,8 +116,13 @@ def write_field_json(path, field) -> None:
 def read_field_json(path, grid: TorusGrid | None = None):
     with open(path) as fh:
         doc = json.load(fh)
-    flat = np.asarray(doc["re"], float) + 1j * np.asarray(doc["im"], float)
     plate = doc["kind"] == "plate"
+    need = _element_count(doc["n_t"], doc["n_x"], 0 if plate else doc["n_z"],
+                          doc["components"])
+    if len(doc["re"]) != need or len(doc["im"]) != need:
+        raise ValueError(f"{path} holds {len(doc['re'])}/{len(doc['im'])} "
+                         f"real/imaginary parts; the header declares {need}")
+    flat = np.asarray(doc["re"], float) + 1j * np.asarray(doc["im"], float)
     if grid is None:
         grid = TorusGrid(doc["n_t"], doc["n_x"], doc["n_z"] if not plate else 4,
                          doc["t_period"], doc["l_period"])

@@ -430,13 +430,12 @@ def energy_estimate_check(u: SpectralField, eta: PlateField,
 
 @dataclass
 class LinearSolution:
-    """Output of the full linear solve with its residual report."""
+    """Output of the full linear solve; `linear_residuals` checks it."""
 
     u: SpectralField
     p: SpectralField
     eta: PlateField
     lift: SpectralField | None
-    residuals: dict[str, float]
     norm_ratio: float | None
 
 
@@ -511,10 +510,9 @@ def solve_linear_full(f: SpectralField | None = None,
     if w is not None:
         u = u + w
 
-    residuals = linear_residuals(u, p, eta, f, g, h, params)
     ratio = None
     if compute_ratio:
         denom = y_norm(f, g, h, 2.0)
         if denom > 0.0:
             ratio = x_norm(u, p, eta, 2.0) / denom
-    return LinearSolution(u, p, eta, w, residuals, ratio)
+    return LinearSolution(u, p, eta, w, ratio)

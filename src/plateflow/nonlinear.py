@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    OVERSAMPLE,
     PlateField,
     SpectralField,
     dt_plate,
@@ -35,7 +36,6 @@ from .fields import (
     lateral_gradient_plate,
     lateral_laplacian_plate,
     pad_to_samples,
-    padded_sizes,
     samples_to_truncated,
     zeros_like_field,
 )
@@ -85,14 +85,8 @@ def plate_eval(eta: PlateField, t, x1, x2) -> np.ndarray:
     return vals.real if eta.real else vals
 
 
-def _deflection_samples(eta: PlateField) -> np.ndarray:
-    """Complex samples of the deflection on the doubled lattice."""
-    m_t, m_x = padded_sizes(eta.grid, 2.0)
-    return _padded_plate(eta.coeffs, eta.grid, m_t, m_x, False)
-
-
 def _require_nondegenerate(eta: PlateField) -> None:
-    sup = float(np.max(np.abs(_deflection_samples(eta))))
+    sup = float(np.max(np.abs(pad_to_samples(eta.coeffs, eta.grid, OVERSAMPLE))))
     if sup >= 1.0:
         raise DegenerateDeformationError(
             f"sup |eta| = {sup:.3f} >= 1; the straightening map degenerates"
@@ -130,19 +124,7 @@ def deform_inverse(eta: PlateField, t, y) -> np.ndarray:
 # ---- geometry fields -----------------------------------------------------------
 
 
-def _padded_plate(coeffs: np.ndarray, grid: TorusGrid, m_t: int, m_x: int,
-                  real: bool) -> np.ndarray:
-    samples = pad_to_samples(coeffs[..., None], grid, m_t, m_x)[..., 0]
-    return samples.real if real else samples
-
-
-def _padded_slab(coeffs: np.ndarray, grid: TorusGrid, m_t: int, m_x: int,
-                 real: bool) -> np.ndarray:
-    samples = pad_to_samples(coeffs, grid, m_t, m_x)
-    return samples.real if real else samples
-
-
-def e_matrix(eta: PlateField, pad_factor: float = 1.5) -> np.ndarray:
+def e_matrix(eta: PlateField) -> np.ndarray:
     """Gradient-correction tensor of the straightening map, as coefficients.
 
     Returns shape (N_t, N_x, N_x, N_z + 1, 3, 3).  Only the third row is
@@ -150,11 +132,9 @@ def e_matrix(eta: PlateField, pad_factor: float = 1.5) -> np.ndarray:
     """
     _require_nondegenerate(eta)
     g = eta.grid
-    m_t, m_x = padded_sizes(g, pad_factor)
-    eta_s = _padded_plate(eta.coeffs, g, m_t, m_x, eta.real)
-    g1, g2 = lateral_gradient_plate(eta)
-    g1_s = _padded_plate(g1.coeffs, g, m_t, m_x, eta.real)
-    g2_s = _padded_plate(g2.coeffs, g, m_t, m_x, eta.real)
+    eta_s = pad_to_samples(eta.coeffs, g, real=eta.real)
+    g1_s, g2_s = (pad_to_samples(d.coeffs, g, real=eta.real)
+                  for d in lateral_gradient_plate(eta))
     tau = 1.0 / (1.0 + eta_s)
     rho = 1.0 - g.nodes
     es = np.zeros(eta_s.shape + (g.n_z + 1, 3, 3), dtype=tau.dtype)
@@ -164,16 +144,14 @@ def e_matrix(eta: PlateField, pad_factor: float = 1.5) -> np.ndarray:
     return samples_to_truncated(es, g, eta.real)
 
 
-def normal_vector(eta: PlateField, pad_factor: float = 2.0) -> PlateField:
+def normal_vector(eta: PlateField) -> PlateField:
     """Unit normal of the deformed interface, parameterized by x'.
 
     Points away from the fluid layer; for the flat plate it is (0, 0, -1).
     """
     g = eta.grid
-    m_t, m_x = padded_sizes(g, pad_factor)
-    g1, g2 = lateral_gradient_plate(eta)
-    g1_s = _padded_plate(g1.coeffs, g, m_t, m_x, eta.real)
-    g2_s = _padded_plate(g2.coeffs, g, m_t, m_x, eta.real)
+    g1_s, g2_s = (pad_to_samples(d.coeffs, g, OVERSAMPLE, eta.real)
+                  for d in lateral_gradient_plate(eta))
     norm = np.sqrt(1.0 + g1_s * g1_s + g2_s * g2_s)
     nu = np.stack([g1_s / norm, g2_s / norm, -1.0 / norm], axis=-1)
     return PlateField(g, samples_to_truncated(nu, g, eta.real), eta.real)
@@ -202,8 +180,7 @@ class NonlinearTerms:
 
 
 def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
-                            mu_f: float = 1.0,
-                            pad_factor: float = 1.5) -> NonlinearTerms:
+                            mu_f: float = 1.0) -> NonlinearTerms:
     """Evaluate every interaction term pseudospectrally on a padded lattice.
 
     The momentum correction acts only through layer derivatives: because the
@@ -219,27 +196,25 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     _require_nondegenerate(eta)
 
     real_in = u.real and p.real and eta.real
-    m_t, m_x = padded_sizes(g, pad_factor)
 
-    eta_s = _padded_plate(eta.coeffs, g, m_t, m_x, real_in)
-    det_s = _padded_plate(dt_plate(eta).coeffs, g, m_t, m_x, real_in)
-    g1f, g2f = lateral_gradient_plate(eta)
-    g1_s = _padded_plate(g1f.coeffs, g, m_t, m_x, real_in)
-    g2_s = _padded_plate(g2f.coeffs, g, m_t, m_x, real_in)
-    lap_s = _padded_plate(lateral_laplacian_plate(eta).coeffs, g, m_t, m_x, real_in)
+    eta_s = pad_to_samples(eta.coeffs, g, real=real_in)
+    det_s = pad_to_samples(dt_plate(eta).coeffs, g, real=real_in)
+    g1_s, g2_s = (pad_to_samples(d.coeffs, g, real=real_in)
+                  for d in lateral_gradient_plate(eta))
+    lap_s = pad_to_samples(lateral_laplacian_plate(eta).coeffs, g, real=real_in)
     tau = 1.0 / (1.0 + eta_s)
 
-    u_s = _padded_slab(u.coeffs, g, m_t, m_x, real_in)
-    du1 = _padded_slab(dx(u, 1).coeffs, g, m_t, m_x, real_in)
-    du2 = _padded_slab(dx(u, 2).coeffs, g, m_t, m_x, real_in)
+    u_s = pad_to_samples(u.coeffs, g, real=real_in)
+    du1 = pad_to_samples(dx(u, 1).coeffs, g, real=real_in)
+    du2 = pad_to_samples(dx(u, 2).coeffs, g, real=real_in)
     # lateral multipliers commute with the layer derivative
     u3 = dx3(u)
-    du3 = _padded_slab(u3.coeffs, g, m_t, m_x, real_in)
-    d31 = _padded_slab(dx(u3, 1).coeffs, g, m_t, m_x, real_in)
-    d32 = _padded_slab(dx(u3, 2).coeffs, g, m_t, m_x, real_in)
+    du3 = pad_to_samples(u3.coeffs, g, real=real_in)
+    d31 = pad_to_samples(dx(u3, 1).coeffs, g, real=real_in)
+    d32 = pad_to_samples(dx(u3, 2).coeffs, g, real=real_in)
     del u3  # free it before the padded products reach their peak
-    d33 = _padded_slab(dx3(u, 2).coeffs, g, m_t, m_x, real_in)
-    dp3 = _padded_slab(dx3(p).coeffs, g, m_t, m_x, real_in)
+    d33 = pad_to_samples(dx3(u, 2).coeffs, g, real=real_in)
+    dp3 = pad_to_samples(dx3(p).coeffs, g, real=real_in)
 
     rho = 1.0 - g.nodes
     e31 = (g1_s * tau)[..., None] * rho
@@ -315,7 +290,7 @@ def smallness_check(eta: PlateField, eps0: float = EPS0_DEFAULT,
                     q: float = 2.0) -> SmallnessReport:
     """Gate for the perturbative regime; fails rather than raising."""
     plate_norm = s_norm(eta, q)
-    samples = _deflection_samples(eta)
+    samples = pad_to_samples(eta.coeffs, eta.grid, OVERSAMPLE)
     sup = float(np.max(np.abs(samples)))
     # sup |eta| < 1 keeps 1 + eta away from zero
     reciprocal = 1.0 / np.min(1.0 + samples.real) if sup < 1.0 else np.inf
@@ -336,7 +311,7 @@ def smallness_check(eta: PlateField, eps0: float = EPS0_DEFAULT,
 
 def nonlinear_bound_ratios(u: SpectralField, p: SpectralField, eta: PlateField,
                            q: float = 2.0, eps0: float = EPS0_DEFAULT,
-                           mu_f: float = 1.0, pad_factor: float = 1.5,
+                           mu_f: float = 1.0,
                            terms: NonlinearTerms | None = None) -> dict[str, float]:
     """Left/right quotients of the three quadratic-term estimates.
 
@@ -345,7 +320,7 @@ def nonlinear_bound_ratios(u: SpectralField, p: SpectralField, eta: PlateField,
     the correction reduces to the convective term.  Zero data reports zero.
     """
     if terms is None:
-        terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f, pad_factor=pad_factor)
+        terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f)
     nu = sobolev_norm(u, NormSpec(1, 2, q, "slab"))
     ngp = sobolev_norm(gradient(p), NormSpec(0, 0, q, "slab"))
     ns = s_norm(eta, q)
@@ -373,7 +348,7 @@ def nonlinear_bound_ratios(u: SpectralField, p: SpectralField, eta: PlateField,
 # ---- forcing pullback ------------------------------------------------------------
 
 
-def compose_forcing(f, eta: PlateField, pad_factor: float = 1.5) -> SpectralField:
+def compose_forcing(f, eta: PlateField) -> SpectralField:
     """Pull a momentum forcing back through the straightening map.
 
     f is either a 3-component SpectralField or a callable f(t, x1, x2, x3)
@@ -394,14 +369,13 @@ def compose_forcing(f, eta: PlateField, pad_factor: float = 1.5) -> SpectralFiel
         if not moved:
             return f.copy()
 
-    m_t, m_x = padded_sizes(g, pad_factor)
     real_in = eta.real and (f.real if isinstance(f, SpectralField) else True)
-    eta_s = _padded_plate(eta.coeffs, g, m_t, m_x, real_in)
+    eta_s = pad_to_samples(eta.coeffs, g, real=real_in)
     z = g.nodes
     displaced = z * (1.0 + eta_s[..., None]) - eta_s[..., None]
 
     if isinstance(f, SpectralField):
-        samples = _padded_slab(f.coeffs, g, m_t, m_x, real_in)
+        samples = pad_to_samples(f.coeffs, g, real=real_in)
         series = cheb_values_to_coeffs(samples, axis=3)
         # the inserted axis broadcasts each (t, x') column's series over that
         # column's displaced evaluation points
@@ -410,6 +384,7 @@ def compose_forcing(f, eta: PlateField, pad_factor: float = 1.5) -> SpectralFiel
             axis=-1,
         )
     else:
+        m_t, m_x = eta_s.shape[:2]
         t_pts = g.t_period * np.arange(m_t) / m_t
         x_pts = g.l_period * np.arange(m_x) / m_x
         vals = f(
@@ -436,7 +411,7 @@ def compose_forcing(f, eta: PlateField, pad_factor: float = 1.5) -> SpectralFiel
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Knobs for the fixed-point iteration.
+    """Settings of the fixed-point iteration.
 
     eps is the data-smallness scale; the iterate ball defaults to sqrt(eps).
     Control-flow norms use q = 2 so the stopping rule is evaluated exactly.
@@ -448,7 +423,6 @@ class PicardConfig:
     picard_tol: float = 1e-11
     eps0: float = EPS0_DEFAULT
     q: float = 2.0
-    pad_factor: float = 1.5
     params: SolverParams = DEFAULT_PARAMS
 
     @property
@@ -517,9 +491,8 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
         iterations = n
         f_t = None
         if f is not None:
-            f_t = compose_forcing(f, eta, pad_factor=config.pad_factor)
-        terms = compute_nonlinear_terms(u, p, eta, mu_f=params.mu_f,
-                                        pad_factor=config.pad_factor)
+            f_t = compose_forcing(f, eta)
+        terms = compute_nonlinear_terms(u, p, eta, mu_f=params.mu_f)
         rhs_f = f_t + terms.rf_tilde if f_t is not None else terms.rf_tilde
         rhs_h = h + terms.r_eta
         # xi' = 0 compatibility of the divergence slot, rechecked numerically
@@ -568,7 +541,7 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
             prev_step = step
 
     residuals = nonlinear_residual(u, p, eta, f, h, mu_f=params.mu_f,
-                                   mu_s=params.mu_s, pad_factor=config.pad_factor)
+                                   mu_s=params.mu_s)
     return PicardResult(u=u, p=p, eta=eta, converged=converged,
                         iterations=iterations, trace=trace,
                         residuals=residuals, radius=radius,
@@ -580,8 +553,7 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
 
 def nonlinear_residual(u: SpectralField, p: SpectralField, eta: PlateField,
                        f=None, h: PlateField | None = None,
-                       mu_f: float = 1.0, mu_s: float = 1.0,
-                       pad_factor: float = 1.5) -> dict[str, float]:
+                       mu_f: float = 1.0, mu_s: float = 1.0) -> dict[str, float]:
     """Max-magnitude residuals of the six transformed-system equations.
 
     Momentum rows are collocated at interior nodes only; the two face rows
@@ -589,10 +561,10 @@ def nonlinear_residual(u: SpectralField, p: SpectralField, eta: PlateField,
     coefficient space against the damped symbol.
     """
     g = u.grid
-    terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f, pad_factor=pad_factor)
+    terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f)
     rhs_f = terms.rf_tilde
     if f is not None:
-        rhs_f = compose_forcing(f, eta, pad_factor=pad_factor) + rhs_f
+        rhs_f = compose_forcing(f, eta) + rhs_f
     rhs_h = terms.r_eta if h is None else h + terms.r_eta
     xp = g.xi_phys
     parts = _residual_parts(g, u.coeffs, p.coeffs, eta.coeffs,

@@ -10,7 +10,7 @@ Conventions (fixed here once, used consistently by the solver and tests):
   floor(s) are combined binomially with lateral weights, which reproduces the
   classical integer-order norms exactly and interpolates for fractional s.
 * q != 2 norms lift the same weights in coefficient space (Bessel potential
-  realization), synthesize on a doubled lattice, and take the physical
+  realization), synthesize on the OVERSAMPLE lattice, and take the physical
   quadrature of |.|^q.
 * Spatial order -1 is the dual norm of homogeneous first-order test
   functions: the mean-free part is paired against gradients, evaluated by a
@@ -25,8 +25,8 @@ from math import comb
 
 import numpy as np
 
-from .fields import (PlateField, SpectralField, layer_derivative, pad_to_samples,
-                     padded_sizes)
+from .fields import (OVERSAMPLE, PlateField, SpectralField, layer_derivative,
+                     pad_to_samples)
 from .grid import TorusGrid
 
 
@@ -61,23 +61,20 @@ def _lateral_weight(grid: TorusGrid, order: float) -> np.ndarray:
     return (1.0 + grid.xi_norm_sq()) ** (0.5 * order)
 
 
-def _lq_slab(grid: TorusGrid, coeffs: np.ndarray, q: float) -> float:
-    """Physical L^q(T x Omega) quadrature on a doubled lattice."""
-    m_t, m_x = padded_sizes(grid, 2.0)
-    samples = pad_to_samples(coeffs, grid, m_t, m_x)
-    mag = np.abs(samples)
+def _magnitudes(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """|samples| on the OVERSAMPLE lattice, Euclidean over vector components."""
+    mag = np.abs(pad_to_samples(coeffs, grid, OVERSAMPLE))
     if mag.ndim == 5:
         mag = np.sqrt(np.sum(mag ** 2, axis=-1))
-    w = grid.cheb_weights
-    cell = 1.0 / (m_t * m_x * m_x)
-    return float((np.sum(mag ** q * w) * cell) ** (1.0 / q))
+    return mag
 
 
-def _lq_plate(grid: TorusGrid, coeffs: np.ndarray, q: float) -> float:
-    m_t, m_x = padded_sizes(grid, 2.0)
-    samples = pad_to_samples(coeffs[..., None], grid, m_t, m_x)[..., 0]
-    cell = 1.0 / (m_t * m_x * m_x)
-    return float((np.sum(np.abs(samples) ** q) * cell) ** (1.0 / q))
+def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float) -> float:
+    """L^q quadrature of plate (rank 3) or slab (rank 4, 5) coefficients."""
+    mag = _magnitudes(grid, coeffs)
+    cell = 1.0 / np.prod(mag.shape[:3])
+    integrand = mag ** q if mag.ndim == 3 else mag ** q * grid.cheb_weights
+    return float((np.sum(integrand) * cell) ** (1.0 / q))
 
 
 # ---- the public entry point ---------------------------------------------------
@@ -102,7 +99,7 @@ def _plate_norm(field: PlateField, spec: NormSpec) -> float:
     wx = _lateral_weight(g, spec.spatial_order)[None, :, :]
     if spec.q == 2.0:
         return float(np.sqrt(np.sum((wt * wx * np.abs(field.coeffs)) ** 2)))
-    return _lq_plate(g, wt * wx * field.coeffs, spec.q)
+    return _lq(g, wt * wx * field.coeffs, spec.q)
 
 
 def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
@@ -132,7 +129,7 @@ def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
         wx = _lateral_weight(g, s - j).reshape(
             (1, g.n_x, g.n_x) + (1,) * (field.coeffs.ndim - 3))
         dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j, vector)
-        total += _lq_slab(g, wt * wx * dj, spec.q)
+        total += _lq(g, wt * wx * dj, spec.q)
     return float(total)
 
 
@@ -228,7 +225,7 @@ def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> 
     grad = np.stack([1j * xp[None, :, None, None] * phi,
                      1j * xp[None, None, :, None] * phi,
                      dphi], axis=-1)
-    return _lq_slab(g, wt[..., None] * grad, q)
+    return _lq(g, wt[..., None] * grad, q)
 
 
 # ---- mixed-exponent norms (time-space) ------------------------------------------
@@ -236,26 +233,14 @@ def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> 
 
 def mixed_lr_lp_norm(field, r: float, p: float) -> float:
     """L^r in time of the L^p spatial norm; accepts inf in either slot."""
-    if isinstance(field, PlateField):
-        g = field.grid
-        m_t, m_x = padded_sizes(g, 2.0)
-        samples = np.abs(pad_to_samples(field.coeffs[..., None], g, m_t, m_x)[..., 0])
-        if np.isinf(p):
-            per_t = samples.max(axis=(1, 2))
-        else:
-            per_t = (np.mean(samples ** p, axis=(1, 2))) ** (1.0 / p)
+    mag = _magnitudes(field.grid, field.coeffs)
+    if np.isinf(p):
+        per_t = mag.max(axis=tuple(range(1, mag.ndim)))
     else:
-        g = field.grid
-        m_t, m_x = padded_sizes(g, 2.0)
-        samples = pad_to_samples(field.coeffs, g, m_t, m_x)
-        mag = np.abs(samples)
-        if field.components > 1:
-            mag = np.sqrt(np.sum(mag ** 2, axis=-1))
-        if np.isinf(p):
-            per_t = mag.max(axis=(1, 2, 3))
-        else:
-            w3 = g.cheb_weights
-            per_t = (np.mean(np.sum(mag ** p * w3, axis=3), axis=(1, 2))) ** (1.0 / p)
+        spatial = mag ** p
+        if mag.ndim == 4:
+            spatial = np.sum(spatial * field.grid.cheb_weights, axis=3)
+        per_t = (np.mean(spatial, axis=(1, 2))) ** (1.0 / p)
     if np.isinf(r):
         return float(per_t.max())
     return float((np.mean(per_t ** r)) ** (1.0 / r))

@@ -341,6 +341,16 @@ def test_multiplier_scan_outputs(tmp_path):
     assert all(line.startswith(("k,", "xi,")) for line in lines[1:])
 
 
+def test_multiplier_scan_uses_config_periods(tmp_path):
+    # at 2*pi periods this window peaks at xi = (5, 1) instead
+    code, out = run_cli(tmp_path, "k_max = 20\nxi_max = 5\nT = 3\nL = 5\n",
+                        "multiplier-scan")
+    assert code == 0
+    scan = manifest_of(out)["scan"]
+    assert scan["argmax"] == {"k": 20, "xi": [4, 4]}
+    assert scan["sup_weighted"] == pytest.approx(1.5565332706378683, rel=1e-12)
+
+
 def test_resonance_report_defaults(tmp_path):
     code, out = run_cli(tmp_path, "", "resonance-report")
     assert code == 0

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from plateflow.fields import (
+    DEALIAS,
+    OVERSAMPLE,
     PlateField,
     SpectralField,
     divergence,
@@ -200,10 +202,27 @@ def test_pad_truncate_round_trip_exact():
 
 def test_dealias_sampling_pair():
     f = poly_field(GRID, 15, components=1, band_t=2, band_x=2)
-    m_t, m_x = padded_sizes(GRID, 2.0)
-    samples = pad_to_samples(f.coeffs, GRID, m_t, m_x)
+    samples = pad_to_samples(f.coeffs, GRID, OVERSAMPLE)
     back = samples_to_truncated(samples, GRID, real=True)
     assert np.max(np.abs(back - f.coeffs)) < TOL_ROUND
+
+
+@pytest.mark.parametrize("factor", [DEALIAS, OVERSAMPLE])
+def test_plate_synthesis_is_the_singleton_slab_synthesis(factor):
+    eta = poly_plate(GRID, 16)
+    plate = pad_to_samples(eta.coeffs, GRID, factor)
+    slab = pad_to_samples(eta.coeffs[..., None], GRID, factor)
+    m_t, m_x = padded_sizes(GRID, factor)
+    assert plate.shape == (m_t, m_x, m_x)
+    assert np.array_equal(plate, slab[..., 0])
+
+
+def test_padded_real_part():
+    coeffs = poly_field(GRID, 17, components=3).coeffs * (0.6 + 0.8j)
+    samples = pad_to_samples(coeffs, GRID)
+    assert np.max(np.abs(samples.imag)) > 0.1
+    real = pad_to_samples(coeffs, GRID, real=True)
+    assert np.isrealobj(real) and np.array_equal(real, samples.real)
 
 
 def test_zeros_like_shapes():

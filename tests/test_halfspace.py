@@ -133,6 +133,21 @@ def test_scan_window_and_decay():
     assert doc["argmax"]["xi"] == list(rep.argmax_xi)
 
 
+def test_scan_uses_the_periods():
+    # the pointwise maximum over the full window, k < 0 by conjugate symmetry
+    t_period, l_period = 3.0, 5.0
+    best = max(
+        (abs(weighted_multiplier(k, (n1, n2), 1.0, t_period, l_period)),
+         k, n1 * n1 + n2 * n2)
+        for k in range(1, 21) for n1 in range(-5, 6) for n2 in range(-5, 6)
+        if (n1, n2) != (0, 0))
+    rep = boundedness_scan(20, 5, t_period=t_period, l_period=l_period)
+    assert rep.sup_weighted == pytest.approx(best[0], rel=1e-12)
+    assert rep.argmax_k == best[1]
+    assert rep.argmax_xi[0] ** 2 + rep.argmax_xi[1] ** 2 == best[2]
+    assert (rep.argmax_k, rep.argmax_xi) == (20, (4, 4))
+
+
 def test_scan_rejects_empty_window():
     with pytest.raises(ValueError):
         boundedness_scan(0, 10)

@@ -1,5 +1,7 @@
 """Binary and JSON field exchange: exact round trips and header checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,7 @@ def test_json_plate_round_trip(tmp_path):
     ((2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1), None),
     ((129, 129, 192, 3), None),
     ((129, 129, 192, 3), TorusGrid(5, 5, 16)),
+    ((3, 3, 10 ** 7, 0), None),
 ])
 def test_untrusted_header_rejected_before_reading(tmp_path, sizes, grid):
     # a forged header over a 64-byte payload must not size the read
@@ -111,6 +114,19 @@ def test_untrusted_header_rejected_before_reading(tmp_path, sizes, grid):
     path.write_bytes(MAGIC + _HEADER.pack(*sizes, 1) + b"\x00" * 64)
     with pytest.raises(ValueError):
         read_field(path, grid=grid)
+
+
+@pytest.mark.parametrize("components", [1, 0])
+def test_forged_json_rejected_before_building_a_grid(tmp_path, components):
+    # empty arrays under a huge layer count: the grid alone would need
+    # (n_z + 1)^2 doubles for its differentiation matrix
+    doc = {"kind": "slab", "n_t": 3, "n_x": 3, "n_z": 10 ** 7,
+           "components": components, "real": True, "t_period": 1.0,
+           "l_period": 1.0, "re": [], "im": []}
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        read_field_json(path)
 
 
 def test_truncated_header_rejected(tmp_path):
