@@ -79,6 +79,7 @@ from .nonlinear import (
     PicardConfig,
     PicardDivergenceError,
     PicardResult,
+    PlateTensor,
     SmallnessReport,
     compose_forcing,
     compute_nonlinear_terms,
@@ -87,7 +88,6 @@ from .nonlinear import (
     e_matrix,
     nonlinear_bound_ratios,
     nonlinear_residual,
-    normal_vector,
     picard_solve,
     plate_eval,
     smallness_check,

@@ -38,7 +38,8 @@ Config files are plain ``key = value`` text, ``#`` starts a comment.  Keys
     tol_nl          nonlinear residual tolerance, recorded like tol_eq (1e-9)
     max_iter        Picard iteration cap (25)
     k_max, xi_max   scan ranges (100, 30 for scans; 4, 2 for the
-                    resonance table)
+                    resonance table); a window whose estimated memory
+                    exceeds WINDOW_BUDGET_BYTES (1 GiB) is refused
     near_factor     near-resonance classification factor (10.0)
     seed            base seed for the validation suite (0)
     threads         thread count recorded in the manifest, >= 1; --threads
@@ -77,8 +78,10 @@ from .grid import TorusGrid
 from .halfspace import (
     boundedness_scan,
     multiplier_M,
+    report_window_bytes,
     resonance_report,
     resonance_rows_to_csv,
+    scan_window_bytes,
     weighted_multiplier,
 )
 from .io import read_field, write_field
@@ -101,6 +104,15 @@ EXIT_VALIDATION = 4
 SUBCOMMANDS = ("solve-linear", "solve-nonlinear", "multiplier-scan",
                "resonance-report", "lift-div", "validate")
 ZERO_DAMPING_OK = ("multiplier-scan", "resonance-report")
+# Memory a scan window may claim.  A multiplier-scan or resonance-report
+# config whose estimate (halfspace.scan_window_bytes, report_window_bytes)
+# exceeds it is refused before anything is allocated.
+WINDOW_BUDGET_BYTES = 1 << 30
+# default (k_max, xi_max) and memory estimate of each windowed subcommand
+_WINDOWS = {
+    "multiplier-scan": ((100, 30), scan_window_bytes),
+    "resonance-report": ((4, 2), report_window_bytes),
+}
 
 
 class CliError(Exception):
@@ -449,8 +461,11 @@ def _config_error(msg: str) -> CliError:
     return CliError(EXIT_CONFIG, "config", msg)
 
 
-def load_config(path) -> tuple[ScenarioConfig, str]:
-    """Parse a key=value file; returns the config and the raw text."""
+def load_config(path, command: str | None = None) -> tuple[ScenarioConfig, str]:
+    """Parse a key=value file; returns the config and the raw text.
+
+    With a subcommand, its scan window is checked against the memory budget.
+    """
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -483,11 +498,16 @@ def load_config(path) -> tuple[ScenarioConfig, str]:
         else:
             raise _config_error(f"{path}:{lineno}: unknown key '{key}'")
     cfg = ScenarioConfig(**values)
-    _validate_config(cfg)
+    _validate_config(cfg, command)
     return cfg, raw
 
 
-def _validate_config(cfg: ScenarioConfig):
+def _window(cfg: ScenarioConfig, command: str) -> tuple[int, int]:
+    (k_default, xi_default), _ = _WINDOWS[command]
+    return cfg.k_max or k_default, cfg.xi_max or xi_default
+
+
+def _validate_config(cfg: ScenarioConfig, command: str | None = None):
     if cfg.T <= 0 or cfg.L <= 0:
         raise _config_error("periods T and L must be positive")
     if cfg.mu_f <= 0:
@@ -511,6 +531,14 @@ def _validate_config(cfg: ScenarioConfig):
         raise _config_error("scan ranges must be nonnegative")
     if cfg.threads < 1:
         raise _config_error("threads must be at least 1")
+    if command in _WINDOWS:
+        k_max, xi_max = _window(cfg, command)
+        need = _WINDOWS[command][1](k_max, xi_max)
+        if need > WINDOW_BUDGET_BYTES:
+            raise _config_error(
+                f"{command} window k_max = {k_max}, xi_max = {xi_max} needs "
+                f"an estimated {need / 2**30:.3g} GiB, over the "
+                f"{WINDOW_BUDGET_BYTES / 2**30:g} GiB budget")
 
 
 # ---- manifest plumbing ---------------------------------------------------------------
@@ -645,8 +673,7 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
 def _run_multiplier_scan(cfg: ScenarioConfig, out_dir: Path, seed: int,
                          base_dir: Path) -> dict:
-    k_max = cfg.k_max or 100
-    xi_max = cfg.xi_max or 30
+    k_max, xi_max = _window(cfg, "multiplier-scan")
     report = boundedness_scan(k_max, xi_max, cfg.mu_s, t_period=cfg.T,
                               l_period=cfg.L)
     ks = np.unique(np.geomspace(1, k_max, 64).astype(int))
@@ -674,8 +701,7 @@ def _run_multiplier_scan(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
 def _run_resonance_report(cfg: ScenarioConfig, out_dir: Path, seed: int,
                           base_dir: Path) -> dict:
-    k_max = cfg.k_max or 4
-    xi_max = cfg.xi_max or 2
+    k_max, xi_max = _window(cfg, "resonance-report")
     rows = resonance_report(k_max, xi_max, cfg.mu_s, cfg.near_factor,
                             cfg.T, cfg.L)
     (out_dir / "resonance.csv").write_text(resonance_rows_to_csv(rows))
@@ -851,7 +877,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        cfg, raw = load_config(args.config)
+        cfg, raw = load_config(args.config, args.command)
         if cfg.mu_s == 0.0 and args.command not in ZERO_DAMPING_OK:
             raise _config_error(
                 "mu_s = 0 is reserved for multiplier-variant studies "

@@ -112,10 +112,10 @@ class PlateField(_FieldArithmetic):
     def __post_init__(self):
         g = self.grid
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        want3 = (g.n_t, g.n_x, g.n_x)
-        if self.coeffs.shape != want3 and self.coeffs.shape[:3] != want3:
+        want = (g.n_t, g.n_x, g.n_x)
+        if self.coeffs.shape != want:
             raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {want3}"
+                f"coefficient shape {self.coeffs.shape} does not match grid {want}"
             )
 
 

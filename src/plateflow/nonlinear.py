@@ -144,20 +144,20 @@ def e_matrix(eta: PlateField) -> np.ndarray:
     return samples_to_truncated(es, g, eta.real)
 
 
-def normal_vector(eta: PlateField) -> PlateField:
-    """Unit normal of the deformed interface, parameterized by x'.
-
-    Points away from the fluid layer; for the flat plate it is (0, 0, -1).
-    """
-    g = eta.grid
-    g1_s, g2_s = (pad_to_samples(d.coeffs, g, OVERSAMPLE, eta.real)
-                  for d in lateral_gradient_plate(eta))
-    norm = np.sqrt(1.0 + g1_s * g1_s + g2_s * g2_s)
-    nu = np.stack([g1_s / norm, g2_s / norm, -1.0 / norm], axis=-1)
-    return PlateField(g, samples_to_truncated(nu, g, eta.real), eta.real)
-
-
 # ---- interaction terms ---------------------------------------------------------
+
+
+@dataclass
+class PlateTensor:
+    """Fourier coefficients of a 3 x 3 tensor on the plate.
+
+    coeffs shape: (N_t, N_x, N_x, 3, 3).  A PlateField holds one scalar, so
+    the tensor keeps its own container and never reaches the norm helpers.
+    """
+
+    grid: TorusGrid
+    coeffs: np.ndarray
+    real: bool = False
 
 
 @dataclass
@@ -175,7 +175,7 @@ class NonlinearTerms:
     rd_tilde: SpectralField
     rd_vector: SpectralField
     r_eta: PlateField
-    s_eta: PlateField
+    s_eta: PlateTensor
     rf_deformation: SpectralField
 
 
@@ -269,7 +269,7 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     )
 
     r_eta = PlateField(g, samples_to_truncated(r_eta_s, g, real_in), real_in)
-    s_eta = PlateField(g, samples_to_truncated(s_eta_s, g, real_in), real_in)
+    s_eta = PlateTensor(g, samples_to_truncated(s_eta_s, g, real_in), real_in)
     return NonlinearTerms(rf_tilde, rd_tilde, rd_vector, r_eta, s_eta, rf_deformation)
 
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from plateflow import cli
 from plateflow.cli import CliError, load_config, main, parse_forcing
 from plateflow.fields import PlateField, physical_samples
 from plateflow.grid import TorusGrid
@@ -187,6 +188,32 @@ def test_config_rejections(tmp_path, text, fragment):
         load_config(path)
     assert exc.value.code == 1
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("command,text", [
+    ("resonance-report", "k_max = 10000\nxi_max = 100\n"),   # ~4e8 rows
+    ("multiplier-scan", "xi_max = 100000\n"),                # ~5e9 square-sum pairs
+])
+def test_oversized_window_refused(tmp_path, capsys, monkeypatch, command, text):
+    def never(*args):
+        raise AssertionError("a refused window must not run")
+    monkeypatch.setitem(cli._RUNNERS, command, never)
+    code, out = run_cli(tmp_path, text, command)
+    assert code == 1
+    err = error_payload(capsys)
+    assert err["kind"] == "config"
+    assert "needs an estimated" in err["message"] and "GiB budget" in err["message"]
+    assert "\n" not in err["message"]
+    assert not (out / "manifest.json").exists()
+    # the same window is no concern of the solver subcommands
+    cfg, _ = load_config(tmp_path / "run.cfg", "solve-linear")
+    assert cfg.xi_max > 0
+
+
+def test_window_estimates_admit_the_benchmark_windows():
+    assert cli.scan_window_bytes(20_000, 200) < cli.WINDOW_BUDGET_BYTES
+    assert cli.report_window_bytes(4, 2) < cli.WINDOW_BUDGET_BYTES
+    assert cli.report_window_bytes(10_000, 100) > 400e9
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -91,6 +91,14 @@ def test_shape_strictness():
         PlateField(GRID, np.zeros((5, 3, 5), complex))
 
 
+def test_plate_field_rejects_trailing_axis():
+    # a plate field is one scalar on the torus; vectors are separate fields
+    PlateField(GRID, np.zeros((5, 5, 5), complex))
+    for shape in ((5, 5, 5, 3), (5, 5, 5, 1)):
+        with pytest.raises(ValueError, match="does not match grid"):
+            PlateField(GRID, np.zeros(shape, complex))
+
+
 def test_time_derivative_single_mode():
     t, x1, _, _ = _lattice(GRID)
     shape = (5, 5, 5, 9)

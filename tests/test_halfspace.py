@@ -1,12 +1,15 @@
 """Half-space response formulas, damped multiplier, resonance bookkeeping."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
+from plateflow import halfspace
 from plateflow.halfspace import (
     _symbol_arrays,
+    _tile_bounds,
     boundedness_scan,
     coupled_plate_symbol,
     halfspace_profiles,
@@ -148,6 +151,65 @@ def test_scan_uses_the_periods():
     assert (rep.argmax_k, rep.argmax_xi) == (20, (4, 4))
 
 
+def _dense_scan(k_max, xi_max, mu_s, t_period, l_period):
+    """Every (k >= 1, distinct square sum) point at once, the unpruned reference."""
+    reps = {}
+    for n1 in range(xi_max + 1):
+        for n2 in range(n1 + 1):
+            if n1 or n2:
+                s = n1 * n1 + n2 * n2
+                reps[s] = min(reps.get(s, (n1, n2)), (n1, n2))
+    ss = np.array(sorted(reps), dtype=float)
+    ks = np.arange(1, k_max + 1, dtype=float)
+    kp = 2.0 * math.pi / t_period * ks
+    a2 = (2.0 * math.pi / l_period) ** 2 * ss
+    sym = _symbol_arrays(kp, a2, mu_s)
+    weighted = (1.0 + kp[:, None] ** 2 + a2[None, :] ** 2) * (1.0 / np.abs(sym))
+    gap = np.abs(a2[None, :] ** 2 - kp[:, None] ** 2)
+    ratio = np.abs(sym) / np.where(gap > 0.0, gap, np.inf)
+    out = {"points_scanned": weighted.size}
+    for name, values in (("weighted", weighted), ("ratio", ratio)):
+        i, j = divmod(int(np.argmax(values)), ss.size)   # first in C order
+        out[name] = (float(values[i, j]), int(ks[i]), reps[int(ss[j])])
+    return out
+
+
+@pytest.mark.parametrize("periods", [(2.0 * math.pi, 2.0 * math.pi), (3.0, 5.0)])
+@pytest.mark.parametrize("mu_s", [0.0, 1.0, 1.3])
+def test_pruned_scan_equals_dense_scan(periods, mu_s):
+    k_max, xi_max = 400, 30
+    rep = boundedness_scan(k_max, xi_max, mu_s, *periods)
+    want = _dense_scan(k_max, xi_max, mu_s, *periods)
+    assert (rep.sup_weighted, rep.argmax_k, rep.argmax_xi) == want["weighted"]
+    assert (rep.max_damping_ratio, rep.ratio_k, rep.ratio_xi) == want["ratio"]
+    assert rep.points_scanned == want["points_scanned"]
+    assert 0 < rep.points_evaluated < rep.points_scanned   # the bounds pruned
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tile_bounds_cover_every_point(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    tile = int(rng.integers(2, 7))
+    monkeypatch.setattr(halfspace, "_TILE", tile)
+    mu_s = float(rng.choice([0.0, 1.0, 1.3]))
+    # physical frequencies clustered around the ring |xi'|^2 = k or spread out
+    hi = float(rng.choice([10.0, 1e3, 3e4]))
+    kp = np.sort(rng.uniform(0.05, hi, 4 * tile + 1))
+    a2 = np.sort(rng.uniform(0.05, hi, 3 * tile + 2))
+    if seed % 2:
+        a2 = np.sort(kp[: a2.size] * (1.0 + 1e-9 * rng.standard_normal(a2.size)))
+    w_bound, r_bound = _tile_bounds(kp, a2, mu_s)
+    sym = _symbol_arrays(kp, a2, mu_s)
+    weighted = (1.0 + kp[:, None] ** 2 + a2[None, :] ** 2) * (1.0 / np.abs(sym))
+    gap = np.abs(a2[None, :] ** 2 - kp[:, None] ** 2)
+    ratio = np.abs(sym) / np.where(gap > 0.0, gap, np.inf)
+    for i in range(w_bound.shape[0]):
+        for j in range(w_bound.shape[1]):
+            block = np.s_[i * tile:(i + 1) * tile, j * tile:(j + 1) * tile]
+            assert np.all(weighted[block] <= w_bound[i, j])
+            assert np.all(ratio[block] <= r_bound[i, j])
+
+
 def test_scan_rejects_empty_window():
     with pytest.raises(ValueError):
         boundedness_scan(0, 10)
@@ -156,6 +218,8 @@ def test_scan_rejects_empty_window():
 def test_scan_allows_zero_internal_damping():
     rep = boundedness_scan(50, 10, mu_s=0.0)
     assert np.isfinite(rep.sup_weighted)     # fluid damping alone suffices
+    with pytest.raises(ValueError):
+        boundedness_scan(50, 10, mu_s=-0.5)   # the tile bounds need mu_s >= 0
 
 
 def test_resonance_report_small_window():

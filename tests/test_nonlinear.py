@@ -25,7 +25,6 @@ from plateflow.nonlinear import (
     e_matrix,
     nonlinear_bound_ratios,
     nonlinear_residual,
-    normal_vector,
     picard_solve,
     plate_eval,
     smallness_check,
@@ -126,19 +125,6 @@ def test_smallness_gate_pass_and_fail():
     assert rep.sup_eta < 0.5 and rep.reciprocal_sup < 2.0
     big = poly_plate(GRID, 7, scale=5.0, zero_mean=True)
     assert not smallness_check(big).passed
-
-
-def test_normal_vector_flat_and_unit_length():
-    flat = zeros_like_field(GRID, plate=True)
-    nu = normal_vector(flat)
-    want = np.zeros((5, 5, 5, 3), complex)
-    want[HT, HX, HX, 2] = -1.0
-    assert np.max(np.abs(nu.coeffs - want)) < 1e-15
-    eta = poly_plate(GRID, 8, scale=ETA_SMALL, zero_mean=True)
-    samples = inverse_transform_plate(normal_vector(eta))
-    length = np.sqrt((samples ** 2).sum(axis=-1))
-    assert np.max(np.abs(length - 1.0)) < 1e-4
-    assert np.all(samples[..., 2] < 0.0)    # points out of the layer
 
 
 def test_deform_map_round_trip():
