@@ -293,8 +293,8 @@ def _tile_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _tile_bounds(kp: np.ndarray, a2: np.ndarray, mu_s: float):
     """Certified per-tile upper bounds of the weighted multiplier and damping ratio.
 
-    Over a tile [K0, K1] x [S0, S1] of physical (k, |xi'|^2), k, S > 0 and
-    mu_s >= 0, the coupled symbol is monotone: Re sym = S^2 - K^2 - K^2/sqrt(S)
+    Over a tile [K0, K1] x [S0, S1] of physical (k, |xi'|^2), with K, S > 0
+    and mu_s >= 0, the coupled symbol is monotone: Re sym = S^2 - K^2 - K^2/sqrt(S)
     - K Im sqrt(S + iK) rises in S and falls in K, and Im sym = K (mu_s S +
     sqrt(S) + Re sqrt(S + iK)) rises in both.  So Re sym lies between its
     values at (K1, S0) and (K0, S1), Im sym between those at (K0, S0) and

@@ -189,7 +189,7 @@ def test_pruned_scan_equals_dense_scan(periods, mu_s):
 @pytest.mark.parametrize("seed", range(6))
 def test_tile_bounds_cover_every_point(seed, monkeypatch):
     rng = np.random.default_rng(seed)
-    tile = int(rng.integers(2, 7))
+    tile = 1 + seed    # one-point tiles make the bounds tight: only the margin covers
     monkeypatch.setattr(halfspace, "_TILE", tile)
     mu_s = float(rng.choice([0.0, 1.0, 1.3]))
     # physical frequencies clustered around the ring |xi'|^2 = k or spread out
