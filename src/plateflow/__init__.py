@@ -83,13 +83,10 @@ from .nonlinear import (
     SmallnessReport,
     compose_forcing,
     compute_nonlinear_terms,
-    deform_inverse,
-    deform_map,
     e_matrix,
     nonlinear_bound_ratios,
     nonlinear_residual,
     picard_solve,
-    plate_eval,
     smallness_check,
 )
 from .oracles import (

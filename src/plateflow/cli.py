@@ -14,8 +14,8 @@ The solve is serial: the thread count (``--threads``, else
 ``PLATEFLOW_THREADS``, else the ``threads`` key) is validated, and the
 resolved count is recorded in ``execution`` only.
 
-Config files are plain ``key = value`` text, ``#`` starts a comment.  Keys
-(defaults in parentheses):
+Config files are plain ``key = value`` text, ``#`` starts a comment; every
+number must be finite.  Keys (defaults in parentheses):
 
     T, L            periods of the time circle and the lateral torus (2*pi)
     mu_f            fluid viscosity, > 0 (1.0)
@@ -28,13 +28,13 @@ Config files are plain ``key = value`` text, ``#`` starts a comment.  Keys
     forcing_h       plate forcing, scalar expression or file ("0")
     eps             data amplitude; scales parsed data and sets the Picard
                     ball radius sqrt(eps) (1.0)
-    eps0            smallness-gate threshold for the plate norm (0.1)
+    eps0            smallness-gate threshold for the plate norm, > 0 (0.1)
     q               integrability exponent for reported norms (2.0)
     route           linear solve route, "lift" or "direct" ("lift")
     tol_eq, tol_bc  linear residual tolerances, recorded in the manifest's
                     tolerance set for downstream checks (1e-9)
     compat_tol      xi' = 0 compatibility tolerance for g (1e-9)
-    picard_tol      fixed-point stagnation tolerance (1e-11)
+    picard_tol      fixed-point stagnation tolerance, > 0 (1e-11)
     tol_nl          nonlinear residual tolerance, recorded like tol_eq (1e-9)
     max_iter        Picard iteration cap (25)
     k_max, xi_max   scan ranges (100, 30 for scans; 4, 2 for the
@@ -493,6 +493,8 @@ def load_config(path, command: str | None = None) -> tuple[ScenarioConfig, str]:
             except ValueError:
                 raise _config_error(
                     f"{path}:{lineno}: '{key}' needs a number") from None
+            if not math.isfinite(values[key]):
+                raise _config_error(f"{path}:{lineno}: '{key}' must be finite")
         elif key in _STR_KEYS:
             values[key] = val
         else:
@@ -519,8 +521,9 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
             raise _config_error(f"{name} must be odd and within 3..129")
     if cfg.n_z < 4 or cfg.n_z > 192:
         raise _config_error("n_z must be within 4..192")
-    if cfg.eps <= 0:
-        raise _config_error("eps must be positive")
+    for name in ("eps", "eps0", "picard_tol"):
+        if getattr(cfg, name) <= 0:
+            raise _config_error(f"{name} must be positive")
     if cfg.q <= 1:
         raise _config_error("q must exceed 1")
     if cfg.route not in ("lift", "direct"):

@@ -12,6 +12,12 @@ unknowns.  Those corrections were re-derived here by the chain rule and
 frozen only after an exact symbolic-differentiation oracle confirmed them,
 term by term, against the physical-space operators composed with the map.
 
+The map enters only through the geometry of a deflection (`_Geometry`): the
+samples of eta, its derivatives and 1/(1 + eta) with the sup that keeps the
+map bijective, built once and read by the tensor, the interaction terms, the
+forcing pullback, the gate and the residual.  picard_solve builds it once per
+iterate and passes it to those functions in place of eta.
+
 All pointwise products (including the rational factor 1/(1 + eta)) are
 evaluated on a zero-padded time/lateral lattice and truncated back, so the
 quadratic terms are alias-free; the layer direction needs no padding because
@@ -42,7 +48,7 @@ from .fields import (
 from .grid import TorusGrid, cheb_eval, cheb_values_to_coeffs
 from .lift import xi0_incompatibility
 from .modes import DEFAULT_PARAMS, SolverParams, _residual_parts, solve_linear_full
-from .norms import NormSpec, negative_norm, s_norm, sobolev_norm, x_norm, y_norm
+from .norms import NormSpec, negative_norm, s_norm, sobolev_norm, x_norm
 
 # Gate limits: the plate-norm budget keeps the geometry perturbative, the sup
 # bound keeps the map bijective with room to spare, and the reciprocal bound
@@ -53,7 +59,12 @@ RECIPROCAL_LIMIT = 2.0
 
 
 class DegenerateDeformationError(ValueError):
-    """The deflection is too large for the straightening map to be usable."""
+    """The deflection is too large for the straightening map to be usable;
+    sup_eta is the sup |eta| that failed, when that is the cause."""
+
+    def __init__(self, message: str, sup_eta: float | None = None):
+        super().__init__(message)
+        self.sup_eta = sup_eta
 
 
 class PicardDivergenceError(RuntimeError):
@@ -64,64 +75,46 @@ class PicardDivergenceError(RuntimeError):
         self.trace = trace or []
 
 
-# ---- the straightening map ----------------------------------------------------
+# ---- the geometry of one deflection ---------------------------------------------
 
 
-def plate_eval(eta: PlateField, t, x1, x2) -> np.ndarray:
-    """Evaluate a plate field at arbitrary (t, x1, x2) points by synthesis."""
-    g = eta.grid
-    t = np.asarray(t, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    shape = np.broadcast_shapes(t.shape, x1.shape, x2.shape)
-    tb = np.broadcast_to(t, shape).ravel()
-    xb = np.broadcast_to(x1, shape).ravel()
-    yb = np.broadcast_to(x2, shape).ravel()
-    et = np.exp(1j * np.outer(tb, g.k_phys))
-    e1 = np.exp(1j * np.outer(xb, g.xi_phys))
-    e2 = np.exp(1j * np.outer(yb, g.xi_phys))
-    vals = np.einsum("bt,bi,bj,tij->b", et, e1, e2, eta.coeffs, optimize=True)
-    vals = vals.reshape(shape)
-    return vals.real if eta.real else vals
+class _Geometry:
+    """Plate-sized samples of one deflection eta; the only place they are built.
 
-
-def _require_nondegenerate(eta: PlateField) -> None:
-    sup = float(np.max(np.abs(pad_to_samples(eta.coeffs, eta.grid, OVERSAMPLE))))
-    if sup >= 1.0:
-        raise DegenerateDeformationError(
-            f"sup |eta| = {sup:.3f} >= 1; the straightening map degenerates"
-        )
-
-
-def deform_map(eta: PlateField, t, x) -> np.ndarray:
-    """Image of reference points x under the straightening map at time t.
-
-    x has the coordinates along its last axis; the lateral coordinates pass
-    through unchanged and the layer coordinate moves to x3 - (1 - x3)*eta.
+    eta_s, g1_s, g2_s, lap_s, det_s: DEALIAS samples of eta, its lateral
+    gradient, its lateral Laplacian and its time derivative (real parts when
+    `real`); tau = 1/(1 + eta) on the same lattice; sup_eta and floor: the
+    OVERSAMPLE sup |eta| and min(1 + Re eta) that the smallness gate reads.
     """
-    _require_nondegenerate(eta)
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 3:
-        raise ValueError("points must have 3 coordinates along the last axis")
-    e = plate_eval(eta, t, x[..., 0], x[..., 1])
-    out = x.astype(complex if np.iscomplexobj(e) else float).copy()
-    out[..., 2] = x[..., 2] - (1.0 - x[..., 2]) * e
-    return out
+
+    def __init__(self, eta: PlateField, real: bool):
+        over = pad_to_samples(eta.coeffs, eta.grid, OVERSAMPLE)
+        self.sup_eta = float(np.max(np.abs(over)))
+        # sup |eta| < 1 keeps 1 + eta away from zero, so tau and floor are finite
+        if self.sup_eta >= 1.0:
+            raise DegenerateDeformationError(
+                f"sup |eta| = {self.sup_eta:.3f} >= 1; the straightening map "
+                "degenerates", self.sup_eta)
+        self.floor = float(np.min(1.0 + over.real))
+        self.eta, self.real = eta, real
+        g1, g2 = lateral_gradient_plate(eta)
+        self.eta_s, self.g1_s, self.g2_s, self.lap_s, self.det_s = (
+            pad_to_samples(d.coeffs, eta.grid, real=real)
+            for d in (eta, g1, g2, lateral_laplacian_plate(eta), dt_plate(eta)))
+        self.tau = 1.0 / (1.0 + self.eta_s)
 
 
-def deform_inverse(eta: PlateField, t, y) -> np.ndarray:
-    """Pre-image of deformed-domain points y; inverse of deform_map."""
-    _require_nondegenerate(eta)
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != 3:
-        raise ValueError("points must have 3 coordinates along the last axis")
-    e = plate_eval(eta, t, y[..., 0], y[..., 1])
-    out = y.astype(complex if np.iscomplexobj(e) else float).copy()
-    out[..., 2] = (y[..., 2] + e) / (1.0 + e)
-    return out
+def _geometry_for(eta, real: bool) -> _Geometry:
+    """eta's geometry for products whose other factors are real iff `real`;
+    a record that picard_solve built for the iterate passes through."""
+    return eta if isinstance(eta, _Geometry) else _Geometry(eta, real and eta.real)
 
 
-# ---- geometry fields -----------------------------------------------------------
+def _e3_row(geo: _Geometry, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Third row of the gradient-correction tensor at every layer node."""
+    e31 = (geo.g1_s * geo.tau)[..., None] * rho
+    e32 = (geo.g2_s * geo.tau)[..., None] * rho
+    return e31, e32, np.broadcast_to((-geo.eta_s * geo.tau)[..., None], e31.shape)
 
 
 def e_matrix(eta: PlateField) -> np.ndarray:
@@ -130,17 +123,10 @@ def e_matrix(eta: PlateField) -> np.ndarray:
     Returns shape (N_t, N_x, N_x, N_z + 1, 3, 3).  Only the third row is
     nonzero: ((1 - x3) d1 eta, (1 - x3) d2 eta, -eta) / (1 + eta).
     """
-    _require_nondegenerate(eta)
     g = eta.grid
-    eta_s = pad_to_samples(eta.coeffs, g, real=eta.real)
-    g1_s, g2_s = (pad_to_samples(d.coeffs, g, real=eta.real)
-                  for d in lateral_gradient_plate(eta))
-    tau = 1.0 / (1.0 + eta_s)
-    rho = 1.0 - g.nodes
-    es = np.zeros(eta_s.shape + (g.n_z + 1, 3, 3), dtype=tau.dtype)
-    es[..., 2, 0] = (g1_s * tau)[..., None] * rho
-    es[..., 2, 1] = (g2_s * tau)[..., None] * rho
-    es[..., 2, 2] = (-eta_s * tau)[..., None]
+    geo = _Geometry(eta, eta.real)
+    es = np.zeros(geo.eta_s.shape + (g.n_z + 1, 3, 3), dtype=geo.tau.dtype)
+    es[..., 2, :] = np.stack(_e3_row(geo, 1.0 - g.nodes), axis=-1)
     return samples_to_truncated(es, g, eta.real)
 
 
@@ -189,20 +175,14 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     d3 d_k u, never against purely lateral second derivatives.
     """
     g = u.grid
-    if p.grid != g or eta.grid != g:
+    geo = _geometry_for(eta, u.real and p.real)
+    if p.grid != g or geo.eta.grid != g:
         raise ValueError("fields live on different grids")
     if u.components != 3 or p.components != 1:
         raise ValueError("expected a 3-component velocity and a scalar pressure")
-    _require_nondegenerate(eta)
 
-    real_in = u.real and p.real and eta.real
-
-    eta_s = pad_to_samples(eta.coeffs, g, real=real_in)
-    det_s = pad_to_samples(dt_plate(eta).coeffs, g, real=real_in)
-    g1_s, g2_s = (pad_to_samples(d.coeffs, g, real=real_in)
-                  for d in lateral_gradient_plate(eta))
-    lap_s = pad_to_samples(lateral_laplacian_plate(eta).coeffs, g, real=real_in)
-    tau = 1.0 / (1.0 + eta_s)
+    real_in = geo.real
+    eta_s, g1_s, g2_s, tau = geo.eta_s, geo.g1_s, geo.g2_s, geo.tau
 
     u_s = pad_to_samples(u.coeffs, g, real=real_in)
     du1 = pad_to_samples(dx(u, 1).coeffs, g, real=real_in)
@@ -217,16 +197,14 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     dp3 = pad_to_samples(dx3(p).coeffs, g, real=real_in)
 
     rho = 1.0 - g.nodes
-    e31 = (g1_s * tau)[..., None] * rho
-    e32 = (g2_s * tau)[..., None] * rho
-    e33 = np.broadcast_to((-eta_s * tau)[..., None], e31.shape)
+    e31, e32, e33 = _e3_row(geo, rho)
 
     grad_sq = g1_s * g1_s + g2_s * g2_s
     # div of the tensor row plus its quadratic companion, expanded in eta
-    first_coef = (lap_s * tau)[..., None] * rho - 2.0 * (grad_sq * tau * tau)[..., None] * rho
+    first_coef = (geo.lap_s * tau)[..., None] * rho - 2.0 * (grad_sq * tau * tau)[..., None] * rho
     e3_norm_sq = e31 * e31 + e32 * e32 + e33 * e33
     e3_dot_u = e31 * u_s[..., 0] + e32 * u_s[..., 1] + e33 * u_s[..., 2]
-    time_coef = (det_s * tau)[..., None] * rho
+    time_coef = (geo.det_s * tau)[..., None] * rho
 
     rf_def = (
         -du3 * time_coef[..., None]
@@ -259,7 +237,7 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     du3_0 = du3[..., 0, :]
     t31 = mu_f * (du1[..., 0, 2] + du3_0[..., 0])
     t32 = mu_f * (du2[..., 0, 2] + du3_0[..., 1])
-    e3_0 = np.stack([g1_s * tau, g2_s * tau, -eta_s * tau], axis=-1)
+    e3_0 = np.stack([e31[..., 0], e32[..., 0], e33[..., 0]], axis=-1)
     a = mu_f * du3_0[..., :, None] * e3_0[..., None, :]
     s_eta_s = a + np.swapaxes(a, -1, -2)
     r_eta_s = (
@@ -286,14 +264,16 @@ class SmallnessReport:
     margin: float
 
 
-def smallness_check(eta: PlateField, eps0: float = EPS0_DEFAULT,
-                    q: float = 2.0) -> SmallnessReport:
-    """Gate for the perturbative regime; fails rather than raising."""
+def _gate(eta: PlateField, eps0: float, q: float
+          ) -> tuple[SmallnessReport, _Geometry | None]:
+    """The smallness report of eta and its geometry record, which is None
+    when the map degenerates: a gate fails rather than raising."""
+    try:
+        geo = _Geometry(eta, eta.real)
+        sup, reciprocal = geo.sup_eta, 1.0 / geo.floor
+    except DegenerateDeformationError as err:
+        geo, sup, reciprocal = None, err.sup_eta, np.inf
     plate_norm = s_norm(eta, q)
-    samples = pad_to_samples(eta.coeffs, eta.grid, OVERSAMPLE)
-    sup = float(np.max(np.abs(samples)))
-    # sup |eta| < 1 keeps 1 + eta away from zero
-    reciprocal = 1.0 / np.min(1.0 + samples.real) if sup < 1.0 else np.inf
     passed = (plate_norm <= eps0 and sup <= SUP_ETA_LIMIT
               and reciprocal <= RECIPROCAL_LIMIT)
     return SmallnessReport(
@@ -303,7 +283,13 @@ def smallness_check(eta: PlateField, eps0: float = EPS0_DEFAULT,
         sup_eta=sup,
         reciprocal_sup=float(reciprocal),
         margin=eps0 - plate_norm,
-    )
+    ), geo
+
+
+def smallness_check(eta: PlateField, eps0: float = EPS0_DEFAULT,
+                    q: float = 2.0) -> SmallnessReport:
+    """Gate for the perturbative regime; fails rather than raising."""
+    return _gate(eta, eps0, q)[0]
 
 
 # ---- empirical bound ratios ------------------------------------------------------
@@ -311,16 +297,14 @@ def smallness_check(eta: PlateField, eps0: float = EPS0_DEFAULT,
 
 def nonlinear_bound_ratios(u: SpectralField, p: SpectralField, eta: PlateField,
                            q: float = 2.0, eps0: float = EPS0_DEFAULT,
-                           mu_f: float = 1.0,
-                           terms: NonlinearTerms | None = None) -> dict[str, float]:
+                           mu_f: float = 1.0) -> dict[str, float]:
     """Left/right quotients of the three quadratic-term estimates.
 
     The momentum right side keeps the squared velocity term outside the
     plate-norm factor so the quotient stays meaningful as eta -> 0, where
     the correction reduces to the convective term.  Zero data reports zero.
     """
-    if terms is None:
-        terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f)
+    terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f)
     nu = sobolev_norm(u, NormSpec(1, 2, q, "slab"))
     ngp = sobolev_norm(gradient(p), NormSpec(0, 0, q, "slab"))
     ns = s_norm(eta, q)
@@ -348,61 +332,33 @@ def nonlinear_bound_ratios(u: SpectralField, p: SpectralField, eta: PlateField,
 # ---- forcing pullback ------------------------------------------------------------
 
 
-def compose_forcing(f, eta: PlateField) -> SpectralField:
-    """Pull a momentum forcing back through the straightening map.
+def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
+    """Pull a 3-component momentum forcing back through the straightening map.
 
-    f is either a 3-component SpectralField or a callable f(t, x1, x2, x3)
-    returning the three components (tuple or stacked trailing axis).  The
-    composition is sampled on the padded lattice at the displaced layer
+    The composition is sampled on the padded lattice at the displaced layer
     coordinate and truncated back, so grid data is evaluated through its
     Chebyshev interpolant (polynomial continuation covers the small
     overhang where the displaced coordinate leaves [0, 1]).
     """
-    g = eta.grid
-    _require_nondegenerate(eta)
-    moved = bool(np.any(eta.coeffs))
-    if isinstance(f, SpectralField):
-        if f.grid != g:
-            raise ValueError("forcing grid does not match the deflection grid")
-        if f.components != 3:
-            raise ValueError("expected a 3-component forcing field")
-        if not moved:
-            return f.copy()
+    geo = _geometry_for(eta, f.real)
+    g = geo.eta.grid
+    if f.grid != g:
+        raise ValueError("forcing grid does not match the deflection grid")
+    if f.components != 3:
+        raise ValueError("expected a 3-component forcing field")
+    if not np.any(geo.eta.coeffs):
+        return f.copy()
 
-    real_in = eta.real and (f.real if isinstance(f, SpectralField) else True)
-    eta_s = pad_to_samples(eta.coeffs, g, real=real_in)
-    z = g.nodes
-    displaced = z * (1.0 + eta_s[..., None]) - eta_s[..., None]
-
-    if isinstance(f, SpectralField):
-        samples = pad_to_samples(f.coeffs, g, real=real_in)
-        series = cheb_values_to_coeffs(samples, axis=3)
-        # the inserted axis broadcasts each (t, x') column's series over that
-        # column's displaced evaluation points
-        composed = np.stack(
-            [cheb_eval(series[..., c][..., None, :], displaced) for c in range(3)],
-            axis=-1,
-        )
-    else:
-        m_t, m_x = eta_s.shape[:2]
-        t_pts = g.t_period * np.arange(m_t) / m_t
-        x_pts = g.l_period * np.arange(m_x) / m_x
-        vals = f(
-            t_pts[:, None, None, None],
-            x_pts[None, :, None, None],
-            x_pts[None, None, :, None],
-            displaced,
-        )
-        if isinstance(vals, (tuple, list)):
-            shape = displaced.shape
-            vals = np.stack(
-                [np.broadcast_to(np.asarray(v), shape) for v in vals], axis=-1
-            )
-        vals = np.asarray(vals)
-        if vals.shape != displaced.shape + (3,):
-            raise ValueError("forcing callable must produce 3 components per point")
-        composed = vals.real if (real_in and np.iscomplexobj(vals)) else vals
-
+    real_in, eta_s = geo.real, geo.eta_s
+    displaced = g.nodes * (1.0 + eta_s[..., None]) - eta_s[..., None]
+    samples = pad_to_samples(f.coeffs, g, real=real_in)
+    series = cheb_values_to_coeffs(samples, axis=3)
+    # the inserted axis broadcasts each (t, x') column's series over that
+    # column's displaced evaluation points
+    composed = np.stack(
+        [cheb_eval(series[..., c][..., None, :], displaced) for c in range(3)],
+        axis=-1,
+    )
     return SpectralField(g, samples_to_truncated(composed, g, real_in), 3, real_in)
 
 
@@ -462,26 +418,19 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
     if config.max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if h is None:
-        if grid is None:
-            if isinstance(f, SpectralField):
-                grid = f.grid
-            else:
-                raise ValueError("grid is needed when both f and h are implicit")
-        h = zeros_like_field(grid, plate=True)
+        if grid is None and f is None:
+            raise ValueError("grid is needed when both f and h are implicit")
+        h = zeros_like_field(grid if grid is not None else f.grid, plate=True)
     g = h.grid
-    if isinstance(f, SpectralField) and f.grid != g:
+    if f is not None and f.grid != g:
         raise ValueError("f and h live on different grids")
     params = config.params
     radius = config.ball_radius
 
     u = zeros_like_field(g, components=3)
     p = zeros_like_field(g)
-    eta = zeros_like_field(g, plate=True)
-
-    data_norm = None
-    if f is None or isinstance(f, SpectralField):
-        data_norm = y_norm(f if f is not None else zeros_like_field(g, components=3),
-                           None, h, q=config.q)
+    # before the first sweep the flat rest state stands in for its record
+    geo = eta = zeros_like_field(g, plate=True)
 
     trace: list[dict] = []
     converged = False
@@ -489,22 +438,23 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
     iterations = 0
     for n in range(1, config.max_iter + 1):
         iterations = n
-        f_t = None
-        if f is not None:
-            f_t = compose_forcing(f, eta)
-        terms = compute_nonlinear_terms(u, p, eta, mu_f=params.mu_f)
-        rhs_f = f_t + terms.rf_tilde if f_t is not None else terms.rf_tilde
-        rhs_h = h + terms.r_eta
-        # xi' = 0 compatibility of the divergence slot, rechecked numerically
-        rd_mean = xi0_incompatibility(g, terms.rd_tilde.coeffs)
+        rhs_f = None if f is None else compose_forcing(f, geo)
+        # at rest every interaction term vanishes exactly, so sweep 1 skips them
+        rd, rhs_h, rd_mean = None, h, 0.0
+        if n > 1:
+            terms = compute_nonlinear_terms(u, p, geo, mu_f=params.mu_f)
+            rhs_f = terms.rf_tilde if rhs_f is None else rhs_f + terms.rf_tilde
+            rd, rhs_h = terms.rd_tilde, h + terms.r_eta
+            # xi' = 0 compatibility of the divergence slot, rechecked numerically
+            rd_mean = xi0_incompatibility(g, rd.coeffs)
 
-        sol = solve_linear_full(rhs_f, terms.rd_tilde, rhs_h, grid=g,
+        sol = solve_linear_full(rhs_f, rd, rhs_h, grid=g,
                                 params=params, route="lift", compute_ratio=False)
         new_norm = x_norm(sol.u, sol.p, sol.eta, q=config.q)
         step = x_norm(sol.u - u, sol.p - p, sol.eta - eta, q=config.q)
         ratio = (step / prev_step) if prev_step else None
 
-        gate = smallness_check(sol.eta, eps0=config.eps0, q=config.q)
+        gate, next_geo = _gate(sol.eta, config.eps0, config.q)
         trace.append(
             {
                 "iteration": n,
@@ -515,7 +465,6 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
                 "plate_norm": gate.plate_norm,
                 "sup_eta": gate.sup_eta,
                 "in_ball": bool(new_norm <= radius),
-                "data_norm": data_norm,
             }
         )
         if not gate.passed:
@@ -533,14 +482,14 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
             raise PicardDivergenceError(
                 f"contraction failed: step ratio {ratio:.3f} >= 1", trace
             )
-        u, p, eta = sol.u, sol.p, sol.eta
+        u, p, eta, geo = sol.u, sol.p, sol.eta, next_geo
         if step < config.picard_tol:
             converged = True
             break
         if step > 0.0:
             prev_step = step
 
-    residuals = nonlinear_residual(u, p, eta, f, h, mu_f=params.mu_f,
+    residuals = nonlinear_residual(u, p, geo, f, h, mu_f=params.mu_f,
                                    mu_s=params.mu_s)
     return PicardResult(u=u, p=p, eta=eta, converged=converged,
                         iterations=iterations, trace=trace,
@@ -561,16 +510,17 @@ def nonlinear_residual(u: SpectralField, p: SpectralField, eta: PlateField,
     coefficient space against the damped symbol.
     """
     g = u.grid
-    terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f)
+    geo = _geometry_for(eta, u.real and p.real)
+    terms = compute_nonlinear_terms(u, p, geo, mu_f=mu_f)
     rhs_f = terms.rf_tilde
     if f is not None:
         rhs_f = compose_forcing(f, eta) + rhs_f
     rhs_h = terms.r_eta if h is None else h + terms.r_eta
     xp = g.xi_phys
-    parts = _residual_parts(g, u.coeffs, p.coeffs, eta.coeffs,
+    parts = _residual_parts(g, u.coeffs, p.coeffs, geo.eta.coeffs,
                             g.k_phys[:, None, None], xp[:, None], xp,
                             rhs_f.coeffs, terms.rd_tilde.coeffs, rhs_h.coeffs,
                             mu_f, mu_s)
     mid_x = (g.n_x - 1) // 2
-    parts["plate_mean"] = float(np.max(np.abs(eta.coeffs[:, mid_x, mid_x])))
+    parts["plate_mean"] = float(np.max(np.abs(geo.eta.coeffs[:, mid_x, mid_x])))
     return parts

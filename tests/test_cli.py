@@ -190,6 +190,23 @@ def test_config_rejections(tmp_path, text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("command,text,fragment", [
+    ("solve-linear", "mu_s = nan\n", "'mu_s' must be finite"),
+    ("solve-linear", "T = nan\n", "'T' must be finite"),
+    ("solve-linear", "L = -inf\n", "'L' must be finite"),
+    ("solve-nonlinear", "eps0 = nan\n", "'eps0' must be finite"),
+    ("solve-nonlinear", "eps0 = 0\n", "eps0 must be positive"),
+    ("solve-nonlinear", "picard_tol = -1\n", "picard_tol must be positive"),
+])
+def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
+    code, out = run_cli(tmp_path, text, command)
+    assert code == 1
+    err = error_payload(capsys)
+    assert err["kind"] == "config" and fragment in err["message"]
+    assert "\n" not in err["message"]
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command,text", [
     ("resonance-report", "k_max = 10000\nxi_max = 100\n"),   # ~4e8 rows
     ("multiplier-scan", "xi_max = 100000\n"),                # ~5e9 square-sum pairs

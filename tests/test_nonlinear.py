@@ -5,10 +5,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from plateflow import nonlinear
 from plateflow.fields import (
+    DEALIAS,
+    OVERSAMPLE,
     PlateField,
     SpectralField,
-    inverse_transform_plate,
+    pad_to_samples,
+    padded_sizes,
+    samples_to_truncated,
     trace_bottom,
     trace_top,
     zeros_like_field,
@@ -20,13 +25,10 @@ from plateflow.nonlinear import (
     PicardDivergenceError,
     compose_forcing,
     compute_nonlinear_terms,
-    deform_inverse,
-    deform_map,
     e_matrix,
     nonlinear_bound_ratios,
     nonlinear_residual,
     picard_solve,
-    plate_eval,
     smallness_check,
 )
 from plateflow.norms import NormSpec, sobolev_norm, x_norm
@@ -116,6 +118,8 @@ def test_degenerate_deflection_rejected():
     with pytest.raises(DegenerateDeformationError):
         compute_nonlinear_terms(zeros_like_field(GRID, components=3),
                                 zeros_like_field(GRID), bad)
+    with pytest.raises(DegenerateDeformationError):
+        compose_forcing(poly_field(GRID, 13), bad)
 
 
 def test_smallness_gate_pass_and_fail():
@@ -127,27 +131,16 @@ def test_smallness_gate_pass_and_fail():
     assert not smallness_check(big).passed
 
 
-def test_deform_map_round_trip():
+def test_geometry_record_matches_fresh_synthesis():
     eta = poly_plate(GRID, 9, scale=ETA_SMALL, zero_mean=True)
-    t = GRID.t_samples[:, None, None]
-    x1, x2 = np.meshgrid(GRID.x_samples, GRID.x_samples, indexing="ij")
-    x = np.empty((5, 5, 5, 3))
-    x[..., 0], x[..., 1], x[..., 2] = x1, x2, 0.37
-    y = deform_map(eta, t, x)
-    assert np.max(np.abs(deform_inverse(eta, t, y) - x)) < 1e-12
-    # the plate face lands on the moving interface
-    x[..., 2] = 0.0
-    bottom = deform_map(eta, t, x)[..., 2]
-    assert np.max(np.abs(bottom + plate_eval(eta, t, x1, x2))) < 1e-13
-
-
-def test_plate_eval_matches_lattice_samples():
-    eta = poly_plate(GRID, 10, zero_mean=True)
-    t = GRID.t_samples[:, None, None]
-    x1 = GRID.x_samples[None, :, None]
-    x2 = GRID.x_samples[None, None, :]
-    vals = plate_eval(eta, t, x1, x2)
-    assert np.max(np.abs(vals - inverse_transform_plate(eta))) < 1e-13
+    geo = nonlinear._Geometry(eta, eta.real)
+    assert np.max(np.abs(geo.tau * (1.0 + geo.eta_s) - 1.0)) <= 1e-15
+    # the gate reads the record's sup and floor, which must be exactly what
+    # a fresh OVERSAMPLE synthesis of the deflection gives
+    over = pad_to_samples(eta.coeffs, GRID, OVERSAMPLE)
+    rep = smallness_check(eta)
+    assert rep.sup_eta == float(np.max(np.abs(over)))
+    assert rep.reciprocal_sup == float(1.0 / np.min(1.0 + over.real))
 
 
 def test_compose_forcing_identity_on_flat_plate():
@@ -163,14 +156,18 @@ def test_compose_forcing_field_matches_callable():
         coeffs[HT + st, HX + sx, HX, :, 2] = 0.25 * prof
     f = SpectralField(GRID, coeffs, 3, True)
 
-    def f_call(t, x1, x2, x3):
-        v = np.cos(t) * np.cos(x1) * (x3 ** 2 - x3 + 0.5)
-        return (np.zeros_like(v), np.zeros_like(v), v)
-
     eta = poly_plate(GRID, 12, scale=ETA_SMALL, zero_mean=True)
     a = compose_forcing(f, eta)
-    b = compose_forcing(f_call, eta)
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
+    # the exact forcing at the displaced nodes of the product lattice
+    eta_s = pad_to_samples(eta.coeffs, GRID, real=True)[..., None]
+    m_t, m_x = padded_sizes(GRID)
+    t = GRID.t_period * np.arange(m_t)[:, None, None, None] / m_t
+    x1 = GRID.l_period * np.arange(m_x)[None, :, None, None] / m_x
+    exact = np.zeros(eta_s.shape[:3] + (GRID.n_z + 1, 3))
+    x3 = GRID.nodes * (1.0 + eta_s) - eta_s
+    exact[..., 2] = np.cos(t) * np.cos(x1) * (x3 ** 2 - x3 + 0.5)
+    b = samples_to_truncated(exact, GRID, True)
+    assert np.max(np.abs(a.coeffs - b)) < 1e-12
     # composition against a moved interface must differ from the input
     assert np.max(np.abs(a.coeffs - f.coeffs)) > 0.0
 
@@ -221,6 +218,33 @@ def test_picard_result_keeps_the_last_sweep_gate():
     assert res.trace[-1]["x_norm"] == x_norm(res.u, res.p, res.eta, q=config.q)
     with pytest.raises(ValueError, match="max_iter"):
         picard_solve(None, _corner_plate(GRID, 1e-3), PicardConfig(max_iter=0))
+
+
+def test_picard_builds_each_iterate_geometry_once(monkeypatch):
+    terms_calls = []
+    plate_syntheses = []
+    terms = nonlinear.compute_nonlinear_terms
+    pad = nonlinear.pad_to_samples
+
+    def counting_terms(*args, **kwargs):
+        terms_calls.append(1)
+        return terms(*args, **kwargs)
+
+    def counting_pad(coeffs, grid, factor=DEALIAS, real=False):
+        if factor == OVERSAMPLE and coeffs.ndim == 3:
+            plate_syntheses.append(coeffs)
+        return pad(coeffs, grid, factor, real)
+
+    monkeypatch.setattr(nonlinear, "compute_nonlinear_terms", counting_terms)
+    monkeypatch.setattr(nonlinear, "pad_to_samples", counting_pad)
+    res = picard_solve(poly_field(GRID, 14, scale=1e-4), _corner_plate(GRID, 1e-3),
+                       PicardConfig(eps=1e-3))
+    assert res.converged and res.iterations >= 2
+    # sweeps 2..N and the final residual; sweep 1 starts from rest
+    assert len(terms_calls) == res.iterations
+    # the rest state and each solved iterate, every one synthesized once
+    assert len(plate_syntheses) == res.iterations + 1
+    assert len({id(c) for c in plate_syntheses}) == len(plate_syntheses)
 
 
 def test_picard_ball_violation_raises():
