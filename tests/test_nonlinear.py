@@ -131,10 +131,27 @@ def test_smallness_gate_pass_and_fail():
     assert not smallness_check(big).passed
 
 
-def test_geometry_record_matches_fresh_synthesis():
+def test_deform_map_round_trip():
     eta = poly_plate(GRID, 9, scale=ETA_SMALL, zero_mean=True)
     geo = nonlinear._Geometry(eta, eta.real)
     assert np.max(np.abs(geo.tau * (1.0 + geo.eta_s) - 1.0)) <= 1e-15
+    # the straightening map x3 -> x3 - (1 - x3) eta, built from the record's
+    # samples, is undone by y3 -> (y3 + eta) tau; the plate face x3 = 0 lands
+    # on the interface -eta and the rigid face x3 = 1 stays put
+    x3 = GRID.nodes
+    e = geo.eta_s[..., None]
+    y3 = x3 - (1.0 - x3) * e
+    assert np.max(np.abs((y3 + e) * geo.tau[..., None] - x3)) < 1e-12
+    assert np.max(np.abs(y3[..., 0] + geo.eta_s)) < 1e-13
+    assert np.max(np.abs(y3[..., -1] - 1.0)) < 1e-13
+
+
+def test_plate_eval_matches_lattice_samples():
+    eta = poly_plate(GRID, 10, scale=ETA_SMALL, zero_mean=True)
+    geo = nonlinear._Geometry(eta, eta.real)
+    assert np.array_equal(geo.eta_s, pad_to_samples(eta.coeffs, GRID, real=True))
+    assert np.max(np.abs(samples_to_truncated(geo.eta_s, GRID, True)
+                         - eta.coeffs)) < 1e-13
     # the gate reads the record's sup and floor, which must be exactly what
     # a fresh OVERSAMPLE synthesis of the deflection gives
     over = pad_to_samples(eta.coeffs, GRID, OVERSAMPLE)
