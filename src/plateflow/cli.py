@@ -29,18 +29,20 @@ number must be finite.  Keys (defaults in parentheses):
     eps             data amplitude; scales parsed data and sets the Picard
                     ball radius sqrt(eps) (1.0)
     eps0            smallness-gate threshold for the plate norm, > 0 (0.1)
-    q               integrability exponent for reported norms (2.0)
+    q               integrability exponent for reported norms, in
+                    (1, Q_MAX] with Q_MAX = 100 (2.0)
     route           linear solve route, "lift" or "direct" ("lift")
-    tol_eq, tol_bc  linear residual tolerances, recorded in the manifest's
-                    tolerance set for downstream checks (1e-9)
-    compat_tol      xi' = 0 compatibility tolerance for g (1e-9)
+    tol_eq, tol_bc  linear residual tolerances, > 0, recorded in the
+                    manifest's tolerance set for downstream checks (1e-9)
+    compat_tol      xi' = 0 compatibility tolerance for g, > 0 (1e-9)
     picard_tol      fixed-point stagnation tolerance, > 0 (1e-11)
-    tol_nl          nonlinear residual tolerance, recorded like tol_eq (1e-9)
+    tol_nl          nonlinear residual tolerance, > 0, recorded like tol_eq
+                    (1e-9)
     max_iter        Picard iteration cap (25)
     k_max, xi_max   scan ranges (100, 30 for scans; 4, 2 for the
                     resonance table); a window whose estimated memory
                     exceeds WINDOW_BUDGET_BYTES (1 GiB) is refused
-    near_factor     near-resonance classification factor (10.0)
+    near_factor     near-resonance classification factor, > 0 (10.0)
     seed            base seed for the validation suite (0)
     threads         thread count recorded in the manifest, >= 1; --threads
                     and PLATEFLOW_THREADS override (1)
@@ -108,6 +110,9 @@ ZERO_DAMPING_OK = ("multiplier-scan", "resonance-report")
 # config whose estimate (halfspace.scan_window_bytes, report_window_bytes)
 # exceeds it is refused before anything is allocated.
 WINDOW_BUDGET_BYTES = 1 << 30
+# Largest admitted norm exponent: at q = 100 the L^q norm of cos(t) cos(x1)
+# is already within 5% of its sup norm.
+Q_MAX = 100.0
 # default (k_max, xi_max) and memory estimate of each windowed subcommand
 _WINDOWS = {
     "multiplier-scan": ((100, 30), scan_window_bytes),
@@ -521,11 +526,12 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
             raise _config_error(f"{name} must be odd and within 3..129")
     if cfg.n_z < 4 or cfg.n_z > 192:
         raise _config_error("n_z must be within 4..192")
-    for name in ("eps", "eps0", "picard_tol"):
+    for name in ("eps", "eps0", "picard_tol", "tol_eq", "tol_bc", "compat_tol",
+                 "tol_nl", "near_factor"):
         if getattr(cfg, name) <= 0:
             raise _config_error(f"{name} must be positive")
-    if cfg.q <= 1:
-        raise _config_error("q must exceed 1")
+    if not 1 < cfg.q <= Q_MAX:
+        raise _config_error(f"q must lie in (1, {Q_MAX:g}]")
     if cfg.route not in ("lift", "direct"):
         raise _config_error("route must be 'lift' or 'direct'")
     if cfg.max_iter < 1:

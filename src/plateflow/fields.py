@@ -8,7 +8,10 @@ without weights.
 
 Pointwise work uses a zero-padded time/lateral lattice (`pad_to_samples`, and
 back by `samples_to_truncated`): DEALIAS wide for products, OVERSAMPLE for
-quadratures and sup sampling.  The layer direction is never padded.
+quadratures and sup sampling.  The layer direction is never padded.  Real
+fields take the real half-lattice path: only the xi2 >= 0 half of the padded
+spectrum is filled (`irfftn`) or kept (`rfftn`), and xi2 < 0 follows by
+conjugate reflection.
 """
 
 from __future__ import annotations
@@ -372,18 +375,49 @@ def truncate_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return coeffs[_inner(grid, *coeffs.shape[:2])].copy()
 
 
+def _half_lattice(grid: TorusGrid, m_t: int, m_x: int) -> tuple[np.ndarray, ...]:
+    """Index of the grid's xi2 >= 0 modes inside an unshifted
+    (m_t, m_x, m_x//2 + 1) half lattice, as broadcasting index arrays."""
+    k = grid.k_int % m_t
+    xi = grid.xi_int % m_x
+    return k[:, None, None], xi[None, :, None], np.arange((grid.n_x + 1) // 2)
+
+
 def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, factor: float = DEALIAS,
                    real: bool = False) -> np.ndarray:
     """Samples of plate or slab coefficients on the `factor`-padded lattice
-    (node and component axes pass through); real=True keeps the real part."""
-    samples = _to_samples(pad_coeffs(coeffs, grid, *padded_sizes(grid, factor)))
-    return samples.real if real else samples
+    (node and component axes pass through).
+
+    real=True returns the real part of the synthesis through the real
+    half-lattice path: the conjugate-symmetric part of the coefficients,
+    restricted to xi2 >= 0, fills an unshifted half lattice for `irfftn`.
+    The padded sizes are odd, so there is no Nyquist plane.
+    """
+    m_t, m_x = padded_sizes(grid, factor)
+    if not real:
+        return _to_samples(pad_coeffs(coeffs, grid, m_t, m_x))
+    hx = (grid.n_x - 1) // 2
+    half = np.zeros((m_t, m_x, m_x // 2 + 1) + coeffs.shape[3:], dtype=complex)
+    half[_half_lattice(grid, m_t, m_x)] = 0.5 * (
+        coeffs[:, :, hx:] + np.conj(coeffs[::-1, ::-1, hx::-1]))
+    return np.fft.irfftn(half, s=(m_t, m_x, m_x), axes=_PERIODIC_AXES,
+                         norm="forward")
 
 
 def samples_to_truncated(samples: np.ndarray, grid: TorusGrid,
                          real: bool) -> np.ndarray:
-    """Analyze padded-lattice samples and truncate to the grid lattice."""
-    coeffs = truncate_coeffs(_to_coeffs(samples), grid)
-    if real:
-        coeffs = _symmetrize(coeffs)
-    return coeffs
+    """Analyze padded-lattice samples and truncate to the grid lattice.
+
+    real=True analyzes the real part with `rfftn`, keeps the retained
+    xi2 >= 0 modes and rebuilds xi2 < 0 by conjugate reflection; the result
+    is exactly conjugate symmetric.
+    """
+    if not real:
+        return truncate_coeffs(_to_coeffs(samples), grid)
+    m_t, m_x = samples.shape[:2]
+    spec = np.fft.rfftn(np.real(samples), axes=_PERIODIC_AXES, norm="forward")
+    half = spec[_half_lattice(grid, m_t, m_x)]
+    hx = (grid.n_x - 1) // 2
+    full = np.concatenate([np.conj(half[::-1, ::-1, hx:0:-1]), half], axis=2)
+    # the xi2 = 0 plane is symmetric only to round-off; make it exact
+    return _symmetrize(full)

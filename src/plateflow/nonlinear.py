@@ -21,7 +21,10 @@ iterate and passes it to those functions in place of eta.
 All pointwise products (including the rational factor 1/(1 + eta)) are
 evaluated on a zero-padded time/lateral lattice and truncated back, so the
 quadratic terms are alias-free; the layer direction needs no padding because
-products of node values define the collocation product directly.
+products of node values define the collocation product directly.  So the
+interaction terms and the forcing pullback take every derivative in
+coefficient space and then form their products one block of NODE_BLOCK layer
+nodes at a time: memory is bounded by a block, not by the padded slab.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from .fields import (
     SpectralField,
     dt_plate,
     divergence,
-    dx,
-    dx3,
     gradient,
     lateral_gradient_plate,
     lateral_laplacian_plate,
@@ -56,6 +57,12 @@ from .norms import NormSpec, negative_norm, s_norm, sobolev_norm, x_norm
 EPS0_DEFAULT = 0.1
 SUP_ETA_LIMIT = 0.5
 RECIPROCAL_LIMIT = 2.0
+
+# Layer nodes per block of padded products.  Of 1 / 3 / 5 / 9 / 25 (whole
+# slab) on a 17 x 17 x 24 Picard solve, 5 had the lowest peak RSS (150 MB
+# against 171 and 260 MB at 9 and 25) at a wall time within noise of the best;
+# single nodes ran 28% slower.
+NODE_BLOCK = 5
 
 
 class DegenerateDeformationError(ValueError):
@@ -165,6 +172,19 @@ class NonlinearTerms:
     rf_deformation: SpectralField
 
 
+def _node_blocks(grid: TorusGrid):
+    """Consecutive slices of at most NODE_BLOCK layer nodes, from node 0."""
+    n = grid.n_z + 1
+    return [slice(j, min(j + NODE_BLOCK, n)) for j in range(0, n, NODE_BLOCK)]
+
+
+def _layer_rows(grid: TorusGrid, coeffs: np.ndarray, order: int, rows: slice,
+                vector: bool) -> np.ndarray:
+    """The `rows` nodes of the order-th x3 derivative: rows of grid.dmat."""
+    d = grid.dmat(order)[rows]
+    return d @ coeffs if vector else coeffs @ d.T
+
+
 def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
                             mu_f: float = 1.0) -> NonlinearTerms:
     """Evaluate every interaction term pseudospectrally on a padded lattice.
@@ -173,6 +193,11 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     map moves points vertically, all second-derivative corrections contract
     against the third row of the gradient-correction tensor, i.e. against
     d3 d_k u, never against purely lateral second derivatives.
+
+    Every derivative of u and p is taken in coefficient space; the products
+    are then formed and analysed one block of layer nodes at a time, which
+    is exact because they are pointwise in x3 and the layer direction is
+    never padded.  The plate-row terms come from the node-0 block.
     """
     g = u.grid
     geo = _geometry_for(eta, u.real and p.real)
@@ -183,72 +208,77 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
 
     real_in = geo.real
     eta_s, g1_s, g2_s, tau = geo.eta_s, geo.g1_s, geo.g2_s, geo.tau
-
-    u_s = pad_to_samples(u.coeffs, g, real=real_in)
-    du1 = pad_to_samples(dx(u, 1).coeffs, g, real=real_in)
-    du2 = pad_to_samples(dx(u, 2).coeffs, g, real=real_in)
-    # lateral multipliers commute with the layer derivative
-    u3 = dx3(u)
-    du3 = pad_to_samples(u3.coeffs, g, real=real_in)
-    d31 = pad_to_samples(dx(u3, 1).coeffs, g, real=real_in)
-    d32 = pad_to_samples(dx(u3, 2).coeffs, g, real=real_in)
-    del u3  # free it before the padded products reach their peak
-    d33 = pad_to_samples(dx3(u, 2).coeffs, g, real=real_in)
-    dp3 = pad_to_samples(dx3(p).coeffs, g, real=real_in)
-
-    rho = 1.0 - g.nodes
-    e31, e32, e33 = _e3_row(geo, rho)
-
     grad_sq = g1_s * g1_s + g2_s * g2_s
     # div of the tensor row plus its quadratic companion, expanded in eta
-    first_coef = (geo.lap_s * tau)[..., None] * rho - 2.0 * (grad_sq * tau * tau)[..., None] * rho
-    e3_norm_sq = e31 * e31 + e32 * e32 + e33 * e33
-    e3_dot_u = e31 * u_s[..., 0] + e32 * u_s[..., 1] + e33 * u_s[..., 2]
-    time_coef = (geo.det_s * tau)[..., None] * rho
+    first_plate = geo.lap_s * tau - 2.0 * grad_sq * tau * tau
+    time_plate = geo.det_s * tau
+    i1 = 1j * g.xi_phys[:, None, None, None]
+    i2 = 1j * g.xi_phys[None, :, None, None]
 
-    rf_def = (
-        -du3 * time_coef[..., None]
-        + mu_f * (
-            2.0 * (d31 * e31[..., None] + d32 * e32[..., None] + d33 * e33[..., None])
-            + d33 * e3_norm_sq[..., None]
-            + du3 * first_coef[..., None]
+    def pad(c):
+        return pad_to_samples(c, g, real=real_in)
+
+    rf_tilde, rf_deformation, rd_vector = (
+        np.empty_like(u.coeffs) for _ in range(3))
+    for rows in _node_blocks(g):
+        ub = u.coeffs[..., rows, :]
+        # lateral multipliers commute with the layer derivative
+        u3 = _layer_rows(g, u.coeffs, 1, rows, True)
+        u_s, du1, du2 = pad(ub), pad(i1 * ub), pad(i2 * ub)
+        du3, d31, d32 = pad(u3), pad(i1 * u3), pad(i2 * u3)
+        d33 = pad(_layer_rows(g, u.coeffs, 2, rows, True))
+        dp3 = pad(_layer_rows(g, p.coeffs, 1, rows, False))
+
+        rho = 1.0 - g.nodes[rows]
+        e31, e32, e33 = _e3_row(geo, rho)
+        first_coef = first_plate[..., None] * rho
+        e3_norm_sq = e31 * e31 + e32 * e32 + e33 * e33
+        e3_dot_u = e31 * u_s[..., 0] + e32 * u_s[..., 1] + e33 * u_s[..., 2]
+        time_coef = time_plate[..., None] * rho
+
+        rf_def = (
+            -du3 * time_coef[..., None]
+            + mu_f * (
+                2.0 * (d31 * e31[..., None] + d32 * e32[..., None] + d33 * e33[..., None])
+                + d33 * e3_norm_sq[..., None]
+                + du3 * first_coef[..., None]
+            )
+            - du3 * e3_dot_u[..., None]
+            - dp3[..., None] * np.stack([e31, e32, e33], axis=-1)
         )
-        - du3 * e3_dot_u[..., None]
-        - dp3[..., None] * np.stack([e31, e32, e33], axis=-1)
-    )
-    convective = (u_s[..., 0:1] * du1 + u_s[..., 1:2] * du2 + u_s[..., 2:3] * du3)
-    rf_full = rf_def - convective
+        convective = (u_s[..., 0:1] * du1 + u_s[..., 1:2] * du2 + u_s[..., 2:3] * du3)
+        rd = np.stack(
+            [
+                -eta_s[..., None] * u_s[..., 0],
+                -eta_s[..., None] * u_s[..., 1],
+                -(g1_s[..., None] * u_s[..., 0] + g2_s[..., None] * u_s[..., 1]) * rho,
+            ],
+            axis=-1,
+        )
+        rf_tilde[..., rows, :] = samples_to_truncated(rf_def - convective, g, real_in)
+        rf_deformation[..., rows, :] = samples_to_truncated(rf_def, g, real_in)
+        rd_vector[..., rows, :] = samples_to_truncated(rd, g, real_in)
 
-    rd = np.stack(
-        [
-            -eta_s[..., None] * u_s[..., 0],
-            -eta_s[..., None] * u_s[..., 1],
-            -(g1_s[..., None] * u_s[..., 0] + g2_s[..., None] * u_s[..., 1]) * rho,
-        ],
-        axis=-1,
-    )
+        if rows.start == 0:
+            # plate-row terms live on the bottom face, where the blend is 1
+            du3_0 = du3[..., 0, :]
+            t31 = mu_f * (du1[..., 0, 2] + du3_0[..., 0])
+            t32 = mu_f * (du2[..., 0, 2] + du3_0[..., 1])
+            e3_0 = np.stack([e31[..., 0], e32[..., 0], e33[..., 0]], axis=-1)
+            a = mu_f * du3_0[..., :, None] * e3_0[..., None, :]
+            s_eta_s = a + np.swapaxes(a, -1, -2)
+            r_eta_s = (
+                -(t31 + s_eta_s[..., 2, 0]) * g1_s
+                - (t32 + s_eta_s[..., 2, 1]) * g2_s
+                - s_eta_s[..., 2, 2]
+            )
 
-    rf_tilde = SpectralField(g, samples_to_truncated(rf_full, g, real_in), 3, real_in)
-    rf_deformation = SpectralField(g, samples_to_truncated(rf_def, g, real_in), 3, real_in)
-    rd_vector = SpectralField(g, samples_to_truncated(rd, g, real_in), 3, real_in)
-    rd_tilde = divergence(rd_vector)
-
-    # plate-row terms live on the bottom face, where the blend is 1
-    du3_0 = du3[..., 0, :]
-    t31 = mu_f * (du1[..., 0, 2] + du3_0[..., 0])
-    t32 = mu_f * (du2[..., 0, 2] + du3_0[..., 1])
-    e3_0 = np.stack([e31[..., 0], e32[..., 0], e33[..., 0]], axis=-1)
-    a = mu_f * du3_0[..., :, None] * e3_0[..., None, :]
-    s_eta_s = a + np.swapaxes(a, -1, -2)
-    r_eta_s = (
-        -(t31 + s_eta_s[..., 2, 0]) * g1_s
-        - (t32 + s_eta_s[..., 2, 1]) * g2_s
-        - s_eta_s[..., 2, 2]
-    )
-
+    rd_vector = SpectralField(g, rd_vector, 3, real_in)
     r_eta = PlateField(g, samples_to_truncated(r_eta_s, g, real_in), real_in)
     s_eta = PlateTensor(g, samples_to_truncated(s_eta_s, g, real_in), real_in)
-    return NonlinearTerms(rf_tilde, rd_tilde, rd_vector, r_eta, s_eta, rf_deformation)
+    return NonlinearTerms(SpectralField(g, rf_tilde, 3, real_in),
+                          divergence(rd_vector), rd_vector, r_eta, s_eta,
+                          SpectralField(g, rf_deformation, 3, real_in))
 
 
 # ---- smallness gate ------------------------------------------------------------
@@ -338,7 +368,9 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
     The composition is sampled on the padded lattice at the displaced layer
     coordinate and truncated back, so grid data is evaluated through its
     Chebyshev interpolant (polynomial continuation covers the small
-    overhang where the displaced coordinate leaves [0, 1]).
+    overhang where the displaced coordinate leaves [0, 1]).  The layer
+    series is taken on the grid lattice, where it commutes with the periodic
+    synthesis, and summed one block of displaced nodes at a time.
     """
     geo = _geometry_for(eta, f.real)
     g = geo.eta.grid
@@ -350,16 +382,17 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
         return f.copy()
 
     real_in, eta_s = geo.real, geo.eta_s
-    displaced = g.nodes * (1.0 + eta_s[..., None]) - eta_s[..., None]
-    samples = pad_to_samples(f.coeffs, g, real=real_in)
-    series = cheb_values_to_coeffs(samples, axis=3)
-    # the inserted axis broadcasts each (t, x') column's series over that
-    # column's displaced evaluation points
-    composed = np.stack(
-        [cheb_eval(series[..., c][..., None, :], displaced) for c in range(3)],
-        axis=-1,
-    )
-    return SpectralField(g, samples_to_truncated(composed, g, real_in), 3, real_in)
+    # (component, node, t, x', series): the padded lattice is the innermost
+    # run of the Clenshaw sum, and each column's series broadcasts over that
+    # column's displaced nodes
+    series = np.moveaxis(pad_to_samples(
+        cheb_values_to_coeffs(f.coeffs, axis=3), g, real=real_in), -1, 0)[:, None]
+    out = np.empty_like(f.coeffs)
+    for rows in _node_blocks(g):
+        displaced = g.nodes[rows, None, None, None] * (1.0 + eta_s) - eta_s
+        composed = np.moveaxis(cheb_eval(series, displaced), (0, 1), (-1, -2))
+        out[..., rows, :] = samples_to_truncated(composed, g, real_in)
+    return SpectralField(g, out, 3, real_in)
 
 
 # ---- fixed-point solver -----------------------------------------------------------

@@ -72,9 +72,14 @@ def _magnitudes(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
 def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float) -> float:
     """L^q quadrature of plate (rank 3) or slab (rank 4, 5) coefficients."""
     mag = _magnitudes(grid, coeffs)
+    peak = np.max(mag)
+    if peak == 0.0:
+        return 0.0
+    # powers of mag / peak <= 1 neither overflow nor lose the field to underflow
     cell = 1.0 / np.prod(mag.shape[:3])
-    integrand = mag ** q if mag.ndim == 3 else mag ** q * grid.cheb_weights
-    return float((np.sum(integrand) * cell) ** (1.0 / q))
+    rel = (mag / peak) ** q
+    integrand = rel if mag.ndim == 3 else rel * grid.cheb_weights
+    return float(peak * (np.sum(integrand) * cell) ** (1.0 / q))
 
 
 # ---- the public entry point ---------------------------------------------------

@@ -8,6 +8,7 @@ spawning an interpreter.
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,13 @@ def test_config_rejections(tmp_path, text, fragment):
     ("solve-nonlinear", "eps0 = nan\n", "'eps0' must be finite"),
     ("solve-nonlinear", "eps0 = 0\n", "eps0 must be positive"),
     ("solve-nonlinear", "picard_tol = -1\n", "picard_tol must be positive"),
+    ("solve-linear", "tol_eq = -1\n", "tol_eq must be positive"),
+    ("solve-linear", "tol_bc = 0\n", "tol_bc must be positive"),
+    ("solve-linear", "compat_tol = -1\n", "compat_tol must be positive"),
+    ("solve-nonlinear", "tol_nl = 0\n", "tol_nl must be positive"),
+    ("resonance-report", "near_factor = -1\n", "near_factor must be positive"),
+    ("solve-linear", "q = 1e308\n", "q must lie in (1, 100]"),
+    ("solve-linear", "q = 1\n", "q must lie in (1, 100]"),
 ])
 def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
     code, out = run_cli(tmp_path, text, command)
@@ -205,6 +213,16 @@ def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
     assert err["kind"] == "config" and fragment in err["message"]
     assert "\n" not in err["message"]
     assert not (out / "manifest.json").exists()
+
+
+def test_largest_q_runs_without_numpy_warnings(tmp_path):
+    text = f"n_z = 8\nq = {cli.Q_MAX:g}\nforcing_h = cos(t)*cos(x1)\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, text, "solve-linear")
+    assert code == 0
+    norms = manifest_of(out)["norms"]
+    assert all(math.isfinite(v) and v > 0.0 for v in norms.values())
 
 
 @pytest.mark.parametrize("command,text", [

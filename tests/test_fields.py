@@ -35,6 +35,7 @@ from plateflow.fields import (
     truncate_coeffs,
     zeros_like_field,
 )
+from plateflow.fields import _symmetrize, _to_coeffs
 from plateflow.grid import TorusGrid
 
 from conftest import poly_field, poly_plate
@@ -230,7 +231,40 @@ def test_padded_real_part():
     samples = pad_to_samples(coeffs, GRID)
     assert np.max(np.abs(samples.imag)) > 0.1
     real = pad_to_samples(coeffs, GRID, real=True)
-    assert np.isrealobj(real) and np.array_equal(real, samples.real)
+    assert np.isrealobj(real)
+    # the real half-lattice transform matches the real part to round-off
+    assert np.max(np.abs(real - samples.real)) <= 1e-15 * np.max(np.abs(samples.real))
+
+
+HALF_LATTICE_CASES = [
+    (grid, factor, tail)
+    for grid in (TorusGrid(3, 3, 4), GRID, TorusGrid(7, 5, 6))
+    for factor in (DEALIAS, OVERSAMPLE)
+    for tail in ((), (grid.n_z + 1,), (grid.n_z + 1, 3))
+]
+
+
+@pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
+def test_half_lattice_synthesis_is_the_real_part(grid, factor, tail):
+    rng = np.random.default_rng(len(tail))
+    shape = (grid.n_t, grid.n_x, grid.n_x) + tail
+    # not conjugate symmetric, so the real part is a genuine projection
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    real = pad_to_samples(coeffs, grid, factor, real=True)
+    want = pad_to_samples(coeffs, grid, factor).real
+    assert np.isrealobj(real) and real.shape == want.shape
+    assert np.max(np.abs(real - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
+def test_half_lattice_analysis_matches_the_complex_path(grid, factor, tail):
+    m_t, m_x = padded_sizes(grid, factor)
+    samples = np.random.default_rng(len(tail)).standard_normal((m_t, m_x, m_x) + tail)
+    coeffs = samples_to_truncated(samples, grid, real=True)
+    want = _symmetrize(truncate_coeffs(_to_coeffs(samples), grid))
+    assert coeffs.shape == (grid.n_t, grid.n_x, grid.n_x) + tail
+    assert np.max(np.abs(coeffs - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(coeffs, np.conj(coeffs[::-1, ::-1, ::-1]))
 
 
 def test_zeros_like_shapes():

@@ -11,6 +11,7 @@ from plateflow.fields import (
     OVERSAMPLE,
     PlateField,
     SpectralField,
+    lateral_gradient_plate,
     pad_to_samples,
     padded_sizes,
     samples_to_truncated,
@@ -97,6 +98,50 @@ def test_divergence_vector_vanishes_on_faces():
         bot = np.max(np.abs(trace_bottom(terms.rd_vector, comp).coeffs))
         top = np.max(np.abs(trace_top(terms.rd_vector, comp).coeffs))
         assert bot < 1e-12 * scale and top < 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_z,block", [(4, 6), (4, 5), (9, 5), (11, 5)])
+def test_node_blocks_join_without_seams(monkeypatch, n_z, block):
+    # fewer nodes than one block, exactly one, an exact multiple, a remainder
+    monkeypatch.setattr(nonlinear, "NODE_BLOCK", block)
+    grid = TorusGrid(5, 5, n_z)
+    u = poly_field(grid, 40, components=3, scale=ETA_SMALL)
+    p = poly_field(grid, 41, components=1, scale=ETA_SMALL)
+    eta = poly_plate(grid, 42, scale=ETA_SMALL, zero_mean=True)
+    terms = compute_nonlinear_terms(u, p, eta)
+
+    # rd_vector analysed from the whole padded slab at once
+    eta_s, g1_s, g2_s = (pad_to_samples(c.coeffs, grid, real=True)[..., None]
+                         for c in (eta, *lateral_gradient_plate(eta)))
+    u_s = pad_to_samples(u.coeffs, grid, real=True)
+    rd = np.stack([-eta_s * u_s[..., 0], -eta_s * u_s[..., 1],
+                   -(g1_s * u_s[..., 0] + g2_s * u_s[..., 1]) * (1.0 - grid.nodes)],
+                  axis=-1)
+    want = samples_to_truncated(rd, grid, True)
+    assert np.max(np.abs(terms.rd_vector.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+
+    # the plate row reads u and d3 u at node 0 only: a change that vanishes
+    # there with its slope leaves it alone, though it moves every other block
+    moved = u.copy()
+    moved.coeffs += (poly_field(grid, 43, components=3, degree=1, scale=ETA_SMALL).coeffs
+                     * grid.nodes[:, None] ** 2)
+    other = compute_nonlinear_terms(moved, p, eta)
+    top, top_moved = terms.rf_tilde.coeffs[..., -1, :], other.rf_tilde.coeffs[..., -1, :]
+    assert np.max(np.abs(top_moved - top)) > 0.1 * np.max(np.abs(top))
+    for name in ("r_eta", "s_eta"):
+        a, b = getattr(terms, name).coeffs, getattr(other, name).coeffs
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), name
+
+    # every blocked output against one block holding all the nodes
+    f = poly_field(grid, 44, components=3)
+    blocked = compose_forcing(f, eta)
+    monkeypatch.setattr(nonlinear, "NODE_BLOCK", grid.n_z + 1)
+    whole = compute_nonlinear_terms(u, p, eta)
+    pairs = [(getattr(terms, name).coeffs, getattr(whole, name).coeffs)
+             for name in ("rf_tilde", "rf_deformation", "rd_tilde")]
+    pairs.append((blocked.coeffs, compose_forcing(f, eta).coeffs))
+    for a, b in pairs:
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
 def test_e_matrix_structure():

@@ -114,6 +114,18 @@ def test_lq_quadrature_against_closed_form():
     assert abs(sobolev_norm(f, NormSpec(0, 0, 4.0)) - want) < 1e-10
 
 
+@pytest.mark.parametrize("amplitude", [1e-8, 1e6])
+def test_lq_quadrature_scales_linearly_at_large_q(amplitude):
+    # |f|^100 of these amplitudes under- or overflows in double precision
+    f = poly_field(GRID, 3, components=3)
+    spec = NormSpec(0, 2, 100.0)
+    unit = sobolev_norm(f, spec)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        scaled = sobolev_norm(f * amplitude, spec)
+    assert unit > 0.0
+    assert abs(scaled / (amplitude * unit) - 1.0) < 1e-13
+
+
 def test_mixed_norm_matches_l2_and_sup():
     mode = _mode_field(0, 1)
     assert abs(mixed_lr_lp_norm(mode, 2.0, 2.0) - 1.0) < TOL_EXACT
