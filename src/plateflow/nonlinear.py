@@ -194,10 +194,8 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     against the third row of the gradient-correction tensor, i.e. against
     d3 d_k u, never against purely lateral second derivatives.
 
-    Every derivative of u and p is taken in coefficient space; the products
-    are then formed and analysed one block of layer nodes at a time, which
-    is exact because they are pointwise in x3 and the layer direction is
-    never padded.  The plate-row terms come from the node-0 block.
+    Products are formed per block of layer nodes (see the module docstring);
+    the plate-row terms come from the node-0 block.
     """
     g = u.grid
     geo = _geometry_for(eta, u.real and p.real)
