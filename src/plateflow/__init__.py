@@ -58,7 +58,6 @@ from .modes import (
     solve_steady_mode,
 )
 from .halfspace import (
-    MultiplierSample,
     ResonanceRow,
     ScanReport,
     boundedness_scan,
@@ -66,8 +65,8 @@ from .halfspace import (
     halfspace_profiles,
     halfspace_residuals,
     is_resonant_lattice_point,
+    lattice_multipliers,
     multiplier_M,
-    multiplier_sample,
     q0_symbol,
     resonance_report,
     undamped_multiplier,

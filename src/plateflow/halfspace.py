@@ -8,6 +8,10 @@ symbol is a Fourier multiplier whose boundedness encodes the damping of the
 coupled dynamics; lattice scans here quantify it and contrast it with the
 undamped variant, which is singular on the resonance ring.
 
+One broadcasting symbol kernel serves every caller: _fluid_load is the
+half-space load and _coupled_symbol adds it to modes._damped_symbol.  One
+ring rule, _undamped_gap, decides membership of the resonance ring.
+
 All frequency arguments are integers on the lattice; the 2*pi/period
 scaling to physical wave numbers happens internally.  Viscosity is
 normalized to one in this module, matching the closed-form profiles.
@@ -30,6 +34,10 @@ _RAY_POINTS = 24
 _TILE = 64
 # relative safety margin that keeps each tile bound above rounded values
 _BOUND_MARGIN = 1e-12
+# ring tolerance relative to |xi'|^4 + k^2: off the 2*pi periods rounding
+# leaves ring points a gap (worst for k < 400: 2.24 eps at (T, L) = (1,
+# sqrt(2*pi)), 3.06 eps at (3, sqrt(6*pi))); off-ring gaps are ~1/k or more
+_RING_TOL = 16.0 * np.finfo(float).eps
 
 
 def _phys(k, xi, t_period, l_period):
@@ -47,6 +55,33 @@ def _decay_root(a2, kp):
     return root
 
 
+def _fluid_load(kp, a2):
+    """-k^2/|xi'| + i k (|xi'| + sqrt(|xi'|^2 + ik)) at physical k and a2 = |xi'|^2.
+
+    The one definition of the half-space fluid load on the plate; a2 must
+    be positive, and the arguments broadcast.
+    """
+    a = np.sqrt(a2)
+    return -kp * kp / a + 1j * kp * (a + _decay_root(a2, kp))
+
+
+def _coupled_symbol(kp, a2, mu_s):
+    """Damped plate symbol plus the fluid load: the one coupled symbol; broadcasts."""
+    return _damped_symbol(kp, a2, mu_s) + _fluid_load(kp, a2)
+
+
+def _undamped_gap(kp, a2):
+    """|xi'|^4 - k^2 and the ring mask |gap| <= _RING_TOL (|xi'|^4 + k^2).
+
+    The one ring rule; arguments broadcast.  At the 2*pi periods the gap is
+    the exact integer s^2 - k^2 (s^2 < 2^53), and nonzero ones are >= 3, so
+    the rule is the exact integer test there.
+    """
+    a4, k2 = a2 * a2, kp * kp
+    gap = a4 - k2
+    return gap, np.abs(gap) <= _RING_TOL * (a4 + k2)
+
+
 def q0_symbol(k: int, xi: tuple[int, int], eta_hat: complex = 1.0,
               t_period: float = 2.0 * math.pi,
               l_period: float = 2.0 * math.pi) -> complex:
@@ -54,9 +89,7 @@ def q0_symbol(k: int, xi: tuple[int, int], eta_hat: complex = 1.0,
     kp, x1, x2 = _phys(k, xi, t_period, l_period)
     if kp == 0.0 or (x1 == 0.0 and x2 == 0.0):
         raise ValueError("q0 is defined for k != 0 and xi' != 0 only")
-    a = math.hypot(x1, x2)
-    root = complex(_decay_root(a * a, kp))
-    return (-1j * kp * (a + root) + kp * kp / a) * eta_hat
+    return -_fluid_load(kp, x1 * x1 + x2 * x2) * eta_hat
 
 
 @dataclass
@@ -132,25 +165,27 @@ def halfspace_residuals(k: int, xi: tuple[int, int], eta_hat: complex,
 
 
 def coupled_plate_symbol(k: int, xi: tuple[int, int], mu_s: float = 1.0,
-                         include_fluid: bool = True,
                          t_period: float = 2.0 * math.pi,
                          l_period: float = 2.0 * math.pi) -> complex:
-    """Plate symbol with the half-space fluid load folded in.
-
-    include_fluid=False drops the fluid contribution and keeps only the
-    elastic, inertial, and internal-damping terms; mu_s=0 keeps only the
-    fluid damping.  Both variants feed the resonance report.
-    """
+    """Plate symbol with the half-space fluid load folded in."""
     kp, x1, x2 = _phys(k, xi, t_period, l_period)
     a2 = x1 * x1 + x2 * x2
     if a2 == 0.0:
         raise ValueError("xi' = 0 modes are excluded from the coupled symbol")
-    value = _damped_symbol(kp, a2, mu_s)
-    if include_fluid:
-        a = math.sqrt(a2)
-        root = complex(_decay_root(a2, kp))
-        value += -kp * kp / a + 1j * kp * (a + root)
-    return value
+    return _coupled_symbol(kp, a2, mu_s)
+
+
+def lattice_multipliers(k, xi, mu_s: float = 1.0,
+                        t_period: float = 2.0 * math.pi,
+                        l_period: float = 2.0 * math.pi):
+    """M = 1/sym and (1 + |k|^2 + |xi'|^4) M at k, xi = (n1, n2), which broadcast.
+
+    Every point needs k != 0 and xi' != 0; see multiplier_M for those.
+    """
+    kp, x1, x2 = _phys(k, xi, t_period, l_period)
+    a2 = x1 * x1 + x2 * x2
+    m = 1.0 / _coupled_symbol(kp, a2, mu_s)
+    return m, (1.0 + kp * kp + a2 * a2) * m
 
 
 def multiplier_M(k: int, xi: tuple[int, int], mu_s: float = 1.0,
@@ -159,19 +194,17 @@ def multiplier_M(k: int, xi: tuple[int, int], mu_s: float = 1.0,
     """Damped multiplier; exact zero on the excluded k = 0 and xi' = 0 modes."""
     if k == 0 or (xi[0] == 0 and xi[1] == 0):
         return 0.0 + 0.0j
-    return 1.0 / coupled_plate_symbol(k, xi, mu_s, True, t_period, l_period)
+    return lattice_multipliers(k, xi, mu_s, t_period, l_period)[0]
 
 
 def is_resonant_lattice_point(k: int, xi: tuple[int, int],
                               t_period: float = 2.0 * math.pi,
                               l_period: float = 2.0 * math.pi) -> bool:
-    """Exact test of |xi'|^4 = k^2 on the frequency lattice."""
+    """Ring rule test of |xi'|^4 = k^2 on the frequency lattice."""
     if k == 0 or (xi[0] == 0 and xi[1] == 0):
         return False
-    if t_period == 2.0 * math.pi and l_period == 2.0 * math.pi:
-        return xi[0] * xi[0] + xi[1] * xi[1] == abs(k)   # integer arithmetic
     kp, x1, x2 = _phys(k, xi, t_period, l_period)
-    return (x1 * x1 + x2 * x2) ** 2 == kp * kp
+    return bool(_undamped_gap(kp, x1 * x1 + x2 * x2)[1])
 
 
 def undamped_multiplier(k: int, xi: tuple[int, int],
@@ -180,42 +213,18 @@ def undamped_multiplier(k: int, xi: tuple[int, int],
     """Multiplier of the undamped comparison model; None on the resonance ring."""
     if k == 0 or (xi[0] == 0 and xi[1] == 0):
         return 0.0 + 0.0j
-    if is_resonant_lattice_point(k, xi, t_period, l_period):
-        return None
     kp, x1, x2 = _phys(k, xi, t_period, l_period)
-    a2 = x1 * x1 + x2 * x2
-    return 1.0 / (a2 * a2 - kp * kp)
+    gap, ring = _undamped_gap(kp, x1 * x1 + x2 * x2)
+    return None if ring else 1.0 / gap
 
 
 def weighted_multiplier(k: int, xi: tuple[int, int], mu_s: float = 1.0,
                         t_period: float = 2.0 * math.pi,
                         l_period: float = 2.0 * math.pi) -> complex:
     """(1 + |k|^2 + |xi'|^4) * M, the quantity whose boundedness is claimed."""
-    kp, x1, x2 = _phys(k, xi, t_period, l_period)
-    a2 = x1 * x1 + x2 * x2
-    return (1.0 + kp * kp + a2 * a2) * multiplier_M(k, xi, mu_s, t_period, l_period)
-
-
-@dataclass(frozen=True)
-class MultiplierSample:
-    """One lattice point of the damped/undamped multiplier comparison."""
-
-    k: int
-    xi: tuple[int, int]
-    m_damped: complex
-    m_undamped: complex | None
-    weighted: complex
-
-
-def multiplier_sample(k: int, xi: tuple[int, int], mu_s: float = 1.0,
-                      t_period: float = 2.0 * math.pi,
-                      l_period: float = 2.0 * math.pi) -> MultiplierSample:
-    return MultiplierSample(
-        k, tuple(xi),
-        multiplier_M(k, xi, mu_s, t_period, l_period),
-        undamped_multiplier(k, xi, t_period, l_period),
-        weighted_multiplier(k, xi, mu_s, t_period, l_period),
-    )
+    if k == 0 or (xi[0] == 0 and xi[1] == 0):
+        return 0.0 + 0.0j
+    return lattice_multipliers(k, xi, mu_s, t_period, l_period)[1]
 
 
 # ---- lattice scans ------------------------------------------------------------
@@ -243,11 +252,7 @@ def _square_sums(xi_max: int) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
 
 def _symbol_arrays(kp: np.ndarray, a2: np.ndarray, mu_s: float):
     """Coupled symbol on a (k, |xi'|^2) grid, both in physical units."""
-    k = kp[:, None]
-    s = a2[None, :]
-    a = np.sqrt(s)
-    root = _decay_root(s, k)
-    return _damped_symbol(k, s, mu_s) - k * k / a + 1j * k * (a + root)
+    return _coupled_symbol(kp[:, None], a2[None, :], mu_s)
 
 
 @dataclass
@@ -303,7 +308,7 @@ def _tile_bounds(kp: np.ndarray, a2: np.ndarray, mu_s: float):
     terms, and both bounds are scaled by 1 + _BOUND_MARGIN, far above the
     rounding of the few float operations behind a bound or a pointwise
     value.  A tile whose gap interval reaches zero (it straddles the ring
-    S = K) gets an infinite ratio bound.
+    S = K) gets an infinite ratio bound; the ring rule only drops points.
     """
     k_lo, k_hi = _tile_edges(kp.size)
     s_lo, s_hi = _tile_edges(a2.size)
@@ -355,7 +360,7 @@ def boundedness_scan(k_max: int, xi_max: int, mu_s: float = 1.0,
     evaluated point by point with the same expressions as a dense scan, so
     the results are those of a dense scan.  Ties go to the smallest
     (|k|, |xi'|) in ascending order, and ratios against the undamped
-    multiplier skip the exact resonance ring.  points_scanned counts the
+    multiplier skip the ring (_undamped_gap).  points_scanned counts the
     points covered, points_evaluated those of the evaluated tiles.  The
     symbol takes physical frequencies for the periods; the bookkeeping
     stays on integer k and s.  The bounds need mu_s >= 0.
@@ -386,8 +391,8 @@ def boundedness_scan(k_max: int, xi_max: int, mu_s: float = 1.0,
         s_t = a2[s_first:s_first + _TILE]
         mag = np.abs(_symbol_arrays(k_t, s_t, mu_s))
         weighted = (1.0 + k_t[:, None] ** 2 + s_t[None, :] ** 2) * (1.0 / mag)
-        gap = np.abs(s_t[None, :] ** 2 - k_t[:, None] ** 2)
-        ratio = mag / np.where(gap > 0.0, gap, np.inf)
+        gap, ring = _undamped_gap(k_t[:, None], s_t[None, :])
+        ratio = mag / np.where(ring, np.inf, np.abs(gap))
         evaluated += mag.size
         sup_w, arg_w = _running_max(weighted, k_first, s_first, sup_w, arg_w)
         sup_r, arg_r = _running_max(ratio, k_first, s_first, sup_r, arg_r)
@@ -428,20 +433,19 @@ def scan_window_bytes(k_max: int, xi_max: int) -> int:
 # ---- resonance classification table -------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ResonanceRow:
-    """Per-mode damping decomposition and classification."""
+    """Multipliers and classification of one lattice point."""
 
     k: int
     xi: tuple[int, int]
     m_damped: complex
     weighted: complex
-    m_undamped: complex | None
-    internal_damping: complex
-    fluid_damping: complex
-    symbol_fluid_only: complex
-    symbol_internal_only: complex
+    m_undamped: float | None
     label: str
+
+
+_LABELS = ("damped", "near-resonant", "resonant")
 
 
 def resonance_report(k_max: int, xi_max: int, mu_s: float = 1.0,
@@ -450,42 +454,29 @@ def resonance_report(k_max: int, xi_max: int, mu_s: float = 1.0,
                      l_period: float = 2.0 * math.pi) -> list[ResonanceRow]:
     """Classify every lattice point of a small window.
 
-    Labels: "resonant" marks the exact ring |xi'|^4 = k^2 of the undamped
-    model; "near-resonant" marks points where damping shrinks the response
-    by at least near_factor; everything else is "damped".  Excluded modes
-    (k = 0 or xi' = 0) are omitted; conjugate and sign symmetry make the
-    k >= 1, xi lattice quadrant representative, but all sign combinations
-    are reported for table completeness.
+    Labels: "resonant" marks the ring |xi'|^4 = k^2 of the undamped model
+    (_undamped_gap); "near-resonant" marks points where damping shrinks the
+    response by at least near_factor; everything else is "damped".
+    Excluded modes (k = 0 or xi' = 0) are omitted; conjugate and sign
+    symmetry make the k >= 1, xi lattice quadrant representative, but all
+    sign combinations are reported, k, then n1, then n2 ascending.
     """
+    n1, n2 = np.divmod(np.arange((2 * xi_max + 1) ** 2), 2 * xi_max + 1)
+    keep = (n1 != xi_max) | (n2 != xi_max)
+    xi = (n1[keep] - xi_max, n2[keep] - xi_max)
+    ks = np.arange(1, k_max + 1)[:, None]
+    m, weighted = lattice_multipliers(ks, xi, mu_s, t_period, l_period)
+    kp, x1, x2 = _phys(ks, xi, t_period, l_period)
+    gap, ring = _undamped_gap(kp, x1 * x1 + x2 * x2)
+    und = 1.0 / np.where(ring, np.inf, gap)
+    code = np.where(ring, 2, np.abs(und) >= near_factor * np.abs(m))
+    pairs = list(zip(xi[0].tolist(), xi[1].tolist()))
     rows = []
-    for k in range(1, k_max + 1):
-        for n1 in range(-xi_max, xi_max + 1):
-            for n2 in range(-xi_max, xi_max + 1):
-                if n1 == 0 and n2 == 0:
-                    continue
-                xi = (n1, n2)
-                kp, x1, x2 = _phys(k, xi, t_period, l_period)
-                a2 = x1 * x1 + x2 * x2
-                a = math.sqrt(a2)
-                root = complex(_decay_root(a2, kp))
-                internal = 1j * kp * mu_s * a2
-                fluid = -kp * kp / a + 1j * kp * (a + root)
-                m = multiplier_M(k, xi, mu_s, t_period, l_period)
-                und = undamped_multiplier(k, xi, t_period, l_period)
-                if und is None:
-                    label = "resonant"
-                elif abs(und) >= near_factor * abs(m):
-                    label = "near-resonant"
-                else:
-                    label = "damped"
-                rows.append(ResonanceRow(
-                    k, xi, m,
-                    weighted_multiplier(k, xi, mu_s, t_period, l_period),
-                    und, internal, fluid,
-                    coupled_plate_symbol(k, xi, 0.0, True, t_period, l_period),
-                    coupled_plate_symbol(k, xi, mu_s, False, t_period, l_period),
-                    label,
-                ))
+    for k, m_k, w_k, u_k, c_k in zip(range(1, k_max + 1), m.tolist(),
+                                     weighted.tolist(), und.tolist(),
+                                     code.tolist()):
+        rows.extend(ResonanceRow(k, p, mm, ww, None if c == 2 else uu, _LABELS[c])
+                    for p, mm, ww, uu, c in zip(pairs, m_k, w_k, u_k, c_k))
     return rows
 
 
@@ -493,7 +484,7 @@ def report_window_bytes(k_max: int, xi_max: int) -> int:
     """Upper estimate of the memory of resonance_report and its CSV text.
 
     One row per k >= 1 and nonzero xi' in the window, 1 KiB each (the
-    tracemalloc peak is 0.83 KB per row).
+    tracemalloc peak of table and CSV text is 0.56 KB per row).
     """
     return 1024 * k_max * ((2 * xi_max + 1) ** 2 - 1)
 

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from plateflow import halfspace
 from plateflow.halfspace import (
+    _fluid_load,
     _symbol_arrays,
     _tile_bounds,
     boundedness_scan,
@@ -16,10 +18,11 @@ from plateflow.halfspace import (
     halfspace_residuals,
     is_resonant_lattice_point,
     multiplier_M,
-    multiplier_sample,
     q0_symbol,
+    report_window_bytes,
     resonance_report,
     resonance_rows_to_csv,
+    scan_window_bytes,
     undamped_multiplier,
     weighted_multiplier,
 )
@@ -103,7 +106,8 @@ def test_weighted_multiplier_consistent():
 def test_symbol_variants_agree_across_modules():
     # dropping the fluid load must reproduce the mode-solver plate symbol
     for k, xi in ((1, (1, 0)), (3, (2, 1)), (-2, (1, 1))):
-        a = coupled_plate_symbol(k, xi, mu_s=1.3, include_fluid=False)
+        s = float(xi[0] ** 2 + xi[1] ** 2)
+        a = coupled_plate_symbol(k, xi, mu_s=1.3) - _fluid_load(float(k), s)
         b = plate_symbol_damped(k, xi, mu_s=1.3)
         assert a == pytest.approx(b)
     # the vectorized scan symbol matches the per-mode coupled symbol
@@ -114,13 +118,6 @@ def test_symbol_variants_agree_across_modules():
             arr = _symbol_arrays(np.array([float(k)]), np.array([s]), mu_s)
             assert arr[0, 0] == pytest.approx(coupled_plate_symbol(k, xi, mu_s),
                                               rel=1e-14)
-
-
-def test_multiplier_sample_bundle():
-    s = multiplier_sample(2, (1, 1))
-    assert s.m_undamped is None
-    assert s.m_damped != 0.0
-    assert abs(s.weighted) == pytest.approx((1.0 + 4.0 + 4.0) * abs(s.m_damped))
 
 
 def test_scan_window_and_decay():
@@ -236,7 +233,8 @@ def test_resonance_report_small_window():
             assert abs(r.m_undamped) >= 10.0 * abs(r.m_damped)
         # damping decomposition is consistent with the assembled symbol
         full = coupled_plate_symbol(r.k, r.xi)
-        assert abs(r.symbol_internal_only + r.fluid_damping - full) < 1e-9
+        fluid = _fluid_load(float(r.k), float(r.xi[0] ** 2 + r.xi[1] ** 2))
+        assert abs(plate_symbol_damped(r.k, r.xi) + fluid - full) < 1e-9
 
 
 def test_resonance_csv_layout():
@@ -245,3 +243,89 @@ def test_resonance_csv_layout():
     assert lines[0] == "k,xi1,xi2,re_m,im_m,abs_weighted,abs_undamped,class"
     ring = [ln for ln in lines if ln.startswith("1,1,0,")]
     assert len(ring) == 1 and ring[0].endswith(",inf,resonant")
+
+
+def _reference_rows(k_max, xi_max, t_period, l_period, mu_s=1.0, near_factor=10.0):
+    """The resonance table row by row in scalar arithmetic, each symbol assembled here."""
+    two_pi = 2.0 * math.pi
+    rows = []
+    for k in range(1, k_max + 1):
+        for n1 in range(-xi_max, xi_max + 1):
+            for n2 in range(-xi_max, xi_max + 1):
+                if n1 == 0 and n2 == 0:
+                    continue
+                kp = two_pi / t_period * k
+                x1 = two_pi / l_period * n1
+                x2 = two_pi / l_period * n2
+                a2 = x1 * x1 + x2 * x2
+                a = math.sqrt(a2)
+                sym = (a2 * a2 - kp * kp + 1j * kp * mu_s * a2
+                       - kp * kp / a + 1j * kp * (a + cmath.sqrt(a2 + 1j * kp)))
+                m = 1.0 / sym
+                if (t_period, l_period) == (two_pi, two_pi):
+                    ring = n1 * n1 + n2 * n2 == k
+                else:
+                    ring = a2 * a2 == kp * kp
+                und = None if ring else 1.0 / (a2 * a2 - kp * kp)
+                if ring:
+                    label = "resonant"
+                elif abs(und) >= near_factor * abs(m):
+                    label = "near-resonant"
+                else:
+                    label = "damped"
+                rows.append((k, (n1, n2), m, (1.0 + kp * kp + a2 * a2) * m, und, label))
+    return rows
+
+
+@pytest.mark.parametrize("window", [(4, 2), (12, 4)])
+@pytest.mark.parametrize("periods", [(2.0 * math.pi, 2.0 * math.pi), (3.0, 5.0)])
+def test_resonance_report_matches_pointwise_reference(window, periods):
+    rows = resonance_report(*window, t_period=periods[0], l_period=periods[1])
+    want = _reference_rows(*window, *periods)
+    assert [(r.k, r.xi) for r in rows] == [w[:2] for w in want]
+    assert [r.label for r in rows] == [w[5] for w in want]
+    for r, (_, _, m, weighted, und, _) in zip(rows, want):
+        assert abs(r.m_damped - m) <= 1e-14 * abs(m)
+        assert abs(r.weighted - weighted) <= 1e-14 * abs(weighted)
+        if und is None:
+            assert r.m_undamped is None
+        else:
+            assert abs(r.m_undamped - und) <= 1e-14 * abs(und)
+
+
+def test_ring_rule_off_the_2pi_periods():
+    # at T = 1, L = sqrt(2 pi) the ring |xi'|^4 = k^2 is the lattice set s = k,
+    # whose points the rounded physical frequencies rarely put at a zero gap
+    periods = (1.0, math.sqrt(2.0 * math.pi))
+    rows = resonance_report(59, 8, t_period=periods[0], l_period=periods[1])
+    on_ring = [r.xi[0] ** 2 + r.xi[1] ** 2 == r.k for r in rows]
+    assert sum(on_ring) > 0
+    assert [r.label == "resonant" for r in rows] == on_ring
+    for r, ring in zip(rows, on_ring):
+        assert is_resonant_lattice_point(r.k, r.xi, *periods) == ring
+        assert (undamped_multiplier(r.k, r.xi, *periods) is None) == ring
+    rep = boundedness_scan(60, 8, 1.0, *periods)
+    assert math.isfinite(rep.max_damping_ratio) and rep.max_damping_ratio < 1e6
+    assert rep.ratio_xi[0] ** 2 + rep.ratio_xi[1] ** 2 != rep.ratio_k
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_window_estimates_bound_the_traced_peaks():
+    # warm up first: the first calls import parts of numpy lazily (~0.7 MB)
+    boundedness_scan(20, 5)
+    resonance_rows_to_csv(resonance_report(2, 1))
+    for k_max, xi_max in ((100, 30), (500, 100), (50, 200)):
+        peak = _traced_peak(lambda: boundedness_scan(k_max, xi_max))
+        assert peak <= scan_window_bytes(k_max, xi_max), (k_max, xi_max)
+    for k_max, xi_max in ((40, 10), (5, 40)):
+        peak = _traced_peak(
+            lambda: resonance_rows_to_csv(resonance_report(k_max, xi_max)))
+        assert peak <= report_window_bytes(k_max, xi_max), (k_max, xi_max)
