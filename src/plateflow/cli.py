@@ -8,13 +8,15 @@ Subcommands: solve-linear, solve-nonlinear, multiplier-scan,
 resonance-report, lift-div, validate.  Every run writes ``manifest.json``
 (inputs, config hash, tolerance set, norms, residuals, empirical constants,
 timings) into the output directory next to CSV and ``.plf`` field
-containers.  Manifests are bit-identical across reruns and across
-``--threads`` values, except for the ``execution`` block (thread count,
-timestamp, timings).  The solve is serial: the thread count
-(``--threads``, else ``PLATEFLOW_THREADS``, else the ``threads`` key) is
-validated, and the resolved count is recorded in ``execution`` only.
-Bit-identity needs one BLAS thread setting: ``OPENBLAS_NUM_THREADS`` = 1
-and 2 change the last bits of batched ``np.linalg.solve`` (X norm 3e-14).
+containers.  Manifests are bit-identical across reruns, ``--threads``
+values and ``OPENBLAS_NUM_THREADS`` settings, except for the
+``execution`` block (thread counts, timestamp, timings).  The solve is
+serial: the thread count (``--threads``, else ``PLATEFLOW_THREADS``, else
+the ``threads`` key) is validated, and the resolved count is recorded in
+``execution`` only.  The subcommand runs with the OpenBLAS numpy loaded
+set to one thread (the caller's count is restored afterwards), recorded as
+``execution.blas_threads``; when no such OpenBLAS is found it is null and
+the last bits of the batched mode solves follow the BLAS thread setting.
 
 Config files are plain ``key = value`` text, ``#`` starts a comment; every
 number must be finite.  Keys (defaults in parentheses):
@@ -46,8 +48,8 @@ number must be finite.  Keys (defaults in parentheses):
                     exceeds WINDOW_BUDGET_BYTES (1 GiB) is refused
     near_factor     near-resonance classification factor, > 0 (10.0)
     seed            base seed for the validation suite (0)
-    threads         thread count recorded in the manifest, >= 1; --threads
-                    and PLATEFLOW_THREADS override (1)
+    threads         thread count, >= 1, recorded only; --threads and
+                    PLATEFLOW_THREADS override (1)
     out             output directory ("out"); --out overrides
 
 Forcing expressions use the variables t, x1, x2 (and x3 in the slab), the
@@ -64,12 +66,14 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import ctypes
 import hashlib
 import json
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -864,6 +868,66 @@ def _resolve_threads(arg_threads, cfg: ScenarioConfig) -> int:
     return cfg.threads
 
 
+# (set, get) thread-count entry points of the OpenBLAS builds numpy ships
+# with or links against, in the order they are tried
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_libraries() -> list[str]:
+    """Paths of the OpenBLAS numpy loaded: its bundled copy, else any mapped one."""
+    bundled = sorted(Path(np.__file__).parent.parent.joinpath("numpy.libs")
+                     .glob("*openblas*"))
+    if bundled:
+        return [str(path) for path in bundled]
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = {line.split(maxsplit=5)[5].strip() for line in fh
+                      if "openblas" in line}
+    except OSError:
+        return []
+    return sorted(mapped)
+
+
+def _openblas_thread_calls():
+    """The first (set, get) thread-count pair OpenBLAS exports, or None."""
+    for path in _openblas_libraries():
+        lib = ctypes.CDLL(path)
+        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside the block, then restore the caller's
+    count.  Yields the count in effect, or None when no OpenBLAS is found.
+
+    A second BLAS thread buys no wall time on the dense mode solves, costs
+    CPU, and changes the last bits of batched ``np.linalg.solve``; one
+    thread makes the outputs independent of ``OPENBLAS_NUM_THREADS``.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield None
+        return
+    setter, getter = calls
+    before = getter()
+    setter(1)
+    try:
+        yield getter()
+    finally:
+        setter(before)
+
+
 def _emit_error(code: int, kind: str, message: str):
     doc = {"error": {"code": code, "kind": kind, "message": message}}
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
@@ -901,11 +965,13 @@ def main(argv=None) -> int:
 
         doc = _base_manifest(args.command, cfg, raw, seed)
         t1 = time.perf_counter()
-        doc.update(_RUNNERS[args.command](cfg, out_dir, seed, base_dir))
+        with _one_blas_thread() as blas_threads:
+            doc.update(_RUNNERS[args.command](cfg, out_dir, seed, base_dir))
         t2 = time.perf_counter()
         # the one run-dependent block; everything else is bit-reproducible
         doc["execution"] = {
             "threads": threads,
+            "blas_threads": blas_threads,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "seconds": {"setup": t1 - t0, "run": t2 - t1},
         }

@@ -61,17 +61,22 @@ def _lateral_weight(grid: TorusGrid, order: float) -> np.ndarray:
     return (1.0 + grid.xi_norm_sq()) ** (0.5 * order)
 
 
-def _magnitudes(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """|samples| on the OVERSAMPLE lattice, Euclidean over vector components."""
-    mag = np.abs(pad_to_samples(coeffs, grid, OVERSAMPLE))
+def _magnitudes(grid: TorusGrid, coeffs: np.ndarray, real: bool) -> np.ndarray:
+    """|samples| on the OVERSAMPLE lattice, Euclidean over vector components.
+
+    real=True synthesizes on the real half-lattice path, which needs
+    conjugate-symmetric coefficients: the even time and lateral weights,
+    layer derivatives and i*xi gradients all keep a real field's symmetry.
+    """
+    mag = np.abs(pad_to_samples(coeffs, grid, OVERSAMPLE, real))
     if mag.ndim == 5:
         mag = np.sqrt(np.sum(mag ** 2, axis=-1))
     return mag
 
 
-def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float) -> float:
+def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float, real: bool) -> float:
     """L^q quadrature of plate (rank 3) or slab (rank 4, 5) coefficients."""
-    mag = _magnitudes(grid, coeffs)
+    mag = _magnitudes(grid, coeffs, real)
     peak = np.max(mag)
     if peak == 0.0:
         return 0.0
@@ -104,7 +109,7 @@ def _plate_norm(field: PlateField, spec: NormSpec) -> float:
     wx = _lateral_weight(g, spec.spatial_order)[None, :, :]
     if spec.q == 2.0:
         return float(np.sqrt(np.sum((wt * wx * np.abs(field.coeffs)) ** 2)))
-    return _lq(g, wt * wx * field.coeffs, spec.q)
+    return _lq(g, wt * wx * field.coeffs, spec.q, field.real)
 
 
 def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
@@ -134,7 +139,7 @@ def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
         wx = _lateral_weight(g, s - j).reshape(
             (1, g.n_x, g.n_x) + (1,) * (field.coeffs.ndim - 3))
         dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j, vector)
-        total += _lq(g, wt * wx * dj, spec.q)
+        total += _lq(g, wt * wx * dj, spec.q, field.real)
     return float(total)
 
 
@@ -230,7 +235,7 @@ def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> 
     grad = np.stack([1j * xp[None, :, None, None] * phi,
                      1j * xp[None, None, :, None] * phi,
                      dphi], axis=-1)
-    return _lq(g, wt[..., None] * grad, q)
+    return _lq(g, wt[..., None] * grad, q, field.real)
 
 
 # ---- mixed-exponent norms (time-space) ------------------------------------------
@@ -238,7 +243,7 @@ def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> 
 
 def mixed_lr_lp_norm(field, r: float, p: float) -> float:
     """L^r in time of the L^p spatial norm; accepts inf in either slot."""
-    mag = _magnitudes(field.grid, field.coeffs)
+    mag = _magnitudes(field.grid, field.coeffs, field.real)
     if np.isinf(p):
         per_t = mag.max(axis=tuple(range(1, mag.ndim)))
     else:

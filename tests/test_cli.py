@@ -2,13 +2,18 @@
 
 Everything runs in-process through ``main(argv)`` so exit codes, the
 stderr error JSON, and the written artifacts can all be checked without
-spawning an interpreter.
+spawning an interpreter; only the BLAS thread test starts fresh ones,
+because ``OPENBLAS_NUM_THREADS`` is read when numpy loads OpenBLAS.
 """
 
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +355,65 @@ def test_manifests_reproducible_across_threads(tmp_path):
     assert (out1 / "u.plf").read_bytes() == (out2 / "u.plf").read_bytes()
     assert (out1 / "eta_samples.csv").read_text() \
         == (out2 / "eta_samples.csv").read_text()
+
+
+# ---- BLAS thread pin ---------------------------------------------------------------
+
+
+PIN_CFG = ("n_t = 5\nn_x = 5\nn_z = 24\n"
+           "forcing_h = cos(t)*cos(x1) + sin(2*t)*cos(x1+x2)\n"
+           "forcing_f = 0; 0; exp(x3)*cos(t)*sin(x2)\n")
+
+
+def test_outputs_independent_of_openblas_threads(tmp_path):
+    # two OpenBLAS threads change the last bits of the batched mode solves
+    # unless the CLI pins one; this config shows it in every output file
+    (tmp_path / "run.cfg").write_text(PIN_CFG)
+    path = [str(Path(cli.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    outs = []
+    for n in ("1", "2"):
+        out = tmp_path / f"blas{n}"
+        subprocess.run([sys.executable, "-m", "plateflow.cli", "solve-linear",
+                        "--config", str(tmp_path / "run.cfg"), "--out", str(out)],
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS=n,
+                                PYTHONPATH=os.pathsep.join(path)),
+                       check=True, timeout=120)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    docs = [manifest_of(out) for out in outs]
+    blas = [doc.pop("execution")["blas_threads"] for doc in docs]
+    assert docs[0] == docs[1]
+    assert blas in ([1, 1], [None, None])
+
+
+def test_blas_pin_restores_the_callers_count(tmp_path):
+    calls = cli._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    setter, getter = calls
+    caller = getter()
+    setter(2)
+    try:
+        code, out = run_cli(tmp_path, PIN_CFG, "solve-linear")
+        assert code == 0
+        assert getter() == 2
+    finally:
+        setter(caller)
+    assert manifest_of(out)["execution"]["blas_threads"] == 1
+
+
+def test_blas_pin_is_a_no_op_without_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_OPENBLAS_THREAD_CALLS",
+                        (("no_such_set_threads", "no_such_get_threads"),))
+    code, out = run_cli(tmp_path, PIN_CFG, "solve-linear")
+    assert code == 0
+    assert manifest_of(out)["execution"]["blas_threads"] is None
 
 
 # ---- solve-nonlinear -------------------------------------------------------------
