@@ -130,20 +130,18 @@ def test_lq_quadrature_scales_linearly_at_large_q(amplitude):
 
 def test_real_fields_take_the_real_synthesis_at_q3():
     # the real half-lattice path must give the complex path's q != 2 norms
-    def both(norm, field):
-        return norm(field), norm(replace(field, real=False))
-
     grid = TorusGrid(5, 7, 8)
     u = poly_field(grid, 41, components=3, band_x=2)
     g = poly_field(grid, 42, components=1, band_x=2)
     eta = poly_plate(grid, 43, band_x=2)
-    pairs = [
-        both(lambda f: sobolev_norm(f, NormSpec(1, 2, 3.0)), u),
-        both(lambda f: sobolev_norm(f, NormSpec(2, 2.0 / 3.0, 3.0, "plate")), eta),
-        both(lambda f: negative_norm(f, q=3.0, time_order=1), g),
-        both(lambda f: mixed_lr_lp_norm(f, 3.0, 3.0), u),
+    cases = [
+        (lambda f: sobolev_norm(f, NormSpec(1, 2, 3.0)), u),
+        (lambda f: sobolev_norm(f, NormSpec(2, 2.0 / 3.0, 3.0, "plate")), eta),
+        (lambda f: negative_norm(f, q=3.0, time_order=1), g),
+        (lambda f: mixed_lr_lp_norm(f, 3.0, 3.0), u),
     ]
-    for real, cplx in pairs:
+    for norm, field in cases:
+        real, cplx = norm(field), norm(replace(field, real=False))
         assert real > 0.0
         assert abs(real - cplx) / cplx < 1e-14
 
