@@ -10,8 +10,20 @@ Pointwise work uses a zero-padded time/lateral lattice (`pad_to_samples`, and
 back by `samples_to_truncated`): DEALIAS wide for products, OVERSAMPLE for
 quadratures and sup sampling.  The layer direction is never padded.  Real
 fields take the real half-lattice path: only the xi2 >= 0 half of the padded
-spectrum is filled (`irfftn`) or kept (`rfftn`), and xi2 < 0 follows by
-conjugate reflection.
+spectrum is filled or kept, and xi2 < 0 follows by conjugate reflection.
+
+The real path runs one axis at a time and skips the lines that are all zero
+or discarded.  Synthesis places the retained coefficients in an
+(m_t, N_x, h + 1) array (h = (N_x - 1) // 2), transforms along t, scatters
+the xi1 rows into (m_t, m_x, h + 1), transforms along xi1 and ends with a
+real inverse transform of length m_x along xi2.  Analysis takes the real
+transform along x2 and keeps k2 <= h, transforms along x1 and keeps the
+retained xi1 rows, then transforms along t and keeps the retained k rows.
+That is the pass order of numpy's `irfftn` / `rfftn` on the full half
+lattice, each pass with the same length and normalization, and every 1-d
+transform depends only on its own line, so the bits are those of the full
+transforms; a zero line transforms to zeros, and a discarded line was never
+read.
 """
 
 from __future__ import annotations
@@ -276,8 +288,30 @@ def layer_derivative(grid: TorusGrid, coeffs: np.ndarray, order: int = 1,
     last when `vector` marks a trailing component axis; any leading axes
     (time, lateral, batch) pass through.
     """
-    d = grid.dmat(order)
-    return d @ coeffs if vector else coeffs @ d.T
+    return _apply_layer_matrix(grid.dmat(order), coeffs, vector)
+
+
+def _apply_layer_matrix(d: np.ndarray, coeffs: np.ndarray, vector: bool) -> np.ndarray:
+    """Rows of a layer matrix d applied along the node axis of coeffs (as in
+    `layer_derivative`): the values of d @ c, or c @ d.T for scalars.
+
+    An array with a leading time axis takes one GEMM per time plane rather
+    than one small product per lateral mode; the loop keeps the temporaries
+    to one plane, where a whole-field contraction would copy the field.
+    """
+    if coeffs.ndim < (4 if vector else 3):
+        return d @ coeffs if vector else coeffs @ d.T
+    if vector:
+        shape = coeffs.shape[1:-2] + (d.shape[0], coeffs.shape[-1])
+    else:
+        shape = coeffs.shape[1:-1] + (d.shape[0],)
+    out = np.empty((coeffs.shape[0],) + shape, dtype=np.result_type(d, coeffs))
+    for t, plane in enumerate(coeffs):
+        if vector:
+            out[t] = np.einsum("rj,...jc->...rc", d, plane, optimize=True)
+        else:
+            out[t] = (plane.reshape(-1, plane.shape[-1]) @ d.T).reshape(shape)
+    return out
 
 
 def dx3(field: SpectralField, order: int = 1) -> SpectralField:
@@ -375,12 +409,9 @@ def truncate_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return coeffs[_inner(grid, *coeffs.shape[:2])].copy()
 
 
-def _half_lattice(grid: TorusGrid, m_t: int, m_x: int) -> tuple[np.ndarray, ...]:
-    """Index of the grid's xi2 >= 0 modes inside an unshifted
-    (m_t, m_x, m_x//2 + 1) half lattice, as broadcasting index arrays."""
-    k = grid.k_int % m_t
-    xi = grid.xi_int % m_x
-    return k[:, None, None], xi[None, :, None], np.arange((grid.n_x + 1) // 2)
+def _retained_rows(grid: TorusGrid, m_t: int, m_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the grid's k and xi modes in an unshifted (m_t, m_x) lattice."""
+    return grid.k_int % m_t, grid.xi_int % m_x
 
 
 def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, factor: float = DEALIAS,
@@ -390,34 +421,41 @@ def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, factor: float = DEALIAS,
 
     real=True returns the real part of the synthesis through the real
     half-lattice path: the conjugate-symmetric part of the coefficients,
-    restricted to xi2 >= 0, fills an unshifted half lattice for `irfftn`.
-    The padded sizes are odd, so there is no Nyquist plane.
+    restricted to xi2 >= 0, is synthesized in the pass order of `irfftn`
+    (see the module docstring).  The padded sizes are odd, so there is no
+    Nyquist plane.
     """
     m_t, m_x = padded_sizes(grid, factor)
     if not real:
         return _to_samples(pad_coeffs(coeffs, grid, m_t, m_x))
     hx = (grid.n_x - 1) // 2
-    half = np.zeros((m_t, m_x, m_x // 2 + 1) + coeffs.shape[3:], dtype=complex)
-    half[_half_lattice(grid, m_t, m_x)] = 0.5 * (
-        coeffs[:, :, hx:] + np.conj(coeffs[::-1, ::-1, hx::-1]))
-    return np.fft.irfftn(half, s=(m_t, m_x, m_x), axes=_PERIODIC_AXES,
-                         norm="forward")
+    k, xi = _retained_rows(grid, m_t, m_x)
+    tail = coeffs.shape[3:]
+    half = np.zeros((m_t, grid.n_x, hx + 1) + tail, dtype=complex)
+    half[k] = 0.5 * (coeffs[:, :, hx:] + np.conj(coeffs[::-1, ::-1, hx::-1]))
+    wide = np.zeros((m_t, m_x, hx + 1) + tail, dtype=complex)
+    wide[:, xi] = np.fft.ifft(half, axis=0, norm="forward")
+    wide = np.fft.ifft(wide, axis=1, norm="forward")
+    return np.fft.irfft(wide, n=m_x, axis=2, norm="forward")
 
 
 def samples_to_truncated(samples: np.ndarray, grid: TorusGrid,
                          real: bool) -> np.ndarray:
     """Analyze padded-lattice samples and truncate to the grid lattice.
 
-    real=True analyzes the real part with `rfftn`, keeps the retained
-    xi2 >= 0 modes and rebuilds xi2 < 0 by conjugate reflection; the result
-    is exactly conjugate symmetric.
+    real=True analyzes the real part in the pass order of `rfftn` (see the
+    module docstring), keeps the retained xi2 >= 0 modes and rebuilds
+    xi2 < 0 by conjugate reflection; the result is exactly conjugate
+    symmetric.
     """
     if not real:
         return truncate_coeffs(_to_coeffs(samples), grid)
     m_t, m_x = samples.shape[:2]
-    spec = np.fft.rfftn(np.real(samples), axes=_PERIODIC_AXES, norm="forward")
-    half = spec[_half_lattice(grid, m_t, m_x)]
     hx = (grid.n_x - 1) // 2
+    k, xi = _retained_rows(grid, m_t, m_x)
+    spec = np.fft.rfft(np.real(samples), axis=2, norm="forward")[:, :, :hx + 1]
+    spec = np.fft.fft(spec, axis=1, norm="forward")[:, xi]
+    half = np.fft.fft(spec, axis=0, norm="forward")[k]
     full = np.concatenate([np.conj(half[::-1, ::-1, hx:0:-1]), half], axis=2)
     # the xi2 = 0 plane is symmetric only to round-off; make it exact
     return _symmetrize(full)

@@ -71,21 +71,31 @@ def cheb_values_to_coeffs(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.moveaxis(coeffs, -1, axis)
 
 
-def cheb_eval(coeffs: np.ndarray, x3: np.ndarray) -> np.ndarray:
+def cheb_eval(coeffs: np.ndarray, x3: np.ndarray, axis: int = -1) -> np.ndarray:
     """Evaluate a Chebyshev series (node convention above) at points x3.
 
-    Accepts coefficient arrays with the series along the last axis; x3 may be
-    any shape and may lie slightly outside [0, 1] (polynomial continuation).
+    The series runs along `axis` of coeffs (the last by default); the other
+    coefficient axes broadcast against x3, which may be any shape and may lie
+    slightly outside [0, 1] (polynomial continuation).  The recurrence reads
+    one coefficient slice per step, so a contiguous array with the series
+    axis first (axis=0) is the fastest layout.
     """
-    coeffs = np.asarray(coeffs)
+    c = np.moveaxis(np.asarray(coeffs), axis, 0)
     x = 1.0 - 2.0 * np.asarray(x3)
-    n = coeffs.shape[-1] - 1
-    # Clenshaw recurrence, vectorized over both coefficients and points
-    b1 = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], x.shape), dtype=coeffs.dtype)
-    b2 = np.zeros_like(b1)
-    for m in range(n, 0, -1):
-        b1, b2 = 2.0 * x * b1 - b2 + coeffs[..., m], b1
-    return x * b1 - b2 + coeffs[..., 0]
+    two_x = 2.0 * x
+    # Clenshaw recurrence b_m = 2x b_{m+1} - b_{m+2} + c_m in three
+    # rotating buffers, vectorized over both coefficients and points
+    b1, b2, tmp = (np.zeros(np.broadcast_shapes(c.shape[1:], x.shape),
+                            dtype=np.result_type(c, x)) for _ in range(3))
+    for m in range(c.shape[0] - 1, 0, -1):
+        np.multiply(two_x, b1, out=tmp)
+        tmp -= b2
+        tmp += c[m]
+        b1, b2, tmp = tmp, b1, b2
+    np.multiply(x, b1, out=tmp)
+    tmp -= b2
+    tmp += c[0]
+    return tmp
 
 
 def _validate_sizes(n_t: int, n_x: int, n_z: int) -> None:

@@ -37,6 +37,7 @@ from .fields import (
     OVERSAMPLE,
     PlateField,
     SpectralField,
+    _apply_layer_matrix,
     dt_plate,
     divergence,
     gradient,
@@ -157,11 +158,11 @@ class PlateTensor:
 class NonlinearTerms:
     """Right-hand-side corrections generated by one (u, p, eta) state.
 
-    rf_tilde feeds the momentum slot and already includes the convective
-    term; rf_deformation is the map-induced part alone, so it vanishes
-    identically for a flat plate.  rd_tilde = div rd_vector feeds the
-    divergence slot and is mean-free because rd_vector vanishes on both
-    faces wherever u does.  r_eta and s_eta act on the plate row.
+    rf_tilde feeds the momentum slot: the map-induced part, which vanishes
+    identically for a flat plate, plus the convective term.  rd_tilde =
+    div rd_vector feeds the divergence slot and is mean-free because
+    rd_vector vanishes on both faces wherever u does.  r_eta and s_eta act
+    on the plate row.
     """
 
     rf_tilde: SpectralField
@@ -169,7 +170,6 @@ class NonlinearTerms:
     rd_vector: SpectralField
     r_eta: PlateField
     s_eta: PlateTensor
-    rf_deformation: SpectralField
 
 
 def _node_blocks(grid: TorusGrid):
@@ -181,8 +181,59 @@ def _node_blocks(grid: TorusGrid):
 def _layer_rows(grid: TorusGrid, coeffs: np.ndarray, order: int, rows: slice,
                 vector: bool) -> np.ndarray:
     """The `rows` nodes of the order-th x3 derivative: rows of grid.dmat."""
-    d = grid.dmat(order)[rows]
-    return d @ coeffs if vector else coeffs @ d.T
+    return _apply_layer_matrix(grid.dmat(order)[rows], coeffs, vector)
+
+
+def _terms_geometry(u: SpectralField, p: SpectralField, eta) -> _Geometry:
+    """eta's geometry for the interaction terms of (u, p), after checking
+    that the three fields fit together."""
+    geo = _geometry_for(eta, u.real and p.real)
+    if p.grid != u.grid or geo.eta.grid != u.grid:
+        raise ValueError("fields live on different grids")
+    if u.components != 3 or p.components != 1:
+        raise ValueError("expected a 3-component velocity and a scalar pressure")
+    return geo
+
+
+def _block_momentum(u: SpectralField, p: SpectralField, geo: _Geometry,
+                    rows: slice, mu_f: float):
+    """Padded samples at one block of layer nodes: the velocity u_s, its layer
+    derivative du3, the third row (e31, e32, e33) of the gradient-correction
+    tensor and the map-induced momentum part rf_def."""
+    g = u.grid
+
+    def pad(c):
+        return pad_to_samples(c, g, real=geo.real)
+
+    # lateral multipliers commute with the layer derivative
+    u3 = _layer_rows(g, u.coeffs, 1, rows, True)
+    u_s, du3 = pad(u.coeffs[..., rows, :]), pad(u3)
+    d31 = pad(1j * g.xi_phys[:, None, None, None] * u3)
+    d32 = pad(1j * g.xi_phys[None, :, None, None] * u3)
+    d33 = pad(_layer_rows(g, u.coeffs, 2, rows, True))
+    dp3 = pad(_layer_rows(g, p.coeffs, 1, rows, False))
+
+    tau = geo.tau
+    grad_sq = geo.g1_s * geo.g1_s + geo.g2_s * geo.g2_s
+    rho = 1.0 - g.nodes[rows]
+    e31, e32, e33 = _e3_row(geo, rho)
+    # div of the tensor row plus its quadratic companion, expanded in eta
+    first_coef = (geo.lap_s * tau - 2.0 * grad_sq * tau * tau)[..., None] * rho
+    e3_norm_sq = e31 * e31 + e32 * e32 + e33 * e33
+    e3_dot_u = e31 * u_s[..., 0] + e32 * u_s[..., 1] + e33 * u_s[..., 2]
+    time_coef = (geo.det_s * tau)[..., None] * rho
+
+    rf_def = (
+        -du3 * time_coef[..., None]
+        + mu_f * (
+            2.0 * (d31 * e31[..., None] + d32 * e32[..., None] + d33 * e33[..., None])
+            + d33 * e3_norm_sq[..., None]
+            + du3 * first_coef[..., None]
+        )
+        - du3 * e3_dot_u[..., None]
+        - dp3[..., None] * np.stack([e31, e32, e33], axis=-1)
+    )
+    return u_s, du3, (e31, e32, e33), rf_def
 
 
 def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
@@ -198,53 +249,19 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     the plate-row terms come from the node-0 block.
     """
     g = u.grid
-    geo = _geometry_for(eta, u.real and p.real)
-    if p.grid != g or geo.eta.grid != g:
-        raise ValueError("fields live on different grids")
-    if u.components != 3 or p.components != 1:
-        raise ValueError("expected a 3-component velocity and a scalar pressure")
-
-    real_in = geo.real
-    eta_s, g1_s, g2_s, tau = geo.eta_s, geo.g1_s, geo.g2_s, geo.tau
-    grad_sq = g1_s * g1_s + g2_s * g2_s
-    # div of the tensor row plus its quadratic companion, expanded in eta
-    first_plate = geo.lap_s * tau - 2.0 * grad_sq * tau * tau
-    time_plate = geo.det_s * tau
+    geo = _terms_geometry(u, p, eta)
+    real_in, eta_s, g1_s, g2_s = geo.real, geo.eta_s, geo.g1_s, geo.g2_s
     i1 = 1j * g.xi_phys[:, None, None, None]
     i2 = 1j * g.xi_phys[None, :, None, None]
 
-    def pad(c):
-        return pad_to_samples(c, g, real=real_in)
-
-    rf_tilde, rf_deformation, rd_vector = (
-        np.empty_like(u.coeffs) for _ in range(3))
+    rf_tilde, rd_vector = np.empty_like(u.coeffs), np.empty_like(u.coeffs)
     for rows in _node_blocks(g):
+        u_s, du3, (e31, e32, e33), rf_def = _block_momentum(u, p, geo, rows, mu_f)
         ub = u.coeffs[..., rows, :]
-        # lateral multipliers commute with the layer derivative
-        u3 = _layer_rows(g, u.coeffs, 1, rows, True)
-        u_s, du1, du2 = pad(ub), pad(i1 * ub), pad(i2 * ub)
-        du3, d31, d32 = pad(u3), pad(i1 * u3), pad(i2 * u3)
-        d33 = pad(_layer_rows(g, u.coeffs, 2, rows, True))
-        dp3 = pad(_layer_rows(g, p.coeffs, 1, rows, False))
-
-        rho = 1.0 - g.nodes[rows]
-        e31, e32, e33 = _e3_row(geo, rho)
-        first_coef = first_plate[..., None] * rho
-        e3_norm_sq = e31 * e31 + e32 * e32 + e33 * e33
-        e3_dot_u = e31 * u_s[..., 0] + e32 * u_s[..., 1] + e33 * u_s[..., 2]
-        time_coef = time_plate[..., None] * rho
-
-        rf_def = (
-            -du3 * time_coef[..., None]
-            + mu_f * (
-                2.0 * (d31 * e31[..., None] + d32 * e32[..., None] + d33 * e33[..., None])
-                + d33 * e3_norm_sq[..., None]
-                + du3 * first_coef[..., None]
-            )
-            - du3 * e3_dot_u[..., None]
-            - dp3[..., None] * np.stack([e31, e32, e33], axis=-1)
-        )
+        du1 = pad_to_samples(i1 * ub, g, real=real_in)
+        du2 = pad_to_samples(i2 * ub, g, real=real_in)
         convective = (u_s[..., 0:1] * du1 + u_s[..., 1:2] * du2 + u_s[..., 2:3] * du3)
+        rho = 1.0 - g.nodes[rows]
         rd = np.stack(
             [
                 -eta_s[..., None] * u_s[..., 0],
@@ -254,7 +271,6 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
             axis=-1,
         )
         rf_tilde[..., rows, :] = samples_to_truncated(rf_def - convective, g, real_in)
-        rf_deformation[..., rows, :] = samples_to_truncated(rf_def, g, real_in)
         rd_vector[..., rows, :] = samples_to_truncated(rd, g, real_in)
 
         if rows.start == 0:
@@ -275,8 +291,22 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     r_eta = PlateField(g, samples_to_truncated(r_eta_s, g, real_in), real_in)
     s_eta = PlateTensor(g, samples_to_truncated(s_eta_s, g, real_in), real_in)
     return NonlinearTerms(SpectralField(g, rf_tilde, 3, real_in),
-                          divergence(rd_vector), rd_vector, r_eta, s_eta,
-                          SpectralField(g, rf_deformation, 3, real_in))
+                          divergence(rd_vector), rd_vector, r_eta, s_eta)
+
+
+def _deformation_momentum(u: SpectralField, p: SpectralField, eta: PlateField,
+                          mu_f: float = 1.0) -> np.ndarray:
+    """Coefficients of the map-induced part of rf_tilde alone (rf_tilde less
+    the convective term), which vanishes identically for a flat plate.
+
+    The solver never needs it apart; the flat-plate checks read it.
+    """
+    geo = _terms_geometry(u, p, eta)
+    out = np.empty_like(u.coeffs)
+    for rows in _node_blocks(u.grid):
+        rf_def = _block_momentum(u, p, geo, rows, mu_f)[-1]
+        out[..., rows, :] = samples_to_truncated(rf_def, u.grid, geo.real)
+    return out
 
 
 # ---- smallness gate ------------------------------------------------------------
@@ -380,15 +410,16 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
         return f.copy()
 
     real_in, eta_s = geo.real, geo.eta_s
-    # (component, node, t, x', series): the padded lattice is the innermost
-    # run of the Clenshaw sum, and each column's series broadcasts over that
-    # column's displaced nodes
-    series = np.moveaxis(pad_to_samples(
-        cheb_values_to_coeffs(f.coeffs, axis=3), g, real=real_in), -1, 0)[:, None]
+    # (series, component, node, t, x'), contiguous: each Clenshaw step reads
+    # one contiguous slice, the padded lattice is its innermost run, and each
+    # column's series broadcasts over that column's displaced nodes
+    series = np.ascontiguousarray(np.moveaxis(pad_to_samples(
+        cheb_values_to_coeffs(f.coeffs, axis=3), g, real=real_in),
+        (3, 4), (0, 1)))[:, :, None]
     out = np.empty_like(f.coeffs)
     for rows in _node_blocks(g):
         displaced = g.nodes[rows, None, None, None] * (1.0 + eta_s) - eta_s
-        composed = np.moveaxis(cheb_eval(series, displaced), (0, 1), (-1, -2))
+        composed = np.moveaxis(cheb_eval(series, displaced, axis=0), (0, 1), (-1, -2))
         out[..., rows, :] = samples_to_truncated(composed, g, real_in)
     return SpectralField(g, out, 3, real_in)
 

@@ -38,6 +38,7 @@ from plateflow.modes import (
 )
 from plateflow.nonlinear import (
     PicardConfig,
+    _deformation_momentum,
     compute_nonlinear_terms,
     e_matrix,
     nonlinear_bound_ratios,
@@ -365,7 +366,7 @@ def test_criterion_10_interaction_term_bounds():
         float(np.max(np.abs(terms.rd_tilde.coeffs))),
         float(np.max(np.abs(terms.s_eta.coeffs))),
         float(np.max(np.abs(terms.r_eta.coeffs))),
-        float(np.max(np.abs(terms.rf_deformation.coeffs))),
+        float(np.max(np.abs(_deformation_momentum(u, p, flat)))),
     )
 
     ok = (worst < RATIO_BOUND and worst_ref < REFINE_BAND

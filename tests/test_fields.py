@@ -1,5 +1,7 @@
 """Spectral field containers, transforms, and exact derivative operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from plateflow.fields import (
     zeros_like_field,
 )
 from plateflow.fields import _symmetrize, _to_coeffs
+from plateflow.nonlinear import _layer_rows
 from plateflow.grid import TorusGrid
 
 from conftest import poly_field, poly_plate
@@ -238,7 +241,7 @@ def test_padded_real_part():
 
 HALF_LATTICE_CASES = [
     (grid, factor, tail)
-    for grid in (TorusGrid(3, 3, 4), GRID, TorusGrid(7, 5, 6))
+    for grid in (TorusGrid(3, 3, 4), GRID, TorusGrid(7, 5, 6), TorusGrid(3, 7, 4))
     for factor in (DEALIAS, OVERSAMPLE)
     for tail in ((), (grid.n_z + 1,), (grid.n_z + 1, 3))
 ]
@@ -265,6 +268,86 @@ def test_half_lattice_analysis_matches_the_complex_path(grid, factor, tail):
     assert coeffs.shape == (grid.n_t, grid.n_x, grid.n_x) + tail
     assert np.max(np.abs(coeffs - want)) <= 1e-15 * np.max(np.abs(want))
     assert np.array_equal(coeffs, np.conj(coeffs[::-1, ::-1, ::-1]))
+
+
+def _half_lattice_index(grid, m_t, m_x):
+    hx = (grid.n_x - 1) // 2
+    return ((grid.k_int % m_t)[:, None, None], (grid.xi_int % m_x)[None, :, None],
+            np.arange(hx + 1))
+
+
+def _irfftn_synthesis(coeffs, grid, factor):
+    """The real half-lattice synthesis as one irfftn of the filled half lattice."""
+    m_t, m_x = padded_sizes(grid, factor)
+    hx = (grid.n_x - 1) // 2
+    half = np.zeros((m_t, m_x, m_x // 2 + 1) + coeffs.shape[3:], complex)
+    half[_half_lattice_index(grid, m_t, m_x)] = 0.5 * (
+        coeffs[:, :, hx:] + np.conj(coeffs[::-1, ::-1, hx::-1]))
+    return np.fft.irfftn(half, s=(m_t, m_x, m_x), axes=(0, 1, 2), norm="forward")
+
+
+def _rfftn_analysis(samples, grid):
+    """The real half-lattice analysis as one rfftn, gathered and reflected."""
+    m_t, m_x = samples.shape[:2]
+    hx = (grid.n_x - 1) // 2
+    spec = np.fft.rfftn(samples, axes=(0, 1, 2), norm="forward")
+    half = spec[_half_lattice_index(grid, m_t, m_x)]
+    return _symmetrize(np.concatenate([np.conj(half[::-1, ::-1, hx:0:-1]), half], axis=2))
+
+
+@pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
+def test_pruned_half_lattice_passes_equal_irfftn_and_rfftn(grid, factor, tail):
+    # the pruned passes run in irfftn's / rfftn's order, so every bit agrees
+    rng = np.random.default_rng(7 + len(tail))
+    shape = (grid.n_t, grid.n_x, grid.n_x) + tail
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(pad_to_samples(coeffs, grid, factor, real=True),
+                          _irfftn_synthesis(coeffs, grid, factor))
+    m_t, m_x = padded_sizes(grid, factor)
+    samples = rng.standard_normal((m_t, m_x, m_x) + tail)
+    assert np.array_equal(samples_to_truncated(samples, grid, True),
+                          _rfftn_analysis(samples, grid))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_layer_derivative_equals_the_per_mode_products(order):
+    grid = TorusGrid(7, 5, 12)
+    rng = np.random.default_rng(order)
+    d = grid.dmat(order)
+
+    def field(*tail):
+        shape = (grid.n_t, grid.n_x, grid.n_x, grid.n_z + 1) + tail
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    vec, scal = field(3), field()
+    assert np.array_equal(layer_derivative(grid, vec, order, vector=True), d @ vec)
+    assert np.array_equal(layer_derivative(grid, scal, order), scal @ d.T)
+    # a strided component, one lateral plane and a batch of profiles
+    assert np.array_equal(layer_derivative(grid, vec[..., 2], order), vec[..., 2] @ d.T)
+    assert np.array_equal(layer_derivative(grid, vec[0], order, vector=True), d @ vec[0])
+    assert np.array_equal(layer_derivative(grid, scal[0, 0], order), scal[0, 0] @ d.T)
+    # the Picard blocks take rows of the same matrix through the same kernel
+    rows = slice(5, 10)
+    assert np.array_equal(_layer_rows(grid, vec, order, rows, True), d[rows] @ vec)
+    assert np.array_equal(_layer_rows(grid, scal, order, rows, False), scal @ d[rows].T)
+
+
+def test_layer_derivative_holds_one_time_plane_of_temporaries():
+    grid = TorusGrid(17, 17, 32)
+    shape = (17, 17, 17, 33, 3)
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    layer_derivative(grid, coeffs, 2, vector=True)  # builds and caches dmat(2)
+    tracemalloc.start()
+    try:
+        out = layer_derivative(grid, coeffs, 2, vector=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one plane's transposed operand and its product, plus under 64 KiB for
+    # the complex cast of the (33, 33) matrix and einsum's bookkeeping (20 KB
+    # measured); a whole-field contraction would add a field (17 planes)
+    assert peak <= out.nbytes + 2 * coeffs[0].nbytes + (64 << 10)
 
 
 def test_zeros_like_shapes():

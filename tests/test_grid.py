@@ -73,6 +73,31 @@ def test_cheb_eval_matches_polynomial_off_nodes():
     assert np.max(np.abs(cheb_eval(series, probe) - want)) < TOL_EXACT
 
 
+def _clenshaw(coeffs, x3):
+    """The recurrence in two lines, series along the last axis."""
+    x = 1.0 - 2.0 * np.asarray(x3)
+    b1 = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], x.shape), dtype=coeffs.dtype)
+    b2 = np.zeros_like(b1)
+    for m in range(coeffs.shape[-1] - 1, 0, -1):
+        b1, b2 = 2.0 * x * b1 - b2 + coeffs[..., m], b1
+    return x * b1 - b2 + coeffs[..., 0]
+
+
+def test_cheb_eval_equals_the_two_line_recurrence():
+    rng = np.random.default_rng(11)
+    probe = rng.uniform(-0.05, 1.05, (5, 1))
+    real = rng.standard_normal((3, 7))
+    cases = [real, real + 1j * rng.standard_normal((3, 7)),
+             rng.integers(-5, 6, (3, 7)), real[:1, :1]]
+    for coeffs in cases:
+        want = _clenshaw(coeffs, probe)
+        got = cheb_eval(coeffs, probe)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # series axis first, as the forcing pullback lays it out
+        series_first = np.ascontiguousarray(np.moveaxis(coeffs, -1, 0))
+        assert np.array_equal(cheb_eval(series_first, probe, axis=0), want)
+
+
 def test_cheb_values_to_coeffs_axis_argument():
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((4, 9))

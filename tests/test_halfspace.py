@@ -245,6 +245,26 @@ def test_resonance_csv_layout():
     assert len(ring) == 1 and ring[0].endswith(",inf,resonant")
 
 
+def _csv_one_value_at_a_time(rows):
+    """The exchange layout formatted row by row, one f-string field per value."""
+    lines = ["k,xi1,xi2,re_m,im_m,abs_weighted,abs_undamped,class"]
+    for r in rows:
+        und = "inf" if r.m_undamped is None else f"{abs(r.m_undamped):.16e}"
+        lines.append(
+            f"{r.k},{r.xi[0]},{r.xi[1]},{r.m_damped.real:.16e},"
+            f"{r.m_damped.imag:.16e},{abs(r.weighted):.16e},{und},{r.label}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_resonance_csv_bytes_match_the_row_formatter():
+    # 16,992 rows span several formatting chunks; this window holds ring points
+    rows = resonance_report(59, 8, t_period=1.0, l_period=math.sqrt(2.0 * math.pi))
+    assert sum(r.label == "resonant" for r in rows) > 0
+    for part in (rows, rows[:1], []):
+        assert resonance_rows_to_csv(part) == _csv_one_value_at_a_time(part)
+
+
 def _reference_rows(k_max, xi_max, t_period, l_period, mu_s=1.0, near_factor=10.0):
     """The resonance table row by row in scalar arithmetic, each symbol assembled here."""
     two_pi = 2.0 * math.pi

@@ -54,7 +54,7 @@ def test_flat_plate_annihilates_every_correction():
     flat = zeros_like_field(GRID, plate=True)
     assert np.max(np.abs(e_matrix(flat))) == 0.0
     terms = compute_nonlinear_terms(u, p, flat)
-    assert np.max(np.abs(terms.rf_deformation.coeffs)) == 0.0
+    assert np.max(np.abs(nonlinear._deformation_momentum(u, p, flat))) == 0.0
     assert np.max(np.abs(terms.rd_vector.coeffs)) == 0.0
     assert np.max(np.abs(terms.rd_tilde.coeffs)) == 0.0
     assert np.max(np.abs(terms.s_eta.coeffs)) == 0.0
@@ -135,10 +135,12 @@ def test_node_blocks_join_without_seams(monkeypatch, n_z, block):
     # every blocked output against one block holding all the nodes
     f = poly_field(grid, 44, components=3)
     blocked = compose_forcing(f, eta)
+    blocked_def = nonlinear._deformation_momentum(u, p, eta)
     monkeypatch.setattr(nonlinear, "NODE_BLOCK", grid.n_z + 1)
     whole = compute_nonlinear_terms(u, p, eta)
     pairs = [(getattr(terms, name).coeffs, getattr(whole, name).coeffs)
-             for name in ("rf_tilde", "rf_deformation", "rd_tilde")]
+             for name in ("rf_tilde", "rd_tilde")]
+    pairs.append((blocked_def, nonlinear._deformation_momentum(u, p, eta)))
     pairs.append((blocked.coeffs, compose_forcing(f, eta).coeffs))
     for a, b in pairs:
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
