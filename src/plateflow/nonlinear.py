@@ -410,16 +410,19 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
         return f.copy()
 
     real_in, eta_s = geo.real, geo.eta_s
-    # (series, component, node, t, x'), contiguous: each Clenshaw step reads
-    # one contiguous slice, the padded lattice is its innermost run, and each
-    # column's series broadcasts over that column's displaced nodes
+    # (series, component, t, x'), contiguous: each Clenshaw step reads one
+    # contiguous slice, and each column's series broadcasts over that
+    # column's displaced point
     series = np.ascontiguousarray(np.moveaxis(pad_to_samples(
-        cheb_values_to_coeffs(f.coeffs, axis=3), g, real=real_in),
-        (3, 4), (0, 1)))[:, :, None]
+        cheb_values_to_coeffs(f.coeffs, axis=3), g, real=real_in), (3, 4), (0, 1)))
     out = np.empty_like(f.coeffs)
     for rows in _node_blocks(g):
-        displaced = g.nodes[rows, None, None, None] * (1.0 + eta_s) - eta_s
-        composed = np.moveaxis(cheb_eval(series, displaced, axis=0), (0, 1), (-1, -2))
+        composed = np.empty(eta_s.shape + (rows.stop - rows.start, 3),
+                            np.result_type(series, eta_s))
+        # one displaced node at a time: the recurrence's buffers stay in cache
+        for j, node in enumerate(g.nodes[rows]):
+            displaced = node * (1.0 + eta_s) - eta_s
+            composed[..., j, :] = np.moveaxis(cheb_eval(series, displaced, axis=0), 0, -1)
         out[..., rows, :] = samples_to_truncated(composed, g, real_in)
     return SpectralField(g, out, 3, real_in)
 
