@@ -398,7 +398,8 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
     Chebyshev interpolant (polynomial continuation covers the small
     overhang where the displaced coordinate leaves [0, 1]).  The layer
     series is taken on the grid lattice, where it commutes with the periodic
-    synthesis, and summed one block of displaced nodes at a time.
+    synthesis, summed one displaced node at a time and analyzed one block of
+    nodes at a time.
     """
     geo = _geometry_for(eta, f.real)
     g = geo.eta.grid
