@@ -13,17 +13,12 @@ from .fields import (
     SpectralField,
     divergence,
     dt,
-    dt_plate,
     dx,
     dx3,
     forward_transform,
-    forward_transform_plate,
     gradient,
     inverse_transform,
-    inverse_transform_plate,
     laplacian,
-    lateral_gradient_plate,
-    lateral_laplacian_plate,
     physical_samples,
     project_oscillatory,
     project_steady,
@@ -54,8 +49,7 @@ from .modes import (
     mode_system_matrix,
     plate_symbol_damped,
     solve_linear_full,
-    solve_oscillatory_mode,
-    solve_steady_mode,
+    solve_mode,
 )
 from .halfspace import (
     ResonanceRow,

@@ -11,8 +11,7 @@ timings) into the output directory next to CSV and ``.plf`` field
 containers.  Manifests are bit-identical across reruns, ``--threads``
 values and ``OPENBLAS_NUM_THREADS`` settings, except for the
 ``execution`` block (thread counts, timestamp, timings).  The solve is
-serial: the thread count (``--threads``, else ``PLATEFLOW_THREADS``, else
-the ``threads`` key) is validated, and the resolved count is recorded in
+serial: ``--threads`` (default 1) is validated as >= 1 and recorded in
 ``execution`` only.  The subcommand runs with the OpenBLAS numpy loaded
 set to one thread (the caller's count is restored afterwards), recorded as
 ``execution.blas_threads``; when no such OpenBLAS is found it is null and
@@ -48,8 +47,6 @@ number must be finite.  Keys (defaults in parentheses):
                     exceeds WINDOW_BUDGET_BYTES (1 GiB) is refused
     near_factor     near-resonance classification factor, > 0 (10.0)
     seed            base seed for the validation suite (0)
-    threads         thread count, >= 1, recorded only; --threads and
-                    PLATEFLOW_THREADS override (1)
     out             output directory ("out"); --out overrides
 
 Forcing expressions use the variables t, x1, x2 (and x3 in the slab), the
@@ -58,7 +55,10 @@ Arguments of sin and cos must be affine with integer harmonics of 2*pi/T
 and 2*pi/L in the periodic variables, so every expression is exactly
 representable on the lattice; exp accepts x3 only.  t, x1, x2 may appear
 only inside sin/cos, divisors must be constant, and exponents must be
-nonnegative integer constants.
+nonnegative integer constants.  An expression that cannot be evaluated (a
+zero divisor, an overflowing power) and forcing data that are not finite
+once scaled by eps exit with code 1; a ``file:`` container holding a
+non-finite coefficient exits with code 2.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ import ctypes
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -80,8 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import PlateField, SpectralField, forward_transform, \
-    forward_transform_plate, physical_samples
+from .fields import PlateField, SpectralField, forward_transform, physical_samples
 from .grid import TorusGrid
 from .halfspace import (
     boundedness_scan,
@@ -347,7 +345,6 @@ def _parse_expression(text: str, grid: TorusGrid, plate: bool):
         raise CliError(EXIT_CONFIG, "config",
                        f"forcing expression error (column {exc.offset}): "
                        f"{exc.msg}") from None
-    _ExprChecker(grid, variables).check(tree)
     if plate:
         shape = (grid.n_t, grid.n_x, grid.n_x)
         env = {
@@ -363,7 +360,11 @@ def _parse_expression(text: str, grid: TorusGrid, plate: bool):
             "x2": grid.x_samples[None, None, :, None],
             "x3": grid.nodes[None, None, None, :],
         }
-    values = _ExprEvaluator(env).visit(tree)
+    try:
+        _ExprChecker(grid, variables).check(tree)
+        values = _ExprEvaluator(env).visit(tree)
+    except (ArithmeticError, ValueError) as exc:  # zero divisor, overflow, nan
+        raise _expr_error(f"cannot be evaluated: {exc.args[-1]}") from None
     return np.broadcast_to(np.asarray(values, float), shape).copy()
 
 
@@ -401,10 +402,8 @@ def parse_forcing(spec: str, grid: TorusGrid, kind: str,
                            f"{path} has {field.components}")
         return field
 
-    if kind == "h":
-        return forward_transform_plate(grid, _parse_expression(spec, grid, True))
-    if kind == "g":
-        return forward_transform(grid, _parse_expression(spec, grid, False))
+    if kind in ("g", "h"):
+        return forward_transform(grid, _parse_expression(spec, grid, kind == "h"))
     exprs = [part.strip() for part in spec.split(";")]
     if len(exprs) == 1:
         exprs = ["0", "0", exprs[0]]
@@ -418,7 +417,7 @@ def parse_forcing(spec: str, grid: TorusGrid, kind: str,
 
 # ---- configuration -----------------------------------------------------------------
 
-_INT_KEYS = {"n_t", "n_x", "n_z", "max_iter", "k_max", "xi_max", "seed", "threads"}
+_INT_KEYS = {"n_t", "n_x", "n_z", "max_iter", "k_max", "xi_max", "seed"}
 _FLOAT_KEYS = {"T", "L", "mu_f", "mu_s", "eps", "eps0", "q", "tol_eq", "tol_bc",
                "compat_tol", "picard_tol", "tol_nl", "near_factor"}
 _STR_KEYS = {"forcing_f", "forcing_g", "forcing_h", "out", "route"}
@@ -452,7 +451,6 @@ class ScenarioConfig:
     xi_max: int = 0
     near_factor: float = 10.0
     seed: int = 0
-    threads: int = 1
     out: str = "out"
 
     def solver_params(self) -> SolverParams:
@@ -543,8 +541,6 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
         raise _config_error("max_iter must be at least 1")
     if cfg.k_max < 0 or cfg.xi_max < 0:
         raise _config_error("scan ranges must be nonnegative")
-    if cfg.threads < 1:
-        raise _config_error("threads must be at least 1")
     if command in _WINDOWS:
         k_max, xi_max = _window(cfg, command)
         need = _WINDOWS[command][1](k_max, xi_max)
@@ -615,12 +611,23 @@ def _plate_samples_csv(path: Path, eta: PlateField):
 # ---- subcommand runners --------------------------------------------------------------
 
 
+def _scaled_forcing(cfg: ScenarioConfig, grid: TorusGrid, kind: str,
+                    base_dir: Path):
+    """eps times the config's forcing of `kind` (see parse_forcing); data
+    that are not finite, from an overflowing expression or eps, exit 1."""
+    with np.errstate(all="ignore"):  # what overflows is refused below
+        field = cfg.eps * parse_forcing(getattr(cfg, f"forcing_{kind}"), grid,
+                                        kind, base_dir)
+    if not np.isfinite(field.coeffs).all():
+        raise _config_error(f"forcing_{kind} is not finite once scaled by "
+                            f"eps = {cfg.eps:g}")
+    return field
+
+
 def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
                       base_dir: Path) -> dict:
     grid = cfg.grid()
-    f = cfg.eps * parse_forcing(cfg.forcing_f, grid, "f", base_dir)
-    g = cfg.eps * parse_forcing(cfg.forcing_g, grid, "g", base_dir)
-    h = cfg.eps * parse_forcing(cfg.forcing_h, grid, "h", base_dir)
+    f, g, h = (_scaled_forcing(cfg, grid, kind, base_dir) for kind in "fgh")
     g_arg = g if g.coeffs.any() else None
     params = cfg.solver_params()
     sol = solve_linear_full(f, g_arg, h, grid=grid, params=params,
@@ -645,8 +652,7 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
 def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
                          base_dir: Path) -> dict:
     grid = cfg.grid()
-    f = cfg.eps * parse_forcing(cfg.forcing_f, grid, "f", base_dir)
-    h = cfg.eps * parse_forcing(cfg.forcing_h, grid, "h", base_dir)
+    f, h = (_scaled_forcing(cfg, grid, kind, base_dir) for kind in "fh")
     pc = PicardConfig(eps=cfg.eps, max_iter=cfg.max_iter,
                       picard_tol=cfg.picard_tol, eps0=cfg.eps0, q=cfg.q,
                       params=cfg.solver_params())
@@ -732,7 +738,7 @@ def _run_resonance_report(cfg: ScenarioConfig, out_dir: Path, seed: int,
 def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, seed: int,
                   base_dir: Path) -> dict:
     grid = cfg.grid()
-    g = cfg.eps * parse_forcing(cfg.forcing_g, grid, "g", base_dir)
+    g = _scaled_forcing(cfg, grid, "g", base_dir)
     result = lift_divergence(g, tol_compat=cfg.compat_tol)
     write_field(out_dir / "w.plf", result.w)
     estimates = lift_estimate_check(g, result, cfg.q)
@@ -740,10 +746,10 @@ def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, seed: int,
         "residuals": {"divergence": result.residual_div,
                       "faces": result.residual_bc},
         "norms": {
-            "g_w1q": sobolev_norm(g, NormSpec(0, 1, cfg.q, "slab")),
+            "g_w1q": sobolev_norm(g, NormSpec(0, 1, cfg.q)),
             "g_dual": negative_norm(g, q=cfg.q),
-            "w_l_q": sobolev_norm(result.w, NormSpec(0, 0, cfg.q, "slab")),
-            "w_w2q": sobolev_norm(result.w, NormSpec(0, 2, cfg.q, "slab")),
+            "w_l_q": sobolev_norm(result.w, NormSpec(0, 0, cfg.q)),
+            "w_w2q": sobolev_norm(result.w, NormSpec(0, 2, cfg.q)),
         },
         "empirical_constants": estimates,
         "outputs": ["w.plf"],
@@ -852,22 +858,6 @@ _RUNNERS = {
 # ---- entry point ---------------------------------------------------------------------
 
 
-def _resolve_threads(arg_threads, cfg: ScenarioConfig) -> int:
-    if arg_threads is not None:
-        return arg_threads
-    env = os.environ.get("PLATEFLOW_THREADS")
-    if env is not None:
-        try:
-            val = int(env)
-        except ValueError:
-            raise _config_error(
-                f"PLATEFLOW_THREADS must be an integer, got {env!r}") from None
-        if val < 1:
-            raise _config_error("PLATEFLOW_THREADS must be at least 1")
-        return val
-    return cfg.threads
-
-
 # (set, get) thread-count entry points of the OpenBLAS builds numpy ships
 # with or links against, in the order they are tried
 _OPENBLAS_THREAD_CALLS = (
@@ -943,7 +933,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
@@ -955,8 +945,7 @@ def main(argv=None) -> int:
                 "mu_s = 0 is reserved for multiplier-variant studies "
                 "(multiplier-scan, resonance-report); the solver needs "
                 "positive plate damping")
-        threads = _resolve_threads(args.threads, cfg)
-        if threads < 1:
+        if args.threads < 1:
             raise _config_error("threads must be at least 1")
         seed = args.seed if args.seed is not None else cfg.seed
         out_dir = Path(args.out if args.out is not None else cfg.out)
@@ -970,7 +959,7 @@ def main(argv=None) -> int:
         t2 = time.perf_counter()
         # the one run-dependent block; everything else is bit-reproducible
         doc["execution"] = {
-            "threads": threads,
+            "threads": args.threads,
             "blas_threads": blas_threads,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "seconds": {"setup": t1 - t0, "run": t2 - t1},

@@ -1,4 +1,9 @@
-"""Coefficient containers and transforms for slab and plate fields.
+"""Coefficient containers, transforms and derivatives for slab and plate fields.
+
+The plate T x T0^2 is the slab's face x3 = 0 on the same Fourier lattice, so
+one operator serves both: the transforms, dt, dx and the lateral part of the
+Laplacian act on the leading (k, xi1, xi2) axes whatever follows them, and
+the layer axis, present only on a SpectralField, adds its own terms.
 
 Coefficients are stored in increasing signed frequency order along the time
 and lateral axes (axis 0: k, axes 1-2: xi1, xi2), the Chebyshev node axis
@@ -155,27 +160,32 @@ def zeros_like_field(grid: TorusGrid, components: int = 1, real: bool = True,
 
 
 def forward_transform(grid: TorusGrid, samples: np.ndarray,
-                      components: int | None = None) -> SpectralField:
+                      components: int | None = None):
     """Average-normalized analysis of nodal samples.
 
-    samples shape: (N_t, N_x, N_x, N_z + 1[, components]) indexed by the
+    samples shape: (N_t, N_x, N_x) on the plate, which gives a PlateField,
+    or (N_t, N_x, N_x, N_z + 1[, components]) on the slab, indexed by the
     uniform time/lateral lattice and the Chebyshev nodes.
     """
     samples = np.asarray(samples)
     if components is None:
         components = samples.shape[4] if samples.ndim == 5 else 1
-    want_ndim = 5 if components > 1 else 4
-    if samples.ndim != want_ndim:
-        raise ValueError(f"expected {want_ndim}-d samples, got shape {samples.shape}")
+    want_ndim = (5,) if components > 1 else (3, 4)
+    if samples.ndim not in want_ndim:
+        raise ValueError(f"expected {' or '.join(map(str, want_ndim))}-d samples, "
+                         f"got shape {samples.shape}")
     real = np.isrealobj(samples)
     coeffs = _to_coeffs(samples.astype(complex))
     if real:
         coeffs = _symmetrize(coeffs)  # keep the symmetry exact, not just close
+    if samples.ndim == 3:
+        return PlateField(grid, coeffs, real)
     return SpectralField(grid, coeffs, components, real)
 
 
-def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Synthesis back to nodal samples (complex; tiny imaginary part if real)."""
+def inverse_transform(field) -> np.ndarray:
+    """Synthesis of a plate or slab field back to samples (complex; tiny
+    imaginary part if real)."""
     return _to_samples(field.coeffs)
 
 
@@ -183,21 +193,6 @@ def physical_samples(field) -> np.ndarray:
     """Real-part synthesis for real-flagged fields, complex otherwise."""
     samples = _to_samples(field.coeffs)
     return samples.real if field.real else samples
-
-
-def forward_transform_plate(grid: TorusGrid, samples: np.ndarray) -> PlateField:
-    samples = np.asarray(samples)
-    if samples.ndim != 3:
-        raise ValueError(f"expected 3-d plate samples, got shape {samples.shape}")
-    real = np.isrealobj(samples)
-    coeffs = _to_coeffs(samples.astype(complex))
-    if real:
-        coeffs = _symmetrize(coeffs)
-    return PlateField(grid, coeffs, real)
-
-
-def inverse_transform_plate(field: PlateField) -> np.ndarray:
-    return _to_samples(field.coeffs)
 
 
 def is_conjugate_symmetric(coeffs: np.ndarray, tol: float = 1e-12) -> bool:
@@ -265,19 +260,16 @@ def _xi_axis(field, which: int):
 
 
 def dt(field):
-    """Time derivative (multiplication by i k)."""
-    out = field.copy()
-    out.coeffs = out.coeffs * (1j * _k_axis(field))
-    return out
+    """Time derivative (multiplication by i k) of a plate or slab field."""
+    return replace(field, coeffs=field.coeffs * (1j * _k_axis(field)))
 
 
 def dx(field, direction: int):
-    """Lateral derivative along x1 (direction 1) or x2 (direction 2)."""
+    """Lateral derivative of a plate or slab field along x1 (direction 1) or
+    x2 (direction 2)."""
     if direction not in (1, 2):
         raise ValueError("lateral direction must be 1 or 2")
-    out = field.copy()
-    out.coeffs = out.coeffs * (1j * _xi_axis(field, direction))
-    return out
+    return replace(field, coeffs=field.coeffs * (1j * _xi_axis(field, direction)))
 
 
 def layer_derivative(grid: TorusGrid, coeffs: np.ndarray, order: int = 1,
@@ -339,39 +331,16 @@ def divergence(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, out, 1, field.real)
 
 
-def laplacian(field: SpectralField) -> SpectralField:
-    """Full spatial Laplacian (lateral symbol plus layer collocation)."""
+def laplacian(field):
+    """Spatial Laplacian: the lateral symbol, plus the layer collocation on
+    a slab field (a plate field has no layer direction)."""
     g = field.grid
-    xi_sq = g.xi_norm_sq()
     shape = [1] * field.coeffs.ndim
     shape[1] = shape[2] = g.n_x
-    xi_sq = xi_sq.reshape(shape)
-    lap = -xi_sq * field.coeffs + layer_derivative(
-        g, field.coeffs, 2, field.components > 1)
-    return SpectralField(g, lap, field.components, field.real)
-
-
-def lateral_gradient_plate(field: PlateField):
-    """(d/dx1, d/dx2) of a plate field as two plate fields."""
-    g = field.grid
-    xi = g.xi_phys
-    g1 = field.coeffs * (1j * xi[None, :, None])
-    g2 = field.coeffs * (1j * xi[None, None, :])
-    return (PlateField(g, g1, False), PlateField(g, g2, False))
-
-
-def lateral_laplacian_plate(field: PlateField) -> PlateField:
-    g = field.grid
-    out = field.copy()
-    out.coeffs = out.coeffs * (-g.xi_norm_sq()[None, :, :])
-    return out
-
-
-def dt_plate(field: PlateField) -> PlateField:
-    g = field.grid
-    out = field.copy()
-    out.coeffs = out.coeffs * (1j * g.k_phys[:, None, None])
-    return out
+    lap = -g.xi_norm_sq().reshape(shape) * field.coeffs
+    if isinstance(field, SpectralField):
+        lap = lap + layer_derivative(g, field.coeffs, 2, field.components > 1)
+    return replace(field, coeffs=lap)
 
 
 # ---- padded lattices ------------------------------------------------------------

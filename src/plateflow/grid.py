@@ -98,6 +98,15 @@ def cheb_eval(coeffs: np.ndarray, x3: np.ndarray, axis: int = -1) -> np.ndarray:
     return tmp
 
 
+def _phys(k, xi, t_period, l_period):
+    """Physical (k, xi1, xi2) of integer lattice frequencies: the one scalar
+    2*pi/period scaling; arguments broadcast."""
+    kp = 2.0 * np.pi / t_period * k
+    x1 = 2.0 * np.pi / l_period * xi[0]
+    x2 = 2.0 * np.pi / l_period * xi[1]
+    return kp, x1, x2
+
+
 def _validate_sizes(n_t: int, n_x: int, n_z: int) -> None:
     if n_t < 3 or n_t % 2 == 0:
         raise ValueError(f"N_t must be odd and >= 3, got {n_t}")

@@ -12,8 +12,8 @@ One broadcasting symbol kernel serves every caller: _fluid_load is the
 half-space load and _coupled_symbol adds it to modes._damped_symbol.  One
 ring rule, _undamped_gap, decides membership of the resonance ring.
 
-All frequency arguments are integers on the lattice; the 2*pi/period
-scaling to physical wave numbers happens internally.  Viscosity is
+All frequency arguments are integers on the lattice; grid._phys applies
+the 2*pi/period scaling to physical wave numbers.  Viscosity is
 normalized to one in this module, matching the closed-form profiles.
 """
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _phys
 from .modes import _damped_symbol
 
 # fitting window for the decay-exponent rays: top decade of the scan range
@@ -38,13 +39,6 @@ _BOUND_MARGIN = 1e-12
 # leaves ring points a gap (worst for k < 400: 2.24 eps at (T, L) = (1,
 # sqrt(2*pi)), 3.06 eps at (3, sqrt(6*pi))); off-ring gaps are ~1/k or more
 _RING_TOL = 16.0 * np.finfo(float).eps
-
-
-def _phys(k, xi, t_period, l_period):
-    kp = 2.0 * math.pi / t_period * k
-    x1 = 2.0 * math.pi / l_period * xi[0]
-    x2 = 2.0 * math.pi / l_period * xi[1]
-    return kp, x1, x2
 
 
 def _decay_root(a2, kp):

@@ -58,6 +58,8 @@ def read_field(path, grid: TorusGrid | None = None,
                t_period: float = 2.0 * np.pi, l_period: float = 2.0 * np.pi):
     """Read a container; returns PlateField when the file stores N_z = 0.
 
+    A payload with a NaN or infinite value is refused (ValueError).
+
     The binary format does not carry the periods, so pass `grid` (or the
     periods) when they differ from the 2*pi defaults.
     """
@@ -80,6 +82,8 @@ def read_field(path, grid: TorusGrid | None = None,
             raise ValueError(f"truncated payload in {path}: the header needs "
                              f"{need} bytes, {left} remain")
         payload = np.frombuffer(fh.read(need), dtype="<f8")
+    if not np.isfinite(payload).all():
+        raise ValueError(f"non-finite coefficient in {path}")
     flat = payload[0::2] + 1j * payload[1::2]
     if grid is None:
         grid = TorusGrid(n_t, n_x, n_z if not plate else 4, t_period, l_period)

@@ -150,11 +150,11 @@ def lift_estimate_check(g_field: SpectralField, result: LiftResult,
     w = result.w
     grad_ratios = {}
     for level in (0, 1):
-        num = sobolev_norm(w, NormSpec(0, level + 1, q, "slab"))
-        den = sobolev_norm(g_field, NormSpec(0, level, q, "slab"))
+        num = sobolev_norm(w, NormSpec(0, level + 1, q))
+        den = sobolev_norm(g_field, NormSpec(0, level, q))
         grad_ratios[level] = num / den if den > 0 else 0.0
     dual = negative_norm(g_field, q=q)
-    low = sobolev_norm(w, NormSpec(0, 0, q, "slab"))
+    low = sobolev_norm(w, NormSpec(0, 0, q))
     return {
         "gradient_ratio_l0": grad_ratios[0],
         "gradient_ratio_l1": grad_ratios[1],

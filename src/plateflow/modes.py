@@ -32,7 +32,8 @@ from .fields import (
     trace_bottom,
     zeros_like_field,
 )
-from .grid import TorusGrid, cheb_eval, cheb_nodes, cheb_values_to_coeffs, clencurt_weights
+from .grid import (TorusGrid, _phys, cheb_eval, cheb_nodes, cheb_values_to_coeffs,
+                   clencurt_weights)
 from .lift import antiderivative_from_plate, lift_divergence, xi0_incompatibility
 from .norms import x_norm, y_norm
 
@@ -62,12 +63,9 @@ def plate_symbol_damped(k: int, xi: tuple[int, int], mu_s: float = 1.0,
                         l_period: float = 2.0 * np.pi) -> complex:
     """Fourth-order plate symbol with inertia and structural damping.
 
-    Arguments are integer lattice frequencies; the 2*pi/period scaling to
-    physical wave numbers is applied here.
+    Arguments are integer lattice frequencies, scaled by grid._phys.
     """
-    kp = 2.0 * np.pi / t_period * k
-    s1 = 2.0 * np.pi / l_period * xi[0]
-    s2 = 2.0 * np.pi / l_period * xi[1]
+    kp, s1, s2 = _phys(k, xi, t_period, l_period)
     return _damped_symbol(kp, s1 * s1 + s2 * s2, mu_s)
 
 
@@ -88,12 +86,11 @@ class ModeSolution:
 
     @property
     def k_phys(self) -> float:
-        return 2.0 * np.pi / self.grid.t_period * self.k
+        return _phys(self.k, self.xi, self.grid.t_period, self.grid.l_period)[0]
 
     @property
     def xi_phys(self) -> tuple[float, float]:
-        s = 2.0 * np.pi / self.grid.l_period
-        return (s * self.xi[0], s * self.xi[1])
+        return _phys(self.k, self.xi, self.grid.t_period, self.grid.l_period)[1:]
 
 
 def _data_profiles(grid, f_hat, g_hat, h_hat):
@@ -125,8 +122,7 @@ def mode_system_matrix(grid: TorusGrid, k: int, xi: tuple[int, int],
     """
     n = grid.n_z
     m = n + 1
-    kp = 2.0 * np.pi / grid.t_period * k
-    x1, x2 = (2.0 * np.pi / grid.l_period * c for c in xi)
+    kp, x1, x2 = _phys(k, xi, grid.t_period, grid.l_period)
     a2 = x1 * x1 + x2 * x2
     if a2 == 0.0:
         raise ValueError("xi' = 0 modes use the decoupled scalar route")
@@ -164,7 +160,7 @@ def _solve_group(grid, k, xi1, xi2, f, g, h, params):
     if not (xi1[0] or xi2[0]):
         # xi' = 0: scalar tangential problems and layer integration
         xi0_incompatibility(grid, g, params.compat_tol)
-        kp = 2.0 * np.pi / grid.t_period * k
+        kp = _phys(k, (0, 0), grid.t_period, grid.l_period)[0]
         rhs = f[..., :2].copy()
         rhs[:, [0, -1]] = 0.0
         op = _dirichlet_helmholtz(grid, kp, 0.0, params.mu_f)
@@ -195,27 +191,14 @@ def _solve_group(grid, k, xi1, xi2, f, g, h, params):
     return u, sol[3 * m:4 * m].T, sol[4 * m]
 
 
-def _solve_single_mode(grid, k, xi, f_hat, g_hat, h_hat, params):
+def solve_mode(grid: TorusGrid, k: int, xi: tuple[int, int],
+               f_hat=None, g_hat=None, h_hat=0.0,
+               params: SolverParams = DEFAULT_PARAMS) -> ModeSolution:
+    """Solve one (k, xi') mode; the steady plane k = 0 is no special case."""
     f_hat, g_hat, h_hat = _data_profiles(grid, f_hat, g_hat, h_hat)
     u, p, eta = _solve_group(grid, k, np.array([xi[0]]), np.array([xi[1]]),
                              f_hat.T[None], g_hat[None], np.array([h_hat]), params)
     return ModeSolution(grid, k, tuple(xi), u[0].T, p[0], complex(eta[0]))
-
-
-def solve_oscillatory_mode(grid: TorusGrid, k: int, xi: tuple[int, int],
-                           f_hat=None, g_hat=None, h_hat=0.0,
-                           params: SolverParams = DEFAULT_PARAMS) -> ModeSolution:
-    """Solve one time-oscillatory mode (k != 0)."""
-    if k == 0:
-        raise ValueError("k = 0 is the steady plane; use solve_steady_mode")
-    return _solve_single_mode(grid, k, xi, f_hat, g_hat, h_hat, params)
-
-
-def solve_steady_mode(grid: TorusGrid, xi: tuple[int, int],
-                      f_hat=None, g_hat=None, h_hat=0.0,
-                      params: SolverParams = DEFAULT_PARAMS) -> ModeSolution:
-    """Solve one steady (k = 0) mode."""
-    return _solve_single_mode(grid, 0, xi, f_hat, g_hat, h_hat, params)
 
 
 # ---- equation residuals ------------------------------------------------------
@@ -322,8 +305,7 @@ def random_test_pair(grid: TorusGrid, k: int, xi: tuple[int, int],
     """Draw a random admissible test pair built from polynomial bubbles."""
     z = grid.nodes
     m = grid.n_z + 1
-    kp = 2.0 * np.pi / grid.t_period * k
-    x1, x2 = (2.0 * np.pi / grid.l_period * c for c in xi)
+    kp, x1, x2 = _phys(k, xi, grid.t_period, grid.l_period)
     a2 = x1 * x1 + x2 * x2
 
     def poly(deg):
@@ -361,8 +343,7 @@ def weak_form_B(u_hat: np.ndarray, eta_hat: complex, pair: TestPair,
     the amplitudes.
     """
     grid = pair.grid
-    kp = 2.0 * np.pi / grid.t_period * pair.k
-    x1, x2 = (2.0 * np.pi / grid.l_period * c for c in pair.xi)
+    kp, x1, x2 = _phys(pair.k, pair.xi, grid.t_period, grid.l_period)
     a2 = x1 * x1 + x2 * x2
     nf = 2 * grid.n_z
     zf = cheb_nodes(nf)
@@ -384,7 +365,7 @@ def weak_form_B(u_hat: np.ndarray, eta_hat: complex, pair: TestPair,
 def weak_form_rhs(f_hat: np.ndarray, h_hat: complex, pair: TestPair) -> complex:
     """Data side of the weak identity for the same test pair."""
     grid = pair.grid
-    kp = 2.0 * np.pi / grid.t_period * pair.k
+    kp = _phys(pair.k, pair.xi, grid.t_period, grid.l_period)[0]
     nf = 2 * grid.n_z
     zf = cheb_nodes(nf)
     wq = clencurt_weights(nf)
@@ -407,7 +388,7 @@ def energy_estimate_check(u: SpectralField, eta: PlateField,
     it = k + (grid.n_t - 1) // 2
     if not 0 <= it < grid.n_t:
         raise ValueError(f"time frequency {k} not retained on this grid")
-    kp = 2.0 * np.pi / grid.t_period * k
+    kp = _phys(k, (0, 0), grid.t_period, grid.l_period)[0]
     wq = grid.cheb_weights
     a2 = grid.xi_norm_sq()
     uc = u.coeffs[it]

@@ -38,11 +38,11 @@ from .fields import (
     PlateField,
     SpectralField,
     _apply_layer_matrix,
-    dt_plate,
     divergence,
+    dt,
+    dx,
     gradient,
-    lateral_gradient_plate,
-    lateral_laplacian_plate,
+    laplacian,
     pad_to_samples,
     samples_to_truncated,
     zeros_like_field,
@@ -105,10 +105,9 @@ class _Geometry:
                 "degenerates", self.sup_eta)
         self.floor = float(np.min(1.0 + over.real))
         self.eta, self.real = eta, real
-        g1, g2 = lateral_gradient_plate(eta)
         self.eta_s, self.g1_s, self.g2_s, self.lap_s, self.det_s = (
             pad_to_samples(d.coeffs, eta.grid, real=real)
-            for d in (eta, g1, g2, lateral_laplacian_plate(eta), dt_plate(eta)))
+            for d in (eta, dx(eta, 1), dx(eta, 2), laplacian(eta), dt(eta)))
         self.tau = 1.0 / (1.0 + self.eta_s)
 
 
@@ -363,19 +362,19 @@ def nonlinear_bound_ratios(u: SpectralField, p: SpectralField, eta: PlateField,
     the correction reduces to the convective term.  Zero data reports zero.
     """
     terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f)
-    nu = sobolev_norm(u, NormSpec(1, 2, q, "slab"))
-    ngp = sobolev_norm(gradient(p), NormSpec(0, 0, q, "slab"))
+    nu = sobolev_norm(u, NormSpec(1, 2, q))
+    ngp = sobolev_norm(gradient(p), NormSpec(0, 0, q))
     ns = s_norm(eta, q)
 
-    lhs_f = sobolev_norm(terms.rf_tilde, NormSpec(0, 0, q, "slab"))
+    lhs_f = sobolev_norm(terms.rf_tilde, NormSpec(0, 0, q))
     rhs_f = ((1.0 + eps0) * nu + ngp) * ns + nu * nu
 
-    lhs_d = (sobolev_norm(terms.rd_tilde, NormSpec(0, 1, q, "slab"))
+    lhs_d = (sobolev_norm(terms.rd_tilde, NormSpec(0, 1, q))
              + negative_norm(terms.rd_tilde, q=q, time_order=1))
     rhs_d = nu * ns
 
-    lhs_e = sobolev_norm(terms.r_eta, NormSpec(0, 1.0 - 1.0 / q, q, "plate"))
-    rhs_e = (1.0 + eps0) * (ns * nu + nu + sobolev_norm(p, NormSpec(0, 1, q, "slab")))
+    lhs_e = sobolev_norm(terms.r_eta, NormSpec(0, 1.0 - 1.0 / q, q))
+    rhs_e = (1.0 + eps0) * (ns * nu + nu + sobolev_norm(p, NormSpec(0, 1, q)))
 
     def quot(lhs, rhs):
         return float(lhs / rhs) if rhs > 0.0 else 0.0

@@ -1,5 +1,8 @@
 """Sobolev-type norms for slab and plate fields.
 
+A norm's domain is its field's type: a PlateField takes the plate norm, a
+SpectralField the slab norm, under the same NormSpec.
+
 Conventions (fixed here once, used consistently by the solver and tests):
 
 * Lateral and time measures are normalized, the layer carries plain dx3, so
@@ -25,8 +28,8 @@ from math import comb
 
 import numpy as np
 
-from .fields import (OVERSAMPLE, PlateField, SpectralField, layer_derivative,
-                     pad_to_samples)
+from .fields import (OVERSAMPLE, PlateField, SpectralField, inverse_transform,
+                     layer_derivative, pad_to_samples)
 from .grid import TorusGrid
 
 
@@ -37,7 +40,6 @@ class NormSpec:
     time_order: int = 0
     spatial_order: float = 0.0
     q: float = 2.0
-    domain: str = "slab"
 
     def __post_init__(self):
         if self.time_order not in (0, 1, 2):
@@ -46,8 +48,6 @@ class NormSpec:
             raise ValueError(f"unsupported spatial order {self.spatial_order}")
         if not (1.0 < self.q < np.inf):
             raise ValueError("q must lie in (1, inf)")
-        if self.domain not in ("slab", "plate"):
-            raise ValueError("domain must be 'slab' or 'plate'")
 
 
 # ---- building blocks ---------------------------------------------------------
@@ -91,13 +91,9 @@ def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float, real: bool) -> float:
 
 
 def sobolev_norm(field, spec: NormSpec) -> float:
-    """Norm of a SpectralField (slab) or PlateField (plate) under `spec`."""
-    if spec.domain == "plate":
-        if not isinstance(field, PlateField):
-            raise ValueError("plate norm requested for a non-plate field")
+    """Norm of a PlateField (plate) or SpectralField (slab) under `spec`."""
+    if isinstance(field, PlateField):
         return _plate_norm(field, spec)
-    if not isinstance(field, SpectralField):
-        raise ValueError("slab norm requested for a non-slab field")
     return _slab_norm(field, spec)
 
 
@@ -156,11 +152,9 @@ def l2_norm(field) -> float:
 
 def grid_l2_norm(field) -> float:
     """Same norm from physical samples, used as an independent cross-check."""
-    from .fields import inverse_transform, inverse_transform_plate
-    if isinstance(field, PlateField):
-        s = inverse_transform_plate(field)
-        return float(np.sqrt(np.mean(np.abs(s) ** 2)))
     s = inverse_transform(field)
+    if isinstance(field, PlateField):
+        return float(np.sqrt(np.mean(np.abs(s) ** 2)))
     mag2 = np.abs(s) ** 2
     if field.components > 1:
         mag2 = mag2.sum(axis=-1)
@@ -262,9 +256,9 @@ def mixed_lr_lp_norm(field, r: float, p: float) -> float:
 def x_norm(u: SpectralField, p: SpectralField, eta: PlateField, q: float = 2.0) -> float:
     """Solution-space norm: velocity, pressure gradient regularity, plate."""
     return (
-        sobolev_norm(u, NormSpec(1, 0, q, "slab"))
-        + sobolev_norm(u, NormSpec(0, 2, q, "slab"))
-        + sobolev_norm(p, NormSpec(0, 1, q, "slab"))
+        sobolev_norm(u, NormSpec(1, 0, q))
+        + sobolev_norm(u, NormSpec(0, 2, q))
+        + sobolev_norm(p, NormSpec(0, 1, q))
         + s_norm(eta, q)
     )
 
@@ -272,17 +266,17 @@ def x_norm(u: SpectralField, p: SpectralField, eta: PlateField, q: float = 2.0) 
 def s_norm(eta: PlateField, q: float = 2.0) -> float:
     """Plate norm used by the smallness gate and the solution norm."""
     return (
-        sobolev_norm(eta, NormSpec(2, 1.0 - 1.0 / q, q, "plate"))
-        + sobolev_norm(eta, NormSpec(0, 5.0 - 1.0 / q, q, "plate"))
+        sobolev_norm(eta, NormSpec(2, 1.0 - 1.0 / q, q))
+        + sobolev_norm(eta, NormSpec(0, 5.0 - 1.0 / q, q))
     )
 
 
 def y_norm(f: SpectralField, g: SpectralField | None, h: PlateField,
            q: float = 2.0) -> float:
     """Data-space norm for the linear problem."""
-    total = sobolev_norm(f, NormSpec(0, 0, q, "slab"))
+    total = sobolev_norm(f, NormSpec(0, 0, q))
     if g is not None:
-        total += sobolev_norm(g, NormSpec(0, 1, q, "slab"))
+        total += sobolev_norm(g, NormSpec(0, 1, q))
         total += negative_norm(g, q=q, time_order=1)
-    total += sobolev_norm(h, NormSpec(0, 1.0 - 1.0 / q, q, "plate"))
+    total += sobolev_norm(h, NormSpec(0, 1.0 - 1.0 / q, q))
     return total

@@ -30,10 +30,8 @@ from .fields import (
     PlateField,
     SpectralField,
     dt,
-    dt_plate,
     dx,
     dx3,
-    lateral_gradient_plate,
     _symmetrize,
 )
 from .grid import TorusGrid, cheb_values_to_coeffs, cheb_eval
@@ -148,7 +146,7 @@ class ManufacturedCase:
 
     def constraint_residuals(self) -> dict[str, float]:
         """Max-magnitude residuals of the built-in coupling constraints."""
-        kin = self.u.coeffs[..., 0, 2] + dt_plate(self.eta).coeffs
+        kin = self.u.coeffs[..., 0, 2] + dt(self.eta).coeffs
         top = self.u.coeffs[..., -1, :]
         mid = (self.grid.n_x - 1) // 2
         mean = self.eta.coeffs[:, mid, mid]
@@ -394,10 +392,7 @@ def fd_check(field, direction, oversample: int = 64) -> float:
     period = grid.t_period if axis == 0 else grid.l_period
     step = period / m
     vals = _resample_axis(field.coeffs, axis, m)
-    if plate:
-        deriv = dt_plate(field) if axis == 0 else lateral_gradient_plate(field)[axis - 1]
-    else:
-        deriv = dt(field) if axis == 0 else dx(field, axis)
+    deriv = dt(field) if axis == 0 else dx(field, axis)
     spec = _resample_axis(deriv.coeffs, axis, m)
     fdv = _fd_periodic(vals, axis, step)
     return float(np.max(np.abs(fdv - spec)))
@@ -454,18 +449,14 @@ def embedding_ratio(field, *, m: int, m_x, M_t: int = 0, alpha: float,
 
     deriv = field
     for _ in range(M_t):
-        deriv = dt_plate(deriv) if plate else dt(deriv)
+        deriv = dt(deriv)
     for direction in range(min(2, len(m_x))):
         for _ in range(m_x[direction]):
-            if plate:
-                deriv = lateral_gradient_plate(deriv)[direction]
-            else:
-                deriv = dx(deriv, direction + 1)
+            deriv = dx(deriv, direction + 1)
     if not plate and len(m_x) == 3 and m_x[2] > 0:
         deriv = dx3(deriv, m_x[2])
 
     lhs = mixed_lr_lp_norm(deriv, r, p)
-    domain = "plate" if plate else "slab"
-    rhs = (sobolev_norm(field, NormSpec(m, 0, q, domain))
-           + sobolev_norm(field, NormSpec(0, 2 * m, q, domain)))
+    rhs = (sobolev_norm(field, NormSpec(m, 0, q))
+           + sobolev_norm(field, NormSpec(0, 2 * m, q)))
     return lhs / rhs if rhs > 0 else 0.0

@@ -16,7 +16,6 @@ from plateflow.fields import (
     SpectralField,
     divergence,
     forward_transform,
-    forward_transform_plate,
     physical_samples,
 )
 from plateflow.grid import TorusGrid
@@ -32,7 +31,7 @@ from plateflow.modes import (
     energy_estimate_check,
     random_test_pair,
     solve_linear_full,
-    solve_oscillatory_mode,
+    solve_mode,
     weak_form_B,
     weak_form_rhs,
 )
@@ -114,10 +113,7 @@ def test_criterion_01_transform_round_trip():
         else:
             fld = poly_plate(grid, 400 + seed, band_t=2, band_x=2)
         vals = physical_samples(fld)
-        if isinstance(fld, PlateField):
-            back = forward_transform_plate(grid, vals)
-        else:
-            back = forward_transform(grid, vals, components=fld.components)
+        back = forward_transform(grid, vals)
         scale = max(1.0, float(np.max(np.abs(fld.coeffs))))
         worst_rt = max(worst_rt,
                        float(np.max(np.abs(back.coeffs - fld.coeffs))) / scale)
@@ -204,7 +200,7 @@ def test_criterion_05_mode_solver_accuracy():
             grid.nodes, rng.standard_normal(4) + 1j * rng.standard_normal(4))
             for _ in range(3)])
         h_hat = complex(rng.standard_normal(), rng.standard_normal())
-        sol = solve_oscillatory_mode(grid, k, xi, f_hat, None, h_hat)
+        sol = solve_mode(grid, k, xi, f_hat, None, h_hat)
         for _ in range(10):
             pair = random_test_pair(grid, k, xi, rng)
             lhs = weak_form_B(sol.u, sol.eta, pair)
@@ -337,7 +333,7 @@ def test_criterion_10_interaction_term_bounds():
         ec = e_matrix(eta)
         ef = SpectralField(g, ec.reshape(ec.shape[:4] + (9,)), 9, True)
         out["e_bound"] = (sobolev_norm(ef, NormSpec(0, 0, 2.0))
-                          / sobolev_norm(eta, NormSpec(0, 1, 2.0, "plate")))
+                          / sobolev_norm(eta, NormSpec(0, 1, 2.0)))
         return out
 
     worst = 0.0

@@ -38,8 +38,14 @@ def run_cli(tmp_path, cfg_text, command, extra=(), out_name="out"):
     return code, out
 
 
+def _not_json(name):
+    raise ValueError(f"manifest holds {name}, which JSON does not admit")
+
+
 def manifest_of(out_dir):
-    return json.loads((out_dir / "manifest.json").read_text())
+    # strict: NaN and Infinity are a Python extension other JSON readers refuse
+    return json.loads((out_dir / "manifest.json").read_text(),
+                      parse_constant=_not_json)
 
 
 def error_payload(capsys):
@@ -114,6 +120,9 @@ def test_scalar_datum_with_layer_profile():
     ("cos(t", "forcing expression error"),
     ("tan(x1)", "only sin, cos and exp"),
     ("sin(x1); 0", "one expression or three"),
+    ("1/0", "cannot be evaluated"),
+    ("sin(x1/0)", "cannot be evaluated"),
+    ("10.0**400", "cannot be evaluated"),
 ])
 def test_rejected_expressions(expr, fragment):
     with pytest.raises(CliError) as exc:
@@ -210,6 +219,13 @@ def test_config_rejections(tmp_path, text, fragment):
     ("resonance-report", "near_factor = -1\n", "near_factor must be positive"),
     ("solve-linear", "q = 1e308\n", "q must lie in (1, 100]"),
     ("solve-linear", "q = 1\n", "q must lie in (1, 100]"),
+    ("solve-linear", "forcing_h = 1/0\n", "cannot be evaluated"),
+    ("lift-div", "forcing_g = sin(x1/0)\n", "cannot be evaluated"),
+    ("solve-linear", "forcing_h = 10.0**400\n", "cannot be evaluated"),
+    ("solve-nonlinear", "forcing_f = exp(1000*x3)\n", "forcing_f is not finite"),
+    ("solve-linear", "forcing_h = 1e308*10\n", "forcing_h is not finite"),
+    ("solve-linear", "forcing_h = 1e300*cos(t)\neps = 1e10\n",
+     "forcing_h is not finite"),
 ])
 def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
     code, out = run_cli(tmp_path, text, command)
@@ -330,16 +346,22 @@ def test_solve_linear_incompatible_datum(tmp_path, capsys):
 
 
 def test_forged_container_header_is_a_one_line_error(tmp_path, capsys):
-    # header sizes far beyond the configured grid and the 64 payload bytes
+    # header sizes far beyond the configured grid and the 64 payload bytes;
+    # then a well-formed container that holds a NaN coefficient
     header = np.array([129, 129, 192, 3, 1], dtype="<u4").tobytes()
     (tmp_path / "x.plf").write_bytes(b"PLFSPEC1" + header + b"\x00" * 64)
-    code, out = run_cli(tmp_path, "forcing_f = file:x.plf\n", "solve-linear")
-    assert code == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])["error"]
-    assert err["kind"] == "incompatible" and "header" in err["message"]
-    assert not (out / "manifest.json").exists()
+    bad = poly_field(GRID, seed=6, components=3)
+    bad.coeffs[1, 2, 3, 4, 0] = np.nan
+    write_field(tmp_path / "nan.plf", bad)
+    for name, fragment in (("x.plf", "header"), ("nan.plf", "non-finite")):
+        code, out = run_cli(tmp_path, f"forcing_f = file:{name}\nn_z = 8\n",
+                            "solve-linear")
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["kind"] == "incompatible" and fragment in err["message"]
+        assert not (out / "manifest.json").exists()
 
 
 def test_manifests_reproducible_across_threads(tmp_path):
@@ -351,6 +373,7 @@ def test_manifests_reproducible_across_threads(tmp_path):
     doc1, doc2 = manifest_of(out1), manifest_of(out2)
     ex1, ex2 = doc1.pop("execution"), doc2.pop("execution")
     assert ex1["threads"] == 1 and ex2["threads"] == 2
+    assert "threads" not in doc1["config"]
     assert doc1 == doc2
     assert (out1 / "u.plf").read_bytes() == (out2 / "u.plf").read_bytes()
     assert (out1 / "eta_samples.csv").read_text() \
@@ -528,28 +551,7 @@ def test_validate_suite(tmp_path):
     assert manifest_of(out)["validation"]["passed"] is True
 
 
-# ---- thread and seed plumbing ----------------------------------------------------
-
-
-def test_threads_environment_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLATEFLOW_THREADS", "3")
-    code, out = run_cli(tmp_path, "", "resonance-report")
-    assert code == 0
-    assert manifest_of(out)["execution"]["threads"] == 3
-
-
-def test_threads_flag_beats_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLATEFLOW_THREADS", "7")
-    code, out = run_cli(tmp_path, "", "resonance-report", ("--threads", "2"))
-    assert code == 0
-    assert manifest_of(out)["execution"]["threads"] == 2
-
-
-def test_threads_environment_junk(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PLATEFLOW_THREADS", "many")
-    code, _ = run_cli(tmp_path, "", "resonance-report")
-    assert code == 1
-    assert "PLATEFLOW_THREADS" in error_payload(capsys)["message"]
+# ---- seed plumbing ---------------------------------------------------------------
 
 
 def test_seed_flag_recorded(tmp_path):

@@ -12,17 +12,12 @@ from plateflow.fields import (
     SpectralField,
     divergence,
     dt,
-    dt_plate,
     dx,
     dx3,
     forward_transform,
-    forward_transform_plate,
     gradient,
     inverse_transform,
-    inverse_transform_plate,
     is_conjugate_symmetric,
-    lateral_gradient_plate,
-    lateral_laplacian_plate,
     laplacian,
     layer_derivative,
     pad_coeffs,
@@ -59,31 +54,37 @@ def _lattice(grid):
     return t, x1, x2, x3
 
 
+# the transforms and the derivatives take plate (rank 3) and slab samples alike
 def test_sample_round_trip_real():
     rng = np.random.default_rng(0)
     samples = rng.standard_normal((5, 5, 5, 9, 3))
-    field = forward_transform(GRID, samples, components=3)
-    assert field.real
-    assert is_conjugate_symmetric(field.coeffs)
-    back = physical_samples(field)
-    assert np.isrealobj(back)
-    assert np.max(np.abs(back - samples)) < TOL_ROUND
+    for kind, vals in ((SpectralField, samples), (PlateField, samples[..., 0, 0])):
+        field = forward_transform(GRID, vals)
+        assert isinstance(field, kind) and field.real
+        assert is_conjugate_symmetric(field.coeffs)
+        back = physical_samples(field)
+        assert np.isrealobj(back)
+        assert np.max(np.abs(back - vals)) < TOL_ROUND
 
 
 def test_sample_round_trip_complex():
     rng = np.random.default_rng(1)
     samples = rng.standard_normal((5, 5, 5, 9)) \
         + 1j * rng.standard_normal((5, 5, 5, 9))
-    field = forward_transform(GRID, samples)
-    assert not field.real
-    assert np.max(np.abs(inverse_transform(field) - samples)) < TOL_ROUND
+    for kind, vals in ((SpectralField, samples), (PlateField, samples[..., 0])):
+        field = forward_transform(GRID, vals)
+        assert isinstance(field, kind) and not field.real
+        assert np.max(np.abs(inverse_transform(field) - vals)) < TOL_ROUND
 
 
 def test_plate_round_trip():
     rng = np.random.default_rng(2)
     samples = rng.standard_normal((5, 5, 5))
-    field = forward_transform_plate(GRID, samples)
-    assert np.max(np.abs(inverse_transform_plate(field) - samples)) < TOL_ROUND
+    field = forward_transform(GRID, samples)
+    assert isinstance(field, PlateField)
+    assert np.max(np.abs(inverse_transform(field) - samples)) < TOL_ROUND
+    with pytest.raises(ValueError, match="expected 5-d samples"):
+        forward_transform(GRID, samples, components=3)
 
 
 def test_shape_strictness():
@@ -107,20 +108,25 @@ def test_time_derivative_single_mode():
     t, x1, _, _ = _lattice(GRID)
     shape = (5, 5, 5, 9)
     samples = np.broadcast_to(np.cos(t + x1), shape).copy()
-    field = forward_transform(GRID, samples)
     want = np.broadcast_to(-np.sin(t + x1), shape)
-    assert np.max(np.abs(physical_samples(dt(field)) - want)) < TOL_DERIV
+    for layer in (slice(None), 0):     # slab, then its bottom-node plate
+        field = forward_transform(GRID, samples[..., layer])
+        assert np.max(np.abs(physical_samples(dt(field)) - want[..., layer])) \
+            < TOL_DERIV
 
 
 def test_lateral_derivative_single_mode():
     _, x1, x2, _ = _lattice(GRID)
     shape = (5, 5, 5, 9)
     samples = np.broadcast_to(np.sin(x1) * np.cos(2.0 * x2), shape).copy()
-    field = forward_transform(GRID, samples)
-    d1 = physical_samples(dx(field, 1))
-    d2 = physical_samples(dx(field, 2))
-    assert np.max(np.abs(d1 - np.cos(x1) * np.cos(2.0 * x2))) < TOL_DERIV
-    assert np.max(np.abs(d2 + 2.0 * np.sin(x1) * np.sin(2.0 * x2))) < TOL_DERIV
+    want1 = np.broadcast_to(np.cos(x1) * np.cos(2.0 * x2), shape)
+    want2 = np.broadcast_to(-2.0 * np.sin(x1) * np.sin(2.0 * x2), shape)
+    for layer in (slice(None), 0):     # slab, then its bottom-node plate
+        field = forward_transform(GRID, samples[..., layer])
+        d1 = physical_samples(dx(field, 1))
+        d2 = physical_samples(dx(field, 2))
+        assert np.max(np.abs(d1 - want1[..., layer])) < TOL_DERIV
+        assert np.max(np.abs(d2 - want2[..., layer])) < TOL_DERIV
 
 
 def test_dx_direction_is_one_based():
@@ -159,8 +165,8 @@ def test_layer_derivative_on_polynomial():
 def test_traces_pick_face_nodes():
     f = poly_field(GRID, 11, components=3)
     samples = physical_samples(f)
-    bot = inverse_transform_plate(trace_bottom(f, 0))
-    top = inverse_transform_plate(trace_top(f, 2))
+    bot = inverse_transform(trace_bottom(f, 0))
+    top = inverse_transform(trace_top(f, 2))
     assert np.max(np.abs(bot - samples[..., 0, 0])) < TOL_ROUND
     assert np.max(np.abs(top - samples[..., -1, 2])) < TOL_ROUND
 
@@ -193,12 +199,10 @@ def test_plate_operators_single_mode():
     x1 = GRID.x_samples[None, :, None]
     shape = (5, 5, 5)
     want_dt = np.broadcast_to(-np.sin(t + x1), shape)
-    assert np.max(np.abs(inverse_transform_plate(dt_plate(eta)) - want_dt)) \
-        < TOL_DERIV
-    g1, g2 = lateral_gradient_plate(eta)
-    assert np.max(np.abs(inverse_transform_plate(g1) - want_dt)) < TOL_DERIV
-    assert np.max(np.abs(inverse_transform_plate(g2))) < TOL_DERIV
-    lap = inverse_transform_plate(lateral_laplacian_plate(eta))
+    assert np.max(np.abs(inverse_transform(dt(eta)) - want_dt)) < TOL_DERIV
+    assert np.max(np.abs(inverse_transform(dx(eta, 1)) - want_dt)) < TOL_DERIV
+    assert np.max(np.abs(inverse_transform(dx(eta, 2)))) < TOL_DERIV
+    lap = inverse_transform(laplacian(eta))
     assert np.max(np.abs(lap + np.broadcast_to(np.cos(t + x1), shape))) \
         < TOL_DERIV
 

@@ -79,6 +79,13 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError):
         read_field(path)
+    # a complete payload with a value that is not finite is refused too
+    for bad in (np.nan, np.inf):
+        eta = poly_plate(GRID, 45)
+        eta.coeffs[1, 1, 1] = bad
+        write_field(path, eta)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_field(path, grid=GRID)
 
 
 def test_json_mirror_round_trip(tmp_path):

@@ -16,8 +16,7 @@ from plateflow.modes import (
     plate_symbol_damped,
     random_test_pair,
     solve_linear_full,
-    solve_oscillatory_mode,
-    solve_steady_mode,
+    solve_mode,
     weak_form_B,
     weak_form_rhs,
 )
@@ -57,13 +56,15 @@ def test_plate_symbol_exact_values():
     assert a.real == b.real and a.imag == 2.0 * b.imag
 
 
+# the last two cases are steady: one entry point serves k = 0 and k != 0
 @pytest.mark.parametrize("k,xi", [(1, (1, 0)), (2, (1, 1)), (3, (0, 2)),
-                                  (-1, (2, 1)), (1, (0, 0))])
+                                  (-1, (2, 1)), (1, (0, 0)), (0, (2, 1)),
+                                  (0, (0, 0))])
 def test_oscillatory_mode_residuals(k, xi):
     f_hat, g_hat, h_hat = _mode_data(GRID, 50 + k + 7 * sum(xi), with_g=True)
     if xi == (0, 0):
         g_hat = None        # the axis mode carries its own solvability rule
-    sol = solve_oscillatory_mode(GRID, k, xi, f_hat, g_hat, h_hat)
+    sol = solve_mode(GRID, k, xi, f_hat, g_hat, h_hat)
     res = mode_residuals(sol, f_hat, g_hat if g_hat is not None else None,
                          h_hat)
     scale = max(1.0, float(np.max(np.abs(f_hat))))
@@ -73,7 +74,7 @@ def test_oscillatory_mode_residuals(k, xi):
 
 def test_steady_mode_residuals():
     f_hat, g_hat, h_hat = _mode_data(GRID, 60, with_g=True)
-    sol = solve_steady_mode(GRID, (1, 1), f_hat, g_hat, h_hat)
+    sol = solve_mode(GRID, 0, (1, 1), f_hat, g_hat, h_hat)
     res = mode_residuals(sol, f_hat, g_hat, h_hat)
     assert max(res.values()) < TOL_MODE * 10.0
 
@@ -120,21 +121,13 @@ def test_rotated_solve_matches_unrotated(k, xi):
     b[3 * m:4 * m] = g_hat
     b[4 * m] = h_hat
     ref = np.linalg.solve(_unrotated_matrix(GRID, k, xi), b)
-    if k:
-        sol = solve_oscillatory_mode(GRID, k, xi, f_hat, g_hat, h_hat)
-    else:
-        sol = solve_steady_mode(GRID, xi, f_hat, g_hat, h_hat)
+    sol = solve_mode(GRID, k, xi, f_hat, g_hat, h_hat)
     got = np.concatenate([sol.u.ravel(), sol.p, [sol.eta]])
     assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
     # the rotated matrix depends on xi' only through |xi'|^2
     a = mode_system_matrix(GRID, k, (1, 2))
     for other in ((-2, 1), (2, -1)):
         assert np.array_equal(a, mode_system_matrix(GRID, k, other))
-
-
-def test_k_zero_must_use_steady_entry():
-    with pytest.raises(ValueError):
-        solve_oscillatory_mode(GRID, 0, (1, 0), *_mode_data(GRID, 61)[:1])
 
 
 def test_test_pair_is_admissible():
@@ -154,7 +147,7 @@ def test_test_pair_is_admissible():
 @pytest.mark.parametrize("k,xi", [(1, (1, 0)), (2, (1, 1)), (3, (0, 2))])
 def test_weak_identity_on_solver_output(k, xi):
     f_hat, _, h_hat = _mode_data(GRID, 70 + k)
-    sol = solve_oscillatory_mode(GRID, k, xi, f_hat, None, h_hat)
+    sol = solve_mode(GRID, k, xi, f_hat, None, h_hat)
     rng = np.random.default_rng(k)
     for _ in range(3):
         pair = random_test_pair(GRID, k, xi, rng)
@@ -244,7 +237,7 @@ def test_direct_route_rejects_incompatible_datum():
         with pytest.raises(IncompatibleDataError):
             solve_linear_full(None, bad, None, grid=GRID, route="direct")
         with pytest.raises(IncompatibleDataError):
-            solve_steady_mode(GRID, (0, 0), None, bad.coeffs[2, 2, 2])
+            solve_mode(GRID, 0, (0, 0), None, bad.coeffs[2, 2, 2])
 
 
 def test_grid_mismatch_between_data_fields():

@@ -11,7 +11,7 @@ from plateflow.fields import (
     OVERSAMPLE,
     PlateField,
     SpectralField,
-    lateral_gradient_plate,
+    dx,
     pad_to_samples,
     padded_sizes,
     samples_to_truncated,
@@ -112,7 +112,7 @@ def test_node_blocks_join_without_seams(monkeypatch, n_z, block):
 
     # rd_vector analysed from the whole padded slab at once
     eta_s, g1_s, g2_s = (pad_to_samples(c.coeffs, grid, real=True)[..., None]
-                         for c in (eta, *lateral_gradient_plate(eta)))
+                         for c in (eta, dx(eta, 1), dx(eta, 2)))
     u_s = pad_to_samples(u.coeffs, grid, real=True)
     rd = np.stack([-eta_s * u_s[..., 0], -eta_s * u_s[..., 1],
                    -(g1_s * u_s[..., 0] + g2_s * u_s[..., 1]) * (1.0 - grid.nodes)],

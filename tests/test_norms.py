@@ -47,15 +47,6 @@ def test_norm_spec_validation():
         NormSpec(0, -2.0, 2.0)
     with pytest.raises(ValueError):
         NormSpec(0, 0, 1.0)
-    with pytest.raises(ValueError):
-        NormSpec(0, 0, 2.0, "torus")
-
-
-def test_domain_field_type_mismatch():
-    with pytest.raises(ValueError):
-        sobolev_norm(zeros_like_field(GRID), NormSpec(0, 0, 2.0, "plate"))
-    with pytest.raises(ValueError):
-        sobolev_norm(zeros_like_field(GRID, plate=True), NormSpec(0, 0, 2.0))
 
 
 def test_unsupported_orders():
@@ -63,7 +54,7 @@ def test_unsupported_orders():
         sobolev_norm(zeros_like_field(GRID), NormSpec(0, -0.5, 2.0))
     with pytest.raises(ValueError):
         sobolev_norm(zeros_like_field(GRID, plate=True),
-                     NormSpec(0, -1.0, 2.0, "plate"))
+                     NormSpec(0, -1.0, 2.0))
 
 
 def test_l2_of_constant_and_single_mode():
@@ -103,7 +94,7 @@ def test_plate_norm_single_mode():
     coeffs[HT + 1, HX + 1, HX] = 1.0
     eta = PlateField(GRID, coeffs, False)
     want = (1.0 + 1.0) ** 1.5
-    assert abs(sobolev_norm(eta, NormSpec(0, 3, 2.0, "plate")) - want) \
+    assert abs(sobolev_norm(eta, NormSpec(0, 3, 2.0)) - want) \
         < TOL_EXACT
 
 
@@ -136,7 +127,7 @@ def test_real_fields_take_the_real_synthesis_at_q3():
     eta = poly_plate(grid, 43, band_x=2)
     cases = [
         (lambda f: sobolev_norm(f, NormSpec(1, 2, 3.0)), u),
-        (lambda f: sobolev_norm(f, NormSpec(2, 2.0 / 3.0, 3.0, "plate")), eta),
+        (lambda f: sobolev_norm(f, NormSpec(2, 2.0 / 3.0, 3.0)), eta),
         (lambda f: negative_norm(f, q=3.0, time_order=1), g),
         (lambda f: mixed_lr_lp_norm(f, 3.0, 3.0), u),
     ]
