@@ -20,15 +20,11 @@ from .fields import (
     inverse_transform,
     laplacian,
     physical_samples,
-    project_oscillatory,
-    project_steady,
     trace_bottom,
-    trace_top,
     zeros_like_field,
 )
 from .norms import (
     NormSpec,
-    l2_norm,
     mixed_lr_lp_norm,
     negative_norm,
     s_norm,
@@ -36,7 +32,7 @@ from .norms import (
     x_norm,
     y_norm,
 )
-from .io import read_field, read_field_json, write_field, write_field_json
+from .io import read_field, write_field
 from .lift import IncompatibleDataError, LiftResult, lift_divergence, \
     lift_estimate_check
 from .modes import (
@@ -45,9 +41,7 @@ from .modes import (
     ModeSolution,
     SolverParams,
     linear_residuals,
-    mode_residuals,
     mode_system_matrix,
-    plate_symbol_damped,
     solve_linear_full,
     solve_mode,
 )
@@ -55,7 +49,6 @@ from .halfspace import (
     ResonanceRow,
     ScanReport,
     boundedness_scan,
-    coupled_plate_symbol,
     halfspace_profiles,
     halfspace_residuals,
     is_resonant_lattice_point,
@@ -64,7 +57,6 @@ from .halfspace import (
     q0_symbol,
     resonance_report,
     undamped_multiplier,
-    weighted_multiplier,
 )
 from .nonlinear import (
     DegenerateDeformationError,
@@ -80,7 +72,6 @@ from .nonlinear import (
     nonlinear_bound_ratios,
     nonlinear_residual,
     picard_solve,
-    smallness_check,
 )
 from .oracles import (
     ManufacturedCase,

@@ -56,9 +56,11 @@ and 2*pi/L in the periodic variables, so every expression is exactly
 representable on the lattice; exp accepts x3 only.  t, x1, x2 may appear
 only inside sin/cos, divisors must be constant, and exponents must be
 nonnegative integer constants.  An expression that cannot be evaluated (a
-zero divisor, an overflowing power) and forcing data that are not finite
-once scaled by eps exit with code 1; a ``file:`` container holding a
-non-finite coefficient exits with code 2.
+zero divisor, an overflowing power, a constant that folds to a complex
+number) and forcing data that are not finite once scaled by eps exit with
+code 1; a ``file:`` container that ``io.read_field`` refuses (a header its
+payload does not match, a non-finite coefficient, a real flag over
+coefficients that are not conjugate-symmetric) exits with code 2.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ import ctypes
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from contextlib import contextmanager
@@ -143,33 +146,34 @@ def _expr_error(msg: str, node: ast.AST | None = None) -> CliError:
     return CliError(EXIT_CONFIG, "config", f"forcing expression error{loc}: {msg}")
 
 
+# the arithmetic of the grammar, shared by constant folding and evaluation
+_OPERATORS = {
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+}
+
+
 def _const_value(node):
-    """Fold a constant subexpression to a float, or return None."""
+    """Fold a constant subexpression to a float, or return None; a fold
+    that is not a real number, such as (-1)**0.5, is refused."""
     if isinstance(node, ast.Constant):
         return float(node.value) if isinstance(node.value, (int, float)) else None
     if isinstance(node, ast.Name) and node.id in ("pi", "π"):
         return math.pi
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        v = _const_value(node.operand)
-        if v is None:
-            return None
-        return v if isinstance(node.op, ast.UAdd) else -v
-    if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
-        a = _const_value(node.left)
-        b = _const_value(node.right)
-        if a is None or b is None:
-            return None
-        if isinstance(node.op, ast.Add):
-            return a + b
-        if isinstance(node.op, ast.Sub):
-            return a - b
-        if isinstance(node.op, ast.Mult):
-            return a * b
-        if isinstance(node.op, ast.Div):
-            return a / b
-        return a ** b
-    return None
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        operands = [node.operand]
+    elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        operands = [node.left, node.right]
+    else:
+        return None
+    values = [_const_value(v) for v in operands]
+    if None in values:
+        return None
+    value = _OPERATORS[type(node.op)](*values)
+    if not isinstance(value, float):
+        raise _expr_error(f"constant folds to the complex number {value}", node)
+    return value
 
 
 def _affine_parts(node, variables) -> dict:
@@ -316,21 +320,11 @@ class _ExprEvaluator(ast.NodeVisitor):
         return self.env[node.id]
 
     def visit_UnaryOp(self, node):
-        v = self.visit(node.operand)
-        return v if isinstance(node.op, ast.UAdd) else -v
+        return _OPERATORS[type(node.op)](self.visit(node.operand))
 
     def visit_BinOp(self, node):
-        a = self.visit(node.left)
-        b = self.visit(node.right)
-        if isinstance(node.op, ast.Add):
-            return a + b
-        if isinstance(node.op, ast.Sub):
-            return a - b
-        if isinstance(node.op, ast.Mult):
-            return a * b
-        if isinstance(node.op, ast.Div):
-            return a / b
-        return a ** b
+        return _OPERATORS[type(node.op)](self.visit(node.left),
+                                         self.visit(node.right))
 
     def visit_Call(self, node):
         arg = self.visit(node.args[0])

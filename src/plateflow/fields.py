@@ -9,7 +9,10 @@ Coefficients are stored in increasing signed frequency order along the time
 and lateral axes (axis 0: k, axes 1-2: xi1, xi2), the Chebyshev node axis
 next, and an optional trailing component axis.  The forward transform is the
 lattice average, so synthesis is the plain sum over modes and Parseval holds
-without weights.
+without weights.  A real field's coefficients are conjugate-symmetric,
+c(-k, -xi) = conj(c(k, xi)); `is_conjugate_symmetric` tests it, and io
+refuses a container flagged real that fails the test.  `trace_bottom`
+restricts a slab field to the plate face x3 = 0.
 
 Pointwise work uses a zero-padded time/lateral lattice (`pad_to_samples`, and
 back by `samples_to_truncated`): DEALIAS wide for products, OVERSAMPLE for
@@ -196,50 +199,25 @@ def physical_samples(field) -> np.ndarray:
 
 
 def is_conjugate_symmetric(coeffs: np.ndarray, tol: float = 1e-12) -> bool:
-    dev = np.max(np.abs(coeffs - _symmetrize(coeffs)))
-    scale = max(np.max(np.abs(coeffs)), 1e-300)
-    return bool(dev <= tol * scale)
+    """Whether coeffs lie within tol * max |c| of _symmetrize(coeffs), that
+    is max |c(k, xi) - conj(c(-k, -xi))| <= 2 tol max |c|."""
+    dev = np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, ::-1])))
+    scale = np.max(np.abs(coeffs))
+    return bool(dev <= 2.0 * tol * max(scale, 1e-300))
 
 
-# ---- projections and traces -------------------------------------------------
-
-
-def project_steady(field):
-    """Keep only the k = 0 plane (time average in coefficient space)."""
-    out = field.copy()
-    mid = (field.grid.n_t - 1) // 2
-    keep = out.coeffs[mid].copy()
-    out.coeffs[:] = 0.0
-    out.coeffs[mid] = keep
-    return out
-
-
-def project_oscillatory(field):
-    """Zero the k = 0 plane; complement of project_steady."""
-    out = field.copy()
-    mid = (field.grid.n_t - 1) // 2
-    out.coeffs[mid] = 0.0
-    return out
-
-
-def _face_trace(field: SpectralField, node: int, component: int | None) -> PlateField:
-    if field.components == 1:
-        coeffs = field.coeffs[..., node]
-    elif component is None:
-        raise ValueError("vector field trace needs a component index")
-    else:
-        coeffs = field.coeffs[..., node, component]
-    return PlateField(field.grid, coeffs.copy(), field.real)
+# ---- plate trace ------------------------------------------------------------
 
 
 def trace_bottom(field: SpectralField, component: int | None = None) -> PlateField:
     """Restriction to the plate face x3 = 0 (node 0)."""
-    return _face_trace(field, 0, component)
-
-
-def trace_top(field: SpectralField, component: int | None = None) -> PlateField:
-    """Restriction to the rigid face x3 = 1 (node N_z)."""
-    return _face_trace(field, -1, component)
+    if field.components == 1:
+        coeffs = field.coeffs[..., 0]
+    elif component is None:
+        raise ValueError("vector field trace needs a component index")
+    else:
+        coeffs = field.coeffs[..., 0, component]
+    return PlateField(field.grid, coeffs.copy(), field.real)
 
 
 # ---- spectral derivatives ----------------------------------------------------

@@ -216,13 +216,3 @@ class TorusGrid:
         """
         a2 = self.xi_norm_sq()
         return [(float(val), *np.nonzero(a2 == val)) for val in np.unique(a2)]
-
-    def with_sizes(self, n_t=None, n_x=None, n_z=None) -> "TorusGrid":
-        """Same periods, different truncation."""
-        return TorusGrid(
-            n_t if n_t is not None else self.n_t,
-            n_x if n_x is not None else self.n_x,
-            n_z if n_z is not None else self.n_z,
-            self.t_period,
-            self.l_period,
-        )

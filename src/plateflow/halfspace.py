@@ -158,17 +158,6 @@ def halfspace_residuals(k: int, xi: tuple[int, int], eta_hat: complex,
     }
 
 
-def coupled_plate_symbol(k: int, xi: tuple[int, int], mu_s: float = 1.0,
-                         t_period: float = 2.0 * math.pi,
-                         l_period: float = 2.0 * math.pi) -> complex:
-    """Plate symbol with the half-space fluid load folded in."""
-    kp, x1, x2 = _phys(k, xi, t_period, l_period)
-    a2 = x1 * x1 + x2 * x2
-    if a2 == 0.0:
-        raise ValueError("xi' = 0 modes are excluded from the coupled symbol")
-    return _coupled_symbol(kp, a2, mu_s)
-
-
 def lattice_multipliers(k, xi, mu_s: float = 1.0,
                         t_period: float = 2.0 * math.pi,
                         l_period: float = 2.0 * math.pi):
@@ -210,15 +199,6 @@ def undamped_multiplier(k: int, xi: tuple[int, int],
     kp, x1, x2 = _phys(k, xi, t_period, l_period)
     gap, ring = _undamped_gap(kp, x1 * x1 + x2 * x2)
     return None if ring else 1.0 / gap
-
-
-def weighted_multiplier(k: int, xi: tuple[int, int], mu_s: float = 1.0,
-                        t_period: float = 2.0 * math.pi,
-                        l_period: float = 2.0 * math.pi) -> complex:
-    """(1 + |k|^2 + |xi'|^4) * M, the quantity whose boundedness is claimed."""
-    if k == 0 or (xi[0] == 0 and xi[1] == 0):
-        return 0.0 + 0.0j
-    return lattice_multipliers(k, xi, mu_s, t_period, l_period)[1]
 
 
 # ---- lattice scans ------------------------------------------------------------

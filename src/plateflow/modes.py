@@ -58,17 +58,6 @@ def _damped_symbol(kp, a2, mu_s):
     return a2 * a2 - kp * kp + 1j * kp * mu_s * a2
 
 
-def plate_symbol_damped(k: int, xi: tuple[int, int], mu_s: float = 1.0,
-                        t_period: float = 2.0 * np.pi,
-                        l_period: float = 2.0 * np.pi) -> complex:
-    """Fourth-order plate symbol with inertia and structural damping.
-
-    Arguments are integer lattice frequencies, scaled by grid._phys.
-    """
-    kp, s1, s2 = _phys(k, xi, t_period, l_period)
-    return _damped_symbol(kp, s1 * s1 + s2 * s2, mu_s)
-
-
 @dataclass
 class ModeSolution:
     """Layer profiles of a single frequency mode.
@@ -249,36 +238,24 @@ def _residual_parts(grid: TorusGrid, u, p, eta, kp, x1, x2, f, g, h,
     }
 
 
-def _linear_report(parts: dict[str, float]) -> dict[str, float]:
-    """Residual report of the linear solvers: kinematic and no-slip as "bc"."""
+def linear_residuals(u: SpectralField, p: SpectralField, eta: PlateField,
+                     f=None, g=None, h=None,
+                     params: SolverParams = DEFAULT_PARAMS) -> dict[str, float]:
+    """Coefficient-space residuals of the assembled linear system, with the
+    kinematic and no-slip conditions reported together as "bc"."""
+    grid = u.grid
+    xp = grid.xi_phys
+    parts = _residual_parts(
+        grid, u.coeffs, p.coeffs, eta.coeffs,
+        grid.k_phys[:, None, None], xp[:, None], xp,
+        None if f is None else f.coeffs, None if g is None else g.coeffs,
+        None if h is None else h.coeffs, params.mu_f, params.mu_s)
     return {
         "momentum": parts["momentum"],
         "continuity": parts["continuity"],
         "bc": max(parts["kinematic"], parts["no_slip"]),
         "plate": parts["plate"],
     }
-
-
-def mode_residuals(sol: ModeSolution, f_hat=None, g_hat=None, h_hat=0.0,
-                   mu_f: float = 1.0, mu_s: float = 1.0) -> dict[str, float]:
-    """Max-abs residual of every equation of one mode, from the profiles."""
-    f_hat, g_hat, h_hat = _data_profiles(sol.grid, f_hat, g_hat, h_hat)
-    return _linear_report(_residual_parts(
-        sol.grid, sol.u.T, sol.p, sol.eta, sol.k_phys, *sol.xi_phys,
-        f_hat.T, g_hat, h_hat, mu_f, mu_s))
-
-
-def linear_residuals(u: SpectralField, p: SpectralField, eta: PlateField,
-                     f=None, g=None, h=None,
-                     params: SolverParams = DEFAULT_PARAMS) -> dict[str, float]:
-    """Coefficient-space residuals of the assembled linear system."""
-    grid = u.grid
-    xp = grid.xi_phys
-    return _linear_report(_residual_parts(
-        grid, u.coeffs, p.coeffs, eta.coeffs,
-        grid.k_phys[:, None, None], xp[:, None], xp,
-        None if f is None else f.coeffs, None if g is None else g.coeffs,
-        None if h is None else h.coeffs, params.mu_f, params.mu_s))
 
 
 # ---- weak form and energy oracles -------------------------------------------

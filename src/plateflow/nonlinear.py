@@ -343,12 +343,6 @@ def _gate(eta: PlateField, eps0: float, q: float
     ), geo
 
 
-def smallness_check(eta: PlateField, eps0: float = EPS0_DEFAULT,
-                    q: float = 2.0) -> SmallnessReport:
-    """Gate for the perturbative regime; fails rather than raising."""
-    return _gate(eta, eps0, q)[0]
-
-
 # ---- empirical bound ratios ------------------------------------------------------
 
 

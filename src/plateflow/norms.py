@@ -139,19 +139,9 @@ def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
     return float(total)
 
 
-def l2_norm(field) -> float:
-    """Plain L2 norm (normalized measure), exact Parseval."""
-    if isinstance(field, PlateField):
-        return float(np.sqrt(np.sum(np.abs(field.coeffs) ** 2)))
-    w3 = field.grid.cheb_weights
-    mag2 = np.abs(field.coeffs) ** 2
-    if field.components > 1:
-        mag2 = mag2.sum(axis=-1)
-    return float(np.sqrt(np.sum(mag2 * w3)))
-
-
 def grid_l2_norm(field) -> float:
-    """Same norm from physical samples, used as an independent cross-check."""
+    """Plain L2 norm from physical samples, an independent cross-check of
+    sobolev_norm(field, NormSpec())."""
     s = inverse_transform(field)
     if isinstance(field, PlateField):
         return float(np.sqrt(np.mean(np.abs(s) ** 2)))

@@ -8,6 +8,7 @@ constants; loosening one here is a contract change, not a tuning knob.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -229,7 +230,7 @@ def test_criterion_05_mode_solver_accuracy():
 
 def test_criterion_06_divergence_lift():
     grid = TorusGrid(5, 5, 12)
-    fine = grid.with_sizes(n_z=24)
+    fine = replace(grid, n_z=24)
     worst_div = worst_bc = worst_ref = 0.0
     for seed in range(50):
         g = divergence(bubble_field(grid, 1000 + seed))
@@ -263,7 +264,7 @@ def test_criterion_07_route_agreement():
 
 def test_criterion_08_linear_bound_constant():
     grid = TorusGrid(5, 5, 8)
-    fine = grid.with_sizes(n_z=16)
+    fine = replace(grid, n_z=16)
     ratios = []
     for seed in range(100):
         f = poly_field(grid, 2000 + seed, components=3)
@@ -323,7 +324,7 @@ def test_criterion_09_picard_contraction_and_scaling():
 
 def test_criterion_10_interaction_term_bounds():
     grid = TorusGrid(5, 5, 10)
-    fine = grid.with_sizes(n_z=20)
+    fine = replace(grid, n_z=20)
 
     def ratios_for(g, seed):
         u = bubble_field(g, 3000 + seed, scale=1e-2)

@@ -123,6 +123,10 @@ def test_scalar_datum_with_layer_profile():
     ("1/0", "cannot be evaluated"),
     ("sin(x1/0)", "cannot be evaluated"),
     ("10.0**400", "cannot be evaluated"),
+    ("sin((-8)**(1/3)*x1)", "complex number"),
+    ("sin(x1*(-1)**0.5)", "complex number"),
+    ("sin(x1/(-1)**0.5)", "complex number"),
+    ("exp((-1)**0.5*x3)", "complex number"),
 ])
 def test_rejected_expressions(expr, fragment):
     with pytest.raises(CliError) as exc:
@@ -347,14 +351,19 @@ def test_solve_linear_incompatible_datum(tmp_path, capsys):
 
 def test_forged_container_header_is_a_one_line_error(tmp_path, capsys):
     # header sizes far beyond the configured grid and the 64 payload bytes;
-    # then a well-formed container that holds a NaN coefficient
+    # then a well-formed container that holds a NaN coefficient, and a plate
+    # flagged real over coefficients that are not conjugate-symmetric
     header = np.array([129, 129, 192, 3, 1], dtype="<u4").tobytes()
     (tmp_path / "x.plf").write_bytes(b"PLFSPEC1" + header + b"\x00" * 64)
     bad = poly_field(GRID, seed=6, components=3)
     bad.coeffs[1, 2, 3, 4, 0] = np.nan
     write_field(tmp_path / "nan.plf", bad)
-    for name, fragment in (("x.plf", "header"), ("nan.plf", "non-finite")):
-        code, out = run_cli(tmp_path, f"forcing_f = file:{name}\nn_z = 8\n",
+    noise = 1e-3 * np.random.default_rng(6).standard_normal((5, 5, 5))
+    write_field(tmp_path / "asym.plf", PlateField(GRID, noise + 0j, True))
+    for key, name, fragment in (("f", "x.plf", "header"),
+                                ("f", "nan.plf", "non-finite"),
+                                ("h", "asym.plf", "conjugate-symmetric")):
+        code, out = run_cli(tmp_path, f"forcing_{key} = file:{name}\nn_z = 8\n",
                             "solve-linear")
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()

@@ -24,11 +24,8 @@ from plateflow.fields import (
     pad_to_samples,
     padded_sizes,
     physical_samples,
-    project_oscillatory,
-    project_steady,
     samples_to_truncated,
     trace_bottom,
-    trace_top,
     truncate_coeffs,
     zeros_like_field,
 )
@@ -166,20 +163,9 @@ def test_traces_pick_face_nodes():
     f = poly_field(GRID, 11, components=3)
     samples = physical_samples(f)
     bot = inverse_transform(trace_bottom(f, 0))
-    top = inverse_transform(trace_top(f, 2))
+    top = inverse_transform(PlateField(GRID, f.coeffs[..., -1, 2], f.real))
     assert np.max(np.abs(bot - samples[..., 0, 0])) < TOL_ROUND
     assert np.max(np.abs(top - samples[..., -1, 2])) < TOL_ROUND
-
-
-def test_projections_split_identity():
-    f = poly_field(GRID, 12, components=1, band_t=2)
-    steady = project_steady(f)
-    osc = project_oscillatory(f)
-    assert np.max(np.abs(steady.coeffs + osc.coeffs - f.coeffs)) == 0.0
-    mask = np.ones(5, bool)
-    mask[HT] = False
-    assert np.all(steady.coeffs[mask] == 0.0)
-    assert np.all(osc.coeffs[HT] == 0.0)
 
 
 def test_div_grad_is_laplacian():

@@ -1,5 +1,7 @@
 """Layer discretization: nodes, differentiation, quadrature, transforms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,9 +151,13 @@ def test_sample_lattices_cover_one_period():
 
 def test_with_sizes_keeps_periods():
     grid = TorusGrid(5, 5, 8, t_period=1.5, l_period=2.5)
-    fine = grid.with_sizes(n_z=16)
+    # a grid is resized with dataclasses.replace, which reruns __post_init__
+    fine = replace(grid, n_z=16)
     assert (fine.n_t, fine.n_x, fine.n_z) == (5, 5, 16)
     assert fine.t_period == 1.5 and fine.l_period == 2.5
+    assert fine.nodes.shape == (17,) and fine.dmat(2).shape == (17, 17)
+    with pytest.raises(ValueError, match="N_z"):
+        replace(grid, n_z=3)
 
 
 def test_quadrature_weights_attached_to_grid():

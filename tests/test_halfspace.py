@@ -9,14 +9,15 @@ import pytest
 
 from plateflow import halfspace
 from plateflow.halfspace import (
+    _coupled_symbol,
     _fluid_load,
     _symbol_arrays,
     _tile_bounds,
     boundedness_scan,
-    coupled_plate_symbol,
     halfspace_profiles,
     halfspace_residuals,
     is_resonant_lattice_point,
+    lattice_multipliers,
     multiplier_M,
     q0_symbol,
     report_window_bytes,
@@ -24,9 +25,8 @@ from plateflow.halfspace import (
     resonance_rows_to_csv,
     scan_window_bytes,
     undamped_multiplier,
-    weighted_multiplier,
 )
-from plateflow.modes import plate_symbol_damped
+from plateflow.modes import _damped_symbol
 
 TOL_EQ = 1e-10
 TOL_BC = 1e-13
@@ -100,15 +100,15 @@ def test_undamped_multiplier_values():
 def test_weighted_multiplier_consistent():
     k, xi = 3, (2, 1)
     want = (1.0 + 9.0 + 25.0) * multiplier_M(k, xi)
-    assert weighted_multiplier(k, xi) == pytest.approx(want)
+    assert lattice_multipliers(k, xi)[1] == pytest.approx(want)
 
 
 def test_symbol_variants_agree_across_modules():
     # dropping the fluid load must reproduce the mode-solver plate symbol
     for k, xi in ((1, (1, 0)), (3, (2, 1)), (-2, (1, 1))):
         s = float(xi[0] ** 2 + xi[1] ** 2)
-        a = coupled_plate_symbol(k, xi, mu_s=1.3) - _fluid_load(float(k), s)
-        b = plate_symbol_damped(k, xi, mu_s=1.3)
+        a = _coupled_symbol(float(k), s, 1.3) - _fluid_load(float(k), s)
+        b = _damped_symbol(float(k), s, 1.3)
         assert a == pytest.approx(b)
     # the vectorized scan symbol matches the per-mode coupled symbol
     pairs = ((1, (1, 0)), (3, (2, 1)), (7, (4, 3)), (40, (9, 2)))
@@ -116,7 +116,7 @@ def test_symbol_variants_agree_across_modules():
         for k, xi in pairs:
             s = float(xi[0] ** 2 + xi[1] ** 2)
             arr = _symbol_arrays(np.array([float(k)]), np.array([s]), mu_s)
-            assert arr[0, 0] == pytest.approx(coupled_plate_symbol(k, xi, mu_s),
+            assert arr[0, 0] == pytest.approx(_coupled_symbol(float(k), s, mu_s),
                                               rel=1e-14)
 
 
@@ -137,7 +137,7 @@ def test_scan_uses_the_periods():
     # the pointwise maximum over the full window, k < 0 by conjugate symmetry
     t_period, l_period = 3.0, 5.0
     best = max(
-        (abs(weighted_multiplier(k, (n1, n2), 1.0, t_period, l_period)),
+        (abs(lattice_multipliers(k, (n1, n2), 1.0, t_period, l_period)[1]),
          k, n1 * n1 + n2 * n2)
         for k in range(1, 21) for n1 in range(-5, 6) for n2 in range(-5, 6)
         if (n1, n2) != (0, 0))
@@ -232,9 +232,10 @@ def test_resonance_report_small_window():
         if r.label == "near-resonant":
             assert abs(r.m_undamped) >= 10.0 * abs(r.m_damped)
         # damping decomposition is consistent with the assembled symbol
-        full = coupled_plate_symbol(r.k, r.xi)
-        fluid = _fluid_load(float(r.k), float(r.xi[0] ** 2 + r.xi[1] ** 2))
-        assert abs(plate_symbol_damped(r.k, r.xi) + fluid - full) < 1e-9
+        s = float(r.xi[0] ** 2 + r.xi[1] ** 2)
+        full = _coupled_symbol(float(r.k), s, 1.0)
+        fluid = _fluid_load(float(r.k), s)
+        assert abs(_damped_symbol(float(r.k), s, 1.0) + fluid - full) < 1e-9
 
 
 def test_resonance_csv_layout():

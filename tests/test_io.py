@@ -1,13 +1,10 @@
-"""Binary and JSON field exchange: exact round trips and header checks."""
-
-import json
+"""Binary field containers: exact round trips and header checks."""
 
 import numpy as np
 import pytest
 
 from plateflow.grid import TorusGrid
-from plateflow.io import (MAGIC, _HEADER, read_field, read_field_json, write_field,
-                          write_field_json)
+from plateflow.io import MAGIC, _HEADER, read_field, write_field
 
 from conftest import poly_field, poly_plate
 
@@ -76,9 +73,11 @@ def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "t.plf"
     write_field(path, f)
     blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(ValueError):
-        read_field(path)
+    # a payload shorter or longer than its header declares
+    for bad in (blob[: len(blob) // 2], blob + b"\x00" * 16):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="t.plf"):
+            read_field(path)
     # a complete payload with a value that is not finite is refused too
     for bad in (np.nan, np.inf):
         eta = poly_plate(GRID, 45)
@@ -86,27 +85,19 @@ def test_truncated_payload_rejected(tmp_path):
         write_field(path, eta)
         with pytest.raises(ValueError, match="non-finite"):
             read_field(path, grid=GRID)
-
-
-def test_json_mirror_round_trip(tmp_path):
-    f = poly_field(GRID, 46, components=3)
-    path = tmp_path / "u.json"
-    write_field_json(path, f)
-    back = read_field_json(path, grid=GRID)
-    assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-15
-    assert back.components == 3
-
-
-def test_json_plate_round_trip(tmp_path):
-    # plate containers have no layer axis, so n_z comes back as a placeholder
-    eta = poly_plate(GRID, 47)
-    path = tmp_path / "eta.json"
-    write_field_json(path, eta)
-    back = read_field_json(path)
-    assert np.max(np.abs(back.coeffs - eta.coeffs)) < 1e-15
-    g = back.grid
-    assert (g.n_t, g.n_x, g.t_period, g.l_period) \
-        == (GRID.n_t, GRID.n_x, GRID.t_period, GRID.l_period)
+    # complete payloads under a header they cannot honour: a real flag that
+    # is neither 0 nor 1, a real flag over coefficients that are not
+    # conjugate-symmetric, a plate with three components
+    noise = 1e-3 * np.random.default_rng(45).standard_normal(2 * 5 * 5 * 5)
+    for header, payload, fragment in (
+            ((5, 5, 0, 1, 7), np.zeros_like(noise), "real flag 7"),
+            ((5, 5, 0, 1, 1), noise, "not conjugate-symmetric"),
+            ((5, 5, 0, 3, 0), np.tile(noise, 3), "3 components on a plate")):
+        path.write_bytes(MAGIC + _HEADER.pack(*header)
+                         + payload.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=fragment) as exc:
+            read_field(path, grid=GRID)
+        assert str(path) in str(exc.value)
 
 
 @pytest.mark.parametrize("sizes,grid", [
@@ -119,21 +110,8 @@ def test_untrusted_header_rejected_before_reading(tmp_path, sizes, grid):
     # a forged header over a 64-byte payload must not size the read
     path = tmp_path / "forged.plf"
     path.write_bytes(MAGIC + _HEADER.pack(*sizes, 1) + b"\x00" * 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="forged.plf"):
         read_field(path, grid=grid)
-
-
-@pytest.mark.parametrize("components", [1, 0])
-def test_forged_json_rejected_before_building_a_grid(tmp_path, components):
-    # empty arrays under a huge layer count: the grid alone would need
-    # (n_z + 1)^2 doubles for its differentiation matrix
-    doc = {"kind": "slab", "n_t": 3, "n_x": 3, "n_z": 10 ** 7,
-           "components": components, "real": True, "t_period": 1.0,
-           "l_period": 1.0, "re": [], "im": []}
-    path = tmp_path / "forged.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        read_field_json(path)
 
 
 def test_truncated_header_rejected(tmp_path):

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from plateflow.fields import divergence, zeros_like_field
-from plateflow.grid import TorusGrid
+from plateflow.grid import TorusGrid, _phys
 from plateflow.lift import IncompatibleDataError
 from plateflow.modes import (
     ModeSolution,
     SolverParams,
+    _damped_symbol,
+    _residual_parts,
     energy_estimate_check,
     linear_residuals,
-    mode_residuals,
     mode_system_matrix,
-    plate_symbol_damped,
     random_test_pair,
     solve_linear_full,
     solve_mode,
@@ -46,13 +46,23 @@ def _mode_data(grid, seed, with_g=False):
     return f_hat, g_hat, h_hat
 
 
+def _mode_parts(sol, f_hat, g_hat, h_hat):
+    """The five equation residuals of one solved mode, from its profiles."""
+    return _residual_parts(sol.grid, sol.u.T, sol.p, sol.eta, sol.k_phys,
+                           *sol.xi_phys, f_hat.T, g_hat, h_hat, 1.0, 1.0)
+
+
 def test_plate_symbol_exact_values():
-    assert plate_symbol_damped(1, (1, 0)) == pytest.approx(1j)
-    assert plate_symbol_damped(2, (1, 1)) == pytest.approx(4j)
-    assert plate_symbol_damped(0, (1, 0)) == pytest.approx(1.0)
+    def symbol(k, xi, mu_s=1.0):
+        kp, x1, x2 = _phys(k, xi, 2.0 * np.pi, 2.0 * np.pi)
+        return _damped_symbol(kp, x1 * x1 + x2 * x2, mu_s)
+
+    assert symbol(1, (1, 0)) == pytest.approx(1j)
+    assert symbol(2, (1, 1)) == pytest.approx(4j)
+    assert symbol(0, (1, 0)) == pytest.approx(1.0)
     # damping scales with mu_s in the imaginary part only
-    a = plate_symbol_damped(3, (2, 1), mu_s=2.0)
-    b = plate_symbol_damped(3, (2, 1), mu_s=1.0)
+    a = symbol(3, (2, 1), mu_s=2.0)
+    b = symbol(3, (2, 1), mu_s=1.0)
     assert a.real == b.real and a.imag == 2.0 * b.imag
 
 
@@ -65,8 +75,8 @@ def test_oscillatory_mode_residuals(k, xi):
     if xi == (0, 0):
         g_hat = None        # the axis mode carries its own solvability rule
     sol = solve_mode(GRID, k, xi, f_hat, g_hat, h_hat)
-    res = mode_residuals(sol, f_hat, g_hat if g_hat is not None else None,
-                         h_hat)
+    res = _mode_parts(sol, f_hat, g_hat, h_hat)
+    assert len(res) == 5
     scale = max(1.0, float(np.max(np.abs(f_hat))))
     for name, val in res.items():
         assert val < TOL_MODE * scale, (name, val)
@@ -75,7 +85,8 @@ def test_oscillatory_mode_residuals(k, xi):
 def test_steady_mode_residuals():
     f_hat, g_hat, h_hat = _mode_data(GRID, 60, with_g=True)
     sol = solve_mode(GRID, 0, (1, 1), f_hat, g_hat, h_hat)
-    res = mode_residuals(sol, f_hat, g_hat, h_hat)
+    res = _mode_parts(sol, f_hat, g_hat, h_hat)
+    assert len(res) == 5
     assert max(res.values()) < TOL_MODE * 10.0
 
 
@@ -101,8 +112,7 @@ def _unrotated_matrix(grid, k, xi, mu_f=1.0, mu_s=1.0):
     a[bp:bp + m, 0:m] = 1j * x1 * eye
     a[bp:bp + m, m:2 * m] = 1j * x2 * eye
     a[bp:bp + m, bu3:bu3 + m] = d1
-    a[last, last] = plate_symbol_damped(k, xi, mu_s, grid.t_period,
-                                        grid.l_period)
+    a[last, last] = _damped_symbol(kp, x1 * x1 + x2 * x2, mu_s)
     a[last, bp] = -1.0
     a[last, bu3:bu3 + m] = 2.0 * mu_f * d1[0]
     return a
@@ -190,17 +200,20 @@ def test_full_residuals_are_worst_mode_residuals():
     # doubled data leaves O(1) residuals in every equation but the faces
     f2, g2, h2 = 2.0 * f, 2.0 * g, 2.0 * h
     full = linear_residuals(sol.u, sol.p, sol.eta, f2, g2, h2)
-    worst = dict.fromkeys(full, 0.0)
+    worst = dict.fromkeys(
+        ("momentum", "continuity", "kinematic", "no_slip", "plate"), 0.0)
     half_t, half_x = (GRID.n_t - 1) // 2, (GRID.n_x - 1) // 2
     for idx in np.ndindex(GRID.n_t, GRID.n_x, GRID.n_x):
         mode = ModeSolution(GRID, idx[0] - half_t,
                             (idx[1] - half_x, idx[2] - half_x),
                             sol.u.coeffs[idx].T, sol.p.coeffs[idx],
                             sol.eta.coeffs[idx])
-        res = mode_residuals(mode, f2.coeffs[idx].T, g2.coeffs[idx],
-                             h2.coeffs[idx])
+        res = _mode_parts(mode, f2.coeffs[idx].T, g2.coeffs[idx],
+                          h2.coeffs[idx])
         worst = {key: max(worst[key], res[key]) for key in worst}
     assert full["momentum"] > 1e-3 and full["plate"] > 1e-3
+    worst["bc"] = max(worst.pop("kinematic"), worst.pop("no_slip"))
+    assert worst.keys() == full.keys()
     for key in full:
         assert full[key] == pytest.approx(worst[key], rel=1e-12, abs=1e-13), key
 

@@ -15,7 +15,6 @@ from plateflow.grid import TorusGrid
 from plateflow.norms import (
     NormSpec,
     grid_l2_norm,
-    l2_norm,
     mixed_lr_lp_norm,
     negative_norm,
     sobolev_norm,
@@ -59,14 +58,14 @@ def test_unsupported_orders():
 
 def test_l2_of_constant_and_single_mode():
     const = _mode_field()
-    assert abs(l2_norm(const) - 1.0) < TOL_EXACT
+    assert abs(sobolev_norm(const, NormSpec()) - 1.0) < TOL_EXACT
     mode = _mode_field(1, 1)
-    assert abs(l2_norm(mode) - 1.0) < TOL_EXACT
+    assert abs(sobolev_norm(mode, NormSpec()) - 1.0) < TOL_EXACT
 
 
 def test_parseval_grid_agreement():
     f = poly_field(GRID, 21, components=3, band_t=2, band_x=2, degree=5)
-    a = l2_norm(f)
+    a = sobolev_norm(f, NormSpec())
     b = grid_l2_norm(f)
     assert abs(a - b) / a < TOL_PARSEVAL
 
@@ -170,7 +169,7 @@ def test_negative_norm_time_weight():
 def test_negative_norm_layer_mode():
     prof = np.cos(np.pi * GRID.nodes)
     f = _mode_field(0, 1, profile=prof)
-    want = l2_norm(f) / np.sqrt(1.0 + np.pi ** 2)
+    want = sobolev_norm(f, NormSpec()) / np.sqrt(1.0 + np.pi ** 2)
     assert abs(negative_norm(f) - want) / want < 1e-4
 
 
