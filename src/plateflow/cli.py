@@ -70,6 +70,7 @@ import ast
 import csv
 import ctypes
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -83,7 +84,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import PlateField, SpectralField, forward_transform, physical_samples
-from .grid import TorusGrid
+from .grid import TorusGrid, _distinct
 from .halfspace import (
     boundedness_scan,
     lattice_multipliers,
@@ -592,13 +593,12 @@ def _write_csv(path: Path, header: list[str], rows):
 
 def _plate_samples_csv(path: Path, eta: PlateField):
     grid = eta.grid
-    vals = physical_samples(eta)
-    rows = []
-    for it, tv in enumerate(grid.t_samples):
-        for i1, xv in enumerate(grid.x_samples):
-            for i2, yv in enumerate(grid.x_samples):
-                rows.append((f"{tv:.16e}", f"{xv:.16e}", f"{yv:.16e}",
-                             f"{vals[it, i1, i2]:.16e}"))
+    vals = physical_samples(eta).reshape(-1).tolist()
+    # each axis label is formatted once; rows run in the samples' C order
+    ts = [f"{v:.16e}" for v in grid.t_samples]
+    xs = [f"{v:.16e}" for v in grid.x_samples]
+    rows = [(tv, xv, yv, f"{v:.16e}")
+            for (tv, xv, yv), v in zip(itertools.product(ts, xs, xs), vals)]
     _write_csv(path, ["t", "x1", "x2", "eta"], rows)
 
 
@@ -630,15 +630,19 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
     write_field(out_dir / "p.plf", sol.p)
     write_field(out_dir / "eta.plf", sol.eta)
     _plate_samples_csv(out_dir / "eta_samples.csv", sol.eta)
+    # the bound constant is measured at q = 2 whatever the reported q
+    y_2, x_2 = y_norm(f, g_arg, h, 2.0), x_norm(sol.u, sol.p, sol.eta, 2.0)
+    q2 = cfg.q == 2.0
     return {
         "norms": {
-            "y_norm_data": y_norm(f, g_arg, h, cfg.q),
-            "x_norm_solution": x_norm(sol.u, sol.p, sol.eta, cfg.q),
+            "y_norm_data": y_2 if q2 else y_norm(f, g_arg, h, cfg.q),
+            "x_norm_solution": x_2 if q2 else x_norm(sol.u, sol.p, sol.eta, cfg.q),
             "s_norm_eta": s_norm(sol.eta, cfg.q),
         },
         "residuals": linear_residuals(sol.u, sol.p, sol.eta, f, g_arg, h,
                                       params),
-        "empirical_constants": {"x_over_y_ratio": sol.norm_ratio},
+        "empirical_constants": {
+            "x_over_y_ratio": x_2 / y_2 if y_2 > 0.0 else None},
         "outputs": ["u.plf", "p.plf", "eta.plf", "eta_samples.csv"],
     }
 
@@ -690,8 +694,8 @@ def _run_multiplier_scan(cfg: ScenarioConfig, out_dir: Path, seed: int,
     k_max, xi_max = _window(cfg, "multiplier-scan")
     report = boundedness_scan(k_max, xi_max, cfg.mu_s, t_period=cfg.T,
                               l_period=cfg.L)
-    ks = np.unique(np.geomspace(1, k_max, 64).astype(int))
-    ns = np.unique(np.geomspace(1, xi_max, 64).astype(int))
+    ks = _distinct(np.geomspace(1, k_max, 64).astype(int))
+    ns = _distinct(np.geomspace(1, xi_max, 64).astype(int))
     rows = []
     for ray, index, (m, w) in (
             ("k", ks, lattice_multipliers(ks, (1, 0), cfg.mu_s, cfg.T, cfg.L)),

@@ -98,6 +98,15 @@ def cheb_eval(coeffs: np.ndarray, x3: np.ndarray, axis: int = -1) -> np.ndarray:
     return tmp
 
 
+def _distinct(values) -> np.ndarray:
+    """Sorted distinct entries of an array, flattened: numpy's unique()
+    values without the numpy.ma import that unique() makes on first call."""
+    v = np.sort(np.asarray(values), axis=None)
+    keep = np.ones(v.shape, bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def _phys(k, xi, t_period, l_period):
     """Physical (k, xi1, xi2) of integer lattice frequencies: the one scalar
     2*pi/period scaling; arguments broadcast."""
@@ -215,4 +224,4 @@ class TorusGrid:
         depends on xi' only through |xi'|^2 is done once per group.
         """
         a2 = self.xi_norm_sq()
-        return [(float(val), *np.nonzero(a2 == val)) for val in np.unique(a2)]
+        return [(float(val), *np.nonzero(a2 == val)) for val in _distinct(a2)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _phys
+from .grid import _distinct, _phys
 from .modes import _damped_symbol
 
 # fitting window for the decay-exponent rays: top decade of the scan range
@@ -373,7 +373,7 @@ def boundedness_scan(k_max: int, xi_max: int, mu_s: float = 1.0,
 
     # decay exponents along rays, fitted over the top decade
     k_lo = max(1, k_max // 10)
-    ks = np.unique(np.geomspace(k_lo, k_max, _RAY_POINTS).astype(int)).astype(float)
+    ks = _distinct(np.geomspace(k_lo, k_max, _RAY_POINTS).astype(int)).astype(float)
     m_ray = 1.0 / np.abs(_symbol_arrays(ct * ks, a2[:1], mu_s)[:, 0])
     slope_k = float(np.polyfit(np.log(ks), np.log(m_ray), 1)[0])
     s_hi = float(ss[-1])

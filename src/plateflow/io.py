@@ -87,10 +87,10 @@ def read_field(path, grid: TorusGrid | None = None,
     if real_flag and not is_conjugate_symmetric(payload.view("<c16").reshape(shape)):
         raise ValueError(f"{path} is flagged real, but its coefficients "
                          "are not conjugate-symmetric")
-    flat = payload[0::2] + 1j * payload[1::2]
     if grid is None:
         grid = TorusGrid(n_t, n_x, n_z if not plate else 4, t_period, l_period)
-    coeffs = flat.reshape(shape)
+    # one native copy of the complex view keeps every bit, signed zeros too
+    coeffs = payload.view("<c16").astype(complex).reshape(shape)
     if plate:
         return PlateField(grid, coeffs, bool(real_flag))
     return SpectralField(grid, coeffs, components, bool(real_flag))

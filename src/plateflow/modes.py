@@ -35,7 +35,6 @@ from .fields import (
 from .grid import (TorusGrid, _phys, cheb_eval, cheb_nodes, cheb_values_to_coeffs,
                    clencurt_weights)
 from .lift import antiderivative_from_plate, lift_divergence, xi0_incompatibility
-from .norms import x_norm, y_norm
 
 
 @dataclass(frozen=True)
@@ -394,7 +393,6 @@ class LinearSolution:
     p: SpectralField
     eta: PlateField
     lift: SpectralField | None
-    norm_ratio: float | None
 
 
 def solve_linear_full(f: SpectralField | None = None,
@@ -402,8 +400,7 @@ def solve_linear_full(f: SpectralField | None = None,
                       h: PlateField | None = None, *,
                       grid: TorusGrid | None = None,
                       params: SolverParams = DEFAULT_PARAMS,
-                      route: str = "lift",
-                      compute_ratio: bool = True) -> LinearSolution:
+                      route: str = "lift") -> LinearSolution:
     """Solve the linearized coupled system for time-periodic data.
 
     route "lift" removes the divergence datum with the layer lift and sends
@@ -467,10 +464,4 @@ def solve_linear_full(f: SpectralField | None = None,
     eta = PlateField(grid, e_c, real_data)
     if w is not None:
         u = u + w
-
-    ratio = None
-    if compute_ratio:
-        denom = y_norm(f, g, h, 2.0)
-        if denom > 0.0:
-            ratio = x_norm(u, p, eta, 2.0) / denom
-    return LinearSolution(u, p, eta, w, ratio)
+    return LinearSolution(u, p, eta, w)

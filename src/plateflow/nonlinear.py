@@ -508,7 +508,7 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
             rd_mean = xi0_incompatibility(g, rd.coeffs)
 
         sol = solve_linear_full(rhs_f, rd, rhs_h, grid=g,
-                                params=params, route="lift", compute_ratio=False)
+                                params=params, route="lift")
         new_norm = x_norm(sol.u, sol.p, sol.eta, q=config.q)
         step = x_norm(sol.u - u, sol.p - p, sol.eta - eta, q=config.q)
         ratio = (step / prev_step) if prev_step else None
@@ -570,10 +570,11 @@ def nonlinear_residual(u: SpectralField, p: SpectralField, eta: PlateField,
     """
     g = u.grid
     geo = _geometry_for(eta, u.real and p.real)
+    # composed first, as in a sweep: its padded series is freed before the
+    # terms allocate theirs
+    composed = None if f is None else compose_forcing(f, eta)
     terms = compute_nonlinear_terms(u, p, geo, mu_f=mu_f)
-    rhs_f = terms.rf_tilde
-    if f is not None:
-        rhs_f = compose_forcing(f, eta) + rhs_f
+    rhs_f = terms.rf_tilde if composed is None else composed + terms.rf_tilde
     rhs_h = terms.r_eta if h is None else h + terms.r_eta
     xp = g.xi_phys
     parts = _residual_parts(g, u.coeffs, p.coeffs, geo.eta.coeffs,

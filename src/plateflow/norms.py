@@ -120,14 +120,17 @@ def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
         (g.n_t,) + (1,) * (field.coeffs.ndim - 1))
     vector = field.components > 1
     if spec.q == 2.0:
-        w3 = g.cheb_weights
+        w3 = g.cheb_weights.reshape((1, 1, 1, -1) + (1,) * (field.coeffs.ndim - 4))
         total = 0.0
         for j in range(m + 1):
-            wx = ((1.0 + g.xi_norm_sq()) ** (s - j)).reshape(
-                (1, g.n_x, g.n_x) + (1,) * (field.coeffs.ndim - 3))
             dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j, vector)
-            contrib = np.abs(wt * dj) ** 2 * wx
-            contrib = contrib * w3.reshape((1, 1, 1, -1) + (1,) * (field.coeffs.ndim - 4))
+            # a weight of order 0 is exactly 1.0, so it is not multiplied in
+            contrib = np.abs(dj if spec.time_order == 0 else wt * dj)
+            np.square(contrib, out=contrib)
+            if s != j:
+                contrib *= ((1.0 + g.xi_norm_sq()) ** (s - j)).reshape(
+                    (1, g.n_x, g.n_x) + (1,) * (field.coeffs.ndim - 3))
+            contrib *= w3
             total += comb(m, j) * float(np.sum(contrib))
         return float(np.sqrt(total))
     total = 0.0

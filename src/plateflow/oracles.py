@@ -291,11 +291,9 @@ def cross_validate_linear(case: ManufacturedCase, *, q: float = 2.0) -> dict:
     """
     g_arg = case.g if case.g.coeffs.any() else None
     lift = solve_linear_full(case.f, g_arg, case.h, grid=case.grid,
-                             params=case.params, route="lift",
-                             compute_ratio=False)
+                             params=case.params, route="lift")
     direct = solve_linear_full(case.f, g_arg, case.h, grid=case.grid,
-                               params=case.params, route="direct",
-                               compute_ratio=False)
+                               params=case.params, route="direct")
 
     def residuals(sol):
         return linear_residuals(sol.u, sol.p, sol.eta, case.f, g_arg, case.h,

@@ -44,7 +44,7 @@ from plateflow.nonlinear import (
     nonlinear_bound_ratios,
     picard_solve,
 )
-from plateflow.norms import NormSpec, sobolev_norm, x_norm
+from plateflow.norms import NormSpec, sobolev_norm, x_norm, y_norm
 from plateflow.oracles import cross_validate_linear, make_manufactured
 
 from conftest import ACCEPTANCE_LINES, bubble_field, poly_field, poly_plate
@@ -215,7 +215,7 @@ def test_criterion_05_mode_solver_accuracy():
         f = poly_field(egrid, 500 + draw, components=3,
                        band_t=8, band_x=1, degree=4)
         h = poly_plate(egrid, 700 + draw, band_t=8)
-        sol = solve_linear_full(f, None, h, grid=egrid, compute_ratio=False)
+        sol = solve_linear_full(f, None, h, grid=egrid)
         ratios.extend(energy_estimate_check(sol.u, sol.eta, f, h, k)
                       for k in range(1, 9))
     spread = max(ratios) / min(ratios)
@@ -262,19 +262,21 @@ def test_criterion_07_route_agreement():
            f"10 manufactured cases: worst solution-norm gap {worst:.2e}")
 
 
+def _bound_ratio(grid, seed):
+    """x_norm / y_norm at q = 2 for the criterion-08 draw `seed`."""
+    f = poly_field(grid, 2000 + seed, components=3)
+    h = poly_plate(grid, 2100 + seed)
+    sol = solve_linear_full(f, None, h, grid=grid)
+    return x_norm(sol.u, sol.p, sol.eta) / y_norm(f, None, h)
+
+
 def test_criterion_08_linear_bound_constant():
     grid = TorusGrid(5, 5, 8)
     fine = replace(grid, n_z=16)
-    ratios = []
-    for seed in range(100):
-        f = poly_field(grid, 2000 + seed, components=3)
-        h = poly_plate(grid, 2100 + seed)
-        ratios.append(solve_linear_full(f, None, h, grid=grid).norm_ratio)
+    ratios = [_bound_ratio(grid, seed) for seed in range(100)]
     worst_ref = 0.0
     for seed in range(10):
-        f = poly_field(fine, 2000 + seed, components=3)
-        h = poly_plate(fine, 2100 + seed)
-        r = solve_linear_full(f, None, h, grid=fine).norm_ratio
+        r = _bound_ratio(fine, seed)
         worst_ref = max(worst_ref, abs(r / ratios[seed] - 1.0))
     ok = (all(np.isfinite(r) and 0.0 < r < RATIO_BOUND for r in ratios)
           and worst_ref < REFINE_BAND)
@@ -301,7 +303,7 @@ def test_criterion_09_picard_contraction_and_scaling():
     ratios = [s["ratio"] for s in result.trace if s["ratio"] is not None]
     resid = max(result.residuals.values())
 
-    lin = solve_linear_full(None, None, h0, grid=grid, compute_ratio=False)
+    lin = solve_linear_full(None, None, h0, grid=grid)
     alphas = (1e-2, 1e-3, 1e-4)
     devs = []
     for alpha in alphas:

@@ -23,6 +23,7 @@ from plateflow.cli import CliError, load_config, main, parse_forcing
 from plateflow.fields import PlateField, physical_samples
 from plateflow.grid import TorusGrid
 from plateflow.io import read_field, write_field
+from plateflow.norms import x_norm, y_norm
 
 from conftest import poly_field
 
@@ -327,6 +328,21 @@ def test_solve_linear_plate_forcing(tmp_path):
     assert doc["config_sha256"] == hashlib.sha256(raw.encode()).hexdigest()
     eta = read_field(out / "eta.plf")
     assert isinstance(eta, PlateField) and eta.coeffs.any()
+    # the ratio is x_norm / y_norm at q = 2; the norms are reported at q
+    f, h = (parse_forcing(expr, eta.grid, kind)
+            for expr, kind in (("0", "f"), ("0.001*cos(t)*cos(x1)", "h")))
+    for q, name in ((2.0, "out"), (3.0, "q3")):
+        if q != 2.0:
+            _, out = run_cli(tmp_path, cfg + f"q = {q}\n", "solve-linear",
+                             out_name=name)
+        doc = manifest_of(out)
+        u, p, eta = (read_field(out / f"{n}.plf") for n in ("u", "p", "eta"))
+        assert doc["empirical_constants"]["x_over_y_ratio"] == (
+            x_norm(u, p, eta, 2.0) / y_norm(f, None, h, 2.0))
+        assert doc["norms"]["x_norm_solution"] == x_norm(u, p, eta, q)
+        assert doc["norms"]["y_norm_data"] == y_norm(f, None, h, q)
+    assert doc["empirical_constants"]["x_over_y_ratio"] == ratio
+    assert doc["norms"]["x_norm_solution"] != x_norm(u, p, eta, 2.0)
 
 
 def test_solve_linear_eps_scales_data(tmp_path):
@@ -422,6 +438,23 @@ def test_outputs_independent_of_openblas_threads(tmp_path):
     blas = [doc.pop("execution")["blas_threads"] for doc in docs]
     assert docs[0] == docs[1]
     assert blas in ([1, 1], [None, None])
+
+
+def test_solve_linear_does_not_import_numpy_ma(tmp_path):
+    # numpy's unique() imports numpy.ma on its first call, a start-up cost
+    (tmp_path / "run.cfg").write_text(PIN_CFG)
+    path = [str(Path(cli.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    script = ("import sys; from plateflow.cli import main; "
+              "code = main(sys.argv[1:]); "
+              "sys.exit(code or 3 * ('numpy.ma' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script, "solve-linear",
+                           "--config", str(tmp_path / "run.cfg"),
+                           "--out", str(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          timeout=120)
+    assert proc.returncode == 0
 
 
 def test_blas_pin_restores_the_callers_count(tmp_path):

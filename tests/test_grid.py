@@ -7,6 +7,7 @@ import pytest
 
 from plateflow.grid import (
     TorusGrid,
+    _distinct,
     cheb_diff_matrix,
     cheb_eval,
     cheb_nodes,
@@ -139,6 +140,14 @@ def test_frequency_lattices():
         values.append(val)
     assert np.all(seen == 1)
     assert all(lo < hi for lo, hi in zip(values, values[1:]))
+    # the group values are numpy's unique() values, at any period
+    for g in (grid, TorusGrid(3, 3, 4), TorusGrid(3, 9, 4, l_period=4.0),
+              TorusGrid(3, 17, 4, l_period=0.7), TorusGrid(3, 33, 4)):
+        a2 = g.xi_norm_sq()
+        assert _distinct(a2).tobytes() == np.unique(a2).tobytes()
+        assert [val for val, _, _ in g.xi_groups()] == np.unique(a2).tolist()
+    rays = np.geomspace(1, 1000, 64).astype(int)
+    assert _distinct(rays).tobytes() == np.unique(rays).tobytes()
 
 
 def test_sample_lattices_cover_one_period():

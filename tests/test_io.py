@@ -24,11 +24,15 @@ def test_slab_round_trip_bitwise(tmp_path):
 def test_complex_scalar_round_trip(tmp_path):
     f = poly_field(GRID, 41, components=1)
     f = type(f)(GRID, f.coeffs + 1j * np.roll(f.coeffs, 1, axis=3), 1, False)
+    # signed zeros in either part survive too; array_equal ignores their sign
+    f.coeffs[0, 0, 0, :3] = [complex(-0.0, -0.0), complex(1.0, -0.0),
+                             complex(-0.0, 1.0)]
     path = tmp_path / "c.plf"
     write_field(path, f)
     back = read_field(path, grid=GRID)
     assert not back.real
     assert np.array_equal(back.coeffs, f.coeffs)
+    assert back.coeffs.tobytes() == f.coeffs.tobytes()
 
 
 def test_plate_round_trip(tmp_path):

@@ -169,12 +169,12 @@ def test_weak_identity_on_solver_output(k, xi):
 def test_energy_check_conventions():
     f = poly_field(GRID, 80, components=3)
     h = poly_plate(GRID, 81)
-    sol = solve_linear_full(f, None, h, grid=GRID, compute_ratio=False)
+    sol = solve_linear_full(f, None, h, grid=GRID)
     c = energy_estimate_check(sol.u, sol.eta, f, h, 1)
     assert np.isfinite(c) and c > 0.0
     zero = zeros_like_field(GRID, components=3)
     zh = zeros_like_field(GRID, plate=True)
-    zs = solve_linear_full(zero, None, zh, grid=GRID, compute_ratio=False)
+    zs = solve_linear_full(zero, None, zh, grid=GRID)
     assert energy_estimate_check(zs.u, zs.eta, zero, zh, 1) == 0.0
     with pytest.raises(ValueError):
         energy_estimate_check(sol.u, sol.eta, f, h, 0)
@@ -187,7 +187,6 @@ def test_full_solve_zero_data_is_zero():
     assert np.max(np.abs(sol.u.coeffs)) == 0.0
     assert np.max(np.abs(sol.p.coeffs)) == 0.0
     assert np.max(np.abs(sol.eta.coeffs)) == 0.0
-    assert sol.norm_ratio is None          # no data norm to divide by
     assert max(linear_residuals(sol.u, sol.p, sol.eta).values()) == 0.0
 
 
@@ -195,8 +194,7 @@ def test_full_residuals_are_worst_mode_residuals():
     f = poly_field(GRID, 87, components=3)
     h = poly_plate(GRID, 88)
     g = divergence(bubble_field(GRID, 84))
-    sol = solve_linear_full(f, g, h, grid=GRID, route="direct",
-                            compute_ratio=False)
+    sol = solve_linear_full(f, g, h, grid=GRID, route="direct")
     # doubled data leaves O(1) residuals in every equation but the faces
     f2, g2, h2 = 2.0 * f, 2.0 * g, 2.0 * h
     full = linear_residuals(sol.u, sol.p, sol.eta, f2, g2, h2)
@@ -233,7 +231,6 @@ def test_full_solve_residuals_both_routes(route, real):
     scale = max(1.0, np.max(np.abs(f.coeffs)))
     for name, val in linear_residuals(sol.u, sol.p, sol.eta, f, g, h).items():
         assert val < 1e-9 * scale, (name, val)
-    assert sol.norm_ratio is not None and sol.norm_ratio > 0.0
 
 
 def test_unknown_route_rejected():
@@ -265,7 +262,7 @@ def test_single_mode_data_stays_localized():
     prof = GRID.nodes * (1.0 - GRID.nodes)
     f.coeffs[3, 3, 2, :, 0] = prof
     f.coeffs[1, 1, 2, :, 0] = prof          # conjugate partner
-    sol = solve_linear_full(f, None, None, grid=GRID, compute_ratio=False)
+    sol = solve_linear_full(f, None, None, grid=GRID)
     mask = np.zeros((5, 5, 5), bool)
     mask[3, 3, 2] = mask[1, 1, 2] = True
     assert np.max(np.abs(sol.u.coeffs[~mask])) == 0.0

@@ -6,11 +6,13 @@ a single unit lattice mode has L2 norm exactly 1.
 """
 
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
 
-from plateflow.fields import PlateField, SpectralField, zeros_like_field
+from plateflow.fields import (PlateField, SpectralField, layer_derivative,
+                              zeros_like_field)
 from plateflow.grid import TorusGrid
 from plateflow.norms import (
     NormSpec,
@@ -86,6 +88,29 @@ def test_layer_derivative_term():
     lin = _mode_field(profile=GRID.nodes)  # u = x3 on the mean column
     want = np.sqrt(1.0 / 3.0 + 1.0)        # |x3|^2 integral + |d3 x3|^2
     assert abs(sobolev_norm(lin, NormSpec(0, 1, 2.0)) - want) < TOL_EXACT
+
+
+@pytest.mark.parametrize("time_order,spatial_order",
+                         [(0, 0.0), (1, 0.0), (0, 2.0), (2, 1.0), (0, 1.5)])
+@pytest.mark.parametrize("components", [1, 3])
+def test_q2_slab_norm_equals_the_weighted_coefficient_sum(time_order,
+                                                          spatial_order,
+                                                          components):
+    # bit for bit the sum with every weight multiplied in, order 0 included
+    f = poly_field(GRID, 22, components=components, degree=5)
+    c = f.coeffs
+    tail = (1,) * (c.ndim - 3)
+    wt = ((1.0 + GRID.k_phys ** 2) ** (0.5 * time_order)).reshape((-1, 1, 1) + tail)
+    w3 = GRID.cheb_weights.reshape((1, 1, 1, -1) + tail[1:])
+    m = int(np.floor(spatial_order + 1e-12))
+    total = 0.0
+    for j in range(m + 1):
+        wx = ((1.0 + GRID.xi_norm_sq()) ** (spatial_order - j)).reshape(
+            (1, 5, 5) + tail)
+        dj = c if j == 0 else layer_derivative(GRID, c, j, components > 1)
+        total += comb(m, j) * float(np.sum(np.abs(wt * dj) ** 2 * wx * w3))
+    got = sobolev_norm(f, NormSpec(time_order, spatial_order, 2.0))
+    assert got == float(np.sqrt(total))
 
 
 def test_plate_norm_single_mode():
