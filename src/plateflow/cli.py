@@ -641,8 +641,7 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
         },
         "residuals": linear_residuals(sol.u, sol.p, sol.eta, f, g_arg, h,
                                       params),
-        "empirical_constants": {
-            "x_over_y_ratio": x_2 / y_2 if y_2 > 0.0 else None},
+        "empirical_constants": {"x_over_y_ratio": x_2 / y_2 if y_2 > 0.0 else None},
         "outputs": ["u.plf", "p.plf", "eta.plf", "eta_samples.csv"],
     }
 

@@ -99,8 +99,7 @@ def cheb_eval(coeffs: np.ndarray, x3: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _distinct(values) -> np.ndarray:
-    """Sorted distinct entries of an array, flattened: numpy's unique()
-    values without the numpy.ma import that unique() makes on first call."""
+    """numpy's unique() without its numpy.ma import: sorted distinct entries."""
     v = np.sort(np.asarray(values), axis=None)
     keep = np.ones(v.shape, bool)
     np.not_equal(v[1:], v[:-1], out=keep[1:])

@@ -29,6 +29,7 @@ nodes at a time: memory is bounded by a block, not by the padded slab.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,11 @@ RECIPROCAL_LIMIT = 2.0
 # against 171 and 260 MB at 9 and 25) at a wall time within noise of the best;
 # single nodes ran 28% slower.
 NODE_BLOCK = 5
+
+try:  # glibc's malloc_trim(0) returns the free heap pages to the OS
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (OSError, AttributeError, TypeError):  # another C library: no-op
+    def _malloc_trim(pad): return 0
 
 
 class DegenerateDeformationError(ValueError):
@@ -394,6 +400,9 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
     synthesis, summed one displaced node at a time and analyzed one block of
     nodes at a time.
     """
+    # the padded series does not fit the pieces the last stage left free, so
+    # they go back to the OS first instead of staying resident beside it
+    _malloc_trim(0)
     geo = _geometry_for(eta, f.real)
     g = geo.eta.grid
     if f.grid != g:
@@ -570,17 +579,17 @@ def nonlinear_residual(u: SpectralField, p: SpectralField, eta: PlateField,
     """
     g = u.grid
     geo = _geometry_for(eta, u.real and p.real)
-    # composed first, as in a sweep: its padded series is freed before the
-    # terms allocate theirs
-    composed = None if f is None else compose_forcing(f, eta)
     terms = compute_nonlinear_terms(u, p, geo, mu_f=mu_f)
-    rhs_f = terms.rf_tilde if composed is None else composed + terms.rf_tilde
+    rhs_f = terms.rf_tilde
+    if f is not None:
+        rhs_f = compose_forcing(f, eta) + rhs_f
     rhs_h = terms.r_eta if h is None else h + terms.r_eta
+    rd = terms.rd_tilde.coeffs
+    del terms  # the residual's temporaries reuse what the unread terms held
     xp = g.xi_phys
     parts = _residual_parts(g, u.coeffs, p.coeffs, geo.eta.coeffs,
                             g.k_phys[:, None, None], xp[:, None], xp,
-                            rhs_f.coeffs, terms.rd_tilde.coeffs, rhs_h.coeffs,
-                            mu_f, mu_s)
+                            rhs_f.coeffs, rd, rhs_h.coeffs, mu_f, mu_s)
     mid_x = (g.n_x - 1) // 2
     parts["plate_mean"] = float(np.max(np.abs(geo.eta.coeffs[:, mid_x, mid_x])))
     return parts

@@ -116,30 +116,26 @@ def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
     if s < 0:
         raise ValueError("slab spatial orders between -1 and 0 are not supported")
     m = int(np.floor(s + 1e-12))
-    wt = _time_weight(g, spec.time_order).reshape(
-        (g.n_t,) + (1,) * (field.coeffs.ndim - 1))
+    nd = field.coeffs.ndim
+    wt = _time_weight(g, spec.time_order).reshape((g.n_t,) + (1,) * (nd - 1))
+    lateral = (1, g.n_x, g.n_x) + (1,) * (nd - 3)
+    w3 = g.cheb_weights.reshape((1, 1, 1, -1) + (1,) * (nd - 4))
     vector = field.components > 1
-    if spec.q == 2.0:
-        w3 = g.cheb_weights.reshape((1, 1, 1, -1) + (1,) * (field.coeffs.ndim - 4))
-        total = 0.0
-        for j in range(m + 1):
-            dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j, vector)
-            # a weight of order 0 is exactly 1.0, so it is not multiplied in
-            contrib = np.abs(dj if spec.time_order == 0 else wt * dj)
-            np.square(contrib, out=contrib)
-            if s != j:
-                contrib *= ((1.0 + g.xi_norm_sq()) ** (s - j)).reshape(
-                    (1, g.n_x, g.n_x) + (1,) * (field.coeffs.ndim - 3))
-            contrib *= w3
-            total += comb(m, j) * float(np.sum(contrib))
-        return float(np.sqrt(total))
     total = 0.0
     for j in range(m + 1):
-        wx = _lateral_weight(g, s - j).reshape(
-            (1, g.n_x, g.n_x) + (1,) * (field.coeffs.ndim - 3))
         dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j, vector)
-        total += _lq(g, wt * wx * dj, spec.q, field.real)
-    return float(total)
+        if spec.q != 2.0:
+            wx = _lateral_weight(g, s - j).reshape(lateral)
+            total += _lq(g, wt * wx * dj, spec.q, field.real)
+            continue
+        # squared coefficients; a weight of order 0 is exactly 1.0: skipped
+        contrib = np.abs(dj if spec.time_order == 0 else wt * dj)
+        np.square(contrib, out=contrib)
+        if s != j:
+            contrib *= _lateral_weight(g, 2.0 * (s - j)).reshape(lateral)
+        contrib *= w3
+        total += comb(m, j) * float(np.sum(contrib))
+    return float(np.sqrt(total)) if spec.q == 2.0 else float(total)
 
 
 def grid_l2_norm(field) -> float:
