@@ -16,33 +16,40 @@ restricts a slab field to the plate face x3 = 0.
 
 Pointwise work uses a zero-padded time/lateral lattice (`pad_to_samples`, and
 back by `samples_to_truncated`): DEALIAS wide for products, OVERSAMPLE for
-quadratures and sup sampling.  The layer direction is never padded.  Real
-fields take the real half-lattice path: only the xi2 >= 0 half of the padded
-spectrum is filled or kept, and xi2 < 0 follows by conjugate reflection.
+quadratures and sup sampling.  The layer direction is never padded.  The
+padded transform is node-major: it acts on the last three axes, (k, xi1,
+xi2) in and (t, x1, x2) out, and any leading axes (component, node, batch)
+pass through, so a plate array is its own case and a slab block enters as a
+view with its node and component axes moved to the front.  Real fields take
+the real half-lattice path: only the xi2 >= 0 half of the padded spectrum is
+filled or kept, and xi2 < 0 follows by conjugate reflection.
 
 The real path runs one axis at a time and skips the lines that are all zero
 or discarded.  Synthesis places the retained coefficients in an
-(m_t, N_x, h + 1) array (h = (N_x - 1) // 2), transforms along t, scatters
-the xi1 rows into (m_t, m_x, h + 1), transforms along xi1 and ends with a
-real inverse transform of length m_x along xi2.  Analysis takes the real
-transform along x2 and keeps k2 <= h, transforms along x1 and keeps the
-retained xi1 rows, then transforms along t and keeps the retained k rows.
-That is the pass order of numpy's `irfftn` / `rfftn` on the full half
-lattice, each pass with the same length and normalization, and every 1-d
-transform depends only on its own line, so the bits are those of the full
-transforms; a zero line transforms to zeros, and a discarded line was never
-read.
+(..., m_t, N_x, h + 1) array (h = (N_x - 1) // 2), transforms along t,
+scatters the xi1 rows into (..., m_t, m_x, h + 1), transforms along xi1 and
+ends with a real inverse transform of length m_x along xi2, the contiguous
+axis.  Analysis takes the real transform along x2 and keeps k2 <= h,
+transforms along x1 and keeps the retained xi1 rows, then transforms along t
+and keeps the retained k rows.  That is the pass order of numpy's `irfftn` /
+`rfftn` on the full half lattice, each pass with the same length and
+normalization, and every 1-d transform depends only on its own line, so the
+bits are those of the full transforms whatever the leading axes; a zero line
+transforms to zeros, and a discarded line was never read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import prod
 
 import numpy as np
 
 from .grid import TorusGrid
 
-_PERIODIC_AXES = (0, 1, 2)
+# periodic axes of a stored field, and of the node-major padded transform
+_STORED_AXES = (0, 1, 2)
+_PADDED_AXES = (-3, -2, -1)
 
 # Orszag's 3/2 rule: quadratic products formed on it truncate back alias-free
 DEALIAS = 1.5
@@ -50,22 +57,21 @@ DEALIAS = 1.5
 OVERSAMPLE = 2.0
 
 
-def _to_coeffs(samples: np.ndarray) -> np.ndarray:
-    n = samples.shape[0] * samples.shape[1] * samples.shape[2]
-    spec = np.fft.fftn(samples, axes=_PERIODIC_AXES) / n
-    return np.fft.fftshift(spec, axes=_PERIODIC_AXES)
+def _to_coeffs(samples: np.ndarray, axes=_STORED_AXES) -> np.ndarray:
+    n = prod(samples.shape[a] for a in axes)
+    spec = np.fft.fftn(samples, axes=axes) / n
+    return np.fft.fftshift(spec, axes=axes)
 
 
-def _to_samples(coeffs: np.ndarray) -> np.ndarray:
-    n = coeffs.shape[0] * coeffs.shape[1] * coeffs.shape[2]
-    spec = np.fft.ifftshift(coeffs, axes=_PERIODIC_AXES)
-    return np.fft.ifftn(spec, axes=_PERIODIC_AXES) * n
+def _to_samples(coeffs: np.ndarray, axes=_STORED_AXES) -> np.ndarray:
+    n = prod(coeffs.shape[a] for a in axes)
+    spec = np.fft.ifftshift(coeffs, axes=axes)
+    return np.fft.ifftn(spec, axes=axes) * n
 
 
-def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
+def _symmetrize(coeffs: np.ndarray, axes=_STORED_AXES) -> np.ndarray:
     """Project onto the conjugate-symmetric subspace c(-k,-xi) = conj(c(k,xi))."""
-    flipped = coeffs[::-1, ::-1, ::-1]
-    return 0.5 * (coeffs + np.conj(flipped))
+    return 0.5 * (coeffs + np.conj(np.flip(coeffs, axes)))
 
 
 class _FieldArithmetic:
@@ -338,22 +344,25 @@ def padded_sizes(grid: TorusGrid, factor: float = DEALIAS) -> tuple[int, int]:
     return m_t, m_x
 
 
-def _inner(grid: TorusGrid, m_t: int, m_x: int) -> tuple[slice, slice, slice]:
-    """Where the grid lattice sits inside a centered (m_t, m_x, m_x) lattice."""
+def _inner(grid: TorusGrid, m_t: int, m_x: int) -> tuple:
+    """Where the grid lattice sits inside a centered (..., m_t, m_x, m_x) lattice."""
     ot, ox = (m_t - grid.n_t) // 2, (m_x - grid.n_x) // 2
-    return slice(ot, ot + grid.n_t), slice(ox, ox + grid.n_x), slice(ox, ox + grid.n_x)
+    return (Ellipsis, slice(ot, ot + grid.n_t), slice(ox, ox + grid.n_x),
+            slice(ox, ox + grid.n_x))
 
 
 def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m_t: int, m_x: int) -> np.ndarray:
-    """Embed centered coefficients into a larger centered lattice."""
-    out = np.zeros((m_t, m_x, m_x) + coeffs.shape[3:], dtype=complex)
+    """Embed centered (..., N_t, N_x, N_x) coefficients into a larger centered
+    lattice."""
+    out = np.zeros(coeffs.shape[:-3] + (m_t, m_x, m_x), dtype=complex)
     out[_inner(grid, m_t, m_x)] = coeffs
     return out
 
 
 def truncate_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Centered truncation back onto the grid lattice."""
-    return coeffs[_inner(grid, *coeffs.shape[:2])].copy()
+    """Centered truncation of (..., m_t, m_x, m_x) coefficients back onto the
+    grid lattice."""
+    return coeffs[_inner(grid, *coeffs.shape[-3:-1])].copy()
 
 
 def _retained_rows(grid: TorusGrid, m_t: int, m_x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,10 +370,19 @@ def _retained_rows(grid: TorusGrid, m_t: int, m_x: int) -> tuple[np.ndarray, np.
     return grid.k_int % m_t, grid.xi_int % m_x
 
 
+def _node_major(coeffs: np.ndarray) -> np.ndarray:
+    """A view of stored coefficients with the periodic axes last, as the
+    padded transform takes them: a plate array as it is, a slab array
+    (t, x1, x2, node[, comp]) as (node, t, x1, x2) or (comp, node, t, x1, x2)."""
+    if coeffs.ndim == 5:
+        return np.moveaxis(coeffs, (4, 3), (0, 1))
+    return np.moveaxis(coeffs, 3, 0) if coeffs.ndim == 4 else coeffs
+
+
 def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, factor: float = DEALIAS,
                    real: bool = False) -> np.ndarray:
-    """Samples of plate or slab coefficients on the `factor`-padded lattice
-    (node and component axes pass through).
+    """Samples of (..., N_t, N_x, N_x) coefficients on the `factor`-padded
+    lattice, shape (..., m_t, m_x, m_x); leading axes pass through.
 
     real=True returns the real part of the synthesis through the real
     half-lattice path: the conjugate-symmetric part of the coefficients,
@@ -374,21 +392,23 @@ def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, factor: float = DEALIAS,
     """
     m_t, m_x = padded_sizes(grid, factor)
     if not real:
-        return _to_samples(pad_coeffs(coeffs, grid, m_t, m_x))
+        return _to_samples(pad_coeffs(coeffs, grid, m_t, m_x), _PADDED_AXES)
     hx = (grid.n_x - 1) // 2
     k, xi = _retained_rows(grid, m_t, m_x)
-    tail = coeffs.shape[3:]
-    half = np.zeros((m_t, grid.n_x, hx + 1) + tail, dtype=complex)
-    half[k] = 0.5 * (coeffs[:, :, hx:] + np.conj(coeffs[::-1, ::-1, hx::-1]))
-    wide = np.zeros((m_t, m_x, hx + 1) + tail, dtype=complex)
-    wide[:, xi] = np.fft.ifft(half, axis=0, norm="forward")
-    wide = np.fft.ifft(wide, axis=1, norm="forward")
-    return np.fft.irfft(wide, n=m_x, axis=2, norm="forward")
+    lead = coeffs.shape[:-3]
+    half = np.zeros(lead + (m_t, grid.n_x, hx + 1), dtype=complex)
+    half[..., k, :, :] = 0.5 * (coeffs[..., hx:]
+                                + np.conj(coeffs[..., ::-1, ::-1, hx::-1]))
+    wide = np.zeros(lead + (m_t, m_x, hx + 1), dtype=complex)
+    wide[..., xi, :] = np.fft.ifft(half, axis=-3, norm="forward")
+    wide = np.fft.ifft(wide, axis=-2, norm="forward")
+    return np.fft.irfft(wide, n=m_x, axis=-1, norm="forward")
 
 
 def samples_to_truncated(samples: np.ndarray, grid: TorusGrid,
                          real: bool) -> np.ndarray:
-    """Analyze padded-lattice samples and truncate to the grid lattice.
+    """Analyze (..., m_t, m_x, m_x) padded-lattice samples and truncate to the
+    grid lattice, shape (..., N_t, N_x, N_x).
 
     real=True analyzes the real part in the pass order of `rfftn` (see the
     module docstring), keeps the retained xi2 >= 0 modes and rebuilds
@@ -396,13 +416,13 @@ def samples_to_truncated(samples: np.ndarray, grid: TorusGrid,
     symmetric.
     """
     if not real:
-        return truncate_coeffs(_to_coeffs(samples), grid)
-    m_t, m_x = samples.shape[:2]
+        return truncate_coeffs(_to_coeffs(samples, _PADDED_AXES), grid)
+    m_t, m_x = samples.shape[-3:-1]
     hx = (grid.n_x - 1) // 2
     k, xi = _retained_rows(grid, m_t, m_x)
-    spec = np.fft.rfft(np.real(samples), axis=2, norm="forward")[:, :, :hx + 1]
-    spec = np.fft.fft(spec, axis=1, norm="forward")[:, xi]
-    half = np.fft.fft(spec, axis=0, norm="forward")[k]
-    full = np.concatenate([np.conj(half[::-1, ::-1, hx:0:-1]), half], axis=2)
+    spec = np.fft.rfft(np.real(samples), axis=-1, norm="forward")[..., :hx + 1]
+    spec = np.fft.fft(spec, axis=-2, norm="forward")[..., xi, :]
+    half = np.fft.fft(spec, axis=-3, norm="forward")[..., k, :, :]
+    full = np.concatenate([np.conj(half[..., ::-1, ::-1, hx:0:-1]), half], axis=-1)
     # the xi2 = 0 plane is symmetric only to round-off; make it exact
-    return _symmetrize(full)
+    return _symmetrize(full, _PADDED_AXES)

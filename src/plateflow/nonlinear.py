@@ -24,7 +24,11 @@ quadratic terms are alias-free; the layer direction needs no padding because
 products of node values define the collocation product directly.  So the
 interaction terms and the forcing pullback take every derivative in
 coefficient space and then form their products one block of NODE_BLOCK layer
-nodes at a time: memory is bounded by a block, not by the padded slab.
+nodes at a time: memory is bounded by a block, not by the padded slab.  A
+block is node-major, (comp, node, t, x1, x2), as the padded transform takes
+it (see `fields`): the plate-sized geometry samples broadcast over its
+leading axes, and its results go back through node-major views of the
+stored outputs.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .fields import (
     PlateField,
     SpectralField,
     _apply_layer_matrix,
+    _node_major,
     divergence,
     dt,
     dx,
@@ -124,10 +129,16 @@ def _geometry_for(eta, real: bool) -> _Geometry:
 
 
 def _e3_row(geo: _Geometry, rho: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Third row of the gradient-correction tensor at every layer node."""
-    e31 = (geo.g1_s * geo.tau)[..., None] * rho
-    e32 = (geo.g2_s * geo.tau)[..., None] * rho
-    return e31, e32, np.broadcast_to((-geo.eta_s * geo.tau)[..., None], e31.shape)
+    """Third row of the gradient-correction tensor at the layer nodes whose
+    blend weights rho = 1 - x3 are given, node-major: (node, t, x1, x2)."""
+    e31 = geo.g1_s * geo.tau * rho
+    e32 = geo.g2_s * geo.tau * rho
+    return e31, e32, np.broadcast_to(-geo.eta_s * geo.tau, e31.shape)
+
+
+def _blend(grid: TorusGrid, rows: slice = slice(None)) -> np.ndarray:
+    """rho = 1 - x3 at the `rows` nodes, shaped to lead a node-major block."""
+    return (1.0 - grid.nodes[rows])[:, None, None, None]
 
 
 def e_matrix(eta: PlateField) -> np.ndarray:
@@ -138,9 +149,10 @@ def e_matrix(eta: PlateField) -> np.ndarray:
     """
     g = eta.grid
     geo = _Geometry(eta, eta.real)
-    es = np.zeros(geo.eta_s.shape + (g.n_z + 1, 3, 3), dtype=geo.tau.dtype)
-    es[..., 2, :] = np.stack(_e3_row(geo, 1.0 - g.nodes), axis=-1)
-    return samples_to_truncated(es, g, eta.real)
+    # (row, column, node, t, x1, x2) samples, truncated and moved to the back
+    es = np.zeros((3, 3, g.n_z + 1) + geo.eta_s.shape, dtype=geo.tau.dtype)
+    es[2] = np.stack(_e3_row(geo, _blend(g)))
+    return np.moveaxis(samples_to_truncated(es, g, eta.real), (0, 1, 2), (4, 5, 3))
 
 
 # ---- interaction terms ---------------------------------------------------------
@@ -202,41 +214,42 @@ def _terms_geometry(u: SpectralField, p: SpectralField, eta) -> _Geometry:
 
 def _block_momentum(u: SpectralField, p: SpectralField, geo: _Geometry,
                     rows: slice, mu_f: float):
-    """Padded samples at one block of layer nodes: the velocity u_s, its layer
-    derivative du3, the third row (e31, e32, e33) of the gradient-correction
-    tensor and the map-induced momentum part rf_def."""
+    """Padded node-major samples at one block of layer nodes: the velocity
+    u_s and its layer derivative du3, each (comp, node, t, x1, x2), the third
+    row (e31, e32, e33) of the gradient-correction tensor, each (node, t, x1,
+    x2), and the map-induced momentum part rf_def, shaped like u_s."""
     g = u.grid
 
     def pad(c):
         return pad_to_samples(c, g, real=geo.real)
 
     # lateral multipliers commute with the layer derivative
-    u3 = _layer_rows(g, u.coeffs, 1, rows, True)
-    u_s, du3 = pad(u.coeffs[..., rows, :]), pad(u3)
-    d31 = pad(1j * g.xi_phys[:, None, None, None] * u3)
-    d32 = pad(1j * g.xi_phys[None, :, None, None] * u3)
-    d33 = pad(_layer_rows(g, u.coeffs, 2, rows, True))
-    dp3 = pad(_layer_rows(g, p.coeffs, 1, rows, False))
+    u3 = _node_major(_layer_rows(g, u.coeffs, 1, rows, True))
+    u_s, du3 = pad(_node_major(u.coeffs)[:, rows]), pad(u3)
+    d31 = pad(1j * g.xi_phys[:, None] * u3)
+    d32 = pad(1j * g.xi_phys * u3)
+    d33 = pad(_node_major(_layer_rows(g, u.coeffs, 2, rows, True)))
+    dp3 = pad(_node_major(_layer_rows(g, p.coeffs, 1, rows, False)))
 
     tau = geo.tau
     grad_sq = geo.g1_s * geo.g1_s + geo.g2_s * geo.g2_s
-    rho = 1.0 - g.nodes[rows]
+    rho = _blend(g, rows)
     e31, e32, e33 = _e3_row(geo, rho)
     # div of the tensor row plus its quadratic companion, expanded in eta
-    first_coef = (geo.lap_s * tau - 2.0 * grad_sq * tau * tau)[..., None] * rho
+    first_coef = (geo.lap_s * tau - 2.0 * grad_sq * tau * tau) * rho
     e3_norm_sq = e31 * e31 + e32 * e32 + e33 * e33
-    e3_dot_u = e31 * u_s[..., 0] + e32 * u_s[..., 1] + e33 * u_s[..., 2]
-    time_coef = (geo.det_s * tau)[..., None] * rho
+    e3_dot_u = e31 * u_s[0] + e32 * u_s[1] + e33 * u_s[2]
+    time_coef = geo.det_s * tau * rho
 
     rf_def = (
-        -du3 * time_coef[..., None]
+        -du3 * time_coef
         + mu_f * (
-            2.0 * (d31 * e31[..., None] + d32 * e32[..., None] + d33 * e33[..., None])
-            + d33 * e3_norm_sq[..., None]
-            + du3 * first_coef[..., None]
+            2.0 * (d31 * e31 + d32 * e32 + d33 * e33)
+            + d33 * e3_norm_sq
+            + du3 * first_coef
         )
-        - du3 * e3_dot_u[..., None]
-        - dp3[..., None] * np.stack([e31, e32, e33], axis=-1)
+        - du3 * e3_dot_u
+        - dp3 * np.stack([e31, e32, e33])
     )
     return u_s, du3, (e31, e32, e33), rf_def
 
@@ -256,45 +269,40 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     g = u.grid
     geo = _terms_geometry(u, p, eta)
     real_in, eta_s, g1_s, g2_s = geo.real, geo.eta_s, geo.g1_s, geo.g2_s
-    i1 = 1j * g.xi_phys[:, None, None, None]
-    i2 = 1j * g.xi_phys[None, :, None, None]
+    i1, i2 = 1j * g.xi_phys[:, None], 1j * g.xi_phys
 
     rf_tilde, rd_vector = np.empty_like(u.coeffs), np.empty_like(u.coeffs)
+    # each block's result goes back through node-major views of the outputs
+    rf_out, rd_out = _node_major(rf_tilde), _node_major(rd_vector)
     for rows in _node_blocks(g):
         u_s, du3, (e31, e32, e33), rf_def = _block_momentum(u, p, geo, rows, mu_f)
-        ub = u.coeffs[..., rows, :]
+        ub = _node_major(u.coeffs)[:, rows]
         du1 = pad_to_samples(i1 * ub, g, real=real_in)
         du2 = pad_to_samples(i2 * ub, g, real=real_in)
-        convective = (u_s[..., 0:1] * du1 + u_s[..., 1:2] * du2 + u_s[..., 2:3] * du3)
-        rho = 1.0 - g.nodes[rows]
-        rd = np.stack(
-            [
-                -eta_s[..., None] * u_s[..., 0],
-                -eta_s[..., None] * u_s[..., 1],
-                -(g1_s[..., None] * u_s[..., 0] + g2_s[..., None] * u_s[..., 1]) * rho,
-            ],
-            axis=-1,
-        )
-        rf_tilde[..., rows, :] = samples_to_truncated(rf_def - convective, g, real_in)
-        rd_vector[..., rows, :] = samples_to_truncated(rd, g, real_in)
+        convective = (u_s[0] * du1 + u_s[1] * du2 + u_s[2] * du3)
+        rd = np.stack([-eta_s * u_s[0], -eta_s * u_s[1],
+                       -(g1_s * u_s[0] + g2_s * u_s[1]) * _blend(g, rows)])
+        rf_out[:, rows] = samples_to_truncated(rf_def - convective, g, real_in)
+        rd_out[:, rows] = samples_to_truncated(rd, g, real_in)
 
         if rows.start == 0:
             # plate-row terms live on the bottom face, where the blend is 1
-            du3_0 = du3[..., 0, :]
-            t31 = mu_f * (du1[..., 0, 2] + du3_0[..., 0])
-            t32 = mu_f * (du2[..., 0, 2] + du3_0[..., 1])
-            e3_0 = np.stack([e31[..., 0], e32[..., 0], e33[..., 0]], axis=-1)
-            a = mu_f * du3_0[..., :, None] * e3_0[..., None, :]
-            s_eta_s = a + np.swapaxes(a, -1, -2)
+            du3_0 = du3[:, 0]
+            t31 = mu_f * (du1[2, 0] + du3_0[0])
+            t32 = mu_f * (du2[2, 0] + du3_0[1])
+            e3_0 = np.stack([e31[0], e32[0], e33[0]])
+            a = mu_f * du3_0[:, None] * e3_0[None, :]
+            s_eta_s = a + np.swapaxes(a, 0, 1)
             r_eta_s = (
-                -(t31 + s_eta_s[..., 2, 0]) * g1_s
-                - (t32 + s_eta_s[..., 2, 1]) * g2_s
-                - s_eta_s[..., 2, 2]
+                -(t31 + s_eta_s[2, 0]) * g1_s
+                - (t32 + s_eta_s[2, 1]) * g2_s
+                - s_eta_s[2, 2]
             )
 
     rd_vector = SpectralField(g, rd_vector, 3, real_in)
     r_eta = PlateField(g, samples_to_truncated(r_eta_s, g, real_in), real_in)
-    s_eta = PlateTensor(g, samples_to_truncated(s_eta_s, g, real_in), real_in)
+    s_eta = PlateTensor(g, np.moveaxis(samples_to_truncated(s_eta_s, g, real_in),
+                                       (0, 1), (3, 4)), real_in)
     return NonlinearTerms(SpectralField(g, rf_tilde, 3, real_in),
                           divergence(rd_vector), rd_vector, r_eta, s_eta)
 
@@ -310,7 +318,7 @@ def _deformation_momentum(u: SpectralField, p: SpectralField, eta: PlateField,
     out = np.empty_like(u.coeffs)
     for rows in _node_blocks(u.grid):
         rf_def = _block_momentum(u, p, geo, rows, mu_f)[-1]
-        out[..., rows, :] = samples_to_truncated(rf_def, u.grid, geo.real)
+        _node_major(out)[:, rows] = samples_to_truncated(rf_def, u.grid, geo.real)
     return out
 
 
@@ -413,20 +421,19 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
         return f.copy()
 
     real_in, eta_s = geo.real, geo.eta_s
-    # (series, component, t, x'), contiguous: each Clenshaw step reads one
-    # contiguous slice, and each column's series broadcasts over that
-    # column's displaced point
-    series = np.ascontiguousarray(np.moveaxis(pad_to_samples(
-        cheb_values_to_coeffs(f.coeffs, axis=3), g, real=real_in), (3, 4), (0, 1)))
+    # (series, component, t, x'), contiguous as the padded transform returns
+    # it: each Clenshaw step reads one contiguous slice, and each column's
+    # series broadcasts over that column's displaced point
+    series = pad_to_samples(np.moveaxis(cheb_values_to_coeffs(f.coeffs, axis=3),
+                                        (3, 4), (0, 1)), g, real=real_in)
     out = np.empty_like(f.coeffs)
     for rows in _node_blocks(g):
-        composed = np.empty(eta_s.shape + (rows.stop - rows.start, 3),
+        composed = np.empty((3, rows.stop - rows.start) + eta_s.shape,
                             np.result_type(series, eta_s))
         # one displaced node at a time: the recurrence's buffers stay in cache
         for j, node in enumerate(g.nodes[rows]):
-            displaced = node * (1.0 + eta_s) - eta_s
-            composed[..., j, :] = np.moveaxis(cheb_eval(series, displaced, axis=0), 0, -1)
-        out[..., rows, :] = samples_to_truncated(composed, g, real_in)
+            composed[:, j] = cheb_eval(series, node * (1.0 + eta_s) - eta_s, axis=0)
+        _node_major(out)[:, rows] = samples_to_truncated(composed, g, real_in)
     return SpectralField(g, out, 3, real_in)
 
 

@@ -28,8 +28,8 @@ from math import comb
 
 import numpy as np
 
-from .fields import (OVERSAMPLE, PlateField, SpectralField, inverse_transform,
-                     layer_derivative, pad_to_samples)
+from .fields import (OVERSAMPLE, PlateField, SpectralField, _node_major,
+                     inverse_transform, layer_derivative, pad_to_samples)
 from .grid import TorusGrid
 
 
@@ -68,10 +68,11 @@ def _magnitudes(grid: TorusGrid, coeffs: np.ndarray, real: bool) -> np.ndarray:
     conjugate-symmetric coefficients: the even time and lateral weights,
     layer derivatives and i*xi gradients all keep a real field's symmetry.
     """
-    mag = np.abs(pad_to_samples(coeffs, grid, OVERSAMPLE, real))
+    mag = np.abs(pad_to_samples(_node_major(coeffs), grid, OVERSAMPLE, real))
     if mag.ndim == 5:
-        mag = np.sqrt(np.sum(mag ** 2, axis=-1))
-    return mag
+        mag = np.sqrt(np.sum(mag ** 2, axis=0))
+    # back to the stored order, in which the quadratures sum
+    return np.ascontiguousarray(np.moveaxis(mag, 0, -1)) if mag.ndim == 4 else mag
 
 
 def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float, real: bool) -> float:

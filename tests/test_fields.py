@@ -29,11 +29,13 @@ from plateflow.fields import (
     truncate_coeffs,
     zeros_like_field,
 )
-from plateflow.fields import _symmetrize, _to_coeffs
+from plateflow.fields import _node_major, _symmetrize, _to_coeffs
 from plateflow.nonlinear import _layer_rows
 from plateflow.grid import TorusGrid
 
 from conftest import poly_field, poly_plate
+
+PADDED = (-3, -2, -1)  # the periodic axes of the padded transform
 
 TOL_ROUND = 1e-13
 TOL_DERIV = 1e-12
@@ -197,30 +199,30 @@ def test_pad_truncate_round_trip_exact():
     f = poly_field(GRID, 14, components=3, band_t=2, band_x=2)
     m_t, m_x = padded_sizes(GRID, 1.5)
     assert m_t > GRID.n_t and m_x > GRID.n_x
-    padded = pad_coeffs(f.coeffs, GRID, m_t, m_x)
-    assert padded.shape[:3] == (m_t, m_x, m_x)
-    assert np.array_equal(truncate_coeffs(padded, GRID), f.coeffs)
+    padded = pad_coeffs(_node_major(f.coeffs), GRID, m_t, m_x)
+    assert padded.shape[-3:] == (m_t, m_x, m_x)
+    assert np.array_equal(truncate_coeffs(padded, GRID), _node_major(f.coeffs))
 
 
 def test_dealias_sampling_pair():
     f = poly_field(GRID, 15, components=1, band_t=2, band_x=2)
-    samples = pad_to_samples(f.coeffs, GRID, OVERSAMPLE)
+    samples = pad_to_samples(_node_major(f.coeffs), GRID, OVERSAMPLE)
     back = samples_to_truncated(samples, GRID, real=True)
-    assert np.max(np.abs(back - f.coeffs)) < TOL_ROUND
+    assert np.max(np.abs(back - _node_major(f.coeffs))) < TOL_ROUND
 
 
 @pytest.mark.parametrize("factor", [DEALIAS, OVERSAMPLE])
 def test_plate_synthesis_is_the_singleton_slab_synthesis(factor):
     eta = poly_plate(GRID, 16)
     plate = pad_to_samples(eta.coeffs, GRID, factor)
-    slab = pad_to_samples(eta.coeffs[..., None], GRID, factor)
+    slab = pad_to_samples(eta.coeffs[None], GRID, factor)
     m_t, m_x = padded_sizes(GRID, factor)
     assert plate.shape == (m_t, m_x, m_x)
-    assert np.array_equal(plate, slab[..., 0])
+    assert np.array_equal(plate, slab[0])
 
 
 def test_padded_real_part():
-    coeffs = poly_field(GRID, 17, components=3).coeffs * (0.6 + 0.8j)
+    coeffs = _node_major(poly_field(GRID, 17, components=3).coeffs) * (0.6 + 0.8j)
     samples = pad_to_samples(coeffs, GRID)
     assert np.max(np.abs(samples.imag)) > 0.1
     real = pad_to_samples(coeffs, GRID, real=True)
@@ -229,6 +231,8 @@ def test_padded_real_part():
     assert np.max(np.abs(real - samples.real)) <= 1e-15 * np.max(np.abs(samples.real))
 
 
+# tail: the stored slab axes after the periodic ones, (node[, comp]); the
+# padded transform takes them in front, node-major: _lead(tail)
 HALF_LATTICE_CASES = [
     (grid, factor, tail)
     for grid in (TorusGrid(3, 3, 4), GRID, TorusGrid(7, 5, 6), TorusGrid(3, 7, 4))
@@ -237,10 +241,14 @@ HALF_LATTICE_CASES = [
 ]
 
 
+def _lead(tail):
+    return tail[::-1]
+
+
 @pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
 def test_half_lattice_synthesis_is_the_real_part(grid, factor, tail):
     rng = np.random.default_rng(len(tail))
-    shape = (grid.n_t, grid.n_x, grid.n_x) + tail
+    shape = _lead(tail) + (grid.n_t, grid.n_x, grid.n_x)
     # not conjugate symmetric, so the real part is a genuine projection
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     real = pad_to_samples(coeffs, grid, factor, real=True)
@@ -252,49 +260,69 @@ def test_half_lattice_synthesis_is_the_real_part(grid, factor, tail):
 @pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
 def test_half_lattice_analysis_matches_the_complex_path(grid, factor, tail):
     m_t, m_x = padded_sizes(grid, factor)
-    samples = np.random.default_rng(len(tail)).standard_normal((m_t, m_x, m_x) + tail)
+    samples = np.random.default_rng(len(tail)).standard_normal(
+        _lead(tail) + (m_t, m_x, m_x))
     coeffs = samples_to_truncated(samples, grid, real=True)
-    want = _symmetrize(truncate_coeffs(_to_coeffs(samples), grid))
-    assert coeffs.shape == (grid.n_t, grid.n_x, grid.n_x) + tail
+    want = _symmetrize(truncate_coeffs(_to_coeffs(samples, PADDED), grid), PADDED)
+    assert coeffs.shape == _lead(tail) + (grid.n_t, grid.n_x, grid.n_x)
     assert np.max(np.abs(coeffs - want)) <= 1e-15 * np.max(np.abs(want))
-    assert np.array_equal(coeffs, np.conj(coeffs[::-1, ::-1, ::-1]))
+    assert np.array_equal(coeffs, np.conj(coeffs[..., ::-1, ::-1, ::-1]))
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("factor", [DEALIAS, OVERSAMPLE])
+def test_batched_padded_transform_equals_the_plate_transforms(factor, real):
+    # a node-major view of stored slab coefficients transforms, slice by
+    # slice, to the very bits of the plate transform of each slice
+    grid = TorusGrid(7, 5, 4)
+    rng = np.random.default_rng(11)
+    shape = (grid.n_t, grid.n_x, grid.n_x, grid.n_z + 1, 3)
+    stored = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    samples = pad_to_samples(_node_major(stored), grid, factor, real)
+    back = samples_to_truncated(samples, grid, real)
+    assert samples.shape[:2] == back.shape[:2] == (3, grid.n_z + 1)
+    for c, j in np.ndindex(3, grid.n_z + 1):
+        plate = pad_to_samples(stored[..., j, c], grid, factor, real)
+        assert np.array_equal(samples[c, j], plate)
+        assert np.array_equal(back[c, j], samples_to_truncated(plate, grid, real))
 
 
 def _half_lattice_index(grid, m_t, m_x):
     hx = (grid.n_x - 1) // 2
-    return ((grid.k_int % m_t)[:, None, None], (grid.xi_int % m_x)[None, :, None],
-            np.arange(hx + 1))
+    return (Ellipsis, (grid.k_int % m_t)[:, None, None],
+            (grid.xi_int % m_x)[None, :, None], np.arange(hx + 1))
 
 
 def _irfftn_synthesis(coeffs, grid, factor):
     """The real half-lattice synthesis as one irfftn of the filled half lattice."""
     m_t, m_x = padded_sizes(grid, factor)
     hx = (grid.n_x - 1) // 2
-    half = np.zeros((m_t, m_x, m_x // 2 + 1) + coeffs.shape[3:], complex)
+    half = np.zeros(coeffs.shape[:-3] + (m_t, m_x, m_x // 2 + 1), complex)
     half[_half_lattice_index(grid, m_t, m_x)] = 0.5 * (
-        coeffs[:, :, hx:] + np.conj(coeffs[::-1, ::-1, hx::-1]))
-    return np.fft.irfftn(half, s=(m_t, m_x, m_x), axes=(0, 1, 2), norm="forward")
+        coeffs[..., hx:] + np.conj(coeffs[..., ::-1, ::-1, hx::-1]))
+    return np.fft.irfftn(half, s=(m_t, m_x, m_x), axes=PADDED, norm="forward")
 
 
 def _rfftn_analysis(samples, grid):
     """The real half-lattice analysis as one rfftn, gathered and reflected."""
-    m_t, m_x = samples.shape[:2]
+    m_t, m_x = samples.shape[-3:-1]
     hx = (grid.n_x - 1) // 2
-    spec = np.fft.rfftn(samples, axes=(0, 1, 2), norm="forward")
+    spec = np.fft.rfftn(samples, axes=PADDED, norm="forward")
     half = spec[_half_lattice_index(grid, m_t, m_x)]
-    return _symmetrize(np.concatenate([np.conj(half[::-1, ::-1, hx:0:-1]), half], axis=2))
+    return _symmetrize(np.concatenate([np.conj(half[..., ::-1, ::-1, hx:0:-1]), half],
+                                      axis=-1), PADDED)
 
 
 @pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
 def test_pruned_half_lattice_passes_equal_irfftn_and_rfftn(grid, factor, tail):
     # the pruned passes run in irfftn's / rfftn's order, so every bit agrees
     rng = np.random.default_rng(7 + len(tail))
-    shape = (grid.n_t, grid.n_x, grid.n_x) + tail
+    shape = _lead(tail) + (grid.n_t, grid.n_x, grid.n_x)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert np.array_equal(pad_to_samples(coeffs, grid, factor, real=True),
                           _irfftn_synthesis(coeffs, grid, factor))
     m_t, m_x = padded_sizes(grid, factor)
-    samples = rng.standard_normal((m_t, m_x, m_x) + tail)
+    samples = rng.standard_normal(_lead(tail) + (m_t, m_x, m_x))
     assert np.array_equal(samples_to_truncated(samples, grid, True),
                           _rfftn_analysis(samples, grid))
 

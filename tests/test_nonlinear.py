@@ -18,6 +18,7 @@ from plateflow.fields import (
     trace_bottom,
     zeros_like_field,
 )
+from plateflow.fields import _node_major
 from plateflow.grid import TorusGrid
 from plateflow.nonlinear import (
     DegenerateDeformationError,
@@ -108,14 +109,14 @@ def test_node_blocks_join_without_seams(monkeypatch, n_z, block):
     eta = poly_plate(grid, 42, scale=ETA_SMALL, zero_mean=True)
     terms = compute_nonlinear_terms(u, p, eta)
 
-    # rd_vector analysed from the whole padded slab at once
-    eta_s, g1_s, g2_s = (pad_to_samples(c.coeffs, grid, real=True)[..., None]
+    # rd_vector analysed from the whole padded slab at once, node-major
+    eta_s, g1_s, g2_s = (pad_to_samples(c.coeffs, grid, real=True)
                          for c in (eta, dx(eta, 1), dx(eta, 2)))
-    u_s = pad_to_samples(u.coeffs, grid, real=True)
-    rd = np.stack([-eta_s * u_s[..., 0], -eta_s * u_s[..., 1],
-                   -(g1_s * u_s[..., 0] + g2_s * u_s[..., 1]) * (1.0 - grid.nodes)],
-                  axis=-1)
-    want = samples_to_truncated(rd, grid, True)
+    u_s = pad_to_samples(_node_major(u.coeffs), grid, real=True)
+    rho = (1.0 - grid.nodes)[:, None, None, None]
+    rd = np.stack([-eta_s * u_s[0], -eta_s * u_s[1],
+                   -(g1_s * u_s[0] + g2_s * u_s[1]) * rho])
+    want = np.moveaxis(samples_to_truncated(rd, grid, True), (0, 1), (4, 3))
     assert np.max(np.abs(terms.rd_vector.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
 
     # the plate row reads u and d3 u at node 0 only: a change that vanishes
@@ -221,14 +222,15 @@ def test_compose_forcing_field_matches_callable():
     eta = poly_plate(GRID, 12, scale=ETA_SMALL, zero_mean=True)
     a = compose_forcing(f, eta)
     # the exact forcing at the displaced nodes of the product lattice
-    eta_s = pad_to_samples(eta.coeffs, GRID, real=True)[..., None]
+    eta_s = pad_to_samples(eta.coeffs, GRID, real=True)
     m_t, m_x = padded_sizes(GRID)
-    t = GRID.t_period * np.arange(m_t)[:, None, None, None] / m_t
-    x1 = GRID.l_period * np.arange(m_x)[None, :, None, None] / m_x
-    exact = np.zeros(eta_s.shape[:3] + (GRID.n_z + 1, 3))
-    x3 = GRID.nodes * (1.0 + eta_s) - eta_s
-    exact[..., 2] = np.cos(t) * np.cos(x1) * (x3 ** 2 - x3 + 0.5)
-    b = samples_to_truncated(exact, GRID, True)
+    t = GRID.t_period * np.arange(m_t)[:, None, None] / m_t
+    x1 = GRID.l_period * np.arange(m_x)[:, None] / m_x
+    # node-major (comp, node, t, x1, x2) samples, truncated and moved back
+    exact = np.zeros((3, GRID.n_z + 1) + eta_s.shape)
+    x3 = GRID.nodes[:, None, None, None] * (1.0 + eta_s) - eta_s
+    exact[2] = np.cos(t) * np.cos(x1) * (x3 ** 2 - x3 + 0.5)
+    b = np.moveaxis(samples_to_truncated(exact, GRID, True), (0, 1), (4, 3))
     assert np.max(np.abs(a.coeffs - b)) < 1e-12
     # composition against a moved interface must differ from the input
     assert np.max(np.abs(a.coeffs - f.coeffs)) > 0.0
