@@ -393,16 +393,47 @@ def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, factor: float = DEALIAS,
     m_t, m_x = padded_sizes(grid, factor)
     if not real:
         return _to_samples(pad_coeffs(coeffs, grid, m_t, m_x), _PADDED_AXES)
-    hx = (grid.n_x - 1) // 2
-    k, xi = _retained_rows(grid, m_t, m_x)
-    lead = coeffs.shape[:-3]
-    half = np.zeros(lead + (m_t, grid.n_x, hx + 1), dtype=complex)
-    half[..., k, :, :] = 0.5 * (coeffs[..., hx:]
-                                + np.conj(coeffs[..., ::-1, ::-1, hx::-1]))
-    wide = np.zeros(lead + (m_t, m_x, hx + 1), dtype=complex)
-    wide[..., xi, :] = np.fft.ifft(half, axis=-3, norm="forward")
-    wide = np.fft.ifft(wide, axis=-2, norm="forward")
+    wide = _x1_pass(_t_pass(coeffs, grid, m_t), grid, m_x)
     return np.fft.irfft(wide, n=m_x, axis=-1, norm="forward")
+
+
+def _t_pass(coeffs: np.ndarray, grid: TorusGrid, m_t: int) -> np.ndarray:
+    """The real path's first pass: the conjugate-symmetric xi2 >= 0 half of
+    coeffs in its retained k rows, transformed along t, (..., m_t, N_x, h + 1)."""
+    hx = (grid.n_x - 1) // 2
+    half = np.zeros(coeffs.shape[:-3] + (m_t, grid.n_x, hx + 1), dtype=complex)
+    half[..., grid.k_int % m_t, :, :] = 0.5 * (
+        coeffs[..., hx:] + np.conj(coeffs[..., ::-1, ::-1, hx::-1]))
+    return np.fft.ifft(half, axis=-3, norm="forward")
+
+
+def _x1_pass(half: np.ndarray, grid: TorusGrid, m_x: int) -> np.ndarray:
+    """The real path's second pass: the xi1 rows scattered into the padded
+    lattice and transformed along xi1, (..., m_t, m_x, h + 1)."""
+    wide = np.zeros(half.shape[:-2] + (m_x, half.shape[-1]), dtype=complex)
+    wide[..., grid.xi_int % m_x, :] = half
+    return np.fft.ifft(wide, axis=-2, norm="forward")
+
+
+def pad_with_lateral_derivatives(coeffs: np.ndarray, grid: TorusGrid, real: bool
+                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DEALIAS samples of coefficients c and of their lateral derivatives
+    i xi1 c and i xi2 c (`dx` directions 1 and 2), as `pad_to_samples`
+    gives each.
+
+    On the real path the three share passes: one t-pass, an xi1-pass of c
+    and one of i xi1 c, then i xi2 multiplies c's xi1-passed half lattice
+    (the xi2 axis is still spectral there), and three real xi2-passes.
+    """
+    i1, i2 = 1j * grid.xi_phys[:, None], 1j * grid.xi_phys
+    if not real:
+        return tuple(pad_to_samples(c, grid, real=False)
+                     for c in (coeffs, i1 * coeffs, i2 * coeffs))
+    m_t, m_x = padded_sizes(grid)
+    half = _t_pass(coeffs, grid, m_t)
+    wide = _x1_pass(half, grid, m_x)
+    wides = (wide, _x1_pass(i1 * half, grid, m_x), i2[(grid.n_x - 1) // 2:] * wide)
+    return tuple(np.fft.irfft(w, n=m_x, axis=-1, norm="forward") for w in wides)
 
 
 def samples_to_truncated(samples: np.ndarray, grid: TorusGrid,

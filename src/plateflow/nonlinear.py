@@ -28,7 +28,9 @@ nodes at a time: memory is bounded by a block, not by the padded slab.  A
 block is node-major, (comp, node, t, x1, x2), as the padded transform takes
 it (see `fields`): the plate-sized geometry samples broadcast over its
 leading axes, and its results go back through node-major views of the
-stored outputs.
+stored outputs.  The velocity and its layer derivative are each synthesized
+with their two lateral derivatives in one shared set of transform passes
+(`fields.pad_with_lateral_derivatives`).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .fields import (
     OVERSAMPLE,
     PlateField,
     SpectralField,
-    _apply_layer_matrix,
     _node_major,
     divergence,
     dt,
@@ -50,6 +51,7 @@ from .fields import (
     gradient,
     laplacian,
     pad_to_samples,
+    pad_with_lateral_derivatives,
     samples_to_truncated,
     zeros_like_field,
 )
@@ -195,41 +197,46 @@ def _node_blocks(grid: TorusGrid):
     return [slice(j, min(j + NODE_BLOCK, n)) for j in range(0, n, NODE_BLOCK)]
 
 
-def _layer_rows(grid: TorusGrid, coeffs: np.ndarray, order: int, rows: slice,
-                vector: bool) -> np.ndarray:
-    """The `rows` nodes of the order-th x3 derivative: rows of grid.dmat."""
-    return _apply_layer_matrix(grid.dmat(order)[rows], coeffs, vector)
+def _layer_rows(grid: TorusGrid, coeffs: np.ndarray, order: int,
+                rows: slice) -> np.ndarray:
+    """The `rows` nodes of the order-th x3 derivative of contiguous
+    node-major coefficients (..., node, t, x1, x2): rows of grid.dmat, one
+    GEMM over the contiguous periodic axes per leading index."""
+    d = grid.dmat(order)[rows]
+    lead, lattice = coeffs.shape[:-4], coeffs.shape[-3:]
+    out = d @ coeffs.reshape(lead + (coeffs.shape[-4], -1))
+    return out.reshape(lead + (d.shape[0],) + lattice)
 
 
-def _terms_geometry(u: SpectralField, p: SpectralField, eta) -> _Geometry:
+def _terms_inputs(u: SpectralField, p: SpectralField, eta):
     """eta's geometry for the interaction terms of (u, p), after checking
-    that the three fields fit together."""
+    that the three fields fit together, and contiguous node-major copies of
+    the coefficients of u, (comp, node, t, x1, x2), and p, (node, t, x1, x2)."""
     geo = _geometry_for(eta, u.real and p.real)
     if p.grid != u.grid or geo.eta.grid != u.grid:
         raise ValueError("fields live on different grids")
     if u.components != 3 or p.components != 1:
         raise ValueError("expected a 3-component velocity and a scalar pressure")
-    return geo
+    return geo, *(np.ascontiguousarray(_node_major(f.coeffs)) for f in (u, p))
 
 
-def _block_momentum(u: SpectralField, p: SpectralField, geo: _Geometry,
-                    rows: slice, mu_f: float):
-    """Padded node-major samples at one block of layer nodes: the velocity
-    u_s and its layer derivative du3, each (comp, node, t, x1, x2), the third
-    row (e31, e32, e33) of the gradient-correction tensor, each (node, t, x1,
-    x2), and the map-induced momentum part rf_def, shaped like u_s."""
-    g = u.grid
+def _block_momentum(g: TorusGrid, un: np.ndarray, pn: np.ndarray,
+                    geo: _Geometry, rows: slice, u_s: np.ndarray, mu_f: float):
+    """Padded node-major samples at one block of layer nodes, given the
+    node-major coefficients un and pn of (u, p) and the velocity's samples
+    u_s there: its layer derivative du3, (comp, node, t, x1, x2) like u_s,
+    the third row (e31, e32, e33) of the gradient-correction tensor, each
+    (node, t, x1, x2), and the map-induced momentum part rf_def, shaped like
+    u_s."""
 
     def pad(c):
         return pad_to_samples(c, g, real=geo.real)
 
     # lateral multipliers commute with the layer derivative
-    u3 = _node_major(_layer_rows(g, u.coeffs, 1, rows, True))
-    u_s, du3 = pad(_node_major(u.coeffs)[:, rows]), pad(u3)
-    d31 = pad(1j * g.xi_phys[:, None] * u3)
-    d32 = pad(1j * g.xi_phys * u3)
-    d33 = pad(_node_major(_layer_rows(g, u.coeffs, 2, rows, True)))
-    dp3 = pad(_node_major(_layer_rows(g, p.coeffs, 1, rows, False)))
+    du3, d31, d32 = pad_with_lateral_derivatives(_layer_rows(g, un, 1, rows),
+                                                 g, geo.real)
+    d33 = pad(_layer_rows(g, un, 2, rows))
+    dp3 = pad(_layer_rows(g, pn, 1, rows))
 
     tau = geo.tau
     grad_sq = geo.g1_s * geo.g1_s + geo.g2_s * geo.g2_s
@@ -251,7 +258,7 @@ def _block_momentum(u: SpectralField, p: SpectralField, geo: _Geometry,
         - du3 * e3_dot_u
         - dp3 * np.stack([e31, e32, e33])
     )
-    return u_s, du3, (e31, e32, e33), rf_def
+    return du3, (e31, e32, e33), rf_def
 
 
 def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
@@ -267,18 +274,16 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     the plate-row terms come from the node-0 block.
     """
     g = u.grid
-    geo = _terms_geometry(u, p, eta)
+    geo, un, pn = _terms_inputs(u, p, eta)
     real_in, eta_s, g1_s, g2_s = geo.real, geo.eta_s, geo.g1_s, geo.g2_s
-    i1, i2 = 1j * g.xi_phys[:, None], 1j * g.xi_phys
 
     rf_tilde, rd_vector = np.empty_like(u.coeffs), np.empty_like(u.coeffs)
     # each block's result goes back through node-major views of the outputs
     rf_out, rd_out = _node_major(rf_tilde), _node_major(rd_vector)
     for rows in _node_blocks(g):
-        u_s, du3, (e31, e32, e33), rf_def = _block_momentum(u, p, geo, rows, mu_f)
-        ub = _node_major(u.coeffs)[:, rows]
-        du1 = pad_to_samples(i1 * ub, g, real=real_in)
-        du2 = pad_to_samples(i2 * ub, g, real=real_in)
+        u_s, du1, du2 = pad_with_lateral_derivatives(un[:, rows], g, real_in)
+        du3, (e31, e32, e33), rf_def = _block_momentum(g, un, pn, geo, rows, u_s,
+                                                       mu_f)
         convective = (u_s[0] * du1 + u_s[1] * du2 + u_s[2] * du3)
         rd = np.stack([-eta_s * u_s[0], -eta_s * u_s[1],
                        -(g1_s * u_s[0] + g2_s * u_s[1]) * _blend(g, rows)])
@@ -298,6 +303,8 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
                 - (t32 + s_eta_s[2, 1]) * g2_s
                 - s_eta_s[2, 2]
             )
+        # the next block's samples need not sit beside this block's
+        del u_s, du1, du2, du3, e31, e32, e33, rf_def, convective, rd
 
     rd_vector = SpectralField(g, rd_vector, 3, real_in)
     r_eta = PlateField(g, samples_to_truncated(r_eta_s, g, real_in), real_in)
@@ -314,11 +321,13 @@ def _deformation_momentum(u: SpectralField, p: SpectralField, eta: PlateField,
 
     The solver never needs it apart; the flat-plate checks read it.
     """
-    geo = _terms_geometry(u, p, eta)
+    g = u.grid
+    geo, un, pn = _terms_inputs(u, p, eta)
     out = np.empty_like(u.coeffs)
-    for rows in _node_blocks(u.grid):
-        rf_def = _block_momentum(u, p, geo, rows, mu_f)[-1]
-        _node_major(out)[:, rows] = samples_to_truncated(rf_def, u.grid, geo.real)
+    for rows in _node_blocks(g):
+        u_s = pad_to_samples(un[:, rows], g, real=geo.real)
+        rf_def = _block_momentum(g, un, pn, geo, rows, u_s, mu_f)[-1]
+        _node_major(out)[:, rows] = samples_to_truncated(rf_def, g, geo.real)
     return out
 
 

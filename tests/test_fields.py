@@ -22,6 +22,7 @@ from plateflow.fields import (
     layer_derivative,
     pad_coeffs,
     pad_to_samples,
+    pad_with_lateral_derivatives,
     padded_sizes,
     physical_samples,
     samples_to_truncated,
@@ -287,6 +288,21 @@ def test_batched_padded_transform_equals_the_plate_transforms(factor, real):
         assert np.array_equal(back[c, j], samples_to_truncated(plate, grid, real))
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_shared_passes_match_the_padded_lateral_derivatives(real):
+    grid = TorusGrid(7, 9, 4)
+    f = poly_field(grid, 18, components=3, band_t=3, band_x=4)
+    coeffs = _node_major(f.coeffs)
+    if not real:  # a genuinely complex field
+        coeffs = coeffs * (0.6 + 0.8j) + _node_major(poly_field(grid, 19).coeffs)
+        f = SpectralField(grid, np.moveaxis(coeffs, (0, 1), (4, 3)), 3, False)
+    shared = pad_with_lateral_derivatives(coeffs, grid, real)
+    for got, field in zip(shared, (f, dx(f, 1), dx(f, 2))):
+        want = pad_to_samples(_node_major(field.coeffs), grid, real=real)
+        assert np.isrealobj(got) == real and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def _half_lattice_index(grid, m_t, m_x):
     hx = (grid.n_x - 1) // 2
     return (Ellipsis, (grid.k_int % m_t)[:, None, None],
@@ -344,10 +360,13 @@ def test_layer_derivative_equals_the_per_mode_products(order):
     assert np.array_equal(layer_derivative(grid, vec[..., 2], order), vec[..., 2] @ d.T)
     assert np.array_equal(layer_derivative(grid, vec[0], order, vector=True), d @ vec[0])
     assert np.array_equal(layer_derivative(grid, scal[0, 0], order), scal[0, 0] @ d.T)
-    # the Picard blocks take rows of the same matrix through the same kernel
+    # the Picard blocks take rows of the same matrix from node-major copies
     rows = slice(5, 10)
-    assert np.array_equal(_layer_rows(grid, vec, order, rows, True), d[rows] @ vec)
-    assert np.array_equal(_layer_rows(grid, scal, order, rows, False), scal @ d[rows].T)
+    for stored in (vec, scal):
+        node_major = np.ascontiguousarray(_node_major(stored))
+        want = layer_derivative(grid, stored, order, stored.ndim == 5)
+        assert np.array_equal(_layer_rows(grid, node_major, order, rows),
+                              _node_major(want)[..., rows, :, :, :])
 
 
 def test_layer_derivative_holds_one_time_plane_of_temporaries():

@@ -236,6 +236,51 @@ def test_compose_forcing_field_matches_callable():
     assert np.max(np.abs(a.coeffs - f.coeffs)) > 0.0
 
 
+def _flagged_complex(field):
+    return type(field)(**{**vars(field), "real": False})
+
+
+def test_complex_product_path_matches_the_real_path():
+    # the same conjugate-symmetric state, flagged complex, takes the full
+    # complex lattice instead of the real half lattice
+    u, p, eta = _state(15)
+    f = poly_field(GRID, 16, components=3)
+    uc, pc, etac, fc = (_flagged_complex(x) for x in (u, p, eta, f))
+    real, cplx = compute_nonlinear_terms(u, p, eta), compute_nonlinear_terms(uc, pc, etac)
+    pairs = [(getattr(real, name), getattr(cplx, name))
+             for name in ("rf_tilde", "rd_tilde", "r_eta", "s_eta")]
+    pairs.append((compose_forcing(f, eta), compose_forcing(fc, etac)))
+    for a, b in pairs:
+        assert a.real and not b.real
+        assert np.max(np.abs(b.coeffs - a.coeffs)) <= 1e-13 * np.max(np.abs(a.coeffs))
+
+
+FFT_TRANSFORMS = [name for name in np.fft.__all__
+                  if name not in ("fftshift", "ifftshift", "fftfreq", "rfftfreq")]
+
+
+def test_terms_transform_count(monkeypatch):
+    # per block of layer nodes: the u and d3 u families at 6 passes each
+    # (one t-pass, two xi1-passes, three real xi2-passes), 3 each for
+    # d3 d3 u and d3 p, 3 per analysis of rf_tilde and rd_vector; then
+    # the two plate-row analyses
+    grid = TorusGrid(5, 5, 9)
+    u = poly_field(grid, 60, components=3, scale=ETA_SMALL)
+    p = poly_field(grid, 61, components=1, scale=ETA_SMALL)
+    geo = nonlinear._Geometry(poly_plate(grid, 62, scale=ETA_SMALL, zero_mean=True), True)
+    calls = {}
+    for name in FFT_TRANSFORMS:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    compute_nonlinear_terms(u, p, geo)
+    blocks = len(nonlinear._node_blocks(grid))
+    assert blocks == 2
+    assert calls == {"ifft": 10 * blocks, "irfft": 8 * blocks,
+                     "rfft": 2 * blocks + 2, "fft": 4 * blocks + 4}
+
+
 def test_compose_forcing_validation():
     eta = zeros_like_field(GRID, plate=True)
     with pytest.raises(ValueError):
