@@ -35,7 +35,9 @@ and keeps the retained k rows.  That is the pass order of numpy's `irfftn` /
 `rfftn` on the full half lattice, each pass with the same length and
 normalization, and every 1-d transform depends only on its own line, so the
 bits are those of the full transforms whatever the leading axes; a zero line
-transforms to zeros, and a discarded line was never read.
+transforms to zeros, and a discarded line was never read.  A lateral
+derivative multiplies each line by i xi, so `pad_with_lateral_derivatives`
+synthesizes c, i xi1 c and i xi2 c from one t-pass and two xi1-passes.
 """
 
 from __future__ import annotations
@@ -258,24 +260,20 @@ def dx(field, direction: int):
 
 def layer_derivative(grid: TorusGrid, coeffs: np.ndarray, order: int = 1,
                      vector: bool = False) -> np.ndarray:
-    """order-th x3 derivative of a raw coefficient array.
+    """order-th x3 derivative of a raw coefficient array: the values of
+    d @ c, or c @ d.T for scalars, with d = grid.dmat(order).
 
-    Applies grid.dmat(order) along the node axis, which is last, or second to
-    last when `vector` marks a trailing component axis; any leading axes
-    (time, lateral, batch) pass through.
+    d applies along the node axis, which is last, or second to last when
+    `vector` marks a trailing component axis; any leading axes (time,
+    lateral, batch) pass through.  A complex array with a leading time axis
+    takes one GEMM per time plane rather than one small product per lateral
+    mode; the loop keeps the temporaries to one plane, where a whole-field
+    contraction would copy the field.  A real array keeps the whole-array
+    product, because a per-plane GEMM of real data reaches other BLAS
+    kernels and other bits.
     """
-    return _apply_layer_matrix(grid.dmat(order), coeffs, vector)
-
-
-def _apply_layer_matrix(d: np.ndarray, coeffs: np.ndarray, vector: bool) -> np.ndarray:
-    """Rows of a layer matrix d applied along the node axis of coeffs (as in
-    `layer_derivative`): the values of d @ c, or c @ d.T for scalars.
-
-    An array with a leading time axis takes one GEMM per time plane rather
-    than one small product per lateral mode; the loop keeps the temporaries
-    to one plane, where a whole-field contraction would copy the field.
-    """
-    if coeffs.ndim < (4 if vector else 3):
+    d = grid.dmat(order)
+    if coeffs.ndim < (4 if vector else 3) or np.isrealobj(coeffs):
         return d @ coeffs if vector else coeffs @ d.T
     if vector:
         shape = coeffs.shape[1:-2] + (d.shape[0], coeffs.shape[-1])

@@ -68,9 +68,11 @@ SUP_ETA_LIMIT = 0.5
 RECIPROCAL_LIMIT = 2.0
 
 # Layer nodes per block of padded products.  Of 1 / 3 / 5 / 9 / 25 (whole
-# slab) on a 17 x 17 x 24 Picard solve, 5 had the lowest peak RSS (150 MB
-# against 171 and 260 MB at 9 and 25) at a wall time within noise of the best;
-# single nodes ran 28% slower.
+# slab) on a 17 x 17 x 24 Picard solve (median of 5 fresh processes, 2-core
+# VM), the node-major blocks peaked at 122 / 126 / 125 / 145 / 220 MB RSS
+# with wall times of 4.38 / 4.36 / 4.41 / 4.53 / 4.81 s, within noise of each
+# other up to 9.  Single nodes save 3 MB but send the one-row layer GEMM to
+# another BLAS kernel, which changes the output bits; 3 and 5 tie.
 NODE_BLOCK = 5
 
 try:  # glibc's malloc_trim(0) returns the free heap pages to the OS

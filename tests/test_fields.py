@@ -369,6 +369,20 @@ def test_layer_derivative_equals_the_per_mode_products(order):
                               _node_major(want)[..., rows, :, :, :])
 
 
+@pytest.mark.parametrize("n_z", [16, 32])
+def test_real_layer_derivative_equals_the_whole_array_product(n_z):
+    # per-plane GEMMs of real data differed from d @ c by up to 1.6e-9 at
+    # n_z = 32 (largest value 2.6e6): real input keeps the whole-array product
+    grid = TorusGrid(17, 17, n_z)
+    rng = np.random.default_rng(n_z)
+    vec = rng.standard_normal((17, 17, 17, n_z + 1, 3))
+    scal = vec[..., 0].copy()
+    for order in (1, 2):
+        d = grid.dmat(order)
+        assert np.array_equal(layer_derivative(grid, vec, order, vector=True), d @ vec)
+        assert np.array_equal(layer_derivative(grid, scal, order), scal @ d.T)
+
+
 def test_layer_derivative_holds_one_time_plane_of_temporaries():
     grid = TorusGrid(17, 17, 32)
     shape = (17, 17, 17, 33, 3)
