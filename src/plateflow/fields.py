@@ -363,11 +363,6 @@ def truncate_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return coeffs[_inner(grid, *coeffs.shape[-3:-1])].copy()
 
 
-def _retained_rows(grid: TorusGrid, m_t: int, m_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the grid's k and xi modes in an unshifted (m_t, m_x) lattice."""
-    return grid.k_int % m_t, grid.xi_int % m_x
-
-
 def _node_major(coeffs: np.ndarray) -> np.ndarray:
     """A view of stored coefficients with the periodic axes last, as the
     padded transform takes them: a plate array as it is, a slab array
@@ -448,7 +443,8 @@ def samples_to_truncated(samples: np.ndarray, grid: TorusGrid,
         return truncate_coeffs(_to_coeffs(samples, _PADDED_AXES), grid)
     m_t, m_x = samples.shape[-3:-1]
     hx = (grid.n_x - 1) // 2
-    k, xi = _retained_rows(grid, m_t, m_x)
+    # rows of the grid's k and xi modes in the unshifted padded lattice
+    k, xi = grid.k_int % m_t, grid.xi_int % m_x
     spec = np.fft.rfft(np.real(samples), axis=-1, norm="forward")[..., :hx + 1]
     spec = np.fft.fft(spec, axis=-2, norm="forward")[..., xi, :]
     half = np.fft.fft(spec, axis=-3, norm="forward")[..., k, :, :]

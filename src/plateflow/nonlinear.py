@@ -219,7 +219,8 @@ def _terms_inputs(u: SpectralField, p: SpectralField, eta):
         raise ValueError("fields live on different grids")
     if u.components != 3 or p.components != 1:
         raise ValueError("expected a 3-component velocity and a scalar pressure")
-    return geo, *(np.ascontiguousarray(_node_major(f.coeffs)) for f in (u, p))
+    un, pn = (np.ascontiguousarray(_node_major(f.coeffs)) for f in (u, p))
+    return geo, un, pn
 
 
 def _block_momentum(g: TorusGrid, un: np.ndarray, pn: np.ndarray,
@@ -286,7 +287,7 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
         u_s, du1, du2 = pad_with_lateral_derivatives(un[:, rows], g, real_in)
         du3, (e31, e32, e33), rf_def = _block_momentum(g, un, pn, geo, rows, u_s,
                                                        mu_f)
-        convective = (u_s[0] * du1 + u_s[1] * du2 + u_s[2] * du3)
+        convective = u_s[0] * du1 + u_s[1] * du2 + u_s[2] * du3
         rd = np.stack([-eta_s * u_s[0], -eta_s * u_s[1],
                        -(g1_s * u_s[0] + g2_s * u_s[1]) * _blend(g, rows)])
         rf_out[:, rows] = samples_to_truncated(rf_def - convective, g, real_in)
