@@ -51,16 +51,18 @@ number must be finite.  Keys (defaults in parentheses):
 
 Forcing expressions use the variables t, x1, x2 (and x3 in the slab), the
 functions sin, cos, exp, the constant pi, numeric literals, and + - * / **.
-Arguments of sin and cos must be affine with integer harmonics of 2*pi/T
-and 2*pi/L in the periodic variables, so every expression is exactly
-representable on the lattice; exp accepts x3 only.  t, x1, x2 may appear
-only inside sin/cos, divisors must be constant, and exponents must be
-nonnegative integer constants.  An expression that cannot be evaluated (a
-zero divisor, an overflowing power, a constant that folds to a complex
-number) and forcing data that are not finite once scaled by eps exit with
-code 1; a ``file:`` container that ``io.read_field`` refuses (a header its
-payload does not match, a non-finite coefficient, a real flag over
-coefficients that are not conjugate-symmetric) exits with code 2.
+Arguments of sin and cos must be affine with integer harmonics n of 2*pi/T
+and 2*pi/L in the periodic variables, within the lattice band
+|n| <= (N - 1)/2 (N = n_t for t, n_x for x1 and x2), so each single term is
+exactly representable on the lattice; products are formed pointwise on the
+lattice, so their harmonics above the band alias.  exp accepts x3 only.
+t, x1, x2 may appear only inside sin/cos, divisors must be constant, and
+exponents must be nonnegative integer constants.  An expression that cannot
+be evaluated (a zero divisor, an overflowing power, a constant that folds
+to a complex number) and forcing data that are not finite once scaled by
+eps exit with code 1; a ``file:`` container that ``io.read_field`` refuses
+(a header its payload does not match, a non-finite coefficient, a real flag
+over coefficients that are not conjugate-symmetric) exits with code 2.
 """
 
 from __future__ import annotations
@@ -219,20 +221,23 @@ def _affine_parts(node, variables) -> dict:
 
 
 def _check_harmonics(parts: dict, grid: TorusGrid, node: ast.AST):
-    """Reject non-integer harmonics of the lattice base frequencies."""
-    base = {"t": 2.0 * math.pi / grid.t_period,
-            "x1": 2.0 * math.pi / grid.l_period,
-            "x2": 2.0 * math.pi / grid.l_period}
-    for var, freq in base.items():
+    """Reject non-integer harmonics of the lattice base frequencies, and
+    integer ones outside the lattice's band, which would alias."""
+    base = {"t": (2.0 * math.pi / grid.t_period, grid.n_t),
+            "x1": (2.0 * math.pi / grid.l_period, grid.n_x),
+            "x2": (2.0 * math.pi / grid.l_period, grid.n_x)}
+    for var, (freq, n) in base.items():
         coeff = parts.get(var, 0.0)
         harmonic = coeff / freq
         if abs(harmonic - round(harmonic)) > 1e-9:
-            raise CliError(
-                EXIT_CONFIG, "config",
-                f"forcing expression error (column {node.col_offset}): "
+            raise _expr_error(
                 f"harmonic {coeff:g} in '{var}' is not an integer multiple "
                 f"of the lattice frequency {freq:g}, so the term is not "
-                "periodic on the configured domain")
+                "periodic on the configured domain", node)
+        if abs(round(harmonic)) > (n - 1) // 2:
+            raise _expr_error(
+                f"harmonic {round(harmonic)} in '{var}' lies outside the "
+                f"lattice band |n| <= {(n - 1) // 2}, where it would alias", node)
 
 
 class _ExprChecker(ast.NodeVisitor):

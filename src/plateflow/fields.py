@@ -14,44 +14,43 @@ c(-k, -xi) = conj(c(k, xi)); `is_conjugate_symmetric` tests it, and io
 refuses a container flagged real that fails the test.  `trace_bottom`
 restricts a slab field to the plate face x3 = 0.
 
-Pointwise work uses a zero-padded time/lateral lattice (`pad_to_samples`, and
-back by `samples_to_truncated`): DEALIAS wide for products, OVERSAMPLE for
-quadratures and sup sampling.  The layer direction is never padded.  The
-padded transform is node-major: it acts on the last three axes, (k, xi1,
-xi2) in and (t, x1, x2) out, and any leading axes (component, node, batch)
-pass through, so a plate array is its own case and a slab block enters as a
-view with its node and component axes moved to the front.  Real fields take
-the real half-lattice path: only the xi2 >= 0 half of the padded spectrum is
-filled or kept, and xi2 < 0 follows by conjugate reflection.
+There is one periodic transform: `pad_to_samples` synthesizes on the odd
+lattice (m_t, m_x, m_x) = `padded_sizes(grid, factor)`, and
+`samples_to_truncated` analyzes back.  The factor is DEALIAS for products,
+OVERSAMPLE for quadratures and sup sampling, and 1 for the grid lattice
+itself, where `forward_transform`, `inverse_transform` and
+`physical_samples` work.  The layer direction is never padded.  The
+transform is node-major: it acts on the last three axes, (k, xi1, xi2) in
+and (t, x1, x2) out, and leading axes (component, node, batch) pass
+through, so a plate array is its own case and a slab array enters as a view
+with its node and component axes in front (`_node_major`; `_stored` moves
+them back).
 
-The real path runs one axis at a time and skips the lines that are all zero
-or discarded.  Synthesis places the retained coefficients in an
-(..., m_t, N_x, h + 1) array (h = (N_x - 1) // 2), transforms along t,
-scatters the xi1 rows into (..., m_t, m_x, h + 1), transforms along xi1 and
-ends with a real inverse transform of length m_x along xi2, the contiguous
-axis.  Analysis takes the real transform along x2 and keeps k2 <= h,
-transforms along x1 and keeps the retained xi1 rows, then transforms along t
-and keeps the retained k rows.  That is the pass order of numpy's `irfftn` /
-`rfftn` on the full half lattice, each pass with the same length and
-normalization, and every 1-d transform depends only on its own line, so the
-bits are those of the full transforms whatever the leading axes; a zero line
-transforms to zeros, and a discarded line was never read.  A lateral
-derivative multiplies each line by i xi, so `pad_with_lateral_derivatives`
-synthesizes c, i xi1 c and i xi2 c from one t-pass and two xi1-passes.
+The transform runs one axis at a time and skips the lines that are all zero
+or discarded.  Synthesis: `_t_pass` places the k rows in an
+(..., m_t, N_x, w) array and transforms along t, `_x1_pass` scatters the
+xi1 rows into (..., m_t, m_x, w) and transforms along xi1, and `_x2_pass`
+ends along xi2, the contiguous axis; analysis runs the passes in reverse,
+each keeping the grid's rows.  The `real` flag picks the columns and the
+xi2 pass: the w = h + 1 (h = (N_x - 1) // 2) columns xi2 >= 0 of the
+conjugate-symmetric part and a real transform, xi2 < 0 following by
+conjugate reflection; otherwise all w = N_x columns, scattered into the
+padded lattice for a complex transform.  The real path is the pass order of
+numpy's `irfftn` / `rfftn` on the full half lattice, each pass with the
+same length and normalization, and every 1-d transform depends only on its
+own line, so the bits are those of the full transforms whatever the leading
+axes.  A lateral derivative multiplies each line by i xi, so
+`pad_with_lateral_derivatives` synthesizes c, i xi1 c and i xi2 c from one
+t-pass and two xi1-passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import prod
 
 import numpy as np
 
 from .grid import TorusGrid
-
-# periodic axes of a stored field, and of the node-major padded transform
-_STORED_AXES = (0, 1, 2)
-_PADDED_AXES = (-3, -2, -1)
 
 # Orszag's 3/2 rule: quadratic products formed on it truncate back alias-free
 DEALIAS = 1.5
@@ -59,21 +58,10 @@ DEALIAS = 1.5
 OVERSAMPLE = 2.0
 
 
-def _to_coeffs(samples: np.ndarray, axes=_STORED_AXES) -> np.ndarray:
-    n = prod(samples.shape[a] for a in axes)
-    spec = np.fft.fftn(samples, axes=axes) / n
-    return np.fft.fftshift(spec, axes=axes)
-
-
-def _to_samples(coeffs: np.ndarray, axes=_STORED_AXES) -> np.ndarray:
-    n = prod(coeffs.shape[a] for a in axes)
-    spec = np.fft.ifftshift(coeffs, axes=axes)
-    return np.fft.ifftn(spec, axes=axes) * n
-
-
-def _symmetrize(coeffs: np.ndarray, axes=_STORED_AXES) -> np.ndarray:
-    """Project onto the conjugate-symmetric subspace c(-k,-xi) = conj(c(k,xi))."""
-    return 0.5 * (coeffs + np.conj(np.flip(coeffs, axes)))
+def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
+    """Project onto the conjugate-symmetric subspace c(-k,-xi) = conj(c(k,xi))
+    of the last three axes."""
+    return 0.5 * (coeffs + np.conj(coeffs[..., ::-1, ::-1, ::-1]))
 
 
 class _FieldArithmetic:
@@ -182,28 +170,26 @@ def forward_transform(grid: TorusGrid, samples: np.ndarray,
     if components is None:
         components = samples.shape[4] if samples.ndim == 5 else 1
     want_ndim = (5,) if components > 1 else (3, 4)
-    if samples.ndim not in want_ndim:
-        raise ValueError(f"expected {' or '.join(map(str, want_ndim))}-d samples, "
-                         f"got shape {samples.shape}")
+    lattice = (grid.n_t, grid.n_x, grid.n_x)
+    if samples.ndim not in want_ndim or samples.shape[:3] != lattice:
+        raise ValueError(f"expected {' or '.join(map(str, want_ndim))}-d samples on "
+                         f"the {lattice} lattice, got shape {samples.shape}")
     real = np.isrealobj(samples)
-    coeffs = _to_coeffs(samples.astype(complex))
-    if real:
-        coeffs = _symmetrize(coeffs)  # keep the symmetry exact, not just close
+    coeffs = _stored(samples_to_truncated(_node_major(samples), grid, real))
     if samples.ndim == 3:
         return PlateField(grid, coeffs, real)
     return SpectralField(grid, coeffs, components, real)
 
 
 def inverse_transform(field) -> np.ndarray:
-    """Synthesis of a plate or slab field back to samples (complex; tiny
-    imaginary part if real)."""
-    return _to_samples(field.coeffs)
+    """Complex synthesis (a tiny imaginary part if real) on the grid lattice."""
+    return _stored(pad_to_samples(_node_major(field.coeffs), field.grid, 1.0))
 
 
 def physical_samples(field) -> np.ndarray:
-    """Real-part synthesis for real-flagged fields, complex otherwise."""
-    samples = _to_samples(field.coeffs)
-    return samples.real if field.real else samples
+    """Real synthesis for real-flagged fields, complex otherwise."""
+    return _stored(pad_to_samples(_node_major(field.coeffs), field.grid, 1.0,
+                                  field.real))
 
 
 def is_conjugate_symmetric(coeffs: np.ndarray, tol: float = 1e-12) -> bool:
@@ -334,33 +320,13 @@ def _next_odd(n: int) -> int:
 
 def padded_sizes(grid: TorusGrid, factor: float = DEALIAS) -> tuple[int, int]:
     """Odd lattice sizes (m_t, m_x) spanning `factor` times the grid's band:
-    DEALIAS for products, OVERSAMPLE for quadratures and sup sampling."""
+    DEALIAS for products, OVERSAMPLE for quadratures and sup sampling, and
+    1.0 for the grid lattice, (N_t, N_x)."""
     half_t = (grid.n_t - 1) // 2
     half_x = (grid.n_x - 1) // 2
     m_t = _next_odd(max(grid.n_t, int(np.ceil(factor * 2 * half_t + 1))))
     m_x = _next_odd(max(grid.n_x, int(np.ceil(factor * 2 * half_x + 1))))
     return m_t, m_x
-
-
-def _inner(grid: TorusGrid, m_t: int, m_x: int) -> tuple:
-    """Where the grid lattice sits inside a centered (..., m_t, m_x, m_x) lattice."""
-    ot, ox = (m_t - grid.n_t) // 2, (m_x - grid.n_x) // 2
-    return (Ellipsis, slice(ot, ot + grid.n_t), slice(ox, ox + grid.n_x),
-            slice(ox, ox + grid.n_x))
-
-
-def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m_t: int, m_x: int) -> np.ndarray:
-    """Embed centered (..., N_t, N_x, N_x) coefficients into a larger centered
-    lattice."""
-    out = np.zeros(coeffs.shape[:-3] + (m_t, m_x, m_x), dtype=complex)
-    out[_inner(grid, m_t, m_x)] = coeffs
-    return out
-
-
-def truncate_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Centered truncation of (..., m_t, m_x, m_x) coefficients back onto the
-    grid lattice."""
-    return coeffs[_inner(grid, *coeffs.shape[-3:-1])].copy()
 
 
 def _node_major(coeffs: np.ndarray) -> np.ndarray:
@@ -372,40 +338,60 @@ def _node_major(coeffs: np.ndarray) -> np.ndarray:
     return np.moveaxis(coeffs, 3, 0) if coeffs.ndim == 4 else coeffs
 
 
+def _stored(node_major: np.ndarray) -> np.ndarray:
+    """The inverse of `_node_major`, as a contiguous array in stored order."""
+    if node_major.ndim == 5:
+        node_major = np.moveaxis(node_major, (0, 1), (4, 3))
+    elif node_major.ndim == 4:
+        node_major = np.moveaxis(node_major, 0, 3)
+    return np.ascontiguousarray(node_major)
+
+
 def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, factor: float = DEALIAS,
                    real: bool = False) -> np.ndarray:
     """Samples of (..., N_t, N_x, N_x) coefficients on the `factor`-padded
-    lattice, shape (..., m_t, m_x, m_x); leading axes pass through.
+    lattice (factor 1.0: the grid lattice), shape (..., m_t, m_x, m_x), by
+    the passes of the module docstring; leading axes pass through.
 
-    real=True returns the real part of the synthesis through the real
-    half-lattice path: the conjugate-symmetric part of the coefficients,
-    restricted to xi2 >= 0, is synthesized in the pass order of `irfftn`
-    (see the module docstring).  The padded sizes are odd, so there is no
-    Nyquist plane.
+    real=True returns the real part of the synthesis: the
+    conjugate-symmetric part of the coefficients, restricted to xi2 >= 0,
+    is synthesized in the pass order of `irfftn`.  The padded sizes are
+    odd, so there is no Nyquist plane.
     """
     m_t, m_x = padded_sizes(grid, factor)
-    if not real:
-        return _to_samples(pad_coeffs(coeffs, grid, m_t, m_x), _PADDED_AXES)
-    wide = _x1_pass(_t_pass(coeffs, grid, m_t), grid, m_x)
-    return np.fft.irfft(wide, n=m_x, axis=-1, norm="forward")
+    wide = _x1_pass(_t_pass(coeffs, grid, m_t, real), grid, m_x)
+    return _x2_pass(wide, grid, m_x, real)
 
 
-def _t_pass(coeffs: np.ndarray, grid: TorusGrid, m_t: int) -> np.ndarray:
-    """The real path's first pass: the conjugate-symmetric xi2 >= 0 half of
-    coeffs in its retained k rows, transformed along t, (..., m_t, N_x, h + 1)."""
-    hx = (grid.n_x - 1) // 2
-    half = np.zeros(coeffs.shape[:-3] + (m_t, grid.n_x, hx + 1), dtype=complex)
-    half[..., grid.k_int % m_t, :, :] = 0.5 * (
-        coeffs[..., hx:] + np.conj(coeffs[..., ::-1, ::-1, hx::-1]))
-    return np.fft.ifft(half, axis=-3, norm="forward")
+def _t_pass(coeffs: np.ndarray, grid: TorusGrid, m_t: int, real: bool) -> np.ndarray:
+    """The first synthesis pass: the k rows placed in the padded lattice and
+    transformed along t, (..., m_t, N_x, w); with `real` the w columns are
+    the xi2 >= 0 half of the conjugate-symmetric part."""
+    if real:
+        hx = (grid.n_x - 1) // 2
+        coeffs = 0.5 * (coeffs[..., hx:] + np.conj(coeffs[..., ::-1, ::-1, hx::-1]))
+    lines = np.zeros(coeffs.shape[:-3] + (m_t,) + coeffs.shape[-2:], dtype=complex)
+    lines[..., grid.k_int % m_t, :, :] = coeffs
+    return np.fft.ifft(lines, axis=-3, norm="forward")
 
 
-def _x1_pass(half: np.ndarray, grid: TorusGrid, m_x: int) -> np.ndarray:
-    """The real path's second pass: the xi1 rows scattered into the padded
-    lattice and transformed along xi1, (..., m_t, m_x, h + 1)."""
-    wide = np.zeros(half.shape[:-2] + (m_x, half.shape[-1]), dtype=complex)
-    wide[..., grid.xi_int % m_x, :] = half
+def _x1_pass(lines: np.ndarray, grid: TorusGrid, m_x: int) -> np.ndarray:
+    """The second synthesis pass: the xi1 rows scattered into the padded
+    lattice and transformed along xi1, (..., m_t, m_x, w)."""
+    wide = np.zeros(lines.shape[:-2] + (m_x, lines.shape[-1]), dtype=complex)
+    wide[..., grid.xi_int % m_x, :] = lines
     return np.fft.ifft(wide, axis=-2, norm="forward")
+
+
+def _x2_pass(wide: np.ndarray, grid: TorusGrid, m_x: int, real: bool) -> np.ndarray:
+    """The last synthesis pass, along xi2, (..., m_t, m_x, m_x): with `real`
+    a real inverse transform of length m_x, otherwise the columns scattered
+    into the padded lattice and transformed."""
+    if real:
+        return np.fft.irfft(wide, n=m_x, axis=-1, norm="forward")
+    full = np.zeros(wide.shape[:-1] + (m_x,), dtype=complex)
+    full[..., grid.xi_int % m_x] = wide
+    return np.fft.ifft(full, axis=-1, norm="forward")
 
 
 def pad_with_lateral_derivatives(coeffs: np.ndarray, grid: TorusGrid, real: bool
@@ -414,40 +400,42 @@ def pad_with_lateral_derivatives(coeffs: np.ndarray, grid: TorusGrid, real: bool
     i xi1 c and i xi2 c (`dx` directions 1 and 2), as `pad_to_samples`
     gives each.
 
-    On the real path the three share passes: one t-pass, an xi1-pass of c
-    and one of i xi1 c, then i xi2 multiplies c's xi1-passed half lattice
-    (the xi2 axis is still spectral there), and three real xi2-passes.
+    The three share passes: one t-pass, an xi1-pass of c and one of
+    i xi1 c, then i xi2 multiplies c's xi1-passed lattice (the xi2 axis is
+    still spectral there), and three xi2-passes.
     """
-    i1, i2 = 1j * grid.xi_phys[:, None], 1j * grid.xi_phys
-    if not real:
-        return tuple(pad_to_samples(c, grid, real=False)
-                     for c in (coeffs, i1 * coeffs, i2 * coeffs))
     m_t, m_x = padded_sizes(grid)
-    half = _t_pass(coeffs, grid, m_t)
-    wide = _x1_pass(half, grid, m_x)
-    wides = (wide, _x1_pass(i1 * half, grid, m_x), i2[(grid.n_x - 1) // 2:] * wide)
-    return tuple(np.fft.irfft(w, n=m_x, axis=-1, norm="forward") for w in wides)
+    i1, i2 = 1j * grid.xi_phys[:, None], 1j * grid.xi_phys
+    i2 = i2[(grid.n_x - 1) // 2:] if real else i2  # the columns' xi2
+    lines = _t_pass(coeffs, grid, m_t, real)
+    wide = _x1_pass(lines, grid, m_x)
+    wides = (wide, _x1_pass(i1 * lines, grid, m_x), i2 * wide)
+    return tuple(_x2_pass(w, grid, m_x, real) for w in wides)
 
 
 def samples_to_truncated(samples: np.ndarray, grid: TorusGrid,
                          real: bool) -> np.ndarray:
-    """Analyze (..., m_t, m_x, m_x) padded-lattice samples and truncate to the
-    grid lattice, shape (..., N_t, N_x, N_x).
+    """Analyze (..., m_t, m_x, m_x) samples and truncate to the grid
+    lattice, shape (..., N_t, N_x, N_x); samples on the grid lattice itself
+    are the factor 1 case.
 
-    real=True analyzes the real part in the pass order of `rfftn` (see the
-    module docstring), keeps the retained xi2 >= 0 modes and rebuilds
-    xi2 < 0 by conjugate reflection; the result is exactly conjugate
-    symmetric.
+    The synthesis passes in reverse: transforms along x2, x1 and t, each
+    keeping only the grid's rows.  real=True analyzes the real part in the
+    pass order of `rfftn`, keeps the xi2 >= 0 columns and rebuilds xi2 < 0
+    by conjugate reflection; the result is exactly conjugate symmetric.
     """
-    if not real:
-        return truncate_coeffs(_to_coeffs(samples, _PADDED_AXES), grid)
     m_t, m_x = samples.shape[-3:-1]
     hx = (grid.n_x - 1) // 2
     # rows of the grid's k and xi modes in the unshifted padded lattice
     k, xi = grid.k_int % m_t, grid.xi_int % m_x
-    spec = np.fft.rfft(np.real(samples), axis=-1, norm="forward")[..., :hx + 1]
+    if real:
+        spec = np.fft.rfft(np.real(samples), axis=-1, norm="forward")[..., :hx + 1]
+    else:
+        spec = np.fft.fft(samples, axis=-1, norm="forward")[..., xi]
     spec = np.fft.fft(spec, axis=-2, norm="forward")[..., xi, :]
-    half = np.fft.fft(spec, axis=-3, norm="forward")[..., k, :, :]
-    full = np.concatenate([np.conj(half[..., ::-1, ::-1, hx:0:-1]), half], axis=-1)
+    coeffs = np.fft.fft(spec, axis=-3, norm="forward")[..., k, :, :]
+    if not real:
+        return coeffs
+    full = np.concatenate([np.conj(coeffs[..., ::-1, ::-1, hx:0:-1]), coeffs], axis=-1)
     # the xi2 = 0 plane is symmetric only to round-off; make it exact
-    return _symmetrize(full, _PADDED_AXES)
+    return _symmetrize(full)

@@ -28,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .fields import (OVERSAMPLE, PlateField, SpectralField, _node_major,
+from .fields import (OVERSAMPLE, PlateField, SpectralField, _node_major, _stored,
                      inverse_transform, layer_derivative, pad_to_samples)
 from .grid import TorusGrid
 
@@ -71,8 +71,7 @@ def _magnitudes(grid: TorusGrid, coeffs: np.ndarray, real: bool) -> np.ndarray:
     mag = np.abs(pad_to_samples(_node_major(coeffs), grid, OVERSAMPLE, real))
     if mag.ndim == 5:
         mag = np.sqrt(np.sum(mag ** 2, axis=0))
-    # back to the stored order, in which the quadratures sum
-    return np.ascontiguousarray(np.moveaxis(mag, 0, -1)) if mag.ndim == 4 else mag
+    return _stored(mag)  # the stored order, in which the quadratures sum
 
 
 def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float, real: bool) -> float:

@@ -112,6 +112,8 @@ def test_scalar_datum_with_layer_profile():
 
 @pytest.mark.parametrize("expr,fragment", [
     ("cos(0.5*t)", "not an integer multiple"),
+    ("cos(3*t)", "harmonic 3 in 't' lies outside the lattice band |n| <= 2"),
+    ("sin(3*x2)", "harmonic 3 in 'x2' lies outside the lattice band |n| <= 2"),
     ("exp(x1)", "never periodic"),
     ("t", "only inside sin/cos"),
     ("x1**2", "only inside sin/cos"),

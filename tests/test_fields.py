@@ -1,10 +1,13 @@
 """Spectral field containers, transforms, and exact derivative operators."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plateflow
 from plateflow.fields import (
     DEALIAS,
     OVERSAMPLE,
@@ -20,17 +23,15 @@ from plateflow.fields import (
     is_conjugate_symmetric,
     laplacian,
     layer_derivative,
-    pad_coeffs,
     pad_to_samples,
     pad_with_lateral_derivatives,
     padded_sizes,
     physical_samples,
     samples_to_truncated,
     trace_bottom,
-    truncate_coeffs,
     zeros_like_field,
 )
-from plateflow.fields import _node_major, _symmetrize, _to_coeffs
+from plateflow.fields import _node_major, _symmetrize
 from plateflow.nonlinear import _layer_rows
 from plateflow.grid import TorusGrid
 
@@ -85,6 +86,9 @@ def test_plate_round_trip():
     assert np.max(np.abs(inverse_transform(field) - samples)) < TOL_ROUND
     with pytest.raises(ValueError, match="expected 5-d samples"):
         forward_transform(GRID, samples, components=3)
+    # a smaller lattice would alias into the grid's rows without a word
+    with pytest.raises(ValueError, match=r"on the \(5, 5, 5\) lattice"):
+        forward_transform(GRID, samples[:3])
 
 
 def test_shape_strictness():
@@ -196,15 +200,6 @@ def test_plate_operators_single_mode():
         < TOL_DERIV
 
 
-def test_pad_truncate_round_trip_exact():
-    f = poly_field(GRID, 14, components=3, band_t=2, band_x=2)
-    m_t, m_x = padded_sizes(GRID, 1.5)
-    assert m_t > GRID.n_t and m_x > GRID.n_x
-    padded = pad_coeffs(_node_major(f.coeffs), GRID, m_t, m_x)
-    assert padded.shape[-3:] == (m_t, m_x, m_x)
-    assert np.array_equal(truncate_coeffs(padded, GRID), _node_major(f.coeffs))
-
-
 def test_dealias_sampling_pair():
     f = poly_field(GRID, 15, components=1, band_t=2, band_x=2)
     samples = pad_to_samples(_node_major(f.coeffs), GRID, OVERSAMPLE)
@@ -246,6 +241,12 @@ def _lead(tail):
     return tail[::-1]
 
 
+def _grid_rows(grid, m_t, m_x):
+    """Where the grid's (k, xi1, xi2) modes sit in an unshifted padded lattice."""
+    k, xi = grid.k_int % m_t, grid.xi_int % m_x
+    return Ellipsis, k[:, None, None], xi[None, :, None], xi[None, None, :]
+
+
 @pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
 def test_half_lattice_synthesis_is_the_real_part(grid, factor, tail):
     rng = np.random.default_rng(len(tail))
@@ -264,10 +265,32 @@ def test_half_lattice_analysis_matches_the_complex_path(grid, factor, tail):
     samples = np.random.default_rng(len(tail)).standard_normal(
         _lead(tail) + (m_t, m_x, m_x))
     coeffs = samples_to_truncated(samples, grid, real=True)
-    want = _symmetrize(truncate_coeffs(_to_coeffs(samples, PADDED), grid), PADDED)
+    want = _symmetrize(np.fft.fftn(samples, axes=PADDED, norm="forward")[
+        _grid_rows(grid, m_t, m_x)])
     assert coeffs.shape == _lead(tail) + (grid.n_t, grid.n_x, grid.n_x)
     assert np.max(np.abs(coeffs - want)) <= 1e-15 * np.max(np.abs(want))
     assert np.array_equal(coeffs, np.conj(coeffs[..., ::-1, ::-1, ::-1]))
+
+
+@pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
+def test_complex_passes_match_the_full_transforms(grid, factor, tail):
+    # the complex path is ifftn / fftn of the zero-embedded padded lattice,
+    # up to round-off: its passes run in another axis order
+    rng = np.random.default_rng(3 + len(tail))
+    m_t, m_x = padded_sizes(grid, factor)
+    shape = _lead(tail) + (grid.n_t, grid.n_x, grid.n_x)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    padded = np.zeros(_lead(tail) + (m_t, m_x, m_x), complex)
+    padded[_grid_rows(grid, m_t, m_x)] = coeffs
+    want = np.fft.ifftn(padded, axes=PADDED, norm="forward")
+    samples = pad_to_samples(coeffs, grid, factor)
+    assert samples.shape == want.shape
+    assert np.max(np.abs(samples - want)) <= 1e-15 * np.max(np.abs(want))
+    samples = rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape)
+    want = np.fft.fftn(samples, axes=PADDED, norm="forward")[_grid_rows(grid, m_t, m_x)]
+    got = samples_to_truncated(samples, grid, real=False)
+    assert got.shape == shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -326,7 +349,7 @@ def _rfftn_analysis(samples, grid):
     spec = np.fft.rfftn(samples, axes=PADDED, norm="forward")
     half = spec[_half_lattice_index(grid, m_t, m_x)]
     return _symmetrize(np.concatenate([np.conj(half[..., ::-1, ::-1, hx:0:-1]), half],
-                                      axis=-1), PADDED)
+                                      axis=-1))
 
 
 @pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
@@ -341,6 +364,35 @@ def test_pruned_half_lattice_passes_equal_irfftn_and_rfftn(grid, factor, tail):
     samples = rng.standard_normal(_lead(tail) + (m_t, m_x, m_x))
     assert np.array_equal(samples_to_truncated(samples, grid, True),
                           _rfftn_analysis(samples, grid))
+
+
+# the periodic transform's passes, and grid's Chebyshev transform
+FFT_HOMES = {("fields", "_t_pass"), ("fields", "_x1_pass"), ("fields", "_x2_pass"),
+             ("fields", "samples_to_truncated"), ("grid", "cheb_values_to_coeffs")}
+
+
+def _is_numpy_fft(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "fft"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def test_numpy_fft_is_called_only_by_the_pass_helpers():
+    # a second periodic transform would have to reach numpy.fft elsewhere
+    homes, names, imports = set(), set(), []
+    for path in sorted(Path(plateflow.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if _is_numpy_fft(node):
+                    homes.add((path.stem, getattr(top, "name", None)))
+                if isinstance(node, ast.Attribute) and _is_numpy_fft(node.value):
+                    names.add(node.attr)
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    module = getattr(node, "module", None) or ""
+                    imports += [f"{module}.{a.name}" for a in node.names
+                                if "fft" in f"{module}.{a.name}"]
+    assert homes == FFT_HOMES
+    assert names <= {"fft", "ifft", "rfft", "irfft"}
+    assert imports == []
 
 
 @pytest.mark.parametrize("order", [1, 2])
