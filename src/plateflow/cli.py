@@ -345,21 +345,13 @@ def _parse_expression(text: str, grid: TorusGrid, plate: bool):
         raise CliError(EXIT_CONFIG, "config",
                        f"forcing expression error (column {exc.offset}): "
                        f"{exc.msg}") from None
-    if plate:
-        shape = (grid.n_t, grid.n_x, grid.n_x)
-        env = {
-            "t": grid.t_samples[:, None, None],
-            "x1": grid.x_samples[None, :, None],
-            "x2": grid.x_samples[None, None, :],
-        }
-    else:
-        shape = (grid.n_t, grid.n_x, grid.n_x, grid.n_z + 1)
-        env = {
-            "t": grid.t_samples[:, None, None, None],
-            "x1": grid.x_samples[None, :, None, None],
-            "x2": grid.x_samples[None, None, :, None],
-            "x3": grid.nodes[None, None, None, :],
-        }
+    # samples are node-major, (node, t, x1, x2) on the slab, (t, x1, x2) on the plate
+    shape = (grid.n_t, grid.n_x, grid.n_x)
+    env = {"t": grid.t_samples[:, None, None], "x1": grid.x_samples[:, None],
+           "x2": grid.x_samples}
+    if not plate:
+        shape = (grid.n_z + 1,) + shape
+        env["x3"] = grid.nodes[:, None, None, None]
     try:
         _ExprChecker(grid, variables).check(tree)
         values = _ExprEvaluator(env).visit(tree)
@@ -412,7 +404,7 @@ def parse_forcing(spec: str, grid: TorusGrid, kind: str,
                        "momentum forcing takes one expression or three "
                        "';'-separated ones")
     comps = [_parse_expression(e, grid, False) for e in exprs]
-    return forward_transform(grid, np.stack(comps, axis=-1), components=3)
+    return forward_transform(grid, np.stack(comps), components=3)
 
 
 # ---- configuration -----------------------------------------------------------------
@@ -795,13 +787,13 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int,
            {"err_nz8": err8, "err_nz16": err16, "drop": drop}, ">= 2 orders")
 
     grid = TorusGrid(5, 5, 8, cfg.T, cfg.L)
-    dc = np.zeros((5, 5, 5, 9), complex)
-    dc[2, 2, 2, :] = 1.0
+    dc = np.zeros((9, 5, 5, 5), complex)
+    dc[:, 2, 2, 2] = 1.0
     const = SpectralField(grid, dc, components=1, real=True)
-    tt = grid.t_samples[:, None, None, None]
-    x1 = grid.x_samples[None, :, None, None]
-    zz = grid.nodes[None, None, None, :]
-    shape = (5, 5, 5, 9)
+    tt = grid.t_samples[:, None, None]
+    x1 = grid.x_samples[:, None]
+    zz = grid.nodes[:, None, None, None]
+    shape = (9, 5, 5, 5)
     single = forward_transform(
         grid, np.broadcast_to(np.cos(tt + x1), shape).copy())
     chebf = forward_transform(

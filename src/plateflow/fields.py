@@ -1,18 +1,23 @@
 """Coefficient containers, transforms and derivatives for slab and plate fields.
 
-The plate T x T0^2 is the slab's face x3 = 0 on the same Fourier lattice, so
-one operator serves both: the transforms, dt, dx and the lateral part of the
-Laplacian act on the leading (k, xi1, xi2) axes whatever follows them, and
-the layer axis, present only on a SpectralField, adds its own terms.
+There is one stored layout, node-major: a SpectralField holds
+([components,] N_z + 1, N_t, N_x, N_x) coefficients, the optional component
+axis first, then the Chebyshev node axis, then the periodic (k, xi1, xi2)
+axes.  A PlateField holds (N_t, N_x, N_x), and the plate T x T0^2 is the
+slab's face x3 = 0 on the same Fourier lattice: `trace_bottom` returns
+coeffs[..., 0, :, :, :].  Every field ends in the three periodic axes, so
+one operator serves both types: the transforms act on the last three axes,
+frequency multipliers (dt, dx, the lateral part of the Laplacian) broadcast
+from the right, and the layer axis, present only on a SpectralField, adds
+its own terms through `layer_derivative`, the one kernel that applies
+grid.dmat to a field.  Coefficients are C-contiguous, so the kernel's
+(node, lattice) reshape is a view.
 
-Coefficients are stored in increasing signed frequency order along the time
-and lateral axes (axis 0: k, axes 1-2: xi1, xi2), the Chebyshev node axis
-next, and an optional trailing component axis.  The forward transform is the
-lattice average, so synthesis is the plain sum over modes and Parseval holds
-without weights.  A real field's coefficients are conjugate-symmetric,
-c(-k, -xi) = conj(c(k, xi)); `is_conjugate_symmetric` tests it, and io
-refuses a container flagged real that fails the test.  `trace_bottom`
-restricts a slab field to the plate face x3 = 0.
+The periodic axes run in increasing signed frequency order.  The forward
+transform is the lattice average, so synthesis is the plain sum over modes
+and Parseval holds without weights.  A real field's coefficients are
+conjugate-symmetric, c(-k, -xi) = conj(c(k, xi)); `is_conjugate_symmetric`
+tests it, and io refuses a container flagged real that fails the test.
 
 There is one periodic transform: `pad_to_samples` synthesizes on the odd
 lattice (m_t, m_x, m_x) = `padded_sizes(grid, factor)`, and
@@ -20,11 +25,9 @@ lattice (m_t, m_x, m_x) = `padded_sizes(grid, factor)`, and
 OVERSAMPLE for quadratures and sup sampling, and 1 for the grid lattice
 itself, where `forward_transform`, `inverse_transform` and
 `physical_samples` work.  The layer direction is never padded.  The
-transform is node-major: it acts on the last three axes, (k, xi1, xi2) in
-and (t, x1, x2) out, and leading axes (component, node, batch) pass
-through, so a plate array is its own case and a slab array enters as a view
-with its node and component axes in front (`_node_major`; `_stored` moves
-them back).
+transform acts on the last three axes, (k, xi1, xi2) in and (t, x1, x2)
+out, and leading axes (component, node, batch) pass through, so stored
+arrays of either field type enter as they are.
 
 The transform runs one axis at a time and skips the lines that are all zero
 or discarded.  Synthesis: `_t_pass` places the k rows in an
@@ -91,9 +94,10 @@ class _FieldArithmetic:
 class SpectralField(_FieldArithmetic):
     """Fourier x Chebyshev coefficients of a field on the slab.
 
-    coeffs shape: (N_t, N_x, N_x, N_z + 1) for scalars and an extra trailing
-    axis of length `components` for vector fields.  `real` records that the
-    physical field is real valued (conjugate-symmetric coefficients).
+    coeffs shape: (N_z + 1, N_t, N_x, N_x) for scalars and an extra leading
+    axis of length `components` for vector fields, held C-contiguous.
+    `real` records that the physical field is real valued
+    (conjugate-symmetric coefficients).
     """
 
     grid: TorusGrid
@@ -103,21 +107,14 @@ class SpectralField(_FieldArithmetic):
 
     def __post_init__(self):
         g = self.grid
-        want = (g.n_t, g.n_x, g.n_x, g.n_z + 1)
+        want = (g.n_z + 1, g.n_t, g.n_x, g.n_x)
         if self.components > 1:
-            want = want + (self.components,)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+            want = (self.components,) + want
+        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != want:
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} does not match grid {want}"
             )
-
-    def component(self, c: int) -> "SpectralField":
-        if self.components == 1:
-            if c != 0:
-                raise ValueError("scalar field has only component 0")
-            return self
-        return SpectralField(self.grid, self.coeffs[..., c].copy(), 1, self.real)
 
 
 @dataclass
@@ -149,9 +146,9 @@ def zeros_like_field(grid: TorusGrid, components: int = 1, real: bool = True,
                      plate: bool = False):
     if plate:
         return PlateField(grid, np.zeros((grid.n_t, grid.n_x, grid.n_x), complex), real)
-    shape = (grid.n_t, grid.n_x, grid.n_x, grid.n_z + 1)
+    shape = (grid.n_z + 1, grid.n_t, grid.n_x, grid.n_x)
     if components > 1:
-        shape += (components,)
+        shape = (components,) + shape
     return SpectralField(grid, np.zeros(shape, complex), components, real)
 
 
@@ -163,19 +160,19 @@ def forward_transform(grid: TorusGrid, samples: np.ndarray,
     """Average-normalized analysis of nodal samples.
 
     samples shape: (N_t, N_x, N_x) on the plate, which gives a PlateField,
-    or (N_t, N_x, N_x, N_z + 1[, components]) on the slab, indexed by the
-    uniform time/lateral lattice and the Chebyshev nodes.
+    or ([components,] N_z + 1, N_t, N_x, N_x) on the slab, indexed by the
+    Chebyshev nodes and the uniform time/lateral lattice.
     """
     samples = np.asarray(samples)
     if components is None:
-        components = samples.shape[4] if samples.ndim == 5 else 1
+        components = samples.shape[0] if samples.ndim == 5 else 1
     want_ndim = (5,) if components > 1 else (3, 4)
     lattice = (grid.n_t, grid.n_x, grid.n_x)
-    if samples.ndim not in want_ndim or samples.shape[:3] != lattice:
+    if samples.ndim not in want_ndim or samples.shape[-3:] != lattice:
         raise ValueError(f"expected {' or '.join(map(str, want_ndim))}-d samples on "
                          f"the {lattice} lattice, got shape {samples.shape}")
     real = np.isrealobj(samples)
-    coeffs = _stored(samples_to_truncated(_node_major(samples), grid, real))
+    coeffs = samples_to_truncated(samples, grid, real)
     if samples.ndim == 3:
         return PlateField(grid, coeffs, real)
     return SpectralField(grid, coeffs, components, real)
@@ -183,19 +180,18 @@ def forward_transform(grid: TorusGrid, samples: np.ndarray,
 
 def inverse_transform(field) -> np.ndarray:
     """Complex synthesis (a tiny imaginary part if real) on the grid lattice."""
-    return _stored(pad_to_samples(_node_major(field.coeffs), field.grid, 1.0))
+    return pad_to_samples(field.coeffs, field.grid, 1.0)
 
 
 def physical_samples(field) -> np.ndarray:
     """Real synthesis for real-flagged fields, complex otherwise."""
-    return _stored(pad_to_samples(_node_major(field.coeffs), field.grid, 1.0,
-                                  field.real))
+    return pad_to_samples(field.coeffs, field.grid, 1.0, field.real)
 
 
 def is_conjugate_symmetric(coeffs: np.ndarray, tol: float = 1e-12) -> bool:
     """Whether coeffs lie within tol * max |c| of _symmetrize(coeffs), that
     is max |c(k, xi) - conj(c(-k, -xi))| <= 2 tol max |c|."""
-    dev = np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, ::-1])))
+    dev = np.max(np.abs(coeffs - np.conj(coeffs[..., ::-1, ::-1, ::-1])))
     scale = np.max(np.abs(coeffs))
     return bool(dev <= 2.0 * tol * max(scale, 1e-300))
 
@@ -206,34 +202,20 @@ def is_conjugate_symmetric(coeffs: np.ndarray, tol: float = 1e-12) -> bool:
 def trace_bottom(field: SpectralField, component: int | None = None) -> PlateField:
     """Restriction to the plate face x3 = 0 (node 0)."""
     if field.components == 1:
-        coeffs = field.coeffs[..., 0]
+        coeffs = field.coeffs[0]
     elif component is None:
         raise ValueError("vector field trace needs a component index")
     else:
-        coeffs = field.coeffs[..., 0, component]
+        coeffs = field.coeffs[component, 0]
     return PlateField(field.grid, coeffs.copy(), field.real)
 
 
 # ---- spectral derivatives ----------------------------------------------------
 
 
-def _k_axis(field):
-    g = field.grid
-    shape = [1] * field.coeffs.ndim
-    shape[0] = g.n_t
-    return g.k_phys.reshape(shape)
-
-
-def _xi_axis(field, which: int):
-    g = field.grid
-    shape = [1] * field.coeffs.ndim
-    shape[which] = g.n_x
-    return g.xi_phys.reshape(shape)
-
-
 def dt(field):
     """Time derivative (multiplication by i k) of a plate or slab field."""
-    return replace(field, coeffs=field.coeffs * (1j * _k_axis(field)))
+    return replace(field, coeffs=field.coeffs * (1j * field.grid.k_phys[:, None, None]))
 
 
 def dx(field, direction: int):
@@ -241,43 +223,29 @@ def dx(field, direction: int):
     x2 (direction 2)."""
     if direction not in (1, 2):
         raise ValueError("lateral direction must be 1 or 2")
-    return replace(field, coeffs=field.coeffs * (1j * _xi_axis(field, direction)))
+    ixi = 1j * field.grid.xi_phys
+    multiplier = ixi[:, None] if direction == 1 else ixi
+    return replace(field, coeffs=field.coeffs * multiplier)
 
 
 def layer_derivative(grid: TorusGrid, coeffs: np.ndarray, order: int = 1,
-                     vector: bool = False) -> np.ndarray:
-    """order-th x3 derivative of a raw coefficient array: the values of
-    d @ c, or c @ d.T for scalars, with d = grid.dmat(order).
+                     rows: slice = slice(None)) -> np.ndarray:
+    """The `rows` nodes of the order-th x3 derivative of (..., node, t, x1, x2)
+    coefficients: d[rows] @ c along the node axis, d = grid.dmat(order).
 
-    d applies along the node axis, which is last, or second to last when
-    `vector` marks a trailing component axis; any leading axes (time,
-    lateral, batch) pass through.  A complex array with a leading time axis
-    takes one GEMM per time plane rather than one small product per lateral
-    mode; the loop keeps the temporaries to one plane, where a whole-field
-    contraction would copy the field.  A real array keeps the whole-array
-    product, because a per-plane GEMM of real data reaches other BLAS
-    kernels and other bits.
+    One GEMM over the flattened periodic lattice per leading index; a
+    single mode is a 1 x 1 x 1 lattice.  Contiguous input is reshaped as a
+    view, so the output is the only field-sized allocation.
     """
-    d = grid.dmat(order)
-    if coeffs.ndim < (4 if vector else 3) or np.isrealobj(coeffs):
-        return d @ coeffs if vector else coeffs @ d.T
-    if vector:
-        shape = coeffs.shape[1:-2] + (d.shape[0], coeffs.shape[-1])
-    else:
-        shape = coeffs.shape[1:-1] + (d.shape[0],)
-    out = np.empty((coeffs.shape[0],) + shape, dtype=np.result_type(d, coeffs))
-    for t, plane in enumerate(coeffs):
-        if vector:
-            out[t] = np.einsum("rj,...jc->...rc", d, plane, optimize=True)
-        else:
-            out[t] = (plane.reshape(-1, plane.shape[-1]) @ d.T).reshape(shape)
-    return out
+    d = grid.dmat(order)[rows]
+    lead, lattice = coeffs.shape[:-4], coeffs.shape[-3:]
+    out = d @ coeffs.reshape(lead + (coeffs.shape[-4], -1))
+    return out.reshape(lead + (d.shape[0],) + lattice)
 
 
 def dx3(field: SpectralField, order: int = 1) -> SpectralField:
     """Layer derivative via the collocation matrix."""
-    return replace(field, coeffs=layer_derivative(
-        field.grid, field.coeffs, order, field.components > 1))
+    return replace(field, coeffs=layer_derivative(field.grid, field.coeffs, order))
 
 
 def gradient(field: SpectralField) -> SpectralField:
@@ -285,7 +253,7 @@ def gradient(field: SpectralField) -> SpectralField:
     if field.components != 1:
         raise ValueError("gradient expects a scalar field")
     parts = [dx(field, 1).coeffs, dx(field, 2).coeffs, dx3(field).coeffs]
-    return SpectralField(field.grid, np.stack(parts, axis=-1), 3, field.real)
+    return SpectralField(field.grid, np.stack(parts), 3, field.real)
 
 
 def divergence(field: SpectralField) -> SpectralField:
@@ -294,20 +262,16 @@ def divergence(field: SpectralField) -> SpectralField:
         raise ValueError("divergence expects a 3-component field")
     c = field.coeffs
     xp = 1j * field.grid.xi_phys
-    out = (c[..., 0] * xp[:, None, None] + c[..., 1] * xp[:, None]
-           + layer_derivative(field.grid, c[..., 2]))
+    out = c[0] * xp[:, None] + c[1] * xp + layer_derivative(field.grid, c[2])
     return SpectralField(field.grid, out, 1, field.real)
 
 
 def laplacian(field):
     """Spatial Laplacian: the lateral symbol, plus the layer collocation on
     a slab field (a plate field has no layer direction)."""
-    g = field.grid
-    shape = [1] * field.coeffs.ndim
-    shape[1] = shape[2] = g.n_x
-    lap = -g.xi_norm_sq().reshape(shape) * field.coeffs
+    lap = -field.grid.xi_norm_sq() * field.coeffs
     if isinstance(field, SpectralField):
-        lap = lap + layer_derivative(g, field.coeffs, 2, field.components > 1)
+        lap = lap + layer_derivative(field.grid, field.coeffs, 2)
     return replace(field, coeffs=lap)
 
 
@@ -327,24 +291,6 @@ def padded_sizes(grid: TorusGrid, factor: float = DEALIAS) -> tuple[int, int]:
     m_t = _next_odd(max(grid.n_t, int(np.ceil(factor * 2 * half_t + 1))))
     m_x = _next_odd(max(grid.n_x, int(np.ceil(factor * 2 * half_x + 1))))
     return m_t, m_x
-
-
-def _node_major(coeffs: np.ndarray) -> np.ndarray:
-    """A view of stored coefficients with the periodic axes last, as the
-    padded transform takes them: a plate array as it is, a slab array
-    (t, x1, x2, node[, comp]) as (node, t, x1, x2) or (comp, node, t, x1, x2)."""
-    if coeffs.ndim == 5:
-        return np.moveaxis(coeffs, (4, 3), (0, 1))
-    return np.moveaxis(coeffs, 3, 0) if coeffs.ndim == 4 else coeffs
-
-
-def _stored(node_major: np.ndarray) -> np.ndarray:
-    """The inverse of `_node_major`, as a contiguous array in stored order."""
-    if node_major.ndim == 5:
-        node_major = np.moveaxis(node_major, (0, 1), (4, 3))
-    elif node_major.ndim == 4:
-        node_major = np.moveaxis(node_major, 0, 3)
-    return np.ascontiguousarray(node_major)
 
 
 def pad_to_samples(coeffs: np.ndarray, grid: TorusGrid, factor: float = DEALIAS,

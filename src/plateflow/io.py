@@ -5,6 +5,10 @@ components, real-flag, then float64 (re, im) pairs in row-major
 (k, xi1, xi2, node, component) order with k and xi in increasing signed
 order.  Plate fields are stored with N_z = 0 (a single node layer) and one
 component, which is unambiguous because slab grids require N_z >= 4.
+
+The file order is not the memory order: fields hold node-major
+([component,] node, k, xi1, xi2) coefficients (see `fields`).  This module
+is the one place that converts, with one copy each way.
 """
 
 from __future__ import annotations
@@ -23,23 +27,20 @@ _HEADER = struct.Struct("<5I")
 
 def write_field(path, field) -> None:
     """Write a SpectralField or PlateField to the binary container."""
-    plate = isinstance(field, PlateField)
     g = field.grid
-    if plate:
-        coeffs = field.coeffs[..., None, None]
+    if isinstance(field, PlateField):
         n_z, components = 0, 1
     else:
-        coeffs = field.coeffs if field.components > 1 else field.coeffs[..., None]
         n_z, components = g.n_z, field.components
     header = _HEADER.pack(g.n_t, g.n_x, n_z, components, 1 if field.real else 0)
-    flat = np.ascontiguousarray(coeffs, dtype=complex).reshape(-1)
-    payload = np.empty(2 * flat.size, dtype="<f8")
-    payload[0::2] = flat.real
-    payload[1::2] = flat.imag
+    memory = field.coeffs.reshape((components, n_z + 1, g.n_t, g.n_x, g.n_x))
+    # the one copy, in file order; (re, im) pairs are the bytes of "<c16"
+    payload = np.empty((g.n_t, g.n_x, g.n_x, n_z + 1, components), dtype="<c16")
+    payload[...] = memory.transpose(2, 3, 4, 1, 0)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(payload.data)
 
 
 def read_field(path, grid: TorusGrid | None = None,
@@ -81,16 +82,20 @@ def read_field(path, grid: TorusGrid | None = None,
         payload = np.frombuffer(fh.read(need), dtype="<f8")
     if not np.isfinite(payload).all():
         raise ValueError(f"non-finite coefficient in {path}")
-    shape = (n_t, n_x, n_x) if plate else (n_t, n_x, n_x, n_z + 1)
+    # one native copy of the complex view, in memory order, keeps every bit,
+    # signed zeros too
+    in_file = payload.view("<c16").reshape((n_t, n_x, n_x, n_z + 1, components))
+    coeffs = in_file.transpose(4, 3, 0, 1, 2).astype(complex, order="C")
+    del payload, in_file  # the file's bytes go before the symmetry check
+    shape = (n_t, n_x, n_x) if plate else (n_z + 1, n_t, n_x, n_x)
     if components > 1:
-        shape += (components,)
-    if real_flag and not is_conjugate_symmetric(payload.view("<c16").reshape(shape)):
+        shape = (components,) + shape
+    coeffs = coeffs.reshape(shape)
+    if real_flag and not is_conjugate_symmetric(coeffs):
         raise ValueError(f"{path} is flagged real, but its coefficients "
                          "are not conjugate-symmetric")
     if grid is None:
         grid = TorusGrid(n_t, n_x, n_z if not plate else 4, t_period, l_period)
-    # one native copy of the complex view keeps every bit, signed zeros too
-    coeffs = payload.view("<c16").astype(complex).reshape(shape)
     if plate:
         return PlateField(grid, coeffs, bool(real_flag))
     return SpectralField(grid, coeffs, components, bool(real_flag))

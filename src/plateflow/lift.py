@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpectralField, divergence, layer_derivative
+from .fields import SpectralField, divergence
 from .grid import TorusGrid, cheb_values_to_coeffs
 from .norms import NormSpec, negative_norm, sobolev_norm
 
@@ -35,14 +35,14 @@ def xi0_incompatibility(grid: TorusGrid, coeffs: np.ndarray,
     On the xi' = 0 column the datum is the x3 derivative of a degree-N_z
     profile that vanishes at both faces, so its layer mean and its T_{N_z}
     Chebyshev coefficient must both vanish; the larger modulus of the two
-    is returned.  coeffs holds a full (N_t, N_x, N_x, N_z + 1) coefficient
-    array or xi' = 0 profiles with the node axis last.  With tol, a value
+    is returned.  coeffs holds a full (N_z + 1, N_t, N_x, N_x) coefficient
+    array or xi' = 0 profile columns (N_z + 1, batch).  With tol, a value
     above tol * max(1, max |coeffs|) raises IncompatibleDataError.
     """
     mid = (grid.n_x - 1) // 2
-    column = coeffs[:, mid, mid] if coeffs.ndim == 4 else coeffs
-    mean = float(np.max(np.abs(column @ grid.cheb_weights)))
-    top = float(np.max(np.abs(cheb_values_to_coeffs(column)[..., -1])))
+    column = coeffs[:, :, mid, mid] if coeffs.ndim == 4 else coeffs
+    mean = float(np.max(np.abs(grid.cheb_weights @ column)))
+    top = float(np.max(np.abs(cheb_values_to_coeffs(column, axis=0)[-1])))
     worst = max(mean, top)
     if tol is not None and worst > tol * max(1.0, float(np.max(np.abs(coeffs)))):
         raise IncompatibleDataError(
@@ -65,13 +65,12 @@ def _antiderivative_matrix(grid: TorusGrid) -> np.ndarray:
 def antiderivative_from_plate(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Profile F with F(0) = 0 and F' = values, exact at nodes 0..N-1.
 
-    `values` may carry leading batch axes; the node axis is last.
+    The node axis of `values` is first; any trailing axes are columns.
     """
-    rhs = np.concatenate(
-        [np.zeros(values.shape[:-1] + (1,), values.dtype), values[..., : grid.n_z]],
-        axis=-1,
-    )
-    return rhs @ _antiderivative_matrix(grid).T
+    rhs = np.concatenate([np.zeros((1,) + values.shape[1:], values.dtype),
+                          values[: grid.n_z]])
+    cols = _antiderivative_matrix(grid) @ rhs.reshape(grid.n_z + 1, -1)
+    return cols.reshape(rhs.shape)
 
 
 def _closure_solve(grid: TorusGrid, xi_sq: float,
@@ -80,7 +79,7 @@ def _closure_solve(grid: TorusGrid, xi_sq: float,
 
     The interior rows impose (psi'' - |xi'|^2 psi) = g' up to an affine
     closure c0 + c1 x3 whose two coefficients free up the two extra boundary
-    rows; rhs_profiles has shape (batch, N_z + 1).
+    rows; rhs_profiles holds one profile per column, (N_z + 1, batch).
     """
     n = grid.n_z
     d1, d2 = grid.d1, grid.dmat(2)
@@ -93,13 +92,11 @@ def _closure_solve(grid: TorusGrid, xi_sq: float,
     a[n, n] = 1.0                    # psi(1) = 0
     a[n + 1, : n + 1] = d1[0]        # psi'(0) = g(0)
     a[n + 2, : n + 1] = d1[n]        # psi'(1) = g(1)
-    dg = layer_derivative(grid, rhs_profiles)
-    rhs = np.zeros((rhs_profiles.shape[0], n + 3), complex)
-    rhs[:, interior] = dg[:, interior]
-    rhs[:, n + 1] = rhs_profiles[:, 0]
-    rhs[:, n + 2] = rhs_profiles[:, n]
-    sol = np.linalg.solve(a, rhs.T).T
-    return sol[:, : n + 1]
+    rhs = np.zeros((n + 3, rhs_profiles.shape[1]), complex)
+    rhs[interior] = (d1 @ rhs_profiles)[interior]
+    rhs[n + 1] = rhs_profiles[0]
+    rhs[n + 2] = rhs_profiles[n]
+    return np.linalg.solve(a, rhs)[: n + 1]
 
 
 @dataclass
@@ -120,27 +117,24 @@ def lift_divergence(g_field: SpectralField, tol_compat: float = 1e-9) -> LiftRes
     coeffs = g_field.coeffs
     xi0_incompatibility(grid, coeffs, tol_compat)
 
-    w = np.zeros(coeffs.shape + (3,), complex)
+    w = np.zeros((3,) + coeffs.shape, complex)
+    w1, w2, w3 = w
     xp = grid.xi_phys
     for val, i1, i2 in grid.xi_groups():
-        gv = coeffs[:, i1, i2]
-        block = np.zeros(gv.shape + (3,), complex)
+        gv = coeffs[:, :, i1, i2]  # (node, t, group) profile columns
         if val == 0.0:
-            block[..., 2] = antiderivative_from_plate(grid, gv)
-        else:
-            batch = gv.reshape(-1, n + 1)
-            psi = _closure_solve(grid, val, batch)
-            phi = (layer_derivative(grid, psi) - batch) / val
-            psi = psi.reshape(gv.shape)
-            phi = phi.reshape(gv.shape)
-            block[..., 0] = 1j * xp[i1][None, :, None] * phi
-            block[..., 1] = 1j * xp[i2][None, :, None] * phi
-            block[..., 2] = psi
-        w[:, i1, i2] = block
+            w3[:, :, i1, i2] = antiderivative_from_plate(grid, gv)
+            continue
+        batch = gv.reshape(n + 1, -1)
+        psi = _closure_solve(grid, val, batch)
+        phi = ((grid.d1 @ psi - batch) / val).reshape(gv.shape)
+        w1[:, :, i1, i2] = 1j * xp[i1] * phi
+        w2[:, :, i1, i2] = 1j * xp[i2] * phi
+        w3[:, :, i1, i2] = psi.reshape(gv.shape)
 
     w_field = SpectralField(grid, w, 3, g_field.real)
     residual_div = float(np.max(np.abs(divergence(w_field).coeffs - coeffs)))
-    residual_bc = float(np.max(np.abs(w[:, :, :, (0, n), :])))
+    residual_bc = float(np.max(np.abs(w[:, (0, n)])))
     return LiftResult(w_field, residual_div, residual_bc)
 
 

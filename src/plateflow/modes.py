@@ -137,46 +137,46 @@ def _solve_group(grid, k, xi1, xi2, f, g, h, params):
     """Solve the modes of one (k, |xi'|^2) group in one LAPACK call.
 
     xi1, xi2 are integer arrays of the G modes' lateral frequencies; f
-    (G, N_z + 1, 3), g (G, N_z + 1) or None and h (G,) are their data.
-    Returns u, p and eta shaped like f, g and h; zero data are not solved.
+    (3, N_z + 1, G), g (N_z + 1, G) or None and h (G,) are their data, one
+    profile column per mode.  Returns u, p and eta shaped like f, g and h;
+    zero data are not solved.
     """
     n = grid.n_z
     m = n + 1
-    g = np.zeros(f.shape[:-1], complex) if g is None else g
+    g = np.zeros(f.shape[1:], complex) if g is None else g
     if not (f.any() or g.any() or h.any()):
         return np.zeros_like(f), np.zeros_like(g), np.zeros_like(h)
     if not (xi1[0] or xi2[0]):
         # xi' = 0: scalar tangential problems and layer integration
         xi0_incompatibility(grid, g, params.compat_tol)
         kp = _phys(k, (0, 0), grid.t_period, grid.l_period)[0]
-        rhs = f[..., :2].copy()
+        rhs = f[:2].copy()
         rhs[:, [0, -1]] = 0.0
         op = _dirichlet_helmholtz(grid, kp, 0.0, params.mu_f)
         u3 = antiderivative_from_plate(grid, g)
-        u = np.concatenate([np.linalg.solve(op, rhs), u3[..., None]], axis=-1)
+        u = np.concatenate([np.linalg.solve(op, rhs), u3[None]])
         # vertical momentum fixes the pressure profile; the plate row pins
         # its constant through the face value
-        slope = f[..., 2] - 1j * kp * u3 + params.mu_f * layer_derivative(grid, u3, 2)
+        slope = f[2] - 1j * kp * u3 + params.mu_f * (grid.dmat(2) @ u3)
         p = antiderivative_from_plate(grid, slope)
-        p += (2.0 * params.mu_f * (u3 @ grid.d1[0]) - h)[:, None]
+        p += 2.0 * params.mu_f * (grid.d1[0] @ u3) - h
         return u, p, np.zeros_like(h)
     # rotate the lateral forcing onto (xi', xi'-perp)/|xi'|, and back
-    r = np.hypot(xi1, xi2)[:, None]
-    c, s = xi1[:, None] / r, xi2[:, None] / r
+    r = np.hypot(xi1, xi2)
+    c, s = xi1 / r, xi2 / r
     fi = f[:, 1:n]
-    b = np.zeros((4 * m + 1, f.shape[0]), complex)
-    b[1:n] = (c * fi[..., 0] + s * fi[..., 1]).T
-    b[m + 1:m + n] = (c * fi[..., 1] - s * fi[..., 0]).T
-    b[2 * m + 1:2 * m + n] = fi[..., 2].T
-    b[3 * m:4 * m] = g.T
+    b = np.zeros((4 * m + 1, f.shape[-1]), complex)
+    b[1:n] = c * fi[0] + s * fi[1]
+    b[m + 1:m + n] = c * fi[1] - s * fi[0]
+    b[2 * m + 1:2 * m + n] = fi[2]
+    b[3 * m:4 * m] = g
     b[4 * m] = h
     a = mode_system_matrix(grid, k, (int(xi1[0]), int(xi2[0])),
                            params.mu_f, params.mu_s)
     sol = np.linalg.solve(a, b)
-    u_par, u_perp = sol[:m].T, sol[m:2 * m].T
-    u = np.stack([c * u_par - s * u_perp, s * u_par + c * u_perp,
-                  sol[2 * m:3 * m].T], axis=-1)
-    return u, sol[3 * m:4 * m].T, sol[4 * m]
+    u_par, u_perp = sol[:m], sol[m:2 * m]
+    u = np.stack([c * u_par - s * u_perp, s * u_par + c * u_perp, sol[2 * m:3 * m]])
+    return u, sol[3 * m:4 * m], sol[4 * m]
 
 
 def solve_mode(grid: TorusGrid, k: int, xi: tuple[int, int],
@@ -185,8 +185,9 @@ def solve_mode(grid: TorusGrid, k: int, xi: tuple[int, int],
     """Solve one (k, xi') mode; the steady plane k = 0 is no special case."""
     f_hat, g_hat, h_hat = _data_profiles(grid, f_hat, g_hat, h_hat)
     u, p, eta = _solve_group(grid, k, np.array([xi[0]]), np.array([xi[1]]),
-                             f_hat.T[None], g_hat[None], np.array([h_hat]), params)
-    return ModeSolution(grid, k, tuple(xi), u[0].T, p[0], complex(eta[0]))
+                             f_hat[..., None], g_hat[:, None], np.array([h_hat]),
+                             params)
+    return ModeSolution(grid, k, tuple(xi), u[..., 0], p[:, 0], complex(eta[0]))
 
 
 # ---- equation residuals ------------------------------------------------------
@@ -200,39 +201,33 @@ def _residual_parts(grid: TorusGrid, u, p, eta, kp, x1, x2, f, g, h,
                     mu_f: float, mu_s: float) -> dict[str, float]:
     """Max-abs residual of each equation of the linearized system.
 
-    u (..., N_z + 1, 3), p (..., N_z + 1) and eta (...) hold coefficients
-    with the node axis before the component axis: full fields or one
-    mode's profiles.  kp, x1, x2 are physical frequencies that broadcast
-    against the leading axes.  f, g, h are the momentum, continuity and
-    plate right-hand sides shaped like u, p and eta; None means zero.
-    Momentum rows exclude the two face nodes, where boundary conditions
-    replace the collocated equations.
+    u (3, N_z + 1, L), p (N_z + 1, L) and eta (L) hold node-major
+    coefficients on a lattice L of three periodic axes: full fields, or
+    one mode's profiles on a 1 x 1 x 1 lattice.  kp, x1, x2 are physical
+    frequencies that broadcast against L.  f, g, h are the momentum,
+    continuity and plate right-hand sides shaped like u, p and eta; None
+    means zero.  Momentum rows exclude the two face nodes, where boundary
+    conditions replace the collocated equations.
     """
     n = grid.n_z
     kp, x1, x2 = (np.asarray(v) for v in (kp, x1, x2))
     a2 = x1 * x1 + x2 * x2
-    # per-node views of the frequencies, then per (node, component)
-    kn, x1n, x2n, a2n = (v[..., None] for v in (kp, x1, x2, a2))
-    grad_p = np.stack([1j * x1n * p, 1j * x2n * p, layer_derivative(grid, p)],
-                      axis=-1)
-    mom = (1j * kn[..., None] * u
-           - mu_f * (layer_derivative(grid, u, 2, vector=True) - a2n[..., None] * u)
-           + grad_p)
+    du3 = layer_derivative(grid, u[2])
+    grad_p = np.stack([1j * x1 * p, 1j * x2 * p, layer_derivative(grid, p)])
+    mom = 1j * kp * u - mu_f * (layer_derivative(grid, u, 2) - a2 * u) + grad_p
     if f is not None:
         mom = mom - f
-    cont = (1j * x1n * u[..., 0] + 1j * x2n * u[..., 1]
-            + layer_derivative(grid, u[..., 2]))
+    cont = 1j * x1 * u[0] + 1j * x2 * u[1] + du3
     if g is not None:
         cont = cont - g
-    plate = (_damped_symbol(kp, a2, mu_s) * eta - p[..., 0]
-             + 2.0 * mu_f * (u[..., 2] @ grid.d1[0]))
+    plate = _damped_symbol(kp, a2, mu_s) * eta - p[0] + 2.0 * mu_f * du3[0]
     if h is not None:
         plate = plate - h
     return {
-        "momentum": _max_abs(mom[..., 1:n, :]),
+        "momentum": _max_abs(mom[:, 1:n]),
         "continuity": _max_abs(cont),
-        "kinematic": _max_abs(u[..., 0, 2] + 1j * kp * eta),
-        "no_slip": max(_max_abs(u[..., 0, :2]), _max_abs(u[..., n, :])),
+        "kinematic": _max_abs(u[2, 0] + 1j * kp * eta),
+        "no_slip": max(_max_abs(u[:2, 0]), _max_abs(u[:, n])),
         "plate": _max_abs(plate),
     }
 
@@ -367,15 +362,16 @@ def energy_estimate_check(u: SpectralField, eta: PlateField,
     kp = _phys(k, (0, 0), grid.t_period, grid.l_period)[0]
     wq = grid.cheb_weights
     a2 = grid.xi_norm_sq()
-    uc = u.coeffs[it]
-    duc = layer_derivative(grid, uc, vector=True)
-    dens = (1.0 + a2)[:, :, None, None] * np.abs(uc) ** 2 + np.abs(duc) ** 2
-    u_h1 = np.sqrt(float(np.einsum("xyjc,j->", dens, wq).real))
+    plane = slice(it, it + 1)  # the k-plane, kept as a lattice of one time
+    uc = u.coeffs[:, :, plane]
+    duc = layer_derivative(grid, uc)
+    dens = (1.0 + a2) * np.abs(uc) ** 2 + np.abs(duc) ** 2
+    u_h1 = np.sqrt(float(np.einsum("cjtxy,j->", dens, wq).real))
     ec = eta.coeffs[it]
     eta_22 = np.sqrt(float(np.sum((1.0 + a2) ** 2 * np.abs(ec) ** 2)))
     keta_12 = abs(kp) * np.sqrt(float(np.sum((1.0 + a2) * np.abs(ec) ** 2)))
-    fc = f.coeffs[it]
-    f_l2 = np.sqrt(float(np.einsum("xyjc,j->", np.abs(fc) ** 2, wq)))
+    fc = f.coeffs[:, :, plane]
+    f_l2 = np.sqrt(float(np.einsum("cjtxy,j->", np.abs(fc) ** 2, wq)))
     h_l2 = np.sqrt(float(np.sum(np.abs(h.coeffs[it]) ** 2)))
     if f_l2 + h_l2 == 0.0:
         return 0.0
@@ -437,7 +433,7 @@ def solve_linear_full(f: SpectralField | None = None,
     half_t = (grid.n_t - 1) // 2
     half_x = (grid.n_x - 1) // 2
     u_c = np.zeros(fc.shape, complex)
-    p_c = np.zeros(fc.shape[:-1], complex)
+    p_c = np.zeros(fc.shape[1:], complex)
     e_c = np.zeros(hc.shape, complex)
 
     # conjugate symmetry: for real data solve the closed half-lattice (C-order
@@ -449,15 +445,15 @@ def solve_linear_full(f: SpectralField | None = None,
             if real_data:
                 due = (it * grid.n_x + i1) * grid.n_x + i2 >= centre
                 i1, i2 = i1[due], i2[due]
-            u_c[it, i1, i2], p_c[it, i1, i2], e_c[it, i1, i2] = _solve_group(
-                grid, it - half_t, i1 - half_x, i2 - half_x, fc[it, i1, i2],
-                None if gc is None else gc[it, i1, i2], hc[it, i1, i2], params)
+            u_c[:, :, it, i1, i2], p_c[:, it, i1, i2], e_c[it, i1, i2] = _solve_group(
+                grid, it - half_t, i1 - half_x, i2 - half_x, fc[:, :, it, i1, i2],
+                None if gc is None else gc[:, it, i1, i2], hc[it, i1, i2], params)
 
     if real_data:
         for arr in (u_c, p_c, e_c):
-            refl = np.conj(arr[::-1, ::-1, ::-1])
+            refl = np.conj(arr[..., ::-1, ::-1, ::-1])
             arr += refl
-            arr[half_t, half_x, half_x] *= 0.5
+            arr[..., half_t, half_x, half_x] *= 0.5
 
     u = SpectralField(grid, u_c, 3, real_data)
     p = SpectralField(grid, p_c, 1, real_data)

@@ -25,12 +25,13 @@ products of node values define the collocation product directly.  So the
 interaction terms and the forcing pullback take every derivative in
 coefficient space and then form their products one block of NODE_BLOCK layer
 nodes at a time: memory is bounded by a block, not by the padded slab.  A
-block is node-major, (comp, node, t, x1, x2), as the padded transform takes
-it (see `fields`): the plate-sized geometry samples broadcast over its
-leading axes, and its results go back through node-major views of the
-stored outputs.  The velocity and its layer derivative are each synthesized
-with their two lateral derivatives in one shared set of transform passes
-(`fields.pad_with_lateral_derivatives`).
+block is a slice of the stored node axis, (comp, node, t, x1, x2): the
+padded transform takes it as it is, the plate-sized geometry samples
+broadcast over its leading axes, its layer derivatives are the block's rows
+of `fields.layer_derivative`, and its results are analyzed straight into the
+block's slice of the outputs.  The velocity and its layer derivative are
+each synthesized with their two lateral derivatives in one shared set of
+transform passes (`fields.pad_with_lateral_derivatives`).
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ from .fields import (
     OVERSAMPLE,
     PlateField,
     SpectralField,
-    _node_major,
     divergence,
     dt,
     dx,
     gradient,
     laplacian,
+    layer_derivative,
     pad_to_samples,
     pad_with_lateral_derivatives,
     samples_to_truncated,
@@ -148,15 +149,15 @@ def _blend(grid: TorusGrid, rows: slice = slice(None)) -> np.ndarray:
 def e_matrix(eta: PlateField) -> np.ndarray:
     """Gradient-correction tensor of the straightening map, as coefficients.
 
-    Returns shape (N_t, N_x, N_x, N_z + 1, 3, 3).  Only the third row is
-    nonzero: ((1 - x3) d1 eta, (1 - x3) d2 eta, -eta) / (1 + eta).
+    Returns shape (3, 3, N_z + 1, N_t, N_x, N_x), (row, column) in front of
+    the stored slab axes.  Only the third row is nonzero:
+    ((1 - x3) d1 eta, (1 - x3) d2 eta, -eta) / (1 + eta).
     """
     g = eta.grid
     geo = _Geometry(eta, eta.real)
-    # (row, column, node, t, x1, x2) samples, truncated and moved to the back
     es = np.zeros((3, 3, g.n_z + 1) + geo.eta_s.shape, dtype=geo.tau.dtype)
     es[2] = np.stack(_e3_row(geo, _blend(g)))
-    return np.moveaxis(samples_to_truncated(es, g, eta.real), (0, 1, 2), (4, 5, 3))
+    return samples_to_truncated(es, g, eta.real)
 
 
 # ---- interaction terms ---------------------------------------------------------
@@ -166,7 +167,7 @@ def e_matrix(eta: PlateField) -> np.ndarray:
 class PlateTensor:
     """Fourier coefficients of a 3 x 3 tensor on the plate.
 
-    coeffs shape: (N_t, N_x, N_x, 3, 3).  A PlateField holds one scalar, so
+    coeffs shape: (3, 3, N_t, N_x, N_x).  A PlateField holds one scalar, so
     the tensor keeps its own container and never reaches the norm helpers.
     """
 
@@ -199,47 +200,34 @@ def _node_blocks(grid: TorusGrid):
     return [slice(j, min(j + NODE_BLOCK, n)) for j in range(0, n, NODE_BLOCK)]
 
 
-def _layer_rows(grid: TorusGrid, coeffs: np.ndarray, order: int,
-                rows: slice) -> np.ndarray:
-    """The `rows` nodes of the order-th x3 derivative of contiguous
-    node-major coefficients (..., node, t, x1, x2): rows of grid.dmat, one
-    GEMM over the contiguous periodic axes per leading index."""
-    d = grid.dmat(order)[rows]
-    lead, lattice = coeffs.shape[:-4], coeffs.shape[-3:]
-    out = d @ coeffs.reshape(lead + (coeffs.shape[-4], -1))
-    return out.reshape(lead + (d.shape[0],) + lattice)
-
-
-def _terms_inputs(u: SpectralField, p: SpectralField, eta):
+def _terms_inputs(u: SpectralField, p: SpectralField, eta) -> _Geometry:
     """eta's geometry for the interaction terms of (u, p), after checking
-    that the three fields fit together, and contiguous node-major copies of
-    the coefficients of u, (comp, node, t, x1, x2), and p, (node, t, x1, x2)."""
+    that the three fields fit together."""
     geo = _geometry_for(eta, u.real and p.real)
     if p.grid != u.grid or geo.eta.grid != u.grid:
         raise ValueError("fields live on different grids")
     if u.components != 3 or p.components != 1:
         raise ValueError("expected a 3-component velocity and a scalar pressure")
-    un, pn = (np.ascontiguousarray(_node_major(f.coeffs)) for f in (u, p))
-    return geo, un, pn
+    return geo
 
 
-def _block_momentum(g: TorusGrid, un: np.ndarray, pn: np.ndarray,
+def _block_momentum(g: TorusGrid, u: np.ndarray, p: np.ndarray,
                     geo: _Geometry, rows: slice, u_s: np.ndarray, mu_f: float):
-    """Padded node-major samples at one block of layer nodes, given the
-    node-major coefficients un and pn of (u, p) and the velocity's samples
-    u_s there: its layer derivative du3, (comp, node, t, x1, x2) like u_s,
-    the third row (e31, e32, e33) of the gradient-correction tensor, each
-    (node, t, x1, x2), and the map-induced momentum part rf_def, shaped like
-    u_s."""
+    """Padded samples at one block of layer nodes, given the stored
+    coefficients u, (comp, node, t, x1, x2), and p, (node, t, x1, x2), and
+    the velocity's samples u_s there: its layer derivative du3, shaped like
+    u_s, the third row (e31, e32, e33) of the gradient-correction tensor,
+    each (node, t, x1, x2), and the map-induced momentum part rf_def,
+    shaped like u_s."""
 
     def pad(c):
         return pad_to_samples(c, g, real=geo.real)
 
     # lateral multipliers commute with the layer derivative
-    du3, d31, d32 = pad_with_lateral_derivatives(_layer_rows(g, un, 1, rows),
+    du3, d31, d32 = pad_with_lateral_derivatives(layer_derivative(g, u, 1, rows),
                                                  g, geo.real)
-    d33 = pad(_layer_rows(g, un, 2, rows))
-    dp3 = pad(_layer_rows(g, pn, 1, rows))
+    d33 = pad(layer_derivative(g, u, 2, rows))
+    dp3 = pad(layer_derivative(g, p, 1, rows))
 
     tau = geo.tau
     grad_sq = geo.g1_s * geo.g1_s + geo.g2_s * geo.g2_s
@@ -277,21 +265,19 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     the plate-row terms come from the node-0 block.
     """
     g = u.grid
-    geo, un, pn = _terms_inputs(u, p, eta)
+    geo = _terms_inputs(u, p, eta)
     real_in, eta_s, g1_s, g2_s = geo.real, geo.eta_s, geo.g1_s, geo.g2_s
 
     rf_tilde, rd_vector = np.empty_like(u.coeffs), np.empty_like(u.coeffs)
-    # each block's result goes back through node-major views of the outputs
-    rf_out, rd_out = _node_major(rf_tilde), _node_major(rd_vector)
     for rows in _node_blocks(g):
-        u_s, du1, du2 = pad_with_lateral_derivatives(un[:, rows], g, real_in)
-        du3, (e31, e32, e33), rf_def = _block_momentum(g, un, pn, geo, rows, u_s,
-                                                       mu_f)
+        u_s, du1, du2 = pad_with_lateral_derivatives(u.coeffs[:, rows], g, real_in)
+        du3, (e31, e32, e33), rf_def = _block_momentum(g, u.coeffs, p.coeffs, geo,
+                                                       rows, u_s, mu_f)
         convective = u_s[0] * du1 + u_s[1] * du2 + u_s[2] * du3
         rd = np.stack([-eta_s * u_s[0], -eta_s * u_s[1],
                        -(g1_s * u_s[0] + g2_s * u_s[1]) * _blend(g, rows)])
-        rf_out[:, rows] = samples_to_truncated(rf_def - convective, g, real_in)
-        rd_out[:, rows] = samples_to_truncated(rd, g, real_in)
+        rf_tilde[:, rows] = samples_to_truncated(rf_def - convective, g, real_in)
+        rd_vector[:, rows] = samples_to_truncated(rd, g, real_in)
 
         if rows.start == 0:
             # plate-row terms live on the bottom face, where the blend is 1
@@ -311,8 +297,7 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
 
     rd_vector = SpectralField(g, rd_vector, 3, real_in)
     r_eta = PlateField(g, samples_to_truncated(r_eta_s, g, real_in), real_in)
-    s_eta = PlateTensor(g, np.moveaxis(samples_to_truncated(s_eta_s, g, real_in),
-                                       (0, 1), (3, 4)), real_in)
+    s_eta = PlateTensor(g, samples_to_truncated(s_eta_s, g, real_in), real_in)
     return NonlinearTerms(SpectralField(g, rf_tilde, 3, real_in),
                           divergence(rd_vector), rd_vector, r_eta, s_eta)
 
@@ -325,12 +310,12 @@ def _deformation_momentum(u: SpectralField, p: SpectralField, eta: PlateField,
     The solver never needs it apart; the flat-plate checks read it.
     """
     g = u.grid
-    geo, un, pn = _terms_inputs(u, p, eta)
+    geo = _terms_inputs(u, p, eta)
     out = np.empty_like(u.coeffs)
     for rows in _node_blocks(g):
-        u_s = pad_to_samples(un[:, rows], g, real=geo.real)
-        rf_def = _block_momentum(g, un, pn, geo, rows, u_s, mu_f)[-1]
-        _node_major(out)[:, rows] = samples_to_truncated(rf_def, g, geo.real)
+        u_s = pad_to_samples(u.coeffs[:, rows], g, real=geo.real)
+        rf_def = _block_momentum(g, u.coeffs, p.coeffs, geo, rows, u_s, mu_f)[-1]
+        out[:, rows] = samples_to_truncated(rf_def, g, geo.real)
     return out
 
 
@@ -436,8 +421,8 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
     # (series, component, t, x'), contiguous as the padded transform returns
     # it: each Clenshaw step reads one contiguous slice, and each column's
     # series broadcasts over that column's displaced point
-    series = pad_to_samples(np.moveaxis(cheb_values_to_coeffs(f.coeffs, axis=3),
-                                        (3, 4), (0, 1)), g, real=real_in)
+    series = pad_to_samples(np.moveaxis(cheb_values_to_coeffs(f.coeffs, axis=1),
+                                        1, 0), g, real=real_in)
     out = np.empty_like(f.coeffs)
     for rows in _node_blocks(g):
         composed = np.empty((3, rows.stop - rows.start) + eta_s.shape,
@@ -445,7 +430,7 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
         # one displaced node at a time: the recurrence's buffers stay in cache
         for j, node in enumerate(g.nodes[rows]):
             composed[:, j] = cheb_eval(series, node * (1.0 + eta_s) - eta_s, axis=0)
-        _node_major(out)[:, rows] = samples_to_truncated(composed, g, real_in)
+        out[:, rows] = samples_to_truncated(composed, g, real_in)
     return SpectralField(g, out, 3, real_in)
 
 

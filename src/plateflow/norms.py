@@ -28,8 +28,8 @@ from math import comb
 
 import numpy as np
 
-from .fields import (OVERSAMPLE, PlateField, SpectralField, _node_major, _stored,
-                     inverse_transform, layer_derivative, pad_to_samples)
+from .fields import (OVERSAMPLE, PlateField, SpectralField, inverse_transform,
+                     layer_derivative, pad_to_samples)
 from .grid import TorusGrid
 
 
@@ -68,10 +68,8 @@ def _magnitudes(grid: TorusGrid, coeffs: np.ndarray, real: bool) -> np.ndarray:
     conjugate-symmetric coefficients: the even time and lateral weights,
     layer derivatives and i*xi gradients all keep a real field's symmetry.
     """
-    mag = np.abs(pad_to_samples(_node_major(coeffs), grid, OVERSAMPLE, real))
-    if mag.ndim == 5:
-        mag = np.sqrt(np.sum(mag ** 2, axis=0))
-    return _stored(mag)  # the stored order, in which the quadratures sum
+    mag = np.abs(pad_to_samples(coeffs, grid, OVERSAMPLE, real))
+    return np.sqrt(np.sum(mag ** 2, axis=0)) if mag.ndim == 5 else mag
 
 
 def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float, real: bool) -> float:
@@ -81,9 +79,9 @@ def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float, real: bool) -> float:
     if peak == 0.0:
         return 0.0
     # powers of mag / peak <= 1 neither overflow nor lose the field to underflow
-    cell = 1.0 / np.prod(mag.shape[:3])
+    cell = 1.0 / np.prod(mag.shape[-3:])
     rel = (mag / peak) ** q
-    integrand = rel if mag.ndim == 3 else rel * grid.cheb_weights
+    integrand = rel if mag.ndim == 3 else rel * grid.cheb_weights[:, None, None, None]
     return float(peak * (np.sum(integrand) * cell) ** (1.0 / q))
 
 
@@ -116,23 +114,20 @@ def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
     if s < 0:
         raise ValueError("slab spatial orders between -1 and 0 are not supported")
     m = int(np.floor(s + 1e-12))
-    nd = field.coeffs.ndim
-    wt = _time_weight(g, spec.time_order).reshape((g.n_t,) + (1,) * (nd - 1))
-    lateral = (1, g.n_x, g.n_x) + (1,) * (nd - 3)
-    w3 = g.cheb_weights.reshape((1, 1, 1, -1) + (1,) * (nd - 4))
-    vector = field.components > 1
+    wt = _time_weight(g, spec.time_order)[:, None, None]
+    w3 = g.cheb_weights[:, None, None, None]
     total = 0.0
     for j in range(m + 1):
-        dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j, vector)
+        dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j)
         if spec.q != 2.0:
-            wx = _lateral_weight(g, s - j).reshape(lateral)
+            wx = _lateral_weight(g, s - j)
             total += _lq(g, wt * wx * dj, spec.q, field.real)
             continue
         # squared coefficients; a weight of order 0 is exactly 1.0: skipped
         contrib = np.abs(dj if spec.time_order == 0 else wt * dj)
         np.square(contrib, out=contrib)
         if s != j:
-            contrib *= _lateral_weight(g, 2.0 * (s - j)).reshape(lateral)
+            contrib *= _lateral_weight(g, 2.0 * (s - j))
         contrib *= w3
         total += comb(m, j) * float(np.sum(contrib))
     return float(np.sqrt(total)) if spec.q == 2.0 else float(total)
@@ -146,10 +141,9 @@ def grid_l2_norm(field) -> float:
         return float(np.sqrt(np.mean(np.abs(s) ** 2)))
     mag2 = np.abs(s) ** 2
     if field.components > 1:
-        mag2 = mag2.sum(axis=-1)
-    w3 = field.grid.cheb_weights
-    lateral_mean = mag2.mean(axis=(0, 1, 2))
-    return float(np.sqrt(np.sum(lateral_mean * w3)))
+        mag2 = mag2.sum(axis=0)
+    lateral_mean = mag2.mean(axis=(1, 2, 3))
+    return float(np.sqrt(np.sum(lateral_mean * field.grid.cheb_weights)))
 
 
 # ---- homogeneous dual norm -----------------------------------------------------
@@ -158,9 +152,10 @@ def grid_l2_norm(field) -> float:
 def _neumann_poisson_profiles(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
     """Solve (d^2/dx3^2 - |xi|^2) phi = -g per mode, natural rows at the faces.
 
-    rhs has shape (N_t, N_x, N_x, N_z + 1); the modes of every time plane that
-    share one |xi|^2 form a single solve.  The xi = 0 problem is pinned by a
-    zero-mean row with a compensating multiplier column.
+    rhs has shape (N_z + 1, N_t, N_x, N_x); the modes of every time plane
+    that share one |xi|^2 are the columns of a single solve.  The xi = 0
+    problem is pinned by a zero-mean row with a compensating multiplier
+    column.
     """
     n = grid.n_z
     d1, d2 = grid.d1, grid.dmat(2)
@@ -168,7 +163,7 @@ def _neumann_poisson_profiles(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
     out = np.zeros(rhs.shape, complex)
     interior = np.arange(1, n)
     for val, i1, i2 in grid.xi_groups():
-        cols = -rhs[:, i1, i2].reshape(-1, n + 1).T
+        cols = -rhs[:, :, i1, i2].reshape(n + 1, -1)
         if val == 0.0:
             # one saddle solve: multiplier absorbs any residual incompatibility
             a = np.zeros((n + 2, n + 2), complex)
@@ -187,7 +182,7 @@ def _neumann_poisson_profiles(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
             b[0] = 0.0
             b[n] = 0.0
         sol = np.linalg.solve(a, b)
-        out[:, i1, i2] = sol[: n + 1].T.reshape(grid.n_t, i1.size, n + 1)
+        out[:, :, i1, i2] = sol[: n + 1].reshape(n + 1, grid.n_t, i1.size)
     return out
 
 
@@ -205,20 +200,17 @@ def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> 
     # xi' = 0 layer mean first
     mid = (g.n_x - 1) // 2
     tilde = field.coeffs.copy()
-    tilde[:, mid, mid] -= (tilde[:, mid, mid] @ g.cheb_weights)[:, None]
+    tilde[:, :, mid, mid] -= g.cheb_weights @ tilde[:, :, mid, mid]
     phi = _neumann_poisson_profiles(g, tilde)
-    wt = _time_weight(g, time_order)[:, None, None, None]
+    wt = _time_weight(g, time_order)[:, None, None]
     xp = g.xi_phys
     dphi = layer_derivative(g, phi)
     if q == 2.0:
-        xi_sq = g.xi_norm_sq()[None, :, :, None]
-        val = np.sum((wt ** 2) * (xi_sq * np.abs(phi) ** 2 + np.abs(dphi) ** 2)
-                     * g.cheb_weights)
+        xi_sq, w3 = g.xi_norm_sq(), g.cheb_weights[:, None, None, None]
+        val = np.sum((wt ** 2) * (xi_sq * np.abs(phi) ** 2 + np.abs(dphi) ** 2) * w3)
         return float(np.sqrt(val))
-    grad = np.stack([1j * xp[None, :, None, None] * phi,
-                     1j * xp[None, None, :, None] * phi,
-                     dphi], axis=-1)
-    return _lq(g, wt[..., None] * grad, q, field.real)
+    grad = np.stack([1j * xp[:, None] * phi, 1j * xp * phi, dphi])
+    return _lq(g, wt * grad, q, field.real)
 
 
 # ---- mixed-exponent norms (time-space) ------------------------------------------
@@ -227,12 +219,14 @@ def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> 
 def mixed_lr_lp_norm(field, r: float, p: float) -> float:
     """L^r in time of the L^p spatial norm; accepts inf in either slot."""
     mag = _magnitudes(field.grid, field.coeffs, field.real)
+    slab = mag.ndim == 4  # (node, t, x1, x2): time is not the leading axis
     if np.isinf(p):
-        per_t = mag.max(axis=tuple(range(1, mag.ndim)))
+        per_t = mag.max(axis=(0, 2, 3) if slab else (1, 2))
     else:
         spatial = mag ** p
-        if mag.ndim == 4:
-            spatial = np.sum(spatial * field.grid.cheb_weights, axis=3)
+        if slab:
+            spatial = np.sum(spatial * field.grid.cheb_weights[:, None, None, None],
+                             axis=0)
         per_t = (np.mean(spatial, axis=(1, 2))) ** (1.0 / p)
     if np.isinf(r):
         return float(per_t.max())

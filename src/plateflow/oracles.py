@@ -146,8 +146,8 @@ class ManufacturedCase:
 
     def constraint_residuals(self) -> dict[str, float]:
         """Max-magnitude residuals of the built-in coupling constraints."""
-        kin = self.u.coeffs[..., 0, 2] + dt(self.eta).coeffs
-        top = self.u.coeffs[..., -1, :]
+        kin = self.u.coeffs[2, 0] + dt(self.eta).coeffs
+        top = self.u.coeffs[:, -1]
         mid = (self.grid.n_x - 1) // 2
         mean = self.eta.coeffs[:, mid, mid]
         return {
@@ -182,25 +182,25 @@ def make_manufactured(seed: int, *,
     if grid is None:
         grid = TorusGrid(n_t, n_x, n_z)
     rng = np.random.default_rng(seed)
-    z = grid.nodes
+    # node-major: every lattice array broadcasts against (node, t, x1, x2)
+    z = grid.nodes[:, None, None, None]
     half_x = (grid.n_x - 1) // 2
-    ik = 1j * grid.k_phys[:, None, None, None]
-    ix1 = 1j * grid.xi_phys[None, :, None, None]
-    ix2 = 1j * grid.xi_phys[None, None, :, None]
-    xi_sq = grid.xi_norm_sq()[None, :, :, None]
+    ik = 1j * grid.k_phys[:, None, None]
+    ix1 = 1j * grid.xi_phys[:, None]
+    ix2 = 1j * grid.xi_phys
+    xi_sq = grid.xi_norm_sq()
 
     def scalar(lattice, prof):
-        """Value/derivative tuple of lattice[k,xi] * prof(x3) on the nodes."""
+        """Value/derivative tuple of prof(x3) * lattice[k,xi] on the nodes."""
         val, d1v, d2v = prof
-        base = lattice[..., None]
-        return base * val(z), base * d1v(z), base * d2v(z)
+        return lattice * val(z), lattice * d1v(z), lattice * d2v(z)
 
     if flat_plate:
         eta_c = np.zeros((grid.n_t, grid.n_x, grid.n_x), complex)
         psi = _random_lattice(grid, rng, band, 1.0, zero_lateral_mean=False)
         # u = (d2 psi, -d1 psi, 0) * bump: laterally solenoidal at every node
-        a1 = (psi[..., None] * ix2)[..., 0]
-        a2 = (-psi[..., None] * ix1)[..., 0]
+        a1 = psi * ix2
+        a2 = -psi * ix1
         parts_u = [
             [(a1, BUMP_SIN)],
             [(a2, BUMP_SIN)],
@@ -208,7 +208,7 @@ def make_manufactured(seed: int, *,
         ]
     else:
         eta_c = _random_lattice(grid, rng, band, 0.1, zero_lateral_mean=True)
-        trace = -(ik[..., 0] * eta_c)
+        trace = -(ik * eta_c)
         a3 = _random_lattice(grid, rng, band, 1.0)
         a3[:, half_x, half_x] = 0.0  # keep the mean column divergence-free
         parts_u = [
@@ -220,17 +220,17 @@ def make_manufactured(seed: int, *,
     parts_p = [(_random_lattice(grid, rng, band, 1.0), PRESS_PROF),
                (_random_lattice(grid, rng, band, 1.0), BUMP_EXP)]
 
-    m = grid.n_z + 1
-    u_val = np.zeros((grid.n_t, grid.n_x, grid.n_x, m, 3), complex)
+    shape = (grid.n_z + 1, grid.n_t, grid.n_x, grid.n_x)
+    u_val = np.zeros((3,) + shape, complex)
     u_d1 = np.zeros_like(u_val)
     u_d2 = np.zeros_like(u_val)
     for c, parts in enumerate(parts_u):
         for lattice, prof in parts:
             v, d1v, d2v = scalar(lattice, prof)
-            u_val[..., c] += v
-            u_d1[..., c] += d1v
-            u_d2[..., c] += d2v
-    p_val = np.zeros((grid.n_t, grid.n_x, grid.n_x, m), complex)
+            u_val[c] += v
+            u_d1[c] += d1v
+            u_d2[c] += d2v
+    p_val = np.zeros(shape, complex)
     p_d1 = np.zeros_like(p_val)
     for lattice, prof in parts_p:
         v, d1v, _ = scalar(lattice, prof)
@@ -238,23 +238,22 @@ def make_manufactured(seed: int, *,
         p_d1 += d1v
 
     # momentum datum: du/dt - mu_f (Delta' + d33) u + grad p, all analytic
-    lap_u = -xi_sq[..., None] * u_val + u_d2
-    f_val = ik[..., None] * u_val - params.mu_f * lap_u
-    f_val[..., 0] += ix1 * p_val
-    f_val[..., 1] += ix2 * p_val
-    f_val[..., 2] += p_d1
+    lap_u = -xi_sq * u_val + u_d2
+    f_val = ik * u_val - params.mu_f * lap_u
+    f_val[0] += ix1 * p_val
+    f_val[1] += ix2 * p_val
+    f_val[2] += p_d1
 
     # continuity datum; the stream-function build is divergence-free in exact
     # arithmetic, so its roundoff-sized remainder is construction noise
-    g_val = ix1 * u_val[..., 0] + ix2 * u_val[..., 1] + u_d1[..., 2]
+    g_val = ix1 * u_val[0] + ix2 * u_val[1] + u_d1[2]
     if flat_plate:
         g_val[:] = 0.0
 
     # plate datum from the damped fourth-order symbol
     kp = grid.k_phys[:, None, None]
-    a2l = grid.xi_norm_sq()[None, :, :]
-    sym = a2l * a2l - kp * kp + 1j * kp * params.mu_s * a2l
-    h_val = sym * eta_c - p_val[..., 0] + 2.0 * params.mu_f * u_d1[..., 0, 2]
+    sym = xi_sq * xi_sq - kp * kp + 1j * kp * params.mu_s * xi_sq
+    h_val = sym * eta_c - p_val[0] + 2.0 * params.mu_f * u_d1[2, 0]
 
     u = SpectralField(grid, u_val, components=3, real=True)
     p = SpectralField(grid, p_val, components=1, real=True)
@@ -356,24 +355,24 @@ def fd_check(field, direction, oversample: int = 64) -> float:
     uniform grid strictly inside (0, 1), where both the interpolant and its
     collocation derivative are evaluated directly.
     """
-    names = {"t": 0, "x1": 1, "x2": 2, "x3": 3}
-    axis = names.get(direction, direction)
-    if axis not in (0, 1, 2, 3):
+    names = ("t", "x1", "x2", "x3")
+    if direction in range(4):
+        direction = names[direction]
+    if direction not in names:
         raise ValueError(f"unknown direction {direction!r}")
+    # every field ends in (t, x1, x2); a slab's node axis comes just before
+    axis = {"t": -3, "x1": -2, "x2": -1, "x3": -4}[direction]
     grid = field.grid
     plate = isinstance(field, PlateField)
-    if plate and axis == 3:
+    if plate and direction == "x3":
         raise ValueError("plate fields have no layer direction")
 
-    if axis == 3:
+    if direction == "x3":
         m_fine = oversample * grid.n_z
         zf = np.linspace(0.0, 1.0, m_fine + 1)
         inner = slice(3, m_fine - 2)
-        series = cheb_values_to_coeffs(field.coeffs, axis=3)
-        dser = cheb_values_to_coeffs(dx3(field).coeffs, axis=3)
-        if field.components > 1:
-            series = np.moveaxis(series, 3, -1)
-            dser = np.moveaxis(dser, 3, -1)
+        series = cheb_values_to_coeffs(np.moveaxis(field.coeffs, -4, -1))
+        dser = cheb_values_to_coeffs(np.moveaxis(dx3(field).coeffs, -4, -1))
         vals = cheb_eval(series[..., None, :], zf)
         spec = cheb_eval(dser[..., None, :], zf)
         step = zf[1] - zf[0]
@@ -387,10 +386,10 @@ def fd_check(field, direction, oversample: int = 64) -> float:
 
     n_axis = field.coeffs.shape[axis]
     m = oversample * n_axis
-    period = grid.t_period if axis == 0 else grid.l_period
+    period = grid.t_period if direction == "t" else grid.l_period
     step = period / m
     vals = _resample_axis(field.coeffs, axis, m)
-    deriv = dt(field) if axis == 0 else dx(field, axis)
+    deriv = dt(field) if direction == "t" else dx(field, axis + 3)
     spec = _resample_axis(deriv.coeffs, axis, m)
     fdv = _fd_periodic(vals, axis, step)
     return float(np.max(np.abs(fdv - spec)))

@@ -24,8 +24,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def _sym(coeffs):
-    # conjugate lattice symmetry over the three periodic axes
-    return 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1, ::-1]))
+    # conjugate lattice symmetry over the three periodic axes, which end
+    # every coefficient array
+    return 0.5 * (coeffs + np.conj(coeffs[..., ::-1, ::-1, ::-1]))
 
 
 def poly_field(grid, seed, components=3, band_t=1, band_x=1, degree=3,
@@ -37,7 +38,7 @@ def poly_field(grid, seed, components=3, band_t=1, band_x=1, degree=3,
     """
     rng = np.random.default_rng(seed)
     m = grid.n_z + 1
-    coeffs = np.zeros((grid.n_t, grid.n_x, grid.n_x, m, components), complex)
+    coeffs = np.zeros((components, m, grid.n_t, grid.n_x, grid.n_x), complex)
     ht, hx = (grid.n_t - 1) // 2, (grid.n_x - 1) // 2
     bt, bx = min(band_t, ht), min(band_x, hx)
     z = grid.nodes
@@ -47,11 +48,11 @@ def poly_field(grid, seed, components=3, band_t=1, band_x=1, degree=3,
                 for c in range(components):
                     pc = (rng.standard_normal(degree + 1)
                           + 1j * rng.standard_normal(degree + 1))
-                    coeffs[it, i1, i2, :, c] = \
+                    coeffs[c, :, it, i1, i2] = \
                         np.polynomial.polynomial.polyval(z, pc)
     coeffs = _sym(coeffs) * scale
     if components == 1:
-        return SpectralField(grid, coeffs[..., 0], 1, True)
+        return SpectralField(grid, coeffs[0], 1, True)
     return SpectralField(grid, coeffs, components, True)
 
 
@@ -75,8 +76,5 @@ def bubble_field(grid, seed, components=3, band_t=1, band_x=1, degree=2,
     """poly_field shaped by z^2 (1-z)^2: value and slope vanish on both faces."""
     f = poly_field(grid, seed, components, band_t, band_x, degree, scale)
     bub = (grid.nodes * (1.0 - grid.nodes)) ** 2
-    if components == 1:
-        f.coeffs *= bub
-    else:
-        f.coeffs *= bub[:, None]
+    f.coeffs *= bub[:, None, None, None]
     return f

@@ -83,17 +83,18 @@ def record(num, name, ok, detail):
 def _parseval_gap(grid, fld, vals):
     """Lattice mean power versus mode power from an independent FFT."""
     sq = np.abs(vals) ** 2
-    hat = np.fft.fftn(vals, axes=(0, 1, 2)) / (grid.n_t * grid.n_x ** 2)
+    hat = np.fft.fftn(vals, axes=(-3, -2, -1)) / (grid.n_t * grid.n_x ** 2)
     sq_hat = np.abs(hat) ** 2
     if isinstance(fld, PlateField):
         phys = float(np.mean(sq))
         spec = float(np.sum(sq_hat))
     else:
         if fld.components > 1:
-            sq = sq.sum(axis=-1)
-            sq_hat = sq_hat.sum(axis=-1)
-        phys = float(np.mean(sq @ grid.cheb_weights))
-        spec = float(np.sum(sq_hat @ grid.cheb_weights))
+            sq = sq.sum(axis=0)
+            sq_hat = sq_hat.sum(axis=0)
+        # the Clenshaw-Curtis layer quadrature over the leading node axis
+        phys = float(np.mean(np.tensordot(grid.cheb_weights, sq, axes=1)))
+        spec = float(np.sum(np.tensordot(grid.cheb_weights, sq_hat, axes=1)))
     return abs(phys - spec) / max(phys, 1e-300)
 
 
@@ -334,7 +335,7 @@ def test_criterion_10_interaction_term_bounds():
         eta = poly_plate(g, 3200 + seed, scale=1e-2, zero_mean=True)
         out = nonlinear_bound_ratios(u, p, eta)
         ec = e_matrix(eta)
-        ef = SpectralField(g, ec.reshape(ec.shape[:4] + (9,)), 9, True)
+        ef = SpectralField(g, ec.reshape((9,) + ec.shape[2:]), 9, True)
         out["e_bound"] = (sobolev_norm(ef, NormSpec(0, 0, 2.0))
                           / sobolev_norm(eta, NormSpec(0, 1, 2.0)))
         return out

@@ -69,28 +69,28 @@ def test_zero_expression_gives_zero_momentum_field():
 def test_single_expression_is_a_vertical_force():
     f = parse_forcing("0.001*cos(t)*sin(x1)", GRID, "f")
     vals = physical_samples(f)
-    tt = GRID.t_samples[:, None, None, None]
-    x1 = GRID.x_samples[None, :, None, None]
+    tt = GRID.t_samples[:, None, None]
+    x1 = GRID.x_samples[:, None]
     want = 0.001 * np.cos(tt) * np.sin(x1)
-    assert np.max(np.abs(vals[..., 0])) == 0.0
-    assert np.max(np.abs(vals[..., 1])) == 0.0
-    assert np.max(np.abs(vals[..., 2] - want)) < 1e-15
+    assert np.max(np.abs(vals[0])) == 0.0
+    assert np.max(np.abs(vals[1])) == 0.0
+    assert np.max(np.abs(vals[2] - want)) < 1e-15
     # four lattice corners (k = +-1, xi1 = +-1); the layer axis is nodal,
     # so the z profile is the constant 1 at every node
-    mode_mag = np.max(np.abs(f.coeffs[..., 2]), axis=3)
+    mode_mag = np.max(np.abs(f.coeffs[2]), axis=0)
     support = set(map(tuple, np.argwhere(mode_mag > 1e-12)))
     assert support == {(it, i1, 2) for it in (1, 3) for i1 in (1, 3)}
-    assert np.allclose(np.abs(f.coeffs[1, 1, 2, :, 2]), 0.00025)
+    assert np.allclose(np.abs(f.coeffs[2, :, 1, 1, 2]), 0.00025)
 
 
 def test_three_part_momentum_forcing():
     f = parse_forcing("sin(x1); 0; cos(2*x2)", GRID, "f")
     vals = physical_samples(f)
-    x1 = GRID.x_samples[None, :, None, None]
-    x2 = GRID.x_samples[None, None, :, None]
-    assert np.max(np.abs(vals[..., 0] - np.sin(x1) * np.ones_like(vals[..., 0]))) < 1e-14
-    assert np.max(np.abs(vals[..., 1])) == 0.0
-    assert np.max(np.abs(vals[..., 2] - np.cos(2 * x2) * np.ones_like(vals[..., 2]))) < 1e-14
+    x1 = GRID.x_samples[:, None]
+    x2 = GRID.x_samples
+    assert np.max(np.abs(vals[0] - np.sin(x1) * np.ones_like(vals[0]))) < 1e-14
+    assert np.max(np.abs(vals[1])) == 0.0
+    assert np.max(np.abs(vals[2] - np.cos(2 * x2) * np.ones_like(vals[2]))) < 1e-14
 
 
 def test_plate_forcing_coefficients():
@@ -105,8 +105,8 @@ def test_plate_forcing_coefficients():
 def test_scalar_datum_with_layer_profile():
     g = parse_forcing("exp(x3)*sin(x1)", GRID, "g")
     vals = physical_samples(g)
-    x1 = GRID.x_samples[None, :, None, None]
-    zz = GRID.nodes[None, None, None, :]
+    x1 = GRID.x_samples[:, None]
+    zz = GRID.nodes[:, None, None, None]
     assert np.max(np.abs(vals - np.exp(zz) * np.sin(x1))) < 1e-12
 
 
@@ -374,7 +374,7 @@ def test_forged_container_header_is_a_one_line_error(tmp_path, capsys):
     header = np.array([129, 129, 192, 3, 1], dtype="<u4").tobytes()
     (tmp_path / "x.plf").write_bytes(b"PLFSPEC1" + header + b"\x00" * 64)
     bad = poly_field(GRID, seed=6, components=3)
-    bad.coeffs[1, 2, 3, 4, 0] = np.nan
+    bad.coeffs[0, 4, 1, 2, 3] = np.nan
     write_field(tmp_path / "nan.plf", bad)
     noise = 1e-3 * np.random.default_rng(6).standard_normal((5, 5, 5))
     write_field(tmp_path / "asym.plf", PlateField(GRID, noise + 0j, True))

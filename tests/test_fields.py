@@ -31,8 +31,7 @@ from plateflow.fields import (
     trace_bottom,
     zeros_like_field,
 )
-from plateflow.fields import _node_major, _symmetrize
-from plateflow.nonlinear import _layer_rows
+from plateflow.fields import _symmetrize
 from plateflow.grid import TorusGrid
 
 from conftest import poly_field, poly_plate
@@ -48,18 +47,19 @@ HX = (GRID.n_x - 1) // 2
 
 
 def _lattice(grid):
-    t = grid.t_samples[:, None, None, None]
-    x1 = grid.x_samples[None, :, None, None]
-    x2 = grid.x_samples[None, None, :, None]
-    x3 = grid.nodes[None, None, None, :]
+    # node-major: (node, t, x1, x2) on the slab, the last three on the plate
+    t = grid.t_samples[:, None, None]
+    x1 = grid.x_samples[:, None]
+    x2 = grid.x_samples
+    x3 = grid.nodes[:, None, None, None]
     return t, x1, x2, x3
 
 
 # the transforms and the derivatives take plate (rank 3) and slab samples alike
 def test_sample_round_trip_real():
     rng = np.random.default_rng(0)
-    samples = rng.standard_normal((5, 5, 5, 9, 3))
-    for kind, vals in ((SpectralField, samples), (PlateField, samples[..., 0, 0])):
+    samples = np.moveaxis(rng.standard_normal((5, 5, 5, 9, 3)), (4, 3), (0, 1))
+    for kind, vals in ((SpectralField, samples), (PlateField, samples[0, 0])):
         field = forward_transform(GRID, vals)
         assert isinstance(field, kind) and field.real
         assert is_conjugate_symmetric(field.coeffs)
@@ -70,9 +70,9 @@ def test_sample_round_trip_real():
 
 def test_sample_round_trip_complex():
     rng = np.random.default_rng(1)
-    samples = rng.standard_normal((5, 5, 5, 9)) \
-        + 1j * rng.standard_normal((5, 5, 5, 9))
-    for kind, vals in ((SpectralField, samples), (PlateField, samples[..., 0])):
+    samples = np.moveaxis(rng.standard_normal((5, 5, 5, 9))
+                          + 1j * rng.standard_normal((5, 5, 5, 9)), -1, 0)
+    for kind, vals in ((SpectralField, samples), (PlateField, samples[0])):
         field = forward_transform(GRID, vals)
         assert isinstance(field, kind) and not field.real
         assert np.max(np.abs(inverse_transform(field) - vals)) < TOL_ROUND
@@ -93,9 +93,9 @@ def test_plate_round_trip():
 
 def test_shape_strictness():
     with pytest.raises(ValueError):
-        SpectralField(GRID, np.zeros((5, 5, 5, 8), complex))  # n_z+1 expected
+        SpectralField(GRID, np.zeros((8, 5, 5, 5), complex))  # n_z+1 expected
     with pytest.raises(ValueError):
-        SpectralField(GRID, np.zeros((5, 5, 5, 9), complex), components=3)
+        SpectralField(GRID, np.zeros((9, 5, 5, 5), complex), components=3)
     with pytest.raises(ValueError):
         PlateField(GRID, np.zeros((5, 3, 5), complex))
 
@@ -110,27 +110,27 @@ def test_plate_field_rejects_trailing_axis():
 
 def test_time_derivative_single_mode():
     t, x1, _, _ = _lattice(GRID)
-    shape = (5, 5, 5, 9)
+    shape = (9, 5, 5, 5)
     samples = np.broadcast_to(np.cos(t + x1), shape).copy()
     want = np.broadcast_to(-np.sin(t + x1), shape)
     for layer in (slice(None), 0):     # slab, then its bottom-node plate
-        field = forward_transform(GRID, samples[..., layer])
-        assert np.max(np.abs(physical_samples(dt(field)) - want[..., layer])) \
+        field = forward_transform(GRID, samples[layer])
+        assert np.max(np.abs(physical_samples(dt(field)) - want[layer])) \
             < TOL_DERIV
 
 
 def test_lateral_derivative_single_mode():
     _, x1, x2, _ = _lattice(GRID)
-    shape = (5, 5, 5, 9)
+    shape = (9, 5, 5, 5)
     samples = np.broadcast_to(np.sin(x1) * np.cos(2.0 * x2), shape).copy()
     want1 = np.broadcast_to(np.cos(x1) * np.cos(2.0 * x2), shape)
     want2 = np.broadcast_to(-2.0 * np.sin(x1) * np.sin(2.0 * x2), shape)
     for layer in (slice(None), 0):     # slab, then its bottom-node plate
-        field = forward_transform(GRID, samples[..., layer])
+        field = forward_transform(GRID, samples[layer])
         d1 = physical_samples(dx(field, 1))
         d2 = physical_samples(dx(field, 2))
-        assert np.max(np.abs(d1 - want1[..., layer])) < TOL_DERIV
-        assert np.max(np.abs(d2 - want2[..., layer])) < TOL_DERIV
+        assert np.max(np.abs(d1 - want1[layer])) < TOL_DERIV
+        assert np.max(np.abs(d2 - want2[layer])) < TOL_DERIV
 
 
 def test_dx_direction_is_one_based():
@@ -142,27 +142,29 @@ def test_dx_direction_is_one_based():
 
 
 def test_layer_derivative_on_polynomial():
-    coeffs = np.zeros((5, 5, 5, 9), complex)
-    coeffs[HT, HX, HX] = GRID.nodes ** 3
+    profile = (slice(None), HT, HX, HX)
+    coeffs = np.zeros((9, 5, 5, 5), complex)
+    coeffs[profile] = GRID.nodes ** 3
     field = SpectralField(GRID, coeffs, 1, True)
-    out = dx3(field).coeffs[HT, HX, HX]
+    out = dx3(field).coeffs[profile]
     assert np.max(np.abs(out - 3.0 * GRID.nodes ** 2)) < TOL_DERIV
-    out2 = dx3(field, 2).coeffs[HT, HX, HX]
+    out2 = dx3(field, 2).coeffs[profile]
     assert np.max(np.abs(out2 - 6.0 * GRID.nodes)) < 1e-10
 
-    # vector field: node axis before the component axis
+    # vector field: the component axis before the node axis
     z = GRID.nodes
-    vec = np.zeros((5, 5, 5, 9, 3), complex)
-    vec[HT, HX, HX] = np.stack([z ** 2, z ** 3, z ** 4], axis=-1)
+    profiles = (slice(None),) + profile
+    vec = np.zeros((3, 9, 5, 5, 5), complex)
+    vec[profiles] = np.stack([z ** 2, z ** 3, z ** 4])
     vfield = SpectralField(GRID, vec, 3, True)
-    want1 = np.stack([2.0 * z, 3.0 * z ** 2, 4.0 * z ** 3], axis=-1)
-    want2 = np.stack([np.full_like(z, 2.0), 6.0 * z, 12.0 * z ** 2], axis=-1)
-    assert np.max(np.abs(dx3(vfield).coeffs[HT, HX, HX] - want1)) < TOL_DERIV
-    assert np.max(np.abs(dx3(vfield, 2).coeffs[HT, HX, HX] - want2)) < 1e-10
+    want1 = np.stack([2.0 * z, 3.0 * z ** 2, 4.0 * z ** 3])
+    want2 = np.stack([np.full_like(z, 2.0), 6.0 * z, 12.0 * z ** 2])
+    assert np.max(np.abs(dx3(vfield).coeffs[profiles] - want1)) < TOL_DERIV
+    assert np.max(np.abs(dx3(vfield, 2).coeffs[profiles] - want2)) < 1e-10
 
-    # raw kernel on a batch of profiles with the node axis last
-    batch = np.stack([z ** j for j in range(1, 5)])
-    want = np.stack([j * z ** (j - 1) for j in range(1, 5)])
+    # raw kernel on a batch of profiles, each on a 1 x 1 x 1 lattice
+    batch = np.stack([z ** j for j in range(1, 5)])[..., None, None, None]
+    want = np.stack([j * z ** (j - 1) for j in range(1, 5)])[..., None, None, None]
     assert np.max(np.abs(layer_derivative(GRID, batch) - want)) < TOL_DERIV
 
 
@@ -170,9 +172,9 @@ def test_traces_pick_face_nodes():
     f = poly_field(GRID, 11, components=3)
     samples = physical_samples(f)
     bot = inverse_transform(trace_bottom(f, 0))
-    top = inverse_transform(PlateField(GRID, f.coeffs[..., -1, 2], f.real))
-    assert np.max(np.abs(bot - samples[..., 0, 0])) < TOL_ROUND
-    assert np.max(np.abs(top - samples[..., -1, 2])) < TOL_ROUND
+    top = inverse_transform(PlateField(GRID, f.coeffs[2, -1], f.real))
+    assert np.max(np.abs(bot - samples[0, 0])) < TOL_ROUND
+    assert np.max(np.abs(top - samples[2, -1])) < TOL_ROUND
 
 
 def test_div_grad_is_laplacian():
@@ -202,9 +204,9 @@ def test_plate_operators_single_mode():
 
 def test_dealias_sampling_pair():
     f = poly_field(GRID, 15, components=1, band_t=2, band_x=2)
-    samples = pad_to_samples(_node_major(f.coeffs), GRID, OVERSAMPLE)
+    samples = pad_to_samples(f.coeffs, GRID, OVERSAMPLE)
     back = samples_to_truncated(samples, GRID, real=True)
-    assert np.max(np.abs(back - _node_major(f.coeffs))) < TOL_ROUND
+    assert np.max(np.abs(back - f.coeffs)) < TOL_ROUND
 
 
 @pytest.mark.parametrize("factor", [DEALIAS, OVERSAMPLE])
@@ -218,7 +220,7 @@ def test_plate_synthesis_is_the_singleton_slab_synthesis(factor):
 
 
 def test_padded_real_part():
-    coeffs = _node_major(poly_field(GRID, 17, components=3).coeffs) * (0.6 + 0.8j)
+    coeffs = poly_field(GRID, 17, components=3).coeffs * (0.6 + 0.8j)
     samples = pad_to_samples(coeffs, GRID)
     assert np.max(np.abs(samples.imag)) > 0.1
     real = pad_to_samples(coeffs, GRID, real=True)
@@ -227,18 +229,14 @@ def test_padded_real_part():
     assert np.max(np.abs(real - samples.real)) <= 1e-15 * np.max(np.abs(samples.real))
 
 
-# tail: the stored slab axes after the periodic ones, (node[, comp]); the
-# padded transform takes them in front, node-major: _lead(tail)
+# tail: what a slab adds to the plate's (k, xi1, xi2) shape, in front of
+# the periodic axes: (node,) or (comp, node); the transform passes it through
 HALF_LATTICE_CASES = [
     (grid, factor, tail)
     for grid in (TorusGrid(3, 3, 4), GRID, TorusGrid(7, 5, 6), TorusGrid(3, 7, 4))
     for factor in (DEALIAS, OVERSAMPLE)
-    for tail in ((), (grid.n_z + 1,), (grid.n_z + 1, 3))
+    for tail in ((), (grid.n_z + 1,), (3, grid.n_z + 1))
 ]
-
-
-def _lead(tail):
-    return tail[::-1]
 
 
 def _grid_rows(grid, m_t, m_x):
@@ -250,7 +248,7 @@ def _grid_rows(grid, m_t, m_x):
 @pytest.mark.parametrize("grid,factor,tail", HALF_LATTICE_CASES)
 def test_half_lattice_synthesis_is_the_real_part(grid, factor, tail):
     rng = np.random.default_rng(len(tail))
-    shape = _lead(tail) + (grid.n_t, grid.n_x, grid.n_x)
+    shape = tail + (grid.n_t, grid.n_x, grid.n_x)
     # not conjugate symmetric, so the real part is a genuine projection
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     real = pad_to_samples(coeffs, grid, factor, real=True)
@@ -263,11 +261,11 @@ def test_half_lattice_synthesis_is_the_real_part(grid, factor, tail):
 def test_half_lattice_analysis_matches_the_complex_path(grid, factor, tail):
     m_t, m_x = padded_sizes(grid, factor)
     samples = np.random.default_rng(len(tail)).standard_normal(
-        _lead(tail) + (m_t, m_x, m_x))
+        tail + (m_t, m_x, m_x))
     coeffs = samples_to_truncated(samples, grid, real=True)
     want = _symmetrize(np.fft.fftn(samples, axes=PADDED, norm="forward")[
         _grid_rows(grid, m_t, m_x)])
-    assert coeffs.shape == _lead(tail) + (grid.n_t, grid.n_x, grid.n_x)
+    assert coeffs.shape == tail + (grid.n_t, grid.n_x, grid.n_x)
     assert np.max(np.abs(coeffs - want)) <= 1e-15 * np.max(np.abs(want))
     assert np.array_equal(coeffs, np.conj(coeffs[..., ::-1, ::-1, ::-1]))
 
@@ -278,9 +276,9 @@ def test_complex_passes_match_the_full_transforms(grid, factor, tail):
     # up to round-off: its passes run in another axis order
     rng = np.random.default_rng(3 + len(tail))
     m_t, m_x = padded_sizes(grid, factor)
-    shape = _lead(tail) + (grid.n_t, grid.n_x, grid.n_x)
+    shape = tail + (grid.n_t, grid.n_x, grid.n_x)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    padded = np.zeros(_lead(tail) + (m_t, m_x, m_x), complex)
+    padded = np.zeros(tail + (m_t, m_x, m_x), complex)
     padded[_grid_rows(grid, m_t, m_x)] = coeffs
     want = np.fft.ifftn(padded, axes=PADDED, norm="forward")
     samples = pad_to_samples(coeffs, grid, factor)
@@ -296,17 +294,18 @@ def test_complex_passes_match_the_full_transforms(grid, factor, tail):
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("factor", [DEALIAS, OVERSAMPLE])
 def test_batched_padded_transform_equals_the_plate_transforms(factor, real):
-    # a node-major view of stored slab coefficients transforms, slice by
-    # slice, to the very bits of the plate transform of each slice
+    # stored slab coefficients transform, slice by slice, to the very bits
+    # of the plate transform of each slice
     grid = TorusGrid(7, 5, 4)
     rng = np.random.default_rng(11)
     shape = (grid.n_t, grid.n_x, grid.n_x, grid.n_z + 1, 3)
-    stored = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    samples = pad_to_samples(_node_major(stored), grid, factor, real)
+    stored = np.moveaxis(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                         (4, 3), (0, 1))
+    samples = pad_to_samples(stored, grid, factor, real)
     back = samples_to_truncated(samples, grid, real)
     assert samples.shape[:2] == back.shape[:2] == (3, grid.n_z + 1)
     for c, j in np.ndindex(3, grid.n_z + 1):
-        plate = pad_to_samples(stored[..., j, c], grid, factor, real)
+        plate = pad_to_samples(stored[c, j], grid, factor, real)
         assert np.array_equal(samples[c, j], plate)
         assert np.array_equal(back[c, j], samples_to_truncated(plate, grid, real))
 
@@ -315,13 +314,12 @@ def test_batched_padded_transform_equals_the_plate_transforms(factor, real):
 def test_shared_passes_match_the_padded_lateral_derivatives(real):
     grid = TorusGrid(7, 9, 4)
     f = poly_field(grid, 18, components=3, band_t=3, band_x=4)
-    coeffs = _node_major(f.coeffs)
     if not real:  # a genuinely complex field
-        coeffs = coeffs * (0.6 + 0.8j) + _node_major(poly_field(grid, 19).coeffs)
-        f = SpectralField(grid, np.moveaxis(coeffs, (0, 1), (4, 3)), 3, False)
-    shared = pad_with_lateral_derivatives(coeffs, grid, real)
+        coeffs = f.coeffs * (0.6 + 0.8j) + poly_field(grid, 19).coeffs
+        f = SpectralField(grid, coeffs, 3, False)
+    shared = pad_with_lateral_derivatives(f.coeffs, grid, real)
     for got, field in zip(shared, (f, dx(f, 1), dx(f, 2))):
-        want = pad_to_samples(_node_major(field.coeffs), grid, real=real)
+        want = pad_to_samples(field.coeffs, grid, real=real)
         assert np.isrealobj(got) == real and got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -356,12 +354,12 @@ def _rfftn_analysis(samples, grid):
 def test_pruned_half_lattice_passes_equal_irfftn_and_rfftn(grid, factor, tail):
     # the pruned passes run in irfftn's / rfftn's order, so every bit agrees
     rng = np.random.default_rng(7 + len(tail))
-    shape = _lead(tail) + (grid.n_t, grid.n_x, grid.n_x)
+    shape = tail + (grid.n_t, grid.n_x, grid.n_x)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert np.array_equal(pad_to_samples(coeffs, grid, factor, real=True),
                           _irfftn_synthesis(coeffs, grid, factor))
     m_t, m_x = padded_sizes(grid, factor)
-    samples = rng.standard_normal(_lead(tail) + (m_t, m_x, m_x))
+    samples = rng.standard_normal(tail + (m_t, m_x, m_x))
     assert np.array_equal(samples_to_truncated(samples, grid, True),
                           _rfftn_analysis(samples, grid))
 
@@ -395,76 +393,89 @@ def test_numpy_fft_is_called_only_by_the_pass_helpers():
     assert imports == []
 
 
+# the modules that hold or solve coefficient arrays, in the one stored layout
+LAYOUT_MODULES = ("fields", "modes", "lift", "norms")
+AXIS_SHUFFLES = {"moveaxis", "swapaxes", "transpose"}
+
+
+def test_no_axis_shuffles_in_the_coefficient_modules():
+    # a second coefficient layout would need its axes moved back and forth
+    found = []
+    for stem in LAYOUT_MODULES:
+        path = Path(plateflow.__file__).parent / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in AXIS_SHUFFLES:
+                found.append((stem, node.lineno, node.attr))
+            if isinstance(node, ast.ImportFrom) and "numpy" in (node.module or ""):
+                found += [(stem, node.lineno, a.name) for a in node.names
+                          if a.name in AXIS_SHUFFLES]
+    assert found == []
+
+
 @pytest.mark.parametrize("order", [1, 2])
-def test_layer_derivative_equals_the_per_mode_products(order):
-    grid = TorusGrid(7, 5, 12)
-    rng = np.random.default_rng(order)
-    d = grid.dmat(order)
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("sizes", [(7, 5, 12), (17, 17, 16), (17, 17, 32)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_layer_derivative_equals_the_per_mode_products(sizes, real, order):
+    # bit for bit d[rows] @ c with the node axis against the flattened
+    # lattice, one product per leading index; a per-plane GEMM of real data
+    # once reached other dgemm kernels, up to 1.6e-9 off at n_z = 32
+    grid = TorusGrid(*sizes)
+    rng = np.random.default_rng(sizes[2] + order)
+    shape = (3, grid.n_z + 1, grid.n_t, grid.n_x, grid.n_x)
+    vec = rng.standard_normal(shape)
+    if not real:
+        vec = vec + 1j * rng.standard_normal(shape)
+    scal = vec[0].copy()
 
-    def field(*tail):
-        shape = (grid.n_t, grid.n_x, grid.n_x, grid.n_z + 1) + tail
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    def product(c, rows):
+        d = grid.dmat(order)[rows]
+        out = np.empty(c.shape[:-4] + (d.shape[0],) + c.shape[-3:], c.dtype)
+        for lead in np.ndindex(c.shape[:-4]):
+            out[lead] = (d @ c[lead].reshape(c.shape[-4], -1)).reshape(out.shape[-4:])
+        return out
 
-    vec, scal = field(3), field()
-    assert np.array_equal(layer_derivative(grid, vec, order, vector=True), d @ vec)
-    assert np.array_equal(layer_derivative(grid, scal, order), scal @ d.T)
-    # a strided component, one lateral plane and a batch of profiles
-    assert np.array_equal(layer_derivative(grid, vec[..., 2], order), vec[..., 2] @ d.T)
-    assert np.array_equal(layer_derivative(grid, vec[0], order, vector=True), d @ vec[0])
-    assert np.array_equal(layer_derivative(grid, scal[0, 0], order), scal[0, 0] @ d.T)
-    # the Picard blocks take rows of the same matrix from node-major copies
-    rows = slice(5, 10)
-    for stored in (vec, scal):
-        node_major = np.ascontiguousarray(_node_major(stored))
-        want = layer_derivative(grid, stored, order, stored.ndim == 5)
-        assert np.array_equal(_layer_rows(grid, node_major, order, rows),
-                              _node_major(want)[..., rows, :, :, :])
-
-
-@pytest.mark.parametrize("n_z", [16, 32])
-def test_real_layer_derivative_equals_the_whole_array_product(n_z):
-    # per-plane GEMMs of real data differed from d @ c by up to 1.6e-9 at
-    # n_z = 32 (largest value 2.6e6): real input keeps the whole-array product
-    grid = TorusGrid(17, 17, n_z)
-    rng = np.random.default_rng(n_z)
-    vec = rng.standard_normal((17, 17, 17, n_z + 1, 3))
-    scal = vec[..., 0].copy()
-    for order in (1, 2):
-        d = grid.dmat(order)
-        assert np.array_equal(layer_derivative(grid, vec, order, vector=True), d @ vec)
-        assert np.array_equal(layer_derivative(grid, scal, order), scal @ d.T)
+    # whole fields, a component, one time plane and a batch of profiles on
+    # 1 x 1 x 1 lattices
+    cases = (vec, scal, vec[2], vec[:, :, 1:2], scal[:, 0, 0].T[:, :, None, None, None])
+    for rows in (slice(None), slice(5, 10), slice(0, 1)):
+        for c in cases:
+            got = layer_derivative(grid, c, order, rows)
+            assert np.isrealobj(got) == real
+            assert np.array_equal(got, product(c, rows))
+    assert np.array_equal(layer_derivative(grid, vec, order), product(vec, slice(None)))
 
 
-def test_layer_derivative_holds_one_time_plane_of_temporaries():
+def test_layer_derivative_allocates_only_its_output():
     grid = TorusGrid(17, 17, 32)
-    shape = (17, 17, 17, 33, 3)
+    shape = (3, 33, 17, 17, 17)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    layer_derivative(grid, coeffs, 2, vector=True)  # builds and caches dmat(2)
+    layer_derivative(grid, coeffs, 2)  # builds and caches dmat(2)
     tracemalloc.start()
     try:
-        out = layer_derivative(grid, coeffs, 2, vector=True)
+        out = layer_derivative(grid, coeffs, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one plane's transposed operand and its product, plus under 64 KiB for
-    # the complex cast of the (33, 33) matrix and einsum's bookkeeping (20 KB
-    # measured); a whole-field contraction would add a field (17 planes)
-    assert peak <= out.nbytes + 2 * coeffs[0].nbytes + (64 << 10)
+    # the reshape of contiguous coefficients is a view; under 64 KiB more
+    # holds the complex cast of the (33, 33) matrix and the bookkeeping
+    assert peak <= out.nbytes + (64 << 10)
 
 
 def test_zeros_like_shapes():
-    assert zeros_like_field(GRID).coeffs.shape == (5, 5, 5, 9)
-    assert zeros_like_field(GRID, components=3).coeffs.shape == (5, 5, 5, 9, 3)
+    assert zeros_like_field(GRID).coeffs.shape == (9, 5, 5, 5)
+    assert zeros_like_field(GRID, components=3).coeffs.shape == (3, 9, 5, 5, 5)
     assert zeros_like_field(GRID, plate=True).coeffs.shape == (5, 5, 5)
 
 
 def test_component_and_arithmetic():
     a = poly_field(GRID, 16, components=3)
     b = poly_field(GRID, 17, components=3)
-    u2 = a.component(2)
-    assert u2.components == 1
-    assert np.array_equal(u2.coeffs, a.coeffs[..., 2])
+    # a component of a vector field is a contiguous scalar field, not a copy
+    u2 = SpectralField(GRID, a.coeffs[2], 1, a.real)
+    assert u2.coeffs.shape == (9, 5, 5, 5)
+    assert np.shares_memory(u2.coeffs, a.coeffs)
     s = a + b
     d = a - b
     assert np.max(np.abs(s.coeffs - (a.coeffs + b.coeffs))) == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from plateflow.fields import PlateField, SpectralField
 from plateflow.grid import TorusGrid
 from plateflow.io import MAGIC, _HEADER, read_field, write_field
 
@@ -23,9 +24,9 @@ def test_slab_round_trip_bitwise(tmp_path):
 
 def test_complex_scalar_round_trip(tmp_path):
     f = poly_field(GRID, 41, components=1)
-    f = type(f)(GRID, f.coeffs + 1j * np.roll(f.coeffs, 1, axis=3), 1, False)
+    f = type(f)(GRID, f.coeffs + 1j * np.roll(f.coeffs, 1, axis=0), 1, False)
     # signed zeros in either part survive too; array_equal ignores their sign
-    f.coeffs[0, 0, 0, :3] = [complex(-0.0, -0.0), complex(1.0, -0.0),
+    f.coeffs[:3, 0, 0, 0] = [complex(-0.0, -0.0), complex(1.0, -0.0),
                              complex(-0.0, 1.0)]
     path = tmp_path / "c.plf"
     write_field(path, f)
@@ -33,6 +34,29 @@ def test_complex_scalar_round_trip(tmp_path):
     assert not back.real
     assert np.array_equal(back.coeffs, f.coeffs)
     assert back.coeffs.tobytes() == f.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("components,plate", [(3, False), (1, False), (1, True)],
+                         ids=["vector", "scalar", "plate"])
+def test_payload_is_in_file_order(tmp_path, components, plate):
+    # each coefficient's value spells its (k, xi1, xi2, node, component)
+    # index in decimal digits, so the payload after the 28-byte header must
+    # count up in row-major file order, whatever order memory uses
+    n_z = 0 if plate else GRID.n_z
+    k, i1, i2, j, c = np.indices((GRID.n_t, GRID.n_x, GRID.n_x, n_z + 1, components))
+    code = (((k * 10 + i1) * 10 + i2) * 10 + j) * 10 + c
+    want = np.stack([code, -code], axis=-1).astype("<f8").tobytes()  # (re, im)
+    memory = np.moveaxis(code * (1 - 1j), (4, 3), (0, 1))  # (comp, node, k, xi1, xi2)
+    if plate:
+        field = PlateField(GRID, memory[0, 0])
+    else:
+        field = SpectralField(GRID, memory if components > 1 else memory[0], components)
+    path = tmp_path / "golden.plf"
+    write_field(path, field)
+    blob = path.read_bytes()
+    assert blob[:28] == MAGIC + _HEADER.pack(5, 5, n_z, components, 0)
+    assert blob[28:] == want
+    assert np.array_equal(read_field(path, grid=GRID).coeffs, field.coeffs)
 
 
 def test_plate_round_trip(tmp_path):

@@ -46,10 +46,18 @@ def _mode_data(grid, seed, with_g=False):
     return f_hat, g_hat, h_hat
 
 
+def _one_mode_lattice(profiles):
+    """One mode's profiles as node-major arrays on a 1 x 1 x 1 lattice."""
+    return None if profiles is None else np.reshape(profiles, np.shape(profiles)
+                                                    + (1, 1, 1))
+
+
 def _mode_parts(sol, f_hat, g_hat, h_hat):
     """The five equation residuals of one solved mode, from its profiles."""
-    return _residual_parts(sol.grid, sol.u.T, sol.p, sol.eta, sol.k_phys,
-                           *sol.xi_phys, f_hat.T, g_hat, h_hat, 1.0, 1.0)
+    u, p, eta, f, g, h = map(_one_mode_lattice,
+                             (sol.u, sol.p, sol.eta, f_hat, g_hat, h_hat))
+    return _residual_parts(sol.grid, u, p, eta, sol.k_phys, *sol.xi_phys,
+                           f, g, h, 1.0, 1.0)
 
 
 def test_plate_symbol_exact_values():
@@ -202,11 +210,12 @@ def test_full_residuals_are_worst_mode_residuals():
         ("momentum", "continuity", "kinematic", "no_slip", "plate"), 0.0)
     half_t, half_x = (GRID.n_t - 1) // 2, (GRID.n_x - 1) // 2
     for idx in np.ndindex(GRID.n_t, GRID.n_x, GRID.n_x):
+        profiles = (Ellipsis,) + idx  # the mode's column of every node
         mode = ModeSolution(GRID, idx[0] - half_t,
                             (idx[1] - half_x, idx[2] - half_x),
-                            sol.u.coeffs[idx].T, sol.p.coeffs[idx],
+                            sol.u.coeffs[profiles], sol.p.coeffs[profiles],
                             sol.eta.coeffs[idx])
-        res = _mode_parts(mode, f2.coeffs[idx].T, g2.coeffs[idx],
+        res = _mode_parts(mode, f2.coeffs[profiles], g2.coeffs[profiles],
                           h2.coeffs[idx])
         worst = {key: max(worst[key], res[key]) for key in worst}
     assert full["momentum"] > 1e-3 and full["plate"] > 1e-3
@@ -243,11 +252,11 @@ def test_direct_route_rejects_incompatible_datum():
     top = (-1.0) ** np.arange(GRID.n_z + 1)
     for profile in (1.0, top - top @ GRID.cheb_weights):
         bad = zeros_like_field(GRID)
-        bad.coeffs[2, 2, 2, :] = profile
+        bad.coeffs[:, 2, 2, 2] = profile
         with pytest.raises(IncompatibleDataError):
             solve_linear_full(None, bad, None, grid=GRID, route="direct")
         with pytest.raises(IncompatibleDataError):
-            solve_mode(GRID, 0, (0, 0), None, bad.coeffs[2, 2, 2])
+            solve_mode(GRID, 0, (0, 0), None, bad.coeffs[:, 2, 2, 2])
 
 
 def test_grid_mismatch_between_data_fields():
@@ -260,13 +269,13 @@ def test_grid_mismatch_between_data_fields():
 def test_single_mode_data_stays_localized():
     f = zeros_like_field(GRID, components=3)
     prof = GRID.nodes * (1.0 - GRID.nodes)
-    f.coeffs[3, 3, 2, :, 0] = prof
-    f.coeffs[1, 1, 2, :, 0] = prof          # conjugate partner
+    f.coeffs[0, :, 3, 3, 2] = prof
+    f.coeffs[0, :, 1, 1, 2] = prof          # conjugate partner
     sol = solve_linear_full(f, None, None, grid=GRID)
     mask = np.zeros((5, 5, 5), bool)
     mask[3, 3, 2] = mask[1, 1, 2] = True
-    assert np.max(np.abs(sol.u.coeffs[~mask])) == 0.0
-    assert np.max(np.abs(sol.p.coeffs[~mask])) == 0.0
+    assert np.max(np.abs(sol.u.coeffs[..., ~mask])) == 0.0
+    assert np.max(np.abs(sol.p.coeffs[..., ~mask])) == 0.0
     res = linear_residuals(sol.u, sol.p, sol.eta, f, None, None)
     assert max(res.values()) < TOL_MODE
 

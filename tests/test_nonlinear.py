@@ -18,7 +18,6 @@ from plateflow.fields import (
     trace_bottom,
     zeros_like_field,
 )
-from plateflow.fields import _node_major
 from plateflow.grid import TorusGrid
 from plateflow.nonlinear import (
     DegenerateDeformationError,
@@ -84,7 +83,7 @@ def test_corrections_scale_quadratically():
 def test_divergence_correction_is_mean_free():
     u, p, eta = _state(4)
     terms = compute_nonlinear_terms(u, p, eta)
-    means = terms.rd_tilde.coeffs[:, HX, HX, :] @ GRID.cheb_weights
+    means = GRID.cheb_weights @ terms.rd_tilde.coeffs[:, :, HX, HX]
     scale = max(np.max(np.abs(terms.rd_tilde.coeffs)), 1e-30)
     assert np.max(np.abs(means)) < 1e-13 * scale
 
@@ -95,7 +94,7 @@ def test_divergence_vector_vanishes_on_faces():
     scale = max(np.max(np.abs(terms.rd_vector.coeffs)), 1e-30)
     for comp in range(3):
         bot = np.max(np.abs(trace_bottom(terms.rd_vector, comp).coeffs))
-        top = np.max(np.abs(terms.rd_vector.coeffs[..., -1, comp]))
+        top = np.max(np.abs(terms.rd_vector.coeffs[comp, -1]))
         assert bot < 1e-12 * scale and top < 1e-12 * scale
 
 
@@ -112,20 +111,20 @@ def test_node_blocks_join_without_seams(monkeypatch, n_z, block):
     # rd_vector analysed from the whole padded slab at once, node-major
     eta_s, g1_s, g2_s = (pad_to_samples(c.coeffs, grid, real=True)
                          for c in (eta, dx(eta, 1), dx(eta, 2)))
-    u_s = pad_to_samples(_node_major(u.coeffs), grid, real=True)
+    u_s = pad_to_samples(u.coeffs, grid, real=True)
     rho = (1.0 - grid.nodes)[:, None, None, None]
     rd = np.stack([-eta_s * u_s[0], -eta_s * u_s[1],
                    -(g1_s * u_s[0] + g2_s * u_s[1]) * rho])
-    want = np.moveaxis(samples_to_truncated(rd, grid, True), (0, 1), (4, 3))
+    want = samples_to_truncated(rd, grid, True)
     assert np.max(np.abs(terms.rd_vector.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
 
     # the plate row reads u and d3 u at node 0 only: a change that vanishes
     # there with its slope leaves it alone, though it moves every other block
     moved = u.copy()
     moved.coeffs += (poly_field(grid, 43, components=3, degree=1, scale=ETA_SMALL).coeffs
-                     * grid.nodes[:, None] ** 2)
+                     * grid.nodes[:, None, None, None] ** 2)
     other = compute_nonlinear_terms(moved, p, eta)
-    top, top_moved = terms.rf_tilde.coeffs[..., -1, :], other.rf_tilde.coeffs[..., -1, :]
+    top, top_moved = terms.rf_tilde.coeffs[:, -1], other.rf_tilde.coeffs[:, -1]
     assert np.max(np.abs(top_moved - top)) > 0.1 * np.max(np.abs(top))
     for name in ("r_eta", "s_eta"):
         a, b = getattr(terms, name).coeffs, getattr(other, name).coeffs
@@ -148,11 +147,11 @@ def test_node_blocks_join_without_seams(monkeypatch, n_z, block):
 def test_e_matrix_structure():
     eta = poly_plate(GRID, 6, scale=ETA_SMALL, zero_mean=True)
     es = e_matrix(eta)
-    assert es.shape == (5, 5, 5, 9, 3, 3)
-    assert np.max(np.abs(es[..., 0, :])) == 0.0
-    assert np.max(np.abs(es[..., 1, :])) == 0.0
+    assert es.shape == (3, 3, 9, 5, 5, 5)
+    assert np.max(np.abs(es[0])) == 0.0
+    assert np.max(np.abs(es[1])) == 0.0
     # the (3,3) entry carries no layer dependence
-    spread = np.max(np.abs(es[..., 2, 2] - es[..., :1, 2, 2]))
+    spread = np.max(np.abs(es[2, 2] - es[2, 2, :1]))
     assert spread < 1e-15
 
 
@@ -214,9 +213,9 @@ def test_compose_forcing_identity_on_flat_plate():
 
 def test_compose_forcing_field_matches_callable():
     prof = GRID.nodes ** 2 - GRID.nodes + 0.5
-    coeffs = np.zeros((5, 5, 5, 9, 3), complex)
+    coeffs = np.zeros((3, 9, 5, 5, 5), complex)
     for st, sx in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        coeffs[HT + st, HX + sx, HX, :, 2] = 0.25 * prof
+        coeffs[2, :, HT + st, HX + sx, HX] = 0.25 * prof
     f = SpectralField(GRID, coeffs, 3, True)
 
     eta = poly_plate(GRID, 12, scale=ETA_SMALL, zero_mean=True)
@@ -226,11 +225,11 @@ def test_compose_forcing_field_matches_callable():
     m_t, m_x = padded_sizes(GRID)
     t = GRID.t_period * np.arange(m_t)[:, None, None] / m_t
     x1 = GRID.l_period * np.arange(m_x)[:, None] / m_x
-    # node-major (comp, node, t, x1, x2) samples, truncated and moved back
+    # node-major (comp, node, t, x1, x2) samples, truncated
     exact = np.zeros((3, GRID.n_z + 1) + eta_s.shape)
     x3 = GRID.nodes[:, None, None, None] * (1.0 + eta_s) - eta_s
     exact[2] = np.cos(t) * np.cos(x1) * (x3 ** 2 - x3 + 0.5)
-    b = np.moveaxis(samples_to_truncated(exact, GRID, True), (0, 1), (4, 3))
+    b = samples_to_truncated(exact, GRID, True)
     assert np.max(np.abs(a.coeffs - b)) < 1e-12
     # composition against a moved interface must differ from the input
     assert np.max(np.abs(a.coeffs - f.coeffs)) > 0.0

@@ -35,8 +35,8 @@ HT = HX = 2
 
 
 def _mode_field(n_t_shift=0, n_x_shift=0, profile=None):
-    coeffs = np.zeros((5, 5, 5, 9), complex)
-    coeffs[HT + n_t_shift, HX + n_x_shift, HX, :] = \
+    coeffs = np.zeros((9, 5, 5, 5), complex)
+    coeffs[:, HT + n_t_shift, HX + n_x_shift, HX] = \
         1.0 if profile is None else profile
     return SpectralField(GRID, coeffs, 1, False)
 
@@ -99,15 +99,13 @@ def test_q2_slab_norm_equals_the_weighted_coefficient_sum(time_order,
     # bit for bit the sum with every weight multiplied in, order 0 included
     f = poly_field(GRID, 22, components=components, degree=5)
     c = f.coeffs
-    tail = (1,) * (c.ndim - 3)
-    wt = ((1.0 + GRID.k_phys ** 2) ** (0.5 * time_order)).reshape((-1, 1, 1) + tail)
-    w3 = GRID.cheb_weights.reshape((1, 1, 1, -1) + tail[1:])
+    wt = ((1.0 + GRID.k_phys ** 2) ** (0.5 * time_order)).reshape((-1, 1, 1))
+    w3 = GRID.cheb_weights.reshape((-1, 1, 1, 1))
     m = int(np.floor(spatial_order + 1e-12))
     total = 0.0
     for j in range(m + 1):
-        wx = ((1.0 + GRID.xi_norm_sq()) ** (spatial_order - j)).reshape(
-            (1, 5, 5) + tail)
-        dj = c if j == 0 else layer_derivative(GRID, c, j, components > 1)
+        wx = (1.0 + GRID.xi_norm_sq()) ** (spatial_order - j)
+        dj = c if j == 0 else layer_derivative(GRID, c, j)
         total += comb(m, j) * float(np.sum(np.abs(wt * dj) ** 2 * wx * w3))
     got = sobolev_norm(f, NormSpec(time_order, spatial_order, 2.0))
     assert got == float(np.sqrt(total))
@@ -123,9 +121,9 @@ def test_plate_norm_single_mode():
 
 
 def test_lq_quadrature_against_closed_form():
-    coeffs = np.zeros((5, 5, 5, 9), complex)
-    coeffs[HT, HX + 1, HX, :] = 0.5
-    coeffs[HT, HX - 1, HX, :] = 0.5    # cos(x1)
+    coeffs = np.zeros((9, 5, 5, 5), complex)
+    coeffs[:, HT, HX + 1, HX] = 0.5
+    coeffs[:, HT, HX - 1, HX] = 0.5    # cos(x1)
     f = SpectralField(GRID, coeffs, 1, True)
     want = (3.0 / 8.0) ** 0.25         # mean of cos^4 over one period
     assert abs(sobolev_norm(f, NormSpec(0, 0, 4.0)) - want) < 1e-10
@@ -164,9 +162,9 @@ def test_real_fields_take_the_real_synthesis_at_q3():
 def test_mixed_norm_matches_l2_and_sup():
     mode = _mode_field(0, 1)
     assert abs(mixed_lr_lp_norm(mode, 2.0, 2.0) - 1.0) < TOL_EXACT
-    coeffs = np.zeros((5, 5, 5, 9), complex)
+    coeffs = np.zeros((9, 5, 5, 5), complex)
     for st, sx in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        coeffs[HT + st, HX + sx, HX, :] = 0.25     # cos(t) cos(x1)
+        coeffs[:, HT + st, HX + sx, HX] = 0.25     # cos(t) cos(x1)
     f = SpectralField(GRID, coeffs, 1, True)
     assert abs(mixed_lr_lp_norm(f, np.inf, np.inf) - 1.0) < TOL_EXACT
 
@@ -201,7 +199,7 @@ def test_negative_norm_layer_mode():
 def test_negative_norm_mean_gauge():
     f = poly_field(GRID, 22, components=1)
     shifted = SpectralField(GRID, f.coeffs.copy(), 1, True)
-    shifted.coeffs[HT, HX, HX, :] += 2.0   # constant offset
+    shifted.coeffs[:, HT, HX, HX] += 2.0   # constant offset
     assert abs(negative_norm(f) - negative_norm(shifted)) < 1e-10
 
 
@@ -220,13 +218,13 @@ def test_negative_norm_refinement_stable():
 def test_negative_norm_time_modes_are_independent():
     # the batched solve must give each time mode its own dual norm
     rng = np.random.default_rng(31)
-    coeffs = (rng.standard_normal((5, 5, 5, 9))
-              + 1j * rng.standard_normal((5, 5, 5, 9)))
+    coeffs = np.moveaxis(rng.standard_normal((5, 5, 5, 9))
+                         + 1j * rng.standard_normal((5, 5, 5, 9)), -1, 0)
     f = SpectralField(GRID, coeffs, 1, False)
     per_mode = []
     for it in range(GRID.n_t):
         only_k = np.zeros_like(coeffs)
-        only_k[it] = coeffs[it]
+        only_k[:, it] = coeffs[:, it]
         per_mode.append(negative_norm(SpectralField(GRID, only_k, 1, False)) ** 2)
     for t in (0, 1):
         want = np.sum((1.0 + GRID.k_phys ** 2) ** t * np.array(per_mode))

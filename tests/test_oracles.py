@@ -36,7 +36,7 @@ def test_manufactured_constraints_hold_exactly():
 def test_manufactured_divergence_datum_is_exactly_compatible():
     case = make_manufactured(1, n_z=12)
     mid = (case.grid.n_x - 1) // 2
-    assert np.max(np.abs(case.g.coeffs[:, mid, mid, :])) == 0.0
+    assert np.max(np.abs(case.g.coeffs[:, :, mid, mid])) == 0.0
     assert np.max(np.abs(case.g.coeffs)) > 0.0     # generically nonzero
 
 
@@ -88,8 +88,8 @@ def test_path_gap_below_either_truth_error_when_unresolved():
 
 
 def _constant_slab(value=3.7):
-    coeffs = np.zeros((5, 5, 5, 9), complex)
-    coeffs[HT, HX, HX, :] = value
+    coeffs = np.zeros((9, 5, 5, 5), complex)
+    coeffs[:, HT, HX, HX] = value
     return SpectralField(GRID, coeffs, 1, True)
 
 
@@ -111,14 +111,14 @@ def test_fd_check_constant_fields():
 
 
 def test_fd_check_single_modes():
-    coeffs = np.zeros((5, 5, 5, 9), complex)
-    coeffs[HT + 1, HX + 1, HX - 1, :] = 0.5
-    coeffs[HT - 1, HX - 1, HX + 1, :] = 0.5
+    coeffs = np.zeros((9, 5, 5, 5), complex)
+    coeffs[:, HT + 1, HX + 1, HX - 1] = 0.5
+    coeffs[:, HT - 1, HX - 1, HX + 1] = 0.5
     f = SpectralField(GRID, coeffs, 1, True)
     for direction in ("t", "x1", "x2"):
         assert fd_check(f, direction) < TOL_FD
     layered = _constant_slab()
-    layered.coeffs[HT, HX, HX, :] = np.sin(np.pi * GRID.nodes)
+    layered.coeffs[:, HT, HX, HX] = np.sin(np.pi * GRID.nodes)
     assert fd_check(layered, "x3") < TOL_FD
 
 
@@ -166,11 +166,11 @@ def test_embedding_rejections_name_the_inequality():
 
 def test_embedding_high_mode_no_worse_than_low():
     lo = zeros_like_field(GRID)
-    lo.coeffs[HT + 1, HX + 1, HX, :] = 1.0
-    lo.coeffs[HT - 1, HX - 1, HX, :] = 1.0
+    lo.coeffs[:, HT + 1, HX + 1, HX] = 1.0
+    lo.coeffs[:, HT - 1, HX - 1, HX] = 1.0
     hi = zeros_like_field(GRID)
-    hi.coeffs[HT + 2, HX + 2, HX - 2, :] = 1.0
-    hi.coeffs[HT - 2, HX - 2, HX + 2, :] = 1.0
+    hi.coeffs[:, HT + 2, HX + 2, HX - 2] = 1.0
+    hi.coeffs[:, HT - 2, HX - 2, HX + 2] = 1.0
     kw = dict(m=2, m_x=(0, 0, 0), alpha=2.0, r=np.inf, p=np.inf)
     assert embedding_ratio(hi, **kw) <= embedding_ratio(lo, **kw)
 
