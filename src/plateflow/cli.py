@@ -16,9 +16,16 @@ serial: ``--threads`` (default 1) is validated as >= 1 and recorded in
 set to one thread (the caller's count is restored afterwards), recorded as
 ``execution.blas_threads``; when no such OpenBLAS is found it is null and
 the last bits of the batched mode solves follow the BLAS thread setting.
+Manifests and ``validation.json`` are strict JSON: a number in them that
+is not finite exits with code 1 and names its key path (such as
+``norms.y_norm_data``); that file is then not written, while ``.plf`` and
+CSV outputs written before it stay on disk.
 
 Config files are plain ``key = value`` text, ``#`` starts a comment; every
-number must be finite.  Keys (defaults in parentheses):
+number must be finite, and solve-linear and solve-nonlinear refuse T, L,
+mu_f and mu_s for which the plate symbol or mu_f |xi'|^2 of the lattice
+mode with the largest |k| and |xi'| is not finite.  Keys (defaults in
+parentheses):
 
     T, L            periods of the time circle and the lateral torus (2*pi)
     mu_f            fluid viscosity, > 0 (1.0)
@@ -57,12 +64,14 @@ and 2*pi/L in the periodic variables, within the lattice band
 exactly representable on the lattice; products are formed pointwise on the
 lattice, so their harmonics above the band alias.  exp accepts x3 only.
 t, x1, x2 may appear only inside sin/cos, divisors must be constant, and
-exponents must be nonnegative integer constants.  An expression that cannot
-be evaluated (a zero divisor, an overflowing power, a constant that folds
-to a complex number) and forcing data that are not finite once scaled by
-eps exit with code 1; a ``file:`` container that ``io.read_field`` refuses
-(a header its payload does not match, a non-finite coefficient, a real flag
-over coefficients that are not conjugate-symmetric) exits with code 2.
+exponents must be nonnegative integer constants.  An expression may be as
+long and as deeply nested as Python's parser admits; a longer one, one
+that cannot be evaluated (a zero divisor, an overflowing power, a constant
+that folds to a complex number) and forcing data that are not finite once
+scaled by eps exit with code 1; a ``file:`` container that
+``io.read_field`` refuses (a header its payload does not match, a
+non-finite coefficient, a real flag over coefficients that are not
+conjugate-symmetric) exits with code 2.
 """
 
 from __future__ import annotations
@@ -86,8 +95,9 @@ from pathlib import Path
 import numpy as np
 
 from .fields import PlateField, SpectralField, forward_transform, physical_samples
-from .grid import TorusGrid, _distinct
+from .grid import TorusGrid, _distinct, _phys
 from .halfspace import (
+    _coupled_symbol,
     boundedness_scan,
     lattice_multipliers,
     report_window_bytes,
@@ -142,6 +152,18 @@ class CliError(Exception):
 
 _FUNCTIONS = ("sin", "cos", "exp")
 _PERIODIC_VARS = ("t", "x1", "x2")
+_NOT_AFFINE = "function arguments must be affine in the variables"
+# what a refused node outside calls reports, by node type
+_REFUSALS = {ast.Constant: "only numeric literals are allowed",
+             ast.UnaryOp: "unsupported unary operator",
+             ast.BinOp: "unsupported operator"}
+# what a divisor or an exponent outside calls must be
+_CONSTANT_OPERANDS = {ast.Div: "divisor must be constant",
+                      ast.Pow: "exponent must be a nonnegative integer constant"}
+# Contexts of the expression walk: _TOP outside calls, _INNER inside a call's
+# argument or a constant operand, and (message, anchor node) for a divisor or
+# exponent, which must fold to a constant or is refused at the anchor.
+_TOP, _INNER = "top", "inner"
 
 
 def _expr_error(msg: str, node: ast.AST | None = None) -> CliError:
@@ -155,69 +177,6 @@ _OPERATORS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
     ast.Div: operator.truediv, ast.Pow: operator.pow,
 }
-
-
-def _const_value(node):
-    """Fold a constant subexpression to a float, or return None; a fold
-    that is not a real number, such as (-1)**0.5, is refused."""
-    if isinstance(node, ast.Constant):
-        return float(node.value) if isinstance(node.value, (int, float)) else None
-    if isinstance(node, ast.Name) and node.id in ("pi", "π"):
-        return math.pi
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
-        operands = [node.operand]
-    elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
-        operands = [node.left, node.right]
-    else:
-        return None
-    values = [_const_value(v) for v in operands]
-    if None in values:
-        return None
-    value = _OPERATORS[type(node.op)](*values)
-    if not isinstance(value, float):
-        raise _expr_error(f"constant folds to the complex number {value}", node)
-    return value
-
-
-def _affine_parts(node, variables) -> dict:
-    """Decompose into {var: coeff} plus {"": const}; raise if not affine."""
-    const = _const_value(node)
-    if const is not None:
-        return {"": const}
-    if isinstance(node, ast.Name):
-        if node.id in variables:
-            return {node.id: 1.0, "": 0.0}
-        raise _expr_error(f"unknown name '{node.id}'", node)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        inner = _affine_parts(node.operand, variables)
-        if isinstance(node.op, ast.USub):
-            inner = {k: -v for k, v in inner.items()}
-        return inner
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            left = _affine_parts(node.left, variables)
-            right = _affine_parts(node.right, variables)
-            sign = 1.0 if isinstance(node.op, ast.Add) else -1.0
-            out = dict(left)
-            for k, v in right.items():
-                out[k] = out.get(k, 0.0) + sign * v
-            return out
-        if isinstance(node.op, ast.Mult):
-            for first, second in ((node.left, node.right),
-                                  (node.right, node.left)):
-                c = _const_value(first)
-                if c is not None:
-                    inner = _affine_parts(second, variables)
-                    return {k: c * v for k, v in inner.items()}
-            raise _expr_error(
-                "function arguments must be affine in the variables", node)
-        if isinstance(node.op, ast.Div):
-            c = _const_value(node.right)
-            if c is None:
-                raise _expr_error("divisor must be constant", node)
-            inner = _affine_parts(node.left, variables)
-            return {k: v / c for k, v in inner.items()}
-    raise _expr_error("function arguments must be affine in the variables", node)
 
 
 def _check_harmonics(parts: dict, grid: TorusGrid, node: ast.AST):
@@ -240,101 +199,117 @@ def _check_harmonics(parts: dict, grid: TorusGrid, node: ast.AST):
                 f"lattice band |n| <= {(n - 1) // 2}, where it would alias", node)
 
 
-class _ExprChecker(ast.NodeVisitor):
-    """Validates the whitelisted grammar and periodicity constraints."""
+def _operands(node, ctx) -> list:
+    """The operands the walk visits below `node`, in visiting order, each
+    with its context; an operation off the grammar visits none."""
+    sub = _TOP if ctx == _TOP else _INNER
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        return [(node.operand, sub)]
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        if sub == _TOP and type(node.op) in _CONSTANT_OPERANDS:
+            # a divisor or exponent is checked before the operand it applies to
+            return [(node.right, (_CONSTANT_OPERANDS[type(node.op)], node)),
+                    (node.left, sub)]
+        return [(node.left, sub), (node.right, sub)]
+    if sub == _TOP and isinstance(node, ast.Call):
+        return [(arg, _INNER) for arg in node.args[:1]]
+    return []
 
-    def __init__(self, grid: TorusGrid, variables):
-        self.grid = grid
-        self.variables = tuple(variables)
 
-    def check(self, node):
-        self.visit(node)
+def _affine(node, forms):
+    """Affine form {var: coeff, "": const} of an operation inside a call
+    from its operands' forms, None when all are constant (the caller
+    folds), or the refusal, a CliError, that it defers to its parent."""
+    const = [isinstance(f, dict) and f.keys() == {""} for f in forms]
+    if all(const):
+        return None
+    op, first = type(node.op), forms[0]
+    refused = [f for f in forms if isinstance(f, CliError)]
+    if op is ast.Mult and any(const):
+        c, form = (first[""], forms[1]) if const[0] else (forms[1][""], first)
+        return form if form in refused else {k: c * v for k, v in form.items()}
+    if op is ast.Div and const[1]:
+        return first if refused else {k: v / forms[1][""] for k, v in first.items()}
+    if op in (ast.Mult, ast.Div, ast.Pow):
+        return _expr_error(_CONSTANT_OPERANDS[op] if op is ast.Div else _NOT_AFFINE,
+                           node)
+    if refused:
+        return refused[0]
+    # a sum, a difference, or a sign: 0 + operand and 0 - operand
+    left, right = forms if len(forms) == 2 else ({}, first)
+    sign, out = (-1.0 if op in (ast.Sub, ast.USub) else 1.0), dict(left)
+    for k, v in right.items():
+        out[k] = out.get(k, 0.0) + sign * v
+    return out
 
-    def generic_visit(self, node):
-        raise _expr_error(f"'{type(node).__name__}' is not allowed", node)
 
-    def visit_Expression(self, node):
-        self.visit(node.body)
-
-    def visit_Constant(self, node):
-        if not isinstance(node.value, (int, float)):
-            raise _expr_error("only numeric literals are allowed", node)
-
-    def visit_Name(self, node):
-        if node.id in ("pi", "π"):
-            return
-        if node.id not in self.variables:
-            raise _expr_error(f"unknown name '{node.id}'", node)
-        if node.id in _PERIODIC_VARS:
-            raise _expr_error(
-                f"'{node.id}' may appear only inside sin/cos, where its "
-                "periodicity can be checked", node)
-
-    def visit_UnaryOp(self, node):
-        if not isinstance(node.op, (ast.UAdd, ast.USub)):
-            raise _expr_error("unsupported unary operator", node)
-        self.visit(node.operand)
-
-    def visit_BinOp(self, node):
-        if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-            self.visit(node.left)
-            self.visit(node.right)
-        elif isinstance(node.op, ast.Div):
-            if _const_value(node.right) is None:
-                raise _expr_error("divisor must be constant", node)
-            self.visit(node.left)
-        elif isinstance(node.op, ast.Pow):
-            exp = _const_value(node.right)
-            if exp is None or exp < 0 or exp != int(exp):
-                raise _expr_error(
-                    "exponent must be a nonnegative integer constant", node)
-            self.visit(node.left)
-        else:
-            raise _expr_error("unsupported operator", node)
-
-    def visit_Call(self, node):
+def _finish(node, ctx, ops, grid, variables, env):
+    """(affine form, samples) of `node` from its operands' pairs, the form a
+    CliError where the grammar refuses the node; samples follow the tree's
+    own operations, and outside calls only leaves keep a form."""
+    top = ctx == _TOP
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return {"": float(node.value)}, float(node.value)
+    if isinstance(node, ast.Name) and node.id in ("pi", "π"):
+        return {"": math.pi}, math.pi
+    if isinstance(node, ast.Name):
+        if node.id not in variables:
+            return _expr_error(f"unknown name '{node.id}'", node), None
+        if top and node.id in _PERIODIC_VARS:
+            return _expr_error(f"'{node.id}' may appear only inside sin/cos, "
+                               "where its periodicity can be checked", node), None
+        return {node.id: 1.0, "": 0.0}, env[node.id]
+    if top and isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-            raise _expr_error("only sin, cos and exp may be called", node)
+            return _expr_error("only sin, cos and exp may be called", node), None
         if len(node.args) != 1 or node.keywords:
-            raise _expr_error(f"{node.func.id} takes one argument", node)
-        parts = _affine_parts(node.args[0], self.variables)
-        if node.func.id == "exp":
-            for var in _PERIODIC_VARS:
-                if abs(parts.get(var, 0.0)) > 0.0:
-                    raise _expr_error(
-                        f"exp of '{var}' is never periodic; exp accepts "
-                        "x3 and constants only", node)
-        else:
-            _check_harmonics(parts, self.grid, node)
+            return _expr_error(f"{node.func.id} takes one argument", node), None
+        form, arg = ops[0]
+        if isinstance(form, CliError):
+            return form, None
+        for var in _PERIODIC_VARS if node.func.id == "exp" else ():
+            if abs(form.get(var, 0.0)) > 0.0:
+                return _expr_error(f"exp of '{var}' is never periodic; exp "
+                                   "accepts x3 and constants only", node), None
+        if node.func.id != "exp":
+            _check_harmonics(form, grid, node)
+        return None, getattr(np, node.func.id)(arg)
+    if not ops:
+        return _expr_error(_REFUSALS.get(type(node), f"'{type(node).__name__}' is "
+                                         "not allowed") if top else _NOT_AFFINE,
+                           node), None
+    form = None if top else _affine(node, [f for f, _ in ops])
+    if isinstance(form, CliError):
+        return form, None
+    value = _OPERATORS[type(node.op)](*(v for _, v in ops))
+    if isinstance(value, complex):
+        raise _expr_error(f"constant folds to the complex number {value}", node)
+    return ({"": value} if form is None and not top else form), value
 
 
-class _ExprEvaluator(ast.NodeVisitor):
-    """Evaluates a checked expression on numpy sample arrays."""
-
-    def __init__(self, env: dict):
-        self.env = env
-
-    def visit_Expression(self, node):
-        return self.visit(node.body)
-
-    def visit_Constant(self, node):
-        return float(node.value)
-
-    def visit_Name(self, node):
-        if node.id in ("pi", "π"):
-            return math.pi
-        return self.env[node.id]
-
-    def visit_UnaryOp(self, node):
-        return _OPERATORS[type(node.op)](self.visit(node.operand))
-
-    def visit_BinOp(self, node):
-        return _OPERATORS[type(node.op)](self.visit(node.left),
-                                         self.visit(node.right))
-
-    def visit_Call(self, node):
-        arg = self.visit(node.args[0])
-        return getattr(np, node.func.id)(arg)
+def _walk(root, grid, variables, env):
+    """Check, fold and evaluate the expression below `root` in one
+    post-order pass that keeps its own stack, so depth costs no frames.
+    Outside calls a refusal raises once its node is finished; inside, the
+    parent raises it or reports its own, as the grammar's checks order."""
+    todo, done = [(root, _TOP, False)], {}
+    while todo:
+        node, ctx, walked = todo.pop()
+        if not walked:
+            todo.append((node, ctx, True))
+            todo += [(kid, kid_ctx, False)
+                     for kid, kid_ctx in reversed(_operands(node, ctx))]
+            continue
+        # the operands' pairs in source order, whatever order they were walked in
+        ops = [done.pop(kid) for kid in ast.iter_child_nodes(node) if kid in done]
+        form, value = done[node] = _finish(node, ctx, ops, grid, variables, env)
+        if ctx == _TOP and isinstance(form, CliError):
+            raise form
+        constant = isinstance(form, dict) and form.keys() == {""}
+        if isinstance(ctx, tuple) and (not constant or (
+                isinstance(ctx[1].op, ast.Pow) and (value < 0 or value != int(value)))):
+            raise _expr_error(*ctx)
+    return done[root][1]
 
 
 def _parse_expression(text: str, grid: TorusGrid, plate: bool):
@@ -345,6 +320,8 @@ def _parse_expression(text: str, grid: TorusGrid, plate: bool):
         raise CliError(EXIT_CONFIG, "config",
                        f"forcing expression error (column {exc.offset}): "
                        f"{exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise _expr_error("too long or too deep for Python's parser") from None
     # samples are node-major, (node, t, x1, x2) on the slab, (t, x1, x2) on the plate
     shape = (grid.n_t, grid.n_x, grid.n_x)
     env = {"t": grid.t_samples[:, None, None], "x1": grid.x_samples[:, None],
@@ -353,8 +330,7 @@ def _parse_expression(text: str, grid: TorusGrid, plate: bool):
         shape = (grid.n_z + 1,) + shape
         env["x3"] = grid.nodes[:, None, None, None]
     try:
-        _ExprChecker(grid, variables).check(tree)
-        values = _ExprEvaluator(env).visit(tree)
+        values = _walk(tree.body, grid, variables, env)
     except (ArithmeticError, ValueError) as exc:  # zero divisor, overflow, nan
         raise _expr_error(f"cannot be evaluated: {exc.args[-1]}") from None
     return np.broadcast_to(np.asarray(values, float), shape).copy()
@@ -533,6 +509,16 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
         raise _config_error("max_iter must be at least 1")
     if cfg.k_max < 0 or cfg.xi_max < 0:
         raise _config_error("scan ranges must be nonnegative")
+    if command in ("solve-linear", "solve-nonlinear"):
+        # the mode solves: the largest |k| and |xi'| give the largest terms
+        k, m = (cfg.n_t - 1) // 2, (cfg.n_x - 1) // 2
+        kp, x1, x2 = _phys(k, (m, m), cfg.T, cfg.L)
+        with np.errstate(all="ignore"):
+            a2 = x1 * x1 + x2 * x2
+            extreme = [_coupled_symbol(kp, a2, cfg.mu_s), cfg.mu_f * a2]
+        if not np.isfinite(extreme).all():
+            raise _config_error(f"T, L, mu_f and mu_s make the plate symbol or mu_f "
+                                f"|xi'|^2 of mode k = {k}, xi' = ({m}, {m}) not finite")
     if command in _WINDOWS:
         k_max, xi_max = _window(cfg, command)
         need = _WINDOWS[command][1](k_max, xi_max)
@@ -547,25 +533,39 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
 
 
 def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
+    """A copy of `obj` that strict JSON holds, numpy scalars and arrays and
+    complex numbers converted; a number that is not finite exits 1 and
+    names its key path, such as norms.y_norm_data."""
+    root = [obj]
+    todo = [(root, 0, "")]
+    while todo:
+        parent, key, path = todo.pop()
+        value = parent[key]
+        if isinstance(value, (np.floating, np.integer, np.ndarray)):
+            value = value.tolist()
+        elif isinstance(value, complex):
+            value = {"re": value.real, "im": value.imag}
+        if isinstance(value, dict):
+            value = {str(k): v for k, v in value.items()}
+            todo += [(value, k, f"{path}.{k}" if path else k) for k in reversed(value)]
+        elif isinstance(value, (list, tuple)):
+            value = list(value)
+            todo += [(value, i, f"{path}[{i}]") for i in reversed(range(len(value)))]
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise _config_error(f"output value {path} is {value}, which JSON "
+                                "does not admit")
+        parent[key] = value
+    return root[0]
+
+
+def _write_json(path: Path, doc: dict):
+    """Write `doc` as strict JSON; a refused value leaves no file behind."""
+    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_manifest(out_dir: Path, doc: dict):
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(_jsonable(doc), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", doc)
 
 
 def _base_manifest(command: str, cfg: ScenarioConfig, raw: str,
@@ -756,7 +756,7 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
     def record(name, passed, values, threshold):
         checks.append({"name": name, "passed": bool(passed),
-                       "values": _jsonable(values), "threshold": threshold})
+                       "values": values, "threshold": threshold})
 
     for idx in range(3):
         case = oracles.make_manufactured(seed + idx)
@@ -825,9 +825,7 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int,
            {"ratios": ratios}, "bounded by 10")
 
     suite = {"passed": all(c["passed"] for c in checks), "checks": checks}
-    with open(out_dir / "validation.json", "w") as fh:
-        json.dump(_jsonable(suite), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "validation.json", suite)
     _write_csv(out_dir / "validation_summary.csv",
                ["check", "passed", "threshold"],
                [(c["name"], c["passed"], c["threshold"]) for c in checks])

@@ -130,6 +130,10 @@ def test_scalar_datum_with_layer_profile():
     ("sin(x1*(-1)**0.5)", "complex number"),
     ("sin(x1/(-1)**0.5)", "complex number"),
     ("exp((-1)**0.5*x3)", "complex number"),
+    # past Python's parser: a long sum, a deep chain of signs
+    pytest.param(" + ".join(["cos(x1)"] * 3000), "too long or too deep",
+                 id="sum-of-3000-terms"),
+    pytest.param("-" * 3000 + "x3", "too long or too deep", id="3000-minus-signs"),
 ])
 def test_rejected_expressions(expr, fragment):
     with pytest.raises(CliError) as exc:
@@ -148,6 +152,120 @@ def test_harmonic_check_uses_grid_periods():
     parse_forcing("cos(2*t)", fast, "h")  # base frequency 2. fine
     with pytest.raises(CliError, match="not an integer multiple"):
         parse_forcing("cos(t)", fast, "h")
+
+
+def test_long_expressions_parse_without_recursion():
+    # the walk keeps its own stack: a sum Python's parser still admits and a
+    # long affine argument parse at the default recursion limit, with the
+    # samples of the tree's own operation order
+    x1 = GRID.x_samples[:, None]
+    terms, arg = np.cos(x1), x1 / 490
+    want = terms
+    for _ in range(1999):
+        want = want + terms
+    for _ in range(489):
+        arg = arg + x1 / 490
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        long_sum = cli._parse_expression(" + ".join(["cos(x1)"] * 2000), GRID, True)
+        long_arg = cli._parse_expression(
+            "sin(" + " + ".join(["x1/490"] * 490) + ")", GRID, False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert np.array_equal(long_sum, np.broadcast_to(want, long_sum.shape))
+    assert np.array_equal(long_arg, np.broadcast_to(np.sin(arg), long_arg.shape))
+
+
+# sha256 of the float64 samples of every expression this module has the
+# parser accept, and of a power and a quotient, taken before checking,
+# folding and evaluation became one walk; (expression, plate) -> digest
+PINNED_SAMPLES = {
+    ("0", False):
+        "1631d7a5072e5527ca677bb4035bb86ab97976a30514b268e9b0bd91ac7100ee",
+    ("0", True):
+        "541b3e9daa09b20bf85fa273e5cbd3e80185aa4ec298e765db87742b70138a53",
+    ("1", False):
+        "b4f8b3f1a4aec10ba38aa406d5fdb1ff8b04d21ed859eeb570f3b5c2cd6ec538",
+    ("1", True):
+        "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
+    ("0.001*cos(t)*sin(x1)", False):
+        "9f4a8bff69d10ca1acd8016d6bffdce62f665826347dd1a3aa631d84cf0576af",
+    ("0.001*cos(t)*sin(x1)", True):
+        "963d7a3187a98d36eb5141942131b231aa8fb8cb6d4db7681b889ed744fb8b1d",
+    ("sin(x1)", False):
+        "157e7264cbd8f8b22f67324903b20f2e08db28ac16742a43560099971e1165b6",
+    ("sin(x1)", True):
+        "624b7e8b1245ea95d6c86d4f000adc34134d5990edb7cb5da73d7d7cc7e43a76",
+    ("cos(2*x2)", False):
+        "b9e8e3fcd67158e0c71e72ece8f6ba343c23774351a033a3bd2f3b26a97686c6",
+    ("cos(2*x2)", True):
+        "a1c460f63b07421e3faf4d9a4233562d286f20c46cef1bff7a31676e2239bafd",
+    ("cos(t)*cos(x1)", False):
+        "a968e350ce73ff17369b11c86fcb8bf45ad8a8b44cc9df610966c7f29a1a0248",
+    ("cos(t)*cos(x1)", True):
+        "c82367e434ea25663bb408136978c77f4195dab23039e1af1e37e1c7d99514fd",
+    ("exp(x3)*sin(x1)", False):
+        "9b2cd7aae3a5d6dc91078f888b9ee37594f6b228b9eb21475821ae15032eb782",
+    ("0.001*cos(t)*cos(x1)", False):
+        "192fe8da07db7c21e1834dd74572fd71280cd1a96cc0e201621a4d3af39fa74b",
+    ("0.001*cos(t)*cos(x1)", True):
+        "5356417a8e949551fef09f9a3a3c41cd035eb7832fc47f7cf8ffdd70f6c9a5af",
+    ("exp(1000*x3)", False):
+        "910ba526ed9ec21641d9b588cbe0c0ef511ca014e1af4462de20496605f2fa05",
+    ("1e308*10", False):
+        "111838c3300fb11fdc416244b703e2f3dd6da60cc28e36590feb7b8926204c26",
+    ("1e308*10", True):
+        "877a7324e2f24b7b08351f68c8d6727675b7f558da93328ad4d2cbc0b8389ee9",
+    ("1e300*cos(t)", False):
+        "28d226ac70da03a0cbd108d223cd9b73b1b6632ef2e852ef542833d0c798ea69",
+    ("1e300*cos(t)", True):
+        "9be1655e597ad41c37bde40095e15ab83e1b4681faa847dad52fc3a70ae8a809",
+    ("0.01*cos(t)*cos(x1)", False):
+        "775de12bdc9355e1a87690529e7108d2136c3056a2cc7762a85deac88353c17f",
+    ("0.01*cos(t)*cos(x1)", True):
+        "66f3a1029eff2e19da88ff05599c63dc06047173100464c4e57f27adf0aa307d",
+    ("cos(t)*cos(x1) + sin(2*t)*cos(x1+x2)", False):
+        "fd8e5761bf085a9660135552c706a38a4012fd98b3c236aed380766351897f40",
+    ("cos(t)*cos(x1) + sin(2*t)*cos(x1+x2)", True):
+        "4004a45590a0c13d8bc776b5fdd6456e5ee49f90ca242fe8cc1411f1dab4c601",
+    ("exp(x3)*cos(t)*sin(x2)", False):
+        "280414f0588147364f88780153125f63bc45d529855c5dae42c7bc265b5f6057",
+    ("40*cos(t)*cos(x1)", False):
+        "7c5cd7f00ce2a27ef7b0b1dcd8a31312d040e0939c052fd82d7f91397938da91",
+    ("40*cos(t)*cos(x1)", True):
+        "4a960ec29263e2aa2d9af1bc1692582288dbf7b12143c36c3752da3eedfdf634",
+    ("0.01*sin(x1)", False):
+        "401063751a11cbdf6ee8b0926fe85b643a7ce107c23d6017433a3412d347b6a6",
+    ("0.01*sin(x1)", True):
+        "a20912b4fb8e623e5982ec90db86badd2b4b867a6e895cbf6826a7ff15f3aaa1",
+    ("1 + x3*0.5", False):
+        "0d8d13fc3c28b7480cb722d469671c66965749cda1db2c9d10a9ba6fe5358bb4",
+    ("cos(t)**2/3", False):
+        "4e2ffdc22bb847ea4ae43dbe2ddada93f00481647154b5fcb7e70c952843d771",
+    ("cos(t)**2/3", True):
+        "1b331056984ae94bdee83f68ebc6864ae5fc6d9bbbc2c1ee2d19b47be18b0bb1",
+}
+# the same digest of numpy's own sin, cos and exp on the lattice samples;
+# where numpy picks other kernels the pins above do not apply
+PINNED_KERNELS = "66978f9444b766b9246257bac508a25e604d5fff0b72ec4479618b9a95ffb2a3"
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def test_accepted_expressions_keep_their_sample_bits():
+    t, x, z = GRID.t_samples, GRID.x_samples, GRID.nodes
+    kernels = [f(a) for f in (np.sin, np.cos)
+               for a in (t, 2 * t, x, 2 * x, x[:, None] + x)]
+    with np.errstate(over="ignore"):
+        kernels += [np.exp(z), np.exp(1000 * z)]
+    if _digest(np.concatenate(kernels, axis=None)) != PINNED_KERNELS:
+        pytest.skip("numpy's sin, cos or exp round differently on this machine")
+    with np.errstate(over="ignore"):
+        for (expr, plate), digest in PINNED_SAMPLES.items():
+            assert _digest(cli._parse_expression(expr, GRID, plate)) == digest, expr
 
 
 def test_file_forcing_round_trip(tmp_path):
@@ -233,6 +351,21 @@ def test_config_rejections(tmp_path, text, fragment):
     ("solve-linear", "forcing_h = 1e308*10\n", "forcing_h is not finite"),
     ("solve-linear", "forcing_h = 1e300*cos(t)\neps = 1e10\n",
      "forcing_h is not finite"),
+    pytest.param("solve-linear",
+                 "forcing_h = " + " + ".join(["cos(x1)"] * 3000) + "\n",
+                 "too long or too deep", id="solve-linear-sum-of-3000-terms"),
+    pytest.param("lift-div", "forcing_g = " + "-" * 3000 + "x3\n",
+                 "too long or too deep", id="lift-div-3000-minus-signs"),
+    # finite configs whose results are not: refused up front by the extreme
+    # lattice mode, or by the strict manifest
+    ("solve-linear", "T = 1e-300\nforcing_h = sin(2*pi/1e-300*t)\n",
+     "plate symbol or mu_f |xi'|^2 of mode k = 2, xi' = (2, 2) not finite"),
+    ("solve-nonlinear", "L = 1e-200\n", "of mode k = 2, xi' = (2, 2) not finite"),
+    ("solve-linear", "mu_s = 1e308\nn_z = 8\n", "not finite"),
+    ("solve-linear", "eps = 1e300\nforcing_h = cos(x1)\nn_z = 8\n",
+     "output value norms.y_norm_data is inf"),
+    ("multiplier-scan", "T = 1e-300\nk_max = 20\nxi_max = 10\n",
+     "output value scan.decay_exponent_k is nan"),
 ])
 def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
     code, out = run_cli(tmp_path, text, command)

@@ -412,6 +412,32 @@ def test_no_axis_shuffles_in_the_coefficient_modules():
     assert found == []
 
 
+def test_cli_walks_without_recursion():
+    # outside input of any depth, forcing expressions above all, is walked
+    # with explicit stacks: no function of cli calls itself, and no module
+    # hands a tree to ast.NodeVisitor, whose visits recurse
+    def callee(call):  # f(...) or self.f(...)
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            return func.attr if getattr(func.value, "id", None) == "self" else None
+        return getattr(func, "id", None)
+
+    cli_tree = ast.parse((Path(plateflow.__file__).parent / "cli.py").read_text())
+    recursive = [(fn.name, call.lineno) for fn in ast.walk(cli_tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for call in ast.walk(fn)
+                 if isinstance(call, ast.Call) and callee(call) == fn.name]
+    assert recursive == []
+    visitors = []
+    for path in sorted(Path(plateflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                visitors += [(path.stem, node.name) for base in node.bases
+                             if getattr(base, "attr", getattr(base, "id", None))
+                             in ("NodeVisitor", "NodeTransformer")]
+    assert visitors == []
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("sizes", [(7, 5, 12), (17, 17, 16), (17, 17, 32)],
