@@ -22,10 +22,12 @@ is not finite exits with code 1 and names its key path (such as
 CSV outputs written before it stay on disk.
 
 Config files are plain ``key = value`` text, ``#`` starts a comment; every
-number must be finite, and solve-linear and solve-nonlinear refuse T, L,
+number must be finite.  solve-linear and solve-nonlinear refuse T, L,
 mu_f and mu_s for which the plate symbol or mu_f |xi'|^2 of the lattice
-mode with the largest |k| and |xi'| is not finite.  Keys (defaults in
-parentheses):
+mode with the largest |k| and |xi'| is not finite, lift-div an L for
+which |xi'|^2 of that mode is not, and multiplier-scan T, L and mu_s for
+which the coupled symbol or the weight 1 + k^2 + |xi'|^4 at the window
+corner (k_max, (xi_max, xi_max)) is not.  Keys (defaults in parentheses):
 
     T, L            periods of the time circle and the lateral torus (2*pi)
     mu_f            fluid viscosity, > 0 (1.0)
@@ -509,16 +511,24 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
         raise _config_error("max_iter must be at least 1")
     if cfg.k_max < 0 or cfg.xi_max < 0:
         raise _config_error("scan ranges must be nonnegative")
-    if command in ("solve-linear", "solve-nonlinear"):
-        # the mode solves: the largest |k| and |xi'| give the largest terms
-        k, m = (cfg.n_t - 1) // 2, (cfg.n_x - 1) // 2
+    if command in ("solve-linear", "solve-nonlinear", "multiplier-scan", "lift-div"):
+        # the largest |k| and |xi'| a subcommand reaches give its largest terms
+        k, m = (_window(cfg, command) if command == "multiplier-scan"
+                else ((cfg.n_t - 1) // 2, (cfg.n_x - 1) // 2))
         kp, x1, x2 = _phys(k, (m, m), cfg.T, cfg.L)
         with np.errstate(all="ignore"):
             a2 = x1 * x1 + x2 * x2
-            extreme = [_coupled_symbol(kp, a2, cfg.mu_s), cfg.mu_f * a2]
+            if command == "lift-div":
+                what, extreme = "L makes |xi'|^2", [a2]
+            elif command == "multiplier-scan":
+                what = ("T, L and mu_s make the coupled symbol or the weight "
+                        "1 + k^2 + |xi'|^4")
+                extreme = [_coupled_symbol(kp, a2, cfg.mu_s), 1.0 + kp * kp + a2 * a2]
+            else:
+                what = "T, L, mu_f and mu_s make the plate symbol or mu_f |xi'|^2"
+                extreme = [_coupled_symbol(kp, a2, cfg.mu_s), cfg.mu_f * a2]
         if not np.isfinite(extreme).all():
-            raise _config_error(f"T, L, mu_f and mu_s make the plate symbol or mu_f "
-                                f"|xi'|^2 of mode k = {k}, xi' = ({m}, {m}) not finite")
+            raise _config_error(f"{what} of mode k = {k}, xi' = ({m}, {m}) not finite")
     if command in _WINDOWS:
         k_max, xi_max = _window(cfg, command)
         need = _WINDOWS[command][1](k_max, xi_max)

@@ -10,7 +10,9 @@ undamped variant, which is singular on the resonance ring.
 
 One broadcasting symbol kernel serves every caller: _fluid_load is the
 half-space load and _coupled_symbol adds it to modes._damped_symbol.  One
-ring rule, _undamped_gap, decides membership of the resonance ring.
+ring rule, _undamped_gap, decides membership of the resonance ring.  The
+boundedness scan bounds tiles, then sub-tiles of candidate tiles, with one
+certified kernel and evaluates only candidate sub-tiles: a dense scan's result.
 
 All frequency arguments are integers on the lattice; grid._phys applies
 the 2*pi/period scaling to physical wave numbers.  Viscosity is
@@ -29,10 +31,13 @@ from .modes import _damped_symbol
 
 # fitting window for the decay-exponent rays: top decade of the scan range
 _RAY_POINTS = 24
-# side of the square (k, s) tiles of the pruned boundedness scan: of 32, 48,
-# 64, 96 and 128, 64 scanned both criterion-02 windows fastest (median of 5
-# interleaved runs on a 2-core Xeon: 1.46 s, the others 1.52-2.08 s)
-_TILE = 64
+# sides of the scan's (k, s) tiles and of their sub-tiles, candidate tiles per
+# batch of sub-tile bounds and sub-tiles per evaluated chunk.  Both criterion-02
+# windows, 2-core Xeon, medians of 9-15 interleaved runs: tiles of 128 took
+# 0.48 s, 64 0.57 s, 32, 96 and 256 0.65-0.78 s; in 64-tiles, sub-tiles of 8
+# took 0.50 s, 4 0.53 s (bound work dominates), 16 0.63 s (1.9x the points);
+# batches of 8-64 tiles and chunks of 128-512 sub-tiles read alike
+_TILE, _SUB, _BATCH, _CHUNK = 128, 8, 32, 256
 # relative safety margin that keeps each tile bound above rounded values
 _BOUND_MARGIN = 1e-12
 # ring tolerance relative to |xi'|^4 + k^2: off the 2*pi periods rounding
@@ -204,29 +209,17 @@ def undamped_multiplier(k: int, xi: tuple[int, int],
 # ---- lattice scans ------------------------------------------------------------
 
 
-def _square_sums(xi_max: int) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
+def _square_sums(xi_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values of n1^2 + n2^2 on the lattice and a canonical pair each.
 
     Both multipliers depend on xi' only through |xi'|, so scanning distinct
     square sums with |k| > 0 covers the full lattice up to symmetry.  The
     canonical representative is the lexicographically smallest (n1, n2) with
-    n1 >= n2 >= 0.
+    n1 >= n2 >= 0: the first of its sum in np.tril_indices order.
     """
-    reps: dict[int, tuple[int, int]] = {}
-    for n1 in range(xi_max + 1):
-        for n2 in range(n1 + 1):
-            s = n1 * n1 + n2 * n2
-            if s == 0:
-                continue
-            if s not in reps or (n1, n2) < reps[s]:
-                reps[s] = (n1, n2)
-    svals = np.array(sorted(reps), dtype=float)
-    return svals, reps
-
-
-def _symbol_arrays(kp: np.ndarray, a2: np.ndarray, mu_s: float):
-    """Coupled symbol on a (k, |xi'|^2) grid, both in physical units."""
-    return _coupled_symbol(kp[:, None], a2[None, :], mu_s)
+    n1, n2 = np.tril_indices(xi_max + 1)
+    sums, first = np.unique(n1 * n1 + n2 * n2, return_index=True)
+    return sums[1:].astype(float), np.stack([n1, n2], axis=1)[first[1:]]
 
 
 @dataclass
@@ -263,35 +256,35 @@ class ScanReport:
         }
 
 
-def _tile_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of each run of _TILE consecutive indices in range(n)."""
-    first = np.arange(0, n, _TILE)
-    return first, np.minimum(first + _TILE, n) - 1
+def _runs(first, last, width: int, count: int):
+    """(first, last) of count runs of width indices from first, clipped at last,
+    on a new last axis; a run that starts past last is empty (first > last)."""
+    lo = np.asarray(first)[..., None] + width * np.arange(count)
+    return lo, np.minimum(lo + width - 1, np.asarray(last)[..., None])
 
 
-def _tile_bounds(kp: np.ndarray, a2: np.ndarray, mu_s: float):
+def _tile_bounds(kp: np.ndarray, a2: np.ndarray, mu_s: float, k_edges, s_edges):
     """Certified per-tile upper bounds of the weighted multiplier and damping ratio.
 
-    Over a tile [K0, K1] x [S0, S1] of physical (k, |xi'|^2), with K, S > 0
-    and mu_s >= 0, the coupled symbol is monotone: Re sym = S^2 - K^2 - K^2/sqrt(S)
-    - K Im sqrt(S + iK) rises in S and falls in K, and Im sym = K (mu_s S +
-    sqrt(S) + Re sqrt(S + iK)) rises in both.  So Re sym lies between its
-    values at (K1, S0) and (K0, S1), Im sym between those at (K0, S0) and
-    (K1, S1), and S^2 - K^2 between S0^2 - K1^2 and S1^2 - K0^2.  Each
-    cancelling difference is widened by _BOUND_MARGIN times the size of its
-    terms, and both bounds are scaled by 1 + _BOUND_MARGIN, far above the
-    rounding of the few float operations behind a bound or a pointwise
-    value.  A tile whose gap interval reaches zero (it straddles the ring
-    S = K) gets an infinite ratio bound; the ring rule only drops points.
+    Over a tile [K0, K1] x [S0, S1] of physical (k, |xi'|^2), kp and a2 at
+    the index edges k_edges and s_edges (which broadcast to the tiles'
+    shape), with K, S > 0 and mu_s >= 0, the coupled symbol is monotone:
+    Re sym = S^2 - K^2 - K^2/sqrt(S) - K Im sqrt(S + iK) rises in S and falls
+    in K, and Im sym = K (mu_s S + sqrt(S) + Re sqrt(S + iK)) rises in both.
+    So Re sym lies between its values at (K1, S0) and (K0, S1), Im sym
+    between those at (K0, S0) and (K1, S1), and S^2 - K^2 between S0^2 -
+    K1^2 and S1^2 - K0^2.  Each cancelling difference is widened by
+    _BOUND_MARGIN times the size of its terms, and both bounds are scaled by
+    1 + _BOUND_MARGIN, far above the rounding of the few float operations
+    behind a bound or a pointwise value.  A tile whose gap interval reaches
+    zero (it straddles the ring S = K) gets an infinite ratio bound.
     """
-    k_lo, k_hi = _tile_edges(kp.size)
-    s_lo, s_hi = _tile_edges(a2.size)
-    k0, k1 = kp[k_lo][:, None], kp[k_hi][:, None]
-    s0, s1 = a2[s_lo][None, :], a2[s_hi][None, :]
-    re_lo = _symbol_arrays(kp[k_hi], a2[s_lo], mu_s).real
-    re_hi = _symbol_arrays(kp[k_lo], a2[s_hi], mu_s).real
-    im_lo = _symbol_arrays(kp[k_lo], a2[s_lo], mu_s).imag
-    im_hi = _symbol_arrays(kp[k_hi], a2[s_hi], mu_s).imag
+    k0, k1 = kp[k_edges[0]], kp[k_edges[1]]
+    s0, s1 = a2[s_edges[0]], a2[s_edges[1]]
+    re_lo = _coupled_symbol(k1, s0, mu_s).real
+    re_hi = _coupled_symbol(k0, s1, mu_s).real
+    im_lo = _coupled_symbol(k0, s0, mu_s).imag
+    im_hi = _coupled_symbol(k1, s1, mu_s).imag
     # |K Im sqrt(S + iK)| <= K sqrt(K) bounds the last term of Re sym
     slack = _BOUND_MARGIN * (s1 * s1 + k1 * k1 * (1.0 + 1.0 / np.sqrt(s0))
                              + k1 * np.sqrt(k1))
@@ -307,15 +300,45 @@ def _tile_bounds(kp: np.ndarray, a2: np.ndarray, mu_s: float):
     return weighted * (1.0 + _BOUND_MARGIN), ratio * (1.0 + _BOUND_MARGIN)
 
 
-def _running_max(values: np.ndarray, k_first: int, s_first: int,
-                 best: float, at: tuple[int, int]):
-    """Fold a tile into a running (supremum, smallest (k, s) index attaining it)."""
-    idx = int(np.argmax(values))
-    value = float(values.flat[idx])
-    point = (k_first + idx // values.shape[1], s_first + idx % values.shape[1])
-    if value > best or (value == best and point < at):
-        return value, point
-    return best, at
+def _sub_tiles(kp: np.ndarray, a2: np.ndarray, mu_s: float, tiles):
+    """Flat edges (K0, K1, S0, S1) and bounds of the sub-tiles of tiles with 1-D
+    edges, tile by tile, clipped at the tile's last index (-inf bounds past it)."""
+    count = -(-_TILE // _SUB)
+    k0, k1 = _runs(tiles[0], tiles[1], _SUB, count)
+    s0, s1 = _runs(tiles[2], tiles[3], _SUB, count)
+    edges = (np.minimum(k0, k1)[:, :, None], k1[:, :, None],
+             np.minimum(s0, s1)[:, None, :], s1[:, None, :])
+    w_sub, r_sub = _tile_bounds(kp, a2, mu_s, edges[:2], edges[2:])
+    empty = (k0 > k1)[:, :, None] | (s0 > s1)[:, None, :]
+    w_sub[empty] = r_sub[empty] = -np.inf
+    return ([np.broadcast_to(e, w_sub.shape).ravel() for e in edges],
+            w_sub.ravel(), r_sub.ravel())
+
+
+def _running_max(values: np.ndarray, ki, si, best: float, at: tuple[int, int]):
+    """Fold (n, _SUB, _SUB) values at (ki[:, :, None], si[:, None, :]) into a
+    running (supremum, smallest (k, s) attaining it); a NaN maximum folds nothing."""
+    value = float(values.max())
+    if not value >= best:
+        return best, at
+    b, p, q = np.nonzero(values == value)
+    point = min(zip(ki[b, p].tolist(), si[b, q].tolist()))
+    return (value, point) if value > best or point < at else (best, at)
+
+
+def _fold(kp: np.ndarray, a2: np.ndarray, mu_s: float, edges, best):
+    """Evaluate sub-tiles (K0, K1, S0, S1) as (n, _SUB, _SUB) blocks (a clipped
+    one repeats its last index) with a dense scan's pointwise expressions and
+    fold weighted multiplier and damping ratio into best, their running pairs."""
+    step = np.arange(_SUB)
+    ki = np.minimum(edges[0][:, None] + step, edges[1][:, None])
+    si = np.minimum(edges[2][:, None] + step, edges[3][:, None])
+    k_t, s_t = kp[ki][:, :, None], a2[si][:, None, :]
+    mag = np.abs(_coupled_symbol(k_t, s_t, mu_s))
+    weighted = (1.0 + k_t ** 2 + s_t ** 2) * (1.0 / mag)
+    gap, ring = _undamped_gap(k_t, s_t)
+    ratio = mag / np.where(ring, np.inf, np.abs(gap))
+    return [_running_max(v, ki, si, *b) for v, b in zip((weighted, ratio), best)]
 
 
 def boundedness_scan(k_max: int, xi_max: int, mu_s: float = 1.0,
@@ -324,20 +347,19 @@ def boundedness_scan(k_max: int, xi_max: int, mu_s: float = 1.0,
     """Scan |k| <= k_max, |xi_i| <= xi_max for the weighted multiplier supremum.
 
     The scan covers k >= 1 and distinct square sums s only (conjugate and
-    lattice symmetry).  That (k, s) lattice is cut into tiles of _TILE x
-    _TILE points, and every tile first gets certified upper bounds on the
-    weighted multiplier and on the damping ratio |sym| / |s^2 - k^2| (see
-    _tile_bounds: monotonicity of the symbol between tile corners, with a
-    1e-12 relative safety margin).  Tiles are visited in descending
-    weighted bound, ties in tile order, and a tile is skipped only when both
-    bounds lie strictly below the running suprema; every other tile is
-    evaluated point by point with the same expressions as a dense scan, so
-    the results are those of a dense scan.  Ties go to the smallest
-    (|k|, |xi'|) in ascending order, and ratios against the undamped
-    multiplier skip the ring (_undamped_gap).  points_scanned counts the
-    points covered, points_evaluated those of the evaluated tiles.  The
-    symbol takes physical frequencies for the periods; the bookkeeping
-    stays on integer k and s.  The bounds need mu_s >= 0.
+    lattice symmetry).  Certified upper bounds on the weighted multiplier and
+    the damping ratio |sym| / |s^2 - k^2| (_tile_bounds, 1e-12 relative
+    margin) prune that (k, s) lattice on two levels, _TILE-tiles and their
+    _SUB-sub-tiles.  The best sub-tile of the top weighted and of the top
+    finite-ratio tile seed the running suprema; tiles then go in descending
+    weighted bound, _BATCH at a time, those whose bounds reach the suprema
+    get sub-tile bounds, and sub-tiles whose bounds reach them are evaluated
+    with a dense scan's expressions, _CHUNK at a time.  Only bounds strictly
+    below attained values skip points, so the results are a dense scan's;
+    ties go to the smallest (|k|, |xi'|), and ratios skip the ring
+    (_undamped_gap).  points_evaluated counts the points of the kept
+    sub-tiles (the two seeds are evaluated once more).  The symbol takes
+    physical frequencies, the bookkeeping integer k and s; mu_s >= 0.
     """
     if k_max < 1 or xi_max < 1:
         raise ValueError("scan ranges must satisfy k_max, xi_max >= 1")
@@ -348,44 +370,49 @@ def boundedness_scan(k_max: int, xi_max: int, mu_s: float = 1.0,
     ct = 2.0 * math.pi / t_period
     a2 = (2.0 * math.pi / l_period) ** 2 * ss
     kp = ct * np.arange(1, k_max + 1, dtype=float)
-    w_bound, r_bound = _tile_bounds(kp, a2, mu_s)
-    n_sj = w_bound.shape[1]
-    w_bound, r_bound = w_bound.ravel(), r_bound.ravel()
-    order = np.argsort(-w_bound, kind="stable").tolist()
-    w_bound, r_bound = w_bound.tolist(), r_bound.tolist()
-    sup_w, arg_w = -1.0, (0, 0)
-    sup_r, arg_r = -1.0, (0, 0)
+    k0, k1 = _runs(0, kp.size - 1, _TILE, -(-kp.size // _TILE))
+    s0, s1 = _runs(0, a2.size - 1, _TILE, -(-a2.size // _TILE))
+    w_tile, r_tile = _tile_bounds(kp, a2, mu_s, (k0[:, None], k1[:, None]), (s0, s1))
+    tiles = [np.broadcast_to(e, w_tile.shape).ravel()
+             for e in (k0[:, None], k1[:, None], s0, s1)]
+    w_tile, r_tile = w_tile.ravel(), r_tile.ravel()
+    seeds = [np.argmax(w_tile), np.argmax(np.nan_to_num(r_tile, posinf=-1.0))]
+    edges, w_sub, r_sub = _sub_tiles(kp, a2, mu_s, [e[seeds] for e in tiles])
+    half = w_sub.size // 2
+    pick = [np.argmax(w_sub[:half]),
+            half + np.argmax(np.nan_to_num(r_sub[half:], posinf=-1.0))]
+    best = _fold(kp, a2, mu_s, [e[pick] for e in edges], [(-1.0, (0, 0))] * 2)
+    order = np.argsort(-w_tile, kind="stable")
+    (sup_w, _), (sup_r, _) = best
+    order = order[(w_tile[order] >= sup_w) | (r_tile[order] >= sup_r)]
     evaluated = 0
-    for tile in order:
-        if w_bound[tile] < sup_w and r_bound[tile] < sup_r:
-            continue
-        i, j = divmod(tile, n_sj)
-        k_first, s_first = i * _TILE, j * _TILE
-        k_t = kp[k_first:k_first + _TILE]
-        s_t = a2[s_first:s_first + _TILE]
-        mag = np.abs(_symbol_arrays(k_t, s_t, mu_s))
-        weighted = (1.0 + k_t[:, None] ** 2 + s_t[None, :] ** 2) * (1.0 / mag)
-        gap, ring = _undamped_gap(k_t[:, None], s_t[None, :])
-        ratio = mag / np.where(ring, np.inf, np.abs(gap))
-        evaluated += mag.size
-        sup_w, arg_w = _running_max(weighted, k_first, s_first, sup_w, arg_w)
-        sup_r, arg_r = _running_max(ratio, k_first, s_first, sup_r, arg_r)
+    for start in range(0, order.size, _BATCH):
+        (sup_w, _), (sup_r, _) = best
+        batch = order[start:start + _BATCH]
+        batch = batch[(w_tile[batch] >= sup_w) | (r_tile[batch] >= sup_r)]
+        edges, w_sub, r_sub = _sub_tiles(kp, a2, mu_s, [e[batch] for e in tiles])
+        keep = np.flatnonzero((w_sub >= sup_w) | (r_sub >= sup_r))
+        for chunk in range(0, keep.size, _CHUNK):
+            sub = [e[keep[chunk:chunk + _CHUNK]] for e in edges]
+            evaluated += int(((sub[1] - sub[0] + 1) * (sub[3] - sub[2] + 1)).sum())
+            best = _fold(kp, a2, mu_s, sub, best)
+    (sup_w, arg_w), (sup_r, arg_r) = best
 
     # decay exponents along rays, fitted over the top decade
     k_lo = max(1, k_max // 10)
     ks = _distinct(np.geomspace(k_lo, k_max, _RAY_POINTS).astype(int)).astype(float)
-    m_ray = 1.0 / np.abs(_symbol_arrays(ct * ks, a2[:1], mu_s)[:, 0])
+    m_ray = 1.0 / np.abs(_coupled_symbol(ct * ks, a2[0], mu_s))
     slope_k = float(np.polyfit(np.log(ks), np.log(m_ray), 1)[0])
     s_hi = float(ss[-1])
     s_lo = max(1.0, s_hi / 10.0)
     s_ray = ss >= s_lo
-    m_ray = 1.0 / np.abs(_symbol_arrays(np.array([ct]), a2[s_ray], mu_s)[0])
+    m_ray = 1.0 / np.abs(_coupled_symbol(ct, a2[s_ray], mu_s))
     slope_s = float(np.polyfit(np.log(ss[s_ray]), np.log(m_ray), 1)[0])
 
     return ScanReport(
         k_max, xi_max, mu_s,
-        sup_w, arg_w[0] + 1, reps[int(ss[arg_w[1]])],
-        sup_r, arg_r[0] + 1, reps[int(ss[arg_r[1]])],
+        sup_w, arg_w[0] + 1, tuple(reps[arg_w[1]].tolist()),
+        sup_r, arg_r[0] + 1, tuple(reps[arg_r[1]].tolist()),
         slope_k, slope_s, k_max * ss.size, evaluated,
     )
 
@@ -395,13 +422,16 @@ def scan_window_bytes(k_max: int, xi_max: int) -> int:
 
     16 bytes per k (frequencies, ray arrays), 128 per (n1 >= n2 >= 0) pair
     (square-sum table; the pair count also bounds the distinct sums), 400
-    per tile of bound bookkeeping, and 1 MiB for one evaluated tile.  The
-    tracemalloc peaks stay below it: 3.0 of 7.0 MB at (10^4, 10^2), 21 of
-    58 MB at (2 * 10^6, 10).
+    per tile of bound bookkeeping, 192 per sub-tile of one batch of sub-tile
+    bounds (128 traced, plus the flat edges kept for its chunks) and 128 per
+    point of one evaluated chunk (71 traced).  The tracemalloc peaks stay
+    below it: 1.9 of 5.8 MB at (10^4, 10^2), 18 of 42 MB at (2 * 10^6, 10).
     """
     pairs = (xi_max + 1) * (xi_max + 2) // 2
     tiles = -(-k_max // _TILE) * -(-pairs // _TILE)
-    return 16 * k_max + 128 * pairs + 400 * tiles + (1 << 20)
+    sub_tiles = _BATCH * (-(-_TILE // _SUB)) ** 2
+    return (16 * k_max + 128 * pairs + 400 * tiles + 192 * sub_tiles
+            + 128 * _CHUNK * _SUB * _SUB)
 
 
 # ---- resonance classification table -------------------------------------------

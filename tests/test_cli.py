@@ -364,8 +364,13 @@ def test_config_rejections(tmp_path, text, fragment):
     ("solve-linear", "mu_s = 1e308\nn_z = 8\n", "not finite"),
     ("solve-linear", "eps = 1e300\nforcing_h = cos(x1)\nn_z = 8\n",
      "output value norms.y_norm_data is inf"),
-    ("multiplier-scan", "T = 1e-300\nk_max = 20\nxi_max = 10\n",
-     "output value scan.decay_exponent_k is nan"),
+    pytest.param("multiplier-scan", "T = 1e-300\nk_max = 20\nxi_max = 10\n",
+                 "coupled symbol or the weight 1 + k^2 + |xi'|^4 of mode k = 20, "
+                 "xi' = (10, 10) not finite",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param("lift-div", "L = 1e-200\n",
+                 "L makes |xi'|^2 of mode k = 2, xi' = (2, 2) not finite",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
     code, out = run_cli(tmp_path, text, command)

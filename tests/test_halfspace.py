@@ -11,7 +11,9 @@ from plateflow import halfspace
 from plateflow.halfspace import (
     _coupled_symbol,
     _fluid_load,
-    _symbol_arrays,
+    _runs,
+    _square_sums,
+    _sub_tiles,
     _tile_bounds,
     boundedness_scan,
     halfspace_profiles,
@@ -115,7 +117,7 @@ def test_symbol_variants_agree_across_modules():
     for mu_s in (0.0, 1.3):
         for k, xi in pairs:
             s = float(xi[0] ** 2 + xi[1] ** 2)
-            arr = _symbol_arrays(np.array([float(k)]), np.array([s]), mu_s)
+            arr = _coupled_symbol(np.array([[float(k)]]), np.array([[s]]), mu_s)
             assert arr[0, 0] == pytest.approx(_coupled_symbol(float(k), s, mu_s),
                                               rel=1e-14)
 
@@ -160,7 +162,7 @@ def _dense_scan(k_max, xi_max, mu_s, t_period, l_period):
     ks = np.arange(1, k_max + 1, dtype=float)
     kp = 2.0 * math.pi / t_period * ks
     a2 = (2.0 * math.pi / l_period) ** 2 * ss
-    sym = _symbol_arrays(kp, a2, mu_s)
+    sym = _coupled_symbol(kp[:, None], a2[None, :], mu_s)
     weighted = (1.0 + kp[:, None] ** 2 + a2[None, :] ** 2) * (1.0 / np.abs(sym))
     gap = np.abs(a2[None, :] ** 2 - kp[:, None] ** 2)
     ratio = np.abs(sym) / np.where(gap > 0.0, gap, np.inf)
@@ -183,11 +185,28 @@ def test_pruned_scan_equals_dense_scan(periods, mu_s):
     assert 0 < rep.points_evaluated < rep.points_scanned   # the bounds pruned
 
 
+@pytest.mark.parametrize("mu_s", [0.0, 1.0])
+def test_pruned_scan_equals_dense_scan_across_the_ring(mu_s):
+    # at 2*pi periods the ring |xi'|^2 = k crosses many tiles of this window
+    k_max, xi_max = 2000, 40
+    rep = boundedness_scan(k_max, xi_max, mu_s)
+    want = _dense_scan(k_max, xi_max, mu_s, 2.0 * math.pi, 2.0 * math.pi)
+    assert (rep.sup_weighted, rep.argmax_k, rep.argmax_xi) == want["weighted"]
+    assert (rep.max_damping_ratio, rep.ratio_k, rep.ratio_xi) == want["ratio"]
+    assert rep.points_scanned == want["points_scanned"]
+    assert 0 < rep.points_evaluated < rep.points_scanned
+
+
+def test_scan_evaluates_few_points_at_the_benchmark_window():
+    # the one-level 64-tile scan evaluated 6,045,696 of these 37,360,000 points
+    rep = boundedness_scan(10_000, 100)
+    assert rep.points_evaluated <= 1_300_000
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_tile_bounds_cover_every_point(seed, monkeypatch):
+def test_tile_bounds_cover_every_point(seed):
     rng = np.random.default_rng(seed)
     tile = 1 + seed    # one-point tiles make the bounds tight: only the margin covers
-    monkeypatch.setattr(halfspace, "_TILE", tile)
     mu_s = float(rng.choice([0.0, 1.0, 1.3]))
     # physical frequencies clustered around the ring |xi'|^2 = k or spread out
     hi = float(rng.choice([10.0, 1e3, 3e4]))
@@ -195,8 +214,11 @@ def test_tile_bounds_cover_every_point(seed, monkeypatch):
     a2 = np.sort(rng.uniform(0.05, hi, 3 * tile + 2))
     if seed % 2:
         a2 = np.sort(kp[: a2.size] * (1.0 + 1e-9 * rng.standard_normal(a2.size)))
-    w_bound, r_bound = _tile_bounds(kp, a2, mu_s)
-    sym = _symbol_arrays(kp, a2, mu_s)
+    k_edges = _runs(0, kp.size - 1, tile, -(-kp.size // tile))
+    s_edges = _runs(0, a2.size - 1, tile, -(-a2.size // tile))
+    w_bound, r_bound = _tile_bounds(kp, a2, mu_s, (k_edges[0][:, None],
+                                                   k_edges[1][:, None]), s_edges)
+    sym = _coupled_symbol(kp[:, None], a2[None, :], mu_s)
     weighted = (1.0 + kp[:, None] ** 2 + a2[None, :] ** 2) * (1.0 / np.abs(sym))
     gap = np.abs(a2[None, :] ** 2 - kp[:, None] ** 2)
     ratio = np.abs(sym) / np.where(gap > 0.0, gap, np.inf)
@@ -205,6 +227,39 @@ def test_tile_bounds_cover_every_point(seed, monkeypatch):
             block = np.s_[i * tile:(i + 1) * tile, j * tile:(j + 1) * tile]
             assert np.all(weighted[block] <= w_bound[i, j])
             assert np.all(ratio[block] <= r_bound[i, j])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sub_tile_bounds_cover_every_point(seed):
+    # random tiles near the ring |xi'|^2 = k; half are clipped, so their edge
+    # sub-tiles are narrower than halfspace._SUB or empty
+    rng = np.random.default_rng(seed)
+    mu_s = float(rng.choice([0.0, 1.0, 1.3]))
+    tile, n = halfspace._TILE, 6
+    kp, a2 = np.arange(1.0, 3001.0), _square_sums(40)[0]
+    k0 = rng.integers(0, kp.size - tile, n)
+    s0 = np.clip(np.searchsorted(a2, kp[k0]) - rng.integers(0, tile, n),
+                 0, a2.size - tile)
+    full = np.arange(n) % 2 == 0
+    k1 = k0 + np.where(full, tile, rng.integers(1, tile, n)) - 1
+    s1 = s0 + np.where(full, tile, rng.integers(1, tile, n)) - 1
+    edges, w_sub, r_sub = _sub_tiles(kp, a2, mu_s, (k0, k1, s0, s1))
+    per_tile = w_sub.size // n
+    for t in range(n):
+        seen = np.zeros((k1[t] - k0[t] + 1, s1[t] - s0[t] + 1), int)
+        for i in range(t * per_tile, (t + 1) * per_tile):
+            if w_sub[i] == -np.inf:          # past the tile's last index
+                assert r_sub[i] == -np.inf
+                continue
+            a, b, c, d = (int(e[i]) for e in edges)
+            k, s = kp[a:b + 1, None], a2[None, c:d + 1]
+            sym = _coupled_symbol(k, s, mu_s)
+            weighted = (1.0 + k ** 2 + s ** 2) * (1.0 / np.abs(sym))
+            gap = np.abs(s ** 2 - k ** 2)
+            ratio = np.abs(sym) / np.where(gap > 0.0, gap, np.inf)
+            assert np.all(weighted <= w_sub[i]) and np.all(ratio <= r_sub[i])
+            seen[a - k0[t]:b - k0[t] + 1, c - s0[t]:d - s0[t] + 1] += 1
+        assert np.all(seen == 1)            # the sub-tiles cover the tile once
 
 
 def test_scan_rejects_empty_window():
