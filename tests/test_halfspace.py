@@ -173,28 +173,21 @@ def _dense_scan(k_max, xi_max, mu_s, t_period, l_period):
     return out
 
 
-@pytest.mark.parametrize("periods", [(2.0 * math.pi, 2.0 * math.pi), (3.0, 5.0)])
+@pytest.mark.parametrize("periods,window", [
+    pytest.param((2.0 * math.pi, 2.0 * math.pi), (400, 30), id="periods0"),
+    pytest.param((3.0, 5.0), (400, 30), id="periods1"),
+    # at 2*pi periods the ring |xi'|^2 = k crosses many tiles of this window
+    pytest.param((2.0 * math.pi, 2.0 * math.pi), (2000, 40), id="ring"),
+])
 @pytest.mark.parametrize("mu_s", [0.0, 1.0, 1.3])
-def test_pruned_scan_equals_dense_scan(periods, mu_s):
-    k_max, xi_max = 400, 30
+def test_pruned_scan_equals_dense_scan(periods, window, mu_s):
+    k_max, xi_max = window
     rep = boundedness_scan(k_max, xi_max, mu_s, *periods)
     want = _dense_scan(k_max, xi_max, mu_s, *periods)
     assert (rep.sup_weighted, rep.argmax_k, rep.argmax_xi) == want["weighted"]
     assert (rep.max_damping_ratio, rep.ratio_k, rep.ratio_xi) == want["ratio"]
     assert rep.points_scanned == want["points_scanned"]
     assert 0 < rep.points_evaluated < rep.points_scanned   # the bounds pruned
-
-
-@pytest.mark.parametrize("mu_s", [0.0, 1.0])
-def test_pruned_scan_equals_dense_scan_across_the_ring(mu_s):
-    # at 2*pi periods the ring |xi'|^2 = k crosses many tiles of this window
-    k_max, xi_max = 2000, 40
-    rep = boundedness_scan(k_max, xi_max, mu_s)
-    want = _dense_scan(k_max, xi_max, mu_s, 2.0 * math.pi, 2.0 * math.pi)
-    assert (rep.sup_weighted, rep.argmax_k, rep.argmax_xi) == want["weighted"]
-    assert (rep.max_damping_ratio, rep.ratio_k, rep.ratio_xi) == want["ratio"]
-    assert rep.points_scanned == want["points_scanned"]
-    assert 0 < rep.points_evaluated < rep.points_scanned
 
 
 def test_scan_evaluates_few_points_at_the_benchmark_window():
