@@ -41,7 +41,6 @@ from .modes import (
     ModeSolution,
     SolverParams,
     linear_residuals,
-    mode_system_matrix,
     solve_linear_full,
     solve_mode,
 )

@@ -52,8 +52,9 @@ corner (k_max, (xi_max, xi_max)) is not.  Keys (defaults in parentheses):
                     (1e-9)
     max_iter        Picard iteration cap (25)
     k_max, xi_max   scan ranges (100, 30 for scans; 4, 2 for the
-                    resonance table); a window whose estimated memory
-                    exceeds WINDOW_BUDGET_BYTES (1 GiB) is refused
+                    resonance table; multiplier-scan needs k_max >= 2); a
+                    window whose estimated memory exceeds
+                    WINDOW_BUDGET_BYTES (1 GiB) is refused
     near_factor     near-resonance classification factor, > 0 (10.0)
     seed            base seed for the validation suite (0)
     out             output directory ("out"); --out overrides
@@ -531,6 +532,9 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
             raise _config_error(f"{what} of mode k = {k}, xi' = ({m}, {m}) not finite")
     if command in _WINDOWS:
         k_max, xi_max = _window(cfg, command)
+        if command == "multiplier-scan" and k_max < 2:
+            raise _config_error(
+                "multiplier-scan needs k_max >= 2 for its k-ray decay fit")
         need = _WINDOWS[command][1](k_max, xi_max)
         if need > WINDOW_BUDGET_BYTES:
             raise _config_error(
@@ -903,9 +907,9 @@ def _one_blas_thread():
     """Run OpenBLAS on one thread inside the block, then restore the caller's
     count.  Yields the count in effect, or None when no OpenBLAS is found.
 
-    A second BLAS thread buys no wall time on the dense mode solves, costs
-    CPU, and changes the last bits of batched ``np.linalg.solve``; one
-    thread makes the outputs independent of ``OPENBLAS_NUM_THREADS``.
+    A second BLAS thread bought no wall time on the dense mode solves it was
+    measured on, costs CPU, and changes the last bits of batched LAPACK
+    calls; one thread makes the outputs independent of OPENBLAS_NUM_THREADS.
     """
     calls = _openblas_thread_calls()
     if calls is None:

@@ -1,15 +1,15 @@
 """Per-mode solves of the coupled fluid--plate system in frequency space.
 
 Every retained frequency pair (integer time index k, integer lateral pair
-xi') reduces the linearized interaction problem to a dense boundary-value
-problem across the layer: Stokes momentum and continuity for the velocity
-and pressure profiles plus one scalar equation for the plate amplitude.
-The lateral operators are isotropic, so in the frame where xi' lies on its
-own axis the system depends on xi' only through |xi'|^2: the modes of one
-(k, |xi'|^2) group share one matrix and are solved in one LAPACK call, with
-their lateral velocity rotated into and out of that frame.  This module
-also carries the weak-form and energy oracles that the validation suite
-leans on.
+xi') reduces the linearized interaction problem to a collocated
+boundary-value problem across the layer: Stokes momentum and continuity
+for the velocity and pressure profiles plus one scalar equation for the
+plate amplitude.  The lateral operators are isotropic, so in the frame
+where xi' lies on its own axis the system depends on xi' only through
+|xi'|^2: the modes of one (k, |xi'|^2) group are solved together by block
+elimination (`_solve_group`), with their lateral velocity rotated into and
+out of that frame.  This module also carries the weak-form and energy
+oracles that the validation suite leans on.
 
 The xi' = 0 column is special: the plate amplitude vanishes there, the
 tangential velocities decouple into scalar two-point problems, the vertical
@@ -98,51 +98,26 @@ def _dirichlet_helmholtz(grid, kp, a2, mu_f):
     return op
 
 
-def mode_system_matrix(grid: TorusGrid, k: int, xi: tuple[int, int],
-                       mu_f: float = 1.0, mu_s: float = 1.0) -> np.ndarray:
-    """Dense collocation matrix of one xi' != 0 mode in the frame xi' = (|xi'|, 0).
-
-    Unknown layout [u_par; u_perp; u3; p; eta] with N_z + 1 nodal values
-    per block, u_par along xi' (u_perp decouples), so the matrix depends on
-    xi' only through |xi'|^2.  Momentum rows sit at interior nodes,
-    continuity fills the pressure slots at every node, velocity boundary
-    rows occupy the face slots, and the plate balance is the final row.
-    """
-    n = grid.n_z
-    m = n + 1
-    kp, x1, x2 = _phys(k, xi, grid.t_period, grid.l_period)
-    a2 = x1 * x1 + x2 * x2
-    if a2 == 0.0:
-        raise ValueError("xi' = 0 modes use the decoupled scalar route")
-    s = np.sqrt(a2)
-    d1 = grid.d1
-    eye = np.eye(m)
-    helm = _dirichlet_helmholtz(grid, kp, a2, mu_f)
-    a = np.zeros((4 * m + 1, 4 * m + 1), complex)
-    bu3, bp, last = 2 * m, 3 * m, 4 * m
-    for off in (0, m, bu3):
-        a[off:off + m, off:off + m] = helm
-    a[1:n, bp:bp + m] = 1j * s * eye[1:n]
-    a[bu3 + 1:bu3 + n, bp:bp + m] = d1[1:n]
-    a[bu3, last] = 1j * kp       # u3(0) + ik eta = 0
-    a[bp:bp + m, 0:m] = 1j * s * eye
-    a[bp:bp + m, bu3:bu3 + m] = d1
-    a[last, last] = _damped_symbol(kp, a2, mu_s)
-    a[last, bp] = -1.0
-    a[last, bu3:bu3 + m] = 2.0 * mu_f * d1[0]
-    return a
-
-
 def _solve_group(grid, k, xi1, xi2, f, g, h, params):
-    """Solve the modes of one (k, |xi'|^2) group in one LAPACK call.
+    """Solve the modes of one (k, |xi'|^2) group by block elimination.
 
     xi1, xi2 are integer arrays of the G modes' lateral frequencies; f
     (3, N_z + 1, G), g (N_z + 1, G) or None and h (G,) are their data, one
     profile column per mode.  Returns u, p and eta shaped like f, g and h;
     zero data are not solved.
+
+    For xi' != 0 the collocated equations are those of one (4 N_z + 5)
+    system in the frame where xi' lies on its first axis: Dirichlet
+    Helmholtz rows H for the three velocities with the pressure gradient at
+    interior nodes, continuity at every node, the kinematic face row and
+    the plate row.  The velocities share H, so with Z = H^-1 they are
+    eliminated first; continuity and the plate row leave one (N_z + 2)
+    system in (p, eta) for the whole group, and the velocities follow by
+    back-substitution.  This is the Uzawa (Schur complement) form of the
+    collocated Stokes system (Canuto, Hussaini, Quarteroni & Zang, Spectral
+    Methods: Evolution to Complex Geometries, 2007, ch. 3).
     """
     n = grid.n_z
-    m = n + 1
     g = np.zeros(f.shape[1:], complex) if g is None else g
     if not (f.any() or g.any() or h.any()):
         return np.zeros_like(f), np.zeros_like(g), np.zeros_like(h)
@@ -161,22 +136,41 @@ def _solve_group(grid, k, xi1, xi2, f, g, h, params):
         p = antiderivative_from_plate(grid, slope)
         p += 2.0 * params.mu_f * (grid.d1[0] @ u3) - h
         return u, p, np.zeros_like(h)
+    kp, x1, x2 = _phys(k, (int(xi1[0]), int(xi2[0])), grid.t_period, grid.l_period)
+    a2 = x1 * x1 + x2 * x2
+    i_s = 1j * np.sqrt(a2)          # the gradient symbol along xi'
+    mu_f = params.mu_f
+    d1 = grid.d1
     # rotate the lateral forcing onto (xi', xi'-perp)/|xi'|, and back
     r = np.hypot(xi1, xi2)
     c, s = xi1 / r, xi2 / r
-    fi = f[:, 1:n]
-    b = np.zeros((4 * m + 1, f.shape[-1]), complex)
-    b[1:n] = c * fi[0] + s * fi[1]
-    b[m + 1:m + n] = c * fi[1] - s * fi[0]
-    b[2 * m + 1:2 * m + n] = fi[2]
-    b[3 * m:4 * m] = g
-    b[4 * m] = h
-    a = mode_system_matrix(grid, k, (int(xi1[0]), int(xi2[0])),
-                           params.mu_f, params.mu_s)
-    sol = np.linalg.solve(a, b)
-    u_par, u_perp = sol[:m], sol[m:2 * m]
-    u = np.stack([c * u_par - s * u_perp, s * u_par + c * u_perp, sol[2 * m:3 * m]])
-    return u, sol[3 * m:4 * m], sol[4 * m]
+    rhs = np.stack([c * f[0] + s * f[1], c * f[1] - s * f[0], f[2]])
+    rhs[:, [0, n]] = 0.0    # boundary rows: no-slip and kinematic
+    z = np.linalg.inv(_dirichlet_helmholtz(grid, kp, a2, mu_f))
+    zf = z @ rhs
+    z0 = z[:, 0]            # the kinematic row's column: u3(0) = -ik eta
+    ze = z.copy()           # the pressure gradient acts at interior rows only
+    ze[:, [0, n]] = 0.0
+    zed = ze @ d1
+    dzed = d1 @ zed
+    dz0 = d1 @ z0
+    dzf3 = d1 @ zf[2]
+    # u_par = Z f_par - i|xi'| ZE p and u3 = Z f_3 - ZE D1 p - ik z0 eta in
+    # continuity at every node and in the plate row
+    schur = np.empty((n + 2, n + 2), complex)
+    schur[:-1, :-1] = a2 * ze - dzed
+    schur[:-1, -1] = -1j * kp * dz0
+    schur[-1, :-1] = -2.0 * mu_f * dzed[0]
+    schur[-1, 0] -= 1.0
+    schur[-1, -1] = _damped_symbol(kp, a2, params.mu_s) - 2j * kp * mu_f * dz0[0]
+    b = np.concatenate([g - i_s * zf[0] - dzf3,
+                        (h - 2.0 * mu_f * dzf3[0])[None]])
+    sol = np.linalg.solve(schur, b)
+    p, eta = sol[:-1], sol[-1]
+    u_par = zf[0] - i_s * (ze @ p)
+    u3 = zf[2] - zed @ p - 1j * kp * z0[:, None] * eta
+    u = np.stack([c * u_par - s * zf[1], s * u_par + c * zf[1], u3])
+    return u, p, eta
 
 
 def solve_mode(grid: TorusGrid, k: int, xi: tuple[int, int],

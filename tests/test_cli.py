@@ -368,6 +368,9 @@ def test_config_rejections(tmp_path, text, fragment):
                  "coupled symbol or the weight 1 + k^2 + |xi'|^4 of mode k = 20, "
                  "xi' = (10, 10) not finite",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param("multiplier-scan", "k_max = 1\nxi_max = 10\n",
+                 "needs k_max >= 2 for its k-ray decay fit",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param("lift-div", "L = 1e-200\n",
                  "L makes |xi'|^2 of mode k = 2, xi' = (2, 2) not finite",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),

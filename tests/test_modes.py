@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from plateflow.cli import _one_blas_thread
 from plateflow.fields import divergence, zeros_like_field
 from plateflow.grid import TorusGrid, _phys
 from plateflow.lift import IncompatibleDataError
@@ -13,13 +14,13 @@ from plateflow.modes import (
     _residual_parts,
     energy_estimate_check,
     linear_residuals,
-    mode_system_matrix,
     random_test_pair,
     solve_linear_full,
     solve_mode,
     weak_form_B,
     weak_form_rhs,
 )
+from plateflow.oracles import cross_validate_linear, make_manufactured
 
 from conftest import bubble_field, poly_field, poly_plate
 
@@ -142,10 +143,88 @@ def test_rotated_solve_matches_unrotated(k, xi):
     sol = solve_mode(GRID, k, xi, f_hat, g_hat, h_hat)
     got = np.concatenate([sol.u.ravel(), sol.p, [sol.eta]])
     assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
-    # the rotated matrix depends on xi' only through |xi'|^2
-    a = mode_system_matrix(GRID, k, (1, 2))
-    for other in ((-2, 1), (2, -1)):
-        assert np.array_equal(a, mode_system_matrix(GRID, k, other))
+
+
+def _dense_reference(grid, k, xi, f_hat, g_hat, h_hat, params):
+    """One mode solved through the dense (4 N_z + 5) system of `_unrotated_matrix`."""
+    n = grid.n_z
+    m = n + 1
+    b = np.zeros(4 * m + 1, complex)
+    for j in range(3):
+        b[j * m + 1:j * m + n] = f_hat[j, 1:n]
+    b[3 * m:4 * m] = g_hat
+    b[4 * m] = h_hat
+    a = _unrotated_matrix(grid, k, xi, params.mu_f, params.mu_s)
+    return np.linalg.solve(a, b)
+
+
+# (3, 0) / (0, -3), (1, 2) / (-2, 1) / (2, -1) and (3, 4) / (-5, 0) share
+# their |xi'|^2 groups
+SHARED_GROUP_XI = [(3, 0), (0, -3), (1, 2), (-2, 1), (2, -1), (3, 4), (-5, 0),
+                   (1, -1)]
+
+
+@pytest.mark.parametrize("n_z", [8, 16, 32, 64])
+def test_block_solve_matches_dense_reference(n_z):
+    grid = TorusGrid(9, 11, n_z, t_period=3.0, l_period=5.0)
+    params = SolverParams(mu_f=0.7, mu_s=1.3)
+    for k in (-3, 0, 1, 4):
+        for j, xi in enumerate(SHARED_GROUP_XI):
+            f_hat, g_hat, h_hat = _mode_data(grid, 110 + 10 * k + j, with_g=True)
+            ref = _dense_reference(grid, k, xi, f_hat, g_hat, h_hat, params)
+            sol = solve_mode(grid, k, xi, f_hat, g_hat, h_hat, params)
+            got = np.concatenate([sol.u.ravel(), sol.p, [sol.eta]])
+            assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref)), (k, xi)
+
+
+def test_mode_solve_matrices_stay_small(monkeypatch):
+    """No LAPACK operand of the mode solves exceeds (N_z + 2)^2 entries: the
+    velocities are eliminated before any solve sees the pressure."""
+    grid = TorusGrid(5, 5, 16)
+    sizes = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    # complex data with a divergence datum on the direct route: both branches
+    # of the mode solve, and no lift solve
+    f = poly_field(grid, 91, components=3) * (0.6 + 0.8j)
+    g = divergence(bubble_field(grid, 92)) * 1j
+    h = poly_plate(grid, 93) * (0.8 - 0.6j)
+    solve_linear_full(f, g, h, grid=grid, route="direct")
+    assert max(np.prod(shape) for shape in sizes) <= (grid.n_z + 2) ** 2
+    assert (grid.n_z + 2, grid.n_z + 2) in sizes      # the xi' != 0 branch ran
+
+
+# Manufactured seed 0 on (5, 5, n_z) under the one-thread BLAS pin: X errors
+# of the lift and direct routes and the gap between them, as the dense
+# (4 N_z + 5) mode solve read them before block elimination replaced it
+# (ROADMAP, "Measured baseline", refinement ladder).
+LADDER_DENSE = {  # n_z: (lift, direct, gap)
+    16: (1.69e-12, 2.90e-12, 3.31e-12),
+    32: (1.20e-11, 4.96e-11, 4.64e-11),
+    64: (1.53e-10, 3.65e-10, 4.03e-10),
+    128: (1.91e-9, 1.28e-8, 1.31e-8),
+    192: (2.79e-8, 7.07e-8, 7.23e-8),
+}
+LADDER_ROUTE_FACTOR = 2.5
+
+
+@pytest.mark.parametrize("n_z", sorted(LADDER_DENSE))
+def test_refinement_ladder_no_worse_than_dense(n_z):
+    lift, direct, gap = LADDER_DENSE[n_z]
+    with _one_blas_thread():
+        rep = cross_validate_linear(make_manufactured(0, n_z=n_z))
+    got_lift, got_direct = rep["lift_truth_error"], rep["direct_truth_error"]
+    assert max(got_lift, got_direct) <= max(lift, direct)
+    assert rep["path_discrepancy"] <= gap
+    assert got_lift <= LADDER_ROUTE_FACTOR * lift
+    assert got_direct <= LADDER_ROUTE_FACTOR * direct
 
 
 def test_test_pair_is_admissible():
