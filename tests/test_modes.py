@@ -127,25 +127,7 @@ def _unrotated_matrix(grid, k, xi, mu_f=1.0, mu_s=1.0):
     return a
 
 
-@pytest.mark.parametrize("k", [1, 0, -1, 4])
-@pytest.mark.parametrize("xi", [(-1, 2), (2, -3), (-2, -1)],
-                         ids=lambda xi: f"{xi[0]},{xi[1]}")
-def test_rotated_solve_matches_unrotated(k, xi):
-    f_hat, g_hat, h_hat = _mode_data(GRID, 90 + k, with_g=True)
-    n = GRID.n_z
-    m = n + 1
-    b = np.zeros(4 * m + 1, complex)
-    for j, off in enumerate((0, m, 2 * m)):
-        b[off + 1:off + n] = f_hat[j, 1:n]
-    b[3 * m:4 * m] = g_hat
-    b[4 * m] = h_hat
-    ref = np.linalg.solve(_unrotated_matrix(GRID, k, xi), b)
-    sol = solve_mode(GRID, k, xi, f_hat, g_hat, h_hat)
-    got = np.concatenate([sol.u.ravel(), sol.p, [sol.eta]])
-    assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
-
-
-def _dense_reference(grid, k, xi, f_hat, g_hat, h_hat, params):
+def _dense_reference(grid, k, xi, f_hat, g_hat, h_hat, params=SolverParams()):
     """One mode solved through the dense (4 N_z + 5) system of `_unrotated_matrix`."""
     n = grid.n_z
     m = n + 1
@@ -156,6 +138,17 @@ def _dense_reference(grid, k, xi, f_hat, g_hat, h_hat, params):
     b[4 * m] = h_hat
     a = _unrotated_matrix(grid, k, xi, params.mu_f, params.mu_s)
     return np.linalg.solve(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 0, -1, 4])
+@pytest.mark.parametrize("xi", [(-1, 2), (2, -3), (-2, -1)],
+                         ids=lambda xi: f"{xi[0]},{xi[1]}")
+def test_rotated_solve_matches_unrotated(k, xi):
+    f_hat, g_hat, h_hat = _mode_data(GRID, 90 + k, with_g=True)
+    ref = _dense_reference(GRID, k, xi, f_hat, g_hat, h_hat)
+    sol = solve_mode(GRID, k, xi, f_hat, g_hat, h_hat)
+    got = np.concatenate([sol.u.ravel(), sol.p, [sol.eta]])
+    assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
 
 
 # (3, 0) / (0, -3), (1, 2) / (-2, 1) / (2, -1) and (3, 4) / (-5, 0) share
