@@ -25,9 +25,10 @@ Config files are plain ``key = value`` text, ``#`` starts a comment; every
 number must be finite.  solve-linear and solve-nonlinear refuse T, L,
 mu_f and mu_s for which the plate symbol or mu_f |xi'|^2 of the lattice
 mode with the largest |k| and |xi'| is not finite, lift-div an L for
-which |xi'|^2 of that mode is not, and multiplier-scan T, L and mu_s for
-which the coupled symbol or the weight 1 + k^2 + |xi'|^4 at the window
-corner (k_max, (xi_max, xi_max)) is not.  Keys (defaults in parentheses):
+which |xi'|^2 of that mode is not, and multiplier-scan and
+resonance-report T, L and mu_s for which the coupled symbol or the weight
+1 + k^2 + |xi'|^4 at the window corner (k_max, (xi_max, xi_max)) is not.
+Keys (defaults in parentheses):
 
     T, L            periods of the time circle and the lateral torus (2*pi)
     mu_f            fluid viscosity, > 0 (1.0)
@@ -36,7 +37,8 @@ corner (k_max, (xi_max, xi_max)) is not.  Keys (defaults in parentheses):
     n_t, n_x, n_z   truncations: odd 3..129, odd 3..129, 4..192 (5, 5, 16)
     forcing_f       momentum forcing: one expression (vertical force) or
                     three separated by ';', or file:<container> ("0")
-    forcing_g       divergence datum, scalar expression or file ("0")
+    forcing_g       divergence datum, scalar expression or file ("0");
+                    solve-nonlinear refuses data that are not identically 0
     forcing_h       plate forcing, scalar expression or file ("0")
     eps             data amplitude; scales parsed data and sets the Picard
                     ball radius sqrt(eps) (1.0)
@@ -91,7 +93,7 @@ import operator
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -315,7 +317,10 @@ def _walk(root, grid, variables, env):
     return done[root][1]
 
 
-def _parse_expression(text: str, grid: TorusGrid, plate: bool):
+def _expression_values(text: str, grid: TorusGrid, plate: bool) -> np.ndarray:
+    """Values of an expression on the lattice, in a shape that broadcasts to
+    the samples': node-major, (node, t, x1, x2) on the slab, (t, x1, x2) on
+    the plate."""
     variables = _PERIODIC_VARS if plate else _PERIODIC_VARS + ("x3",)
     try:
         tree = ast.parse(text, mode="eval")
@@ -325,18 +330,22 @@ def _parse_expression(text: str, grid: TorusGrid, plate: bool):
                        f"{exc.msg}") from None
     except (RecursionError, MemoryError):
         raise _expr_error("too long or too deep for Python's parser") from None
-    # samples are node-major, (node, t, x1, x2) on the slab, (t, x1, x2) on the plate
-    shape = (grid.n_t, grid.n_x, grid.n_x)
     env = {"t": grid.t_samples[:, None, None], "x1": grid.x_samples[:, None],
            "x2": grid.x_samples}
     if not plate:
-        shape = (grid.n_z + 1,) + shape
         env["x3"] = grid.nodes[:, None, None, None]
     try:
         values = _walk(tree.body, grid, variables, env)
     except (ArithmeticError, ValueError) as exc:  # zero divisor, overflow, nan
         raise _expr_error(f"cannot be evaluated: {exc.args[-1]}") from None
-    return np.broadcast_to(np.asarray(values, float), shape).copy()
+    return np.asarray(values, float)
+
+
+def _parse_expression(text: str, grid: TorusGrid, plate: bool) -> np.ndarray:
+    shape = (grid.n_t, grid.n_x, grid.n_x)
+    if not plate:
+        shape = (grid.n_z + 1,) + shape
+    return np.broadcast_to(_expression_values(text, grid, plate), shape).copy()
 
 
 def parse_forcing(spec: str, grid: TorusGrid, kind: str,
@@ -388,12 +397,6 @@ def parse_forcing(spec: str, grid: TorusGrid, kind: str,
 
 # ---- configuration -----------------------------------------------------------------
 
-_INT_KEYS = {"n_t", "n_x", "n_z", "max_iter", "k_max", "xi_max", "seed"}
-_FLOAT_KEYS = {"T", "L", "mu_f", "mu_s", "eps", "eps0", "q", "tol_eq", "tol_bc",
-               "compat_tol", "picard_tol", "tol_nl", "near_factor"}
-_STR_KEYS = {"forcing_f", "forcing_g", "forcing_h", "out", "route"}
-
-
 @dataclass
 class ScenarioConfig:
     """Typed view of a config file; see the module docstring for the schema."""
@@ -436,6 +439,10 @@ class ScenarioConfig:
                  "eps0")}
 
 
+# the type of each config key, from its default
+_KEY_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig)}
+
+
 def _config_error(msg: str) -> CliError:
     return CliError(EXIT_CONFIG, "config", msg)
 
@@ -460,24 +467,16 @@ def load_config(path, command: str | None = None) -> tuple[ScenarioConfig, str]:
         key, val = key.strip(), val.strip()
         if key in values:
             raise _config_error(f"{path}:{lineno}: duplicate key '{key}'")
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise _config_error(
-                    f"{path}:{lineno}: '{key}' needs an integer") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise _config_error(
-                    f"{path}:{lineno}: '{key}' needs a number") from None
-            if not math.isfinite(values[key]):
-                raise _config_error(f"{path}:{lineno}: '{key}' must be finite")
-        elif key in _STR_KEYS:
-            values[key] = val
-        else:
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
             raise _config_error(f"{path}:{lineno}: unknown key '{key}'")
+        try:
+            values[key] = kind(val)
+        except ValueError:
+            need = "an integer" if kind is int else "a number"
+            raise _config_error(f"{path}:{lineno}: '{key}' needs {need}") from None
+        if kind is float and not math.isfinite(values[key]):
+            raise _config_error(f"{path}:{lineno}: '{key}' must be finite")
     cfg = ScenarioConfig(**values)
     _validate_config(cfg, command)
     return cfg, raw
@@ -512,16 +511,16 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
         raise _config_error("max_iter must be at least 1")
     if cfg.k_max < 0 or cfg.xi_max < 0:
         raise _config_error("scan ranges must be nonnegative")
-    if command in ("solve-linear", "solve-nonlinear", "multiplier-scan", "lift-div"):
+    if command in ("solve-linear", "solve-nonlinear", "lift-div", *_WINDOWS):
         # the largest |k| and |xi'| a subcommand reaches give its largest terms
-        k, m = (_window(cfg, command) if command == "multiplier-scan"
+        k, m = (_window(cfg, command) if command in _WINDOWS
                 else ((cfg.n_t - 1) // 2, (cfg.n_x - 1) // 2))
         kp, x1, x2 = _phys(k, (m, m), cfg.T, cfg.L)
         with np.errstate(all="ignore"):
             a2 = x1 * x1 + x2 * x2
             if command == "lift-div":
                 what, extreme = "L makes |xi'|^2", [a2]
-            elif command == "multiplier-scan":
+            elif command in _WINDOWS:
                 what = ("T, L and mu_s make the coupled symbol or the weight "
                         "1 + k^2 + |xi'|^4")
                 extreme = [_coupled_symbol(kp, a2, cfg.mu_s), 1.0 + kp * kp + a2 * a2]
@@ -660,6 +659,15 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
 def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
                          base_dir: Path) -> dict:
     grid = cfg.grid()
+    spec = cfg.forcing_g.strip()
+    # an expression is checked before it is broadcast and transformed: those
+    # transient full-size arrays raised the peak RSS of a (17, 17, 24) solve
+    # by 5-7 MB
+    datum = (parse_forcing(spec, grid, "g", base_dir).coeffs
+             if spec.startswith("file:") else _expression_values(spec, grid, False))
+    if datum.any():
+        raise _config_error("solve-nonlinear takes no divergence datum; "
+                            "forcing_g must be 0")
     f, h = (_scaled_forcing(cfg, grid, kind, base_dir) for kind in "fh")
     pc = PicardConfig(eps=cfg.eps, max_iter=cfg.max_iter,
                       picard_tol=cfg.picard_tol, eps0=cfg.eps0, q=cfg.q,

@@ -4,12 +4,12 @@ Every retained frequency pair (integer time index k, integer lateral pair
 xi') reduces the linearized interaction problem to a collocated
 boundary-value problem across the layer: Stokes momentum and continuity
 for the velocity and pressure profiles plus one scalar equation for the
-plate amplitude.  The lateral operators are isotropic, so in the frame
-where xi' lies on its own axis the system depends on xi' only through
-|xi'|^2: the modes of one (k, |xi'|^2) group are solved together by block
-elimination (`_solve_group`), with their lateral velocity rotated into and
-out of that frame.  This module also carries the weak-form and energy
-oracles that the validation suite leans on.
+plate amplitude.  The lateral operators are isotropic: once the
+velocities are eliminated, the system left in the pressure and the plate
+amplitude depends on xi' only through |xi'|^2, so the modes of one
+(k, |xi'|^2) group are solved together by block elimination
+(`_solve_group`) in the lattice frame.  This module also carries the
+weak-form and energy oracles that the validation suite leans on.
 
 The xi' = 0 column is special: the plate amplitude vanishes there, the
 tangential velocities decouple into scalar two-point problems, the vertical
@@ -72,14 +72,6 @@ class ModeSolution:
     p: np.ndarray
     eta: complex
 
-    @property
-    def k_phys(self) -> float:
-        return _phys(self.k, self.xi, self.grid.t_period, self.grid.l_period)[0]
-
-    @property
-    def xi_phys(self) -> tuple[float, float]:
-        return _phys(self.k, self.xi, self.grid.t_period, self.grid.l_period)[1:]
-
 
 def _data_profiles(grid, f_hat, g_hat, h_hat):
     m = grid.n_z + 1
@@ -106,48 +98,39 @@ def _solve_group(grid, k, xi1, xi2, f, g, h, params):
     profile column per mode.  Returns u, p and eta shaped like f, g and h;
     zero data are not solved.
 
-    For xi' != 0 the collocated equations are those of one (4 N_z + 5)
-    system in the frame where xi' lies on its first axis: Dirichlet
-    Helmholtz rows H for the three velocities with the pressure gradient at
-    interior nodes, continuity at every node, the kinematic face row and
-    the plate row.  The velocities share H, so with Z = H^-1 they are
-    eliminated first; continuity and the plate row leave one (N_z + 2)
-    system in (p, eta) for the whole group, and the velocities follow by
-    back-substitution.  This is the Uzawa (Schur complement) form of the
-    collocated Stokes system (Canuto, Hussaini, Quarteroni & Zang, Spectral
-    Methods: Evolution to Complex Geometries, 2007, ch. 3).
+    The collocated equations of a mode are those of one (4 N_z + 5)
+    system: Dirichlet Helmholtz rows H for the three velocities with the
+    pressure gradient at interior nodes, continuity at every node, the
+    kinematic face row and the plate row.  The velocities share H, so with
+    Z = H^-1 they are eliminated first.  For xi' != 0, continuity and the
+    plate row leave one (N_z + 2) system in (p, eta) that depends on xi'
+    only through |xi'|^2, solved once for the whole group; the velocities
+    follow by back-substitution.  This is the Uzawa (Schur complement) form
+    of the collocated Stokes system (Canuto, Hussaini, Quarteroni & Zang,
+    Spectral Methods: Evolution to Complex Geometries, 2007, ch. 3).
     """
     n = grid.n_z
     g = np.zeros(f.shape[1:], complex) if g is None else g
     if not (f.any() or g.any() or h.any()):
         return np.zeros_like(f), np.zeros_like(g), np.zeros_like(h)
-    if not (xi1[0] or xi2[0]):
-        # xi' = 0: scalar tangential problems and layer integration
-        xi0_incompatibility(grid, g, params.compat_tol)
-        kp = _phys(k, (0, 0), grid.t_period, grid.l_period)[0]
-        rhs = f[:2].copy()
-        rhs[:, [0, -1]] = 0.0
-        op = _dirichlet_helmholtz(grid, kp, 0.0, params.mu_f)
-        u3 = antiderivative_from_plate(grid, g)
-        u = np.concatenate([np.linalg.solve(op, rhs), u3[None]])
-        # vertical momentum fixes the pressure profile; the plate row pins
-        # its constant through the face value
-        slope = f[2] - 1j * kp * u3 + params.mu_f * (grid.dmat(2) @ u3)
-        p = antiderivative_from_plate(grid, slope)
-        p += 2.0 * params.mu_f * (grid.d1[0] @ u3) - h
-        return u, p, np.zeros_like(h)
-    kp, x1, x2 = _phys(k, (int(xi1[0]), int(xi2[0])), grid.t_period, grid.l_period)
-    a2 = x1 * x1 + x2 * x2
-    i_s = 1j * np.sqrt(a2)          # the gradient symbol along xi'
+    kp, x1, x2 = _phys(k, (xi1, xi2), grid.t_period, grid.l_period)
+    a2 = x1[0] * x1[0] + x2[0] * x2[0]
     mu_f = params.mu_f
     d1 = grid.d1
-    # rotate the lateral forcing onto (xi', xi'-perp)/|xi'|, and back
-    r = np.hypot(xi1, xi2)
-    c, s = xi1 / r, xi2 / r
-    rhs = np.stack([c * f[0] + s * f[1], c * f[1] - s * f[0], f[2]])
+    rhs = f.copy()
     rhs[:, [0, n]] = 0.0    # boundary rows: no-slip and kinematic
     z = np.linalg.inv(_dirichlet_helmholtz(grid, kp, a2, mu_f))
     zf = z @ rhs
+    if not (xi1[0] or xi2[0]):
+        # xi' = 0: the tangential velocities are zf; u3 integrates the
+        # datum, and vertical momentum fixes the pressure profile, whose
+        # constant the plate row pins through the face value
+        xi0_incompatibility(grid, g, params.compat_tol)
+        u3 = antiderivative_from_plate(grid, g)
+        slope = f[2] - 1j * kp * u3 + mu_f * (grid.dmat(2) @ u3)
+        p = antiderivative_from_plate(grid, slope)
+        p += 2.0 * mu_f * (d1[0] @ u3) - h
+        return np.concatenate([zf[:2], u3[None]]), p, np.zeros_like(h)
     z0 = z[:, 0]            # the kinematic row's column: u3(0) = -ik eta
     ze = z.copy()           # the pressure gradient acts at interior rows only
     ze[:, [0, n]] = 0.0
@@ -155,21 +138,21 @@ def _solve_group(grid, k, xi1, xi2, f, g, h, params):
     dzed = d1 @ zed
     dz0 = d1 @ z0
     dzf3 = d1 @ zf[2]
-    # u_par = Z f_par - i|xi'| ZE p and u3 = Z f_3 - ZE D1 p - ik z0 eta in
-    # continuity at every node and in the plate row
+    # u_j = Z f_j - i x_j ZE p (j = 1, 2) and u3 = Z f_3 - ZE D1 p - ik z0 eta
+    # in continuity at every node and in the plate row
     schur = np.empty((n + 2, n + 2), complex)
     schur[:-1, :-1] = a2 * ze - dzed
     schur[:-1, -1] = -1j * kp * dz0
     schur[-1, :-1] = -2.0 * mu_f * dzed[0]
     schur[-1, 0] -= 1.0
     schur[-1, -1] = _damped_symbol(kp, a2, params.mu_s) - 2j * kp * mu_f * dz0[0]
-    b = np.concatenate([g - i_s * zf[0] - dzf3,
+    b = np.concatenate([g - 1j * (x1 * zf[0] + x2 * zf[1]) - dzf3,
                         (h - 2.0 * mu_f * dzf3[0])[None]])
     sol = np.linalg.solve(schur, b)
     p, eta = sol[:-1], sol[-1]
-    u_par = zf[0] - i_s * (ze @ p)
-    u3 = zf[2] - zed @ p - 1j * kp * z0[:, None] * eta
-    u = np.stack([c * u_par - s * zf[1], s * u_par + c * zf[1], u3])
+    zep = ze @ p
+    u = np.stack([zf[0] - 1j * x1 * zep, zf[1] - 1j * x2 * zep,
+                  zf[2] - zed @ p - 1j * kp * z0[:, None] * eta])
     return u, p, eta
 
 
@@ -382,7 +365,6 @@ class LinearSolution:
     u: SpectralField
     p: SpectralField
     eta: PlateField
-    lift: SpectralField | None
 
 
 def solve_linear_full(f: SpectralField | None = None,
@@ -454,4 +436,4 @@ def solve_linear_full(f: SpectralField | None = None,
     eta = PlateField(grid, e_c, real_data)
     if w is not None:
         u = u + w
-    return LinearSolution(u, p, eta, w)
+    return LinearSolution(u, p, eta)

@@ -374,6 +374,11 @@ def test_config_rejections(tmp_path, text, fragment):
     pytest.param("lift-div", "L = 1e-200\n",
                  "L makes |xi'|^2 of mode k = 2, xi' = (2, 2) not finite",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    *(pytest.param("resonance-report", text,
+                   "coupled symbol or the weight 1 + k^2 + |xi'|^4 of mode k = 4, "
+                   "xi' = (2, 2) not finite",
+                   marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+      for text in ("T = 1e-300\n", "L = 1e-200\n")),
 ])
 def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
     code, out = run_cli(tmp_path, text, command)
@@ -438,6 +443,11 @@ def test_zero_damping_reserved_for_scans(tmp_path, capsys):
                         "multiplier-scan", out_name="scan0")
     assert code == 0
     assert math.isfinite(manifest_of(out)["scan"]["sup_weighted"])
+
+    code, out = run_cli(tmp_path, "mu_s = 0\n", "resonance-report",
+                        out_name="table0")
+    assert code == 0
+    assert manifest_of(out)["counts"]["resonant"] == 12
 
 
 # ---- solve-linear ----------------------------------------------------------------
@@ -643,6 +653,29 @@ def test_solve_nonlinear_small_forcing(tmp_path):
     lines = (out / "picard_trace.csv").read_text().splitlines()
     assert lines[0] == "iteration,x_norm,step,ratio,plate_norm,sup_eta"
     assert len(lines) == 1 + doc["iterations"]
+
+
+@pytest.mark.parametrize("datum", ["sin(x1)*sin(3.14159*x3)", "file:g.plf"])
+def test_solve_nonlinear_refuses_a_divergence_datum(tmp_path, capsys, datum):
+    write_field(tmp_path / "g.plf", poly_field(GRID, seed=5, components=1))
+    base = "forcing_h = cos(t)*cos(x1)\neps = 0.001\nn_z = 8\n"
+    code, out = run_cli(tmp_path, base + f"forcing_g = {datum}\n",
+                        "solve-nonlinear")
+    assert code == 1
+    err = error_payload(capsys)
+    assert err["kind"] == "config" and "forcing_g" in err["message"]
+    assert "\n" not in err["message"]
+    assert not (out / "manifest.json").exists() and not (out / "u.plf").exists()
+
+
+def test_solve_nonlinear_runs_a_zero_divergence_datum(tmp_path):
+    base = "forcing_h = cos(t)*cos(x1)\neps = 0.001\nn_z = 8\n"
+    plf = []
+    for name, text in (("none", base), ("zero", base + "forcing_g = 0.0\n")):
+        code, out = run_cli(tmp_path, text, "solve-nonlinear", out_name=name)
+        assert code == 0
+        plf.append((out / "u.plf").read_bytes())
+    assert plf[0] == plf[1]
 
 
 def test_solve_nonlinear_divergence(tmp_path, capsys):

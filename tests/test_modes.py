@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from plateflow import modes
 from plateflow.cli import _one_blas_thread
-from plateflow.fields import divergence, zeros_like_field
+from plateflow.fields import PlateField, SpectralField, divergence, zeros_like_field
 from plateflow.grid import TorusGrid, _phys
-from plateflow.lift import IncompatibleDataError
+from plateflow.lift import IncompatibleDataError, _antiderivative_matrix
 from plateflow.modes import (
     ModeSolution,
     SolverParams,
@@ -57,8 +58,8 @@ def _mode_parts(sol, f_hat, g_hat, h_hat):
     """The five equation residuals of one solved mode, from its profiles."""
     u, p, eta, f, g, h = map(_one_mode_lattice,
                              (sol.u, sol.p, sol.eta, f_hat, g_hat, h_hat))
-    return _residual_parts(sol.grid, u, p, eta, sol.k_phys, *sol.xi_phys,
-                           f, g, h, 1.0, 1.0)
+    kxi = _phys(sol.k, sol.xi, sol.grid.t_period, sol.grid.l_period)
+    return _residual_parts(sol.grid, u, p, eta, *kxi, f, g, h, 1.0, 1.0)
 
 
 def test_plate_symbol_exact_values():
@@ -192,6 +193,55 @@ def test_mode_solve_matrices_stay_small(monkeypatch):
     solve_linear_full(f, g, h, grid=grid, route="direct")
     assert max(np.prod(shape) for shape in sizes) <= (grid.n_z + 2) ** 2
     assert (grid.n_z + 2, grid.n_z + 2) in sizes      # the xi' != 0 branch ran
+
+
+def test_one_inverse_per_group(monkeypatch):
+    """Every solved group inverts its Helmholtz operator once; only xi' != 0
+    groups solve a pressure-plate system, the xi' = 0 groups none."""
+    grid = TorusGrid(5, 5, 16)
+    calls = {"inv": 0, "solve": 0}
+    groups = []
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def recording(grid, k, xi1, xi2, *args):
+        before = dict(calls)
+        out = solve_group(grid, k, xi1, xi2, *args)
+        groups.append((bool(xi1[0] or xi2[0]), calls["inv"] - before["inv"],
+                       calls["solve"] - before["solve"]))
+        return out
+
+    # the lift inverts its antiderivative matrix once per grid and caches it:
+    # build it before counting, whatever ran before
+    _antiderivative_matrix.cache_clear()
+    _antiderivative_matrix(grid)
+    solve_group = modes._solve_group
+    monkeypatch.setattr(modes, "_solve_group", recording)
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    # complex data in every mode on the direct route, the divergence datum
+    # that of a field vanishing on both faces: every group of every time
+    # plane is solved
+    rng = np.random.default_rng(94)
+    slab = (3, grid.n_z + 1, grid.n_t, grid.n_x, grid.n_x)
+    f, w = (rng.standard_normal(slab) + 1j * rng.standard_normal(slab)
+            for _ in range(2))
+    w[:, [0, grid.n_z]] = 0.0
+    plate = slab[2:]
+    h = rng.standard_normal(plate) + 1j * rng.standard_normal(plate)
+    f, g, h = (SpectralField(grid, f, 3, False),
+               divergence(SpectralField(grid, w, 3, False)),
+               PlateField(grid, h, False))
+    solve_linear_full(f, g, h, grid=grid, route="direct")
+    assert len(groups) == grid.n_t * len(grid.xi_groups())
+    assert set(groups) == {(True, 1, 1), (False, 1, 0)}
+    assert sum(not off_axis for off_axis, _, _ in groups) == grid.n_t
 
 
 # Manufactured seed 0 on (5, 5, n_z) under the one-thread BLAS pin: X errors
