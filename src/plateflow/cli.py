@@ -43,8 +43,8 @@ Keys (defaults in parentheses):
     eps             data amplitude; scales parsed data and sets the Picard
                     ball radius sqrt(eps) (1.0)
     eps0            smallness-gate threshold for the plate norm, > 0 (0.1)
-    q               integrability exponent for reported norms, in
-                    (1, Q_MAX] with Q_MAX = 100 (2.0)
+    q               exponent of the reported norms and of the Picard step,
+                    ball and smallness gate, in (1, Q_MAX], Q_MAX = 100 (2.0)
     route           linear solve route, "lift" or "direct" ("lift")
     tol_eq, tol_bc  linear residual tolerances, > 0, recorded in the
                     manifest's tolerance set for downstream checks (1e-9)
@@ -450,7 +450,7 @@ def _config_error(msg: str) -> CliError:
 def load_config(path, command: str | None = None) -> tuple[ScenarioConfig, str]:
     """Parse a key=value file; returns the config and the raw text.
 
-    With a subcommand, its scan window is checked against the memory budget.
+    With a subcommand, the limits of that subcommand are checked too.
     """
     try:
         raw = Path(path).read_text()
@@ -494,6 +494,11 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
         raise _config_error("mu_f must be positive")
     if cfg.mu_s < 0:
         raise _config_error("mu_s must be nonnegative")
+    if cfg.mu_s == 0.0 and command not in (None, *ZERO_DAMPING_OK):
+        raise _config_error(
+            "mu_s = 0 is reserved for multiplier-variant studies "
+            "(multiplier-scan, resonance-report); the solver needs "
+            "positive plate damping")
     for name, val in (("n_t", cfg.n_t), ("n_x", cfg.n_x)):
         if val < 3 or val > 129 or val % 2 == 0:
             raise _config_error(f"{name} must be odd and within 3..129")
@@ -672,7 +677,7 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
     pc = PicardConfig(eps=cfg.eps, max_iter=cfg.max_iter,
                       picard_tol=cfg.picard_tol, eps0=cfg.eps0, q=cfg.q,
                       params=cfg.solver_params())
-    result = picard_solve(f, h, config=pc, grid=grid)
+    result = picard_solve(f, h, config=pc)
     if not result.converged:
         raise PicardDivergenceError(
             f"no convergence within {cfg.max_iter} iterations "
@@ -937,8 +942,15 @@ def _emit_error(code: int, kind: str, message: str):
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a config error: exit 1, one JSON line."""
+
+    def error(self, message):
+        raise _config_error(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plateflow",
         description="Spectral solver for a periodically forced fluid layer "
                     "coupled to a damped elastic plate.")
@@ -949,16 +961,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
     try:
+        args = parser.parse_args(argv)
         cfg, raw = load_config(args.config, args.command)
-        if cfg.mu_s == 0.0 and args.command not in ZERO_DAMPING_OK:
-            raise _config_error(
-                "mu_s = 0 is reserved for multiplier-variant studies "
-                "(multiplier-scan, resonance-report); the solver needs "
-                "positive plate damping")
         if args.threads < 1:
             raise _config_error("threads must be at least 1")
         seed = args.seed if args.seed is not None else cfg.seed

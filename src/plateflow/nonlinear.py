@@ -16,7 +16,9 @@ The map enters only through the geometry of a deflection (`_Geometry`): the
 samples of eta, its derivatives and 1/(1 + eta) with the sup that keeps the
 map bijective, built once and read by the tensor, the interaction terms, the
 forcing pullback, the gate and the residual.  picard_solve builds it once per
-iterate and passes it to those functions in place of eta.
+iterate and passes it to those functions in place of eta.  One helper,
+`_map_rhs`, forms the fixed-point map's right-hand sides at a state for both
+a Picard sweep and `nonlinear_residual`.
 
 All pointwise products (including the rational factor 1/(1 + eta)) are
 evaluated on a zero-padded time/lateral lattice and truncated back, so the
@@ -36,7 +38,6 @@ transform passes (`fields.pad_with_lateral_derivatives`).
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +76,6 @@ RECIPROCAL_LIMIT = 2.0
 # other up to 9.  Single nodes save 3 MB but send the one-row layer GEMM to
 # another BLAS kernel, which changes the output bits; 3 and 5 tie.
 NODE_BLOCK = 5
-
-try:  # glibc's malloc_trim(0) returns the free heap pages to the OS
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (OSError, AttributeError, TypeError):  # another C library: no-op
-    def _malloc_trim(pad): return 0
 
 
 class DegenerateDeformationError(ValueError):
@@ -405,9 +401,6 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
     synthesis, summed one displaced node at a time and analyzed one block of
     nodes at a time.
     """
-    # the padded series does not fit the pieces the last stage left free, so
-    # they go back to the OS first instead of staying resident beside it
-    _malloc_trim(0)
     geo = _geometry_for(eta, f.real)
     g = geo.eta.grid
     if f.grid != g:
@@ -437,12 +430,27 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
 # ---- fixed-point solver -----------------------------------------------------------
 
 
+def _map_rhs(u: SpectralField, p: SpectralField, geo, f, h, mu_f: float):
+    """Momentum, divergence and plate right-hand sides of the fixed-point map
+    at the state (u, p, eta), geo being eta or its geometry record: the
+    pulled-back f, zero and h, each corrected by the interaction terms.
+    None stands for zero data; every term carries a factor of u or p, so at
+    rest none is formed."""
+    rhs_f = None if f is None else compose_forcing(f, geo)
+    if not (u.coeffs.any() or p.coeffs.any()):
+        return rhs_f, None, h
+    terms = compute_nonlinear_terms(u, p, geo, mu_f=mu_f)
+    rhs_f = terms.rf_tilde if rhs_f is None else rhs_f + terms.rf_tilde
+    rhs_h = terms.r_eta if h is None else h + terms.r_eta
+    return rhs_f, terms.rd_tilde, rhs_h
+
+
 @dataclass(frozen=True)
 class PicardConfig:
     """Settings of the fixed-point iteration.
 
     eps is the data-smallness scale; the iterate ball defaults to sqrt(eps).
-    Control-flow norms use q = 2 so the stopping rule is evaluated exactly.
+    The step, the ball and the smallness gate use the norms of exponent q.
     """
 
     eps: float = 1e-3
@@ -475,24 +483,20 @@ class PicardResult:
     gate: SmallnessReport
 
 
-def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
-                 grid: TorusGrid | None = None) -> PicardResult:
+def picard_solve(f, h: PlateField, config: PicardConfig | None = None
+                 ) -> PicardResult:
     """Iterate the data-to-solution map of the linear system on the
     correction-augmented right-hand sides, starting from rest.
 
-    Each sweep recomputes the pulled-back forcing and every interaction term
-    at the current iterate, solves the linear system, and measures the step
-    in the solution norm.  The iterate must stay inside the configured ball
-    and keep contracting; leaving the ball or a step ratio >= 1 raises
+    Each sweep forms the map's right-hand sides at the iterate (`_map_rhs`),
+    solves the linear system on them and measures the step in the solution
+    norm.  The iterate must stay inside the configured ball and keep
+    contracting; leaving the ball or a step ratio >= 1 raises
     PicardDivergenceError with the trace attached.
     """
     config = config or PicardConfig()
     if config.max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if h is None:
-        if grid is None and f is None:
-            raise ValueError("grid is needed when both f and h are implicit")
-        h = zeros_like_field(grid if grid is not None else f.grid, plate=True)
     g = h.grid
     if f is not None and f.grid != g:
         raise ValueError("f and h live on different grids")
@@ -507,21 +511,14 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
     trace: list[dict] = []
     converged = False
     prev_step = None
-    iterations = 0
     for n in range(1, config.max_iter + 1):
-        iterations = n
-        rhs_f = None if f is None else compose_forcing(f, geo)
-        # at rest every interaction term vanishes exactly, so sweep 1 skips them
-        rd, rhs_h, rd_mean = None, h, 0.0
-        if n > 1:
-            terms = compute_nonlinear_terms(u, p, geo, mu_f=params.mu_f)
-            rhs_f = terms.rf_tilde if rhs_f is None else rhs_f + terms.rf_tilde
-            rd, rhs_h = terms.rd_tilde, h + terms.r_eta
-            # xi' = 0 compatibility of the divergence slot, rechecked numerically
-            rd_mean = xi0_incompatibility(g, rd.coeffs)
-
+        rhs_f, rd, rhs_h = _map_rhs(u, p, geo, f, h, params.mu_f)
+        # xi' = 0 compatibility of the divergence slot, rechecked numerically
+        rd_mean = 0.0 if rd is None else xi0_incompatibility(g, rd.coeffs)
         sol = solve_linear_full(rhs_f, rd, rhs_h, grid=g,
                                 params=params, route="lift")
+        # the next sweep's terms need not sit beside this sweep's data
+        del rhs_f, rd, rhs_h
         new_norm = x_norm(sol.u, sol.p, sol.eta, q=config.q)
         step = x_norm(sol.u - u, sol.p - p, sol.eta - eta, q=config.q)
         ratio = (step / prev_step) if prev_step else None
@@ -564,7 +561,7 @@ def picard_solve(f, h: PlateField | None, config: PicardConfig | None = None,
     residuals = nonlinear_residual(u, p, geo, f, h, mu_f=params.mu_f,
                                    mu_s=params.mu_s)
     return PicardResult(u=u, p=p, eta=eta, converged=converged,
-                        iterations=iterations, trace=trace,
+                        iterations=n, trace=trace,
                         residuals=residuals, radius=radius,
                         in_ball=trace[-1]["in_ball"], gate=gate)
 
@@ -582,18 +579,13 @@ def nonlinear_residual(u: SpectralField, p: SpectralField, eta: PlateField,
     coefficient space against the damped symbol.
     """
     g = u.grid
-    geo = _geometry_for(eta, u.real and p.real)
-    terms = compute_nonlinear_terms(u, p, geo, mu_f=mu_f)
-    rhs_f = terms.rf_tilde
-    if f is not None:
-        rhs_f = compose_forcing(f, eta) + rhs_f
-    rhs_h = terms.r_eta if h is None else h + terms.r_eta
-    rd = terms.rd_tilde.coeffs
-    del terms  # the residual's temporaries reuse what the unread terms held
+    geo = _geometry_for(eta, u.real and p.real and (f is None or f.real))
+    rhs = [None if r is None else r.coeffs
+           for r in _map_rhs(u, p, geo, f, h, mu_f)]
     xp = g.xi_phys
     parts = _residual_parts(g, u.coeffs, p.coeffs, geo.eta.coeffs,
                             g.k_phys[:, None, None], xp[:, None], xp,
-                            rhs_f.coeffs, rd, rhs_h.coeffs, mu_f, mu_s)
+                            *rhs, mu_f, mu_s)
     mid_x = (g.n_x - 1) // 2
     parts["plate_mean"] = float(np.max(np.abs(geo.eta.coeffs[:, mid_x, mid_x])))
     return parts

@@ -300,7 +300,7 @@ def test_criterion_09_picard_contraction_and_scaling():
     grid = TorusGrid(5, 5, 12)
     h0 = _corner_plate(grid, 1.0)
     result = picard_solve(None, _corner_plate(grid, PICARD_EPS),
-                          config=PicardConfig(eps=PICARD_EPS), grid=grid)
+                          config=PicardConfig(eps=PICARD_EPS))
     ratios = [s["ratio"] for s in result.trace if s["ratio"] is not None]
     resid = max(result.residuals.values())
 
@@ -309,7 +309,7 @@ def test_criterion_09_picard_contraction_and_scaling():
     devs = []
     for alpha in alphas:
         res = picard_solve(None, _corner_plate(grid, alpha),
-                           config=PicardConfig(eps=alpha), grid=grid)
+                           config=PicardConfig(eps=alpha))
         devs.append(x_norm((1.0 / alpha) * res.u - lin.u,
                            (1.0 / alpha) * res.p - lin.p,
                            (1.0 / alpha) * res.eta - lin.eta))

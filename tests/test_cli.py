@@ -50,8 +50,11 @@ def manifest_of(out_dir):
 
 
 def error_payload(capsys):
-    err = capsys.readouterr().err.strip().splitlines()[-1]
-    doc = json.loads(err)
+    return error_payload_of(capsys.readouterr().err)
+
+
+def error_payload_of(stderr):
+    doc = json.loads(stderr.strip().splitlines()[-1])
     assert set(doc) == {"error"}
     assert set(doc["error"]) == {"code", "kind", "message"}
     return doc["error"]
@@ -448,6 +451,37 @@ def test_zero_damping_reserved_for_scans(tmp_path, capsys):
                         out_name="table0")
     assert code == 0
     assert manifest_of(out)["counts"]["resonant"] == 12
+
+
+def test_zero_damping_refused_by_load_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu_s = 0\n")
+    with pytest.raises(CliError, match="mu_s = 0 is reserved") as info:
+        load_config(cfg, "solve-linear")
+    assert info.value.code == 1
+    for command in (None, "multiplier-scan", "resonance-report"):
+        assert load_config(cfg, command)[0].mu_s == 0.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve-linear", "--config", "{cfg}", "--threads", "x"], "invalid int value"),
+    (["solve-linear", "--out", "{out}"], "required: --config"),
+    (["no-such-command", "--config", "{cfg}"], "invalid choice"),
+    (["solve-linear", "--config", "{cfg}", "--out", "{out}", "--threads", "0"],
+     "threads must be at least 1"),
+])
+def test_malformed_command_line_exits_1(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_z = 8\n")
+    out = tmp_path / "out"
+    code = main([a.format(cfg=cfg, out=out) for a in argv])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    err = error_payload_of(captured.err)
+    assert err["code"] == 1 and err["kind"] == "config"
+    assert message in err["message"]
+    assert not (out / "manifest.json").exists()
 
 
 # ---- solve-linear ----------------------------------------------------------------

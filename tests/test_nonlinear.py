@@ -1,5 +1,6 @@
 """Interaction terms, straightening geometry, and the fixed-point solver."""
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -31,6 +32,7 @@ from plateflow.nonlinear import (
     picard_solve,
 )
 from plateflow.norms import NormSpec, sobolev_norm, x_norm
+from plateflow.oracles import make_manufactured
 
 from conftest import bubble_field, poly_field, poly_plate
 
@@ -353,6 +355,31 @@ def test_picard_builds_each_iterate_geometry_once(monkeypatch):
     # the rest state and each solved iterate, every one synthesized once
     assert len(plate_syntheses) == res.iterations + 1
     assert len({id(c) for c in plate_syntheses}) == len(plate_syntheses)
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_picard_sweep_peak_is_one_terms_call_and_the_state():
+    grid = TorusGrid(9, 9, 16)
+    case = make_manufactured(3, grid=grid, band=2, amplitude=3.0)
+    f, h = 1e-3 * case.f, 1e-3 * case.h
+    config = PicardConfig(eps=1e-3)
+    res = picard_solve(f, h, config)  # warm-up: grid caches and matrices
+    assert res.converged and res.iterations == 4
+    peak = _traced_peak(picard_solve, f, h, config)
+    terms_peak = _traced_peak(compute_nonlinear_terms, res.u, res.p, res.eta)
+    # beside the terms call a sweep holds the iterate (u, p), the pulled-back
+    # forcing and the solve's bookkeeping, never an earlier sweep's
+    # right-hand sides or terms
+    field_bytes = res.p.coeffs.nbytes
+    assert peak <= terms_peak + 9 * field_bytes, (peak - terms_peak) / field_bytes
 
 
 def test_picard_ball_violation_raises():
