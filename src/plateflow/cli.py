@@ -49,7 +49,9 @@ Keys (defaults in parentheses):
     tol_eq, tol_bc  linear residual tolerances, > 0, recorded in the
                     manifest's tolerance set for downstream checks (1e-9)
     compat_tol      xi' = 0 compatibility tolerance for g, > 0 (1e-9)
-    picard_tol      fixed-point stagnation tolerance, > 0 (1e-11)
+    picard_tol      Picard stop, > 0: the loop stops when a step, or from
+                    sweep 3 on the a-posteriori error bound q / (1 - q) *
+                    step (q the largest step ratio), falls below it (1e-11)
     tol_nl          nonlinear residual tolerance, > 0, recorded like tol_eq
                     (1e-9)
     max_iter        Picard iteration cap (25)
@@ -679,9 +681,11 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
                       params=cfg.solver_params())
     result = picard_solve(f, h, config=pc)
     if not result.converged:
+        bound = result.error_bound
+        bound = "none" if bound is None else f"{bound:.3e}"
         raise PicardDivergenceError(
             f"no convergence within {cfg.max_iter} iterations "
-            f"(last step {result.trace[-1]['step']:.3e})",
+            f"(last step {result.trace[-1]['step']:.3e}, error bound {bound})",
             trace=result.trace)
     write_field(out_dir / "u.plf", result.u)
     write_field(out_dir / "p.plf", result.p)
@@ -704,6 +708,7 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
         "in_ball": result.in_ball,
         "contraction_ratios": ratios,
         "max_contraction_ratio": max(ratios) if ratios else 0.0,
+        "picard_error_bound": result.error_bound,
         "residuals": result.residuals,
         "norms": {"x_norm_solution": result.trace[-1]["x_norm"]},
         "smallness_gate": asdict(result.gate),

@@ -451,6 +451,9 @@ class PicardConfig:
 
     eps is the data-smallness scale; the iterate ball defaults to sqrt(eps).
     The step, the ball and the smallness gate use the norms of exponent q.
+    picard_tol bounds the distance to the fixed point at the stop: the loop
+    stops when a step, or from sweep 3 on its a-posteriori error bound
+    (see picard_solve), falls below it.
     """
 
     eps: float = 1e-3
@@ -469,7 +472,9 @@ class PicardConfig:
 @dataclass
 class PicardResult:
     """Final iterate with its trace; gate is the smallness report of the
-    sweep that produced the iterate."""
+    sweep that produced the iterate.  error_bound is q / (1 - q) times the
+    last step, q being the largest step ratio the stop used, or None when
+    there is no such ratio or q >= 1."""
 
     u: SpectralField
     p: SpectralField
@@ -481,6 +486,7 @@ class PicardResult:
     radius: float
     in_ball: bool
     gate: SmallnessReport
+    error_bound: float | None
 
 
 def picard_solve(f, h: PlateField, config: PicardConfig | None = None
@@ -490,8 +496,12 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
 
     Each sweep forms the map's right-hand sides at the iterate (`_map_rhs`),
     solves the linear system on them and measures the step in the solution
-    norm.  The iterate must stay inside the configured ball and keep
-    contracting; leaving the ball or a step ratio >= 1 raises
+    norm.  The loop stops when a step falls below picard_tol, or, from
+    sweep 3 on, when Banach's a-posteriori estimate q / (1 - q) * step of
+    the distance to the fixed point does, q < 1 being the largest step
+    ratio seen (Zeidler, Nonlinear Functional Analysis and its Applications
+    I, section 1.1).  The iterate must stay inside the configured ball and
+    keep contracting; leaving the ball or a step ratio >= 1 raises
     PicardDivergenceError with the trace attached.
     """
     config = config or PicardConfig()
@@ -510,7 +520,7 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
 
     trace: list[dict] = []
     converged = False
-    prev_step = None
+    prev_step = q = None
     for n in range(1, config.max_iter + 1):
         rhs_f, rd, rhs_h = _map_rhs(u, p, geo, f, h, params.mu_f)
         # xi' = 0 compatibility of the divergence slot, rechecked numerically
@@ -545,25 +555,36 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
             raise err
         if new_norm > radius:
             raise PicardDivergenceError(
-                f"iterate left the ball: {new_norm:.3e} > {radius:.3e}", trace
+                f"iterate left the ball at iteration {n}: {new_norm:.3e} > "
+                f"{radius:.3e}", trace
             )
         if ratio is not None and ratio >= 1.0 and step > 10.0 * config.picard_tol:
             raise PicardDivergenceError(
-                f"contraction failed: step ratio {ratio:.3f} >= 1", trace
+                f"contraction failed at iteration {n}: step ratio {ratio:.3f} "
+                ">= 1", trace
             )
         u, p, eta, geo = sol.u, sol.p, sol.eta, next_geo
         if step < config.picard_tol:
             converged = True
             break
-        if step > 0.0:
-            prev_step = step
+        # every ratio that enters q has a numerator step at or above
+        # picard_tol, because a smaller step stops the loop first: q is never
+        # read off steps at round-off
+        if ratio is not None:
+            q = ratio if q is None else max(q, ratio)
+            if n >= 3 and q < 1.0 and q / (1.0 - q) * step < config.picard_tol:
+                converged = True
+                break
+        prev_step = step
+    error_bound = q / (1.0 - q) * step if q is not None and q < 1.0 else None
 
     residuals = nonlinear_residual(u, p, geo, f, h, mu_f=params.mu_f,
                                    mu_s=params.mu_s)
     return PicardResult(u=u, p=p, eta=eta, converged=converged,
                         iterations=n, trace=trace,
                         residuals=residuals, radius=radius,
-                        in_ball=trace[-1]["in_ball"], gate=gate)
+                        in_ball=trace[-1]["in_ball"], gate=gate,
+                        error_bound=error_bound)
 
 
 # ---- full-system residuals ---------------------------------------------------------

@@ -689,6 +689,20 @@ def test_solve_nonlinear_small_forcing(tmp_path):
     assert len(lines) == 1 + doc["iterations"]
 
 
+def test_solve_nonlinear_reports_the_error_bound(tmp_path, capsys):
+    cfg = "forcing_h = cos(t)*cos(x1)\neps = 0.001\nn_z = 12\n"
+    code, out = run_cli(tmp_path, cfg, "solve-nonlinear")
+    assert code == 0
+    bound = manifest_of(out)["picard_error_bound"]
+    assert bound is None or (isinstance(bound, float) and math.isfinite(bound))
+    code, _ = run_cli(tmp_path, cfg + "max_iter = 2\n", "solve-nonlinear",
+                      out_name="capped")
+    assert code == 3
+    message = error_payload(capsys)["message"]
+    assert message.startswith("no convergence within 2 iterations")
+    assert "error bound " in message
+
+
 @pytest.mark.parametrize("datum", ["sin(x1)*sin(3.14159*x3)", "file:g.plf"])
 def test_solve_nonlinear_refuses_a_divergence_datum(tmp_path, capsys, datum):
     write_field(tmp_path / "g.plf", poly_field(GRID, seed=5, components=1))

@@ -372,7 +372,7 @@ def test_picard_sweep_peak_is_one_terms_call_and_the_state():
     f, h = 1e-3 * case.f, 1e-3 * case.h
     config = PicardConfig(eps=1e-3)
     res = picard_solve(f, h, config)  # warm-up: grid caches and matrices
-    assert res.converged and res.iterations == 4
+    assert res.converged and res.iterations == 3
     peak = _traced_peak(picard_solve, f, h, config)
     terms_peak = _traced_peak(compute_nonlinear_terms, res.u, res.p, res.eta)
     # beside the terms call a sweep holds the iterate (u, p), the pulled-back
@@ -382,10 +382,41 @@ def test_picard_sweep_peak_is_one_terms_call_and_the_state():
     assert peak <= terms_peak + 9 * field_bytes, (peak - terms_peak) / field_bytes
 
 
+def test_picard_stops_on_error_bound():
+    grid = TorusGrid(9, 9, 16)
+    case = make_manufactured(3, grid=grid, band=2, amplitude=3.0)
+    f, h = 1e-3 * case.f, 1e-3 * case.h
+    config = PicardConfig(eps=1e-3)
+    res = picard_solve(f, h, config)
+    # the third step is above picard_tol; the bound it implies is below it
+    assert res.converged and res.iterations == 3
+    assert res.trace[-1]["step"] >= config.picard_tol
+    assert res.error_bound < config.picard_tol
+    ref = picard_solve(f, h, PicardConfig(eps=1e-3, picard_tol=1e-15))
+    assert ref.converged
+    dist = x_norm(res.u - ref.u, res.p - ref.p, res.eta - ref.eta, q=config.q)
+    assert dist <= config.picard_tol
+    # one sweep from rest on zero data leaves no ratio to bound with
+    rest = picard_solve(None, zeros_like_field(GRID, plate=True))
+    assert rest.iterations == 1 and rest.error_bound is None
+
+
 def test_picard_ball_violation_raises():
     with pytest.raises(PicardDivergenceError, match="ball"):
         picard_solve(None, _corner_plate(GRID, 1e-3),
                      PicardConfig(eps=1e-3, radius=1e-9))
+
+
+def test_picard_failures_name_their_sweep(monkeypatch):
+    with pytest.raises(PicardDivergenceError, match="ball at iteration 1:"):
+        picard_solve(None, _corner_plate(GRID, 1e-3),
+                     PicardConfig(eps=1e-3, radius=1e-9))
+    # (x_norm, step) per sweep: the second step doubles the first
+    norms = iter([1e-4, 1e-4, 3e-4, 2e-4])
+    monkeypatch.setattr(nonlinear, "x_norm", lambda *a, **k: next(norms))
+    with pytest.raises(PicardDivergenceError,
+                       match="contraction failed at iteration 2: step ratio"):
+        picard_solve(None, _corner_plate(GRID, 1e-3), PicardConfig(eps=1e-3))
 
 
 def test_picard_gate_failure_raises():
