@@ -451,9 +451,8 @@ class PicardConfig:
 
     eps is the data-smallness scale; the iterate ball defaults to sqrt(eps).
     The step, the ball and the smallness gate use the norms of exponent q.
-    picard_tol bounds the distance to the fixed point at the stop: the loop
-    stops when a step, or from sweep 3 on its a-posteriori error bound
-    (see picard_solve), falls below it.
+    The loop stops when a step, or from sweep 3 on its a-posteriori error
+    bound (see picard_solve), falls below picard_tol.
     """
 
     eps: float = 1e-3
