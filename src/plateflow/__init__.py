@@ -63,7 +63,6 @@ from .nonlinear import (
     PicardConfig,
     PicardDivergenceError,
     PicardResult,
-    PlateTensor,
     SmallnessReport,
     compose_forcing,
     compute_nonlinear_terms,

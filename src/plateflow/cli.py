@@ -19,7 +19,9 @@ the last bits of the batched mode solves follow the BLAS thread setting.
 Manifests and ``validation.json`` are strict JSON: a number in them that
 is not finite exits with code 1 and names its key path (such as
 ``norms.y_norm_data``); that file is then not written, while ``.plf`` and
-CSV outputs written before it stay on disk.
+CSV outputs written before it stay on disk.  An output path taken by a file
+or a directory, such as an ``--out`` that names a file, exits with code 1
+and names the path.
 
 Config files are plain ``key = value`` text, ``#`` starts a comment; every
 number must be finite.  solve-linear and solve-nonlinear refuse T, L,
@@ -74,11 +76,11 @@ t, x1, x2 may appear only inside sin/cos, divisors must be constant, and
 exponents must be nonnegative integer constants.  An expression may be as
 long and as deeply nested as Python's parser admits; a longer one, one
 that cannot be evaluated (a zero divisor, an overflowing power, a constant
-that folds to a complex number) and forcing data that are not finite once
-scaled by eps exit with code 1; a ``file:`` container that
-``io.read_field`` refuses (a header its payload does not match, a
-non-finite coefficient, a real flag over coefficients that are not
-conjugate-symmetric) exits with code 2.
+that folds to a complex number), forcing data that are not finite once
+scaled by eps and a ``file:`` path that cannot be read exit with code 1; a
+``file:`` container that ``io.read_field`` refuses (a header its payload
+does not match, a non-finite coefficient, a real flag over coefficients
+that are not conjugate-symmetric) exits with code 2.
 """
 
 from __future__ import annotations
@@ -367,6 +369,9 @@ def parse_forcing(spec: str, grid: TorusGrid, kind: str,
         except FileNotFoundError:
             raise CliError(EXIT_CONFIG, "config",
                            f"forcing container not found: {path}") from None
+        except OSError as exc:
+            raise CliError(EXIT_CONFIG, "config", f"cannot read forcing "
+                           f"container {path}: {exc.strerror}") from None
         except ValueError as exc:
             raise CliError(EXIT_INCOMPATIBLE, "incompatible",
                            f"forcing container {path}: {exc}") from None
@@ -1003,6 +1008,11 @@ def main(argv=None) -> int:
         return EXIT_DIVERGENCE
     except ValueError as exc:
         _emit_error(EXIT_CONFIG, "config", str(exc))
+        return EXIT_CONFIG
+    except OSError as exc:
+        # an output path taken by a file or a directory
+        _emit_error(EXIT_CONFIG, "config", f"output path {exc.filename}: "
+                    f"{exc.strerror}")
         return EXIT_CONFIG
 
 

@@ -378,7 +378,8 @@ def solve_linear_full(f: SpectralField | None = None,
     route "lift" removes the divergence datum with the layer lift and sends
     homogeneous-continuity data to the mode solves; route "direct" feeds the
     datum into the continuity rows unchanged.  The two must agree, which is
-    the dual-path cross-check used by the validation oracles.
+    the dual-path cross-check used by the validation oracles.  The CLI's
+    solve-linear takes its configured route; picard_solve takes "direct".
     """
     for cand in (f, g, h):
         if cand is not None:

@@ -364,7 +364,6 @@ def test_criterion_10_interaction_term_bounds():
         float(np.max(np.abs(e_matrix(flat)))),
         float(np.max(np.abs(terms.rd_vector.coeffs))),
         float(np.max(np.abs(terms.rd_tilde.coeffs))),
-        float(np.max(np.abs(terms.s_eta.coeffs))),
         float(np.max(np.abs(terms.r_eta.coeffs))),
         float(np.max(np.abs(_deformation_momentum(u, p, flat)))),
     )

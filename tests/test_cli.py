@@ -484,6 +484,32 @@ def test_malformed_command_line_exits_1(tmp_path, capsys, argv, message):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("case", ["out_is_file", "out_under_file",
+                                  "forcing_is_dir", "output_is_dir"])
+def test_unusable_paths_exit_1(tmp_path, capsys, case):
+    # each case names the path the error message must name
+    cfg_text, out_name, named = "n_z = 8\n", "out", "out"
+    if case == "out_is_file":
+        (tmp_path / "out").write_text("")
+    elif case == "out_under_file":
+        (tmp_path / "file").write_text("")
+        out_name = named = "file/out"
+    elif case == "forcing_is_dir":
+        (tmp_path / "h.plf").mkdir()
+        cfg_text += "forcing_h = file:h.plf\n"
+        named = "h.plf"
+    else:
+        (tmp_path / "out" / "u.plf").mkdir(parents=True)
+        named = "out/u.plf"
+    code, _ = run_cli(tmp_path, cfg_text, "solve-linear", out_name=out_name)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+    err = error_payload_of(captured.err)
+    assert err["code"] == 1 and err["kind"] == "config"
+    assert str(tmp_path / named) in err["message"]
+
+
 # ---- solve-linear ----------------------------------------------------------------
 
 

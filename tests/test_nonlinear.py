@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from plateflow import nonlinear
+from plateflow import modes, nonlinear
 from plateflow.fields import (
     DEALIAS,
     OVERSAMPLE,
@@ -57,7 +57,6 @@ def test_flat_plate_annihilates_every_correction():
     assert np.max(np.abs(nonlinear._deformation_momentum(u, p, flat))) == 0.0
     assert np.max(np.abs(terms.rd_vector.coeffs)) == 0.0
     assert np.max(np.abs(terms.rd_tilde.coeffs)) == 0.0
-    assert np.max(np.abs(terms.s_eta.coeffs)) == 0.0
     assert np.max(np.abs(terms.r_eta.coeffs)) == 0.0
     # what survives is the convective term, quadratic in the velocity alone
     assert np.max(np.abs(terms.rf_tilde.coeffs)) > 0.0
@@ -74,12 +73,17 @@ def test_flat_plate_convective_term_is_quadratic():
 
 def test_corrections_scale_quadratically():
     u, p, eta = _state(3, scale=1.0)
-    ratios = []
+    # the bubble velocity vanishes on the plate face, and so does its r_eta;
+    # a velocity that does not drives the plate row too
+    u_face = poly_field(GRID, 3, components=3)
+    ratios = {"rf_tilde": [], "r_eta": []}
     for alpha in (1e-3, 1e-4):
         terms = compute_nonlinear_terms(u * alpha, p * alpha, eta * alpha)
-        size = sobolev_norm(terms.rf_tilde, NormSpec(0, 0, 2.0))
-        ratios.append(size / alpha ** 2)
-    assert abs(ratios[1] / ratios[0] - 1.0) < 0.05
+        face = compute_nonlinear_terms(u_face * alpha, p * alpha, eta * alpha)
+        for name, field in (("rf_tilde", terms.rf_tilde), ("r_eta", face.r_eta)):
+            ratios[name].append(sobolev_norm(field, NormSpec(0, 0, 2.0)) / alpha ** 2)
+    for name, (coarse, fine) in ratios.items():
+        assert abs(fine / coarse - 1.0) < 0.05, name
 
 
 def test_divergence_correction_is_mean_free():
@@ -128,9 +132,8 @@ def test_node_blocks_join_without_seams(monkeypatch, n_z, block):
     other = compute_nonlinear_terms(moved, p, eta)
     top, top_moved = terms.rf_tilde.coeffs[:, -1], other.rf_tilde.coeffs[:, -1]
     assert np.max(np.abs(top_moved - top)) > 0.1 * np.max(np.abs(top))
-    for name in ("r_eta", "s_eta"):
-        a, b = getattr(terms, name).coeffs, getattr(other, name).coeffs
-        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), name
+    a, b = terms.r_eta.coeffs, other.r_eta.coeffs
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
 
     # every blocked output against one block holding all the nodes
     f = poly_field(grid, 44, components=3)
@@ -249,7 +252,7 @@ def test_complex_product_path_matches_the_real_path():
     uc, pc, etac, fc = (_flagged_complex(x) for x in (u, p, eta, f))
     real, cplx = compute_nonlinear_terms(u, p, eta), compute_nonlinear_terms(uc, pc, etac)
     pairs = [(getattr(real, name), getattr(cplx, name))
-             for name in ("rf_tilde", "rd_tilde", "r_eta", "s_eta")]
+             for name in ("rf_tilde", "rd_tilde", "r_eta")]
     pairs.append((compose_forcing(f, eta), compose_forcing(fc, etac)))
     for a, b in pairs:
         assert a.real and not b.real
@@ -264,7 +267,7 @@ def test_terms_transform_count(monkeypatch):
     # per block of layer nodes: the u and d3 u families at 6 passes each
     # (one t-pass, two xi1-passes, three real xi2-passes), 3 each for
     # d3 d3 u and d3 p, 3 per analysis of rf_tilde and rd_vector; then
-    # the two plate-row analyses
+    # the one plate-row analysis
     grid = TorusGrid(5, 5, 9)
     u = poly_field(grid, 60, components=3, scale=ETA_SMALL)
     p = poly_field(grid, 61, components=1, scale=ETA_SMALL)
@@ -279,7 +282,7 @@ def test_terms_transform_count(monkeypatch):
     blocks = len(nonlinear._node_blocks(grid))
     assert blocks == 2
     assert calls == {"ifft": 10 * blocks, "irfft": 8 * blocks,
-                     "rfft": 2 * blocks + 2, "fft": 4 * blocks + 4}
+                     "rfft": 2 * blocks + 1, "fft": 4 * blocks + 2}
 
 
 def test_compose_forcing_validation():
@@ -382,6 +385,42 @@ def test_picard_sweep_peak_is_one_terms_call_and_the_state():
     assert peak <= terms_peak + 9 * field_bytes, (peak - terms_peak) / field_bytes
 
 
+def _low_band_case():
+    grid = TorusGrid(9, 9, 16)
+    case = make_manufactured(3, grid=grid, band=2, amplitude=3.0)
+    return 1e-3 * case.f, 1e-3 * case.h
+
+
+def test_picard_sweeps_build_no_divergence_lift(monkeypatch):
+    lifts = []
+    lift = modes.lift_divergence
+
+    def counting_lift(*args, **kwargs):
+        lifts.append(1)
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(modes, "lift_divergence", counting_lift)
+    f, h = _low_band_case()
+    res = picard_solve(f, h, PicardConfig(eps=1e-3))
+    # sweeps 2 and 3 carry a divergence datum; the mode solves take it
+    assert res.converged and res.iterations == 3
+    assert lifts == []
+
+
+def test_picard_direct_route_matches_a_lift_route_reference(monkeypatch):
+    f, h = _low_band_case()
+    config = PicardConfig(eps=1e-3)
+    direct = picard_solve(f, h, config)
+    solve = nonlinear.solve_linear_full
+    monkeypatch.setattr(nonlinear, "solve_linear_full",
+                        lambda *a, **k: solve(*a, **{**k, "route": "lift"}))
+    lifted = picard_solve(f, h, config)
+    assert direct.iterations == lifted.iterations
+    gap = x_norm(direct.u - lifted.u, direct.p - lifted.p, direct.eta - lifted.eta,
+                 q=config.q)
+    assert gap <= 1e-11 * x_norm(lifted.u, lifted.p, lifted.eta, q=config.q)
+
+
 def test_picard_stops_on_error_bound():
     grid = TorusGrid(9, 9, 16)
     case = make_manufactured(3, grid=grid, band=2, amplitude=3.0)
@@ -404,13 +443,13 @@ def test_picard_stops_on_error_bound():
 def test_picard_ball_violation_raises():
     with pytest.raises(PicardDivergenceError, match="ball"):
         picard_solve(None, _corner_plate(GRID, 1e-3),
-                     PicardConfig(eps=1e-3, radius=1e-9))
+                     PicardConfig(eps=1e-18))
 
 
 def test_picard_failures_name_their_sweep(monkeypatch):
     with pytest.raises(PicardDivergenceError, match="ball at iteration 1:"):
         picard_solve(None, _corner_plate(GRID, 1e-3),
-                     PicardConfig(eps=1e-3, radius=1e-9))
+                     PicardConfig(eps=1e-18))
     # (x_norm, step) per sweep: the second step doubles the first
     norms = iter([1e-4, 1e-4, 3e-4, 2e-4])
     monkeypatch.setattr(nonlinear, "x_norm", lambda *a, **k: next(norms))
