@@ -77,6 +77,7 @@ from .oracles import (
     embedding_ratio,
     fd_check,
     make_manufactured,
+    solve_by_lift,
 )
 
 __version__ = "0.1.0"

@@ -47,7 +47,8 @@ Keys (defaults in parentheses):
     eps0            smallness-gate threshold for the plate norm, > 0 (0.1)
     q               exponent of the reported norms and of the Picard step,
                     ball and smallness gate, in (1, Q_MAX], Q_MAX = 100 (2.0)
-    route           linear solve route, "lift" or "direct" ("lift")
+    route           solve-linear route, "direct" or "lift" ("direct"); lift
+                    runs the oracles' cross-check route, oracles.solve_by_lift
     tol_eq, tol_bc  linear residual tolerances, > 0, recorded in the
                     manifest's tolerance set for downstream checks (1e-9)
     compat_tol      xi' = 0 compatibility tolerance for g, > 0 (1e-9)
@@ -115,7 +116,8 @@ from .halfspace import (
     scan_window_bytes,
 )
 from .io import read_field, write_field
-from .lift import IncompatibleDataError, lift_divergence, lift_estimate_check
+from .lift import (IncompatibleDataError, lift_divergence, lift_estimate_check,
+                   lift_norms)
 from .modes import SolverParams, linear_residuals, solve_linear_full
 from .nonlinear import (
     DegenerateDeformationError,
@@ -123,7 +125,7 @@ from .nonlinear import (
     PicardDivergenceError,
     picard_solve,
 )
-from .norms import NormSpec, negative_norm, sobolev_norm, s_norm, x_norm, y_norm
+from .norms import s_norm, x_norm, y_norm
 from . import oracles
 
 EXIT_CONFIG = 1
@@ -421,7 +423,7 @@ class ScenarioConfig:
     eps: float = 1.0
     eps0: float = 0.1
     q: float = 2.0
-    route: str = "lift"
+    route: str = "direct"
     tol_eq: float = 1e-9
     tol_bc: float = 1e-9
     compat_tol: float = 1e-9
@@ -646,8 +648,8 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
     f, g, h = (_scaled_forcing(cfg, grid, kind, base_dir) for kind in "fgh")
     g_arg = g if g.coeffs.any() else None
     params = cfg.solver_params()
-    sol = solve_linear_full(f, g_arg, h, grid=grid, params=params,
-                            route=cfg.route)
+    solve = oracles.solve_by_lift if cfg.route == "lift" else solve_linear_full
+    sol = solve(f, g_arg, h, grid=grid, params=params)
     write_field(out_dir / "u.plf", sol.u)
     write_field(out_dir / "p.plf", sol.p)
     write_field(out_dir / "eta.plf", sol.eta)
@@ -772,17 +774,12 @@ def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, seed: int,
     g = _scaled_forcing(cfg, grid, "g", base_dir)
     result = lift_divergence(g, tol_compat=cfg.compat_tol)
     write_field(out_dir / "w.plf", result.w)
-    estimates = lift_estimate_check(g, result, cfg.q)
+    norms = lift_norms(g, result.w, cfg.q)
     return {
         "residuals": {"divergence": result.residual_div,
                       "faces": result.residual_bc},
-        "norms": {
-            "g_w1q": sobolev_norm(g, NormSpec(0, 1, cfg.q)),
-            "g_dual": negative_norm(g, q=cfg.q),
-            "w_l_q": sobolev_norm(result.w, NormSpec(0, 0, cfg.q)),
-            "w_w2q": sobolev_norm(result.w, NormSpec(0, 2, cfg.q)),
-        },
-        "empirical_constants": estimates,
+        "norms": {key: norms[key] for key in ("g_w1q", "g_dual", "w_l_q", "w_w2q")},
+        "empirical_constants": lift_estimate_check(g, result, cfg.q, norms),
         "outputs": ["w.plf"],
     }
 

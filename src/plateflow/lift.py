@@ -138,19 +138,26 @@ def lift_divergence(g_field: SpectralField, tol_compat: float = 1e-9) -> LiftRes
     return LiftResult(w_field, residual_div, residual_bc)
 
 
-def lift_estimate_check(g_field: SpectralField, result: LiftResult,
-                        q: float = 2.0) -> dict:
-    """Empirical constants of the gradient and dual-norm bounds."""
-    w = result.w
-    grad_ratios = {}
-    for level in (0, 1):
-        num = sobolev_norm(w, NormSpec(0, level + 1, q))
-        den = sobolev_norm(g_field, NormSpec(0, level, q))
-        grad_ratios[level] = num / den if den > 0 else 0.0
-    dual = negative_norm(g_field, q=q)
-    low = sobolev_norm(w, NormSpec(0, 0, q))
+def lift_norms(g_field: SpectralField, w: SpectralField, q: float = 2.0) -> dict:
+    """The norms the lift's bounds compare, each computed once: g in L^q,
+    W^{1,q} and the dual norm, and w in L^q, W^{1,q} and W^{2,q}."""
     return {
-        "gradient_ratio_l0": grad_ratios[0],
-        "gradient_ratio_l1": grad_ratios[1],
-        "dual_ratio": (low / dual) if dual > 0 else 0.0,
+        "g_l_q": sobolev_norm(g_field, NormSpec(0, 0, q)),
+        "g_w1q": sobolev_norm(g_field, NormSpec(0, 1, q)),
+        "g_dual": negative_norm(g_field, q=q),
+        "w_l_q": sobolev_norm(w, NormSpec(0, 0, q)),
+        "w_w1q": sobolev_norm(w, NormSpec(0, 1, q)),
+        "w_w2q": sobolev_norm(w, NormSpec(0, 2, q)),
     }
+
+
+def lift_estimate_check(g_field: SpectralField, result: LiftResult,
+                        q: float = 2.0, norms: dict | None = None) -> dict:
+    """Empirical constants of the gradient and dual-norm bounds; norms, when
+    given, is lift_norms(g_field, result.w, q), already taken."""
+    n = lift_norms(g_field, result.w, q) if norms is None else norms
+    pairs = {"gradient_ratio_l0": ("w_w1q", "g_l_q"),
+             "gradient_ratio_l1": ("w_w2q", "g_w1q"),
+             "dual_ratio": ("w_l_q", "g_dual")}
+    return {key: n[num] / n[den] if n[den] > 0 else 0.0
+            for key, (num, den) in pairs.items()}

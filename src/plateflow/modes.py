@@ -23,18 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    PlateField,
-    SpectralField,
-    dt,
-    laplacian,
-    layer_derivative,
-    trace_bottom,
-    zeros_like_field,
-)
+from .fields import PlateField, SpectralField, layer_derivative, zeros_like_field
 from .grid import (TorusGrid, _phys, cheb_eval, cheb_nodes, cheb_values_to_coeffs,
                    clencurt_weights)
-from .lift import antiderivative_from_plate, lift_divergence, xi0_incompatibility
+from .lift import antiderivative_from_plate, xi0_incompatibility
 
 
 @dataclass(frozen=True)
@@ -371,15 +363,15 @@ def solve_linear_full(f: SpectralField | None = None,
                       g: SpectralField | None = None,
                       h: PlateField | None = None, *,
                       grid: TorusGrid | None = None,
-                      params: SolverParams = DEFAULT_PARAMS,
-                      route: str = "lift") -> LinearSolution:
+                      params: SolverParams = DEFAULT_PARAMS) -> LinearSolution:
     """Solve the linearized coupled system for time-periodic data.
 
-    route "lift" removes the divergence datum with the layer lift and sends
-    homogeneous-continuity data to the mode solves; route "direct" feeds the
-    datum into the continuity rows unchanged.  The two must agree, which is
-    the dual-path cross-check used by the validation oracles.  The CLI's
-    solve-linear takes its configured route; picard_solve takes "direct".
+    The divergence datum g goes into the mode solves' continuity rows as it
+    is; each xi' = 0 column is checked against compat_tol there and an
+    incompatible one raises IncompatibleDataError.  This is the one solver
+    path, for the CLI's solve-linear and for every Picard sweep;
+    `oracles.solve_by_lift` removes g with the divergence lift first, as the
+    independent reference that the cross-check compares with it.
     """
     for cand in (f, g, h):
         if cand is not None:
@@ -394,18 +386,8 @@ def solve_linear_full(f: SpectralField | None = None,
         if cand is not None and cand.grid != grid:
             raise ValueError("data fields live on different grids")
     real_data = f.real and h.real and (g is None or g.real)
-
-    if route not in ("lift", "direct"):
-        raise ValueError(f"unknown route {route!r}")
-    w, fc, gc, hc = None, f.coeffs, None, h.coeffs
-    if g is not None and g.coeffs.any():
-        if route == "lift":
-            w = lift_divergence(g, tol_compat=params.compat_tol).w
-            fc = (f - dt(w) + params.mu_f * laplacian(w)).coeffs
-            hc = (h - 2.0 * params.mu_f * trace_bottom(g)).coeffs
-        else:
-            xi0_incompatibility(grid, g.coeffs, params.compat_tol)
-            gc = g.coeffs
+    fc, hc = f.coeffs, h.coeffs
+    gc = g.coeffs if g is not None and g.coeffs.any() else None
 
     half_t = (grid.n_t - 1) // 2
     half_x = (grid.n_x - 1) // 2
@@ -435,6 +417,4 @@ def solve_linear_full(f: SpectralField | None = None,
     u = SpectralField(grid, u_c, 3, real_data)
     p = SpectralField(grid, p_c, 1, real_data)
     eta = PlateField(grid, e_c, real_data)
-    if w is not None:
-        u = u + w
     return LinearSolution(u, p, eta)

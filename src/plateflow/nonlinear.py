@@ -18,9 +18,9 @@ map bijective, built once and read by the tensor, the interaction terms, the
 forcing pullback, the gate and the residual.  picard_solve builds it once per
 iterate and passes it to those functions in place of eta.  One helper,
 `_map_rhs`, forms the fixed-point map's right-hand sides at a state for both
-a Picard sweep and `nonlinear_residual`.  A sweep solves on them by the
-"direct" route of `solve_linear_full`: the divergence slot goes straight
-into the mode solves' continuity rows, with no divergence lift.
+a Picard sweep and `nonlinear_residual`.  A sweep solves on them with
+`solve_linear_full`: the divergence slot goes straight into the mode
+solves' continuity rows, with no divergence lift.
 
 All pointwise products (including the rational factor 1/(1 + eta)) are
 evaluated on a zero-padded time/lateral lattice and truncated back, so the
@@ -169,7 +169,7 @@ class NonlinearTerms:
     identically for a flat plate, plus the convective term.  rd_tilde =
     div rd_vector feeds the divergence slot and is mean-free because
     rd_vector vanishes on both faces wherever u does, so picard_solve hands
-    it to the mode solves' continuity rows as it is (the "direct" route of
+    it to the mode solves' continuity rows as it is (through
     solve_linear_full).  r_eta acts on the plate row.
     """
 
@@ -439,7 +439,7 @@ class PicardConfig:
     The step, the ball and the smallness gate use the norms of exponent q.
     The loop stops when a step, or from sweep 3 on its a-posteriori error
     bound (see picard_solve), falls below picard_tol.  params sets every
-    sweep's linear solve, which always takes the direct route.
+    sweep's linear solve.
     """
 
     eps: float = 1e-3
@@ -476,7 +476,7 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
     correction-augmented right-hand sides, starting from rest.
 
     Each sweep forms the map's right-hand sides at the iterate (`_map_rhs`),
-    solves the linear system on them by the direct route and measures the
+    solves the linear system on them (`solve_linear_full`) and measures the
     step in the solution norm.  The loop stops when a step falls below
     picard_tol, or, from sweep 3 on, when Banach's a-posteriori estimate
     q / (1 - q) * step of the distance to the fixed point does, q < 1 being
@@ -505,11 +505,10 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
     for n in range(1, config.max_iter + 1):
         rhs_f, rd, rhs_h = _map_rhs(u, p, geo, f, h, params.mu_f)
         # rd = div R with R zero on both faces already meets xi' = 0, so the
-        # mode solves take it in their continuity rows; the direct route
+        # mode solves take it in their continuity rows; solve_linear_full
         # checks it against compat_tol, and the trace keeps its value
         rd_mean = 0.0 if rd is None else xi0_incompatibility(g, rd.coeffs)
-        sol = solve_linear_full(rhs_f, rd, rhs_h, grid=g,
-                                params=params, route="direct")
+        sol = solve_linear_full(rhs_f, rd, rhs_h, grid=g, params=params)
         # the next sweep's terms need not sit beside this sweep's data
         del rhs_f, rd, rhs_h
         new_norm = x_norm(sol.u, sol.p, sol.eta, q=config.q)

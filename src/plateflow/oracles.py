@@ -5,7 +5,9 @@ they police:
 
 * manufactured solutions whose data are produced by applying the governing
   operators analytically, so the discrete solver can be measured against a
-  known continuum truth rather than against itself;
+  known continuum truth rather than against itself, together with the lift
+  route of the linear solve (`solve_by_lift`), the second path the
+  solver's direct route is cross-checked against;
 * finite-difference derivative probes on oversampled grids, the only
   derivative route in the package that does not share code with the
   spectral one;
@@ -26,16 +28,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import (
-    PlateField,
-    SpectralField,
-    dt,
-    dx,
-    dx3,
-    _symmetrize,
-)
+from .fields import (PlateField, SpectralField, dt, dx, dx3, laplacian, trace_bottom,
+                     zeros_like_field, _symmetrize)
 from .grid import TorusGrid, cheb_values_to_coeffs, cheb_eval
-from .modes import SolverParams, DEFAULT_PARAMS, linear_residuals, solve_linear_full
+from .lift import lift_divergence
+from .modes import (SolverParams, DEFAULT_PARAMS, LinearSolution, linear_residuals,
+                    solve_linear_full)
 from .norms import NormSpec, sobolev_norm, mixed_lr_lp_norm, x_norm, y_norm
 
 # 6th-order centered first-derivative stencil, stored as antisymmetric pairs
@@ -280,19 +278,34 @@ PRESSURE_CONVENTION = (
 )
 
 
+def solve_by_lift(f, g, h, *, grid=None, params=DEFAULT_PARAMS) -> LinearSolution:
+    """The lift route of the linear solve, the reference `cross_validate_linear`
+    compares with `solve_linear_full`: with w the divergence lift of g, solve
+    for u - w on f - dt w + mu_f lap w, zero divergence and h - 2 mu_f trace g,
+    then add w back.  A zero or absent g is a plain solve_linear_full."""
+    if g is None or not g.coeffs.any():
+        return solve_linear_full(f, g, h, grid=grid, params=params)
+    f = zeros_like_field(g.grid, 3) if f is None else f
+    h = zeros_like_field(g.grid, plate=True) if h is None else h
+    w = lift_divergence(g, tol_compat=params.compat_tol).w
+    sol = solve_linear_full(f - dt(w) + params.mu_f * laplacian(w), None,
+                            h - 2.0 * params.mu_f * trace_bottom(g),
+                            grid=grid, params=params)
+    return LinearSolution(sol.u + w, sol.p, sol.eta)
+
+
 def cross_validate_linear(case: ManufacturedCase, *, q: float = 2.0) -> dict:
     """Solve the case along both linear routes and report all discrepancies.
 
-    The lift route removes the divergence datum first; the direct route
-    feeds it straight into the per-mode continuity rows.  Uniqueness of the
-    solution demands the two coincide, and both must converge to the
-    manufactured truth.
+    The lift route (`solve_by_lift`) removes the divergence datum first; the
+    direct route (`solve_linear_full`) feeds it straight into the per-mode
+    continuity rows.  Uniqueness of the solution demands the two coincide,
+    and both must converge to the manufactured truth.
     """
     g_arg = case.g if case.g.coeffs.any() else None
-    lift = solve_linear_full(case.f, g_arg, case.h, grid=case.grid,
-                             params=case.params, route="lift")
+    lift = solve_by_lift(case.f, g_arg, case.h, grid=case.grid, params=case.params)
     direct = solve_linear_full(case.f, g_arg, case.h, grid=case.grid,
-                               params=case.params, route="direct")
+                               params=case.params)
 
     def residuals(sol):
         return linear_residuals(sol.u, sol.p, sol.eta, case.f, g_arg, case.h,

@@ -7,6 +7,8 @@ comparisons meaningful: a refined grid resolves the identical data, and
 any drift in an empirical ratio is the code's, not the draw's.
 """
 
+import sys
+
 import numpy as np
 
 from plateflow.fields import PlateField, SpectralField
@@ -21,6 +23,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace fn in every plateflow module that binds it by a wrapper that
+    appends 1 to the returned list on each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "plateflow"
+                and getattr(module, fn.__name__, None) is fn):
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
 
 
 def _sym(coeffs):

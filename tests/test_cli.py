@@ -20,12 +20,14 @@ import pytest
 
 from plateflow import cli
 from plateflow.cli import CliError, load_config, main, parse_forcing
-from plateflow.fields import PlateField, physical_samples
+from plateflow.fields import PlateField, divergence, physical_samples
 from plateflow.grid import TorusGrid
 from plateflow.io import read_field, write_field
-from plateflow.norms import x_norm, y_norm
+from plateflow.modes import solve_linear_full
+from plateflow.norms import negative_norm, x_norm, y_norm
+from plateflow.oracles import solve_by_lift
 
-from conftest import poly_field
+from conftest import bubble_field, count_calls, poly_field, poly_plate
 
 GRID = TorusGrid(5, 5, 8)
 
@@ -292,6 +294,10 @@ def test_file_forcing_wrong_component_count(tmp_path):
     write_field(tmp_path / "g.plf", g)
     with pytest.raises(CliError, match="3 components"):
         parse_forcing("file:g.plf", GRID, "f", base_dir=tmp_path)
+    write_field(tmp_path / "f.plf", poly_field(GRID, seed=5))
+    with pytest.raises(CliError, match="must be scalar") as exc:
+        parse_forcing("file:f.plf", GRID, "g", base_dir=tmp_path)
+    assert exc.value.code == 2
 
 
 def test_file_forcing_missing(tmp_path):
@@ -308,7 +314,7 @@ def test_config_defaults_and_hash(tmp_path):
     path.write_text("# comment only\nmu_f = 2.0\n")
     cfg, raw = load_config(path)
     assert cfg.mu_f == 2.0
-    assert cfg.n_t == 5 and cfg.route == "lift"
+    assert cfg.n_t == 5 and cfg.route == "direct"
     assert raw == path.read_text()
 
 
@@ -320,6 +326,11 @@ def test_config_defaults_and_hash(tmp_path):
     ("mu_f = fast\n", "needs a number"),
     ("just words\n", "expected 'key = value'"),
     ("route = sideways\n", "route must be"),
+    ("T = 0\n", "periods T and L must be positive"),
+    ("mu_f = 0\n", "mu_f must be positive"),
+    ("mu_s = -1\n", "mu_s must be nonnegative"),
+    ("max_iter = 0\n", "max_iter must be at least 1"),
+    ("k_max = -1\n", "scan ranges must be nonnegative"),
     ("n_z = 2\n", "n_z"),
     ("eps = 0\n", "eps must be positive"),
     ("threads = 0\n", "threads"),
@@ -578,6 +589,32 @@ def test_solve_linear_incompatible_datum(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("route_line,solve", [("route = lift\n", solve_by_lift),
+                                               ("", solve_linear_full)],
+                         ids=["lift", "default"])
+def test_solve_linear_route_runs_the_library_solve(tmp_path, capsys,
+                                                   route_line, solve):
+    f = poly_field(GRID, 61, components=3)
+    g = divergence(bubble_field(GRID, 62))
+    h = poly_plate(GRID, 63)
+    for name, field in zip("fgh", (f, g, h)):
+        write_field(tmp_path / f"{name}.plf", field)
+    cfg = ("n_z = 8\nforcing_f = file:f.plf\nforcing_g = file:g.plf\n"
+           "forcing_h = file:h.plf\n" + route_line)
+    code, out = run_cli(tmp_path, cfg, "solve-linear")
+    assert code == 0
+    sol = solve(f, g, h, grid=GRID)
+    for name in ("u", "p", "eta"):
+        write_field(tmp_path / "ref.plf", getattr(sol, name))
+        assert ((out / f"{name}.plf").read_bytes()
+                == (tmp_path / "ref.plf").read_bytes()), name
+    # both routes refuse a datum with a layer mean on xi' = 0
+    code, _ = run_cli(tmp_path, "forcing_g = 1\nn_z = 8\n" + route_line,
+                      "solve-linear", out_name="bad")
+    assert code == 2
+    assert error_payload(capsys)["kind"] == "incompatible"
+
+
 def test_forged_container_header_is_a_one_line_error(tmp_path, capsys):
     # header sizes far beyond the configured grid and the 64 payload bytes;
     # then a well-formed container that holds a NaN coefficient, and a plate
@@ -818,6 +855,12 @@ def test_lift_div_run(tmp_path):
         assert doc["empirical_constants"][key] > 0
     w = read_field(out / "w.plf")
     assert w.components == 3 and w.coeffs.any()
+
+
+def test_lift_div_takes_the_dual_norm_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, negative_norm)
+    code, _ = run_cli(tmp_path, "forcing_g = 0.01*sin(x1)\nn_z = 12\n", "lift-div")
+    assert code == 0 and len(calls) == 1
 
 
 def test_lift_div_incompatible(tmp_path, capsys):

@@ -21,7 +21,7 @@ from plateflow.modes import (
     weak_form_B,
     weak_form_rhs,
 )
-from plateflow.oracles import cross_validate_linear, make_manufactured
+from plateflow.oracles import cross_validate_linear, make_manufactured, solve_by_lift
 
 from conftest import bubble_field, poly_field, poly_plate
 
@@ -190,7 +190,7 @@ def test_mode_solve_matrices_stay_small(monkeypatch):
     f = poly_field(grid, 91, components=3) * (0.6 + 0.8j)
     g = divergence(bubble_field(grid, 92)) * 1j
     h = poly_plate(grid, 93) * (0.8 - 0.6j)
-    solve_linear_full(f, g, h, grid=grid, route="direct")
+    solve_linear_full(f, g, h, grid=grid)
     assert max(np.prod(shape) for shape in sizes) <= (grid.n_z + 2) ** 2
     assert (grid.n_z + 2, grid.n_z + 2) in sizes      # the xi' != 0 branch ran
 
@@ -238,7 +238,7 @@ def test_one_inverse_per_group(monkeypatch):
     f, g, h = (SpectralField(grid, f, 3, False),
                divergence(SpectralField(grid, w, 3, False)),
                PlateField(grid, h, False))
-    solve_linear_full(f, g, h, grid=grid, route="direct")
+    solve_linear_full(f, g, h, grid=grid)
     assert len(groups) == grid.n_t * len(grid.xi_groups())
     assert set(groups) == {(True, 1, 1), (False, 1, 0)}
     assert sum(not off_axis for off_axis, _, _ in groups) == grid.n_t
@@ -324,7 +324,7 @@ def test_full_residuals_are_worst_mode_residuals():
     f = poly_field(GRID, 87, components=3)
     h = poly_plate(GRID, 88)
     g = divergence(bubble_field(GRID, 84))
-    sol = solve_linear_full(f, g, h, grid=GRID, route="direct")
+    sol = solve_linear_full(f, g, h, grid=GRID)
     # doubled data leaves O(1) residuals in every equation but the faces
     f2, g2, h2 = 2.0 * f, 2.0 * g, 2.0 * h
     full = linear_residuals(sol.u, sol.p, sol.eta, f2, g2, h2)
@@ -357,16 +357,12 @@ def test_full_solve_residuals_both_routes(route, real):
     if not real:
         # distinct phases break the conjugate symmetry: every mode is solved
         f, g, h = f * (0.6 + 0.8j), g * 1j, h * (0.8 - 0.6j)
-    sol = solve_linear_full(f, g, h, grid=GRID, route=route)
+    solve = solve_by_lift if route == "lift" else solve_linear_full
+    sol = solve(f, g, h, grid=GRID)
     assert sol.u.real == real
     scale = max(1.0, np.max(np.abs(f.coeffs)))
     for name, val in linear_residuals(sol.u, sol.p, sol.eta, f, g, h).items():
         assert val < 1e-9 * scale, (name, val)
-
-
-def test_unknown_route_rejected():
-    with pytest.raises(ValueError):
-        solve_linear_full(poly_field(GRID, 85), grid=GRID, route="middle")
 
 
 def test_direct_route_rejects_incompatible_datum():
@@ -376,7 +372,7 @@ def test_direct_route_rejects_incompatible_datum():
         bad = zeros_like_field(GRID)
         bad.coeffs[:, 2, 2, 2] = profile
         with pytest.raises(IncompatibleDataError):
-            solve_linear_full(None, bad, None, grid=GRID, route="direct")
+            solve_linear_full(None, bad, None, grid=GRID)
         with pytest.raises(IncompatibleDataError):
             solve_mode(GRID, 0, (0, 0), None, bad.coeffs[:, 2, 2, 2])
 

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from plateflow import modes, nonlinear
+from plateflow import nonlinear
 from plateflow.fields import (
     DEALIAS,
     OVERSAMPLE,
@@ -20,6 +20,7 @@ from plateflow.fields import (
     zeros_like_field,
 )
 from plateflow.grid import TorusGrid
+from plateflow.lift import lift_divergence
 from plateflow.nonlinear import (
     DegenerateDeformationError,
     PicardConfig,
@@ -32,9 +33,9 @@ from plateflow.nonlinear import (
     picard_solve,
 )
 from plateflow.norms import NormSpec, sobolev_norm, x_norm
-from plateflow.oracles import make_manufactured
+from plateflow.oracles import make_manufactured, solve_by_lift
 
-from conftest import bubble_field, poly_field, poly_plate
+from conftest import bubble_field, count_calls, poly_field, poly_plate
 
 GRID = TorusGrid(5, 5, 8)
 HT = HX = 2
@@ -392,14 +393,7 @@ def _low_band_case():
 
 
 def test_picard_sweeps_build_no_divergence_lift(monkeypatch):
-    lifts = []
-    lift = modes.lift_divergence
-
-    def counting_lift(*args, **kwargs):
-        lifts.append(1)
-        return lift(*args, **kwargs)
-
-    monkeypatch.setattr(modes, "lift_divergence", counting_lift)
+    lifts = count_calls(monkeypatch, lift_divergence)
     f, h = _low_band_case()
     res = picard_solve(f, h, PicardConfig(eps=1e-3))
     # sweeps 2 and 3 carry a divergence datum; the mode solves take it
@@ -411,9 +405,7 @@ def test_picard_direct_route_matches_a_lift_route_reference(monkeypatch):
     f, h = _low_band_case()
     config = PicardConfig(eps=1e-3)
     direct = picard_solve(f, h, config)
-    solve = nonlinear.solve_linear_full
-    monkeypatch.setattr(nonlinear, "solve_linear_full",
-                        lambda *a, **k: solve(*a, **{**k, "route": "lift"}))
+    monkeypatch.setattr(nonlinear, "solve_linear_full", solve_by_lift)
     lifted = picard_solve(f, h, config)
     assert direct.iterations == lifted.iterations
     gap = x_norm(direct.u - lifted.u, direct.p - lifted.p, direct.eta - lifted.eta,
