@@ -21,7 +21,9 @@ is not finite exits with code 1 and names its key path (such as
 ``norms.y_norm_data``); that file is then not written, while ``.plf`` and
 CSV outputs written before it stay on disk.  An output path taken by a file
 or a directory, such as an ``--out`` that names a file, exits with code 1
-and names the path.
+and names the path.  A solve-linear solution with a coefficient that is
+not finite (a mu_f so small that the mode solves overflow) exits with
+code 1 and names mu_f before any output is written.
 
 Config files are plain ``key = value`` text, ``#`` starts a comment; every
 number must be finite.  solve-linear and solve-nonlinear refuse T, L,
@@ -116,9 +118,9 @@ from .halfspace import (
     scan_window_bytes,
 )
 from .io import read_field, write_field
-from .lift import (IncompatibleDataError, lift_divergence, lift_estimate_check,
-                   lift_norms)
-from .modes import SolverParams, linear_residuals, solve_linear_full
+from .lift import lift_divergence, lift_estimate_check, lift_norms
+from .modes import (IncompatibleDataError, SolverParams, linear_residuals,
+                    solve_linear_full)
 from .nonlinear import (
     DegenerateDeformationError,
     PicardConfig,
@@ -649,7 +651,11 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
     g_arg = g if g.coeffs.any() else None
     params = cfg.solver_params()
     solve = oracles.solve_by_lift if cfg.route == "lift" else solve_linear_full
-    sol = solve(f, g_arg, h, grid=grid, params=params)
+    with np.errstate(all="ignore"):  # what overflows is refused below
+        sol = solve(f, g_arg, h, grid=grid, params=params)
+    if not all(np.isfinite(x.coeffs).all() for x in (sol.u, sol.p, sol.eta)):
+        raise _config_error(f"solve-linear: the linear solve is not finite at "
+                            f"mu_f = {cfg.mu_f!r}")
     write_field(out_dir / "u.plf", sol.u)
     write_field(out_dir / "p.plf", sol.p)
     write_field(out_dir / "eta.plf", sol.eta)
@@ -772,7 +778,7 @@ def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, seed: int,
                   base_dir: Path) -> dict:
     grid = cfg.grid()
     g = _scaled_forcing(cfg, grid, "g", base_dir)
-    result = lift_divergence(g, tol_compat=cfg.compat_tol)
+    result = lift_divergence(g, compat_tol=cfg.compat_tol)
     write_field(out_dir / "w.plf", result.w)
     norms = lift_norms(g, result.w, cfg.q)
     return {

@@ -6,7 +6,9 @@ profile psi solves a Poisson-type two-point problem whose four boundary rows
 columns; phi := (psi' - g)/|xi'|^2 then vanishes at the faces and the nodal
 divergence equals g identically.  For xi' = 0 the lateral part is zero and
 w3 is the antiderivative of g from the plate face, which requires the layer
-mean of g and its T_{N_z} Chebyshev component to vanish.
+mean of g and its T_{N_z} Chebyshev component to vanish; both xi' = 0
+facts are the mode solver's (`modes.antiderivative_from_plate` and
+`modes.xi0_incompatibility`), so the lift and the solve share them.
 
 The construction acts per time mode with no k dependence, so it commutes
 exactly with time differentiation.
@@ -15,62 +17,13 @@ exactly with time differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .fields import SpectralField, divergence
-from .grid import TorusGrid, cheb_values_to_coeffs
+from .grid import TorusGrid
+from .modes import antiderivative_from_plate, xi0_incompatibility
 from .norms import NormSpec, negative_norm, sobolev_norm
-
-
-class IncompatibleDataError(ValueError):
-    """Raised when a solvability condition required by the problem fails."""
-
-
-def xi0_incompatibility(grid: TorusGrid, coeffs: np.ndarray,
-                        tol: float | None = None) -> float:
-    """Largest violation of the xi' = 0 solvability conditions of scalar data.
-
-    On the xi' = 0 column the datum is the x3 derivative of a degree-N_z
-    profile that vanishes at both faces, so its layer mean and its T_{N_z}
-    Chebyshev coefficient must both vanish; the larger modulus of the two
-    is returned.  coeffs holds a full (N_z + 1, N_t, N_x, N_x) coefficient
-    array or xi' = 0 profile columns (N_z + 1, batch).  With tol, a value
-    above tol * max(1, max |coeffs|) raises IncompatibleDataError.
-    """
-    mid = (grid.n_x - 1) // 2
-    column = coeffs[:, :, mid, mid] if coeffs.ndim == 4 else coeffs
-    mean = float(np.max(np.abs(grid.cheb_weights @ column)))
-    top = float(np.max(np.abs(cheb_values_to_coeffs(column, axis=0)[-1])))
-    worst = max(mean, top)
-    if tol is not None and worst > tol * max(1.0, float(np.max(np.abs(coeffs)))):
-        raise IncompatibleDataError(
-            f"divergence datum has layer mean {mean:.3e} and T_N_z "
-            f"coefficient {top:.3e} on the xi'=0 column; the coupled system "
-            f"admits no periodic solution")
-    return worst
-
-
-@lru_cache(maxsize=8)
-def _antiderivative_matrix(grid: TorusGrid) -> np.ndarray:
-    """Solve rows: value at node 0, then derivative match at nodes 0..N-1."""
-    n = grid.n_z
-    a = np.zeros((n + 1, n + 1))
-    a[0, 0] = 1.0
-    a[1:] = grid.d1[:n]
-    return np.linalg.inv(a)
-
-
-def antiderivative_from_plate(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Profile F with F(0) = 0 and F' = values, exact at nodes 0..N-1.
-
-    The node axis of `values` is first; any trailing axes are columns.
-    """
-    rhs = np.concatenate([np.zeros((1,) + values.shape[1:], values.dtype),
-                          values[: grid.n_z]])
-    cols = _antiderivative_matrix(grid) @ rhs.reshape(grid.n_z + 1, -1)
-    return cols.reshape(rhs.shape)
 
 
 def _closure_solve(grid: TorusGrid, xi_sq: float,
@@ -108,14 +61,14 @@ class LiftResult:
     residual_bc: float
 
 
-def lift_divergence(g_field: SpectralField, tol_compat: float = 1e-9) -> LiftResult:
+def lift_divergence(g_field: SpectralField, compat_tol: float = 1e-9) -> LiftResult:
     """Construct w with div w = g and w = 0 on both faces, mode by mode."""
     if g_field.components != 1:
         raise ValueError("the divergence lift expects a scalar field")
     grid = g_field.grid
     n = grid.n_z
     coeffs = g_field.coeffs
-    xi0_incompatibility(grid, coeffs, tol_compat)
+    xi0_incompatibility(grid, coeffs, compat_tol)
 
     w = np.zeros((3,) + coeffs.shape, complex)
     w1, w2, w3 = w

@@ -8,25 +8,75 @@ plate amplitude.  The lateral operators are isotropic: once the
 velocities are eliminated, the system left in the pressure and the plate
 amplitude depends on xi' only through |xi'|^2, so the modes of one
 (k, |xi'|^2) group are solved together by block elimination
-(`_solve_group`) in the lattice frame.  This module also carries the
-weak-form and energy oracles that the validation suite leans on.
+(`_solve_group`) in the lattice frame.
 
 The xi' = 0 column is special: the plate amplitude vanishes there, the
 tangential velocities decouple into scalar two-point problems, the vertical
 velocity is the layer antiderivative of the divergence datum, and the
 pressure constant is pinned by the plate-row compatibility at the face.
+Those xi' = 0 facts are defined here once: the solvability check of the
+datum (`xi0_incompatibility`) and the antiderivative from the plate face
+(`antiderivative_from_plate`), which the divergence lift builds on too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .fields import PlateField, SpectralField, layer_derivative, zeros_like_field
-from .grid import (TorusGrid, _phys, cheb_eval, cheb_nodes, cheb_values_to_coeffs,
-                   clencurt_weights)
-from .lift import antiderivative_from_plate, xi0_incompatibility
+from .grid import TorusGrid, _phys, cheb_values_to_coeffs
+
+
+class IncompatibleDataError(ValueError):
+    """Raised when a solvability condition required by the problem fails."""
+
+
+def xi0_incompatibility(grid: TorusGrid, coeffs: np.ndarray,
+                        tol: float | None = None) -> float:
+    """Largest violation of the xi' = 0 solvability conditions of scalar data.
+
+    On the xi' = 0 column the datum is the x3 derivative of a degree-N_z
+    profile that vanishes at both faces, so its layer mean and its T_{N_z}
+    Chebyshev coefficient must both vanish; the larger modulus of the two
+    is returned.  coeffs holds a full (N_z + 1, N_t, N_x, N_x) coefficient
+    array or xi' = 0 profile columns (N_z + 1, batch).  With tol, a value
+    above tol * max(1, max |coeffs|) raises IncompatibleDataError.
+    """
+    mid = (grid.n_x - 1) // 2
+    column = coeffs[:, :, mid, mid] if coeffs.ndim == 4 else coeffs
+    mean = float(np.max(np.abs(grid.cheb_weights @ column)))
+    top = float(np.max(np.abs(cheb_values_to_coeffs(column, axis=0)[-1])))
+    worst = max(mean, top)
+    if tol is not None and worst > tol * max(1.0, float(np.max(np.abs(coeffs)))):
+        raise IncompatibleDataError(
+            f"divergence datum has layer mean {mean:.3e} and T_N_z "
+            f"coefficient {top:.3e} on the xi'=0 column; the coupled system "
+            f"admits no periodic solution")
+    return worst
+
+
+@lru_cache(maxsize=8)
+def _antiderivative_matrix(grid: TorusGrid) -> np.ndarray:
+    """Solve rows: value at node 0, then derivative match at nodes 0..N-1."""
+    n = grid.n_z
+    a = np.zeros((n + 1, n + 1))
+    a[0, 0] = 1.0
+    a[1:] = grid.d1[:n]
+    return np.linalg.inv(a)
+
+
+def antiderivative_from_plate(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Profile F with F(0) = 0 and F' = values, exact at nodes 0..N-1.
+
+    The node axis of `values` is first; any trailing axes are columns.
+    """
+    rhs = np.concatenate([np.zeros((1,) + values.shape[1:], values.dtype),
+                          values[: grid.n_z]])
+    cols = _antiderivative_matrix(grid) @ rhs.reshape(grid.n_z + 1, -1)
+    return cols.reshape(rhs.shape)
 
 
 @dataclass(frozen=True)
@@ -219,132 +269,6 @@ def linear_residuals(u: SpectralField, p: SpectralField, eta: PlateField,
         "bc": max(parts["kinematic"], parts["no_slip"]),
         "plate": parts["plate"],
     }
-
-
-# ---- weak form and energy oracles -------------------------------------------
-
-
-@dataclass
-class TestPair:
-    """Divergence-free velocity profile and plate amplitude for one mode.
-
-    Members satisfy w(1) = 0, w'(0) = w'(1) = 0 laterally, w3(0) = -ik zeta,
-    and i xi . w' + w3' = 0 at every node, so they pair admissibly with any
-    candidate in the weak identity.
-    """
-
-    grid: TorusGrid
-    k: int
-    xi: tuple[int, int]
-    w: np.ndarray
-    zeta: complex
-
-
-def random_test_pair(grid: TorusGrid, k: int, xi: tuple[int, int],
-                     rng: np.random.Generator, extra_degree: int = 2) -> TestPair:
-    """Draw a random admissible test pair built from polynomial bubbles."""
-    z = grid.nodes
-    m = grid.n_z + 1
-    kp, x1, x2 = _phys(k, xi, grid.t_period, grid.l_period)
-    a2 = x1 * x1 + x2 * x2
-
-    def poly(deg):
-        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        return np.polynomial.polynomial.polyval(z, c)
-
-    w = np.zeros((3, m), complex)
-    if a2 == 0.0:
-        w[0] = z * (1.0 - z) * poly(extra_degree)
-        w[1] = z * (1.0 - z) * poly(extra_degree)
-        return TestPair(grid, k, tuple(xi), w, 0.0 + 0.0j)
-    zeta = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    blend = (1.0 - z) ** 2 * (1.0 + 2.0 * z)       # 1 at the face, flat ends
-    bubble = z ** 2 * (1.0 - z) ** 2 * poly(extra_degree)
-    w3 = -1j * kp * zeta * blend + bubble
-    w3p = grid.d1 @ w3
-    swirl = z * (1.0 - z) * poly(extra_degree)
-    w[0] = 1j * x1 * w3p / a2 - x2 * swirl
-    w[1] = 1j * x2 * w3p / a2 + x1 * swirl
-    w[2] = w3
-    return TestPair(grid, k, tuple(xi), w, zeta)
-
-
-def _fine_profiles(grid, values, x_fine):
-    coeffs = cheb_values_to_coeffs(np.asarray(values, complex), axis=-1)
-    return cheb_eval(coeffs[..., None, :], x_fine)
-
-
-def weak_form_B(u_hat: np.ndarray, eta_hat: complex, pair: TestPair,
-                mu_f: float = 1.0, mu_s: float = 1.0) -> complex:
-    """Sesquilinear form of one mode problem against a test pair.
-
-    Fluid terms are integrated on a refined Clenshaw-Curtis grid so that
-    polynomial candidates are handled exactly; plate terms are algebraic in
-    the amplitudes.
-    """
-    grid = pair.grid
-    kp, x1, x2 = _phys(pair.k, pair.xi, grid.t_period, grid.l_period)
-    a2 = x1 * x1 + x2 * x2
-    nf = 2 * grid.n_z
-    zf = cheb_nodes(nf)
-    wq = clencurt_weights(nf)
-    u_hat = np.asarray(u_hat, complex)
-    uf = _fine_profiles(grid, u_hat, zf)
-    wf = _fine_profiles(grid, pair.w, zf)
-    duf = _fine_profiles(grid, u_hat @ grid.d1.T, zf)
-    dwf = _fine_profiles(grid, pair.w @ grid.d1.T, zf)
-    grads = ((1j * x1 * uf, 1j * x1 * wf), (1j * x2 * uf, 1j * x2 * wf),
-             (duf, dwf))
-    integrand = sum((gu * np.conj(gw)).sum(axis=0) for gu, gw in grads)
-    integrand = mu_f * integrand + 1j * kp * (uf * np.conj(wf)).sum(axis=0)
-    fluid = complex(wq @ integrand)
-    plate = -1j * kp * _damped_symbol(kp, a2, mu_s)
-    return fluid + plate * eta_hat * np.conj(pair.zeta)
-
-
-def weak_form_rhs(f_hat: np.ndarray, h_hat: complex, pair: TestPair) -> complex:
-    """Data side of the weak identity for the same test pair."""
-    grid = pair.grid
-    kp = _phys(pair.k, pair.xi, grid.t_period, grid.l_period)[0]
-    nf = 2 * grid.n_z
-    zf = cheb_nodes(nf)
-    wq = clencurt_weights(nf)
-    ff = _fine_profiles(grid, np.asarray(f_hat, complex), zf)
-    wf = _fine_profiles(grid, pair.w, zf)
-    fluid = complex(wq @ (ff * np.conj(wf)).sum(axis=0))
-    return fluid - 1j * kp * h_hat * np.conj(pair.zeta)
-
-
-def energy_estimate_check(u: SpectralField, eta: PlateField,
-                          f: SpectralField, h: PlateField, k: int) -> float:
-    """Empirical constant of the per-k energy bound; 0 on zero data.
-
-    Compares the H1 velocity norm plus the weighted plate norms of the
-    k-plane of the solution against the L2 size of the k-plane of the data.
-    """
-    if k == 0:
-        raise ValueError("the energy bound concerns oscillatory planes; k != 0")
-    grid = u.grid
-    it = k + (grid.n_t - 1) // 2
-    if not 0 <= it < grid.n_t:
-        raise ValueError(f"time frequency {k} not retained on this grid")
-    kp = _phys(k, (0, 0), grid.t_period, grid.l_period)[0]
-    wq = grid.cheb_weights
-    a2 = grid.xi_norm_sq()
-    plane = slice(it, it + 1)  # the k-plane, kept as a lattice of one time
-    uc = u.coeffs[:, :, plane]
-    duc = layer_derivative(grid, uc)
-    dens = (1.0 + a2) * np.abs(uc) ** 2 + np.abs(duc) ** 2
-    u_h1 = np.sqrt(float(np.einsum("cjtxy,j->", dens, wq).real))
-    ec = eta.coeffs[it]
-    eta_22 = np.sqrt(float(np.sum((1.0 + a2) ** 2 * np.abs(ec) ** 2)))
-    keta_12 = abs(kp) * np.sqrt(float(np.sum((1.0 + a2) * np.abs(ec) ** 2)))
-    fc = f.coeffs[:, :, plane]
-    f_l2 = np.sqrt(float(np.einsum("cjtxy,j->", np.abs(fc) ** 2, wq)))
-    h_l2 = np.sqrt(float(np.sum(np.abs(h.coeffs[it]) ** 2)))
-    if f_l2 + h_l2 == 0.0:
-        return 0.0
-    return (u_h1 + eta_22 + keta_12) / (f_l2 + h_l2)
 
 
 # ---- the full linear solve -----------------------------------------------------

@@ -51,7 +51,6 @@ from .fields import (
     divergence,
     dt,
     dx,
-    gradient,
     laplacian,
     layer_derivative,
     pad_to_samples,
@@ -60,9 +59,9 @@ from .fields import (
     zeros_like_field,
 )
 from .grid import TorusGrid, cheb_eval, cheb_values_to_coeffs
-from .lift import xi0_incompatibility
-from .modes import DEFAULT_PARAMS, SolverParams, _residual_parts, solve_linear_full
-from .norms import NormSpec, negative_norm, s_norm, sobolev_norm, x_norm
+from .modes import (DEFAULT_PARAMS, SolverParams, _residual_parts, solve_linear_full,
+                    xi0_incompatibility)
+from .norms import s_norm, x_norm
 
 # Gate limits: the plate-norm budget keeps the geometry perturbative, the sup
 # bound keeps the map bijective with room to spare, and the reciprocal bound
@@ -334,43 +333,6 @@ def _gate(eta: PlateField, eps0: float, q: float
         reciprocal_sup=float(reciprocal),
         margin=eps0 - plate_norm,
     ), geo
-
-
-# ---- empirical bound ratios ------------------------------------------------------
-
-
-def nonlinear_bound_ratios(u: SpectralField, p: SpectralField, eta: PlateField,
-                           q: float = 2.0, eps0: float = EPS0_DEFAULT,
-                           mu_f: float = 1.0) -> dict[str, float]:
-    """Left/right quotients of the three quadratic-term estimates.
-
-    The momentum right side keeps the squared velocity term outside the
-    plate-norm factor so the quotient stays meaningful as eta -> 0, where
-    the correction reduces to the convective term.  Zero data reports zero.
-    """
-    terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f)
-    nu = sobolev_norm(u, NormSpec(1, 2, q))
-    ngp = sobolev_norm(gradient(p), NormSpec(0, 0, q))
-    ns = s_norm(eta, q)
-
-    lhs_f = sobolev_norm(terms.rf_tilde, NormSpec(0, 0, q))
-    rhs_f = ((1.0 + eps0) * nu + ngp) * ns + nu * nu
-
-    lhs_d = (sobolev_norm(terms.rd_tilde, NormSpec(0, 1, q))
-             + negative_norm(terms.rd_tilde, q=q, time_order=1))
-    rhs_d = nu * ns
-
-    lhs_e = sobolev_norm(terms.r_eta, NormSpec(0, 1.0 - 1.0 / q, q))
-    rhs_e = (1.0 + eps0) * (ns * nu + nu + sobolev_norm(p, NormSpec(0, 1, q)))
-
-    def quot(lhs, rhs):
-        return float(lhs / rhs) if rhs > 0.0 else 0.0
-
-    return {
-        "momentum": quot(lhs_f, rhs_f),
-        "divergence": quot(lhs_d, rhs_d),
-        "plate": quot(lhs_e, rhs_e),
-    }
 
 
 # ---- forcing pullback ------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Independent validation oracles for the solver stack.
 
-Three families of checks live here, deliberately decoupled from the code
+Five families of checks live here, deliberately decoupled from the code
 they police:
 
 * manufactured solutions whose data are produced by applying the governing
@@ -8,6 +8,10 @@ they police:
   known continuum truth rather than against itself, together with the lift
   route of the linear solve (`solve_by_lift`), the second path the
   solver's direct route is cross-checked against;
+* the weak form of one mode problem against random admissible test pairs,
+  with the plate symbol written out rather than taken from the solver,
+  and the empirical constant of the per-k energy bound;
+* the empirical quotients of the three interaction-term bounds;
 * finite-difference derivative probes on oversampled grids, the only
   derivative route in the package that does not share code with the
   spectral one;
@@ -28,13 +32,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import (PlateField, SpectralField, dt, dx, dx3, laplacian, trace_bottom,
-                     zeros_like_field, _symmetrize)
-from .grid import TorusGrid, cheb_values_to_coeffs, cheb_eval
+from .fields import (PlateField, SpectralField, dt, dx, dx3, gradient, laplacian,
+                     layer_derivative, trace_bottom, zeros_like_field, _symmetrize)
+from .grid import (TorusGrid, _phys, cheb_eval, cheb_nodes, cheb_values_to_coeffs,
+                   clencurt_weights)
 from .lift import lift_divergence
 from .modes import (SolverParams, DEFAULT_PARAMS, LinearSolution, linear_residuals,
                     solve_linear_full)
-from .norms import NormSpec, sobolev_norm, mixed_lr_lp_norm, x_norm, y_norm
+from .nonlinear import EPS0_DEFAULT, compute_nonlinear_terms
+from .norms import (NormSpec, sobolev_norm, mixed_lr_lp_norm, negative_norm, s_norm,
+                    x_norm, y_norm)
 
 # 6th-order centered first-derivative stencil, stored as antisymmetric pairs
 # (offset, weight): sum of w * (f(x + o h) - f(x - o h)) / h.  The paired form
@@ -287,7 +294,7 @@ def solve_by_lift(f, g, h, *, grid=None, params=DEFAULT_PARAMS) -> LinearSolutio
         return solve_linear_full(f, g, h, grid=grid, params=params)
     f = zeros_like_field(g.grid, 3) if f is None else f
     h = zeros_like_field(g.grid, plate=True) if h is None else h
-    w = lift_divergence(g, tol_compat=params.compat_tol).w
+    w = lift_divergence(g, compat_tol=params.compat_tol).w
     sol = solve_linear_full(f - dt(w) + params.mu_f * laplacian(w), None,
                             h - 2.0 * params.mu_f * trace_bottom(g),
                             grid=grid, params=params)
@@ -330,6 +337,169 @@ def cross_validate_linear(case: ManufacturedCase, *, q: float = 2.0) -> dict:
         "pressure_convention": PRESSURE_CONVENTION,
         "residuals_lift": residuals(lift),
         "residuals_direct": residuals(direct),
+    }
+
+
+# ---- weak form and energy oracles -------------------------------------------
+
+
+@dataclass
+class TestPair:
+    """Divergence-free velocity profile and plate amplitude for one mode.
+
+    Members satisfy w(1) = 0, w'(0) = w'(1) = 0 laterally, w3(0) = -ik zeta,
+    and i xi . w' + w3' = 0 at every node, so they pair admissibly with any
+    candidate in the weak identity.
+    """
+
+    grid: TorusGrid
+    k: int
+    xi: tuple[int, int]
+    w: np.ndarray
+    zeta: complex
+
+
+def random_test_pair(grid: TorusGrid, k: int, xi: tuple[int, int],
+                     rng: np.random.Generator, extra_degree: int = 2) -> TestPair:
+    """Draw a random admissible test pair built from polynomial bubbles."""
+    z = grid.nodes
+    m = grid.n_z + 1
+    kp, x1, x2 = _phys(k, xi, grid.t_period, grid.l_period)
+    a2 = x1 * x1 + x2 * x2
+
+    def poly(deg):
+        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        return np.polynomial.polynomial.polyval(z, c)
+
+    w = np.zeros((3, m), complex)
+    if a2 == 0.0:
+        w[0] = z * (1.0 - z) * poly(extra_degree)
+        w[1] = z * (1.0 - z) * poly(extra_degree)
+        return TestPair(grid, k, tuple(xi), w, 0.0 + 0.0j)
+    zeta = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    blend = (1.0 - z) ** 2 * (1.0 + 2.0 * z)       # 1 at the face, flat ends
+    bubble = z ** 2 * (1.0 - z) ** 2 * poly(extra_degree)
+    w3 = -1j * kp * zeta * blend + bubble
+    w3p = grid.d1 @ w3
+    swirl = z * (1.0 - z) * poly(extra_degree)
+    w[0] = 1j * x1 * w3p / a2 - x2 * swirl
+    w[1] = 1j * x2 * w3p / a2 + x1 * swirl
+    w[2] = w3
+    return TestPair(grid, k, tuple(xi), w, zeta)
+
+
+def _fine_profiles(grid, values, x_fine):
+    coeffs = cheb_values_to_coeffs(np.asarray(values, complex), axis=-1)
+    return cheb_eval(coeffs[..., None, :], x_fine)
+
+
+def weak_form_B(u_hat: np.ndarray, eta_hat: complex, pair: TestPair,
+                mu_f: float = 1.0, mu_s: float = 1.0) -> complex:
+    """Sesquilinear form of one mode problem against a test pair.
+
+    Fluid terms are integrated on a refined Clenshaw-Curtis grid so that
+    polynomial candidates are handled exactly; plate terms are algebraic in
+    the amplitudes.
+    """
+    grid = pair.grid
+    kp, x1, x2 = _phys(pair.k, pair.xi, grid.t_period, grid.l_period)
+    a2 = x1 * x1 + x2 * x2
+    nf = 2 * grid.n_z
+    zf = cheb_nodes(nf)
+    wq = clencurt_weights(nf)
+    u_hat = np.asarray(u_hat, complex)
+    uf = _fine_profiles(grid, u_hat, zf)
+    wf = _fine_profiles(grid, pair.w, zf)
+    duf = _fine_profiles(grid, u_hat @ grid.d1.T, zf)
+    dwf = _fine_profiles(grid, pair.w @ grid.d1.T, zf)
+    grads = ((1j * x1 * uf, 1j * x1 * wf), (1j * x2 * uf, 1j * x2 * wf),
+             (duf, dwf))
+    integrand = sum((gu * np.conj(gw)).sum(axis=0) for gu, gw in grads)
+    integrand = mu_f * integrand + 1j * kp * (uf * np.conj(wf)).sum(axis=0)
+    fluid = complex(wq @ integrand)
+    plate = -1j * kp * (a2 * a2 - kp * kp + 1j * kp * mu_s * a2)
+    return fluid + plate * eta_hat * np.conj(pair.zeta)
+
+
+def weak_form_rhs(f_hat: np.ndarray, h_hat: complex, pair: TestPair) -> complex:
+    """Data side of the weak identity for the same test pair."""
+    grid = pair.grid
+    kp = _phys(pair.k, pair.xi, grid.t_period, grid.l_period)[0]
+    nf = 2 * grid.n_z
+    zf = cheb_nodes(nf)
+    wq = clencurt_weights(nf)
+    ff = _fine_profiles(grid, np.asarray(f_hat, complex), zf)
+    wf = _fine_profiles(grid, pair.w, zf)
+    fluid = complex(wq @ (ff * np.conj(wf)).sum(axis=0))
+    return fluid - 1j * kp * h_hat * np.conj(pair.zeta)
+
+
+def energy_estimate_check(u: SpectralField, eta: PlateField,
+                          f: SpectralField, h: PlateField, k: int) -> float:
+    """Empirical constant of the per-k energy bound; 0 on zero data.
+
+    Compares the H1 velocity norm plus the weighted plate norms of the
+    k-plane of the solution against the L2 size of the k-plane of the data.
+    """
+    if k == 0:
+        raise ValueError("the energy bound concerns oscillatory planes; k != 0")
+    grid = u.grid
+    it = k + (grid.n_t - 1) // 2
+    if not 0 <= it < grid.n_t:
+        raise ValueError(f"time frequency {k} not retained on this grid")
+    kp = _phys(k, (0, 0), grid.t_period, grid.l_period)[0]
+    wq = grid.cheb_weights
+    a2 = grid.xi_norm_sq()
+    plane = slice(it, it + 1)  # the k-plane, kept as a lattice of one time
+    uc = u.coeffs[:, :, plane]
+    duc = layer_derivative(grid, uc)
+    dens = (1.0 + a2) * np.abs(uc) ** 2 + np.abs(duc) ** 2
+    u_h1 = np.sqrt(float(np.einsum("cjtxy,j->", dens, wq).real))
+    ec = eta.coeffs[it]
+    eta_22 = np.sqrt(float(np.sum((1.0 + a2) ** 2 * np.abs(ec) ** 2)))
+    keta_12 = abs(kp) * np.sqrt(float(np.sum((1.0 + a2) * np.abs(ec) ** 2)))
+    fc = f.coeffs[:, :, plane]
+    f_l2 = np.sqrt(float(np.einsum("cjtxy,j->", np.abs(fc) ** 2, wq)))
+    h_l2 = np.sqrt(float(np.sum(np.abs(h.coeffs[it]) ** 2)))
+    if f_l2 + h_l2 == 0.0:
+        return 0.0
+    return (u_h1 + eta_22 + keta_12) / (f_l2 + h_l2)
+
+
+# ---- interaction-bound oracle ------------------------------------------------------
+
+
+def nonlinear_bound_ratios(u: SpectralField, p: SpectralField, eta: PlateField,
+                           q: float = 2.0, eps0: float = EPS0_DEFAULT,
+                           mu_f: float = 1.0) -> dict[str, float]:
+    """Left/right quotients of the three quadratic-term estimates.
+
+    The momentum right side keeps the squared velocity term outside the
+    plate-norm factor so the quotient stays meaningful as eta -> 0, where
+    the correction reduces to the convective term.  Zero data reports zero.
+    """
+    terms = compute_nonlinear_terms(u, p, eta, mu_f=mu_f)
+    nu = sobolev_norm(u, NormSpec(1, 2, q))
+    ngp = sobolev_norm(gradient(p), NormSpec(0, 0, q))
+    ns = s_norm(eta, q)
+
+    lhs_f = sobolev_norm(terms.rf_tilde, NormSpec(0, 0, q))
+    rhs_f = ((1.0 + eps0) * nu + ngp) * ns + nu * nu
+
+    lhs_d = (sobolev_norm(terms.rd_tilde, NormSpec(0, 1, q))
+             + negative_norm(terms.rd_tilde, q=q, time_order=1))
+    rhs_d = nu * ns
+
+    lhs_e = sobolev_norm(terms.r_eta, NormSpec(0, 1.0 - 1.0 / q, q))
+    rhs_e = (1.0 + eps0) * (ns * nu + nu + sobolev_norm(p, NormSpec(0, 1, q)))
+
+    def quot(lhs, rhs):
+        return float(lhs / rhs) if rhs > 0.0 else 0.0
+
+    return {
+        "momentum": quot(lhs_f, rhs_f),
+        "divergence": quot(lhs_d, rhs_d),
+        "plate": quot(lhs_e, rhs_e),
     }
 
 

@@ -28,24 +28,24 @@ from plateflow.halfspace import (
     undamped_multiplier,
 )
 from plateflow.lift import lift_divergence, lift_estimate_check
-from plateflow.modes import (
-    energy_estimate_check,
-    random_test_pair,
-    solve_linear_full,
-    solve_mode,
-    weak_form_B,
-    weak_form_rhs,
-)
+from plateflow.modes import solve_linear_full, solve_mode
 from plateflow.nonlinear import (
     PicardConfig,
     _deformation_momentum,
     compute_nonlinear_terms,
     e_matrix,
-    nonlinear_bound_ratios,
     picard_solve,
 )
 from plateflow.norms import NormSpec, sobolev_norm, x_norm, y_norm
-from plateflow.oracles import cross_validate_linear, make_manufactured
+from plateflow.oracles import (
+    cross_validate_linear,
+    energy_estimate_check,
+    make_manufactured,
+    nonlinear_bound_ratios,
+    random_test_pair,
+    weak_form_B,
+    weak_form_rhs,
+)
 
 from conftest import ACCEPTANCE_LINES, bubble_field, poly_field, poly_plate
 

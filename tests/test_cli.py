@@ -589,6 +589,23 @@ def test_solve_linear_incompatible_datum(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("mu_f", ["1e-310", "1e-320"])
+def test_solve_linear_refuses_a_solution_that_is_not_finite(tmp_path, capsys, mu_f):
+    # a viscosity this small overflows the mode solves; the run stops before
+    # writing containers that read_field would refuse, with no numpy warning
+    cfg = f"mu_f = {mu_f}\nforcing_h = cos(t)*cos(x1)\nn_z = 8\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, cfg, "solve-linear")
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = error_payload_of(lines[0])
+    assert err["kind"] == "config"
+    assert "solve-linear" in err["message"] and f"mu_f = {mu_f}" in err["message"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("route_line,solve", [("route = lift\n", solve_by_lift),
                                                ("", solve_linear_full)],
                          ids=["lift", "default"])

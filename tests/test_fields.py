@@ -438,6 +438,59 @@ def test_cli_walks_without_recursion():
     assert visitors == []
 
 
+# each solver module imports only the modules below it; oracles and cli sit
+# on top, and the package root binds only the names imported from it
+IMPORT_GRAPH = {
+    "grid": set(),
+    "fields": {"grid"},
+    "io": {"fields", "grid"},
+    "norms": {"fields", "grid"},
+    "modes": {"fields", "grid"},
+    "lift": {"fields", "grid", "modes", "norms"},
+    "nonlinear": {"fields", "grid", "modes", "norms"},
+    "halfspace": {"grid", "modes"},
+}
+ROOT_NAMES = {"TorusGrid", "boundedness_scan", "make_manufactured", "read_field",
+              "write_field", "x_norm", "__version__"}
+
+
+def _package_imports(tree):
+    # the plateflow modules a module imports, relative or absolute, anywhere
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            full = ".".join(filter(None, ["plateflow" if node.level else None,
+                                          node.module]))
+            if full == "plateflow":
+                found |= {a.name for a in node.names}
+            elif full.startswith("plateflow."):
+                found.add(full.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("plateflow.")}
+    return found
+
+
+def test_import_graph_is_layered():
+    package = Path(plateflow.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    graph = {stem: _package_imports(tree) for stem, tree in trees.items()}
+    assert {stem: graph[stem] for stem in IMPORT_GRAPH} == IMPORT_GRAPH
+    assert {stem for stem, deps in graph.items() if "oracles" in deps} \
+        == {"cli", "__init__"}
+    assert {stem for stem, deps in graph.items() if "cli" in deps} == set()
+    bound = set()
+    for node in trees["__init__"].body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == ROOT_NAMES
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("sizes", [(7, 5, 12), (17, 17, 16), (17, 17, 32)],

@@ -7,7 +7,8 @@ import pytest
 
 from plateflow.fields import divergence, trace_bottom, zeros_like_field
 from plateflow.grid import TorusGrid
-from plateflow.lift import IncompatibleDataError, lift_divergence, lift_estimate_check
+from plateflow.lift import lift_divergence, lift_estimate_check
+from plateflow.modes import IncompatibleDataError
 
 from conftest import bubble_field
 

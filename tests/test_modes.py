@@ -7,21 +7,26 @@ from plateflow import modes
 from plateflow.cli import _one_blas_thread
 from plateflow.fields import PlateField, SpectralField, divergence, zeros_like_field
 from plateflow.grid import TorusGrid, _phys
-from plateflow.lift import IncompatibleDataError, _antiderivative_matrix
 from plateflow.modes import (
+    IncompatibleDataError,
     ModeSolution,
     SolverParams,
+    _antiderivative_matrix,
     _damped_symbol,
     _residual_parts,
-    energy_estimate_check,
     linear_residuals,
-    random_test_pair,
     solve_linear_full,
     solve_mode,
+)
+from plateflow.oracles import (
+    cross_validate_linear,
+    energy_estimate_check,
+    make_manufactured,
+    random_test_pair,
+    solve_by_lift,
     weak_form_B,
     weak_form_rhs,
 )
-from plateflow.oracles import cross_validate_linear, make_manufactured, solve_by_lift
 
 from conftest import bubble_field, poly_field, poly_plate
 

@@ -28,12 +28,11 @@ from plateflow.nonlinear import (
     compose_forcing,
     compute_nonlinear_terms,
     e_matrix,
-    nonlinear_bound_ratios,
     nonlinear_residual,
     picard_solve,
 )
 from plateflow.norms import NormSpec, sobolev_norm, x_norm
-from plateflow.oracles import make_manufactured, solve_by_lift
+from plateflow.oracles import make_manufactured, nonlinear_bound_ratios, solve_by_lift
 
 from conftest import bubble_field, count_calls, poly_field, poly_plate
 
