@@ -7,12 +7,25 @@ in frequency space: Fourier in time and the lateral directions, Chebyshev
 collocation across the layer.
 """
 
-# the names callers import from the package root; every other name is
-# imported from its home module
-from .grid import TorusGrid
-from .halfspace import boundedness_scan
-from .io import read_field, write_field
-from .norms import x_norm
-from .oracles import make_manufactured
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# the names callers import from the package root, with their home modules;
+# every other name is imported from its home module.  Each loads on first
+# use (PEP 562), so importing the package loads no module and no numpy.
+_HOMES = {
+    "TorusGrid": "grid",
+    "boundedness_scan": "halfspace",
+    "read_field": "io",
+    "write_field": "io",
+    "x_norm": "norms",
+    "make_manufactured": "oracles",
+}
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{home}", __name__), name)

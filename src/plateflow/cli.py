@@ -13,17 +13,24 @@ values and ``OPENBLAS_NUM_THREADS`` settings, except for the
 ``execution`` block (thread counts, timestamp, timings).  The solve is
 serial: ``--threads`` (default 1) is validated as >= 1 and recorded in
 ``execution`` only.  The subcommand runs with the OpenBLAS numpy loaded
-set to one thread (the caller's count is restored afterwards), recorded as
-``execution.blas_threads``; when no such OpenBLAS is found it is null and
-the last bits of the batched mode solves follow the BLAS thread setting.
+set to one thread, recorded as ``execution.blas_threads``; when no such
+OpenBLAS is found it is null and the last bits of the batched mode solves
+follow the BLAS thread setting.  Importing this module into a process that
+has not loaded numpy yet (``python -m plateflow.cli``, the ``plateflow``
+script) first sets ``OPENBLAS_NUM_THREADS=1`` in that process's
+environment, so numpy loads OpenBLAS with one thread and starts no
+second one; in a process that loaded numpy before, ``main`` sets the count
+to one around the subcommand and restores the caller's count afterwards.
+Each subcommand imports only the modules it runs.
 Manifests and ``validation.json`` are strict JSON: a number in them that
 is not finite exits with code 1 and names its key path (such as
 ``norms.y_norm_data``); that file is then not written, while ``.plf`` and
 CSV outputs written before it stay on disk.  An output path taken by a file
 or a directory, such as an ``--out`` that names a file, exits with code 1
-and names the path.  A solve-linear solution with a coefficient that is
-not finite (a mu_f so small that the mode solves overflow) exits with
-code 1 and names mu_f before any output is written.
+and names the path.  A solve-linear solution, or a solve-nonlinear first
+sweep, with a coefficient that is not finite (a mu_f so small that the
+mode solves overflow) exits with code 1 and names mu_f before any output
+is written.
 
 Config files are plain ``key = value`` text, ``#`` starts a comment; every
 number must be finite.  solve-linear and solve-nonlinear refuse T, L,
@@ -97,12 +104,18 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    # OpenBLAS reads its thread count once, when numpy loads it; with one
+    # thread it starts no worker that _one_blas_thread would only idle
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -118,17 +131,8 @@ from .halfspace import (
     scan_window_bytes,
 )
 from .io import read_field, write_field
-from .lift import lift_divergence, lift_estimate_check, lift_norms
 from .modes import (IncompatibleDataError, SolverParams, linear_residuals,
                     solve_linear_full)
-from .nonlinear import (
-    DegenerateDeformationError,
-    PicardConfig,
-    PicardDivergenceError,
-    picard_solve,
-)
-from .norms import s_norm, x_norm, y_norm
-from . import oracles
 
 EXIT_CONFIG = 1
 EXIT_INCOMPATIBLE = 2
@@ -644,18 +648,31 @@ def _scaled_forcing(cfg: ScenarioConfig, grid: TorusGrid, kind: str,
     return field
 
 
+def _finite_solve(command: str, cfg: ScenarioConfig, solve, *args, **kwargs):
+    """solve(*args, **kwargs) with numpy's floating-point warnings off.  A
+    solution whose u, p or eta is not finite (a mu_f so small that the mode
+    solves overflow) exits 1 and names mu_f, before any output is written."""
+    with np.errstate(all="ignore"):  # what overflows is refused below
+        sol = solve(*args, **kwargs)
+    if not all(np.isfinite(x.coeffs).all() for x in (sol.u, sol.p, sol.eta)):
+        raise _config_error(f"{command}: the linear solve is not finite at "
+                            f"mu_f = {cfg.mu_f!r}")
+    return sol
+
+
 def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
                       base_dir: Path) -> dict:
+    from .norms import s_norm, x_norm, y_norm
+
     grid = cfg.grid()
     f, g, h = (_scaled_forcing(cfg, grid, kind, base_dir) for kind in "fgh")
     g_arg = g if g.coeffs.any() else None
     params = cfg.solver_params()
-    solve = oracles.solve_by_lift if cfg.route == "lift" else solve_linear_full
-    with np.errstate(all="ignore"):  # what overflows is refused below
-        sol = solve(f, g_arg, h, grid=grid, params=params)
-    if not all(np.isfinite(x.coeffs).all() for x in (sol.u, sol.p, sol.eta)):
-        raise _config_error(f"solve-linear: the linear solve is not finite at "
-                            f"mu_f = {cfg.mu_f!r}")
+    solve = solve_linear_full
+    if cfg.route == "lift":
+        from .oracles import solve_by_lift as solve
+    sol = _finite_solve("solve-linear", cfg, solve, f, g_arg, h, grid=grid,
+                        params=params)
     write_field(out_dir / "u.plf", sol.u)
     write_field(out_dir / "p.plf", sol.p)
     write_field(out_dir / "eta.plf", sol.eta)
@@ -678,6 +695,9 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
 def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
                          base_dir: Path) -> dict:
+    from .nonlinear import (DegenerateDeformationError, PicardConfig,
+                            PicardDivergenceError, picard_solve)
+
     grid = cfg.grid()
     spec = cfg.forcing_g.strip()
     # an expression is checked before it is broadcast and transformed: those
@@ -692,14 +712,23 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
     pc = PicardConfig(eps=cfg.eps, max_iter=cfg.max_iter,
                       picard_tol=cfg.picard_tol, eps0=cfg.eps0, q=cfg.q,
                       params=cfg.solver_params())
-    result = picard_solve(f, h, config=pc)
+    try:
+        result = _finite_solve("solve-nonlinear", cfg, picard_solve, f, h,
+                               config=pc)
+    except (PicardDivergenceError, DegenerateDeformationError) as exc:
+        if not math.isfinite(exc.trace[0]["x_norm"]):
+            # the first sweep solves the data alone; a solve of them that
+            # is not finite is refused as solve-linear refuses it
+            _finite_solve("solve-nonlinear", cfg, solve_linear_full, f, None, h,
+                          grid=grid, params=pc.params)
+        raise CliError(EXIT_DIVERGENCE, "divergence", str(exc)) from None
     if not result.converged:
         bound = result.error_bound
         bound = "none" if bound is None else f"{bound:.3e}"
-        raise PicardDivergenceError(
+        raise CliError(
+            EXIT_DIVERGENCE, "divergence",
             f"no convergence within {cfg.max_iter} iterations "
-            f"(last step {result.trace[-1]['step']:.3e}, error bound {bound})",
-            trace=result.trace)
+            f"(last step {result.trace[-1]['step']:.3e}, error bound {bound})")
     write_field(out_dir / "u.plf", result.u)
     write_field(out_dir / "p.plf", result.p)
     write_field(out_dir / "eta.plf", result.eta)
@@ -776,6 +805,8 @@ def _run_resonance_report(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
 def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, seed: int,
                   base_dir: Path) -> dict:
+    from .lift import lift_divergence, lift_estimate_check, lift_norms
+
     grid = cfg.grid()
     g = _scaled_forcing(cfg, grid, "g", base_dir)
     result = lift_divergence(g, compat_tol=cfg.compat_tol)
@@ -792,6 +823,8 @@ def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
 def _run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int,
                   base_dir: Path) -> dict:
+    from . import oracles
+
     checks = []
 
     def record(name, passed, values, threshold):
@@ -1006,9 +1039,6 @@ def main(argv=None) -> int:
     except IncompatibleDataError as exc:
         _emit_error(EXIT_INCOMPATIBLE, "incompatible", str(exc))
         return EXIT_INCOMPATIBLE
-    except (PicardDivergenceError, DegenerateDeformationError) as exc:
-        _emit_error(EXIT_DIVERGENCE, "divergence", str(exc))
-        return EXIT_DIVERGENCE
     except ValueError as exc:
         _emit_error(EXIT_CONFIG, "config", str(exc))
         return EXIT_CONFIG

@@ -2,8 +2,9 @@
 
 Everything runs in-process through ``main(argv)`` so exit codes, the
 stderr error JSON, and the written artifacts can all be checked without
-spawning an interpreter; only the BLAS thread test starts fresh ones,
-because ``OPENBLAS_NUM_THREADS`` is read when numpy loads OpenBLAS.
+spawning an interpreter; only the BLAS thread and start-up tests start
+fresh ones, because ``OPENBLAS_NUM_THREADS`` is read when numpy loads
+OpenBLAS and a process imports each module once.
 """
 
 import hashlib
@@ -724,6 +725,47 @@ def test_solve_linear_does_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0
 
 
+def _fresh_python(script, *args, **env):
+    # a new interpreter with this tree's plateflow importable; returns the
+    # JSON document the script prints last
+    path = [str(Path(cli.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+                                   **env),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_package_root_loads_no_module():
+    loaded = _fresh_python("import json, sys; import plateflow; "
+                           "print(json.dumps(sorted(sys.modules)))")
+    assert "numpy" not in loaded
+    assert [name for name in loaded if name.startswith("plateflow")] == ["plateflow"]
+
+
+def test_cli_process_loads_one_blas_thread_and_only_the_scan_path(tmp_path):
+    # OPENBLAS_NUM_THREADS is read once, when numpy loads OpenBLAS: a fresh
+    # process that imports the CLI first keeps one thread after main returns
+    (tmp_path / "scan.cfg").write_text("k_max = 10\nxi_max = 3\n")
+    script = ("import json, sys; from plateflow.cli import main, "
+              "_openblas_thread_calls; code = main(sys.argv[1:]); "
+              "calls = _openblas_thread_calls(); "
+              "print(json.dumps({'code': code, 'modules': sorted(sys.modules), "
+              "'threads': None if calls is None else calls[1]()}))")
+    doc = _fresh_python(script, "multiplier-scan", "--config",
+                        str(tmp_path / "scan.cfg"), "--out", str(tmp_path / "out"),
+                        OPENBLAS_NUM_THREADS="2")
+    assert doc["code"] == 0
+    loaded = {name for name in doc["modules"] if name.startswith("plateflow.")}
+    assert loaded == {f"plateflow.{m}" for m in
+                      ("cli", "grid", "fields", "modes", "halfspace", "io")}
+    if doc["threads"] is None:
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    assert doc["threads"] == 1
+
+
 def test_blas_pin_restores_the_callers_count(tmp_path):
     calls = cli._openblas_thread_calls()
     if calls is None:
@@ -804,6 +846,32 @@ def test_solve_nonlinear_runs_a_zero_divergence_datum(tmp_path):
         assert code == 0
         plf.append((out / "u.plf").read_bytes())
     assert plf[0] == plf[1]
+
+
+def test_solve_nonlinear_refuses_a_first_sweep_that_is_not_finite(tmp_path, capsys):
+    # the mode solves of the first sweep overflow as solve-linear's do: the
+    # run names mu_f, not the smallness gate's NaN, and warns of nothing
+    cfg = "mu_f = 1e-310\nforcing_h = cos(t)*cos(x1)\nn_z = 8\neps = 0.001\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, cfg, "solve-nonlinear")
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = error_payload_of(lines[0])
+    assert err["kind"] == "config"
+    assert "solve-nonlinear" in err["message"] and "mu_f = 1e-310" in err["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_solve_nonlinear_huge_finite_data_still_diverge(tmp_path, capsys):
+    # a first iterate of norm inf whose coefficients are finite is a gate
+    # failure, not a mu_f refusal
+    code, out = run_cli(tmp_path, "eps = 1e300\nforcing_h = cos(x1)\nn_z = 8\n",
+                        "solve-nonlinear")
+    assert code == 3
+    err = error_payload(capsys)
+    assert err["kind"] == "divergence" and "smallness gate" in err["message"]
 
 
 def test_solve_nonlinear_divergence(tmp_path, capsys):
