@@ -233,14 +233,20 @@ def layer_derivative(grid: TorusGrid, coeffs: np.ndarray, order: int = 1,
     """The `rows` nodes of the order-th x3 derivative of (..., node, t, x1, x2)
     coefficients: d[rows] @ c along the node axis, d = grid.dmat(order).
 
-    One GEMM over the flattened periodic lattice per leading index; a
-    single mode is a 1 x 1 x 1 lattice.  Contiguous input is reshaped as a
-    view, so the output is the only field-sized allocation.
+    One real GEMM (`_real_matmul`) over the flattened periodic lattice per
+    leading index; a single mode is a 1 x 1 x 1 lattice.  Contiguous input
+    is reshaped as a view, so the output is the only field-sized allocation.
     """
     d = grid.dmat(order)[rows]
     lead, lattice = coeffs.shape[:-4], coeffs.shape[-3:]
-    out = d @ coeffs.reshape(lead + (coeffs.shape[-4], -1))
+    out = _real_matmul(d, coeffs.reshape(lead + (coeffs.shape[-4], -1)))
     return out.reshape(lead + (d.shape[0],) + lattice)
+
+
+def _real_matmul(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """d @ c for a real matrix d; complex c (last axis contiguous) as a real
+    GEMM on its float view, where numpy would cast d to complex."""
+    return (d @ c.view(float)).view(complex) if np.iscomplexobj(c) else d @ c
 
 
 def dx3(field: SpectralField, order: int = 1) -> SpectralField:

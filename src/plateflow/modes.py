@@ -7,8 +7,13 @@ for the velocity and pressure profiles plus one scalar equation for the
 plate amplitude.  The lateral operators are isotropic: once the
 velocities are eliminated, the system left in the pressure and the plate
 amplitude depends on xi' only through |xi'|^2, so the modes of one
-(k, |xi'|^2) group are solved together by block elimination
-(`_solve_group`) in the lattice frame.
+(k, |xi'|^2) group are solved together by block elimination in the
+lattice frame, a time plane at a time.  A plan cached per grid
+(`_plane_plan`) cuts a plane's groups, padded to the widest of their block,
+into blocks whose stacked Helmholtz inverses fit into BLOCK_BYTES.  A block
+(`_solve_block`, also `solve_mode`'s one mode) is one gather, stacked
+solves and one scatter; D1 ZE D1, D1 z0 and D1 Z f3 are real GEMMs on float
+views (`fields._real_matmul`).
 
 The xi' = 0 column is special: the plate amplitude vanishes there, the
 tangential velocities decouple into scalar two-point problems, the vertical
@@ -26,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import PlateField, SpectralField, layer_derivative, zeros_like_field
+from .fields import (PlateField, SpectralField, _real_matmul, layer_derivative,
+                     zeros_like_field)
 from .grid import TorusGrid, _phys, cheb_values_to_coeffs
 
 
@@ -115,98 +121,131 @@ class ModeSolution:
     eta: complex
 
 
-def _data_profiles(grid, f_hat, g_hat, h_hat):
-    m = grid.n_z + 1
-    f_hat = np.zeros((3, m), complex) if f_hat is None else np.asarray(f_hat, complex)
-    g_hat = np.zeros(m, complex) if g_hat is None else np.asarray(g_hat, complex)
-    if f_hat.shape != (3, m) or g_hat.shape != (m,):
-        raise ValueError("data profile shapes do not match the layer grid")
-    return f_hat, g_hat, complex(h_hat)
+# Bytes of a block's stacked Helmholtz inverses.  solve_linear_full, min of 7
+# interleaved runs, one BLAS thread, at 64 / 256 / 512 / 1024 / 4096 KiB, in ms:
+# (17, 17, 32) 70 / 62 / 59 / 67 / 72, (33, 33, 16) 162 / 141 / 138 / 160 / 171,
+# (17, 17, 64) 226 / 216 / 207 / 210 / 312 and (9, 9, 192) 429 / 429 / 438 / 444 / 465.
+BLOCK_BYTES = 512 << 10
 
 
-def _dirichlet_helmholtz(grid, kp, a2, mu_f):
-    """ik - mu_f (D^2 - |xi'|^2) at interior nodes, identity rows at both faces."""
-    eye = np.eye(grid.n_z + 1)
-    op = 1j * kp * eye - mu_f * (grid.dmat(2) - a2 * eye)
-    op[[0, -1]] = eye[[0, -1]]
-    return op
+@lru_cache(maxsize=8)
+def _plane_plan(grid: TorusGrid, real: bool, budget: int) -> tuple:
+    """Per time plane, blocks (a2, x1, x2, index) of its groups, sorted by size
+    and cut to fit `budget`: |xi'|^2 (B,), the members' physical xi1, xi2
+    (B, 1, W) and flat index (B, N_z + 1, 3, W) in (3, N_z + 1, lattice) from
+    the plane's first entry, padded by repeats; xi' = 0 is the last block.
+    Real data keep the closed half-lattice: no plane below k = 0, k = 0 from
+    xi' = 0 on."""
+    nx, m = grid.n_x, grid.n_z + 1
+    per_block = max(1, budget // (16 * m * m))
+    node = (np.arange(m)[:, None] + m * np.arange(3)) * (grid.n_t * nx * nx)
+    groups = [(a2, i1 * nx + i2) for a2, i1, i2 in grid.xi_groups()]
+
+    def block(part):
+        cols = np.array([np.resize(j, part[-1][1].size) for _, j in part])
+        x1, x2 = (grid.xi_phys[c][:, None] for c in (cols // nx, cols % nx))
+        return (np.array([a2 for a2, _ in part]), x1, x2,
+                node[None, :, :, None] + cols[:, None, None, :])
+
+    def plane(first):
+        kept = sorted(((a2, j[j >= first]) for a2, j in groups[1:] if j.max() >= first),
+                      key=lambda g: g[1].size)
+        return tuple(block(kept[s:s + per_block])
+                     for s in range(0, len(kept), per_block)) + (block(groups[:1]),)
+
+    half_t, full = (grid.n_t - 1) // 2, plane(0)
+    if not real:
+        return (full,) * grid.n_t
+    return ((),) * half_t + (plane(nx * nx // 2),) + (full,) * half_t
 
 
-def _solve_group(grid, k, xi1, xi2, f, g, h, params):
-    """Solve the modes of one (k, |xi'|^2) group by block elimination.
+def _solve_block(grid, kp, block, data, out, params):
+    """Solve one block of a time plane's groups (`_plane_plan`).
 
-    xi1, xi2 are integer arrays of the G modes' lateral frequencies; f
-    (3, N_z + 1, G), g (N_z + 1, G) or None and h (G,) are their data, one
-    profile column per mode.  Returns u, p and eta shaped like f, g and h;
-    zero data are not solved.
+    data (f, g or None, h) and out (u, p, eta) are flat from the plane's first
+    entry; index gathers f and u, index[:, :, 0] g and p, index[:, 0, 0] h
+    and eta.  Groups with zero data are not solved.
 
-    The collocated equations of a mode are those of one (4 N_z + 5)
-    system: Dirichlet Helmholtz rows H for the three velocities with the
-    pressure gradient at interior nodes, continuity at every node, the
-    kinematic face row and the plate row.  The velocities share H, so with
-    Z = H^-1 they are eliminated first.  For xi' != 0, continuity and the
-    plate row leave one (N_z + 2) system in (p, eta) that depends on xi'
-    only through |xi'|^2, solved once for the whole group; the velocities
-    follow by back-substitution.  This is the Uzawa (Schur complement) form
-    of the collocated Stokes system (Canuto, Hussaini, Quarteroni & Zang,
-    Spectral Methods: Evolution to Complex Geometries, 2007, ch. 3).
+    A mode's collocated equations are one (4 N_z + 5) system: Dirichlet
+    Helmholtz rows H for the three velocities with the pressure gradient at
+    interior nodes, continuity at every node, the kinematic face row and the
+    plate row.  With Z = H^-1 the velocities are eliminated first.  For
+    xi' != 0 this leaves one (N_z + 2) system in (p, eta) per group, and
+    the velocities follow by back-substitution: the Uzawa (Schur
+    complement) form of the collocated Stokes system (Canuto, Hussaini,
+    Quarteroni & Zang, Spectral Methods: Evolution to Complex Geometries,
+    2007, ch. 3).
     """
-    n = grid.n_z
-    g = np.zeros(f.shape[1:], complex) if g is None else g
-    if not (f.any() or g.any() or h.any()):
-        return np.zeros_like(f), np.zeros_like(g), np.zeros_like(h)
-    kp, x1, x2 = _phys(k, (xi1, xi2), grid.t_period, grid.l_period)
-    a2 = x1[0] * x1[0] + x2[0] * x2[0]
-    mu_f = params.mu_f
-    d1 = grid.d1
-    rhs = f.copy()
-    rhs[:, [0, n]] = 0.0    # boundary rows: no-slip and kinematic
-    z = np.linalg.inv(_dirichlet_helmholtz(grid, kp, a2, mu_f))
-    zf = z @ rhs
-    if not (xi1[0] or xi2[0]):
-        # xi' = 0: the tangential velocities are zf; u3 integrates the
-        # datum, and vertical momentum fixes the pressure profile, whose
-        # constant the plate row pins through the face value
-        xi0_incompatibility(grid, g, params.compat_tol)
-        u3 = antiderivative_from_plate(grid, g)
-        slope = f[2] - 1j * kp * u3 + mu_f * (grid.dmat(2) @ u3)
-        p = antiderivative_from_plate(grid, slope)
+    a2, x1, x2, index = block
+    f, h = data[0][index], data[2][index[:, 0, 0]]
+    g = np.zeros_like(f[:, :, 0]) if data[1] is None else data[1][index[:, :, 0]]
+    live = f.any(axis=(1, 2, 3)) | g.any(axis=(1, 2)) | h.any(axis=1)
+    if not live.all():
+        if not live.any():
+            return
+        a2, x1, x2, index, f, g, h = (v[live] for v in (a2, x1, x2, index, f, g, h))
+    n, mu_f, d1, bsz = grid.n_z, params.mu_f, grid.d1, len(f)
+    # H = ik - mu_f (D^2 - |xi'|^2) at interior nodes, identity rows at both faces
+    eye = np.eye(n + 1)
+    helm = 1j * kp * eye - mu_f * (grid.dmat(2) - np.multiply.outer(a2, eye))
+    helm[:, [0, n]] = eye[[0, n]]
+    z = np.linalg.inv(helm)
+    z0 = z[:, :, 0].copy()  # the kinematic row's column: u3(0) = -ik eta
+    ze = z                  # face rows hold boundary values, and the pressure
+    ze[:, :, [0, n]] = 0.0  # gradient acts at interior rows only
+    zf = (ze @ f.reshape(bsz, n + 1, -1)).reshape(f.shape)
+    if not a2[0]:
+        # xi' = 0: eta vanishes, Z f gives the tangential velocities, u3 integrates
+        # the datum, and vertical momentum fixes p up to the constant the plate row pins
+        xi0_incompatibility(grid, g[0], params.compat_tol)
+        u3 = zf[0, :, 2] = antiderivative_from_plate(grid, g[0])
+        p = antiderivative_from_plate(grid, f[0, :, 2] - 1j * kp * u3
+                                      + mu_f * (grid.dmat(2) @ u3))[None]
         p += 2.0 * mu_f * (d1[0] @ u3) - h
-        return np.concatenate([zf[:2], u3[None]]), p, np.zeros_like(h)
-    z0 = z[:, 0]            # the kinematic row's column: u3(0) = -ik eta
-    ze = z.copy()           # the pressure gradient acts at interior rows only
-    ze[:, [0, n]] = 0.0
-    zed = ze @ d1
-    dzed = d1 @ zed
-    dz0 = d1 @ z0
-    dzf3 = d1 @ zf[2]
-    # u_j = Z f_j - i x_j ZE p (j = 1, 2) and u3 = Z f_3 - ZE D1 p - ik z0 eta
-    # in continuity at every node and in the plate row
-    schur = np.empty((n + 2, n + 2), complex)
-    schur[:-1, :-1] = a2 * ze - dzed
-    schur[:-1, -1] = -1j * kp * dz0
-    schur[-1, :-1] = -2.0 * mu_f * dzed[0]
-    schur[-1, 0] -= 1.0
-    schur[-1, -1] = _damped_symbol(kp, a2, params.mu_s) - 2j * kp * mu_f * dz0[0]
-    b = np.concatenate([g - 1j * (x1 * zf[0] + x2 * zf[1]) - dzf3,
-                        (h - 2.0 * mu_f * dzf3[0])[None]])
-    sol = np.linalg.solve(schur, b)
-    p, eta = sol[:-1], sol[-1]
-    zep = ze @ p
-    u = np.stack([zf[0] - 1j * x1 * zep, zf[1] - 1j * x2 * zep,
-                  zf[2] - zed @ p - 1j * kp * z0[:, None] * eta])
-    return u, p, eta
+        eta = np.zeros_like(h)
+    else:
+        zed = (ze.reshape(-1, n + 1) @ d1).reshape(ze.shape)
+        dzed = _real_matmul(d1, zed)
+        dz0 = _real_matmul(d1, z0[:, :, None])[..., 0]
+        dzf3 = _real_matmul(d1, zf[:, :, 2])
+        # u_j = Z f_j - i x_j ZE p (j = 1, 2) and u3 = Z f_3 - ZE D1 p - ik z0 eta
+        # in continuity at every node and in the plate row
+        schur = np.empty((bsz, n + 2, n + 2), complex)
+        schur[:, :-1, :-1] = a2[:, None, None] * ze - dzed
+        schur[:, :-1, -1] = -1j * kp * dz0
+        schur[:, -1, :-1] = -2.0 * mu_f * dzed[:, 0]
+        schur[:, -1, 0] -= 1.0
+        schur[:, -1, -1] = _damped_symbol(kp, a2, params.mu_s) - 2j * kp * mu_f * dz0[:, 0]
+        b = np.empty((bsz, n + 2, h.shape[1]), complex)
+        b[:, :-1] = g - 1j * (x1 * zf[:, :, 0] + x2 * zf[:, :, 1]) - dzf3
+        b[:, -1] = h - 2.0 * mu_f * dzf3[:, 0]
+        sol = np.linalg.solve(schur, b)
+        p, eta = sol[:, :-1], sol[:, -1]
+        zep = ze @ p
+        zf[:, :, 0] -= 1j * x1 * zep
+        zf[:, :, 1] -= 1j * x2 * zep
+        zf[:, :, 2] -= zed @ p
+        zf[:, :, 2] -= 1j * kp * z0[:, :, None] * eta[:, None]
+    out[0][index], out[1][index[:, :, 0]], out[2][index[:, 0, 0]] = zf, p, eta
 
 
 def solve_mode(grid: TorusGrid, k: int, xi: tuple[int, int],
                f_hat=None, g_hat=None, h_hat=0.0,
                params: SolverParams = DEFAULT_PARAMS) -> ModeSolution:
-    """Solve one (k, xi') mode; the steady plane k = 0 is no special case."""
-    f_hat, g_hat, h_hat = _data_profiles(grid, f_hat, g_hat, h_hat)
-    u, p, eta = _solve_group(grid, k, np.array([xi[0]]), np.array([xi[1]]),
-                             f_hat[..., None], g_hat[:, None], np.array([h_hat]),
-                             params)
-    return ModeSolution(grid, k, tuple(xi), u[..., 0], p[:, 0], complex(eta[0]))
+    """Solve one (k, xi') mode as a one-member block; the steady plane k = 0
+    is no special case."""
+    m = grid.n_z + 1
+    f_hat = np.zeros((3, m), complex) if f_hat is None else np.asarray(f_hat, complex)
+    g_hat = np.zeros(m, complex) if g_hat is None else np.asarray(g_hat, complex)
+    if f_hat.shape != (3, m) or g_hat.shape != (m,):
+        raise ValueError("data profile shapes do not match the layer grid")
+    kp, x1, x2 = _phys(k, np.reshape(xi, (2, 1, 1, 1)), grid.t_period, grid.l_period)
+    block = ((x1 * x1 + x2 * x2)[:, 0, 0], x1, x2,
+             (np.arange(m)[:, None] + m * np.arange(3))[None, :, :, None])
+    u, p, eta = np.zeros((3, m), complex), np.zeros(m, complex), np.zeros(1, complex)
+    data = f_hat.reshape(-1), g_hat, np.array([h_hat], complex)
+    _solve_block(grid, kp, block, data, (u.reshape(-1), p, eta), params)
+    return ModeSolution(grid, k, tuple(xi), u, p, complex(eta[0]))
 
 
 # ---- equation residuals ------------------------------------------------------
@@ -319,18 +358,13 @@ def solve_linear_full(f: SpectralField | None = None,
     p_c = np.zeros(fc.shape[1:], complex)
     e_c = np.zeros(hc.shape, complex)
 
-    # conjugate symmetry: for real data solve the closed half-lattice (C-order
-    # flat index at or past the centre) and reflect the rest
-    centre = grid.n_t * grid.n_x * grid.n_x // 2
-    groups = grid.xi_groups()
-    for it in range(grid.n_t):
-        for _, i1, i2 in groups:
-            if real_data:
-                due = (it * grid.n_x + i1) * grid.n_x + i2 >= centre
-                i1, i2 = i1[due], i2[due]
-            u_c[:, :, it, i1, i2], p_c[:, it, i1, i2], e_c[it, i1, i2] = _solve_group(
-                grid, it - half_t, i1 - half_x, i2 - half_x, fc[:, :, it, i1, i2],
-                None if gc is None else gc[:, it, i1, i2], hc[it, i1, i2], params)
+    # conjugate symmetry: for real data the plan holds the closed
+    # half-lattice and the rest is reflected below
+    flat = [None if a is None else a.reshape(-1) for a in (fc, gc, hc, u_c, p_c, e_c)]
+    for it, blocks in enumerate(_plane_plan(grid, real_data, BLOCK_BYTES)):
+        plane = [None if a is None else a[it * grid.n_x ** 2:] for a in flat]
+        for block in blocks:
+            _solve_block(grid, grid.k_phys[it], block, plane[:3], plane[3:], params)
 
     if real_data:
         for arr in (u_c, p_c, e_c):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from plateflow import modes
-from plateflow.cli import _one_blas_thread
+from plateflow.cli import _one_blas_thread, _openblas_thread_calls
 from plateflow.fields import PlateField, SpectralField, divergence, zeros_like_field
 from plateflow.grid import TorusGrid, _phys
+from plateflow.nonlinear import picard_solve
 from plateflow.modes import (
     IncompatibleDataError,
     ModeSolution,
@@ -176,60 +177,45 @@ def test_block_solve_matches_dense_reference(n_z):
             assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref)), (k, xi)
 
 
+def _recording(store, fn):
+    """fn, recording the shape of its first operand in store."""
+    def wrapped(a, *args, **kwargs):
+        store.append(np.shape(a))
+        return fn(a, *args, **kwargs)
+    return wrapped
+
+
 def test_mode_solve_matrices_stay_small(monkeypatch):
-    """No LAPACK operand of the mode solves exceeds (N_z + 2)^2 entries: the
-    velocities are eliminated before any solve sees the pressure."""
+    """No matrix of a LAPACK operand of the mode solves exceeds (N_z + 2)^2
+    entries: the velocities are eliminated before any solve sees the
+    pressure, and a block of groups is a stack of such matrices."""
     grid = TorusGrid(5, 5, 16)
     sizes = []
-
-    def recording(fn):
-        def wrapped(a, *args, **kwargs):
-            sizes.append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return wrapped
-
     for name in ("solve", "inv"):
-        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-    # complex data with a divergence datum on the direct route: both branches
+        monkeypatch.setattr(np.linalg, name, _recording(sizes, getattr(np.linalg, name)))
+    # complex data with a divergence datum on the direct route: both routes
     # of the mode solve, and no lift solve
     f = poly_field(grid, 91, components=3) * (0.6 + 0.8j)
     g = divergence(bubble_field(grid, 92)) * 1j
     h = poly_plate(grid, 93) * (0.8 - 0.6j)
     solve_linear_full(f, g, h, grid=grid)
-    assert max(np.prod(shape) for shape in sizes) <= (grid.n_z + 2) ** 2
-    assert (grid.n_z + 2, grid.n_z + 2) in sizes      # the xi' != 0 branch ran
+    matrices = {shape[-2:] for shape in sizes}
+    assert max(np.prod(shape) for shape in matrices) <= (grid.n_z + 2) ** 2
+    assert (grid.n_z + 2, grid.n_z + 2) in matrices   # the xi' != 0 blocks ran
 
 
 def test_one_inverse_per_group(monkeypatch):
-    """Every solved group inverts its Helmholtz operator once; only xi' != 0
-    groups solve a pressure-plate system, the xi' = 0 groups none."""
+    """Every solved group inverts its Helmholtz operator once, inside the
+    stacked inverse of its block; only xi' != 0 groups solve a
+    pressure-plate system, the xi' = 0 groups none."""
     grid = TorusGrid(5, 5, 16)
-    calls = {"inv": 0, "solve": 0}
-    groups = []
-
-    def counting(name):
-        fn = getattr(np.linalg, name)
-
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    def recording(grid, k, xi1, xi2, *args):
-        before = dict(calls)
-        out = solve_group(grid, k, xi1, xi2, *args)
-        groups.append((bool(xi1[0] or xi2[0]), calls["inv"] - before["inv"],
-                       calls["solve"] - before["solve"]))
-        return out
-
     # the lift inverts its antiderivative matrix once per grid and caches it:
     # build it before counting, whatever ran before
     _antiderivative_matrix.cache_clear()
     _antiderivative_matrix(grid)
-    solve_group = modes._solve_group
-    monkeypatch.setattr(modes, "_solve_group", recording)
-    for name in ("inv", "solve"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    calls = {"inv": [], "solve": []}
+    for name, store in calls.items():
+        monkeypatch.setattr(np.linalg, name, _recording(store, getattr(np.linalg, name)))
     # complex data in every mode on the direct route, the divergence datum
     # that of a field vanishing on both faces: every group of every time
     # plane is solved
@@ -244,9 +230,75 @@ def test_one_inverse_per_group(monkeypatch):
                divergence(SpectralField(grid, w, 3, False)),
                PlateField(grid, h, False))
     solve_linear_full(f, g, h, grid=grid)
-    assert len(groups) == grid.n_t * len(grid.xi_groups())
-    assert set(groups) == {(True, 1, 1), (False, 1, 0)}
-    assert sum(not off_axis for off_axis, _, _ in groups) == grid.n_t
+    m = grid.n_z + 1
+    assert {shape[-2:] for shape in calls["inv"]} == {(m, m)}
+    assert {shape[-2:] for shape in calls["solve"]} == {(m + 1, m + 1)}
+    groups = len(grid.xi_groups())
+    assert sum(np.prod(shape[:-2]) for shape in calls["inv"]) == grid.n_t * groups
+    assert sum(np.prod(shape[:-2]) for shape in calls["solve"]) == grid.n_t * (groups - 1)
+
+
+def test_padded_blocks_match_the_dense_reference(monkeypatch):
+    """One complex-data plane mixes groups of 1, 4 and 8 members with
+    zero-data groups between them, cut into two padded blocks."""
+    grid = TorusGrid(5, 7, 16, t_period=3.0, l_period=5.0)
+    params = SolverParams(mu_f=0.7, mu_s=1.3)
+    plane, half_t, half_x = 0, 2, 3
+    a2 = grid.xi_norm_sq() * (grid.l_period / (2.0 * np.pi)) ** 2
+    # |xi'|^2 = 0, 1 (4 members), 5 and 13 (8 each) carry data; 2, 4, 8, 9,
+    # 10 (8 members, between 5 and 13) and 18 do not
+    live = np.isin(np.rint(a2), (0, 1, 5, 13))
+    rng = np.random.default_rng(95)
+    slab = (3, grid.n_z + 1, grid.n_t, grid.n_x, grid.n_x)
+    f, w = (np.zeros(slab, complex) for _ in range(2))
+    h = np.zeros(slab[2:], complex)
+    for c in (f, w):
+        c[:, :, plane, live] = (rng.standard_normal((3, grid.n_z + 1, live.sum()))
+                                + 1j * rng.standard_normal((3, grid.n_z + 1, live.sum())))
+    w[:, [0, grid.n_z]] = 0.0
+    h[plane, live] = rng.standard_normal(live.sum()) + 1j * rng.standard_normal(live.sum())
+    f, g, h = (SpectralField(grid, f, 3, False),
+               divergence(SpectralField(grid, w, 3, False)),
+               PlateField(grid, h, False))
+    default = solve_linear_full(f, g, h, grid=grid, params=params)
+
+    m = grid.n_z + 1
+    groups = len(grid.xi_groups()) - 1
+    monkeypatch.setattr(modes, "BLOCK_BYTES", 16 * m * m * ((groups + 1) // 2))
+    # two blocks of xi' != 0 groups, then xi' = 0
+    assert len(modes._plane_plan(grid, False, modes.BLOCK_BYTES)[plane]) == 3
+    inverses = []
+    monkeypatch.setattr(np.linalg, "inv", _recording(inverses, np.linalg.inv))
+    sol = solve_linear_full(f, g, h, grid=grid, params=params)
+    # one inverse per group with data: xi' = 0 and the three off-axis groups
+    assert sum(np.prod(shape[:-2]) for shape in inverses) == 4
+
+    k = plane - half_t
+    for i1, i2 in zip(*np.nonzero(live)):
+        at = (Ellipsis, plane, i1, i2)
+        xi = (i1 - half_x, i2 - half_x)
+        data = f.coeffs[at], g.coeffs[at], h.coeffs[plane, i1, i2]
+        got = sol.u.coeffs[at], sol.p.coeffs[at], sol.eta.coeffs[plane, i1, i2]
+        if xi == (0, 0):
+            # the dense system is one rank short at xi' = 0, where the
+            # T_{N_z} pressure mode has no gradient at interior nodes
+            u, p, eta, fa, ga, ha = map(_one_mode_lattice, got + data)
+            res = _residual_parts(grid, u, p, eta,
+                                  *_phys(k, xi, grid.t_period, grid.l_period),
+                                  fa, ga, ha, params.mu_f, params.mu_s)
+            assert max(res.values()) < TOL_MODE * np.max(np.abs(data[0]))
+            continue
+        ref = _dense_reference(grid, k, xi, *data, params)
+        got = np.concatenate([got[0].ravel(), got[1], [got[2]]])
+        assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref)), xi
+    dead = np.ones(slab[2:], bool)
+    dead[plane, live] = False
+    for arr in (sol.u.coeffs, sol.p.coeffs, sol.eta.coeffs):
+        zeros = arr[..., dead]
+        assert np.all(zeros == 0)
+        assert not (np.signbit(zeros.real).any() or np.signbit(zeros.imag).any())
+    for a, b in zip((sol.u, sol.p, sol.eta), (default.u, default.p, default.eta)):
+        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * np.max(np.abs(b.coeffs))
 
 
 # Manufactured seed 0 on (5, 5, n_z) under the one-thread BLAS pin: X errors
@@ -273,6 +325,30 @@ def test_refinement_ladder_no_worse_than_dense(n_z):
     assert rep["path_discrepancy"] <= gap
     assert got_lift <= LADDER_ROUTE_FACTOR * lift
     assert got_direct <= LADDER_ROUTE_FACTOR * direct
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    """In process, the batched mode solves give the same bits at 1 and at 2
+    OpenBLAS threads, on blocks of 41 (linear) and 14 (Picard) groups."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    setter, getter = calls
+    linear = make_manufactured(5, grid=TorusGrid(17, 17, 16), band=8)
+    picard = make_manufactured(6, grid=TorusGrid(9, 9, 8), band=2, amplitude=1e-3)
+    runs = []
+    caller = getter()
+    try:
+        for threads in (1, 2):
+            setter(threads)
+            sol = solve_linear_full(linear.f, linear.g, linear.h)
+            fixed = picard_solve(picard.f, picard.h)
+            runs.append([x.coeffs for x in (sol.u, sol.p, sol.eta,
+                                            fixed.u, fixed.p, fixed.eta)])
+    finally:
+        setter(caller)
+    for one, two in zip(*runs):
+        np.testing.assert_array_equal(one, two)
 
 
 def test_test_pair_is_admissible():
