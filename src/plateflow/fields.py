@@ -142,14 +142,14 @@ def _check_compatible(a, b):
         raise ValueError("component counts differ")
 
 
-def zeros_like_field(grid: TorusGrid, components: int = 1, real: bool = True,
-                     plate: bool = False):
+def zeros_like_field(grid: TorusGrid, components: int = 1, plate: bool = False):
+    """Real-flagged zeros: a plate field, or a slab field of `components`."""
     if plate:
-        return PlateField(grid, np.zeros((grid.n_t, grid.n_x, grid.n_x), complex), real)
+        return PlateField(grid, np.zeros((grid.n_t, grid.n_x, grid.n_x), complex), True)
     shape = (grid.n_z + 1, grid.n_t, grid.n_x, grid.n_x)
     if components > 1:
         shape = (components,) + shape
-    return SpectralField(grid, np.zeros(shape, complex), components, real)
+    return SpectralField(grid, np.zeros(shape, complex), components, True)
 
 
 # ---- transforms ------------------------------------------------------------
@@ -188,12 +188,16 @@ def physical_samples(field) -> np.ndarray:
     return pad_to_samples(field.coeffs, field.grid, 1.0, field.real)
 
 
-def is_conjugate_symmetric(coeffs: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether coeffs lie within tol * max |c| of _symmetrize(coeffs), that
-    is max |c(k, xi) - conj(c(-k, -xi))| <= 2 tol max |c|."""
+# relative distance from the conjugate-symmetric subspace that a real field may keep
+SYMMETRY_TOL = 1e-12
+
+
+def is_conjugate_symmetric(coeffs: np.ndarray) -> bool:
+    """Whether coeffs lie within SYMMETRY_TOL * max |c| of _symmetrize(coeffs),
+    that is max |c(k, xi) - conj(c(-k, -xi))| <= 2 SYMMETRY_TOL max |c|."""
     dev = np.max(np.abs(coeffs - np.conj(coeffs[..., ::-1, ::-1, ::-1])))
     scale = np.max(np.abs(coeffs))
-    return bool(dev <= 2.0 * tol * max(scale, 1e-300))
+    return bool(dev <= 2.0 * SYMMETRY_TOL * max(scale, 1e-300))
 
 
 # ---- plate trace ------------------------------------------------------------

@@ -16,11 +16,9 @@ exactly with time differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fields import SpectralField, divergence
+from .fields import SpectralField
 from .grid import TorusGrid
 from .modes import antiderivative_from_plate, xi0_incompatibility
 from .norms import NormSpec, negative_norm, sobolev_norm
@@ -52,16 +50,7 @@ def _closure_solve(grid: TorusGrid, xi_sq: float,
     return np.linalg.solve(a, rhs)[: n + 1]
 
 
-@dataclass
-class LiftResult:
-    """Lifted field plus the worst-case constraint residuals."""
-
-    w: SpectralField
-    residual_div: float
-    residual_bc: float
-
-
-def lift_divergence(g_field: SpectralField, compat_tol: float = 1e-9) -> LiftResult:
+def lift_divergence(g_field: SpectralField, compat_tol: float = 1e-9) -> SpectralField:
     """Construct w with div w = g and w = 0 on both faces, mode by mode."""
     if g_field.components != 1:
         raise ValueError("the divergence lift expects a scalar field")
@@ -84,11 +73,7 @@ def lift_divergence(g_field: SpectralField, compat_tol: float = 1e-9) -> LiftRes
         w1[:, :, i1, i2] = 1j * xp[i1] * phi
         w2[:, :, i1, i2] = 1j * xp[i2] * phi
         w3[:, :, i1, i2] = psi.reshape(gv.shape)
-
-    w_field = SpectralField(grid, w, 3, g_field.real)
-    residual_div = float(np.max(np.abs(divergence(w_field).coeffs - coeffs)))
-    residual_bc = float(np.max(np.abs(w[:, (0, n)])))
-    return LiftResult(w_field, residual_div, residual_bc)
+    return SpectralField(grid, w, 3, g_field.real)
 
 
 def lift_norms(g_field: SpectralField, w: SpectralField, q: float = 2.0) -> dict:
@@ -104,11 +89,11 @@ def lift_norms(g_field: SpectralField, w: SpectralField, q: float = 2.0) -> dict
     }
 
 
-def lift_estimate_check(g_field: SpectralField, result: LiftResult,
+def lift_estimate_check(g_field: SpectralField, w: SpectralField,
                         q: float = 2.0, norms: dict | None = None) -> dict:
     """Empirical constants of the gradient and dual-norm bounds; norms, when
-    given, is lift_norms(g_field, result.w, q), already taken."""
-    n = lift_norms(g_field, result.w, q) if norms is None else norms
+    given, is lift_norms(g_field, w, q), already taken."""
+    n = lift_norms(g_field, w, q) if norms is None else norms
     pairs = {"gradient_ratio_l0": ("w_w1q", "g_l_q"),
              "gradient_ratio_l1": ("w_w2q", "g_w1q"),
              "dual_ratio": ("w_l_q", "g_dual")}

@@ -159,6 +159,19 @@ def _plane_plan(grid: TorusGrid, real: bool, budget: int) -> tuple:
     return ((),) * half_t + (plane(nx * nx // 2),) + (full,) * half_t
 
 
+def _raise_singular(stage, grid, kp, a2, mats):
+    """Re-raise a stacked solve's LinAlgError naming its first singular member."""
+    k = round(kp * grid.t_period / (2.0 * np.pi))
+    for val, mat in zip(a2, mats):
+        try:
+            np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                f"singular {stage} system in the mode solve at k = {k}, "
+                f"|xi'|^2 = {val:.3e}") from None
+    raise  # the stacked call's own error, should no member fail alone
+
+
 def _solve_block(grid, kp, block, data, out, params):
     """Solve one block of a time plane's groups (`_plane_plan`).
 
@@ -189,7 +202,10 @@ def _solve_block(grid, kp, block, data, out, params):
     eye = np.eye(n + 1)
     helm = 1j * kp * eye - mu_f * (grid.dmat(2) - np.multiply.outer(a2, eye))
     helm[:, [0, n]] = eye[[0, n]]
-    z = np.linalg.inv(helm)
+    try:
+        z = np.linalg.inv(helm)
+    except np.linalg.LinAlgError:
+        _raise_singular("Helmholtz", grid, kp, a2, helm)
     z0 = z[:, :, 0].copy()  # the kinematic row's column: u3(0) = -ik eta
     ze = z                  # face rows hold boundary values, and the pressure
     ze[:, :, [0, n]] = 0.0  # gradient acts at interior rows only
@@ -219,7 +235,10 @@ def _solve_block(grid, kp, block, data, out, params):
         b = np.empty((bsz, n + 2, h.shape[1]), complex)
         b[:, :-1] = g - 1j * (x1 * zf[:, :, 0] + x2 * zf[:, :, 1]) - dzf3
         b[:, -1] = h - 2.0 * mu_f * dzf3[:, 0]
-        sol = np.linalg.solve(schur, b)
+        try:
+            sol = np.linalg.solve(schur, b)
+        except np.linalg.LinAlgError:
+            _raise_singular("Schur", grid, kp, a2, schur)
         p, eta = sol[:, :-1], sol[:, -1]
         zep = ze @ p
         zf[:, :, 0] -= 1j * x1 * zep

@@ -59,8 +59,7 @@ from .fields import (
     zeros_like_field,
 )
 from .grid import TorusGrid, cheb_eval, cheb_values_to_coeffs
-from .modes import (DEFAULT_PARAMS, SolverParams, _residual_parts, solve_linear_full,
-                    xi0_incompatibility)
+from .modes import DEFAULT_PARAMS, SolverParams, _residual_parts, solve_linear_full
 from .norms import s_norm, x_norm
 
 # Gate limits: the plate-norm budget keeps the geometry perturbative, the sup
@@ -468,8 +467,7 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
         rhs_f, rd, rhs_h = _map_rhs(u, p, geo, f, h, params.mu_f)
         # rd = div R with R zero on both faces already meets xi' = 0, so the
         # mode solves take it in their continuity rows; solve_linear_full
-        # checks it against compat_tol, and the trace keeps its value
-        rd_mean = 0.0 if rd is None else xi0_incompatibility(g, rd.coeffs)
+        # checks it against compat_tol
         sol = solve_linear_full(rhs_f, rd, rhs_h, grid=g, params=params)
         # the next sweep's terms need not sit beside this sweep's data
         del rhs_f, rd, rhs_h
@@ -484,7 +482,6 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
                 "x_norm": new_norm,
                 "step": step,
                 "ratio": ratio,
-                "rd_mean": rd_mean,
                 "plate_norm": gate.plate_norm,
                 "sup_eta": gate.sup_eta,
                 "in_ball": bool(new_norm <= radius),

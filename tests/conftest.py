@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from plateflow.fields import PlateField, SpectralField
+from plateflow.fields import PlateField, SpectralField, _symmetrize
 
 # Printed by the terminal-summary hook so the acceptance verdicts survive
 # pytest's output capture, one line per criterion.
@@ -41,12 +41,6 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
-def _sym(coeffs):
-    # conjugate lattice symmetry over the three periodic axes, which end
-    # every coefficient array
-    return 0.5 * (coeffs + np.conj(coeffs[..., ::-1, ::-1, ::-1]))
-
-
 def poly_field(grid, seed, components=3, band_t=1, band_x=1, degree=3,
                scale=1.0):
     """Real slab field: random band-limited modes times layer polynomials.
@@ -68,7 +62,7 @@ def poly_field(grid, seed, components=3, band_t=1, band_x=1, degree=3,
                           + 1j * rng.standard_normal(degree + 1))
                     coeffs[c, :, it, i1, i2] = \
                         np.polynomial.polynomial.polyval(z, pc)
-    coeffs = _sym(coeffs) * scale
+    coeffs = _symmetrize(coeffs) * scale
     if components == 1:
         return SpectralField(grid, coeffs[0], 1, True)
     return SpectralField(grid, coeffs, components, True)
@@ -83,7 +77,7 @@ def poly_plate(grid, seed, band_t=1, band_x=1, scale=1.0, zero_mean=False):
     blk_shape = (2 * bt + 1, 2 * bx + 1, 2 * bx + 1)
     blk = rng.standard_normal(blk_shape) + 1j * rng.standard_normal(blk_shape)
     coeffs[ht - bt:ht + bt + 1, hx - bx:hx + bx + 1, hx - bx:hx + bx + 1] = blk
-    coeffs = _sym(coeffs)
+    coeffs = _symmetrize(coeffs)
     if zero_mean:
         coeffs[:, hx, hx] = 0.0
     return PlateField(grid, coeffs * scale, True)

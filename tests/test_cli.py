@@ -377,8 +377,16 @@ def test_config_rejections(tmp_path, text, fragment):
      "plate symbol or mu_f |xi'|^2 of mode k = 2, xi' = (2, 2) not finite"),
     ("solve-nonlinear", "L = 1e-200\n", "of mode k = 2, xi' = (2, 2) not finite"),
     ("solve-linear", "mu_s = 1e308\nn_z = 8\n", "not finite"),
-    ("solve-linear", "eps = 1e300\nforcing_h = cos(x1)\nn_z = 8\n",
-     "output value norms.y_norm_data is inf"),
+    # the norms still overflow on the way to this refusal (ROADMAP item 6,
+    # overflow-safe norms), so this case alone lets RuntimeWarnings pass
+    pytest.param("solve-linear", "eps = 1e300\nforcing_h = cos(x1)\nn_z = 8\n",
+                 "output value norms.y_norm_data is inf",
+                 marks=pytest.mark.filterwarnings("default::RuntimeWarning")),
+    # L so large that |xi'|^2 of the xi' != 0 modes underflows to subnormals or 0
+    pytest.param("solve-linear", "L = 4.5e162\nn_z = 8\n"
+                 "forcing_h = cos(t)*cos(2*pi/4.5e162*x1)\n",
+                 "singular Schur system in the mode solve at k = 0, "
+                 "|xi'|^2 = 1.976e-323", id="solve-linear-underflowed-xi-singular"),
     pytest.param("multiplier-scan", "T = 1e-300\nk_max = 20\nxi_max = 10\n",
                  "coupled symbol or the weight 1 + k^2 + |xi'|^4 of mode k = 20, "
                  "xi' = (10, 10) not finite",
@@ -398,7 +406,9 @@ def test_config_rejections(tmp_path, text, fragment):
 def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
     code, out = run_cli(tmp_path, text, command)
     assert code == 1
-    err = error_payload(capsys)
+    stderr = capsys.readouterr().err
+    assert len(stderr.strip().splitlines()) == 1
+    err = error_payload_of(stderr)
     assert err["kind"] == "config" and fragment in err["message"]
     assert "\n" not in err["message"]
     assert not (out / "manifest.json").exists()

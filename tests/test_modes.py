@@ -238,6 +238,18 @@ def test_one_inverse_per_group(monkeypatch):
     assert sum(np.prod(shape[:-2]) for shape in calls["solve"]) == grid.n_t * (groups - 1)
 
 
+def test_singular_stack_names_its_first_singular_member():
+    """A stacked inverse that fails re-raises naming the stage, k and
+    |xi'|^2 of its first singular member."""
+    mats = np.stack([np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))])
+    with pytest.raises(np.linalg.LinAlgError, match=r"singular Helmholtz system in "
+                       r"the mode solve at k = 2, \|xi'\|\^2 = 2\.000e\+00$"):
+        try:
+            np.linalg.inv(mats)
+        except np.linalg.LinAlgError:
+            modes._raise_singular("Helmholtz", GRID, 2.0, np.array([1.0, 2.0, 4.0]), mats)
+
+
 def test_padded_blocks_match_the_dense_reference(monkeypatch):
     """One complex-data plane mixes groups of 1, 4 and 8 members with
     zero-data groups between them, cut into two padded blocks."""

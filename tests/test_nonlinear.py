@@ -317,7 +317,7 @@ def test_picard_small_data_contracts():
     ratios = [s["ratio"] for s in res.trace if s["ratio"] is not None]
     assert ratios and max(ratios) < 0.5
     assert max(res.residuals.values()) < 1e-9
-    for key in ("iteration", "x_norm", "step", "rd_mean", "in_ball"):
+    for key in ("iteration", "x_norm", "step", "in_ball"):
         assert key in res.trace[0]
 
 

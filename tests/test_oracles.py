@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from plateflow.fields import PlateField, SpectralField, zeros_like_field
+from plateflow.fields import PlateField, SpectralField, dx3, zeros_like_field
 from plateflow.grid import TorusGrid
-from plateflow.norms import x_norm
+from plateflow.norms import NormSpec, mixed_lr_lp_norm, sobolev_norm, x_norm
 from plateflow.oracles import (
-    PRESSURE_CONVENTION,
     cross_validate_linear,
     embedding_ratio,
     fd_check,
@@ -62,7 +61,6 @@ def test_cross_validation_report():
     assert rep["path_discrepancy"] < TOL_PATHS
     assert rep["lift_truth_rel"] < 1e-6
     assert rep["direct_truth_rel"] < 1e-6
-    assert rep["pressure_convention"] == PRESSURE_CONVENTION
     assert max(rep["residuals_lift"].values()) < 1e-9
     assert max(rep["residuals_direct"].values()) < 1e-9
 
@@ -173,6 +171,32 @@ def test_embedding_high_mode_no_worse_than_low():
     hi.coeffs[:, HT - 2, HX - 2, HX + 2] = 1.0
     kw = dict(m=2, m_x=(0, 0, 0), alpha=2.0, r=np.inf, p=np.inf)
     assert embedding_ratio(hi, **kw) <= embedding_ratio(lo, **kw)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("axis,m_x,M_t", [(0, (0, 0), 1), (1, (1, 0), 0)])
+def test_embedding_derivative_closed_forms(axis, m_x, M_t, n):
+    # the plate cos(n t) or cos(n x1): the derivative has n times its norm;
+    # W^{1,0} weighs cos(n t) by sqrt(1 + n^2) and cos(n x1) by 1, W^{0,2}
+    # weighs them by 1 and 1 + n^2, so at n = 1 the ratios are sqrt 2 - 1
+    # and 1/3, and n = 2 tells a derivative from its absence
+    want = n / (np.sqrt(1.0 + n * n) + 1.0) if axis == 0 else n / (2.0 + n * n)
+    eta = zeros_like_field(GRID, plate=True)
+    for sign in (n, -n):
+        mode = [HT, HX, HX]
+        mode[axis] += sign
+        eta.coeffs[tuple(mode)] = 0.5
+    ratio = embedding_ratio(eta, m=1, m_x=m_x, M_t=M_t, alpha=0.0,
+                            r=2.0, p=2.0, q=2.0)
+    assert abs(ratio - want) < 1e-14
+
+
+def test_embedding_layer_derivative_matches_its_norms():
+    u = poly_field(GRID, 60, components=1)
+    ratio = embedding_ratio(u, m=1, m_x=(0, 0, 1), alpha=0.0, r=2.0, p=2.0, q=2.0)
+    rhs = (sobolev_norm(u, NormSpec(1, 0, 2.0))
+           + sobolev_norm(u, NormSpec(0, 2, 2.0)))
+    assert ratio == mixed_lr_lp_norm(dx3(u), 2.0, 2.0) / rhs
 
 
 def test_embedding_plate_domain_arity():
