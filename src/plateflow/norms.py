@@ -1,7 +1,7 @@
 """Sobolev-type norms for slab and plate fields.
 
-A norm's domain is its field's type: a PlateField takes the plate norm, a
-SpectralField the slab norm, under the same NormSpec.
+A plate field is normed as a slab field with no layer derivatives and no
+layer weights, under the same NormSpec.
 
 Conventions (fixed here once, used consistently by the solver and tests):
 
@@ -12,18 +12,19 @@ Conventions (fixed here once, used consistently by the solver and tests):
   order s through (1 + |xi|^2)^s.  On the slab, layer derivatives up to
   floor(s) are combined binomially with lateral weights, which reproduces the
   classical integer-order norms exactly and interpolates for fractional s.
+  A sum that overflows, or falls below the normal range for a nonzero field,
+  is taken again on the coefficients divided by their peak magnitude.
 * q != 2 norms lift the same weights in coefficient space (Bessel potential
   realization), synthesize on the OVERSAMPLE lattice, and take the physical
-  quadrature of |.|^q.
+  quadrature of |.|^q relative to the peak of |.|.
 * Spatial order -1 is the dual norm of homogeneous first-order test
-  functions: the mean-free part is paired against gradients, evaluated by a
-  Poisson-type profile solve per lateral mode with natural (Neumann) rows at
-  the faces.
+  functions: the order-0 norm of the gradient of a Poisson-type potential,
+  solved per lateral mode with natural (Neumann) rows at the faces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -62,75 +63,92 @@ def _lateral_weight(grid: TorusGrid, order: float) -> np.ndarray:
 
 
 def _magnitudes(grid: TorusGrid, coeffs: np.ndarray, real: bool) -> np.ndarray:
-    """|samples| on the OVERSAMPLE lattice, Euclidean over vector components.
+    """|samples| on the OVERSAMPLE lattice, Euclidean over vector components
+    (by hypot, which neither overflows nor underflows).
 
     real=True synthesizes on the real half-lattice path, which needs
     conjugate-symmetric coefficients: the even time and lateral weights,
     layer derivatives and i*xi gradients all keep a real field's symmetry.
     """
     mag = np.abs(pad_to_samples(coeffs, grid, OVERSAMPLE, real))
-    return np.sqrt(np.sum(mag ** 2, axis=0)) if mag.ndim == 5 else mag
+    return np.hypot.reduce(mag, axis=0) if mag.ndim == 5 else mag
 
 
-def _lq(grid: TorusGrid, coeffs: np.ndarray, q: float, real: bool) -> float:
-    """L^q quadrature of plate (rank 3) or slab (rank 4, 5) coefficients."""
-    mag = _magnitudes(grid, coeffs, real)
+def mixed_lr_lp_norm(field, r: float, p: float) -> float:
+    """L^r in time of the L^p spatial norm; accepts inf in either slot.
+    r = p is one space-time sum."""
+    grid = field.grid
+    mag = _magnitudes(grid, field.coeffs, field.real)
     peak = np.max(mag)
     if peak == 0.0:
         return 0.0
     # powers of mag / peak <= 1 neither overflow nor lose the field to underflow
-    cell = 1.0 / np.prod(mag.shape[-3:])
-    rel = (mag / peak) ** q
-    integrand = rel if mag.ndim == 3 else rel * grid.cheb_weights[:, None, None, None]
-    return float(peak * (np.sum(integrand) * cell) ** (1.0 / q))
+    rel = mag / peak
+    space = (0, 2, 3) if rel.ndim == 4 else (1, 2)  # slab: (node, t, x1, x2)
+    if np.isinf(p):
+        per_t = rel.max(axis=space)
+    else:
+        rel **= p
+        if rel.ndim == 4:
+            rel *= grid.cheb_weights[:, None, None, None]
+        if r == p:
+            cell = 1.0 / np.prod(rel.shape[-3:])
+            return float(peak * (np.sum(rel) * cell) ** (1.0 / p))
+        per_t = (np.sum(rel, axis=space) / np.prod(rel.shape[-2:])) ** (1.0 / p)
+    if np.isinf(r):
+        return float(peak * per_t.max())
+    return float(peak * np.mean(per_t ** r) ** (1.0 / r))
+
+
+def _square_sum(grid: TorusGrid, coeffs: np.ndarray, spec: NormSpec, m: int,
+                w3) -> float:
+    """The squared q = 2 norm: the sum over j <= m of C(m, j) times the
+    squared coefficients of d3^j, weighted by (1 + k^2)^a, (1 + |xi|^2)^(s - j)
+    and the layer weights w3."""
+    s = spec.spatial_order
+    wt = _time_weight(grid, spec.time_order)[:, None, None]
+    total = 0.0
+    for j in range(m + 1):
+        dj = coeffs if j == 0 else layer_derivative(grid, coeffs, j)
+        # a weight of order 0 is exactly 1.0: skipped
+        contrib = np.abs(dj if spec.time_order == 0 else wt * dj)
+        np.square(contrib, out=contrib)
+        if s != j:
+            contrib *= _lateral_weight(grid, 2.0 * (s - j))
+        contrib *= w3
+        total += comb(m, j) * float(np.sum(contrib))
+    return total
 
 
 # ---- the public entry point ---------------------------------------------------
 
 
 def sobolev_norm(field, spec: NormSpec) -> float:
-    """Norm of a PlateField (plate) or SpectralField (slab) under `spec`."""
-    if isinstance(field, PlateField):
-        return _plate_norm(field, spec)
-    return _slab_norm(field, spec)
-
-
-def _plate_norm(field: PlateField, spec: NormSpec) -> float:
-    if spec.spatial_order < 0:
-        raise ValueError("negative spatial order on the plate is not supported")
-    g = field.grid
-    wt = _time_weight(g, spec.time_order)[:, None, None]
-    wx = _lateral_weight(g, spec.spatial_order)[None, :, :]
-    if spec.q == 2.0:
-        return float(np.sqrt(np.sum((wt * wx * np.abs(field.coeffs)) ** 2)))
-    return _lq(g, wt * wx * field.coeffs, spec.q, field.real)
-
-
-def _slab_norm(field: SpectralField, spec: NormSpec) -> float:
-    g = field.grid
-    s = spec.spatial_order
-    if s == -1.0:
-        return negative_norm(field, q=spec.q, time_order=spec.time_order)
+    """Norm of a SpectralField (slab) or PlateField (plate) under `spec`."""
+    g, s, q = field.grid, spec.spatial_order, spec.q
+    plate = isinstance(field, PlateField)
+    if s == -1.0 and not plate:
+        return negative_norm(field, q=q, time_order=spec.time_order)
     if s < 0:
-        raise ValueError("slab spatial orders between -1 and 0 are not supported")
-    m = int(np.floor(s + 1e-12))
-    wt = _time_weight(g, spec.time_order)[:, None, None]
-    w3 = g.cheb_weights[:, None, None, None]
-    total = 0.0
-    for j in range(m + 1):
-        dj = field.coeffs if j == 0 else layer_derivative(g, field.coeffs, j)
-        if spec.q != 2.0:
-            wx = _lateral_weight(g, s - j)
-            total += _lq(g, wt * wx * dj, spec.q, field.real)
-            continue
-        # squared coefficients; a weight of order 0 is exactly 1.0: skipped
-        contrib = np.abs(dj if spec.time_order == 0 else wt * dj)
-        np.square(contrib, out=contrib)
-        if s != j:
-            contrib *= _lateral_weight(g, 2.0 * (s - j))
-        contrib *= w3
-        total += comb(m, j) * float(np.sum(contrib))
-    return float(np.sqrt(total)) if spec.q == 2.0 else float(total)
+        raise ValueError(f"spatial order {s} is not supported on the "
+                         f"{'plate' if plate else 'slab'}")
+    m = 0 if plate else int(np.floor(s + 1e-12))
+    c = field.coeffs
+    if q != 2.0:
+        wt = _time_weight(g, spec.time_order)[:, None, None]
+        total = 0.0
+        for j in range(m + 1):
+            dj = c if j == 0 else layer_derivative(g, c, j)
+            wdj = replace(field, coeffs=wt * _lateral_weight(g, s - j) * dj)
+            total += mixed_lr_lp_norm(wdj, q, q)
+        return total
+    w3 = 1.0 if plate else g.cheb_weights[:, None, None, None]
+    with np.errstate(over="ignore"):
+        total = _square_sum(g, c, spec, m, w3)
+        if not np.finfo(float).tiny <= total < np.inf and c.any():
+            peak = np.max(np.abs(c))
+            return float(peak * np.sqrt(_square_sum(g, c / peak, spec, m, w3)))
+    return float(np.sqrt(total))
 
 
 def grid_l2_norm(field) -> float:
@@ -187,12 +205,8 @@ def _neumann_poisson_profiles(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
 
 
 def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> float:
-    """Time-aggregated dual norm of a scalar slab field.
-
-    q = 2: sqrt of sum over time modes of (1 + k^2)^time_order times the
-    squared per-mode dual norm.  q != 2: Bessel time weight, then the L^q
-    quadrature of the potential-gradient representative.
-    """
+    """Time-aggregated dual norm of a scalar slab field: the order-0 norm,
+    time order `time_order`, of the gradient of its potential phi."""
     if field.components != 1:
         raise ValueError("dual norm is defined for scalar fields")
     g = field.grid
@@ -202,35 +216,10 @@ def negative_norm(field: SpectralField, q: float = 2.0, time_order: int = 0) -> 
     tilde = field.coeffs.copy()
     tilde[:, :, mid, mid] -= g.cheb_weights @ tilde[:, :, mid, mid]
     phi = _neumann_poisson_profiles(g, tilde)
-    wt = _time_weight(g, time_order)[:, None, None]
-    xp = g.xi_phys
-    dphi = layer_derivative(g, phi)
-    if q == 2.0:
-        xi_sq, w3 = g.xi_norm_sq(), g.cheb_weights[:, None, None, None]
-        val = np.sum((wt ** 2) * (xi_sq * np.abs(phi) ** 2 + np.abs(dphi) ** 2) * w3)
-        return float(np.sqrt(val))
-    grad = np.stack([1j * xp[:, None] * phi, 1j * xp * phi, dphi])
-    return _lq(g, wt * grad, q, field.real)
-
-
-# ---- mixed-exponent norms (time-space) ------------------------------------------
-
-
-def mixed_lr_lp_norm(field, r: float, p: float) -> float:
-    """L^r in time of the L^p spatial norm; accepts inf in either slot."""
-    mag = _magnitudes(field.grid, field.coeffs, field.real)
-    slab = mag.ndim == 4  # (node, t, x1, x2): time is not the leading axis
-    if np.isinf(p):
-        per_t = mag.max(axis=(0, 2, 3) if slab else (1, 2))
-    else:
-        spatial = mag ** p
-        if slab:
-            spatial = np.sum(spatial * field.grid.cheb_weights[:, None, None, None],
-                             axis=0)
-        per_t = (np.mean(spatial, axis=(1, 2))) ** (1.0 / p)
-    if np.isinf(r):
-        return float(per_t.max())
-    return float((np.mean(per_t ** r)) ** (1.0 / r))
+    xp = 1j * g.xi_phys
+    grad = np.stack([xp[:, None] * phi, xp * phi, layer_derivative(g, phi)])
+    return sobolev_norm(SpectralField(g, grad, 3, field.real),
+                        NormSpec(time_order, 0.0, q))
 
 
 # ---- solution and data norms -----------------------------------------------------

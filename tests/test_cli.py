@@ -377,30 +377,21 @@ def test_config_rejections(tmp_path, text, fragment):
      "plate symbol or mu_f |xi'|^2 of mode k = 2, xi' = (2, 2) not finite"),
     ("solve-nonlinear", "L = 1e-200\n", "of mode k = 2, xi' = (2, 2) not finite"),
     ("solve-linear", "mu_s = 1e308\nn_z = 8\n", "not finite"),
-    # the norms still overflow on the way to this refusal (ROADMAP item 6,
-    # overflow-safe norms), so this case alone lets RuntimeWarnings pass
-    pytest.param("solve-linear", "eps = 1e300\nforcing_h = cos(x1)\nn_z = 8\n",
-                 "output value norms.y_norm_data is inf",
-                 marks=pytest.mark.filterwarnings("default::RuntimeWarning")),
     # L so large that |xi'|^2 of the xi' != 0 modes underflows to subnormals or 0
     pytest.param("solve-linear", "L = 4.5e162\nn_z = 8\n"
                  "forcing_h = cos(t)*cos(2*pi/4.5e162*x1)\n",
                  "singular Schur system in the mode solve at k = 0, "
                  "|xi'|^2 = 1.976e-323", id="solve-linear-underflowed-xi-singular"),
-    pytest.param("multiplier-scan", "T = 1e-300\nk_max = 20\nxi_max = 10\n",
-                 "coupled symbol or the weight 1 + k^2 + |xi'|^4 of mode k = 20, "
-                 "xi' = (10, 10) not finite",
-                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
-    pytest.param("multiplier-scan", "k_max = 1\nxi_max = 10\n",
-                 "needs k_max >= 2 for its k-ray decay fit",
-                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
-    pytest.param("lift-div", "L = 1e-200\n",
-                 "L makes |xi'|^2 of mode k = 2, xi' = (2, 2) not finite",
-                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
-    *(pytest.param("resonance-report", text,
-                   "coupled symbol or the weight 1 + k^2 + |xi'|^4 of mode k = 4, "
-                   "xi' = (2, 2) not finite",
-                   marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+    ("multiplier-scan", "T = 1e-300\nk_max = 20\nxi_max = 10\n",
+     "coupled symbol or the weight 1 + k^2 + |xi'|^4 of mode k = 20, "
+     "xi' = (10, 10) not finite"),
+    ("multiplier-scan", "k_max = 1\nxi_max = 10\n",
+     "needs k_max >= 2 for its k-ray decay fit"),
+    ("lift-div", "L = 1e-200\n",
+     "L makes |xi'|^2 of mode k = 2, xi' = (2, 2) not finite"),
+    *(("resonance-report", text,
+       "coupled symbol or the weight 1 + k^2 + |xi'|^4 of mode k = 4, "
+       "xi' = (2, 2) not finite")
       for text in ("T = 1e-300\n", "L = 1e-200\n")),
 ])
 def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
@@ -412,6 +403,30 @@ def test_bad_config_floats_exit_1(tmp_path, capsys, command, text, fragment):
     assert err["kind"] == "config" and fragment in err["message"]
     assert "\n" not in err["message"]
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("eps,forcing_h", [
+    pytest.param(1e300, "cos(x1)", id="overflowing-squares"),
+    pytest.param(1e-200, "cos(t)*cos(x1)", id="underflowing-squares"),
+])
+def test_extreme_eps_scales_the_norms(tmp_path, eps, forcing_h, q):
+    # the squares of these data leave the float range, yet the norms are
+    # eps times those of the eps = 1 run
+    text = f"forcing_h = {forcing_h}\nn_z = 8\nq = {q}\n"
+    code, out = run_cli(tmp_path, text, "solve-linear", out_name="unit")
+    assert code == 0
+    unit = manifest_of(out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, f"eps = {eps!r}\n" + text, "solve-linear")
+    assert code == 0
+    scaled = manifest_of(out)
+    for name, value in unit["norms"].items():
+        assert value > 0.0
+        assert abs(scaled["norms"][name] / (eps * value) - 1.0) < 1e-14
+    ratio = unit["empirical_constants"]["x_over_y_ratio"]
+    assert abs(scaled["empirical_constants"]["x_over_y_ratio"] / ratio - 1.0) < 1e-14
 
 
 def test_largest_q_runs_without_numpy_warnings(tmp_path):

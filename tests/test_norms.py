@@ -67,9 +67,11 @@ def test_l2_of_constant_and_single_mode():
 
 def test_parseval_grid_agreement():
     f = poly_field(GRID, 21, components=3, band_t=2, band_x=2, degree=5)
-    a = sobolev_norm(f, NormSpec())
-    b = grid_l2_norm(f)
-    assert abs(a - b) / a < TOL_PARSEVAL
+    eta = poly_plate(GRID, 21, band_t=2, band_x=2)
+    for field in (f, eta):
+        a = sobolev_norm(field, NormSpec())
+        b = grid_l2_norm(field)
+        assert abs(a - b) / a < TOL_PARSEVAL
 
 
 def test_time_weight_single_mode():
@@ -92,16 +94,21 @@ def test_layer_derivative_term():
 
 @pytest.mark.parametrize("time_order,spatial_order",
                          [(0, 0.0), (1, 0.0), (0, 2.0), (2, 1.0), (0, 1.5)])
-@pytest.mark.parametrize("components", [1, 3])
+@pytest.mark.parametrize("components", [1, 3, "plate"])
 def test_q2_slab_norm_equals_the_weighted_coefficient_sum(time_order,
                                                           spatial_order,
                                                           components):
-    # bit for bit the sum with every weight multiplied in, order 0 included
-    f = poly_field(GRID, 22, components=components, degree=5)
+    # bit for bit the sum with every weight multiplied in, order 0 included;
+    # a plate takes no layer derivatives and no layer weights
+    if components == "plate":
+        f = poly_plate(GRID, 22, band_x=2)
+        m, w3 = 0, 1.0
+    else:
+        f = poly_field(GRID, 22, components=components, degree=5)
+        m = int(np.floor(spatial_order + 1e-12))
+        w3 = GRID.cheb_weights.reshape((-1, 1, 1, 1))
     c = f.coeffs
     wt = ((1.0 + GRID.k_phys ** 2) ** (0.5 * time_order)).reshape((-1, 1, 1))
-    w3 = GRID.cheb_weights.reshape((-1, 1, 1, 1))
-    m = int(np.floor(spatial_order + 1e-12))
     total = 0.0
     for j in range(m + 1):
         wx = (1.0 + GRID.xi_norm_sq()) ** (spatial_order - j)
@@ -129,9 +136,10 @@ def test_lq_quadrature_against_closed_form():
     assert abs(sobolev_norm(f, NormSpec(0, 0, 4.0)) - want) < 1e-10
 
 
-@pytest.mark.parametrize("amplitude", [1e-8, 1e6])
+@pytest.mark.parametrize("amplitude", [1e-8, 1e6, 1e-200, 1e300])
 def test_lq_quadrature_scales_linearly_at_large_q(amplitude):
-    # |f|^100 of these amplitudes under- or overflows in double precision
+    # |f|^100 of these amplitudes under- or overflows in double precision,
+    # and |f|^2 of the last two
     f = poly_field(GRID, 3, components=3)
     spec = NormSpec(0, 2, 100.0)
     unit = sobolev_norm(f, spec)
@@ -139,6 +147,39 @@ def test_lq_quadrature_scales_linearly_at_large_q(amplitude):
         scaled = sobolev_norm(f * amplitude, spec)
     assert unit > 0.0
     assert abs(scaled / (amplitude * unit) - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("amplitude", [1e-200, 1e300])
+def test_q2_norms_scale_linearly_at_extreme_amplitudes(amplitude):
+    # squared coefficients of these amplitudes under- or overflow
+    u = poly_field(GRID, 3, components=3)
+    g = poly_field(GRID, 4, components=1)
+    eta = poly_plate(GRID, 5, band_x=2)
+    cases = [
+        (lambda f: sobolev_norm(f, NormSpec(1, 2, 2.0)), u),
+        (lambda f: sobolev_norm(f, NormSpec(2, 4.5, 2.0)), eta),
+        (lambda f: negative_norm(f, time_order=1), g),
+    ]
+    for norm, field in cases:
+        unit = norm(field)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            scaled = norm(field * amplitude)
+        assert unit > 0.0
+        assert abs(scaled / (amplitude * unit) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("r", [100.0, 3.0, np.inf])
+def test_mixed_norm_scales_linearly_at_large_p(r):
+    # one peak-scaled quadrature: |eta|^100 of these amplitudes under- or
+    # overflows in double precision
+    coeffs = np.zeros((5, 5, 5), complex)
+    for st, sx in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        coeffs[HT + st, HX + sx, HX] = 0.25     # cos(t) cos(x1)
+    eta = PlateField(GRID, coeffs, True)
+    unit = mixed_lr_lp_norm(eta, r, 100.0)
+    assert unit > 0.0
+    for a in (1e-4, 1e4):
+        assert abs(mixed_lr_lp_norm(eta * a, r, 100.0) / a / unit - 1.0) < 1e-14
 
 
 def test_real_fields_take_the_real_synthesis_at_q3():
