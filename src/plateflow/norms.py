@@ -145,9 +145,10 @@ def sobolev_norm(field, spec: NormSpec) -> float:
     w3 = 1.0 if plate else g.cheb_weights[:, None, None, None]
     with np.errstate(over="ignore"):
         total = _square_sum(g, c, spec, m, w3)
-        if not np.finfo(float).tiny <= total < np.inf and c.any():
+        if not np.finfo(float).tiny <= total < np.inf:
             peak = np.max(np.abs(c))
-            return float(peak * np.sqrt(_square_sum(g, c / peak, spec, m, w3)))
+            if 0.0 < peak < np.inf:
+                return float(peak * np.sqrt(_square_sum(g, c / peak, spec, m, w3)))
     return float(np.sqrt(total))
 
 

@@ -168,6 +168,13 @@ def test_q2_norms_scale_linearly_at_extreme_amplitudes(amplitude):
         assert abs(scaled / (amplitude * unit) - 1.0) < 1e-14
 
 
+def test_q2_norm_of_an_infinite_coefficient_is_inf():
+    # nothing to rescale: the sum stays inf, with no 0 * inf or inf / inf
+    f = _mode_field(1, 1)
+    f.coeffs[0, HT, HX, HX] = np.inf
+    assert sobolev_norm(f, NormSpec(0, 0.5, 2.0)) == np.inf
+
+
 @pytest.mark.parametrize("r", [100.0, 3.0, np.inf])
 def test_mixed_norm_scales_linearly_at_large_p(r):
     # one peak-scaled quadrature: |eta|^100 of these amplitudes under- or
