@@ -148,7 +148,9 @@ def sobolev_norm(field, spec: NormSpec) -> float:
         if not np.finfo(float).tiny <= total < np.inf:
             peak = np.max(np.abs(c))
             if 0.0 < peak < np.inf:
-                return float(peak * np.sqrt(_square_sum(g, c / peak, spec, m, w3)))
+                # part by part: a complex division by a subnormal peak overflows
+                rel = c.real / peak + 1j * (c.imag / peak)
+                return float(peak * np.sqrt(_square_sum(g, rel, spec, m, w3)))
     return float(np.sqrt(total))
 
 

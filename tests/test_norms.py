@@ -149,9 +149,11 @@ def test_lq_quadrature_scales_linearly_at_large_q(amplitude):
     assert abs(scaled / (amplitude * unit) - 1.0) < 1e-13
 
 
-@pytest.mark.parametrize("amplitude", [1e-200, 1e300])
-def test_q2_norms_scale_linearly_at_extreme_amplitudes(amplitude):
-    # squared coefficients of these amplitudes under- or overflow
+@pytest.mark.parametrize("amplitude,tol", [(1e-200, 1e-14), (1e300, 1e-14),
+                                           (1e-310, 1e-9)])
+def test_q2_norms_scale_linearly_at_extreme_amplitudes(amplitude, tol):
+    # squared coefficients of these amplitudes under- or overflow; subnormal
+    # coefficients keep only about 35 bits
     u = poly_field(GRID, 3, components=3)
     g = poly_field(GRID, 4, components=1)
     eta = poly_plate(GRID, 5, band_x=2)
@@ -165,7 +167,7 @@ def test_q2_norms_scale_linearly_at_extreme_amplitudes(amplitude):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             scaled = norm(field * amplitude)
         assert unit > 0.0
-        assert abs(scaled / (amplitude * unit) - 1.0) < 1e-14
+        assert abs(scaled / (amplitude * unit) - 1.0) < tol
 
 
 def test_q2_norm_of_an_infinite_coefficient_is_inf():
