@@ -101,7 +101,7 @@ def mixed_lr_lp_norm(field, r: float, p: float) -> float:
 
 
 def _square_sum(grid: TorusGrid, coeffs: np.ndarray, spec: NormSpec, m: int,
-                w3) -> float:
+                w3: np.ndarray | float) -> float:
     """The squared q = 2 norm: the sum over j <= m of C(m, j) times the
     squared coefficients of d3^j, weighted by (1 + k^2)^a, (1 + |xi|^2)^(s - j)
     and the layer weights w3."""
