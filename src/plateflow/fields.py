@@ -392,6 +392,12 @@ def samples_to_truncated(samples: np.ndarray, grid: TorusGrid,
     coeffs = np.fft.fft(spec, axis=-3, norm="forward")[..., k, :, :]
     if not real:
         return coeffs
-    full = np.concatenate([np.conj(coeffs[..., ::-1, ::-1, hx:0:-1]), coeffs], axis=-1)
-    # the xi2 = 0 plane is symmetric only to round-off; make it exact
-    return _symmetrize(full)
+    full = np.empty(coeffs.shape[:-1] + (grid.n_x,), complex)
+    full[..., hx:] = coeffs
+    np.conj(coeffs[..., ::-1, ::-1, hx:0:-1], out=full[..., :hx])
+    # the xi2 = 0 plane is its own reflection, symmetric only to round-off;
+    # make it exact.  _symmetrize would return every other plane as it is,
+    # 0.5 * (c + c) being c exactly
+    plane = full[..., hx]
+    full[..., hx] = 0.5 * (plane + np.conj(plane[..., ::-1, ::-1]))
+    return full

@@ -20,7 +20,13 @@ iterate and passes it to those functions in place of eta.  One helper,
 `_map_rhs`, forms the fixed-point map's right-hand sides at a state for both
 a Picard sweep and `nonlinear_residual`.  A sweep solves on them with
 `solve_linear_full`: the divergence slot goes straight into the mode
-solves' continuity rows, with no divergence lift.
+solves' continuity rows, with no divergence lift.  The forcing f is the
+same in every sweep, so its pullback series (its layer series, chopped of
+its round-off tail and synthesized on the padded lattice) is built once per
+solve, at the first moving state, and freed before the final residual's
+parts are evaluated.  At a moving state the interaction terms compose f
+with the map inside their own node-block loop and add it to the block's
+momentum samples, so the momentum slot takes one analysis per block.
 
 All pointwise products (including the rational factor 1/(1 + eta)) are
 evaluated on a zero-padded time/lateral lattice and truncated back, so the
@@ -40,6 +46,7 @@ transform passes (`fields.pad_with_lateral_derivatives`).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +128,14 @@ class _Geometry:
             pad_to_samples(d.coeffs, eta.grid, real=real)
             for d in (eta, dx(eta, 1), dx(eta, 2), laplacian(eta), dt(eta)))
         self.tau = 1.0 / (1.0 + self.eta_s)
+        self.pullback = None
+
+    def forcing(self, series: np.ndarray) -> "_Geometry":
+        """This geometry carrying a forcing's pullback series, which the
+        interaction terms then add to rf_tilde (`compute_nonlinear_terms`)."""
+        forced = copy.copy(self)
+        forced.pullback = series
+        return forced
 
 
 def _geometry_for(eta, real: bool) -> _Geometry:
@@ -222,16 +237,25 @@ def _block_momentum(g: TorusGrid, u: np.ndarray, p: np.ndarray,
     e3_dot_u = e31 * u_s[0] + e32 * u_s[1] + e33 * u_s[2]
     time_coef = geo.det_s * tau * rho
 
-    rf_def = (
-        -du3 * time_coef
-        + mu_f * (
-            2.0 * (d31 * e31 + d32 * e32 + d33 * e33)
-            + d33 * e3_norm_sq
-            + du3 * first_coef
-        )
-        - du3 * e3_dot_u
-        - dp3 * np.stack([e31, e32, e33])
-    )
+    # rf_def = -du3 time_coef
+    #          + mu_f (2 (d31 e31 + d32 e32 + d33 e33) + d33 |e3|^2 + du3 first_coef)
+    #          - du3 (e3 . u) - dp3 e3,
+    # each operation that of the expression, in its order, but in two
+    # block-sized buffers where the expression's temporaries take three
+    inner = d31 * e31
+    term = np.empty_like(inner)
+    for a, b in ((d32, e32), (d33, e33)):
+        inner += np.multiply(a, b, out=term)
+    inner *= 2.0
+    for a, b in ((d33, e3_norm_sq), (du3, first_coef)):
+        inner += np.multiply(a, b, out=term)
+    inner *= mu_f
+    rf_def = np.multiply(np.negative(du3, out=term), time_coef, out=term)
+    rf_def += inner
+    rf_def -= np.multiply(du3, e3_dot_u, out=inner)
+    for c, e3c in enumerate((e31, e32, e33)):
+        np.multiply(dp3, e3c, out=inner[c])
+    rf_def -= inner
     return du3, (e31, e32, e33), rf_def
 
 
@@ -245,7 +269,10 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     d3 d_k u, never against purely lateral second derivatives.
 
     Products are formed per block of layer nodes (see the module docstring);
-    the plate-row terms come from the node-0 block.
+    the plate-row terms come from the node-0 block.  A geometry record that
+    carries a forcing's pullback series (`_Geometry.forcing`) adds the
+    pulled-back forcing to each block's momentum samples before their one
+    analysis, so rf_tilde is then the whole momentum slot of `_map_rhs`.
     """
     g = u.grid
     geo = _terms_inputs(u, p, eta)
@@ -256,10 +283,13 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
         u_s, du1, du2 = pad_with_lateral_derivatives(u.coeffs[:, rows], g, real_in)
         du3, (e31, e32, e33), rf_def = _block_momentum(g, u.coeffs, p.coeffs, geo,
                                                        rows, u_s, mu_f)
-        convective = u_s[0] * du1 + u_s[1] * du2 + u_s[2] * du3
+        momentum = rf_def  # less the convective term, in place
+        momentum -= u_s[0] * du1 + u_s[1] * du2 + u_s[2] * du3
         rd = np.stack([-eta_s * u_s[0], -eta_s * u_s[1],
                        -(g1_s * u_s[0] + g2_s * u_s[1]) * _blend(g, rows)])
-        rf_tilde[:, rows] = samples_to_truncated(rf_def - convective, g, real_in)
+        if geo.pullback is not None:
+            _compose_into(momentum, geo.pullback, geo, g.nodes[rows])
+        rf_tilde[:, rows] = samples_to_truncated(momentum, g, real_in)
         rd_vector[:, rows] = samples_to_truncated(rd, g, real_in)
 
         if rows.start == 0:
@@ -274,7 +304,7 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
             s3 = a[2] * e3_0 + a * e3_0[2]
             r_eta_s = -(t31 + s3[0]) * g1_s - (t32 + s3[1]) * g2_s - s3[2]
         # the next block's samples need not sit beside this block's
-        del u_s, du1, du2, du3, e31, e32, e33, rf_def, convective, rd
+        del u_s, du1, du2, du3, e31, e32, e33, rf_def, momentum, rd
 
     rd_vector = SpectralField(g, rd_vector, 3, real_in)
     r_eta = PlateField(g, samples_to_truncated(r_eta_s, g, real_in), real_in)
@@ -337,59 +367,97 @@ def _gate(eta: PlateField, eps0: float, q: float
 # ---- forcing pullback ------------------------------------------------------------
 
 
+# Trailing degrees of f's layer series whose largest coefficient lies below
+# PULLBACK_CHOP times the largest one are round-off.  Continued below the
+# plate face, where the displaced coordinate leaves [0, 1], they would grow
+# like T_n(1 + 2 max eta), so the series drops them before it is continued
+# (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).
+PULLBACK_CHOP = 8.0 * np.finfo(float).eps
+
+
+def _check_forcing(f: SpectralField, grid: TorusGrid) -> None:
+    if f.grid != grid or f.components != 3:
+        raise ValueError("expected a 3-component forcing on the deflection's grid")
+
+
+def _pullback_series(f: SpectralField, geo: _Geometry) -> np.ndarray:
+    """f's layer series, chopped (PULLBACK_CHOP) and synthesized on the
+    padded lattice of geo's products: (degree, component, t, x1, x2).
+
+    The layer series is taken on the grid lattice, where it commutes with
+    the periodic synthesis.  The layout is the one the padded transform
+    returns: each Clenshaw step reads one contiguous slice, and each
+    column's series broadcasts over that column's displaced point.
+    """
+    _check_forcing(f, geo.eta.grid)
+    coeffs = np.moveaxis(cheb_values_to_coeffs(f.coeffs, axis=1), 1, 0)
+    peak = np.max(np.abs(coeffs), axis=(1, 2, 3, 4))
+    kept = np.flatnonzero(peak > PULLBACK_CHOP * peak.max())
+    degrees = kept[-1] + 1 if kept.size else 1
+    return pad_to_samples(coeffs[:degrees], geo.eta.grid, real=geo.real)
+
+
+def _compose_into(out: np.ndarray, series: np.ndarray, geo: _Geometry,
+                  nodes: np.ndarray) -> None:
+    """Add the forcing of pullback series `series`, composed with geo's map
+    at the layer `nodes`, to out, the (component, node, t, x1, x2) samples
+    of one block of nodes: the pullback's one Clenshaw loop."""
+    for j, node in enumerate(nodes):
+        # one displaced node at a time: the recurrence's buffers stay in cache
+        out[:, j] += cheb_eval(series, node * (1.0 + geo.eta_s) - geo.eta_s, axis=0)
+
+
 def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
     """Pull a 3-component momentum forcing back through the straightening map.
 
     The composition is sampled on the padded lattice at the displaced layer
     coordinate and truncated back, so grid data is evaluated through its
-    Chebyshev interpolant (polynomial continuation covers the small
-    overhang where the displaced coordinate leaves [0, 1]).  The layer
-    series is taken on the grid lattice, where it commutes with the periodic
-    synthesis, summed one displaced node at a time and analyzed one block of
-    nodes at a time.
+    chopped Chebyshev interpolant (`_pullback_series`; polynomial
+    continuation covers the small overhang where the displaced coordinate
+    leaves [0, 1]), summed one displaced node at a time and analyzed one
+    block of nodes at a time.
     """
     geo = _geometry_for(eta, f.real)
     g = geo.eta.grid
-    if f.grid != g:
-        raise ValueError("forcing grid does not match the deflection grid")
-    if f.components != 3:
-        raise ValueError("expected a 3-component forcing field")
+    _check_forcing(f, g)
     if not np.any(geo.eta.coeffs):
         return f.copy()
 
-    real_in, eta_s = geo.real, geo.eta_s
-    # (series, component, t, x'), contiguous as the padded transform returns
-    # it: each Clenshaw step reads one contiguous slice, and each column's
-    # series broadcasts over that column's displaced point
-    series = pad_to_samples(np.moveaxis(cheb_values_to_coeffs(f.coeffs, axis=1),
-                                        1, 0), g, real=real_in)
+    series = _pullback_series(f, geo)
     out = np.empty_like(f.coeffs)
     for rows in _node_blocks(g):
-        composed = np.empty((3, rows.stop - rows.start) + eta_s.shape,
-                            np.result_type(series, eta_s))
-        # one displaced node at a time: the recurrence's buffers stay in cache
-        for j, node in enumerate(g.nodes[rows]):
-            composed[:, j] = cheb_eval(series, node * (1.0 + eta_s) - eta_s, axis=0)
-        out[:, rows] = samples_to_truncated(composed, g, real_in)
-    return SpectralField(g, out, 3, real_in)
+        composed = np.zeros((3, rows.stop - rows.start) + geo.eta_s.shape,
+                            np.result_type(series, geo.eta_s))
+        _compose_into(composed, series, geo, g.nodes[rows])
+        out[:, rows] = samples_to_truncated(composed, g, geo.real)
+    return SpectralField(g, out, 3, geo.real)
 
 
 # ---- fixed-point solver -----------------------------------------------------------
 
 
-def _map_rhs(u: SpectralField, p: SpectralField, geo, f, h, mu_f: float):
+def _map_rhs(u: SpectralField, p: SpectralField, geo, f, h, mu_f: float,
+             series: np.ndarray | None = None):
     """Momentum, divergence and plate right-hand sides of the fixed-point map
     at the state (u, p, eta), geo being eta or its geometry record: the
     pulled-back f, zero and h, each corrected by the interaction terms.
+    Returns them with f's pullback series for the next call.
+
     None stands for zero data; every term carries a factor of u or p, so at
-    rest none is formed."""
-    rhs_f = None if f is None else compose_forcing(f, geo)
+    rest none is formed and no series is built.  A moving state uses the
+    series it is given, or builds one (`_pullback_series`), and the
+    interaction terms add the pulled-back f to their momentum samples block
+    by block, so the momentum slot takes one analysis per block.
+    """
     if not (u.coeffs.any() or p.coeffs.any()):
-        return rhs_f, None, h
+        return (None if f is None else compose_forcing(f, geo), None, h), series
+    if f is not None:
+        geo = _geometry_for(geo, u.real and p.real and f.real)
+        series = _pullback_series(f, geo) if series is None else series
+        geo = geo.forcing(series)
     terms = compute_nonlinear_terms(u, p, geo, mu_f=mu_f)
-    rhs_f = terms.rf_tilde if rhs_f is None else rhs_f + terms.rf_tilde
     rhs_h = terms.r_eta if h is None else h + terms.r_eta
-    return rhs_f, terms.rd_tilde, rhs_h
+    return (terms.rf_tilde, terms.rd_tilde, rhs_h), series
 
 
 @dataclass(frozen=True)
@@ -459,12 +527,15 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
     p = zeros_like_field(g)
     # before the first sweep the flat rest state stands in for its record
     geo = eta = zeros_like_field(g, plate=True)
+    # f's pullback series: the first moving state builds it, every later
+    # right-hand side reuses it
+    series = None
 
     trace: list[dict] = []
     converged = False
     prev_step = q = None
     for n in range(1, config.max_iter + 1):
-        rhs_f, rd, rhs_h = _map_rhs(u, p, geo, f, h, params.mu_f)
+        (rhs_f, rd, rhs_h), series = _map_rhs(u, p, geo, f, h, params.mu_f, series)
         # rd = div R with R zero on both faces already meets xi' = 0, so the
         # mode solves take it in their continuity rows; solve_linear_full
         # checks it against compat_tol
@@ -519,8 +590,10 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
         prev_step = step
     error_bound = q / (1.0 - q) * step if q is not None and q < 1.0 else None
 
-    residuals = nonlinear_residual(u, p, geo, f, h, mu_f=params.mu_f,
-                                   mu_s=params.mu_s)
+    rhs = _map_rhs(u, p, geo, f, h, params.mu_f, series)[0]
+    # the residual's parts need not sit beside the series
+    del series
+    residuals = _residual(u, p, eta, rhs, params.mu_f, params.mu_s)
     return PicardResult(u=u, p=p, eta=eta, converged=converged,
                         iterations=n, trace=trace,
                         residuals=residuals, radius=radius,
@@ -540,14 +613,20 @@ def nonlinear_residual(u: SpectralField, p: SpectralField, eta: PlateField,
     belong to the trace conditions.  The plate row is evaluated in
     coefficient space against the damped symbol.
     """
-    g = u.grid
     geo = _geometry_for(eta, u.real and p.real and (f is None or f.real))
-    rhs = [None if r is None else r.coeffs
-           for r in _map_rhs(u, p, geo, f, h, mu_f)]
+    return _residual(u, p, geo.eta, _map_rhs(u, p, geo, f, h, mu_f)[0], mu_f, mu_s)
+
+
+def _residual(u: SpectralField, p: SpectralField, eta: PlateField, rhs,
+              mu_f: float, mu_s: float) -> dict[str, float]:
+    """nonlinear_residual's parts at the state (u, p, eta), given the map's
+    right-hand sides there, as `_map_rhs` returns them."""
+    g = u.grid
     xp = g.xi_phys
-    parts = _residual_parts(g, u.coeffs, p.coeffs, geo.eta.coeffs,
+    parts = _residual_parts(g, u.coeffs, p.coeffs, eta.coeffs,
                             g.k_phys[:, None, None], xp[:, None], xp,
-                            *rhs, mu_f, mu_s)
+                            *(None if r is None else r.coeffs for r in rhs),
+                            mu_f, mu_s)
     mid_x = (g.n_x - 1) // 2
-    parts["plate_mean"] = float(np.max(np.abs(geo.eta.coeffs[:, mid_x, mid_x])))
+    parts["plate_mean"] = float(np.max(np.abs(eta.coeffs[:, mid_x, mid_x])))
     return parts

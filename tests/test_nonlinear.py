@@ -13,6 +13,7 @@ from plateflow.fields import (
     PlateField,
     SpectralField,
     dx,
+    forward_transform,
     pad_to_samples,
     padded_sizes,
     samples_to_truncated,
@@ -21,6 +22,7 @@ from plateflow.fields import (
 )
 from plateflow.grid import TorusGrid
 from plateflow.lift import lift_divergence
+from plateflow.modes import solve_linear_full
 from plateflow.nonlinear import (
     DegenerateDeformationError,
     PicardConfig,
@@ -240,6 +242,38 @@ def test_compose_forcing_field_matches_callable():
     assert np.max(np.abs(a.coeffs - f.coeffs)) > 0.0
 
 
+@pytest.mark.parametrize("amp", [1e-3, 1e-2, 3e-2, 5e-2])
+def test_compose_forcing_continues_deep_series_accurately(amp):
+    # a constant deflection moves every displaced node below the plate face
+    # by up to amp; unchopped, the round-off tail of a degree-192 series
+    # grows there like T_192(1 + 2 amp)
+    grid = TorusGrid(5, 5, 192)
+    t = grid.t_period * np.arange(grid.n_t)[:, None, None] / grid.n_t
+    x1 = grid.l_period * np.arange(grid.n_x)[:, None] / grid.n_x
+    x3 = grid.nodes[:, None, None, None]
+
+    def forcing(x3):
+        samples = np.zeros((3,) + x3.shape[:1] + (grid.n_t, grid.n_x, grid.n_x))
+        samples[2] = np.cos(t) * np.cos(x1) * np.cos(np.pi * x3)
+        return forward_transform(grid, samples)
+
+    eta = zeros_like_field(grid, plate=True)
+    eta.coeffs[HT, HX, HX] = amp
+    got = compose_forcing(forcing(x3), eta).coeffs
+    want = forcing(x3 * (1.0 + amp) - amp).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_pullback_series_drops_its_round_off_tail():
+    grid = TorusGrid(5, 5, 32)
+    f = poly_field(grid, 17, components=3, degree=3)
+    geo = nonlinear._Geometry(poly_plate(grid, 18, scale=ETA_SMALL, zero_mean=True),
+                              True)
+    # a cubic profile keeps degrees 0..3 of its 33; zero data keeps one
+    assert nonlinear._pullback_series(f, geo).shape[0] == 4
+    assert nonlinear._pullback_series(0.0 * f, geo).shape[0] == 1
+
+
 def _flagged_complex(field):
     return type(field)(**{**vars(field), "real": False})
 
@@ -378,11 +412,74 @@ def test_picard_sweep_peak_is_one_terms_call_and_the_state():
     assert res.converged and res.iterations == 3
     peak = _traced_peak(picard_solve, f, h, config)
     terms_peak = _traced_peak(compute_nonlinear_terms, res.u, res.p, res.eta)
-    # beside the terms call a sweep holds the iterate (u, p), the pulled-back
-    # forcing and the solve's bookkeeping, never an earlier sweep's
+    # beside the terms call a sweep holds the iterate (u, p), f's pullback
+    # series and the solve's bookkeeping, never an earlier sweep's
     # right-hand sides or terms
     field_bytes = res.p.coeffs.nbytes
     assert peak <= terms_peak + 9 * field_bytes, (peak - terms_peak) / field_bytes
+
+
+def _forced_state(grid, seed):
+    u = poly_field(grid, seed, components=3, scale=ETA_SMALL)
+    p = poly_field(grid, seed + 1, components=1, scale=ETA_SMALL)
+    eta = poly_plate(grid, seed + 2, scale=ETA_SMALL, zero_mean=True)
+    f = poly_field(grid, seed + 3, components=3, scale=ETA_SMALL)
+    h = poly_plate(grid, seed + 4, scale=ETA_SMALL)
+    return u, p, eta, f, h
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_map_rhs_forms_the_momentum_slot_in_one_analysis(given):
+    grid = TorusGrid(9, 9, 12)
+    u, p, eta, f, h = _forced_state(grid, 70)
+    geo = nonlinear._Geometry(eta, True)
+    series = nonlinear._pullback_series(f, geo) if given else None
+    (rhs_f, rd, rhs_h), kept = nonlinear._map_rhs(u, p, geo, f, h, 1.3, series)
+    assert kept is not None and (kept is series or not given)
+    # the sum the separate pullback and terms calls give
+    terms = compute_nonlinear_terms(u, p, eta, mu_f=1.3)
+    want = compose_forcing(f, eta).coeffs + terms.rf_tilde.coeffs
+    assert np.max(np.abs(rhs_f.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+    # the divergence and plate slots do not see the forcing
+    assert np.array_equal(rd.coeffs, terms.rd_tilde.coeffs)
+    assert np.array_equal(rhs_h.coeffs, (h + terms.r_eta).coeffs)
+
+
+def test_picard_builds_the_pullback_series_once(monkeypatch):
+    solves = count_calls(monkeypatch, solve_linear_full)
+    build = nonlinear._pullback_series
+    built_after = []
+
+    def counting(*args):
+        built_after.append(len(solves))
+        return build(*args)
+
+    monkeypatch.setattr(nonlinear, "_pullback_series", counting)
+    f, h = _low_band_case()
+    res = picard_solve(f, h, PicardConfig(eps=1e-3))
+    # the rest sweep takes f as it is; the state its solve returns builds
+    # the series, and sweeps 2 and 3 and the final residual reuse it
+    assert res.converged and res.iterations == 3
+    assert built_after == [1]
+    rest = (zeros_like_field(f.grid, components=3), zeros_like_field(f.grid),
+            zeros_like_field(f.grid, plate=True))
+    (rhs_f, rd, rhs_h), series = nonlinear._map_rhs(*rest, f, h, 1.0)
+    assert np.array_equal(rhs_f.coeffs, f.coeffs) and rd is None and rhs_h is h
+    assert series is None and built_after == [1]
+
+
+def test_fused_rhs_peak_is_the_terms_peak_and_one_composed_block():
+    grid = TorusGrid(17, 17, 24)
+    u, p, eta, f, h = _forced_state(grid, 80)
+    geo = nonlinear._Geometry(eta, True)
+    series = nonlinear._pullback_series(f, geo)
+    nonlinear._map_rhs(u, p, geo, f, h, 1.0, series)  # warm-up
+    fused = _traced_peak(nonlinear._map_rhs, u, p, geo, f, h, 1.0, series)
+    terms = _traced_peak(compute_nonlinear_terms, u, p, geo)
+    # a separate pullback would hold its f-sized output beside the terms
+    m_t, m_x = padded_sizes(grid)
+    block = 3 * nonlinear.NODE_BLOCK * m_t * m_x * m_x * 8
+    assert fused <= terms + block, (fused - terms) / block
 
 
 def _low_band_case():
