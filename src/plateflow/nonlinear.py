@@ -439,9 +439,9 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
 def _map_rhs(u: SpectralField, p: SpectralField, geo, f, h, mu_f: float,
              series: np.ndarray | None = None):
     """Momentum, divergence and plate right-hand sides of the fixed-point map
-    at the state (u, p, eta), geo being eta or its geometry record: the
-    pulled-back f, zero and h, each corrected by the interaction terms.
-    Returns them with f's pullback series for the next call.
+    at the state (u, p, eta), geo being eta's geometry record (or eta at
+    rest): the pulled-back f, zero and h, each corrected by the interaction
+    terms.  Returns them with f's pullback series for the next call.
 
     None stands for zero data; every term carries a factor of u or p, so at
     rest none is formed and no series is built.  A moving state uses the
@@ -452,7 +452,6 @@ def _map_rhs(u: SpectralField, p: SpectralField, geo, f, h, mu_f: float,
     if not (u.coeffs.any() or p.coeffs.any()):
         return (None if f is None else compose_forcing(f, geo), None, h), series
     if f is not None:
-        geo = _geometry_for(geo, u.real and p.real and f.real)
         series = _pullback_series(f, geo) if series is None else series
         geo = geo.forcing(series)
     terms = compute_nonlinear_terms(u, p, geo, mu_f=mu_f)
