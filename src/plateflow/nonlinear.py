@@ -111,7 +111,8 @@ class _Geometry:
     eta_s, g1_s, g2_s, lap_s, det_s: DEALIAS samples of eta, its lateral
     gradient, its lateral Laplacian and its time derivative (real parts when
     `real`); tau = 1/(1 + eta) on the same lattice; sup_eta and floor: the
-    OVERSAMPLE sup |eta| and min(1 + Re eta) that the smallness gate reads.
+    OVERSAMPLE sup |eta| and min(1 + Re eta) that the smallness gate reads;
+    pullback: None, or the forcing series a `forcing` copy carries.
     """
 
     def __init__(self, eta: PlateField, real: bool):
