@@ -10,9 +10,16 @@ resonance-report, lift-div, validate.  Every run writes ``manifest.json``
 timings) into the output directory next to CSV and ``.plf`` field
 containers.  Manifests are bit-identical across reruns, ``--threads``
 values and ``OPENBLAS_NUM_THREADS`` settings, except for the
-``execution`` block (thread counts, timestamp, timings).  The solve is
-serial: ``--threads`` (default 1) is validated as >= 1 and recorded in
-``execution`` only.  The subcommand runs with the OpenBLAS numpy loaded
+``execution`` block (thread counts, timestamp, timings).  ``--threads``
+(default 1) is validated as >= 1 and recorded in ``execution`` only.  The
+one threaded stage is the Picard interaction terms, which form their node
+blocks on ``nonlinear.TERMS_WORKERS`` threads (the usable CPUs, at most
+two; ``execution.terms_workers``, null when the subcommand loads no
+interaction terms) with bits that do not depend on the schedule.  Before
+the subcommand ``main`` caps glibc's malloc at one arena, recorded as
+``execution.malloc_arenas`` (null where there is no ``mallopt``); glibc
+cannot lift the cap, so it outlasts ``main`` in an in-process caller.
+The subcommand runs with the OpenBLAS numpy loaded
 set to one thread, recorded as ``execution.blas_threads``; when no such
 OpenBLAS is found it is null and the last bits of the batched mode solves
 follow the BLAS thread setting.  Importing this module into a process that
@@ -986,6 +993,33 @@ def _one_blas_thread():
         setter(before)
 
 
+# glibc's mallopt parameter for the most malloc arenas (M_ARENA_MAX, malloc.h)
+_M_ARENA_MAX = -8
+
+
+def _mallopt():
+    """The C library's mallopt, or None where it has none."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _one_malloc_arena():
+    """Cap glibc's malloc at one arena.  Returns the cap, 1, or None where
+    there is no mallopt or it refuses the cap.
+
+    By default each thread that allocates gets an arena of its own, which
+    keeps that thread's freed temporaries: the interaction terms' workers
+    (nonlinear.TERMS_WORKERS) raised the peak RSS of a 17 x 17 x 24 Picard
+    solve from 96 to 123 MB with an arena each, and not measurably in one.
+    glibc cannot lift the cap (it ignores a mallopt(M_ARENA_MAX, 0) and keeps
+    an arena limit it has applied), so a process keeps it after `main`.
+    """
+    mallopt = _mallopt()
+    return 1 if mallopt is not None and mallopt(_M_ARENA_MAX, 1) else None
+
+
 def _emit_error(code: int, kind: str, message: str):
     doc = {"error": {"code": code, "kind": kind, "message": message}}
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
@@ -1024,13 +1058,18 @@ def main(argv=None) -> int:
 
         doc = _base_manifest(args.command, cfg, raw, seed)
         t1 = time.perf_counter()
+        malloc_arenas = _one_malloc_arena()
         with _one_blas_thread() as blas_threads:
             doc.update(_RUNNERS[args.command](cfg, out_dir, seed, base_dir))
         t2 = time.perf_counter()
+        # null when the subcommand loaded no interaction terms
+        terms = sys.modules.get(f"{__package__}.nonlinear")
         # the one run-dependent block; everything else is bit-reproducible
         doc["execution"] = {
             "threads": args.threads,
             "blas_threads": blas_threads,
+            "malloc_arenas": malloc_arenas,
+            "terms_workers": terms and terms.TERMS_WORKERS,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "seconds": {"setup": t1 - t0, "run": t2 - t1},
         }

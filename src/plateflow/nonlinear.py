@@ -34,19 +34,27 @@ quadratic terms are alias-free; the layer direction needs no padding because
 products of node values define the collocation product directly.  So the
 interaction terms and the forcing pullback take every derivative in
 coefficient space and then form their products one block of NODE_BLOCK layer
-nodes at a time: memory is bounded by a block, not by the padded slab.  A
-block is a slice of the stored node axis, (comp, node, t, x1, x2): the
-padded transform takes it as it is, the plate-sized geometry samples
-broadcast over its leading axes, its layer derivatives are the block's rows
-of `fields.layer_derivative`, and its results are analyzed straight into the
-block's slice of the outputs.  The velocity and its layer derivative are
-each synthesized with their two lateral derivatives in one shared set of
-transform passes (`fields.pad_with_lateral_derivatives`).
+nodes at a time.  A block is a slice of the stored node axis, (comp, node,
+t, x1, x2): the padded transform takes it as it is, the plate-sized geometry
+samples broadcast over its leading axes, its layer derivatives are the
+block's rows of `fields.layer_derivative`, and its results are analyzed
+straight into the block's slice of the outputs.  The velocity and its layer
+derivative are each synthesized with their two lateral derivatives in one
+shared set of transform passes (`fields.pad_with_lateral_derivatives`).
+
+The interaction terms run their blocks on TERMS_WORKERS threads, two at
+most (numpy's FFTs and ufuncs release the GIL), so their memory is bounded
+by two blocks in flight, not by the padded slab.  Each block writes its own
+slices of the outputs, and every transform, GEMM and product in it reads
+only its own block, so the bits do not depend on the schedule.
 """
 
 from __future__ import annotations
 
+import contextvars
 import copy
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +84,19 @@ EPS0_DEFAULT = 0.1
 SUP_ETA_LIMIT = 0.5
 RECIPROCAL_LIMIT = 2.0
 
-# Layer nodes per block of padded products.  Of 1 / 3 / 5 / 9 / 25 (whole
-# slab) on a 17 x 17 x 24 Picard solve (median of 5 fresh processes, 2-core
-# VM), the node-major blocks peaked at 122 / 126 / 125 / 145 / 220 MB RSS
-# with wall times of 4.38 / 4.36 / 4.41 / 4.53 / 4.81 s, within noise of each
-# other up to 9.  Single nodes save 3 MB but send the one-row layer GEMM to
-# another BLAS kernel, which changes the output bits; 3 and 5 tie.
-NODE_BLOCK = 5
+# Layer nodes per block of padded products.  Of 1 / 2 / 3 / 4 / 5 / 9 / 25
+# (whole slab: one block, nothing to overlap) on a 17 x 17 x 24 Picard solve
+# with two workers in one malloc arena (median of 5 fresh processes, 2-core
+# VM), the blocks peaked at 96.9 / 96.8 / 96.2 / 105.2 / 113.0 / 148.0 /
+# 183.0 MB RSS with wall times of 0.79 / 0.75 / 0.75 / 0.74 / 0.81 / 0.83 /
+# 1.01 s.  Single nodes send the one-row layer GEMM to another BLAS kernel,
+# which changes the output bits; 2 to 25 gave the same bits there.
+NODE_BLOCK = 3
+# Threads that form the interaction terms' node blocks: the usable CPUs, at
+# most two.  Each block in flight holds its products, and no more than two
+# cores have been measured.
+TERMS_WORKERS = min(2, len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 class DegenerateDeformationError(ValueError):
@@ -199,6 +213,20 @@ def _node_blocks(grid: TorusGrid):
     return [slice(j, min(j + NODE_BLOCK, n)) for j in range(0, n, NODE_BLOCK)]
 
 
+def _map_blocks(fn, blocks: list[slice]) -> list:
+    """[fn(rows) for rows in blocks], on TERMS_WORKERS threads when that and
+    the number of blocks exceed one.  Each task runs in its own copy of the
+    caller's context, so the caller's np.errstate holds in the workers (a
+    pool thread starts from an empty context, and one context cannot be
+    entered by two threads at once)."""
+    workers = min(TERMS_WORKERS, len(blocks))
+    if workers == 1:
+        return [fn(rows) for rows in blocks]
+    contexts = [contextvars.copy_context() for _ in blocks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda ctx, rows: ctx.run(fn, rows), contexts, blocks))
+
+
 def _terms_inputs(u: SpectralField, p: SpectralField, eta) -> _Geometry:
     """eta's geometry for the interaction terms of (u, p), after checking
     that the three fields fit together."""
@@ -269,18 +297,21 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
     against the third row of the gradient-correction tensor, i.e. against
     d3 d_k u, never against purely lateral second derivatives.
 
-    Products are formed per block of layer nodes (see the module docstring);
-    the plate-row terms come from the node-0 block.  A geometry record that
-    carries a forcing's pullback series (`_Geometry.forcing`) adds the
-    pulled-back forcing to each block's momentum samples before their one
-    analysis, so rf_tilde is then the whole momentum slot of `_map_rhs`.
+    Products are formed per block of layer nodes, TERMS_WORKERS blocks at
+    a time (see the module docstring); the plate-row terms come from the
+    node-0 block.  A geometry record that carries a forcing's pullback
+    series (`_Geometry.forcing`) adds the pulled-back forcing to each
+    block's momentum samples before their one analysis, so rf_tilde is then
+    the whole momentum slot of `_map_rhs`.
     """
     g = u.grid
     geo = _terms_inputs(u, p, eta)
     real_in, eta_s, g1_s, g2_s = geo.real, geo.eta_s, geo.g1_s, geo.g2_s
-
     rf_tilde, rd_vector = np.empty_like(u.coeffs), np.empty_like(u.coeffs)
-    for rows in _node_blocks(g):
+
+    def block(rows):
+        """Write the `rows` slices of rf_tilde and rd_vector; the node-0
+        block returns the plate-row samples."""
         u_s, du1, du2 = pad_with_lateral_derivatives(u.coeffs[:, rows], g, real_in)
         du3, (e31, e32, e33), rf_def = _block_momentum(g, u.coeffs, p.coeffs, geo,
                                                        rows, u_s, mu_f)
@@ -292,21 +323,20 @@ def compute_nonlinear_terms(u: SpectralField, p: SpectralField, eta: PlateField,
             _compose_into(momentum, geo.pullback, geo, g.nodes[rows])
         rf_tilde[:, rows] = samples_to_truncated(momentum, g, real_in)
         rd_vector[:, rows] = samples_to_truncated(rd, g, real_in)
+        if rows.start != 0:
+            return None
+        # plate-row terms live on the bottom face, where the blend is 1
+        du3_0 = du3[:, 0]
+        t31 = mu_f * (du1[2, 0] + du3_0[0])
+        t32 = mu_f * (du2[2, 0] + du3_0[1])
+        e3_0 = np.stack([e31[0], e32[0], e33[0]])
+        # third row of a + a^T, a = mu_f du3 (x) e3 being the face stress the
+        # map adds
+        a = mu_f * du3_0
+        s3 = a[2] * e3_0 + a * e3_0[2]
+        return -(t31 + s3[0]) * g1_s - (t32 + s3[1]) * g2_s - s3[2]
 
-        if rows.start == 0:
-            # plate-row terms live on the bottom face, where the blend is 1
-            du3_0 = du3[:, 0]
-            t31 = mu_f * (du1[2, 0] + du3_0[0])
-            t32 = mu_f * (du2[2, 0] + du3_0[1])
-            e3_0 = np.stack([e31[0], e32[0], e33[0]])
-            # third row of a + a^T, a = mu_f du3 (x) e3 being the face stress
-            # the map adds
-            a = mu_f * du3_0
-            s3 = a[2] * e3_0 + a * e3_0[2]
-            r_eta_s = -(t31 + s3[0]) * g1_s - (t32 + s3[1]) * g2_s - s3[2]
-        # the next block's samples need not sit beside this block's
-        del u_s, du1, du2, du3, e31, e32, e33, rf_def, momentum, rd
-
+    r_eta_s = _map_blocks(block, _node_blocks(g))[0]
     rd_vector = SpectralField(g, rd_vector, 3, real_in)
     r_eta = PlateField(g, samples_to_truncated(r_eta_s, g, real_in), real_in)
     return NonlinearTerms(SpectralField(g, rf_tilde, 3, real_in),
@@ -543,7 +573,9 @@ def picard_solve(f, h: PlateField, config: PicardConfig | None = None
         # the next sweep's terms need not sit beside this sweep's data
         del rhs_f, rd, rhs_h
         new_norm = x_norm(sol.u, sol.p, sol.eta, q=config.q)
-        step = x_norm(sol.u - u, sol.p - p, sol.eta - eta, q=config.q)
+        # the step from rest is the new iterate itself, bit for bit (x - 0 = x)
+        step = new_norm if n == 1 else x_norm(sol.u - u, sol.p - p, sol.eta - eta,
+                                              q=config.q)
         ratio = (step / prev_step) if prev_step else None
 
         gate, next_geo = _gate(sol.eta, config.eps0, config.q)

@@ -2,15 +2,16 @@
 
 Everything runs in-process through ``main(argv)`` so exit codes, the
 stderr error JSON, and the written artifacts can all be checked without
-spawning an interpreter; only the BLAS thread and start-up tests start
-fresh ones, because ``OPENBLAS_NUM_THREADS`` is read when numpy loads
-OpenBLAS and a process imports each module once.
+spawning an interpreter; only the BLAS thread, start-up and thread
+reproducibility tests start fresh ones, because ``OPENBLAS_NUM_THREADS`` is
+read when numpy loads OpenBLAS and a process imports each module once.
 """
 
 import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -682,6 +683,21 @@ def test_forged_container_header_is_a_one_line_error(tmp_path, capsys):
         assert not (out / "manifest.json").exists()
 
 
+def _fresh_cli(tmp_path, cfg_text, command, out_name, *extra):
+    # the CLI in a new interpreter with this tree's plateflow importable
+    cfg = tmp_path / f"{out_name}.cfg"
+    cfg.write_text(cfg_text)
+    path = [str(Path(cli.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    out = tmp_path / out_name
+    subprocess.run([sys.executable, "-m", "plateflow.cli", command, "--config",
+                    str(cfg), "--out", str(out), *extra],
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                   check=True, timeout=120)
+    return out
+
+
 def test_manifests_reproducible_across_threads(tmp_path):
     cfg = "forcing_h = 0.01*cos(t)*cos(x1)\nforcing_f = sin(x1)\nn_z = 10\n"
     _, out1 = run_cli(tmp_path, cfg, "solve-linear", ("--threads", "1"),
@@ -696,6 +712,23 @@ def test_manifests_reproducible_across_threads(tmp_path):
     assert (out1 / "u.plf").read_bytes() == (out2 / "u.plf").read_bytes()
     assert (out1 / "eta_samples.csv").read_text() \
         == (out2 / "eta_samples.csv").read_text()
+
+    # a Picard solve forms its interaction terms on worker threads, in
+    # blocks of 3, 3, 3 and 2 nodes here; two fresh processes agree bit for bit
+    cfg = ("forcing_h = cos(t)*cos(x1)\nforcing_f = 0; 0; exp(x3)*cos(t)*sin(x2)\n"
+           "eps = 0.001\nn_z = 10\n")
+    outs = [_fresh_cli(tmp_path, cfg, "solve-nonlinear", f"nl{n}", "--threads", n)
+            for n in ("1", "2")]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    docs = [manifest_of(out) for out in outs]
+    runs = [doc.pop("execution") for doc in docs]
+    assert docs[0] == docs[1] and docs[0]["iterations"] >= 2
+    from plateflow.nonlinear import TERMS_WORKERS
+    assert [run["terms_workers"] for run in runs] == [TERMS_WORKERS] * 2
 
 
 # ---- BLAS thread pin ---------------------------------------------------------------
@@ -786,6 +819,8 @@ def test_cli_process_loads_one_blas_thread_and_only_the_scan_path(tmp_path):
     loaded = {name for name in doc["modules"] if name.startswith("plateflow.")}
     assert loaded == {f"plateflow.{m}" for m in
                       ("cli", "grid", "fields", "modes", "halfspace", "io")}
+    # a subcommand that forms no interaction terms records no terms workers
+    assert manifest_of(tmp_path / "out")["execution"]["terms_workers"] is None
     if doc["threads"] is None:
         pytest.skip("no OpenBLAS thread control in this numpy")
     assert doc["threads"] == 1
@@ -813,6 +848,46 @@ def test_blas_pin_is_a_no_op_without_openblas(tmp_path, monkeypatch):
     code, out = run_cli(tmp_path, PIN_CFG, "solve-linear")
     assert code == 0
     assert manifest_of(out)["execution"]["blas_threads"] is None
+
+
+# ---- malloc arena cap --------------------------------------------------------------
+
+
+def test_cli_caps_malloc_at_one_arena_before_the_runner(tmp_path, monkeypatch):
+    calls, seen = [], []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    runner = cli._RUNNERS["solve-linear"]
+
+    def watched(*args):
+        seen.append(list(calls))
+        return runner(*args)
+
+    monkeypatch.setattr(cli, "_mallopt", lambda: mallopt)
+    monkeypatch.setitem(cli._RUNNERS, "solve-linear", watched)
+    code, out = run_cli(tmp_path, PIN_CFG, "solve-linear")
+    assert code == 0
+    # set once before the runner; glibc cannot lift it, so nothing follows
+    assert seen == [[(cli._M_ARENA_MAX, 1)]] and calls == seen[0]
+    assert manifest_of(out)["execution"]["malloc_arenas"] == 1
+
+
+@pytest.mark.parametrize("mallopt", [None, lambda param, value: 0],
+                         ids=["absent", "refused"])
+def test_cli_runs_without_the_arena_cap(tmp_path, monkeypatch, mallopt):
+    monkeypatch.setattr(cli, "_mallopt", lambda: mallopt)
+    code, out = run_cli(tmp_path, PIN_CFG, "solve-linear")
+    assert code == 0
+    assert manifest_of(out)["execution"]["malloc_arenas"] is None
+
+
+def test_libc_mallopt_is_found_on_glibc():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("not a glibc process")
+    assert cli._mallopt() is not None
 
 
 # ---- solve-nonlinear -------------------------------------------------------------

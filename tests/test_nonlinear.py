@@ -1,5 +1,7 @@
 """Interaction terms, straightening geometry, and the fixed-point solver."""
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import asdict
 
@@ -301,22 +303,80 @@ def test_terms_transform_count(monkeypatch):
     # per block of layer nodes: the u and d3 u families at 6 passes each
     # (one t-pass, two xi1-passes, three real xi2-passes), 3 each for
     # d3 d3 u and d3 p, 3 per analysis of rf_tilde and rd_vector; then
-    # the one plate-row analysis
+    # the one plate-row analysis.  Two workers count at once, so each count
+    # is a locked read-modify-write.
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 2)
     grid = TorusGrid(5, 5, 9)
     u = poly_field(grid, 60, components=3, scale=ETA_SMALL)
     p = poly_field(grid, 61, components=1, scale=ETA_SMALL)
     geo = nonlinear._Geometry(poly_plate(grid, 62, scale=ETA_SMALL, zero_mean=True), True)
-    calls = {}
+    calls, lock = {}, threading.Lock()
     for name in FFT_TRANSFORMS:
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+            with lock:
+                calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     compute_nonlinear_terms(u, p, geo)
     blocks = len(nonlinear._node_blocks(grid))
-    assert blocks == 2
+    # 10 nodes in blocks of 3, 3, 3 and 1
+    assert nonlinear.NODE_BLOCK == 3 and blocks == 4
     assert calls == {"ifft": 10 * blocks, "irfft": 8 * blocks,
                      "rfft": 2 * blocks + 1, "fft": 4 * blocks + 2}
+
+
+def _terms_and_rhs(grid, seed):
+    u, p, eta, f, h = _forced_state(grid, seed)
+    geo = nonlinear._Geometry(eta, True)
+    series = nonlinear._pullback_series(f, geo)
+    terms = compute_nonlinear_terms(u, p, geo, mu_f=1.3)
+    rhs = nonlinear._map_rhs(u, p, geo, f, h, 1.3, series)[0]
+    return [terms.rf_tilde, terms.rd_tilde, terms.rd_vector, terms.r_eta, *rhs]
+
+
+@pytest.mark.parametrize("n_z", [9, 10, 24])
+def test_terms_bits_do_not_depend_on_the_workers(monkeypatch, n_z):
+    # n_z + 1 nodes leave a last block of 1, 2 and 1 nodes
+    grid = TorusGrid(5, 5, n_z)
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 1)
+    serial = _terms_and_rhs(grid, 90)
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 2)
+    for a, b in zip(serial, _terms_and_rhs(grid, 90), strict=True):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_terms_bits_hold_with_more_workers_than_cores(monkeypatch):
+    # more workers than cores, switching threads every microsecond: a lost
+    # or misplaced slice would change the bits
+    grid = TorusGrid(5, 5, 24)
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 1)
+    serial = _terms_and_rhs(grid, 91)
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            for a, b in zip(serial, _terms_and_rhs(grid, 91), strict=True):
+                assert np.array_equal(a.coeffs, b.coeffs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_terms_workers_keep_the_callers_error_state(monkeypatch):
+    # numpy keeps np.errstate in a context variable, which a pool thread
+    # does not inherit; the velocity's squares overflow in every block
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 2)
+    grid = TorusGrid(5, 5, 9)
+    u = poly_field(grid, 92, components=3, scale=1e200)
+    p = poly_field(grid, 93, components=1, scale=ETA_SMALL)
+    eta = poly_plate(grid, 94, scale=ETA_SMALL, zero_mean=True)
+    assert len(nonlinear._node_blocks(grid)) > 1
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        compute_nonlinear_terms(u, p, eta)
+    # and what the caller silences stays silent (tier-1 fails on a warning)
+    with np.errstate(all="ignore"):
+        terms = compute_nonlinear_terms(u, p, eta)
+    assert not np.isfinite(terms.rf_tilde.coeffs).all()
 
 
 def test_compose_forcing_validation():
@@ -403,20 +463,37 @@ def _traced_peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-def test_picard_sweep_peak_is_one_terms_call_and_the_state():
+def _block_bytes(grid) -> int:
+    """What one more node block in flight can hold, from the shapes: per
+    node, the 34 real sample planes `_block_momentum` holds at its peak
+    (u, d3 u and their lateral derivatives, d3 d3 u, d3 p, two tensor
+    entries, four coefficient planes and two three-component work buffers)
+    and the block's complex layer derivatives d3 u, d3 d3 u and d3 p."""
+    m_t, m_x = padded_sizes(grid)
+    per_node = 34 * m_t * m_x * m_x * 8 + 7 * grid.n_t * grid.n_x ** 2 * 16
+    return nonlinear.NODE_BLOCK * per_node
+
+
+def test_picard_sweep_peak_is_one_terms_call_and_the_state(monkeypatch):
     grid = TorusGrid(9, 9, 16)
     case = make_manufactured(3, grid=grid, band=2, amplitude=3.0)
     f, h = 1e-3 * case.f, 1e-3 * case.h
     config = PicardConfig(eps=1e-3)
     res = picard_solve(f, h, config)  # warm-up: grid caches and matrices
     assert res.converged and res.iterations == 3
-    peak = _traced_peak(picard_solve, f, h, config)
+    # one block at a time, a traced peak does not depend on a schedule
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 1)
+    serial = _traced_peak(picard_solve, f, h, config)
     terms_peak = _traced_peak(compute_nonlinear_terms, res.u, res.p, res.eta)
     # beside the terms call a sweep holds the iterate (u, p), f's pullback
     # series and the solve's bookkeeping, never an earlier sweep's
     # right-hand sides or terms
     field_bytes = res.p.coeffs.nbytes
-    assert peak <= terms_peak + 9 * field_bytes, (peak - terms_peak) / field_bytes
+    assert serial <= terms_peak + 9 * field_bytes, (serial - terms_peak) / field_bytes
+    # two workers hold at most one more block however they interleave
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 2)
+    peak = _traced_peak(picard_solve, f, h, config)
+    assert peak <= serial + _block_bytes(grid), (peak - serial) / _block_bytes(grid)
 
 
 def _forced_state(grid, seed):
@@ -468,18 +545,25 @@ def test_picard_builds_the_pullback_series_once(monkeypatch):
     assert series is None and built_after == [1]
 
 
-def test_fused_rhs_peak_is_the_terms_peak_and_one_composed_block():
+def test_fused_rhs_peak_is_the_terms_peak_and_one_composed_block(monkeypatch):
     grid = TorusGrid(17, 17, 24)
     u, p, eta, f, h = _forced_state(grid, 80)
     geo = nonlinear._Geometry(eta, True)
     series = nonlinear._pullback_series(f, geo)
     nonlinear._map_rhs(u, p, geo, f, h, 1.0, series)  # warm-up
+    # one block at a time, a traced peak does not depend on a schedule
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 1)
     fused = _traced_peak(nonlinear._map_rhs, u, p, geo, f, h, 1.0, series)
     terms = _traced_peak(compute_nonlinear_terms, u, p, geo)
     # a separate pullback would hold its f-sized output beside the terms
     m_t, m_x = padded_sizes(grid)
     block = 3 * nonlinear.NODE_BLOCK * m_t * m_x * m_x * 8
     assert fused <= terms + block, (fused - terms) / block
+    # two workers hold at most one more block however they interleave
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 2)
+    threaded = _traced_peak(nonlinear._map_rhs, u, p, geo, f, h, 1.0, series)
+    assert threaded <= fused + _block_bytes(grid), \
+        (threaded - fused) / _block_bytes(grid)
 
 
 def _low_band_case():
@@ -528,6 +612,17 @@ def test_picard_stops_on_error_bound():
     assert rest.iterations == 1 and rest.error_bound is None
 
 
+def test_picard_first_step_is_its_x_norm(monkeypatch):
+    # the step from rest is the first iterate itself, so sweep 1 takes one
+    # x_norm and every later sweep two
+    f, h = _low_band_case()
+    norms = count_calls(monkeypatch, x_norm)
+    res = picard_solve(f, h, PicardConfig(eps=1e-3))
+    assert res.converged and res.iterations == 3
+    assert res.trace[0]["step"] == res.trace[0]["x_norm"]
+    assert len(norms) == 2 * res.iterations - 1
+
+
 def test_picard_ball_violation_raises():
     with pytest.raises(PicardDivergenceError, match="ball"):
         picard_solve(None, _corner_plate(GRID, 1e-3),
@@ -538,8 +633,9 @@ def test_picard_failures_name_their_sweep(monkeypatch):
     with pytest.raises(PicardDivergenceError, match="ball at iteration 1:"):
         picard_solve(None, _corner_plate(GRID, 1e-3),
                      PicardConfig(eps=1e-18))
-    # (x_norm, step) per sweep: the second step doubles the first
-    norms = iter([1e-4, 1e-4, 3e-4, 2e-4])
+    # x_norm per sweep, then the step from sweep 2 on (sweep 1's step is
+    # its x_norm): the second step doubles the first
+    norms = iter([1e-4, 3e-4, 2e-4])
     monkeypatch.setattr(nonlinear, "x_norm", lambda *a, **k: next(norms))
     with pytest.raises(PicardDivergenceError,
                        match="contraction failed at iteration 2: step ratio"):
