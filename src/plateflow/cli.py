@@ -14,11 +14,12 @@ values and ``OPENBLAS_NUM_THREADS`` settings, except for the
 (default 1) is validated as >= 1 and recorded in ``execution`` only.  The
 one threaded stage is the Picard interaction terms, which form their node
 blocks on ``nonlinear.TERMS_WORKERS`` threads (the usable CPUs, at most
-two; ``execution.terms_workers``, null when the subcommand loads no
-interaction terms) with bits that do not depend on the schedule.  Before
-the subcommand ``main`` caps glibc's malloc at one arena, recorded as
-``execution.malloc_arenas`` (null where there is no ``mallopt``); glibc
-cannot lift the cap, so it outlasts ``main`` in an in-process caller.
+two) with bits that do not depend on the schedule; the count is recorded
+as ``execution.terms_workers``, null when the subcommand does not load
+``plateflow.nonlinear``.  Before the subcommand ``main`` caps glibc's
+malloc at one arena, recorded as ``execution.malloc_arenas`` (null where
+there is no ``mallopt``); glibc cannot lift the cap, so it outlasts
+``main`` in an in-process caller.
 The subcommand runs with the OpenBLAS numpy loaded
 set to one thread, recorded as ``execution.blas_threads``; when no such
 OpenBLAS is found it is null and the last bits of the batched mode solves
@@ -1006,15 +1007,12 @@ def _mallopt():
 
 
 def _one_malloc_arena():
-    """Cap glibc's malloc at one arena.  Returns the cap, 1, or None where
-    there is no mallopt or it refuses the cap.
-
-    By default each thread that allocates gets an arena of its own, which
-    keeps that thread's freed temporaries: the interaction terms' workers
-    (nonlinear.TERMS_WORKERS) raised the peak RSS of a 17 x 17 x 24 Picard
-    solve from 96 to 123 MB with an arena each, and not measurably in one.
-    glibc cannot lift the cap (it ignores a mallopt(M_ARENA_MAX, 0) and keeps
-    an arena limit it has applied), so a process keeps it after `main`.
+    """Cap glibc's malloc at one arena; returns 1, or None where there is no
+    mallopt or it refuses.  With an arena per thread, each of the
+    interaction terms' workers (nonlinear.TERMS_WORKERS) kept its own freed
+    temporaries, and a 17 x 17 x 24 Picard solve peaked at 123 MB instead
+    of 96.  glibc ignores mallopt(M_ARENA_MAX, 0) and keeps an arena limit
+    it has applied, so the cap outlasts `main`.
     """
     mallopt = _mallopt()
     return 1 if mallopt is not None and mallopt(_M_ARENA_MAX, 1) else None
@@ -1062,7 +1060,7 @@ def main(argv=None) -> int:
         with _one_blas_thread() as blas_threads:
             doc.update(_RUNNERS[args.command](cfg, out_dir, seed, base_dir))
         t2 = time.perf_counter()
-        # null when the subcommand loaded no interaction terms
+        # null when the subcommand did not load the interaction terms' module
         terms = sys.modules.get(f"{__package__}.nonlinear")
         # the one run-dependent block; everything else is bit-reproducible
         doc["execution"] = {

@@ -334,32 +334,23 @@ def _terms_and_rhs(grid, seed):
     return [terms.rf_tilde, terms.rd_tilde, terms.rd_vector, terms.r_eta, *rhs]
 
 
-@pytest.mark.parametrize("n_z", [9, 10, 24])
-def test_terms_bits_do_not_depend_on_the_workers(monkeypatch, n_z):
-    # n_z + 1 nodes leave a last block of 1, 2 and 1 nodes
+@pytest.mark.parametrize("n_z,workers", [(9, 2), (10, 2), (24, 2), (24, 8)])
+def test_terms_bits_do_not_depend_on_the_workers(monkeypatch, n_z, workers):
+    # n_z + 1 nodes leave a last block of 1, 2 and 1 nodes; 8 workers are
+    # more than the cores.  Threads switch every microsecond: a lost or
+    # misplaced slice would change the bits.
     grid = TorusGrid(5, 5, n_z)
     monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 1)
     serial = _terms_and_rhs(grid, 90)
-    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 2)
-    for a, b in zip(serial, _terms_and_rhs(grid, 90), strict=True):
-        assert np.array_equal(a.coeffs, b.coeffs)
-
-
-def test_terms_bits_hold_with_more_workers_than_cores(monkeypatch):
-    # more workers than cores, switching threads every microsecond: a lost
-    # or misplaced slice would change the bits
-    grid = TorusGrid(5, 5, 24)
-    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 1)
-    serial = _terms_and_rhs(grid, 91)
-    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", 8)
+    monkeypatch.setattr(nonlinear, "TERMS_WORKERS", workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            for a, b in zip(serial, _terms_and_rhs(grid, 91), strict=True):
-                assert np.array_equal(a.coeffs, b.coeffs)
+        threaded = _terms_and_rhs(grid, 90)
     finally:
         sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded, strict=True):
+        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_terms_workers_keep_the_callers_error_state(monkeypatch):
