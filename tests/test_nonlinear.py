@@ -458,7 +458,7 @@ def _block_bytes(grid) -> int:
     """What one more node block in flight can hold, from the shapes: per
     node, the 34 real sample planes `_block_momentum` holds at its peak
     (u, d3 u and their lateral derivatives, d3 d3 u, d3 p, two tensor
-    entries, four coefficient planes and two three-component work buffers)
+    entries, four multiplier planes and two three-component work buffers)
     and the block's complex layer derivatives d3 u, d3 d3 u and d3 p."""
     m_t, m_x = padded_sizes(grid)
     per_node = 34 * m_t * m_x * m_x * 8 + 7 * grid.n_t * grid.n_x ** 2 * 16
