@@ -16,7 +16,8 @@ one threaded stage is the Picard interaction terms, which form their node
 blocks on ``nonlinear.TERMS_WORKERS`` threads (the usable CPUs, at most
 two) with bits that do not depend on the schedule; the count is recorded
 as ``execution.terms_workers``, null when the subcommand does not load
-``plateflow.nonlinear``.  Before the subcommand ``main`` caps glibc's
+``plateflow.nonlinear`` (solve-linear by either route, the scans and
+lift-div).  Before the subcommand ``main`` caps glibc's
 malloc at one arena, recorded as ``execution.malloc_arenas`` (null where
 there is no ``mallopt``); glibc cannot lift the cap, so it outlasts
 ``main`` in an in-process caller.
@@ -29,7 +30,9 @@ script) first sets ``OPENBLAS_NUM_THREADS=1`` in that process's
 environment, so numpy loads OpenBLAS with one thread and starts no
 second one; in a process that loaded numpy before, ``main`` sets the count
 to one around the subcommand and restores the caller's count afterwards.
-Each subcommand imports only the modules it runs.
+Each subcommand imports only the modules it runs: this module imports
+``plateflow.grid`` alone at module level, and every runner and helper the
+rest of what it uses.
 Manifests and ``validation.json`` are strict JSON: a number in them that
 is not finite exits with code 1 and names its key path (such as
 ``norms.y_norm_data``); that file is then not written, while ``.plf`` and
@@ -65,7 +68,7 @@ Keys (defaults in parentheses):
     q               exponent of the reported norms and of the Picard step,
                     ball and smallness gate, in (1, Q_MAX], Q_MAX = 100 (2.0)
     route           solve-linear route, "direct" or "lift" ("direct"); lift
-                    runs the oracles' cross-check route, oracles.solve_by_lift
+                    runs the cross-check's reference route, lift.solve_by_lift
     tol_eq, tol_bc  linear residual tolerances, > 0, recorded in the
                     manifest's tolerance set for downstream checks (1e-9)
     compat_tol      xi' = 0 compatibility tolerance for g, > 0 (1e-9)
@@ -127,21 +130,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from .fields import (PlateField, SpectralField, _symmetrize, divergence,
-                     forward_transform, physical_samples)
 from .grid import TorusGrid, _distinct, _phys
-from .halfspace import (
-    _coupled_symbol,
-    boundedness_scan,
-    lattice_multipliers,
-    report_window_bytes,
-    resonance_report,
-    resonance_rows_to_csv,
-    scan_window_bytes,
-)
-from .io import read_field, write_field
-from .modes import (IncompatibleDataError, SolverParams, linear_residuals,
-                    solve_linear_full)
 
 EXIT_CONFIG = 1
 EXIT_INCOMPATIBLE = 2
@@ -158,10 +147,10 @@ WINDOW_BUDGET_BYTES = 1 << 30
 # Largest admitted norm exponent: at q = 100 the L^q norm of cos(t) cos(x1)
 # is already within 5% of its sup norm.
 Q_MAX = 100.0
-# default (k_max, xi_max) and memory estimate of each windowed subcommand
+# default (k_max, xi_max) and halfspace memory estimate of each windowed subcommand
 _WINDOWS = {
-    "multiplier-scan": ((100, 30), scan_window_bytes),
-    "resonance-report": ((4, 2), report_window_bytes),
+    "multiplier-scan": ((100, 30), "scan_window_bytes"),
+    "resonance-report": ((4, 2), "report_window_bytes"),
 }
 
 
@@ -376,6 +365,9 @@ def parse_forcing(spec: str, grid: TorusGrid, kind: str,
     kind selects the target: "f" (three slab components; a single
     expression means a vertical force), "g" (scalar slab), "h" (plate).
     """
+    from .fields import PlateField, forward_transform
+    from .io import read_field
+
     spec = spec.strip()
     if spec.startswith("file:"):
         path = Path(spec[5:])
@@ -452,6 +444,8 @@ class ScenarioConfig:
     out: str = "out"
 
     def solver_params(self) -> SolverParams:
+        from .modes import SolverParams
+
         return SolverParams(self.mu_f, self.mu_s, compat_tol=self.compat_tol)
 
     def grid(self) -> TorusGrid:
@@ -540,6 +534,8 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
         raise _config_error("max_iter must be at least 1")
     if cfg.k_max < 0 or cfg.xi_max < 0:
         raise _config_error("scan ranges must be nonnegative")
+    if command in ("solve-linear", "solve-nonlinear", *_WINDOWS):
+        from . import halfspace  # the coupled symbol and the window estimates
     if command in ("solve-linear", "solve-nonlinear", "lift-div", *_WINDOWS):
         # the largest |k| and |xi'| a subcommand reaches give its largest terms
         k, m = (_window(cfg, command) if command in _WINDOWS
@@ -552,10 +548,11 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
             elif command in _WINDOWS:
                 what = ("T, L and mu_s make the coupled symbol or the weight "
                         "1 + k^2 + |xi'|^4")
-                extreme = [_coupled_symbol(kp, a2, cfg.mu_s), 1.0 + kp * kp + a2 * a2]
+                extreme = [halfspace._coupled_symbol(kp, a2, cfg.mu_s),
+                           1.0 + kp * kp + a2 * a2]
             else:
                 what = "T, L, mu_f and mu_s make the plate symbol or mu_f |xi'|^2"
-                extreme = [_coupled_symbol(kp, a2, cfg.mu_s), cfg.mu_f * a2]
+                extreme = [halfspace._coupled_symbol(kp, a2, cfg.mu_s), cfg.mu_f * a2]
         if not np.isfinite(extreme).all():
             raise _config_error(f"{what} of mode k = {k}, xi' = ({m}, {m}) not finite")
     if command in _WINDOWS:
@@ -563,7 +560,7 @@ def _validate_config(cfg: ScenarioConfig, command: str | None = None):
         if command == "multiplier-scan" and k_max < 2:
             raise _config_error(
                 "multiplier-scan needs k_max >= 2 for its k-ray decay fit")
-        need = _WINDOWS[command][1](k_max, xi_max)
+        need = getattr(halfspace, _WINDOWS[command][1])(k_max, xi_max)
         if need > WINDOW_BUDGET_BYTES:
             raise _config_error(
                 f"{command} window k_max = {k_max}, xi_max = {xi_max} needs "
@@ -631,6 +628,8 @@ def _write_csv(path: Path, header: list[str], rows):
 
 
 def _plate_samples_csv(path: Path, eta: PlateField):
+    from .fields import physical_samples
+
     grid = eta.grid
     vals = physical_samples(eta).reshape(-1).tolist()
     # each axis label is formatted once; rows run in the samples' C order
@@ -671,6 +670,8 @@ def _finite_solve(command: str, cfg: ScenarioConfig, solve, *args, **kwargs):
 
 def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
                       base_dir: Path) -> dict:
+    from .io import write_field
+    from .modes import linear_residuals, solve_linear_full
     from .norms import s_norm, x_norm, y_norm
 
     grid = cfg.grid()
@@ -679,7 +680,7 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
     params = cfg.solver_params()
     solve = solve_linear_full
     if cfg.route == "lift":
-        from .oracles import solve_by_lift as solve
+        from .lift import solve_by_lift as solve
     sol = _finite_solve("solve-linear", cfg, solve, f, g_arg, h, grid=grid,
                         params=params)
     write_field(out_dir / "u.plf", sol.u)
@@ -704,6 +705,8 @@ def _run_solve_linear(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
 def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
                          base_dir: Path) -> dict:
+    from .io import write_field
+    from .modes import solve_linear_full
     from .nonlinear import (DegenerateDeformationError, PicardConfig,
                             PicardDivergenceError, picard_solve)
 
@@ -711,9 +714,11 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
     spec = cfg.forcing_g.strip()
     # an expression is checked before it is broadcast and transformed: those
     # transient full-size arrays raised the peak RSS of a (17, 17, 24) solve
-    # by 5-7 MB
-    datum = (parse_forcing(spec, grid, "g", base_dir).coeffs
-             if spec.startswith("file:") else _expression_values(spec, grid, False))
+    # by 5-7 MB.  A datum that overflows is not finite, hence nonzero, and
+    # is refused below as _scaled_forcing refuses it, without a warning
+    with np.errstate(all="ignore"):
+        datum = (parse_forcing(spec, grid, "g", base_dir).coeffs
+                 if spec.startswith("file:") else _expression_values(spec, grid, False))
     if datum.any():
         raise _config_error("solve-nonlinear takes no divergence datum; "
                             "forcing_g must be 0")
@@ -770,6 +775,8 @@ def _run_solve_nonlinear(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
 def _run_multiplier_scan(cfg: ScenarioConfig, out_dir: Path, seed: int,
                          base_dir: Path) -> dict:
+    from .halfspace import boundedness_scan, lattice_multipliers
+
     k_max, xi_max = _window(cfg, "multiplier-scan")
     report = boundedness_scan(k_max, xi_max, cfg.mu_s, t_period=cfg.T,
                               l_period=cfg.L)
@@ -796,6 +803,8 @@ def _run_multiplier_scan(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
 def _run_resonance_report(cfg: ScenarioConfig, out_dir: Path, seed: int,
                           base_dir: Path) -> dict:
+    from .halfspace import resonance_report, resonance_rows_to_csv
+
     k_max, xi_max = _window(cfg, "resonance-report")
     rows = resonance_report(k_max, xi_max, cfg.mu_s, cfg.near_factor,
                             cfg.T, cfg.L)
@@ -814,6 +823,8 @@ def _run_resonance_report(cfg: ScenarioConfig, out_dir: Path, seed: int,
 
 def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, seed: int,
                   base_dir: Path) -> dict:
+    from .fields import divergence
+    from .io import write_field
     from .lift import lift_divergence, lift_estimate_check, lift_norms
 
     grid = cfg.grid()
@@ -835,6 +846,7 @@ def _run_lift_div(cfg: ScenarioConfig, out_dir: Path, seed: int,
 def _run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int,
                   base_dir: Path) -> dict:
     from . import oracles
+    from .fields import PlateField, SpectralField, _symmetrize, forward_transform
 
     checks = []
 
@@ -1076,10 +1088,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         _emit_error(exc.code, exc.kind, str(exc))
         return exc.code
-    except IncompatibleDataError as exc:
-        _emit_error(EXIT_INCOMPATIBLE, "incompatible", str(exc))
-        return EXIT_INCOMPATIBLE
     except ValueError as exc:
+        # IncompatibleDataError comes from plateflow.modes, once that is loaded
+        modes = sys.modules.get(f"{__package__}.modes")
+        if modes is not None and isinstance(exc, modes.IncompatibleDataError):
+            _emit_error(EXIT_INCOMPATIBLE, "incompatible", str(exc))
+            return EXIT_INCOMPATIBLE
         _emit_error(EXIT_CONFIG, "config", str(exc))
         return EXIT_CONFIG
     except OSError as exc:

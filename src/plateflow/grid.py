@@ -4,7 +4,9 @@ directions, Chebyshev-Gauss-Lobatto collocation across the layer.
 The layer coordinate x3 runs over [0, 1]; node 0 sits on the elastic face
 (x3 = 0), node N_z on the rigid face (x3 = 1), and nodes increase strictly.
 Lateral wave vectors carry the physical 2*pi/L scaling, time frequencies
-2*pi/T_period.
+2*pi/T_period.  `_phys` is that scaling for integer lattice frequencies,
+and `_damped_symbol` the damped plate symbol at physical ones, which the
+mode solver and the half-space multiplier share.
 """
 
 from __future__ import annotations
@@ -113,6 +115,14 @@ def _phys(k, xi, t_period, l_period):
     x1 = 2.0 * np.pi / l_period * xi[0]
     x2 = 2.0 * np.pi / l_period * xi[1]
     return kp, x1, x2
+
+
+def _damped_symbol(kp, a2, mu_s):
+    """|xi'|^4 - k^2 + i k mu_s |xi'|^2 at physical k and a2 = |xi'|^2.
+
+    The one definition of the damped plate symbol; arguments broadcast.
+    """
+    return a2 * a2 - kp * kp + 1j * kp * mu_s * a2
 
 
 def _validate_sizes(n_t: int, n_x: int, n_z: int) -> None:

@@ -1,22 +1,24 @@
-"""Half-space response formulas and the coupled plate multiplier.
+"""The coupled plate multiplier of the half-space model and its lattice scans.
 
 With the layer replaced by the half space above the plate, the response of
 the coupled system to a single plate-displacement mode is available in
 closed form: decaying exponentials for the velocity and pressure profiles
-and an algebraic symbol for the plate balance.  The reciprocal of that
+(`oracles.halfspace_profiles`, which criterion 04 substitutes into the mode
+operators) and an algebraic symbol for the plate balance.  The reciprocal of that
 symbol is a Fourier multiplier whose boundedness encodes the damping of the
 coupled dynamics; lattice scans here quantify it and contrast it with the
 undamped variant, which is singular on the resonance ring.
 
 One broadcasting symbol kernel serves every caller: _fluid_load is the
-half-space load and _coupled_symbol adds it to modes._damped_symbol.  One
+half-space load and _coupled_symbol adds it to grid._damped_symbol.  One
 ring rule, _undamped_gap, decides membership of the resonance ring.  The
 boundedness scan bounds tiles, then sub-tiles of candidate tiles, with one
 certified kernel and evaluates only candidate sub-tiles: a dense scan's result.
 
 All frequency arguments are integers on the lattice; grid._phys applies
 the 2*pi/period scaling to physical wave numbers.  Viscosity is
-normalized to one in this module, matching the closed-form profiles.
+normalized to one in this module, matching the closed-form profiles.  The
+module imports only `grid`, so the scans load no solver code.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _distinct, _phys
-from .modes import _damped_symbol
+from .grid import _damped_symbol, _distinct, _phys
 
 # fitting window for the decay-exponent rays: top decade of the scan range
 _RAY_POINTS = 24
@@ -81,129 +82,17 @@ def _undamped_gap(kp, a2):
     return gap, np.abs(gap) <= _RING_TOL * (a4 + k2)
 
 
-def q0_symbol(k: int, xi: tuple[int, int], eta_hat: complex = 1.0,
-              t_period: float = 2.0 * math.pi,
-              l_period: float = 2.0 * math.pi) -> complex:
-    """Pressure amplitude of the half-space response to a plate mode."""
-    kp, x1, x2 = _phys(k, xi, t_period, l_period)
-    if kp == 0.0 or (x1 == 0.0 and x2 == 0.0):
-        raise ValueError("q0 is defined for k != 0 and xi' != 0 only")
-    return -_fluid_load(kp, x1 * x1 + x2 * x2) * eta_hat
-
-
-@dataclass
-class HalfspaceProfiles:
-    """Closed-form half-space response sampled on a wall-normal ray."""
-
-    x3: np.ndarray
-    u_lat: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    q0: complex
-
-
-def halfspace_profiles(k: int, xi: tuple[int, int], eta_hat: complex,
-                       x3: np.ndarray,
-                       t_period: float = 2.0 * math.pi,
-                       l_period: float = 2.0 * math.pi) -> HalfspaceProfiles:
-    """Evaluate the explicit half-space solution driven by one plate mode."""
-    kp, x1, x2 = _phys(k, xi, t_period, l_period)
-    if kp == 0.0 or (x1 == 0.0 and x2 == 0.0):
-        raise ValueError("profiles are defined for k != 0 and xi' != 0 only")
-    x3 = np.asarray(x3, float)
-    a = math.hypot(x1, x2)
-    root = complex(_decay_root(a * a, kp))
-    q0 = q0_symbol(k, xi, eta_hat, t_period, l_period)
-    e_a = np.exp(-a * x3)
-    e_s = np.exp(-root * x3)
-    u_shape = (q0 / kp) * (-e_a + e_s)
-    u_lat = np.stack([x1 * u_shape, x2 * u_shape])
-    v = (a * q0 / (1j * kp)) * e_a - (1j * kp * eta_hat + a * q0 / (1j * kp)) * e_s
-    p = q0 * e_a
-    return HalfspaceProfiles(x3, u_lat, v, p, q0)
-
-
-def halfspace_residuals(k: int, xi: tuple[int, int], eta_hat: complex,
-                        x3: np.ndarray,
-                        t_period: float = 2.0 * math.pi,
-                        l_period: float = 2.0 * math.pi) -> dict[str, float]:
-    """Substitute the profiles into the mode operators; max-abs residuals.
-
-    Derivatives of the decaying exponentials are taken in closed form, so
-    this is an algebraic check of the printed formulas, not a finite
-    difference test.
-    """
-    kp, x1, x2 = _phys(k, xi, t_period, l_period)
-    prof = halfspace_profiles(k, xi, eta_hat, x3, t_period, l_period)
-    a2 = x1 * x1 + x2 * x2
-    a = math.sqrt(a2)
-    root = complex(_decay_root(a2, kp))
-    q0 = prof.q0
-    e_a = np.exp(-a * prof.x3)
-    e_s = np.exp(-root * prof.x3)
-    # second derivatives multiply each exponential by its squared rate
-    helm_a = 1j * kp + a2 - a * a          # acting on e^{-a x3}
-    helm_s = 1j * kp + a2 - root * root    # acting on e^{-root x3}
-    mom_lat = []
-    for xj, u_j in ((x1, prof.u_lat[0]), (x2, prof.u_lat[1])):
-        amp = xj * q0 / kp
-        eval_helm = helm_a * (-amp) * e_a + helm_s * amp * e_s
-        mom_lat.append(eval_helm + 1j * xj * prof.p)
-    c_a = a * q0 / (1j * kp)
-    c_s = -(1j * kp * eta_hat + a * q0 / (1j * kp))
-    mom_vert = helm_a * c_a * e_a + helm_s * c_s * e_s + (-a) * q0 * e_a
-    dv = -a * c_a * e_a - root * c_s * e_s
-    div = 1j * x1 * prof.u_lat[0] + 1j * x2 * prof.u_lat[1] + dv
-    bc = max(float(np.max(np.abs(prof.u_lat[..., 0]))),
-             abs(prof.v[0] + 1j * kp * eta_hat))
-    return {
-        "momentum": float(max(np.max(np.abs(m)) for m in (*mom_lat, mom_vert))),
-        "divergence": float(np.max(np.abs(div))),
-        "bc": bc,
-    }
-
-
 def lattice_multipliers(k, xi, mu_s: float = 1.0,
                         t_period: float = 2.0 * math.pi,
                         l_period: float = 2.0 * math.pi):
     """M = 1/sym and (1 + |k|^2 + |xi'|^4) M at k, xi = (n1, n2), which broadcast.
 
-    Every point needs k != 0 and xi' != 0; see multiplier_M for those.
+    Every point needs k != 0 and xi' != 0.
     """
     kp, x1, x2 = _phys(k, xi, t_period, l_period)
     a2 = x1 * x1 + x2 * x2
     m = 1.0 / _coupled_symbol(kp, a2, mu_s)
     return m, (1.0 + kp * kp + a2 * a2) * m
-
-
-def multiplier_M(k: int, xi: tuple[int, int], mu_s: float = 1.0,
-                 t_period: float = 2.0 * math.pi,
-                 l_period: float = 2.0 * math.pi) -> complex:
-    """Damped multiplier; exact zero on the excluded k = 0 and xi' = 0 modes."""
-    if k == 0 or (xi[0] == 0 and xi[1] == 0):
-        return 0.0 + 0.0j
-    return lattice_multipliers(k, xi, mu_s, t_period, l_period)[0]
-
-
-def is_resonant_lattice_point(k: int, xi: tuple[int, int],
-                              t_period: float = 2.0 * math.pi,
-                              l_period: float = 2.0 * math.pi) -> bool:
-    """Ring rule test of |xi'|^4 = k^2 on the frequency lattice."""
-    if k == 0 or (xi[0] == 0 and xi[1] == 0):
-        return False
-    kp, x1, x2 = _phys(k, xi, t_period, l_period)
-    return bool(_undamped_gap(kp, x1 * x1 + x2 * x2)[1])
-
-
-def undamped_multiplier(k: int, xi: tuple[int, int],
-                        t_period: float = 2.0 * math.pi,
-                        l_period: float = 2.0 * math.pi):
-    """Multiplier of the undamped comparison model; None on the resonance ring."""
-    if k == 0 or (xi[0] == 0 and xi[1] == 0):
-        return 0.0 + 0.0j
-    kp, x1, x2 = _phys(k, xi, t_period, l_period)
-    gap, ring = _undamped_gap(kp, x1 * x1 + x2 * x2)
-    return None if ring else 1.0 / gap
 
 
 # ---- lattice scans ------------------------------------------------------------

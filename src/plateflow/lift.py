@@ -12,15 +12,20 @@ facts are the mode solver's (`modes.antiderivative_from_plate` and
 
 The construction acts per time mode with no k dependence, so it commutes
 exactly with time differentiation.
+
+`solve_by_lift`, the linear solve's lift route, removes g with the lift
+before `modes.solve_linear_full`, which never calls it; solve-linear runs
+it under ``route = lift``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import SpectralField
+from .fields import SpectralField, dt, laplacian, trace_bottom, zeros_like_field
 from .grid import TorusGrid
-from .modes import antiderivative_from_plate, xi0_incompatibility
+from .modes import (DEFAULT_PARAMS, LinearSolution, antiderivative_from_plate,
+                    solve_linear_full, xi0_incompatibility)
 from .norms import NormSpec, negative_norm, sobolev_norm
 
 
@@ -99,3 +104,20 @@ def lift_estimate_check(g_field: SpectralField, w: SpectralField,
              "dual_ratio": ("w_l_q", "g_dual")}
     return {key: n[num] / n[den] if n[den] > 0 else 0.0
             for key, (num, den) in pairs.items()}
+
+
+def solve_by_lift(f, g, h, *, grid=None, params=DEFAULT_PARAMS) -> LinearSolution:
+    """The lift route of the linear solve, the reference
+    `oracles.cross_validate_linear` compares with `solve_linear_full`: with
+    w the divergence lift of g, solve
+    for u - w on f - dt w + mu_f lap w, zero divergence and h - 2 mu_f trace g,
+    then add w back.  A zero or absent g is a plain solve_linear_full."""
+    if g is None or not g.coeffs.any():
+        return solve_linear_full(f, g, h, grid=grid, params=params)
+    f = zeros_like_field(g.grid, 3) if f is None else f
+    h = zeros_like_field(g.grid, plate=True) if h is None else h
+    w = lift_divergence(g, compat_tol=params.compat_tol)
+    sol = solve_linear_full(f - dt(w) + params.mu_f * laplacian(w), None,
+                            h - 2.0 * params.mu_f * trace_bottom(g),
+                            grid=grid, params=params)
+    return LinearSolution(sol.u + w, sol.p, sol.eta)

@@ -4,7 +4,8 @@ Every retained frequency pair (integer time index k, integer lateral pair
 xi') reduces the linearized interaction problem to a collocated
 boundary-value problem across the layer: Stokes momentum and continuity
 for the velocity and pressure profiles plus one scalar equation for the
-plate amplitude.  The lateral operators are isotropic: once the
+plate amplitude, whose symbol `grid._damped_symbol` the half-space
+multiplier shares.  The lateral operators are isotropic: once the
 velocities are eliminated, the system left in the pressure and the plate
 amplitude depends on xi' only through |xi'|^2, so the modes of one
 (k, |xi'|^2) group are solved together by block elimination in the
@@ -33,7 +34,7 @@ import numpy as np
 
 from .fields import (PlateField, SpectralField, _real_matmul, layer_derivative,
                      zeros_like_field)
-from .grid import TorusGrid, _phys, cheb_values_to_coeffs
+from .grid import TorusGrid, _damped_symbol, _phys, cheb_values_to_coeffs
 
 
 class IncompatibleDataError(ValueError):
@@ -95,14 +96,6 @@ class SolverParams:
 
 
 DEFAULT_PARAMS = SolverParams()
-
-
-def _damped_symbol(kp, a2, mu_s):
-    """|xi'|^4 - k^2 + i k mu_s |xi'|^2 at physical k and a2 = |xi'|^2.
-
-    The one definition of the damped plate symbol; arguments broadcast.
-    """
-    return a2 * a2 - kp * kp + 1j * kp * mu_s * a2
 
 
 @dataclass
@@ -352,8 +345,9 @@ def solve_linear_full(f: SpectralField | None = None,
     is; each xi' = 0 column is checked against compat_tol there and an
     incompatible one raises IncompatibleDataError.  This is the one solver
     path, for the CLI's solve-linear and for every Picard sweep;
-    `oracles.solve_by_lift` removes g with the divergence lift first, as the
-    independent reference that the cross-check compares with it.
+    `lift.solve_by_lift` removes g with the divergence lift first, as the
+    independent reference that the cross-check compares with it, and
+    solve-linear runs it only under ``route = lift``.
     """
     for cand in (f, g, h):
         if cand is not None:

@@ -470,18 +470,22 @@ def compose_forcing(f: SpectralField, eta: PlateField) -> SpectralField:
 def _map_rhs(u: SpectralField, p: SpectralField, geo, f, h, mu_f: float,
              series: np.ndarray | None = None):
     """Momentum, divergence and plate right-hand sides of the fixed-point map
-    at the state (u, p, eta), geo being eta's geometry record (or eta at
-    rest): the pulled-back f, zero and h, each corrected by the interaction
-    terms.  Returns them with f's pullback series for the next call.
+    at the state (u, p, eta), geo being eta's geometry record, or the flat
+    plate that stands in for it at rest: the pulled-back f, zero and h, each
+    corrected by the interaction terms.  Returns them with f's pullback
+    series for the next call.
 
     None stands for zero data; every term carries a factor of u or p, so at
-    rest none is formed and no series is built.  A moving state uses the
-    series it is given, or builds one (`_pullback_series`), and the
-    interaction terms add the pulled-back f to their momentum samples block
-    by block, so the momentum slot takes one analysis per block.
+    rest none is formed and no series is built, and the flat plate's
+    pullback returns f as it is.  A moving state uses the series it is
+    given, or builds one (`_pullback_series`), and the interaction terms add
+    the pulled-back f to their momentum samples block by block, so the
+    momentum slot takes one analysis per block.
     """
     if not (u.coeffs.any() or p.coeffs.any()):
-        return (None if f is None else compose_forcing(f, geo), None, h), series
+        if f is not None and isinstance(geo, _Geometry):
+            f = compose_forcing(f, geo)
+        return (f, None, h), series
     if f is not None:
         series = _pullback_series(f, geo) if series is None else series
         geo = geo.forcing(series)

@@ -1,17 +1,20 @@
 """Independent validation oracles for the solver stack.
 
-Five families of checks live here, deliberately decoupled from the code
+Six families of checks live here, deliberately decoupled from the code
 they police:
 
 * manufactured solutions whose data are produced by applying the governing
   operators analytically, so the discrete solver can be measured against a
-  known continuum truth rather than against itself, together with the lift
-  route of the linear solve (`solve_by_lift`), the second path the
+  known continuum truth rather than against itself, and solved along the
+  lift route of the linear solve (`lift.solve_by_lift`), the second path the
   solver's direct route is cross-checked against;
 * the weak form of one mode problem against random admissible test pairs,
   with the plate symbol written out rather than taken from the solver,
   and the empirical constant of the per-k energy bound;
 * the empirical quotients of the three interaction-term bounds;
+* the closed-form half-space response to one plate mode, substituted into
+  the mode operators with its derivatives taken in closed form; its
+  pressure amplitude is the scans' fluid load (`halfspace._fluid_load`);
 * finite-difference derivative probes on refined grids, the only
   derivative route in the package that does not share code with the
   spectral one;
@@ -32,13 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (PlateField, SpectralField, dt, dx, dx3, gradient, laplacian,
-                     layer_derivative, trace_bottom, zeros_like_field, _symmetrize)
+from .fields import (PlateField, SpectralField, dt, dx, dx3, gradient,
+                     layer_derivative, _symmetrize)
 from .grid import (TorusGrid, _phys, cheb_eval, cheb_nodes, cheb_values_to_coeffs,
                    clencurt_weights)
-from .lift import lift_divergence
-from .modes import (SolverParams, DEFAULT_PARAMS, LinearSolution, linear_residuals,
-                    solve_linear_full)
+from .halfspace import _decay_root, _fluid_load
+from .lift import solve_by_lift
+from .modes import SolverParams, DEFAULT_PARAMS, linear_residuals, solve_linear_full
 from .nonlinear import EPS0_DEFAULT, compute_nonlinear_terms
 from .norms import (NormSpec, sobolev_norm, mixed_lr_lp_norm, negative_norm, s_norm,
                     x_norm)
@@ -275,22 +278,6 @@ def make_manufactured(seed: int, *,
     return ManufacturedCase(grid, u, p, eta, f, g, h, params)
 
 
-def solve_by_lift(f, g, h, *, grid=None, params=DEFAULT_PARAMS) -> LinearSolution:
-    """The lift route of the linear solve, the reference `cross_validate_linear`
-    compares with `solve_linear_full`: with w the divergence lift of g, solve
-    for u - w on f - dt w + mu_f lap w, zero divergence and h - 2 mu_f trace g,
-    then add w back.  A zero or absent g is a plain solve_linear_full."""
-    if g is None or not g.coeffs.any():
-        return solve_linear_full(f, g, h, grid=grid, params=params)
-    f = zeros_like_field(g.grid, 3) if f is None else f
-    h = zeros_like_field(g.grid, plate=True) if h is None else h
-    w = lift_divergence(g, compat_tol=params.compat_tol)
-    sol = solve_linear_full(f - dt(w) + params.mu_f * laplacian(w), None,
-                            h - 2.0 * params.mu_f * trace_bottom(g),
-                            grid=grid, params=params)
-    return LinearSolution(sol.u + w, sol.p, sol.eta)
-
-
 def cross_validate_linear(case: ManufacturedCase, *, q: float = 2.0) -> dict:
     """Solve the case along both linear routes and report all discrepancies.
 
@@ -491,6 +478,82 @@ def nonlinear_bound_ratios(u: SpectralField, p: SpectralField, eta: PlateField,
         "momentum": quot(lhs_f, rhs_f),
         "divergence": quot(lhs_d, rhs_d),
         "plate": quot(lhs_e, rhs_e),
+    }
+
+
+# ---- half-space closed-form oracle ----------------------------------------------
+
+
+@dataclass
+class HalfspaceProfiles:
+    """Closed-form half-space response sampled on a wall-normal ray."""
+
+    x3: np.ndarray
+    u_lat: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
+    q0: complex
+
+
+def halfspace_profiles(k: int, xi: tuple[int, int], eta_hat: complex,
+                       x3: np.ndarray,
+                       t_period: float = 2.0 * math.pi,
+                       l_period: float = 2.0 * math.pi) -> HalfspaceProfiles:
+    """Evaluate the explicit half-space solution driven by one plate mode."""
+    kp, x1, x2 = _phys(k, xi, t_period, l_period)
+    if kp == 0.0 or (x1 == 0.0 and x2 == 0.0):
+        raise ValueError("profiles are defined for k != 0 and xi' != 0 only")
+    x3 = np.asarray(x3, float)
+    a = math.hypot(x1, x2)
+    root = complex(_decay_root(a * a, kp))
+    # pressure amplitude at the plate: the half-space load times -eta_hat
+    q0 = -_fluid_load(kp, x1 * x1 + x2 * x2) * eta_hat
+    e_a = np.exp(-a * x3)
+    e_s = np.exp(-root * x3)
+    u_shape = (q0 / kp) * (-e_a + e_s)
+    u_lat = np.stack([x1 * u_shape, x2 * u_shape])
+    v = (a * q0 / (1j * kp)) * e_a - (1j * kp * eta_hat + a * q0 / (1j * kp)) * e_s
+    p = q0 * e_a
+    return HalfspaceProfiles(x3, u_lat, v, p, q0)
+
+
+def halfspace_residuals(k: int, xi: tuple[int, int], eta_hat: complex,
+                        x3: np.ndarray,
+                        t_period: float = 2.0 * math.pi,
+                        l_period: float = 2.0 * math.pi) -> dict[str, float]:
+    """Substitute the profiles into the mode operators; max-abs residuals.
+
+    Derivatives of the decaying exponentials are taken in closed form, so
+    this is an algebraic check of the printed formulas, not a finite
+    difference test.
+    """
+    kp, x1, x2 = _phys(k, xi, t_period, l_period)
+    prof = halfspace_profiles(k, xi, eta_hat, x3, t_period, l_period)
+    a2 = x1 * x1 + x2 * x2
+    a = math.sqrt(a2)
+    root = complex(_decay_root(a2, kp))
+    q0 = prof.q0
+    e_a = np.exp(-a * prof.x3)
+    e_s = np.exp(-root * prof.x3)
+    # second derivatives multiply each exponential by its squared rate
+    helm_a = 1j * kp + a2 - a * a          # acting on e^{-a x3}
+    helm_s = 1j * kp + a2 - root * root    # acting on e^{-root x3}
+    mom_lat = []
+    for xj, u_j in ((x1, prof.u_lat[0]), (x2, prof.u_lat[1])):
+        amp = xj * q0 / kp
+        eval_helm = helm_a * (-amp) * e_a + helm_s * amp * e_s
+        mom_lat.append(eval_helm + 1j * xj * prof.p)
+    c_a = a * q0 / (1j * kp)
+    c_s = -(1j * kp * eta_hat + a * q0 / (1j * kp))
+    mom_vert = helm_a * c_a * e_a + helm_s * c_s * e_s + (-a) * q0 * e_a
+    dv = -a * c_a * e_a - root * c_s * e_s
+    div = 1j * x1 * prof.u_lat[0] + 1j * x2 * prof.u_lat[1] + dv
+    bc = max(float(np.max(np.abs(prof.u_lat[..., 0]))),
+             abs(prof.v[0] + 1j * kp * eta_hat))
+    return {
+        "momentum": float(max(np.max(np.abs(m)) for m in (*mom_lat, mom_vert))),
+        "divergence": float(np.max(np.abs(div))),
+        "bc": bc,
     }
 
 

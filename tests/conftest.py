@@ -7,11 +7,14 @@ comparisons meaningful: a refined grid resolves the identical data, and
 any drift in an empirical ratio is the code's, not the draw's.
 """
 
+import math
 import sys
 
 import numpy as np
 
 from plateflow.fields import PlateField, SpectralField, _symmetrize
+from plateflow.grid import _phys
+from plateflow.halfspace import _undamped_gap
 
 # Printed by the terminal-summary hook so the acceptance verdicts survive
 # pytest's output capture, one line per criterion.
@@ -23,6 +26,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def ring_gap(k, xi, t_period=2.0 * math.pi, l_period=2.0 * math.pi):
+    """|xi'|^4 - k^2 and ring membership (halfspace._undamped_gap) at the
+    integer lattice point (k, xi)."""
+    kp, x1, x2 = _phys(k, xi, t_period, l_period)
+    return _undamped_gap(kp, x1 * x1 + x2 * x2)
 
 
 def count_calls(monkeypatch, fn) -> list:

@@ -20,13 +20,7 @@ from plateflow.fields import (
     physical_samples,
 )
 from plateflow.grid import TorusGrid
-from plateflow.halfspace import (
-    boundedness_scan,
-    halfspace_residuals,
-    is_resonant_lattice_point,
-    multiplier_M,
-    undamped_multiplier,
-)
+from plateflow.halfspace import boundedness_scan, lattice_multipliers
 from plateflow.lift import lift_divergence, lift_estimate_check
 from plateflow.modes import solve_linear_full, solve_mode
 from plateflow.nonlinear import (
@@ -40,6 +34,7 @@ from plateflow.norms import NormSpec, sobolev_norm, x_norm, y_norm
 from plateflow.oracles import (
     cross_validate_linear,
     energy_estimate_check,
+    halfspace_residuals,
     make_manufactured,
     nonlinear_bound_ratios,
     random_test_pair,
@@ -47,7 +42,7 @@ from plateflow.oracles import (
     weak_form_rhs,
 )
 
-from conftest import ACCEPTANCE_LINES, bubble_field, poly_field, poly_plate
+from conftest import ACCEPTANCE_LINES, bubble_field, poly_field, poly_plate, ring_gap
 
 TOL_ROUND_TRIP = 1e-12
 TOL_PARSEVAL = 1e-12
@@ -141,8 +136,8 @@ def test_criterion_02_multiplier_boundedness():
 
 def test_criterion_03_resonance_contrast():
     k, xi = 1, (1, 0)
-    ring = is_resonant_lattice_point(k, xi) and undamped_multiplier(k, xi) is None
-    m = multiplier_M(k, xi)
+    ring = bool(ring_gap(k, xi)[1])
+    m = lattice_multipliers(k, xi)[0]
     # independent reassembly: fluid load plus the damped flexural symbol
     root = cmath.sqrt(1 + 1j)
     sym = -1 + 1j * (2 + root)
@@ -153,9 +148,9 @@ def test_criterion_03_resonance_contrast():
                  (44, 88), (80, 80)):
         s = a * a + b * b
         for kk in (s - 1, s + 1):       # straddle the ring without touching it
-            und = undamped_multiplier(kk, (a, b))
-            assert und is not None
-            ratio = abs(und) / abs(multiplier_M(kk, (a, b)))
+            gap, on_ring = ring_gap(kk, (a, b))
+            assert not on_ring
+            ratio = abs(1.0 / gap) / abs(lattice_multipliers(kk, (a, b))[0])
             if ratio > best:
                 best, best_at = ratio, (kk, (a, b))
     ok = (ring and reassembly < 1e-12 and value_gap < TOL_RESONANT_ABS

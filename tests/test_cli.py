@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plateflow import cli
+from plateflow import cli, halfspace
 from plateflow.cli import CliError, load_config, main, parse_forcing
 from plateflow.fields import PlateField, divergence, physical_samples
 from plateflow.grid import TorusGrid
 from plateflow.io import read_field, write_field
+from plateflow.lift import solve_by_lift
 from plateflow.modes import solve_linear_full
 from plateflow.norms import negative_norm, x_norm, y_norm
-from plateflow.oracles import solve_by_lift
 
 from conftest import bubble_field, count_calls, poly_field, poly_plate
 
@@ -461,9 +461,9 @@ def test_oversized_window_refused(tmp_path, capsys, monkeypatch, command, text):
 
 
 def test_window_estimates_admit_the_benchmark_windows():
-    assert cli.scan_window_bytes(20_000, 200) < cli.WINDOW_BUDGET_BYTES
-    assert cli.report_window_bytes(4, 2) < cli.WINDOW_BUDGET_BYTES
-    assert cli.report_window_bytes(10_000, 100) > 400e9
+    assert halfspace.scan_window_bytes(20_000, 200) < cli.WINDOW_BUDGET_BYTES
+    assert halfspace.report_window_bytes(4, 2) < cli.WINDOW_BUDGET_BYTES
+    assert halfspace.report_window_bytes(10_000, 100) > 400e9
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -803,24 +803,46 @@ def test_package_root_loads_no_module():
     assert [name for name in loaded if name.startswith("plateflow")] == ["plateflow"]
 
 
-def test_cli_process_loads_one_blas_thread_and_only_the_scan_path(tmp_path):
+_TINY = "n_t = 3\nn_x = 3\nn_z = 8\nforcing_h = cos(t)*cos(x1)\n"
+# the plateflow modules each subcommand loads besides cli and grid, with a
+# tiny config: the scans run halfspace alone, the solves' config check reads
+# the coupled symbol from halfspace, the lift route adds lift, and only
+# validate reaches the oracles
+_SOLVE = {"fields", "halfspace", "io", "modes", "norms"}
+_LOADED = {
+    "multiplier-scan": ("k_max = 10\nxi_max = 3\n", {"halfspace"}),
+    "resonance-report": ("", {"halfspace"}),
+    "solve-linear": (_TINY + "forcing_g = cos(x1)*x3\n", _SOLVE),
+    "solve-linear-lift": (_TINY + "forcing_g = cos(x1)*x3\nroute = lift\n",
+                          _SOLVE | {"lift"}),
+    "solve-nonlinear": (_TINY + "eps = 0.001\n", _SOLVE | {"nonlinear"}),
+    "lift-div": ("n_z = 8\nforcing_g = 0.01*sin(x1)\n",
+                 {"fields", "io", "lift", "modes", "norms"}),
+    "validate": ("", {"fields", "halfspace", "lift", "modes", "nonlinear", "norms",
+                      "oracles"}),
+}
+
+
+@pytest.mark.parametrize("case", _LOADED)
+def test_cli_process_loads_one_blas_thread_and_only_its_modules(tmp_path, case):
     # OPENBLAS_NUM_THREADS is read once, when numpy loads OpenBLAS: a fresh
     # process that imports the CLI first keeps one thread after main returns
-    (tmp_path / "scan.cfg").write_text("k_max = 10\nxi_max = 3\n")
+    text, modules = _LOADED[case]
+    (tmp_path / "run.cfg").write_text(text)
     script = ("import json, sys; from plateflow.cli import main, "
               "_openblas_thread_calls; code = main(sys.argv[1:]); "
               "calls = _openblas_thread_calls(); "
               "print(json.dumps({'code': code, 'modules': sorted(sys.modules), "
               "'threads': None if calls is None else calls[1]()}))")
-    doc = _fresh_python(script, "multiplier-scan", "--config",
-                        str(tmp_path / "scan.cfg"), "--out", str(tmp_path / "out"),
+    doc = _fresh_python(script, case.removesuffix("-lift"), "--config",
+                        str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out"),
                         OPENBLAS_NUM_THREADS="2")
     assert doc["code"] == 0
     loaded = {name for name in doc["modules"] if name.startswith("plateflow.")}
-    assert loaded == {f"plateflow.{m}" for m in
-                      ("cli", "grid", "fields", "modes", "halfspace", "io")}
+    assert loaded == {f"plateflow.{m}" for m in modules | {"cli", "grid"}}
     # a subcommand that forms no interaction terms records no terms workers
-    assert manifest_of(tmp_path / "out")["execution"]["terms_workers"] is None
+    workers = manifest_of(tmp_path / "out")["execution"]["terms_workers"]
+    assert (workers is None) == ("nonlinear" not in modules)
     if doc["threads"] is None:
         pytest.skip("no OpenBLAS thread control in this numpy")
     assert doc["threads"] == 1
@@ -936,6 +958,22 @@ def test_solve_nonlinear_refuses_a_divergence_datum(tmp_path, capsys, datum):
     assert err["kind"] == "config" and "forcing_g" in err["message"]
     assert "\n" not in err["message"]
     assert not (out / "manifest.json").exists() and not (out / "u.plf").exists()
+
+
+def test_solve_nonlinear_refuses_an_overflowing_datum_without_a_warning(tmp_path,
+                                                                        capsys):
+    # (cos(t) + 1)**2000 overflows at t = 0: not finite, hence not 0
+    cfg = ("n_z = 8\nforcing_g = (cos(t)+1)**2000\n"
+           "forcing_h = cos(t)*cos(x1)\neps = 0.001\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, cfg, "solve-nonlinear")
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = error_payload_of(lines[0])
+    assert err["kind"] == "config" and "forcing_g must be 0" in err["message"]
+    assert list(out.iterdir()) == []
 
 
 def test_solve_nonlinear_runs_a_zero_divergence_datum(tmp_path):

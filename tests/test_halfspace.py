@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from plateflow import halfspace
+from plateflow.grid import _damped_symbol
 from plateflow.halfspace import (
     _coupled_symbol,
     _fluid_load,
@@ -16,19 +17,15 @@ from plateflow.halfspace import (
     _sub_tiles,
     _tile_bounds,
     boundedness_scan,
-    halfspace_profiles,
-    halfspace_residuals,
-    is_resonant_lattice_point,
     lattice_multipliers,
-    multiplier_M,
-    q0_symbol,
     report_window_bytes,
     resonance_report,
     resonance_rows_to_csv,
     scan_window_bytes,
-    undamped_multiplier,
 )
-from plateflow.modes import _damped_symbol
+from plateflow.oracles import halfspace_profiles, halfspace_residuals
+
+from conftest import ring_gap
 
 TOL_EQ = 1e-10
 TOL_BC = 1e-13
@@ -38,11 +35,9 @@ RAY = np.linspace(0.0, 6.0, 121)
 
 def test_excluded_modes_rejected():
     with pytest.raises(ValueError):
-        q0_symbol(0, (1, 0))
-    with pytest.raises(ValueError):
-        q0_symbol(1, (0, 0))
-    with pytest.raises(ValueError):
         halfspace_profiles(0, (1, 1), 1.0, RAY)
+    with pytest.raises(ValueError):
+        halfspace_profiles(1, (0, 0), 1.0, RAY)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -69,16 +64,11 @@ def test_boundary_identities_direct():
     assert abs(prof.p[-1]) < 1e-2 * abs(prof.p[0])
 
 
-def test_multiplier_vanishes_on_excluded_modes():
-    assert multiplier_M(0, (3, 1)) == 0.0 + 0.0j
-    assert multiplier_M(2, (0, 0)) == 0.0 + 0.0j
-
-
 def test_damped_multiplier_at_first_ring_point():
     # independent reassembly of the symbol at (1, (1, 0))
     root = cmath.sqrt(1.0 + 1.0j)
     sym = (1.0 - 1.0 + 1.0j) + (-1.0 + 1.0j * (1.0 + root))
-    m = multiplier_M(1, (1, 0))
+    m = lattice_multipliers(1, (1, 0))[0]
     assert abs(m - 1.0 / sym) < 1e-14
     assert abs(abs(m) - 0.2921) < 1e-3
 
@@ -86,22 +76,23 @@ def test_damped_multiplier_at_first_ring_point():
 def test_resonance_ring_membership():
     for point in ((1, (1, 0)), (1, (0, 1)), (2, (1, 1)), (4, (2, 0)),
                   (5, (2, 1)), (-5, (1, 2))):
-        assert is_resonant_lattice_point(*point), point
+        assert ring_gap(*point)[1], point
     for point in ((1, (1, 1)), (3, (1, 1)), (2, (2, 0)), (0, (1, 0)),
                   (1, (0, 0))):
-        assert not is_resonant_lattice_point(*point), point
+        assert not ring_gap(*point)[1], point
 
 
 def test_undamped_multiplier_values():
-    assert undamped_multiplier(1, (1, 0)) is None
-    val = undamped_multiplier(3, (1, 1))
-    assert val == pytest.approx(1.0 / (4.0 - 9.0))
-    assert undamped_multiplier(0, (1, 1)) == 0.0 + 0.0j
+    # the undamped multiplier is 1/gap off the ring and undefined on it
+    gap, ring = ring_gap(1, (1, 0))
+    assert ring and gap == 0.0
+    gap, ring = ring_gap(3, (1, 1))
+    assert not ring and 1.0 / gap == pytest.approx(1.0 / (4.0 - 9.0))
 
 
 def test_weighted_multiplier_consistent():
     k, xi = 3, (2, 1)
-    want = (1.0 + 9.0 + 25.0) * multiplier_M(k, xi)
+    want = (1.0 + 9.0 + 25.0) * lattice_multipliers(k, xi)[0]
     assert lattice_multipliers(k, xi)[1] == pytest.approx(want)
 
 
@@ -371,8 +362,7 @@ def test_ring_rule_off_the_2pi_periods():
     assert sum(on_ring) > 0
     assert [r.label == "resonant" for r in rows] == on_ring
     for r, ring in zip(rows, on_ring):
-        assert is_resonant_lattice_point(r.k, r.xi, *periods) == ring
-        assert (undamped_multiplier(r.k, r.xi, *periods) is None) == ring
+        assert ring_gap(r.k, r.xi, *periods)[1] == ring
     rep = boundedness_scan(60, 8, 1.0, *periods)
     assert math.isfinite(rep.max_damping_ratio) and rep.max_damping_ratio < 1e6
     assert rep.ratio_xi[0] ** 2 + rep.ratio_xi[1] ** 2 != rep.ratio_k

@@ -6,14 +6,14 @@ import pytest
 from plateflow import modes
 from plateflow.cli import _one_blas_thread, _openblas_thread_calls
 from plateflow.fields import PlateField, SpectralField, divergence, zeros_like_field
-from plateflow.grid import TorusGrid, _phys
+from plateflow.grid import TorusGrid, _damped_symbol, _phys
+from plateflow.lift import solve_by_lift
 from plateflow.nonlinear import picard_solve
 from plateflow.modes import (
     IncompatibleDataError,
     ModeSolution,
     SolverParams,
     _antiderivative_matrix,
-    _damped_symbol,
     _residual_parts,
     linear_residuals,
     solve_linear_full,
@@ -24,7 +24,6 @@ from plateflow.oracles import (
     energy_estimate_check,
     make_manufactured,
     random_test_pair,
-    solve_by_lift,
     weak_form_B,
     weak_form_rhs,
 )

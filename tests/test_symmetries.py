@@ -16,10 +16,11 @@ import pytest
 from plateflow.cli import _one_blas_thread
 from plateflow.fields import PlateField, SpectralField
 from plateflow.grid import TorusGrid
+from plateflow.lift import solve_by_lift
 from plateflow.modes import solve_linear_full
 from plateflow.nonlinear import PicardConfig, picard_solve
 from plateflow.norms import x_norm
-from plateflow.oracles import make_manufactured, solve_by_lift
+from plateflow.oracles import make_manufactured
 
 GAP = 1e-12
 # the Picard sweeps cost most, so they run on the smaller lattice
