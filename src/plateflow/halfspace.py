@@ -3,8 +3,8 @@
 With the layer replaced by the half space above the plate, the response of
 the coupled system to a single plate-displacement mode is available in
 closed form: decaying exponentials for the velocity and pressure profiles
-(`oracles.halfspace_profiles`, which criterion 04 substitutes into the mode
-operators) and an algebraic symbol for the plate balance.  The reciprocal of that
+(`oracles.halfspace_profiles`, which criterion 04 checks) and an algebraic
+symbol for the plate balance.  The reciprocal of that
 symbol is a Fourier multiplier whose boundedness encodes the damping of the
 coupled dynamics; lattice scans here quantify it and contrast it with the
 undamped variant, which is singular on the resonance ring.
